@@ -367,33 +367,43 @@ let run_chaos () =
   Printf.printf "[chaos results written to BENCH_chaos.json]\n%!"
 
 (* ------------------------------------------------------------------ *)
+(* Exit non-zero when a run's headline claims fail ([Minos.Cluster.check],
+   [Minos.Reshard.check]); the written JSON stays for inspection. *)
+let enforce target = function
+  | Ok () -> ()
+  | Error msg ->
+      Printf.eprintf "%s check FAILED: %s\n%!" target msg;
+      exit 1
+
 (* Cluster scale-out: 4 shard servers behind the client-side router,
    size-aware Minos vs the keyhash baseline at the same offered load.
-   The JSON is the record CI compares: multi-GET p99 must grow with the
+   [Minos.Cluster.check] gates the run: multi-GET p99 must grow with the
    fan-out degree, per-server Minos p99 must stay strictly below the
-   keyhash baseline's, cluster loss accounting must telescope exactly,
-   and a rerun at the same seed (any MINOS_JOBS) must be byte-identical. *)
+   keyhash baseline's and cluster loss accounting must telescope
+   exactly.  A rerun at the same seed (any MINOS_JOBS) is
+   byte-identical. *)
 
 let run_cluster () =
   let cfg = Minos.Experiment.config_of_scale scale in
   let t =
-    Minos.Cluster.run ~cfg ~seed:1 ~servers:4 Workload.Scenario.default
+    Minos.Cluster.run ~cfg ~seed:1 ~servers:4 Workload.Spec.default
       ~offered_mops:8.0
   in
   Minos.Cluster.print t;
   let oc = open_out "BENCH_cluster.json" in
   output_string oc (Minos.Cluster.to_json t);
   close_out oc;
-  Printf.printf "[cluster results written to BENCH_cluster.json]\n%!"
+  Printf.printf "[cluster results written to BENCH_cluster.json]\n%!";
+  enforce "cluster" (Minos.Cluster.check t)
 
 (* Elastic resharding: the add-remove plan (a server joins mid-run, then
    server 1 drains out) against a 4-shard cluster at 8 Mops, size-aware
-   Minos vs the keyhash baseline over the same routing table.  The JSON
-   is the record CI compares: loss accounting must telescope exactly
-   across the reshard events, the key-conservation audit must report
-   zero lost/duplicated/stale keys, the p99 during migration must stay
-   within 3x of steady state, and a rerun at the same seed (any
-   MINOS_JOBS) must be byte-identical. *)
+   Minos vs the keyhash baseline over the same routing table.
+   [Minos.Reshard.check] gates the run: loss accounting must telescope
+   exactly across the reshard events, the key-conservation audit must
+   report zero lost/duplicated/stale keys and the p99 during migration
+   must stay within 3x of steady state.  A rerun at the same seed (any
+   MINOS_JOBS) is byte-identical. *)
 
 let run_reshard () =
   let cfg =
@@ -409,14 +419,15 @@ let run_reshard () =
          ~duration_us:cfg.Kvserver.Config.duration_us)
   in
   let t =
-    Minos.Reshard.run ~cfg ~seed:1 ~servers:4 ~plan Workload.Scenario.default
+    Minos.Reshard.run ~cfg ~seed:1 ~servers:4 ~plan Workload.Spec.default
       ~offered_mops:8.0 ()
   in
   Minos.Reshard.print t;
   let oc = open_out "BENCH_reshard.json" in
   output_string oc (Minos.Reshard.to_json t);
   close_out oc;
-  Printf.printf "[reshard results written to BENCH_reshard.json]\n%!"
+  Printf.printf "[reshard results written to BENCH_reshard.json]\n%!";
+  enforce "reshard" (Minos.Reshard.check t)
 
 (* Scenario suite: every registry scenario beyond the paper's static
    Poisson mix — diurnal ramps, bursts, TTL churn, scan-heavy, and the

@@ -123,6 +123,16 @@ let scenario_of ~workload ~p_large ~s_large ~get_ratio =
   | Some sc -> sc
   | None -> Workload.Scenario.of_spec (spec_of ~p_large ~s_large ~get_ratio)
 
+(* The cluster, reshard and hedge drivers run a flat request mix: a
+   scenario with extras they cannot honour is refused, not reduced. *)
+let flat_spec_of cmd ~workload ~p_large ~s_large ~get_ratio =
+  let sc = scenario_of ~workload ~p_large ~s_large ~get_ratio in
+  match Workload.Scenario.flat sc with
+  | Ok spec -> spec
+  | Error msg ->
+      Printf.eprintf "%s: %s\n" cmd msg;
+      exit 1
+
 let scale_of quick =
   if quick then Minos.Experiment.quick_scale else Minos.Experiment.full_scale
 
@@ -696,12 +706,12 @@ let cluster_cmd =
                (design_names ())))
   in
   let policy_conv =
-    Arg.enum [ ("hash", Kvcluster.Run.Hash); ("range", Kvcluster.Run.Range) ]
+    Arg.enum [ ("hash", Shardmgr.Table.Hash); ("range", Shardmgr.Table.Range) ]
   in
   let policy_arg =
     Arg.(
       value
-      & opt policy_conv Kvcluster.Run.Hash
+      & opt policy_conv Shardmgr.Table.Hash
       & info [ "policy" ] ~docv:"hash|range"
           ~doc:
             "Routing policy: consistent hashing over virtual nodes, or an \
@@ -752,7 +762,7 @@ let cluster_cmd =
   let action design baseline servers policy rebalance vnodes fanouts trials json
       trace_out load workload p_large s_large get_ratio quick seed jobs =
     Minos.Par.set_jobs jobs;
-    let workload = scenario_of ~workload ~p_large ~s_large ~get_ratio in
+    let workload = flat_spec_of "cluster" ~workload ~p_large ~s_large ~get_ratio in
     let cfg = Minos.Experiment.config_of_scale (scale_of quick) in
     let t =
       Minos.Cluster.run ~cfg ~design ~baseline ~policy ~vnodes ~rebalance
@@ -774,8 +784,8 @@ let cluster_cmd =
     (Cmd.info "cluster"
        ~doc:
          "Simulate a sharded cluster: N independent servers behind a \
-          client-side router, under the chosen design and a baseline at the \
-          same offered load.  Reports per-shard and aggregate latency, \
+          client-side router (a no-op-plan run of the reshard table), under \
+          the chosen design and a baseline at the same offered load.  Reports per-shard and aggregate latency, \
           loss-accounting, and multi-GET completion p99 versus fan-out \
           degree.")
     Term.(
@@ -870,7 +880,7 @@ let reshard_cmd =
   let action design baseline servers plan_file plan_name groups vnodes manage
       json trace_out load workload p_large s_large get_ratio quick seed jobs =
     Minos.Par.set_jobs jobs;
-    let workload = scenario_of ~workload ~p_large ~s_large ~get_ratio in
+    let workload = flat_spec_of "reshard" ~workload ~p_large ~s_large ~get_ratio in
     let s = scale_of quick in
     let cfg =
       {
@@ -997,7 +1007,7 @@ let hedge_cmd =
   let action shards mirrors cores quantile detect json trace_out load workload
       p_large s_large get_ratio quick seed jobs =
     Minos.Par.set_jobs jobs;
-    let workload = scenario_of ~workload ~p_large ~s_large ~get_ratio in
+    let workload = flat_spec_of "hedge" ~workload ~p_large ~s_large ~get_ratio in
     let config =
       {
         (Minos.Hedge.config_of_scale (scale_of quick)) with

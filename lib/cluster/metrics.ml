@@ -7,6 +7,7 @@ type t = {
   rx_dropped : int;
   shed_small : int;
   shed_large : int;
+  expired_misses : int;
   in_flight_end : int;
   throughput_mops : float;
   mean_us : float;
@@ -17,12 +18,6 @@ type t = {
   imbalance : float;
   stable : bool;
 }
-
-let shard_telescopes (m : Kvserver.Metrics.t) =
-  m.Kvserver.Metrics.issued
-  = m.Kvserver.Metrics.served_total + m.Kvserver.Metrics.net_dropped
-    + m.Kvserver.Metrics.rx_dropped + m.Kvserver.Metrics.shed_small
-    + m.Kvserver.Metrics.shed_large + m.Kvserver.Metrics.in_flight_end
 
 let aggregate ~shard_share results =
   let n = Array.length results in
@@ -63,6 +58,7 @@ let aggregate ~shard_share results =
     rx_dropped = sum (fun m -> m.Kvserver.Metrics.rx_dropped);
     shed_small = sum (fun m -> m.Kvserver.Metrics.shed_small);
     shed_large = sum (fun m -> m.Kvserver.Metrics.shed_large);
+    expired_misses = sum (fun m -> m.Kvserver.Metrics.expired_misses);
     in_flight_end = sum (fun m -> m.Kvserver.Metrics.in_flight_end);
     throughput_mops = sumf (fun m -> m.Kvserver.Metrics.throughput_mops);
     mean_us =
@@ -80,5 +76,5 @@ let aggregate ~shard_share results =
 let telescopes t =
   t.issued
   = t.served_total + t.net_dropped + t.rx_dropped + t.shed_small + t.shed_large
-    + t.in_flight_end
-  && Array.for_all shard_telescopes t.per_shard
+    + t.expired_misses + t.in_flight_end
+  && Array.for_all Kvserver.Metrics.telescopes t.per_shard

@@ -8,7 +8,7 @@
     cluster total:
 
     [issued = served_total + net_dropped + rx_dropped + shed_small
-            + shed_large + in_flight_end]
+            + shed_large + expired_misses + in_flight_end]
 
     summed over shards — checked by {!telescopes}. *)
 
@@ -21,6 +21,7 @@ type t = {
   rx_dropped : int;
   shed_small : int;
   shed_large : int;
+  expired_misses : int;
   in_flight_end : int;
   throughput_mops : float;    (** sum of per-shard throughputs *)
   mean_us : float;
@@ -41,4 +42,5 @@ val aggregate :
     latency vectors are only read, not retained. *)
 
 val telescopes : t -> bool
-(** Exact cluster-wide loss accounting, and per-shard for good measure. *)
+(** Exact cluster-wide loss accounting, and per shard
+    ({!Kvserver.Metrics.telescopes}). *)

@@ -41,9 +41,6 @@ let create ?starts ~servers ~n_keys () =
   in
   { n_keys; starts }
 
-let servers t = Array.length t.starts
-let n_keys t = t.n_keys
-let starts t = Array.copy t.starts
 
 let lookup t key_id =
   if key_id < 0 || key_id >= t.n_keys then

@@ -15,12 +15,6 @@ val create : ?starts:int array -> servers:int -> n_keys:int -> unit -> t
     [[starts.(i), starts.(i+1))].  Default: equal-width ranges.
     [servers] must be in [1, n_keys]. *)
 
-val servers : t -> int
-val n_keys : t -> int
-
-val starts : t -> int array
-(** A copy of the range starts (length [servers], [starts.(0) = 0]). *)
-
 val lookup : t -> int -> int
 (** [lookup t key_id] is the owning server.  Raises [Invalid_argument]
     when [key_id] is outside [0, n_keys). *)

@@ -8,7 +8,6 @@ let mix z =
 
 type t = {
   servers : int;
-  vnodes : int;
   points : int array; (* sorted ring positions *)
   owner : int array;  (* owner.(i) = server owning points.(i) *)
 }
@@ -48,7 +47,6 @@ let of_members ?(vnodes = 128) ?(seed = 0) members =
     pairs;
   {
     servers = k;
-    vnodes;
     points = Array.map fst pairs;
     owner = Array.map snd pairs;
   }
@@ -56,9 +54,6 @@ let of_members ?(vnodes = 128) ?(seed = 0) members =
 let create ?(vnodes = 128) ?(seed = 0) ~servers () =
   if servers < 1 then invalid_arg "Ring.create: servers must be >= 1";
   of_members ~vnodes ~seed (List.init servers Fun.id)
-
-let servers t = t.servers
-let vnodes t = t.vnodes
 
 let lookup t h =
   let h = mix h in
@@ -80,7 +75,6 @@ let remove t s =
   let pairs = Array.of_list !keep in
   {
     servers = t.servers - 1;
-    vnodes = t.vnodes;
     points = Array.map fst pairs;
     owner = Array.map snd pairs;
   }

@@ -27,11 +27,6 @@ val of_members : ?vnodes:int -> ?seed:int -> int list -> t
     test/test_cluster.ml).  The elastic-resharding cutover protocol
     ({!Shardmgr}) relies on exactly these two properties. *)
 
-val servers : t -> int
-(** Number of members (not the largest id). *)
-
-val vnodes : t -> int
-
 val lookup : t -> int -> int
 (** [lookup t h] is the server owning hash [h] (any non-negative int;
     it is re-mixed internally, so raw key ids are acceptable input). *)

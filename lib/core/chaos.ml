@@ -123,21 +123,9 @@ let print t =
         rows)
     plans
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | c when Char.code c < 0x20 -> Buffer.add_string b " "
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let to_json t =
   let b = Buffer.create 4096 in
-  let fl x = Printf.sprintf "%.3f" x in
+  let fl = Report.json_float in
   Buffer.add_string b "{\n";
   Buffer.add_string b (Printf.sprintf "  \"seed\": %d,\n" t.seed);
   Buffer.add_string b "  \"plans\": {\n";
@@ -148,7 +136,7 @@ let to_json t =
   in
   List.iteri
     (fun pi plan ->
-      Buffer.add_string b (Printf.sprintf "    \"%s\": {\n" (json_escape plan));
+      Buffer.add_string b (Printf.sprintf "    %s: {\n" (Report.json_string plan));
       let rows = List.filter (fun r -> r.plan = plan) t.rows in
       (match rows with
       | r :: _ ->
@@ -160,11 +148,11 @@ let to_json t =
           let m = r.metrics in
           Buffer.add_string b
             (Printf.sprintf
-               "      \"%s\": {\"p99_us\": %s, \"p50_us\": %s, \
+               "      %s: {\"p99_us\": %s, \"p50_us\": %s, \
                 \"throughput_mops\": %s, \"goodput\": %s, \"served\": %d, \
                 \"shed_small\": %d, \"shed_large\": %d, \"net_dropped\": %d, \
                 \"rx_dropped\": %d, \"stable\": %b}%s\n"
-               (json_escape r.label)
+               (Report.json_string r.label)
                (fl m.Kvserver.Metrics.p99_us)
                (fl m.Kvserver.Metrics.p50_us)
                (fl m.Kvserver.Metrics.throughput_mops)

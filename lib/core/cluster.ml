@@ -1,23 +1,28 @@
+type side = { run : Shardmgr.Run.t; fanout : Kvcluster.Fanout.point list }
+
 type t = {
   servers : int;
   offered_mops : float;
   seed : int;
-  main : Kvcluster.Run.t;
-  baseline : Kvcluster.Run.t;
+  table : Shardmgr.Table.t;
+  main : side;
+  baseline : side;
 }
 
 let run ?cfg ?(design = Kvserver.Design.minos) ?(baseline = Kvserver.Design.hkh)
-    ?policy ?vnodes ?rebalance ?fanouts ?trials ?(seed = 1) ?trace_out ?spans
-    ?sample_rate ~servers workload ~offered_mops =
+    ?policy ?vnodes ?rebalance ?(fanouts = [ 1; 2; 4; 8; 16 ]) ?trials
+    ?(seed = 1) ?trace_out ?spans ?sample_rate ~servers workload ~offered_mops =
   let cfg =
     match cfg with
     | Some c -> c
     | None -> Experiment.config_of_scale Experiment.full_scale
   in
-  (* The cluster driver consumes the scenario's flat mix; arrival/TTL/scan
-     extras are single-engine features (see Experiment.run_spec). *)
-  let workload = workload.Workload.Scenario.spec in
   let dataset = Experiment.dataset_for workload in
+  let table =
+    Shardmgr.Table.compile ?policy ?rebalance ?vnodes ~seed ~servers ~workload
+      ~dataset ~duration_us:cfg.Kvserver.Config.duration_us ~offered_mops
+      Shardmgr.Plan.empty
+  in
   let instruments =
     match trace_out with
     | None -> None
@@ -32,9 +37,18 @@ let run ?cfg ?(design = Kvserver.Design.minos) ?(baseline = Kvserver.Design.hkh)
     Option.map (fun arr s -> arr.(s)) instruments
   in
   let go design ?instrument () =
-    Kvcluster.Run.run ?policy ?vnodes ?rebalance ?fanouts ?trials ~seed
-      ?instrument ~map:Par.map_list ~cfg ~design ~dataset ~servers ~workload
-      ~offered_mops ()
+    let run =
+      Shardmgr.Run.run ~seed ?instrument ~map:Par.map_list ~cfg ~design
+        ~workload ~table ()
+    in
+    let fanout =
+      Kvcluster.Fanout.measure
+        ~rng:(Dsim.Rng.create (seed lxor 0x0fa17007))
+        ~route:(Shardmgr.Table.read_target table ~epoch:0)
+        ~sample_key:(fun rng -> Workload.Dataset.sample_get_key dataset rng)
+        ~latencies:run.Shardmgr.Run.latencies ?trials ~fanouts ()
+    in
+    { run; fanout }
   in
   let main = go design ?instrument () in
   let baseline = go baseline () in
@@ -46,13 +60,57 @@ let run ?cfg ?(design = Kvserver.Design.minos) ?(baseline = Kvserver.Design.hkh)
       in
       Obs.Chrome_trace.write_cluster ~path sections
   | _ -> ());
-  { servers; offered_mops; seed; main; baseline }
+  { servers; offered_mops; seed; table; main; baseline }
+
+let check t =
+  let m = t.main.run.Shardmgr.Run.metrics in
+  let b = t.baseline.run.Shardmgr.Run.metrics in
+  let p99 (p : Kvcluster.Fanout.point) = p.Kvcluster.Fanout.p99_us in
+  let fan = List.map p99 t.main.fanout in
+  let rec monotone = function
+    | a :: (b :: _ as rest) -> b >= a && monotone rest
+    | _ -> true
+  in
+  let fan_str = String.concat ", " (List.map Report.json_float fan) in
+  Report.verdict
+    ([
+       ( Kvcluster.Metrics.telescopes m && Kvcluster.Metrics.telescopes b,
+         "cluster loss accounting broken" );
+     ]
+    @ Array.to_list
+        (Array.mapi
+           (fun s (ms : Kvserver.Metrics.t) ->
+             let bs = b.Kvcluster.Metrics.per_shard.(s) in
+             ( ms.Kvserver.Metrics.p99_us < bs.Kvserver.Metrics.p99_us,
+               Printf.sprintf "shard %d: minos p99 %s not below keyhash %s" s
+                 (Report.json_float ms.Kvserver.Metrics.p99_us)
+                 (Report.json_float bs.Kvserver.Metrics.p99_us) ))
+           m.Kvcluster.Metrics.per_shard)
+    @ [
+        (monotone fan, "fan-out p99 not monotone: " ^ fan_str);
+        ( (match (fan, List.rev fan) with
+          | first :: _, last :: _ -> last > first
+          | _ -> false),
+          "fan-out p99 flat: " ^ fan_str );
+      ]
+    @ List.map2
+        (fun (a : Kvcluster.Fanout.point) bp ->
+          ( p99 a < p99 bp,
+            Printf.sprintf "fanout %d: minos completion p99 %s not below keyhash %s"
+              a.Kvcluster.Fanout.fanout (Report.json_float (p99 a))
+              (Report.json_float (p99 bp)) ))
+        t.main.fanout t.baseline.fanout)
 
 (* ------------------------------------------------------------------ *)
 (* Printing *)
 
-let shard_table label (r : Kvcluster.Run.t) =
-  let m = r.Kvcluster.Run.metrics in
+let policy_name t =
+  match Shardmgr.Table.policy t.table with
+  | Shardmgr.Table.Hash -> "hash"
+  | Shardmgr.Table.Range -> "range"
+
+let shard_table t label (r : Shardmgr.Run.t) =
+  let m = r.Shardmgr.Run.metrics in
   let rows =
     Array.to_list
       (Array.mapi
@@ -70,7 +128,7 @@ let shard_table label (r : Kvcluster.Run.t) =
          m.Kvcluster.Metrics.per_shard)
   in
   Report.table
-    ~title:(Printf.sprintf "%s: per-shard (%s)" label r.Kvcluster.Run.design_name)
+    ~title:(Printf.sprintf "%s: per-shard (%s)" label r.Shardmgr.Run.design_name)
     ~headers:[ "shard"; "share"; "tput Mops"; "p50 us"; "p99 us"; "p99.9 us"; "shed"; "stable" ]
     rows;
   Report.note "cluster: tput %s Mops  p50 %s  p99 %s  p99.9 %s us  worst-shard p99 %s us"
@@ -82,21 +140,20 @@ let shard_table label (r : Kvcluster.Run.t) =
   Report.note "loss accounting %s  imbalance (max/mean share) %s"
     (if Kvcluster.Metrics.telescopes m then "exact" else "BROKEN")
     (Report.f2 m.Kvcluster.Metrics.imbalance);
-  match r.Kvcluster.Run.rebalance with
+  match Shardmgr.Table.rebalance_info t.table with
   | None -> ()
   | Some rb ->
       Report.note "rebalance: imbalance %s -> %s, moved %s of traffic"
-        (Report.f2 rb.Kvcluster.Run.imbalance_before)
-        (Report.f2 rb.Kvcluster.Run.imbalance_after)
-        (Report.pct rb.Kvcluster.Run.moved_share)
+        (Report.f2 rb.Shardmgr.Table.imbalance_before)
+        (Report.f2 rb.Shardmgr.Table.imbalance_after)
+        (Report.pct rb.Shardmgr.Table.moved_share)
 
 let print t =
   Report.section
     (Printf.sprintf "Cluster: %d servers, %s routing, %s Mops offered, seed %d"
-       t.servers t.main.Kvcluster.Run.policy_name
-       (Report.f2 t.offered_mops) t.seed);
-  shard_table "main" t.main;
-  shard_table "baseline" t.baseline;
+       t.servers (policy_name t) (Report.f2 t.offered_mops) t.seed);
+  shard_table t "main" t.main.run;
+  shard_table t "baseline" t.baseline.run;
   let fanout_rows =
     List.map2
       (fun (a : Kvcluster.Fanout.point) (b : Kvcluster.Fanout.point) ->
@@ -108,12 +165,13 @@ let print t =
           Report.f1 b.Kvcluster.Fanout.p99_us;
           Report.f2 (b.Kvcluster.Fanout.p99_us /. a.Kvcluster.Fanout.p99_us);
         ])
-      t.main.Kvcluster.Run.fanout t.baseline.Kvcluster.Run.fanout
+      t.main.fanout t.baseline.fanout
   in
   Report.table
     ~title:
       (Printf.sprintf "Multi-GET completion vs fan-out (%s vs %s)"
-         t.main.Kvcluster.Run.design_name t.baseline.Kvcluster.Run.design_name)
+         t.main.run.Shardmgr.Run.design_name
+         t.baseline.run.Shardmgr.Run.design_name)
     ~headers:
       [ "fanout"; "main p50"; "main p99"; "base p50"; "base p99"; "base/main p99" ]
     fanout_rows
@@ -121,13 +179,17 @@ let print t =
 (* ------------------------------------------------------------------ *)
 (* JSON *)
 
-let fl x = if Float.is_nan x then "null" else Printf.sprintf "%.3f" x
+let fl = Report.json_float
 
-let run_json b indent (r : Kvcluster.Run.t) =
-  let m = r.Kvcluster.Run.metrics in
+let side_json t b indent side =
+  let r = side.run in
+  let m = r.Shardmgr.Run.metrics in
   let pad = String.make indent ' ' in
-  Buffer.add_string b (Printf.sprintf "%s\"design\": \"%s\",\n" pad r.Kvcluster.Run.design_name);
-  Buffer.add_string b (Printf.sprintf "%s\"policy\": \"%s\",\n" pad r.Kvcluster.Run.policy_name);
+  Buffer.add_string b
+    (Printf.sprintf "%s\"design\": %s,\n" pad
+       (Report.json_string r.Shardmgr.Run.design_name));
+  Buffer.add_string b
+    (Printf.sprintf "%s\"policy\": %s,\n" pad (Report.json_string (policy_name t)));
   Buffer.add_string b
     (Printf.sprintf
        "%s\"issued\": %d, \"served\": %d, \"net_dropped\": %d, \"rx_dropped\": \
@@ -150,7 +212,7 @@ let run_json b indent (r : Kvcluster.Run.t) =
        (fl m.Kvcluster.Metrics.imbalance)
        m.Kvcluster.Metrics.stable
        (Kvcluster.Metrics.telescopes m));
-  (match r.Kvcluster.Run.rebalance with
+  (match Shardmgr.Table.rebalance_info t.table with
   | None -> ()
   | Some rb ->
       Buffer.add_string b
@@ -158,9 +220,9 @@ let run_json b indent (r : Kvcluster.Run.t) =
            "%s\"rebalance\": {\"imbalance_before\": %s, \"imbalance_after\": \
             %s, \"moved_share\": %s},\n"
            pad
-           (fl rb.Kvcluster.Run.imbalance_before)
-           (fl rb.Kvcluster.Run.imbalance_after)
-           (fl rb.Kvcluster.Run.moved_share)));
+           (fl rb.Shardmgr.Table.imbalance_before)
+           (fl rb.Shardmgr.Table.imbalance_after)
+           (fl rb.Shardmgr.Table.moved_share)));
   Buffer.add_string b (Printf.sprintf "%s\"per_shard\": [\n" pad);
   let n = Array.length m.Kvcluster.Metrics.per_shard in
   Array.iteri
@@ -182,7 +244,7 @@ let run_json b indent (r : Kvcluster.Run.t) =
     m.Kvcluster.Metrics.per_shard;
   Buffer.add_string b (Printf.sprintf "%s],\n" pad);
   Buffer.add_string b (Printf.sprintf "%s\"fanout\": [\n" pad);
-  let nf = List.length r.Kvcluster.Run.fanout in
+  let nf = List.length side.fanout in
   List.iteri
     (fun i (p : Kvcluster.Fanout.point) ->
       Buffer.add_string b
@@ -194,7 +256,7 @@ let run_json b indent (r : Kvcluster.Run.t) =
            (fl p.Kvcluster.Fanout.p99_us)
            (fl p.Kvcluster.Fanout.mean_us)
            (if i = nf - 1 then "" else ",")))
-    r.Kvcluster.Run.fanout;
+    side.fanout;
   Buffer.add_string b (Printf.sprintf "%s]\n" pad)
 
 let to_json t =
@@ -204,9 +266,9 @@ let to_json t =
     (Printf.sprintf "  \"servers\": %d,\n  \"offered_mops\": %s,\n  \"seed\": %d,\n"
        t.servers (fl t.offered_mops) t.seed);
   Buffer.add_string b "  \"main\": {\n";
-  run_json b 4 t.main;
+  side_json t b 4 t.main;
   Buffer.add_string b "  },\n";
   Buffer.add_string b "  \"baseline\": {\n";
-  run_json b 4 t.baseline;
+  side_json t b 4 t.baseline;
   Buffer.add_string b "  }\n}\n";
   Buffer.contents b

@@ -1,27 +1,36 @@
 (** Cluster-scale experiment front end.
 
     Runs the same workload through a sharded cluster twice — once under
-    the chosen (size-aware) design, once under a baseline — over the
-    deterministic multi-server layer in {!Kvcluster.Run}, with the
-    per-shard engine jobs fanned out over {!Par}'s domain pool (results
-    are bit-identical to sequential, any [MINOS_JOBS]).  The headline
-    comparison: per-shard p99 and the fan-out multi-GET p99 (max over
-    shards) of size-aware sharding versus the keyhash baseline at the
-    same offered load. *)
+    the chosen (size-aware) design, once under a baseline — as a
+    no-op-plan run of the resharding table: {!Shardmgr.Table.compile}
+    over {!Shardmgr.Plan.empty} gives the static routing, and
+    {!Shardmgr.Run.run} simulates one engine per shard, fanned out over
+    {!Par}'s domain pool (results are bit-identical to sequential, any
+    [MINOS_JOBS]).  The headline comparison: per-shard p99 and the
+    fan-out multi-GET p99 (max over shards, {!Kvcluster.Fanout}) of
+    size-aware sharding versus the keyhash baseline at the same offered
+    load. *)
+
+type side = {
+  run : Shardmgr.Run.t;
+  fanout : Kvcluster.Fanout.point list;
+      (** multi-GET completion latency per fan-out degree *)
+}
 
 type t = {
   servers : int;
   offered_mops : float; (** total cluster load, split by routed share *)
   seed : int;
-  main : Kvcluster.Run.t;
-  baseline : Kvcluster.Run.t;
+  table : Shardmgr.Table.t; (** the static routing both runs share *)
+  main : side;
+  baseline : side;
 }
 
 val run :
   ?cfg:Kvserver.Config.t ->
   ?design:Kvserver.Design.t ->
   ?baseline:Kvserver.Design.t ->
-  ?policy:Kvcluster.Run.policy ->
+  ?policy:Shardmgr.Table.policy ->
   ?vnodes:int ->
   ?rebalance:bool ->
   ?fanouts:int list ->
@@ -31,19 +40,25 @@ val run :
   ?spans:int ->
   ?sample_rate:float ->
   servers:int ->
-  Workload.Scenario.t ->
+  Workload.Spec.t ->
   offered_mops:float ->
   t
 (** [design] defaults to {!Kvserver.Design.minos}, [baseline] to
-    {!Kvserver.Design.hkh}; both runs share the router policy ([policy],
-    [vnodes], [rebalance]) and seed, so they see identical shard splits.
-    The workload is a registry scenario; the cluster driver uses its flat
-    request mix (arrival/TTL/scan extras are single-engine features).
+    {!Kvserver.Design.hkh}; both runs share one compiled table ([policy],
+    [vnodes], [rebalance] pass through to {!Shardmgr.Table.compile}) and
+    seed, so they see identical shard splits.  [fanouts] (default
+    [1; 2; 4; 8; 16]) and [trials] drive the multi-GET measurement.
     [trace_out] attaches one flight recorder per shard to the main run
     and writes a merged Chrome trace whose process ids are the server
     ids ({!Obs.Chrome_trace.write_cluster}); [spans] / [sample_rate]
-    configure those recorders.  Remaining knobs are passed through to
-    {!Kvcluster.Run.run}. *)
+    configure those recorders. *)
+
+val check : t -> (unit, string) result
+(** The headline claims: loss accounting telescopes in both runs, every
+    shard's main p99 is strictly below the baseline's, the main fan-out
+    p99 is non-decreasing in the degree and not flat, and main beats the
+    baseline at every degree.  [Error] names the first claim that
+    fails. *)
 
 val print : t -> unit
 (** Aligned text tables: per-shard breakdown for both designs, loss

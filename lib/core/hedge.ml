@@ -68,10 +68,7 @@ let audit_plan ~shards ~mirrors =
   }
 
 let run ?(config = config_of_scale Experiment.full_scale) ?(seed = 1)
-    ?trace_out ?(workload = Workload.Scenario.default) ~offered_mops () =
-  (* The hedge driver consumes the scenario's flat mix; arrival/TTL/scan
-     extras are single-engine features (see Experiment.run_spec). *)
-  let workload = workload.Workload.Scenario.spec in
+    ?trace_out ?(workload = Workload.Spec.default) ~offered_mops () =
   (match Kvhedge.Config.validate config with
   | Ok () -> ()
   | Error msg -> invalid_arg ("Hedge.run: " ^ msg));
@@ -270,15 +267,16 @@ let print t =
 (* ------------------------------------------------------------------ *)
 (* JSON *)
 
-let fl x = if Float.is_nan x then "null" else Printf.sprintf "%.3f" x
+let fl = Report.json_float
 
 let entry_json b (e : entry) ~last =
   let m = e.metrics in
   Buffer.add_string b
     (Printf.sprintf
-       "    {\"label\": \"%s\", \"sizeaware\": %b, \"mode\": \"%s\", \
-        \"route\": \"%s\", \"plan\": \"%s\",\n"
-       e.label e.sizeaware e.mode e.route e.plan);
+       "    {\"label\": %s, \"sizeaware\": %b, \"mode\": %s, \"route\": \
+        %s, \"plan\": %s,\n"
+       (Report.json_string e.label) e.sizeaware (Report.json_string e.mode)
+       (Report.json_string e.route) (Report.json_string e.plan));
   Buffer.add_string b
     (Printf.sprintf
        "     \"p50_us\": %s, \"p95_us\": %s, \"p99_us\": %s, \"p999_us\": %s, \

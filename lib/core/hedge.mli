@@ -55,13 +55,14 @@ val run :
   ?config:Kvhedge.Config.t ->
   ?seed:int ->
   ?trace_out:string ->
-  ?workload:Workload.Scenario.t ->
+  ?workload:Workload.Spec.t ->
   offered_mops:float ->
   unit ->
   t
-(** Run the nine-variant grid.  [workload] is a registry scenario; the
-    hedge driver uses its flat request mix (arrival/TTL/scan extras are
-    single-engine features).  [config] defaults to
+(** Run the nine-variant grid.  [workload] (default
+    {!Workload.Spec.default}) is a flat request mix: scenario extras
+    (arrivals, TTL, scans, memory budget) are single-engine features.
+    [config] defaults to
     {!config_of_scale}[ Experiment.full_scale]; its [mode] and [route]
     fields are overridden per variant, everything else (topology,
     quantile, budget, detector) applies to all.  [trace_out] writes a

@@ -57,9 +57,6 @@ let run ?cfg ?(design = Kvserver.Design.minos) ?(baseline = Kvserver.Design.hkh)
           Kvserver.Config.window_us = Some s.Experiment.window_us;
         }
   in
-  (* The reshard driver consumes the scenario's flat mix; arrival/TTL/scan
-     extras are single-engine features (see Experiment.run_spec). *)
-  let workload = workload.Workload.Scenario.spec in
   let dataset = Experiment.dataset_for workload in
   let duration_us = cfg.Kvserver.Config.duration_us in
   let compile plan =
@@ -137,6 +134,35 @@ let run ?cfg ?(design = Kvserver.Design.minos) ?(baseline = Kvserver.Design.hkh)
     baseline;
   }
 
+let check t =
+  let run_claims (name, (r : Shardmgr.Run.t)) =
+    let p = r.Shardmgr.Run.protocol in
+    let mig = r.Shardmgr.Run.mig_p99_us and steady = r.Shardmgr.Run.steady_p99_us in
+    [
+      ( Kvcluster.Metrics.telescopes r.Shardmgr.Run.metrics,
+        name ^ ": loss accounting broken across reshard" );
+      ( p.Shardmgr.Protocol.lost = 0
+        && p.Shardmgr.Protocol.duplicated = 0
+        && p.Shardmgr.Protocol.stale = 0,
+        Printf.sprintf "%s: protocol audit lost %d, duplicated %d, stale %d" name
+          p.Shardmgr.Protocol.lost p.Shardmgr.Protocol.duplicated
+          p.Shardmgr.Protocol.stale );
+      (p.Shardmgr.Protocol.transferred > 0, name ^ ": no backlog transferred");
+      ( not (Float.is_nan mig || Float.is_nan steady),
+        name ^ ": missing migration/steady p99 split" );
+      ( mig <= 3.0 *. steady,
+        Printf.sprintf "%s: migration p99 %s us above 3x steady %s us" name
+          (Report.json_float mig) (Report.json_float steady) );
+    ]
+  in
+  Report.verdict
+    (( List.exists
+         (fun (ev : Shardmgr.Table.logged) ->
+           ev.Shardmgr.Table.kind = Shardmgr.Table.Cutover)
+         (Shardmgr.Table.events t.table),
+       "no cutover happened" )
+    :: List.concat_map run_claims [ ("main", t.main); ("baseline", t.baseline) ])
+
 (* ------------------------------------------------------------------ *)
 (* Printing *)
 
@@ -204,13 +230,14 @@ let print t =
 (* ------------------------------------------------------------------ *)
 (* JSON *)
 
-let fl x = if Float.is_nan x then "null" else Printf.sprintf "%.3f" x
+let fl = Report.json_float
 
 let run_json b indent (r : Shardmgr.Run.t) =
   let m = r.Shardmgr.Run.metrics in
   let pad = String.make indent ' ' in
   Buffer.add_string b
-    (Printf.sprintf "%s\"design\": \"%s\",\n" pad r.Shardmgr.Run.design_name);
+    (Printf.sprintf "%s\"design\": %s,\n" pad
+       (Report.json_string r.Shardmgr.Run.design_name));
   Buffer.add_string b
     (Printf.sprintf
        "%s\"issued\": %d, \"served\": %d, \"net_dropped\": %d, \"rx_dropped\": \
@@ -275,9 +302,10 @@ let to_json t =
   Buffer.add_string b "{\n";
   Buffer.add_string b
     (Printf.sprintf
-       "  \"plan\": \"%s\",\n  \"servers\": %d,\n  \"n_servers\": %d,\n  \
+       "  \"plan\": %s,\n  \"servers\": %d,\n  \"n_servers\": %d,\n  \
         \"offered_mops\": %s,\n  \"seed\": %d,\n  \"manager_events\": %d,\n"
-       t.plan.Shardmgr.Plan.name t.servers t.n_servers (fl t.offered_mops)
+       (Report.json_string t.plan.Shardmgr.Plan.name)
+       t.servers t.n_servers (fl t.offered_mops)
        t.seed t.manager_events);
   Buffer.add_string b "  \"events\": [\n";
   let events = Shardmgr.Table.events t.table in
@@ -286,9 +314,9 @@ let to_json t =
     (fun i (ev : Shardmgr.Table.logged) ->
       Buffer.add_string b
         (Printf.sprintf
-           "    {\"kind\": \"%s\", \"at_us\": %s, \"until_us\": %s, \
+           "    {\"kind\": %s, \"at_us\": %s, \"until_us\": %s, \
             \"server\": %d, \"shard\": %d, \"epoch\": %d}%s\n"
-           (kind_str ev.Shardmgr.Table.kind)
+           (Report.json_string (kind_str ev.Shardmgr.Table.kind))
            (fl ev.Shardmgr.Table.at)
            (fl ev.Shardmgr.Table.until)
            ev.Shardmgr.Table.server ev.Shardmgr.Table.shard

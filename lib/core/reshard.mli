@@ -40,14 +40,14 @@ val run :
   ?sample_rate:float ->
   servers:int ->
   plan:Shardmgr.Plan.t ->
-  Workload.Scenario.t ->
+  Workload.Spec.t ->
   offered_mops:float ->
   unit ->
   t
 (** [design] defaults to {!Kvserver.Design.minos}, [baseline] to
     {!Kvserver.Design.hkh}; both replay the same compiled table.  The
-    workload is a registry scenario; the reshard driver uses its flat
-    request mix (arrival/TTL/scan extras are single-engine features).  The
+    workload is a flat request mix: scenario extras (arrivals, TTL,
+    scans, memory budget) are single-engine features.  The
     default [cfg] is {!Experiment.full_scale} with its p99 window
     enabled (a caller-supplied [cfg] needs [window_us] set to get the
     timeline, and manage mode requires it).  [trace_out] writes a merged
@@ -55,6 +55,13 @@ val run :
     "shardmgr" pseudo-process whose track carries the planned drain /
     dual-route / cutover / replica marks.  Remaining knobs pass through
     to {!Shardmgr.Table.compile} and {!Shardmgr.Run.run}. *)
+
+val check : t -> (unit, string) result
+(** The headline claims: at least one cutover happened, and in both
+    runs loss accounting telescopes, the key audit lost, duplicated and
+    served stale nothing while transferring some backlog, and the
+    migration p99 stays within 3x of the steady-state p99.  [Error]
+    names the first claim that fails. *)
 
 val print : t -> unit
 (** Aligned text report: the compiled event schedule, per-server

@@ -12,15 +12,6 @@ let suite = [ "diurnal"; "bursts"; "ttl-churn"; "scan-heavy"; "cold-tier" ]
 
 let designs () = [ Kvserver.Design.minos; Kvserver.Design.hkh ]
 
-(* The extended telescoping identity: every issued request is accounted
-   for by exactly one fate, with the TTL/eviction leg included. *)
-let telescopes (m : Kvserver.Metrics.t) =
-  m.Kvserver.Metrics.issued
-  = m.Kvserver.Metrics.served_total + m.Kvserver.Metrics.net_dropped
-    + m.Kvserver.Metrics.rx_dropped + m.Kvserver.Metrics.shed_small
-    + m.Kvserver.Metrics.shed_large + m.Kvserver.Metrics.expired_misses
-    + m.Kvserver.Metrics.in_flight_end
-
 let run ?cfg ?(seed = 1) ?(offered_mops = 2.5) ?(names = suite) () =
   let cfg =
     match cfg with
@@ -54,7 +45,7 @@ let run ?cfg ?(seed = 1) ?(offered_mops = 2.5) ?(names = suite) () =
           design = Kvserver.Design.name design;
           offered_mops;
           metrics;
-          telescopes = telescopes metrics;
+          telescopes = Kvserver.Metrics.telescopes metrics;
         })
       points
   in
@@ -110,21 +101,9 @@ let print t =
       | _ -> ())
     (scenario_names t)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | c when Char.code c < 0x20 -> Buffer.add_string b " "
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let to_json t =
   let b = Buffer.create 4096 in
-  let fl x = if Float.is_nan x then "null" else Printf.sprintf "%.3f" x in
+  let fl = Report.json_float in
   Buffer.add_string b "{\n";
   Buffer.add_string b
     (Printf.sprintf "  \"seed\": %d,\n  \"offered_mops\": %s,\n" t.seed
@@ -133,19 +112,19 @@ let to_json t =
   let names = scenario_names t in
   List.iteri
     (fun ni name ->
-      Buffer.add_string b (Printf.sprintf "    \"%s\": {\n" (json_escape name));
+      Buffer.add_string b (Printf.sprintf "    %s: {\n" (Report.json_string name));
       let rows = List.filter (fun r -> r.scenario = name) t.rows in
       List.iteri
         (fun ri r ->
           let m = r.metrics in
           Buffer.add_string b
             (Printf.sprintf
-               "      \"%s\": {\"p50_us\": %s, \"p99_us\": %s, \
+               "      %s: {\"p50_us\": %s, \"p99_us\": %s, \
                 \"throughput_mops\": %s, \"issued\": %d, \"served\": %d, \
                 \"expired_misses\": %d, \"expired_keys\": %d, \"evicted_keys\": \
                 %d, \"shed\": %d, \"in_flight_end\": %d, \"stable\": %b, \
                 \"telescopes\": %b}%s\n"
-               (json_escape r.design)
+               (Report.json_string r.design)
                (fl m.Kvserver.Metrics.p50_us)
                (fl m.Kvserver.Metrics.p99_us)
                (fl m.Kvserver.Metrics.throughput_mops)

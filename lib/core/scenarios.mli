@@ -18,17 +18,13 @@ type row = {
   design : string;    (** ["minos"] or ["hkh"] *)
   offered_mops : float;
   metrics : Kvserver.Metrics.t;
-  telescopes : bool;  (** extended loss-accounting identity exact *)
+  telescopes : bool;  (** {!Kvserver.Metrics.telescopes} *)
 }
 
 type t = { seed : int; offered_mops : float; rows : row list }
 
 val suite : string list
 (** [["diurnal"; "bursts"; "ttl-churn"; "scan-heavy"; "cold-tier"]]. *)
-
-val telescopes : Kvserver.Metrics.t -> bool
-(** [issued = served + net_dropped + rx_dropped + shed_small + shed_large
-    + expired_misses + in_flight_end]. *)
 
 val run :
   ?cfg:Kvserver.Config.t ->

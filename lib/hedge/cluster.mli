@@ -1,7 +1,7 @@
 (** Replica-aware tail-cutting over a replicated shard cluster.
 
     One discrete-event simulation covers every server — unlike
-    {!Kvcluster.Run}, whose engines each own a private clock — because
+    {!Shardmgr.Run}, whose engines each own a private clock — because
     hedged and tied requests race copies {e across} replicas and cancel
     the loser through the kernel's O(1) timer handles
     ({!Dsim.Sim.schedule_timer_after}/{!Dsim.Sim.cancel}).

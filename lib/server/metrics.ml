@@ -36,6 +36,11 @@ type t = {
 let shed_total t = t.shed_small + t.shed_large
 let lost_total t = t.net_dropped + t.rx_dropped + shed_total t
 
+let telescopes t =
+  t.issued
+  = t.served_total + t.net_dropped + t.rx_dropped + t.shed_small + t.shed_large
+    + t.expired_misses + t.in_flight_end
+
 let goodput_fraction t =
   if t.issued = 0 then 1.0
   else float_of_int (t.issued - lost_total t) /. float_of_int t.issued

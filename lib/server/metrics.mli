@@ -56,6 +56,11 @@ val lost_total : t -> int
     reply.  A lossy run can never masquerade as a healthy one — {!pp_row}
     appends the loss/goodput segment whenever this is nonzero. *)
 
+val telescopes : t -> bool
+(** The fate identity: every issued request met exactly one fate,
+    [issued = served_total + net_dropped + rx_dropped + shed_small +
+    shed_large + expired_misses + in_flight_end]. *)
+
 val goodput_fraction : t -> float
 (** Fraction of issued requests not lost ([1.0] for a healthy run). *)
 

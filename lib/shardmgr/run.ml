@@ -1,20 +1,23 @@
-(* Elastic-resharding run: one engine per server id the table ever
-   routes to (base membership plus every plan-allocated id), each
-   replaying the shared seeded request stream thinned to the keys the
-   table routes to it *at the request's simulated arrival time*, at the
-   epoch rate the compile-time probe measured.
+(* The cluster run: one engine per server id the table ever routes to
+   (base membership plus every plan-allocated id), each replaying the
+   shared seeded request stream thinned to the keys the table routes to
+   it *at the request's simulated arrival time*, at the epoch rate the
+   compile-time probe measured.
 
-   This is Kvcluster.Run's Poisson-thinning construction with the static
-   router replaced by the epoch-stamped table, plus a pacing hook so an
-   engine's offered rate follows the plan: a not-yet-added server parks
-   at rate 0, a removed one parks after its migration ends.  Everything
-   an engine draws is a pure function of (seed, table, server id), so
-   the run is reproducible at any MINOS_JOBS. *)
+   Routing a Poisson stream splits it into independent Poisson streams
+   (thinning), so each server is simulated as its own engine at its
+   routed share of the offered load.  A pacing hook makes an engine's
+   offered rate follow the plan: a not-yet-added server parks at rate
+   0, a removed one parks after its migration ends.  Under the empty
+   plan this is the static cluster.  Everything an engine draws is a
+   pure function of (seed, table, server id), so the run is
+   reproducible at any MINOS_JOBS. *)
 
 type t = {
   design_name : string;
   seed : int;
   metrics : Kvcluster.Metrics.t;
+  latencies : Stats.Float_vec.t array; (* per-engine raw samples *)
   p99_series : (float * float) list;
       (* cluster-level per-window p99: union of every engine's window
          samples, merged by window start *)
@@ -159,6 +162,7 @@ let run ?(seed = 1) ?fault ?instrument ?(map = fun f xs -> List.map f xs) ~cfg
     design_name = Kvserver.Design.name design;
     seed;
     metrics;
+    latencies = Array.map (fun (_, v, _) -> v) results;
     p99_series;
     shard_series;
     mig_p99_us;

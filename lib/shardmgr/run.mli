@@ -1,22 +1,25 @@
-(** Elastic-resharding cluster run.
+(** The cluster run: static sharding and elastic resharding alike.
 
     One engine per server id the table ever routes to (base membership
     plus every plan-allocated id).  Each engine replays the shared
-    seeded request stream thinned to the keys the table routes to it at
-    the request's simulated arrival time — {!Kvcluster.Run}'s Poisson
-    thinning with the static router replaced by the epoch-stamped
-    {!Table} — and its offered rate follows the plan through the
-    engine's pacing hook (a not-yet-added server parks at rate 0).
+    seeded request stream thinned to the keys the {!Table} routes to it
+    at the request's simulated arrival time: routing a Poisson stream
+    splits it into independent Poisson streams, so each server runs as
+    its own engine at its routed share of the offered load.  Its offered
+    rate follows the plan through the engine's pacing hook (a
+    not-yet-added server parks at rate 0).  Under {!Plan.empty} this is
+    the static cluster.
 
     Deterministic: with a fixed [(seed, table)] the result is
-    bit-identical at any [MINOS_JOBS], and under a no-op plan it
-    reproduces [Kvcluster.Run] (hash policy, same seed) byte for
-    byte. *)
+    bit-identical at any [MINOS_JOBS]. *)
 
 type t = {
   design_name : string;
   seed : int;
   metrics : Kvcluster.Metrics.t;
+  latencies : Stats.Float_vec.t array;
+      (** each engine's raw latency samples ({!Kvcluster.Fanout.measure}'s
+          input) *)
   p99_series : (float * float) list;
       (** cluster-level [(window start, p99)] across all engines *)
   shard_series : (float * float) list array;

@@ -21,20 +21,29 @@
    server id (writes fan out to every replica, reads spread by key
    hash), drop-replica retires the most recent one. *)
 
+type policy = Hash | Range
+
+(* Static key ownership: a consistent-hash ring looks up the key's
+   partition hash, a key-range map the key id itself. *)
+type owner = Ring of Kvcluster.Ring.t | Keys of Kvcluster.Range_map.t
+
+let[@inline] lookup o h k =
+  match o with
+  | Ring r -> Kvcluster.Ring.lookup r h
+  | Keys m -> Kvcluster.Range_map.lookup m k
+
 type seg = {
-  ring_old : Kvcluster.Ring.t;
-  ring_new : Kvcluster.Ring.t; (* == ring_old outside a migration *)
+  own_old : owner;
+  own_new : owner; (* == own_old outside a migration *)
   migrating : bool;
   dual : bool; (* dual-route phase open (for groups not yet cut) *)
   cut : bool array; (* per key group; meaningful only while migrating *)
   replicas : int array array;
       (* replicas.(s) = write targets for keys owned by [s], including
          [s] itself; a shared singleton when the shard is unreplicated *)
-  rates : float array; (* per-server offered Mops inside this epoch *)
   shares : float array;
-      (* per-server probed traffic share; [rates.(s) = offered *. shares.(s)],
-         kept separately so shard shares reproduce Kvcluster.Run's bit for
-         bit (dividing the rate back out would not) *)
+      (* per-server probed traffic share; the offered rate is
+         [offered_mops *. shares.(s)] *)
 }
 
 type kind = Drain_start | Dual_start | Cutover | Replica_add | Replica_drop
@@ -48,12 +57,21 @@ type logged = {
   epoch : int; (* routing epoch in force at [at] *)
 }
 
+type rebalance_info = {
+  imbalance_before : float;
+  imbalance_after : float;
+  moved_share : float;
+}
+
+exception Range_membership of Plan.event
+
 type t = {
+  policy : policy;
+  rebalance : rebalance_info option;
   dataset : Workload.Dataset.t;
   n_keys : int;
   groups : int;
   n_servers : int; (* engine count: base servers + plan-allocated ids *)
-  base_servers : int;
   duration_us : float;
   offered_mops : float;
   bounds : float array; (* bounds.(i) opens epoch i; the last runs out *)
@@ -82,10 +100,10 @@ let[@inline] seg_index t now =
    dual phase opens — the old-owner fallback is a store-level concern
    (Protocol), not a routing one. *)
 let get_primary seg ~groups ~n_keys h k =
-  let o_new = Kvcluster.Ring.lookup seg.ring_new h in
+  let o_new = lookup seg.own_new h k in
   if not seg.migrating then o_new
   else begin
-    let o_old = Kvcluster.Ring.lookup seg.ring_old h in
+    let o_old = lookup seg.own_old h k in
     if o_old = o_new then o_new
     else if seg.cut.(k * groups / n_keys) then o_new
     else if seg.dual then o_new
@@ -108,10 +126,10 @@ let[@inline] rep_mem seg o s =
 (* Write-side membership: writes go to every replica of the owning
    shard, and to BOTH owners while the key's group is in dual-route. *)
 let put_member seg ~groups ~n_keys h k s =
-  let o_new = Kvcluster.Ring.lookup seg.ring_new h in
+  let o_new = lookup seg.own_new h k in
   if not seg.migrating then rep_mem seg o_new s
   else begin
-    let o_old = Kvcluster.Ring.lookup seg.ring_old h in
+    let o_old = lookup seg.own_old h k in
     if o_old = o_new then rep_mem seg o_new s
     else if seg.cut.(k * groups / n_keys) then rep_mem seg o_new s
     else if seg.dual then rep_mem seg o_new s || rep_mem seg o_old s
@@ -126,7 +144,7 @@ let routes_to t ~now ~get ~key s =
   if get then pick seg h (get_primary seg ~groups:t.groups ~n_keys:t.n_keys h key) = s
   else put_member seg ~groups:t.groups ~n_keys:t.n_keys h key s
 
-let rate_at t ~now s = (t.segs.(seg_index t now)).rates.(s)
+let rate_at t ~now s = t.offered_mops *. (t.segs.(seg_index t now)).shares.(s)
 
 let next_change t ~now =
   let i = seg_index t now in
@@ -134,20 +152,17 @@ let next_change t ~now =
 
 (* ---------------- offline epoch views (tests, Protocol, JSON) ------- *)
 
+let policy t = t.policy
+let rebalance_info t = t.rebalance
 let n_servers t = t.n_servers
-let base_servers t = t.base_servers
-let groups t = t.groups
-let offered_mops t = t.offered_mops
 let dataset t = t.dataset
 let duration_us t = t.duration_us
 let epoch_count t = Array.length t.segs
 let epoch_start t i = t.bounds.(i)
 let events t = t.events
 let migration_windows t = t.windows
-let group_of_key t k = k * t.groups / t.n_keys
-let epoch_migrating t i = t.segs.(i).migrating
 
-let epoch_rates t i = Array.copy t.segs.(i).rates
+let epoch_rates t i = Array.map (fun sh -> t.offered_mops *. sh) t.segs.(i).shares
 
 let read_target t ~epoch k =
   let seg = t.segs.(epoch) in
@@ -167,8 +182,8 @@ let read_owner t ~epoch k =
 let read_fallback t ~epoch k =
   let seg = t.segs.(epoch) in
   let h = Workload.Dataset.key_partition t.dataset k in
-  if not seg.migrating then pick seg h (Kvcluster.Ring.lookup seg.ring_new h)
-  else Kvcluster.Ring.lookup seg.ring_old h
+  if not seg.migrating then pick seg h (lookup seg.own_new h k)
+  else lookup seg.own_old h k
 
 (* Whether [k] is mid-migration in this epoch with its group's cutover
    still ahead: the interval during which the old owner is (or is also)
@@ -179,8 +194,8 @@ let cut_pending t ~epoch k =
   seg.migrating
   &&
   let h = Workload.Dataset.key_partition t.dataset k in
-  let o_new = Kvcluster.Ring.lookup seg.ring_new h in
-  let o_old = Kvcluster.Ring.lookup seg.ring_old h in
+  let o_new = lookup seg.own_new h k in
+  let o_old = lookup seg.own_old h k in
   o_old <> o_new && not seg.cut.(k * t.groups / t.n_keys)
 
 let epoch_replicas t i = Array.map Array.copy t.segs.(i).replicas
@@ -194,38 +209,24 @@ let write_targets t ~epoch k =
   done;
   !acc
 
-(* [avg_rate t s] labels engine [s]'s metrics: exactly the epoch rate
-   when it is constant (so a no-op plan reproduces the static cluster
-   run byte for byte), the time-weighted mean otherwise. *)
-let avg_rate t s =
-  let r0 = t.segs.(0).rates.(s) in
-  let constant = Array.for_all (fun seg -> seg.rates.(s) = r0) t.segs in
-  if constant then r0
+(* Time-weighted mean of a per-epoch value: exactly the epoch value when
+   it is constant (so a no-op plan reproduces the static cluster byte
+   for byte). *)
+let time_avg t v =
+  let v0 = v t.segs.(0) in
+  if Array.for_all (fun seg -> v seg = v0) t.segs then v0
   else begin
     let m = Array.length t.bounds in
     let acc = ref 0.0 in
     for i = 0 to m - 1 do
       let e = if i + 1 < m then t.bounds.(i + 1) else t.duration_us in
-      acc := !acc +. (t.segs.(i).rates.(s) *. (e -. t.bounds.(i)))
+      acc := !acc +. (v t.segs.(i) *. (e -. t.bounds.(i)))
     done;
     !acc /. t.duration_us
   end
 
-(* Same shape for the traffic share (feeds [Metrics.aggregate
-   ~shard_share]): exactly the probed share when constant. *)
-let avg_share t s =
-  let s0 = t.segs.(0).shares.(s) in
-  let constant = Array.for_all (fun seg -> seg.shares.(s) = s0) t.segs in
-  if constant then s0
-  else begin
-    let m = Array.length t.bounds in
-    let acc = ref 0.0 in
-    for i = 0 to m - 1 do
-      let e = if i + 1 < m then t.bounds.(i + 1) else t.duration_us in
-      acc := !acc +. (t.segs.(i).shares.(s) *. (e -. t.bounds.(i)))
-    done;
-    !acc /. t.duration_us
-  end
+let avg_rate t s = time_avg t (fun seg -> t.offered_mops *. seg.shares.(s))
+let avg_share t s = time_avg t (fun seg -> seg.shares.(s))
 
 (* ---------------- compilation ---------------- *)
 
@@ -248,8 +249,12 @@ let err msg = invalid_arg ("Shardmgr.Table.compile: " ^ msg)
 let list_eq_int a b =
   List.length a = List.length b && List.for_all2 (fun x y -> x = y) a b
 
-let compile ?(vnodes = 128) ?(groups = 8) ?(probe = 65_536) ?(seed = 1)
-    ~servers ~workload ~dataset ~duration_us ~offered_mops plan =
+(* Key-space buckets behind a range rebalance's load weights. *)
+let probe_buckets = 128
+
+let compile ?(policy = Hash) ?(rebalance = false) ?(vnodes = 128) ?(groups = 8)
+    ?(probe = 65_536) ?(seed = 1) ~servers ~workload ~dataset ~duration_us
+    ~offered_mops plan =
   if servers < 1 then err "servers must be >= 1";
   if groups < 1 then err "groups must be >= 1";
   if probe < 1 then err "probe must be >= 1";
@@ -259,10 +264,30 @@ let compile ?(vnodes = 128) ?(groups = 8) ?(probe = 65_536) ?(seed = 1)
   | Ok () -> ()
   | Error msg -> err ("plan " ^ plan.Plan.name ^ ": " ^ msg));
   let n_keys = Workload.Dataset.n_keys dataset in
-  let probe_gen () =
-    Workload.Generator.create ~seed:(seed + 7919)
-      ~p_large:workload.Workload.Spec.p_large
-      ~get_ratio:workload.Workload.Spec.get_ratio dataset
+  (* Replay the shared seeded probe stream (seed [seed + 7919]): every
+     share, load weight and cutover instant below is measured on it. *)
+  let replay f =
+    let gen =
+      Workload.Generator.create ~seed:(seed + 7919)
+        ~p_large:workload.Workload.Spec.p_large
+        ~get_ratio:workload.Workload.Spec.get_ratio dataset
+    in
+    for _ = 1 to probe do
+      f (Workload.Generator.next gen)
+    done
+  in
+  let floor_share = 1.0 /. float_of_int probe in
+  let shares_of counts =
+    Array.map
+      (fun c ->
+        if c = 0 then 0.0
+        else Float.max floor_share (float_of_int c /. float_of_int probe))
+      counts
+  in
+  let imbalance shares =
+    let n = float_of_int (Array.length shares) in
+    let mean = Array.fold_left ( +. ) 0.0 shares /. n in
+    if mean > 0.0 then Array.fold_left Float.max 0.0 shares /. mean else Float.nan
   in
   (* Memoized membership -> ring (few distinct memberships per plan). *)
   let ring_cache = ref [] in
@@ -270,28 +295,60 @@ let compile ?(vnodes = 128) ?(groups = 8) ?(probe = 65_536) ?(seed = 1)
     match List.find_opt (fun (k, _) -> list_eq_int k ms) !ring_cache with
     | Some (_, r) -> r
     | None ->
-        let r = Kvcluster.Ring.of_members ~vnodes ms in
+        let r = Ring (Kvcluster.Ring.of_members ~vnodes ms) in
         ring_cache := (ms, r) :: !ring_cache;
         r
   in
+  (* The initial ownership, re-cut from the probed per-bucket key load
+     when [rebalance] asks for it (a ring has no cut points to move). *)
+  let base, rebalanced =
+    let own =
+      match policy with
+      | Hash -> ring_of (List.init servers Fun.id)
+      | Range -> Keys (Kvcluster.Range_map.create ~servers ~n_keys ())
+    in
+    if not rebalance then (own, None)
+    else begin
+      let counts = Array.make servers 0 in
+      let weights = Array.make probe_buckets 0.0 in
+      replay (fun r ->
+          let k = r.Workload.Generator.key_id in
+          let s = lookup own (Workload.Dataset.key_partition dataset k) k in
+          counts.(s) <- counts.(s) + 1;
+          let b = k * probe_buckets / n_keys in
+          weights.(b) <- weights.(b) +. 1.0);
+      let own' =
+        match own with
+        | Ring _ -> own
+        | Keys m -> Keys (Kvcluster.Range_map.rebalance m ~weights)
+      in
+      let moved = ref 0 in
+      replay (fun r ->
+          let k = r.Workload.Generator.key_id in
+          let h = Workload.Dataset.key_partition dataset k in
+          if lookup own h k <> lookup own' h k then incr moved);
+      let moved_share = float_of_int !moved /. float_of_int probe in
+      (own', Some (imbalance (shares_of counts), moved_share))
+    end
+  in
+  (* Membership never changes under [Range]: resolving the plan below
+     rejects add/remove-server there. *)
+  let owner_of ms = match base with Keys _ -> base | Ring _ -> ring_of ms in
   (* Staggered cutover schedule: group g cuts once the cumulative probed
      load of moving keys through g reaches its share of the dual phase,
      so cut instants track where the moving load actually lives. *)
   let cut_times ~before ~after ~drain_end ~dual_end =
-    let rb = ring_of before and ra = ring_of after in
-    let gen = probe_gen () in
+    let ob = owner_of before and oa = owner_of after in
     let gw = Array.make groups 0.0 in
     let total = ref 0.0 in
-    for _ = 1 to probe do
-      let r = Workload.Generator.next gen in
-      let k = r.Workload.Generator.key_id in
-      let h = Workload.Dataset.key_partition dataset k in
-      if Kvcluster.Ring.lookup rb h <> Kvcluster.Ring.lookup ra h then begin
-        let g = k * groups / n_keys in
-        gw.(g) <- gw.(g) +. 1.0;
-        total := !total +. 1.0
-      end
-    done;
+    replay (fun r ->
+        let k = r.Workload.Generator.key_id in
+        let h = Workload.Dataset.key_partition dataset k in
+        if lookup ob h k <> lookup oa h k then begin
+          let g = k * groups / n_keys in
+          gw.(g) <- gw.(g) +. 1.0;
+          total := !total +. 1.0
+        end);
     let dual = dual_end -. drain_end in
     let cuts = Array.make groups drain_end in
     if !total > 0.0 then begin
@@ -319,6 +376,10 @@ let compile ?(vnodes = 128) ?(groups = 8) ?(probe = 65_536) ?(seed = 1)
       (fun ev ->
         let at = Plan.at_us ev in
         if at >= duration_us then err "event at or beyond the run duration";
+        (match ev with
+        | (Plan.Add_server _ | Plan.Remove_server _) when policy = Range ->
+            raise (Range_membership ev)
+        | _ -> ());
         match ev with
         | Plan.Add_server { at_us; drain_us; dual_us } ->
             let id = !next_id in
@@ -423,11 +484,11 @@ let compile ?(vnodes = 128) ?(groups = 8) ?(probe = 65_536) ?(seed = 1)
               in
               rstacks := (r.r_shard, l') :: List.remove_assoc r.r_shard !rstacks)
       resolved;
-    let ring_new =
-      match !mig with Some m -> ring_of m.m_after | None -> ring_of !cur
+    let own_new =
+      match !mig with Some m -> owner_of m.m_after | None -> owner_of !cur
     in
-    let ring_old =
-      match !mig with Some m -> ring_of m.m_before | None -> ring_new
+    let own_old =
+      match !mig with Some m -> owner_of m.m_before | None -> own_new
     in
     let migrating = Option.is_some !mig in
     let dual = match !mig with Some m -> b >= m.m_drain_end | None -> false in
@@ -443,63 +504,54 @@ let compile ?(vnodes = 128) ?(groups = 8) ?(probe = 65_536) ?(seed = 1)
         | _ -> replicas.(shard) <- Array.of_list (shard :: List.rev l))
       !rstacks;
     {
-      ring_old;
-      ring_new;
+      own_old;
+      own_new;
       migrating;
       dual;
       cut;
       replicas;
-      rates = [||] (* filled below, once the seg routes *);
-      shares = [||];
+      shares = [||] (* filled below, once the seg routes *);
     }
   in
   let segs = Array.map build_seg bounds in
   (* Per-epoch offered rates, by replaying the shared probe stream
-     through this epoch's routing.  Mirrors Kvcluster.Run.probe_shares:
-     same generator seed, same floor — so a no-op plan reproduces the
-     static shares bit for bit.  A server with zero probed traffic gets
-     rate exactly 0 (its engine parks), never the floor: a positive rate
-     with an empty routed key set would spin the source filter forever. *)
-  let floor_share = 1.0 /. float_of_int probe in
+     through this epoch's routing.  A server with zero probed traffic
+     gets rate exactly 0 (its engine parks), never the floor: a positive
+     rate with an empty routed key set would spin the source filter
+     forever. *)
   let segs =
     Array.map
       (fun seg ->
         let counts = Array.make n_servers 0 in
-        let gen = probe_gen () in
-        for _ = 1 to probe do
-          let r = Workload.Generator.next gen in
-          let k = r.Workload.Generator.key_id in
-          let h = Workload.Dataset.key_partition dataset k in
-          match r.Workload.Generator.op with
-          | Workload.Generator.Get | Workload.Generator.Scan ->
-              let s = pick seg h (get_primary seg ~groups ~n_keys h k) in
-              counts.(s) <- counts.(s) + 1
-          | Workload.Generator.Put ->
-              for s = 0 to n_servers - 1 do
-                if put_member seg ~groups ~n_keys h k s then
-                  counts.(s) <- counts.(s) + 1
-              done
-        done;
-        let shares =
-          Array.map
-            (fun c ->
-              if c = 0 then 0.0
-              else Float.max floor_share (float_of_int c /. float_of_int probe))
-            counts
-        in
-        let rates =
-          Array.map (fun sh -> if sh = 0.0 then 0.0 else offered_mops *. sh) shares
-        in
-        { seg with rates; shares })
+        replay (fun r ->
+            let k = r.Workload.Generator.key_id in
+            let h = Workload.Dataset.key_partition dataset k in
+            match r.Workload.Generator.op with
+            | Workload.Generator.Get | Workload.Generator.Scan ->
+                let s = pick seg h (get_primary seg ~groups ~n_keys h k) in
+                counts.(s) <- counts.(s) + 1
+            | Workload.Generator.Put ->
+                for s = 0 to n_servers - 1 do
+                  if put_member seg ~groups ~n_keys h k s then
+                    counts.(s) <- counts.(s) + 1
+                done);
+        { seg with shares = shares_of counts })
       segs
+  in
+  let rebalance =
+    Option.map
+      (fun (imbalance_before, moved_share) ->
+        { imbalance_before; imbalance_after = imbalance segs.(0).shares; moved_share })
+      rebalanced
   in
   let t =
     {
+      policy;
+      rebalance;
       dataset;
       n_keys;
       groups;
       n_servers;
-      base_servers = servers;
       duration_us;
       offered_mops;
       bounds;

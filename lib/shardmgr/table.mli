@@ -20,6 +20,21 @@
 
 type t
 
+(** Static routing outside a membership change: a consistent-hash ring
+    over the members, or an explicit key-range map. *)
+type policy = Hash | Range
+
+(** What a range rebalance did, measured on the probe stream. *)
+type rebalance_info = {
+  imbalance_before : float;  (** max/mean shard share before re-cutting *)
+  imbalance_after : float;
+  moved_share : float;  (** fraction of probed traffic that changed shard *)
+}
+
+exception Range_membership of Plan.event
+(** Raised by {!compile} when the plan adds or removes a server under
+    [Range] routing: a key-range map has no ring to add a server to. *)
+
 type kind = Drain_start | Dual_start | Cutover | Replica_add | Replica_drop
 
 (** One protocol state change, for decision logs / traces / JSON. *)
@@ -33,6 +48,8 @@ type logged = {
 }
 
 val compile :
+  ?policy:policy ->
+  ?rebalance:bool ->
   ?vnodes:int ->
   ?groups:int ->
   ?probe:int ->
@@ -44,14 +61,18 @@ val compile :
   offered_mops:float ->
   Plan.t ->
   t
-(** Compile a validated plan.  [vnodes] (128) sizes the consistent-hash
-    ring, [groups] (8) the cutover key groups, [probe] (65536) the
-    seeded probe stream that measures per-epoch shard shares and the
-    per-group moving load (same stream as {!Kvcluster.Run}: seed
-    [seed + 7919], so a no-op plan reproduces the static cluster shares
-    bit for bit).  [servers] is the initial membership [0..servers-1];
-    each [add-server] / [add-replica] event allocates the next fresh id.
-    Raises [Invalid_argument] on an invalid plan or an impossible step
+(** Compile a validated plan.  [policy] ([Hash]) picks the static
+    routing; [rebalance] (false) re-cuts a [Range] map from the probed
+    per-bucket key load before anything else is measured (a [Hash] ring
+    has no cut points: nothing moves, but the effect is still
+    reported).  [vnodes] (128) sizes the consistent-hash ring,
+    [groups] (8) the cutover key groups, [probe] (65536) the seeded
+    probe stream (seed [seed + 7919]) that measures per-epoch shard
+    shares, the rebalance weights and the per-group moving load.
+    [servers] is the initial membership [0..servers-1]; each
+    [add-server] / [add-replica] event allocates the next fresh id.
+    Raises {!Range_membership} on an add/remove-server under [Range],
+    and [Invalid_argument] on an invalid plan or an impossible step
     (removing a non-member or the last member, dropping a replica that
     does not exist, a migration window past [duration_us]). *)
 
@@ -74,19 +95,19 @@ val next_change : t -> now:float -> float
 
 (** {2 Offline views (tests, {!Protocol}, reports)} *)
 
+val policy : t -> policy
+
+val rebalance_info : t -> rebalance_info option
+(** [Some] exactly when compiled with [~rebalance:true]. *)
+
 val n_servers : t -> int
 (** Total engine count: base servers plus every plan-allocated id. *)
 
-val base_servers : t -> int
-val groups : t -> int
-val offered_mops : t -> float
 val dataset : t -> Workload.Dataset.t
 val duration_us : t -> float
 val epoch_count : t -> int
 val epoch_start : t -> int -> float
-val epoch_migrating : t -> int -> bool
 val epoch_rates : t -> int -> float array
-val group_of_key : t -> int -> int
 val avg_rate : t -> int -> float
 (** Time-weighted mean rate; exactly the common rate when constant
     across epochs (labels the engine's metrics). *)

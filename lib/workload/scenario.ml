@@ -46,9 +46,25 @@ let validate t =
           then Error "mem_fraction out of (0, 1]"
           else Ok ())
 
-let plain t =
-  (match t.arrival with Arrival.Poisson -> true | _ -> false)
-  && t.ttl_us = None && t.scan_ratio = 0.0 && t.mem_fraction = None && not t.replay
+let flat t =
+  let extras =
+    List.filter_map
+      (fun (on, name) -> if on then Some name else None)
+      [
+        ((match t.arrival with Arrival.Poisson -> false | _ -> true), "arrival");
+        (t.ttl_us <> None, "ttl");
+        (t.scan_ratio <> 0.0, "scans");
+        (t.mem_fraction <> None, "mem_fraction");
+        (t.replay, "replay");
+      ]
+  in
+  if extras = [] then Ok t.spec
+  else
+    Error
+      (Printf.sprintf
+         "scenario %s has extras only a single engine honours (%s); pick a \
+          flat workload"
+         t.label (String.concat ", " extras))
 
 let generator ?(seed = 11) t dataset =
   Generator.create ~seed ~p_large:t.spec.Spec.p_large ~get_ratio:t.spec.Spec.get_ratio

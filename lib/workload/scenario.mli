@@ -39,9 +39,12 @@ val default : t
 
 val validate : t -> (unit, string) result
 
-val plain : t -> bool
-(** True when every scenario extra is inert (Poisson, no TTL / scans /
-    budget / replay) — i.e. the run reduces to the original spec path. *)
+val flat : t -> (Spec.t, string) result
+(** The flat request mix, when every scenario extra is inert (Poisson,
+    no TTL / scans / budget / replay) — i.e. the run reduces to the
+    original spec path.  Otherwise an error naming the active extras:
+    drivers that run only the mix (cluster, reshard, hedge) refuse such
+    a scenario rather than silently drop its extras. *)
 
 val generator : ?seed:int -> t -> Dataset.t -> Generator.t
 (** A generator for the scenario's mix (including its scan knobs). *)

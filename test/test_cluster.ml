@@ -368,7 +368,7 @@ let cfg = Minos.Experiment.config_of_scale scale
 
 let cluster_run ?(servers = 2) ?policy ?rebalance () =
   Minos.Cluster.run ~cfg ?policy ?rebalance ~servers ~seed:3
-    ~fanouts:[ 1; 2; 4; 8 ] ~trials:5_000 Workload.Scenario.default
+    ~fanouts:[ 1; 2; 4; 8 ] ~trials:5_000 Workload.Spec.default
     ~offered_mops:4.0
 
 let test_cluster_deterministic_across_jobs () =
@@ -380,12 +380,51 @@ let test_cluster_deterministic_across_jobs () =
   check Alcotest.string "jobs=1 vs jobs=4" a b;
   check Alcotest.string "rerun at jobs=4" b c
 
+let golden name =
+  In_channel.with_open_bin (Filename.concat "golden" name) In_channel.input_all
+
+let test_cluster_matches_pinned_output () =
+  (* The static cluster's output at these settings, captured from the
+     dedicated static-routing runner the no-op-plan table replaced; both
+     routing policies must keep reproducing it byte for byte. *)
+  check Alcotest.string "hash" (golden "cluster_hash.json")
+    (Minos.Cluster.to_json (cluster_run ()));
+  check Alcotest.string "range + rebalance"
+    (golden "cluster_range_rebalance.json")
+    (Minos.Cluster.to_json
+       (cluster_run ~policy:Shardmgr.Table.Range ~rebalance:true ()))
+
+let main_metrics t = t.Minos.Cluster.main.Minos.Cluster.run.Shardmgr.Run.metrics
+let baseline_metrics t =
+  t.Minos.Cluster.baseline.Minos.Cluster.run.Shardmgr.Run.metrics
+
 let test_cluster_telescopes () =
   let t = cluster_run () in
   check bool "main loss accounting exact" true
-    (Kvcluster.Metrics.telescopes t.Minos.Cluster.main.Kvcluster.Run.metrics);
+    (Kvcluster.Metrics.telescopes (main_metrics t));
   check bool "baseline loss accounting exact" true
-    (Kvcluster.Metrics.telescopes t.Minos.Cluster.baseline.Kvcluster.Run.metrics)
+    (Kvcluster.Metrics.telescopes (baseline_metrics t));
+  (* The expired-miss leg: turning served requests into expired misses
+     keeps the identity exact per shard and summed over shards. *)
+  let m = main_metrics t in
+  let shards =
+    Array.map
+      (fun (sm : Kvserver.Metrics.t) ->
+        {
+          sm with
+          Kvserver.Metrics.served_total = sm.Kvserver.Metrics.served_total - 3;
+          expired_misses = sm.Kvserver.Metrics.expired_misses + 3;
+        })
+      m.Kvcluster.Metrics.per_shard
+  in
+  let agg =
+    Kvcluster.Metrics.aggregate ~shard_share:m.Kvcluster.Metrics.shard_share
+      (Array.map (fun sm -> (sm, Stats.Float_vec.create ())) shards)
+  in
+  check int "expired misses summed over shards" (3 * Array.length shards)
+    agg.Kvcluster.Metrics.expired_misses;
+  check bool "identity holds with the expired-miss leg" true
+    (Kvcluster.Metrics.telescopes agg)
 
 let test_cluster_minos_beats_keyhash_under_fanout () =
   (* The headline: at the same offered load and identical shard split,
@@ -393,8 +432,8 @@ let test_cluster_minos_beats_keyhash_under_fanout () =
      multi-GET completion p99 at every fan-out degree — strictly below
      the keyhash baseline's. *)
   let t = cluster_run () in
-  let mm = t.Minos.Cluster.main.Kvcluster.Run.metrics in
-  let bm = t.Minos.Cluster.baseline.Kvcluster.Run.metrics in
+  let mm = main_metrics t in
+  let bm = baseline_metrics t in
   Array.iteri
     (fun s (sm : Kvserver.Metrics.t) ->
       let bs = bm.Kvcluster.Metrics.per_shard.(s) in
@@ -413,22 +452,25 @@ let test_cluster_minos_beats_keyhash_under_fanout () =
            m.Kvcluster.Fanout.fanout)
         true
         (m.Kvcluster.Fanout.p99_us < b.Kvcluster.Fanout.p99_us))
-    t.Minos.Cluster.main.Kvcluster.Run.fanout
-    t.Minos.Cluster.baseline.Kvcluster.Run.fanout
+    t.Minos.Cluster.main.Minos.Cluster.fanout
+    t.Minos.Cluster.baseline.Minos.Cluster.fanout;
+  match Minos.Cluster.check t with
+  | Ok () -> ()
+  | Error msg -> Alcotest.failf "Cluster.check: %s" msg
 
 let test_cluster_range_rebalance_improves () =
-  let t = cluster_run ~policy:Kvcluster.Run.Range ~rebalance:true () in
-  match t.Minos.Cluster.main.Kvcluster.Run.rebalance with
+  let t = cluster_run ~policy:Shardmgr.Table.Range ~rebalance:true () in
+  match Shardmgr.Table.rebalance_info t.Minos.Cluster.table with
   | None -> Alcotest.fail "rebalance info missing"
   | Some rb ->
       check bool
         (Printf.sprintf "imbalance %.3f -> %.3f no worse"
-           rb.Kvcluster.Run.imbalance_before rb.Kvcluster.Run.imbalance_after)
+           rb.Shardmgr.Table.imbalance_before rb.Shardmgr.Table.imbalance_after)
         true
-        (rb.Kvcluster.Run.imbalance_after
-         <= rb.Kvcluster.Run.imbalance_before +. 1e-9);
+        (rb.Shardmgr.Table.imbalance_after
+         <= rb.Shardmgr.Table.imbalance_before +. 1e-9);
       check bool "moved share sane" true
-        (rb.Kvcluster.Run.moved_share >= 0.0 && rb.Kvcluster.Run.moved_share <= 1.0)
+        (rb.Shardmgr.Table.moved_share >= 0.0 && rb.Shardmgr.Table.moved_share <= 1.0)
 
 (* ------------------------------------------------------------------ *)
 
@@ -484,5 +526,7 @@ let () =
             test_cluster_minos_beats_keyhash_under_fanout;
           Alcotest.test_case "range rebalance improves imbalance" `Slow
             test_cluster_range_rebalance_improves;
+          Alcotest.test_case "reproduces the pinned static output" `Slow
+            test_cluster_matches_pinned_output;
         ] );
     ]

@@ -310,6 +310,15 @@ let test_csv_export () =
       check bool "header row" true (line1 = "a,b");
       check bool "quoted comma cell" true (line2 = "1,\"x,y\""))
 
+let test_json_helpers () =
+  let str = Alcotest.string in
+  check str "finite" "1.235" (Minos.Report.json_float 1.23456);
+  check str "nan" "null" (Minos.Report.json_float Float.nan);
+  check str "+inf" "null" (Minos.Report.json_float Float.infinity);
+  check str "-inf" "null" (Minos.Report.json_float Float.neg_infinity);
+  check str "escaped string" {|"a\"b\\c d"|}
+    (Minos.Report.json_string "a\"b\\c\nd")
+
 let test_design_names_roundtrip () =
   List.iter
     (fun d ->
@@ -353,5 +362,6 @@ let () =
           Alcotest.test_case "design names" `Quick test_design_names_roundtrip;
           Alcotest.test_case "replication stability" `Slow test_replication_stability;
           Alcotest.test_case "csv export" `Quick test_csv_export;
+          Alcotest.test_case "json helpers" `Quick test_json_helpers;
         ] );
     ]

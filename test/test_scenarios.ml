@@ -328,6 +328,25 @@ let test_timed_trace_replay_deterministic () =
   check bool "identical metrics" true (compare a b = 0);
   check bool "served requests" true (a.Kvserver.Metrics.served_total > 0)
 
+let test_flat_refuses_extras () =
+  (* The cluster, reshard and hedge drivers run only the flat mix; a
+     scenario with extras must be refused by name, never reduced. *)
+  let parse name =
+    match Workload.Scenario.parse name with
+    | Ok sc -> sc
+    | Error e -> Alcotest.failf "%s: %s" name e
+  in
+  (match Workload.Scenario.flat (parse "cold-tier") with
+  | Ok _ -> Alcotest.fail "cold-tier reduced to its flat mix"
+  | Error msg ->
+      check string "extras named"
+        "scenario cold-tier has extras only a single engine honours \
+         (arrival, ttl, mem_fraction, replay); pick a flat workload"
+        msg);
+  match Workload.Scenario.flat (parse "default") with
+  | Ok spec -> check bool "default is the flat default spec" true (spec = Workload.Spec.default)
+  | Error e -> Alcotest.failf "default refused: %s" e
+
 let () =
   Alcotest.run "scenarios"
     [
@@ -354,6 +373,8 @@ let () =
         ] );
       ( "suite",
         [
+          Alcotest.test_case "flat drivers refuse extras" `Quick
+            test_flat_refuses_extras;
           Alcotest.test_case "jobs byte-identical" `Quick
             test_scenarios_jobs_identical;
           Alcotest.test_case "telescoping + cold tier" `Quick

@@ -29,8 +29,8 @@ let canned name =
     (Shardmgr.Plan.canned name ~warmup_us:cfg.Kvserver.Config.warmup_us
        ~duration_us:cfg.Kvserver.Config.duration_us)
 
-let compile ?(servers = 2) ?(offered = 4.0) ?(seed = 3) plan =
-  Shardmgr.Table.compile ~seed ~servers ~workload ~dataset:(dataset ())
+let compile ?policy ?(servers = 2) ?(offered = 4.0) ?(seed = 3) plan =
+  Shardmgr.Table.compile ?policy ~seed ~servers ~workload ~dataset:(dataset ())
     ~duration_us:cfg.Kvserver.Config.duration_us ~offered_mops:offered plan
 
 (* ------------------------------------------------------------------ *)
@@ -118,6 +118,30 @@ let test_compile_rejects_impossible_steps () =
             };
         ];
     }
+
+let test_range_routing () =
+  (* A range map has no ring to add a server to: membership changes are
+     a typed error, while replica events stay legal. *)
+  (match compile ~policy:Shardmgr.Table.Range (canned "add-remove") with
+  | exception Shardmgr.Table.Range_membership (Shardmgr.Plan.Add_server _) -> ()
+  | exception Shardmgr.Table.Range_membership _ ->
+      Alcotest.fail "expected the plan's first membership event"
+  | _ -> Alcotest.fail "range table accepted add-server");
+  let map =
+    Kvcluster.Range_map.create ~servers:2
+      ~n_keys:(Workload.Dataset.n_keys (dataset ())) ()
+  in
+  let bare = compile ~policy:Shardmgr.Table.Range (canned "noop") in
+  for k = 0 to 499 do
+    check int "no-op range table routes by key id"
+      (Kvcluster.Range_map.lookup map k)
+      (Shardmgr.Table.read_target bare ~epoch:0 k)
+  done;
+  let replicated = compile ~policy:Shardmgr.Table.Range (canned "replica-cycle") in
+  check bool "replicas allocate fresh ids" true
+    (Shardmgr.Table.n_servers replicated > 2);
+  check bool "replica audit clean under range routing" true
+    (Shardmgr.Protocol.ok (Shardmgr.Protocol.check ~seed:3 ~workload replicated))
 
 let test_table_routing_invariants () =
   let table = compile (canned "add-remove") in
@@ -333,17 +357,44 @@ let reshard_run ?(plan = canned "add-remove") ?(servers = 2) () =
   Shardmgr.Run.run ~seed:3 ~map:Minos.Par.map_list ~cfg
     ~design:Kvserver.Design.minos ~workload ~table ()
 
+(* Every aggregate and per-shard field the static cluster produced,
+   floats in exact hex. *)
+let metrics_fingerprint (m : Kvcluster.Metrics.t) =
+  let b = Buffer.create 1024 in
+  let f x = Buffer.add_string b (Printf.sprintf "%h;" x) in
+  let i x = Buffer.add_string b (Printf.sprintf "%d;" x) in
+  i m.issued; i m.served_total; i m.net_dropped; i m.rx_dropped;
+  i m.shed_small; i m.shed_large; i m.in_flight_end;
+  f m.throughput_mops; f m.mean_us; f m.p50_us; f m.p99_us; f m.p999_us;
+  f m.worst_shard_p99_us; f m.imbalance;
+  Buffer.add_string b (string_of_bool m.stable);
+  Array.iter f m.shard_share;
+  Array.iter
+    (fun (s : Kvserver.Metrics.t) ->
+      Buffer.add_string b "|";
+      f s.offered_mops; i s.issued; i s.completed; i s.served_total;
+      f s.throughput_mops; f s.mean_us; f s.p50_us; f s.p95_us; f s.p99_us;
+      f s.p999_us; f s.small_p99_us; f s.large_p99_us; f s.nic_tx_utilization;
+      Buffer.add_string b (string_of_bool s.stable);
+      Array.iter i s.per_core_ops; Array.iter i s.per_core_packets;
+      i s.final_large_cores; f s.final_threshold; i s.in_flight_end;
+      f s.mean_queue_wait_us; f s.mean_service_us; f s.mean_tx_wait_us;
+      i s.net_dropped; i s.rx_dropped; i s.shed_small; i s.shed_large;
+      i s.expired_misses)
+    m.per_shard;
+  Buffer.contents b
+
 let test_noop_reproduces_static_cluster () =
   (* The tentpole's base case: under the no-op plan the paced, epoch-
-     routed engines must reproduce the static cluster run byte for byte
-     — same metrics record, NaNs included. *)
+     routed engines must reproduce the static cluster run byte for byte.
+     The reference is that run's metrics as captured from the dedicated
+     static-routing runner, NaNs included. *)
   let r = reshard_run ~plan:Shardmgr.Plan.empty () in
-  let c =
-    Kvcluster.Run.run ~seed:3 ~trials:128 ~cfg ~design:Kvserver.Design.minos
-      ~dataset:(dataset ()) ~servers:2 ~workload ~offered_mops:4.0 ()
+  let pinned =
+    In_channel.with_open_bin "golden/noop_metrics.txt" In_channel.input_all
   in
-  check bool "metrics byte-identical to Kvcluster.Run" true
-    (compare r.Shardmgr.Run.metrics c.Kvcluster.Run.metrics = 0);
+  check Alcotest.string "metrics identical to the static cluster" pinned
+    (metrics_fingerprint r.Shardmgr.Run.metrics);
   check bool "audit clean" true
     (Shardmgr.Protocol.ok r.Shardmgr.Run.protocol)
 
@@ -359,15 +410,20 @@ let test_reshard_preserves_accounting () =
   check bool "all engines issued something somewhere" true
     (m.Kvcluster.Metrics.issued > 0)
 
+let reshard_front_end () =
+  Minos.Reshard.run ~cfg ~seed:3 ~servers:2 ~plan:(canned "add-remove") workload
+    ~offered_mops:4.0 ()
+
 let test_reshard_deterministic_across_jobs () =
-  let go () =
-    Minos.Reshard.to_json
-      (Minos.Reshard.run ~cfg ~seed:3 ~servers:2 ~plan:(canned "add-remove")
-         (Workload.Scenario.of_spec workload) ~offered_mops:4.0 ())
-  in
+  let go () = Minos.Reshard.to_json (reshard_front_end ()) in
   let a = with_jobs 1 go in
   let b = with_jobs 4 go in
   check Alcotest.string "jobs=1 vs jobs=4 byte-identical" a b
+
+let test_reshard_check () =
+  match Minos.Reshard.check (reshard_front_end ()) with
+  | Ok () -> ()
+  | Error msg -> Alcotest.failf "Reshard.check: %s" msg
 
 (* ------------------------------------------------------------------ *)
 
@@ -390,6 +446,7 @@ let () =
             test_table_routing_invariants;
           Alcotest.test_case "rates follow membership" `Quick
             test_table_rates_follow_membership;
+          Alcotest.test_case "range routing" `Quick test_range_routing;
         ] );
       ( "manager",
         [ Alcotest.test_case "hysteresis + cooldown" `Quick test_manager_hysteresis ] );
@@ -412,5 +469,6 @@ let () =
             test_reshard_preserves_accounting;
           Alcotest.test_case "deterministic across MINOS_JOBS" `Slow
             test_reshard_deterministic_across_jobs;
+          Alcotest.test_case "headline claims hold" `Slow test_reshard_check;
         ] );
     ]
