@@ -352,10 +352,19 @@ let run_numa () =
     rows
 
 (* ------------------------------------------------------------------ *)
+(* Exit non-zero when a run's headline claims fail (the [check] of each
+   driver); the written JSON stays for inspection. *)
+let enforce target = function
+  | Ok () -> ()
+  | Error msg ->
+      Printf.eprintf "%s check FAILED: %s\n%!" target msg;
+      exit 1
+
 (* Chaos harness: every canned fault plan against the guarded Minos, the
-   plain Minos and HKH+WS.  The JSON is the record CI compares: for the
+   plain Minos and HKH+WS.  [Minos.Chaos.check] gates the run: for the
    core-stall and loss plans the guarded p99 must beat the unguarded one,
-   and a rerun at the same seed must be byte-identical. *)
+   and the overload plan must shed while staying stable.  CI also checks
+   that a rerun at the same seed is byte-identical. *)
 
 let run_chaos () =
   let cfg = Minos.Experiment.config_of_scale scale in
@@ -364,16 +373,8 @@ let run_chaos () =
   let oc = open_out "BENCH_chaos.json" in
   output_string oc (Minos.Chaos.to_json t);
   close_out oc;
-  Printf.printf "[chaos results written to BENCH_chaos.json]\n%!"
-
-(* ------------------------------------------------------------------ *)
-(* Exit non-zero when a run's headline claims fail ([Minos.Cluster.check],
-   [Minos.Reshard.check]); the written JSON stays for inspection. *)
-let enforce target = function
-  | Ok () -> ()
-  | Error msg ->
-      Printf.eprintf "%s check FAILED: %s\n%!" target msg;
-      exit 1
+  Printf.printf "[chaos results written to BENCH_chaos.json]\n%!";
+  enforce "chaos" (Minos.Chaos.check t)
 
 (* Cluster scale-out: 4 shard servers behind the client-side router,
    size-aware Minos vs the keyhash baseline at the same offered load.
@@ -432,11 +433,12 @@ let run_reshard () =
 (* Scenario suite: every registry scenario beyond the paper's static
    Poisson mix — diurnal ramps, bursts, TTL churn, scan-heavy, and the
    larger-than-memory cold tier — size-aware Minos vs the keyhash
-   baseline.  The JSON is the record CI compares: the extended
+   baseline.  [Minos.Scenarios.check] gates the run: the extended
    loss-accounting identity (with the expired-miss leg) must hold
    exactly in every row, size-aware p99 must beat keyhash on the
-   scan-heavy scenario, and a rerun at the same seed (any MINOS_JOBS)
-   must be byte-identical. *)
+   scan-heavy scenario, cold-tier must miss and evict, and ttl-churn
+   must expire keys.  CI also checks that a rerun at the same seed (any
+   MINOS_JOBS) is byte-identical. *)
 
 let run_scenarios () =
   let cfg = Minos.Experiment.config_of_scale scale in
@@ -445,16 +447,18 @@ let run_scenarios () =
   let oc = open_out "BENCH_scenarios.json" in
   output_string oc (Minos.Scenarios.to_json t);
   close_out oc;
-  Printf.printf "[scenario results written to BENCH_scenarios.json]\n%!"
+  Printf.printf "[scenario results written to BENCH_scenarios.json]\n%!";
+  enforce "scenarios" (Minos.Scenarios.check t)
 
 (* Replica-aware tail-cutting: the hedged/tied/unhedged variant grid
-   against a 4-shard, 1-mirror cluster at 8 Mops, fault-free and under
-   the canned kill-server plan.  The JSON is the chaos-SLO record CI
-   asserts: copy accounting must telescope exactly in every variant, the
-   key audit across the crash must be clean, the hedged size-aware p99
-   under the kill must stay within 3x of fault-free while the unhedged
-   one degrades by at least 10x, and a rerun at the same seed (any
-   MINOS_JOBS) must be byte-identical. *)
+   against a 4-shard, 1-mirror cluster of engines at 8 Mops, fault-free
+   and under the canned kill-server plan.  [Minos.Hedge.check] gates the
+   run: copy accounting and every engine ledger must telescope exactly
+   in every variant, the key audit across the crash must be clean, the
+   hedged size-aware p99 under the kill must stay within 3x of
+   fault-free while the unhedged one degrades by at least 10x.  CI also
+   checks that a rerun at the same seed (any MINOS_JOBS) is
+   byte-identical. *)
 
 let run_hedge () =
   let t =
@@ -466,7 +470,8 @@ let run_hedge () =
   let oc = open_out "BENCH_hedge.json" in
   output_string oc (Minos.Hedge.to_json t);
   close_out oc;
-  Printf.printf "[hedge results written to BENCH_hedge.json]\n%!"
+  Printf.printf "[hedge results written to BENCH_hedge.json]\n%!";
+  enforce "hedge" (Minos.Hedge.check t)
 
 let targets : (string * string * (unit -> unit)) list =
   [

@@ -1008,14 +1008,15 @@ let hedge_cmd =
       p_large s_large get_ratio quick seed jobs =
     Minos.Par.set_jobs jobs;
     let workload = flat_spec_of "hedge" ~workload ~p_large ~s_large ~get_ratio in
+    let base = Minos.Hedge.config_of_scale (scale_of quick) in
     let config =
       {
-        (Minos.Hedge.config_of_scale (scale_of quick)) with
+        base with
         Kvhedge.Config.shards = shards;
         mirrors;
-        cores;
         hedge_quantile = quantile;
         detect_us = detect;
+        server = { base.Kvhedge.Config.server with Kvserver.Config.cores };
       }
     in
     let t =
@@ -1038,7 +1039,7 @@ let hedge_cmd =
        ~doc:
          "Replica-aware tail-cutting: spread GETs over shard replicas and \
           race hedged or tied backup copies against a crashed server.  Runs \
-          the variant grid (size-aware/keyhash x hedged/tied/off x \
+          the variant grid (Minos/keyhash servers x hedged/tied/off x \
           spread/p2c) fault-free and under a canned kill-server plan, \
           reports exact copy-level loss accounting, the hedge tax and a \
           key-conservation audit across the crash; fixed seeds reproduce \

@@ -87,6 +87,30 @@ let run ?cfg ?workload ?(seed = 1) ?offered_mops ?plans () =
   in
   { seed; rows }
 
+let check t =
+  let find plan label = List.find_opt (fun r -> r.plan = plan && r.label = label) t.rows in
+  let guarded_beats_plain plan =
+    match (find plan "Minos+guard", find plan "Minos") with
+    | Some g, Some u ->
+        let gp = g.metrics.Kvserver.Metrics.p99_us and up = u.metrics.Kvserver.Metrics.p99_us in
+        ( gp < up,
+          Printf.sprintf "%s: guarded p99 %s not better than plain %s" plan
+            (Report.json_float gp) (Report.json_float up) )
+    | _ -> (false, plan ^ ": no Minos+guard and Minos rows")
+  in
+  let overload =
+    match find "overload" "Minos+guard" with
+    | Some r ->
+        [
+          ( Kvserver.Metrics.shed_total r.metrics > 0,
+            "overload plan: admission control shed nothing" );
+          (r.metrics.Kvserver.Metrics.stable, "overload plan: guarded variant went unstable");
+        ]
+    | None -> [ (false, "overload plan: no Minos+guard row") ]
+  in
+  Report.verdict
+    ([ guarded_beats_plain "core-stall"; guarded_beats_plain "loss10" ] @ overload)
+
 let print t =
   let plans =
     List.fold_left

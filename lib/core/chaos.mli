@@ -63,6 +63,12 @@ val run :
     each.  Plan windows are derived from the config's warmup/duration;
     each plan runs at {!plan_load} scaled off [offered_mops]. *)
 
+val check : t -> (unit, string) result
+(** The run's headline claims: under [core-stall] and [loss10] the
+    guarded Minos p99 beats the plain one, and under [overload] the
+    guarded variant sheds something and stays stable.  Those three plans
+    must be in the run.  [Error] names the first failed claim. *)
+
 val print : t -> unit
 (** Render as report tables, one per plan. *)
 

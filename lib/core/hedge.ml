@@ -2,7 +2,7 @@
 
 type entry = {
   label : string;
-  sizeaware : bool;
+  design : string;
   mode : string;
   route : string;
   plan : string;
@@ -25,15 +25,7 @@ type t = {
 }
 
 let config_of_scale (s : Experiment.scale) =
-  {
-    Kvhedge.Config.default with
-    Kvhedge.Config.duration_us = s.Experiment.duration_us;
-    warmup_us = s.Experiment.warmup_us;
-    epoch_us = s.Experiment.epoch_us;
-    (* the experiment scales' reporting window outlasts the measured
-       interval at quick scale; the epoch gives a usable p99 series *)
-    window_us = s.Experiment.epoch_us;
-  }
+  { Kvhedge.Config.default with Kvhedge.Config.server = Experiment.config_of_scale s }
 
 (* The canned crash: kill the FIRST MIRROR (server id [shards], i.e.
    replica 1 of shard 0) 30 % into the measured window, restart it at
@@ -76,8 +68,9 @@ let run ?(config = config_of_scale Experiment.full_scale) ?(seed = 1)
     invalid_arg "Hedge.run: tail-cutting needs at least one mirror per shard";
   let shards = config.Kvhedge.Config.shards in
   let mirrors = config.Kvhedge.Config.mirrors in
-  let duration = config.Kvhedge.Config.duration_us in
-  let warmup = config.Kvhedge.Config.warmup_us in
+  let server = config.Kvhedge.Config.server in
+  let duration = server.Kvserver.Config.duration_us in
+  let warmup = server.Kvserver.Config.warmup_us in
   let measured = duration -. warmup in
   let f_kill, f_recover = kill_fractions in
   let kill_at_us = warmup +. (f_kill *. measured) in
@@ -85,7 +78,14 @@ let run ?(config = config_of_scale Experiment.full_scale) ?(seed = 1)
   let killed_server = shards in
   let plan = kill_plan ~server:killed_server ~kill_at_us ~recover_at_us in
   let dataset = Experiment.dataset_for workload in
-  let base = { config with Kvhedge.Config.mode = Kvhedge.Config.Off } in
+  let base =
+    {
+      config with
+      Kvhedge.Config.mode = Kvhedge.Config.Off;
+      design = Kvserver.Design.minos;
+    }
+  in
+  let keyhash = { base with Kvhedge.Config.design = Kvserver.Design.hkh } in
   let variants =
     [
       ( "sizeaware+hedged/none",
@@ -100,13 +100,9 @@ let run ?(config = config_of_scale Experiment.full_scale) ?(seed = 1)
         { base with Kvhedge.Config.mode = Kvhedge.Config.Tied },
         Some plan );
       ( "keyhash+hedged/kill-server",
-        {
-          base with
-          Kvhedge.Config.sizeaware = false;
-          mode = Kvhedge.Config.Hedged;
-        },
+        { keyhash with Kvhedge.Config.mode = Kvhedge.Config.Hedged },
         Some plan );
-      ("keyhash/none", { base with Kvhedge.Config.sizeaware = false }, None);
+      ("keyhash/none", keyhash, None);
       ( "p2c+hedged/kill-server",
         {
           base with
@@ -119,64 +115,35 @@ let run ?(config = config_of_scale Experiment.full_scale) ?(seed = 1)
         Some plan );
     ]
   in
+  let traced = "sizeaware+hedged/kill-server" in
   let job (label, cfg, plan) =
-    let c =
-      Kvhedge.Cluster.create cfg ~dataset ~offered_mops ?plan ~seed ()
+    let c = Kvhedge.Cluster.create cfg ~dataset ~offered_mops ?plan ~seed () in
+    (* The traced variant's kill / recover / hedge-delay instants go on
+       one pseudo-process's decision track. *)
+    let ins =
+      match trace_out with
+      | Some _ when label = traced ->
+          let ins = Obs.Instrument.create ~server:0 ~spans:1 ~timeline:false ~cores:1 ~seed:0 () in
+          Kvhedge.Cluster.set_log c ins.Obs.Instrument.decisions;
+          Some ins
+      | Some _ | None -> None
     in
-    (* Every job records its tail-cutting decisions locally (cheap, cold
-       path); the traced variant's list feeds the Chrome trace after the
-       parallel map. *)
-    let events = ref [] in
-    Kvhedge.Cluster.set_hooks c
-      ~on_kill:(fun now s ->
-        events := (Obs.Decision_log.kind_server_kill, now, s, Float.nan) :: !events)
-      ~on_recover:(fun now s ->
-        events :=
-          (Obs.Decision_log.kind_server_recover, now, s, Float.nan) :: !events)
-      ~on_delay:(fun now d ->
-        events := (Obs.Decision_log.kind_hedge_delay, now, -1, d) :: !events)
-      ();
-    Dsim.Sim.run (Kvhedge.Cluster.sim c) ~until:cfg.Kvhedge.Config.duration_us;
-    let m = Kvhedge.Cluster.metrics c in
-    let plan_name =
-      match plan with None -> "none" | Some p -> p.Fault.Plan.name
-    in
+    Dsim.Sim.run (Kvhedge.Cluster.sim c) ~until:duration;
     ( {
         label;
-        sizeaware = cfg.Kvhedge.Config.sizeaware;
+        design = Kvserver.Design.name cfg.Kvhedge.Config.design;
         mode = Kvhedge.Config.mode_name cfg.Kvhedge.Config.mode;
         route = Kvhedge.Config.route_name cfg.Kvhedge.Config.route;
-        plan = plan_name;
-        metrics = m;
+        plan = (match plan with None -> "none" | Some p -> p.Fault.Plan.name);
+        metrics = Kvhedge.Cluster.metrics c;
       },
-      List.rev !events )
+      ins )
   in
   let results = Par.map_list job variants in
   let entries = List.map fst results in
-  (match trace_out with
-  | None -> ()
-  | Some path ->
-      (* One pseudo-process carries the traced variant's kill / recover
-         / hedge-delay instants on its decision track. *)
-      let traced =
-        match
-          List.find_opt
-            (fun (e, _) -> e.label = "sizeaware+hedged/kill-server")
-            results
-        with
-        | Some (_, evs) -> evs
-        | None -> []
-      in
-      let ins =
-        Obs.Instrument.create ~server:0 ~spans:1 ~timeline:false ~cores:1
-          ~seed:0 ()
-      in
-      List.iter
-        (fun (kind, now, server, delay_us) ->
-          Obs.Decision_log.record_hedge ins.Obs.Instrument.decisions ~kind ~now
-            ~server ~delay_us)
-        traced;
-      Obs.Chrome_trace.write_cluster ~path [ ("hedge", ins) ]);
+  (match (trace_out, List.find_map snd results) with
+  | Some path, Some ins -> Obs.Chrome_trace.write_cluster ~path [ ("hedge", ins) ]
+  | _ -> ());
   (* The hedge tax, measured where hedging buys nothing: the fault-free
      hedged run's wasted backup legs per request. *)
   let hedge_tax =
@@ -197,7 +164,7 @@ let run ?(config = config_of_scale Experiment.full_scale) ?(seed = 1)
   {
     shards;
     mirrors;
-    cores = config.Kvhedge.Config.cores;
+    cores = server.Kvserver.Config.cores;
     offered_mops;
     seed;
     detect_us = Kvhedge.Config.detect_us config;
@@ -208,6 +175,47 @@ let run ?(config = config_of_scale Experiment.full_scale) ?(seed = 1)
     entries;
     audit;
   }
+
+let check t =
+  let p99 label =
+    match List.find_opt (fun e -> e.label = label) t.entries with
+    | Some e -> e.metrics.Kvhedge.Metrics.p99_us
+    | None -> Float.nan
+  in
+  let clean = p99 "sizeaware/none" in
+  let hedged = p99 "sizeaware+hedged/kill-server" in
+  let unhedged = p99 "sizeaware/kill-server" in
+  let labels = List.sort_uniq String.compare (List.map (fun e -> e.label) t.entries) in
+  let a = t.audit in
+  let us = Report.json_float in
+  Report.verdict
+    ([
+       ( List.length labels = 9,
+         Printf.sprintf "expected 9 variants, got %d" (List.length labels) );
+     ]
+    @ List.concat_map
+        (fun e ->
+          [
+            (Kvhedge.Metrics.telescopes e.metrics, e.label ^ ": copy legs do not sum to issued");
+            ( Kvhedge.Metrics.engines_telescope e.metrics,
+              e.label ^ ": a server's engine ledger does not telescope" );
+          ])
+        t.entries
+    @ [
+        ( Shardmgr.Protocol.ok a
+          && a.Shardmgr.Protocol.lost = 0
+          && a.Shardmgr.Protocol.duplicated = 0
+          && a.Shardmgr.Protocol.stale = 0,
+          "crash audit violated" );
+        (a.Shardmgr.Protocol.transferred > 0, "recovery resynced nothing");
+        (t.hedge_tax >= 0.0, "hedge tax missing");
+        ( hedged <= 3.0 *. clean,
+          Printf.sprintf "hedged p99 under crash %s us above 3x fault-free %s us" (us hedged)
+            (us clean) );
+        ( unhedged >= 10.0 *. clean,
+          Printf.sprintf "unhedged crash p99 %s us suspiciously close to fault-free %s us"
+            (us unhedged) (us clean) );
+      ])
 
 (* ------------------------------------------------------------------ *)
 (* Printing *)
@@ -247,8 +255,12 @@ let print t =
         "netdrop"; "failed"; "acct";
       ]
     rows;
+  (* two decimals: the tax is typically a fraction of a percent *)
+  let pct2 v =
+    if Float.is_nan v then "n/a" else Printf.sprintf "%.2f%%" (100.0 *. v)
+  in
   Report.note "hedge tax (fault-free wasted backups per request): %s"
-    (Report.pct t.hedge_tax);
+    (pct2 t.hedge_tax);
   (match
      List.find_opt (fun e -> e.label = "sizeaware+hedged/kill-server") t.entries
    with
@@ -273,9 +285,10 @@ let entry_json b (e : entry) ~last =
   let m = e.metrics in
   Buffer.add_string b
     (Printf.sprintf
-       "    {\"label\": %s, \"sizeaware\": %b, \"mode\": %s, \"route\": \
+       "    {\"label\": %s, \"design\": %s, \"mode\": %s, \"route\": \
         %s, \"plan\": %s,\n"
-       (Report.json_string e.label) e.sizeaware (Report.json_string e.mode)
+       (Report.json_string e.label) (Report.json_string e.design)
+       (Report.json_string e.mode)
        (Report.json_string e.route) (Report.json_string e.plan));
   Buffer.add_string b
     (Printf.sprintf
@@ -299,20 +312,20 @@ let entry_json b (e : entry) ~last =
   Buffer.add_string b
     (Printf.sprintf
        "     \"requests\": %d, \"completed\": %d, \"failed\": %d, \
-        \"hedges_issued\": %d, \"ties_issued\": %d, \"failovers\": %d, \
-        \"budget_exhausted\": %d, \"budget_spent\": %s,\n"
+        \"pending_end\": %d, \"hedges_issued\": %d, \"ties_issued\": %d, \
+        \"failovers\": %d, \"budget_exhausted\": %d, \"budget_spent\": %s,\n"
        m.Kvhedge.Metrics.requests m.Kvhedge.Metrics.completed
-       m.Kvhedge.Metrics.failed m.Kvhedge.Metrics.hedges_issued
+       m.Kvhedge.Metrics.failed m.Kvhedge.Metrics.pending_end m.Kvhedge.Metrics.hedges_issued
        m.Kvhedge.Metrics.ties_issued m.Kvhedge.Metrics.failovers
        m.Kvhedge.Metrics.budget_exhausted
        (fl m.Kvhedge.Metrics.budget_spent));
   Buffer.add_string b
     (Printf.sprintf
        "     \"server_killed\": %d, \"server_recovered\": %d, \
-        \"hedge_delay_final_us\": %s, \"large_cores\": %d, \"events\": %d}%s\n"
+        \"hedge_delay_final_us\": %s, \"engines_telescope\": %b, \"events\": %d}%s\n"
        m.Kvhedge.Metrics.server_killed m.Kvhedge.Metrics.server_recovered
        (fl m.Kvhedge.Metrics.hedge_delay_final_us)
-       m.Kvhedge.Metrics.large_cores m.Kvhedge.Metrics.events
+       (Kvhedge.Metrics.engines_telescope m) m.Kvhedge.Metrics.events
        (if last then "" else ","))
 
 let to_json t =

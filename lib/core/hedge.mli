@@ -1,8 +1,9 @@
 (** Replica-aware tail-cutting experiment: hedged and tied requests
     versus crash chaos.
 
-    One call runs the {!Kvhedge.Cluster} variant grid — size-aware
-    versus keyhash dispatch, hedged / tied / no backup, uniform spread
+    One call runs the {!Kvhedge.Cluster} variant grid — Minos
+    ({!Kvserver.Design.minos}, the "sizeaware" variants) versus keyhash
+    ({!Kvserver.Design.hkh}) servers, hedged / tied / no backup, uniform spread
     versus power-of-two-choices routing — fault-free and under the
     canned [kill-server] plan, in parallel over {!Par}.  The canned
     crash kills the first {e mirror} (server id [shards]) 30 % into the
@@ -23,7 +24,7 @@
 type entry = {
   label : string;
       (** ["<variant>/<plan>"], e.g. ["sizeaware+hedged/kill-server"] *)
-  sizeaware : bool;
+  design : string;  (** {!Kvserver.Design.name} of every server *)
   mode : string;  (** {!Kvhedge.Config.mode_name} *)
   route : string;  (** {!Kvhedge.Config.route_name} *)
   plan : string;  (** ["none"] or ["kill-server"] *)
@@ -48,8 +49,8 @@ type t = {
 }
 
 val config_of_scale : Experiment.scale -> Kvhedge.Config.t
-(** {!Kvhedge.Config.default} with the scale's duration / warmup /
-    epoch, and the epoch as the p99 reporting window. *)
+(** {!Kvhedge.Config.default} with {!Experiment.config_of_scale} servers
+    (the scale's duration / warmup / epoch). *)
 
 val run :
   ?config:Kvhedge.Config.t ->
@@ -63,19 +64,29 @@ val run :
     {!Workload.Spec.default}) is a flat request mix: scenario extras
     (arrivals, TTL, scans, memory budget) are single-engine features.
     [config] defaults to
-    {!config_of_scale}[ Experiment.full_scale]; its [mode] and [route]
-    fields are overridden per variant, everything else (topology,
-    quantile, budget, detector) applies to all.  [trace_out] writes a
+    {!config_of_scale}[ Experiment.full_scale]; its [mode], [route] and
+    [design] fields are overridden per variant, everything else
+    (topology, server config, quantile, budget, detector) applies to
+    all.  [trace_out] writes a
     Chrome trace whose decision track carries the traced hedged-kill
     variant's kill / recover / hedge-delay instants
     ({!Obs.Decision_log.record_hedge}).  Raises [Invalid_argument] on an
     invalid config or [mirrors = 0] (tail-cutting needs a replica to
     hedge to). *)
 
+val check : t -> (unit, string) result
+(** The run's headline claims, at any scale: nine distinct variants;
+    every variant's copy legs sum to [issued] and every server's engine
+    ledger telescopes; the crash audit is clean and recovery resynced
+    keys; the hedge tax is priced; under the kill, the hedged Minos p99
+    stays within 3x of fault-free while the unhedged one degrades by at
+    least 10x.  [Error] names the first failed claim. *)
+
 val print : t -> unit
-(** Render as a report table plus audit / tax notes. *)
+(** Render as a report table plus audit / tax notes (the hedge tax with
+    two decimals). *)
 
 val to_json : t -> string
 (** The BENCH_hedge.json payload: per-entry latency quantiles and the
     full copy-accounting ledger, the crash window, the hedge tax and the
-    key audit — everything CI's chaos-SLO asserts read. *)
+    key audit — everything {!check} asserts. *)

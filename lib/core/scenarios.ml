@@ -56,6 +56,34 @@ let scenario_names t =
     (fun acc r -> if List.mem r.scenario acc then acc else acc @ [ r.scenario ])
     [] t.rows
 
+let check t =
+  let rows name = List.filter (fun r -> r.scenario = name) t.rows in
+  let p99 name design =
+    match List.find_opt (fun r -> r.design = design) (rows name) with
+    | Some r -> r.metrics.Kvserver.Metrics.p99_us
+    | None -> Float.nan
+  in
+  let every name what pred =
+    match rows name with
+    | [] -> [ (false, name ^ ": not in the run") ]
+    | rs -> List.map (fun r -> (pred r.metrics, Printf.sprintf "%s/%s: %s" name r.design what)) rs
+  in
+  let minos = p99 "scan-heavy" "Minos" and hkh = p99 "scan-heavy" "HKH" in
+  Report.verdict
+    (List.map
+       (fun r ->
+         (r.telescopes, Printf.sprintf "%s/%s: extended loss accounting broken" r.scenario r.design))
+       t.rows
+    @ [
+        ( minos < hkh,
+          Printf.sprintf "scan-heavy: size-aware p99 %s not below keyhash %s"
+            (Report.json_float minos) (Report.json_float hkh) );
+      ]
+    @ every "cold-tier" "no misses — not larger than memory" (fun m ->
+          m.Kvserver.Metrics.expired_misses > 0)
+    @ every "cold-tier" "nothing evicted" (fun m -> m.Kvserver.Metrics.evicted_keys > 0)
+    @ every "ttl-churn" "nothing expired" (fun m -> m.Kvserver.Metrics.expired_keys > 0))
+
 let print t =
   Report.section
     (Printf.sprintf "Scenarios: %s Mops offered, seed %d" (Report.f2 t.offered_mops)

@@ -36,6 +36,13 @@ val run :
 (** Run [names] (default {!suite}) × [minos; hkh] at [offered_mops]
     (default 2.5).  Raises [Invalid_argument] on an unregistered name. *)
 
+val check : t -> (unit, string) result
+(** The run's headline claims: every row telescopes; under [scan-heavy]
+    the size-aware p99 is below keyhash; under [cold-tier] every design
+    misses and evicts; under [ttl-churn] every design expires keys.
+    Those three scenarios must be in the run.  [Error] names the first
+    failed claim. *)
+
 val print : t -> unit
 (** One table per scenario with the size-aware/keyhash p99 ratio note. *)
 

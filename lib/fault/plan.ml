@@ -19,7 +19,7 @@ type event =
 
 type t = { name : string; events : event list }
 
-let all = -1
+let all = Syntax.all
 let empty = { name = "empty"; events = [] }
 
 (* ------------------------------------------------------------------ *)
@@ -168,124 +168,62 @@ let canned name ~cores ~warmup_us ~duration_us =
 (* ------------------------------------------------------------------ *)
 (* Textual format *)
 
-let fail line msg = Error ("line " ^ string_of_int line ^ ": " ^ msg)
-
-let split_fields s =
-  String.split_on_char ' ' s
-  |> List.concat_map (String.split_on_char '\t')
-  |> List.filter (fun f -> f <> "")
-
-let lookup pairs key = List.assoc_opt key pairs
-
-let parse_pairs line fields =
-  let rec go acc = function
-    | [] -> Ok (List.rev acc)
-    | f :: rest -> (
-        match String.index_opt f '=' with
-        | None -> fail line ("expected key=value, got '" ^ f ^ "'")
-        | Some i ->
-            let k = String.sub f 0 i in
-            let v = String.sub f (i + 1) (String.length f - i - 1) in
-            go ((k, v) :: acc) rest)
-  in
-  go [] fields
-
-let parse_float line key pairs ~default =
-  match lookup pairs key with
-  | None -> (
-      match default with
-      | Some d -> Ok d
-      | None -> fail line ("missing " ^ key ^ "="))
-  | Some "end" | Some "inf" -> Ok infinity
-  | Some v -> (
-      match float_of_string_opt v with
-      | Some f -> Ok f
-      | None -> fail line ("bad float for " ^ key ^ ": '" ^ v ^ "'"))
-
-let parse_index line key pairs ~default =
-  match lookup pairs key with
-  | None -> (
-      match default with
-      | Some d -> Ok d
-      | None -> fail line ("missing " ^ key ^ "="))
-  | Some "*" -> Ok all
-  | Some v -> (
-      match int_of_string_opt v with
-      | Some i when i >= 0 -> Ok i
-      | Some _ | None -> fail line ("bad index for " ^ key ^ ": '" ^ v ^ "'"))
-
-let parse_int line key pairs =
-  match lookup pairs key with
-  | None -> fail line ("missing " ^ key ^ "=")
-  | Some v -> (
-      match int_of_string_opt v with
-      | Some i -> Ok i
-      | None -> fail line ("bad int for " ^ key ^ ": '" ^ v ^ "'"))
+let event_keys = function
+  | "kill-server" | "recover-server" -> Some [ "server"; "at" ]
+  | "core-stall" -> Some [ "from"; "until"; "core"; "factor" ]
+  | "net" -> Some [ "from"; "until"; "queue"; "drop"; "dup"; "reorder"; "reorder-max" ]
+  | "squeeze" -> Some [ "from"; "until"; "queue"; "capacity" ]
+  | "ctrl-delay" -> Some [ "from"; "until" ]
+  | "ctrl-corrupt" -> Some [ "from"; "until"; "mode" ]
+  | _ -> None
 
 let ( let* ) = Result.bind
 
-let parse_event line keyword fields =
-  let* pairs = parse_pairs line fields in
+let parse_event line keyword pairs =
+  let float key ~default = Syntax.float line key pairs ~default in
+  let index key ~default = Syntax.index line key pairs ~default in
   match keyword with
   | "kill-server" ->
-      let* server = parse_index line "server" pairs ~default:None in
-      let* at_us = parse_float line "at" pairs ~default:None in
+      let* server = index "server" ~default:None in
+      let* at_us = float "at" ~default:None in
       Ok (Kill_server { server; at_us })
   | "recover-server" ->
-      let* server = parse_index line "server" pairs ~default:None in
-      let* at_us = parse_float line "at" pairs ~default:None in
+      let* server = index "server" ~default:None in
+      let* at_us = float "at" ~default:None in
       Ok (Recover_server { server; at_us })
   | _ ->
-  let* from_us = parse_float line "from" pairs ~default:None in
-  let* until_us = parse_float line "until" pairs ~default:None in
+  let* from_us = float "from" ~default:None in
+  let* until_us = float "until" ~default:None in
   match keyword with
   | "core-stall" ->
-      let* core = parse_index line "core" pairs ~default:None in
-      let* factor = parse_float line "factor" pairs ~default:(Some infinity) in
+      let* core = index "core" ~default:None in
+      let* factor = float "factor" ~default:(Some infinity) in
       Ok (Core_stall { core; from_us; until_us; factor })
   | "net" ->
-      let* queue = parse_index line "queue" pairs ~default:(Some all) in
-      let* drop = parse_float line "drop" pairs ~default:(Some 0.0) in
-      let* dup = parse_float line "dup" pairs ~default:(Some 0.0) in
-      let* reorder = parse_float line "reorder" pairs ~default:(Some 0.0) in
-      let* reorder_max_us =
-        parse_float line "reorder-max" pairs ~default:(Some 0.0)
-      in
+      let* queue = index "queue" ~default:(Some all) in
+      let* drop = float "drop" ~default:(Some 0.0) in
+      let* dup = float "dup" ~default:(Some 0.0) in
+      let* reorder = float "reorder" ~default:(Some 0.0) in
+      let* reorder_max_us = float "reorder-max" ~default:(Some 0.0) in
       Ok (Net_fault { queue; from_us; until_us; drop; dup; reorder; reorder_max_us })
   | "squeeze" ->
-      let* queue = parse_index line "queue" pairs ~default:(Some all) in
-      let* capacity = parse_int line "capacity" pairs in
+      let* queue = index "queue" ~default:(Some all) in
+      let* capacity = Syntax.int line "capacity" pairs in
       Ok (Ring_squeeze { queue; from_us; until_us; capacity })
   | "ctrl-delay" -> Ok (Ctrl_delay { from_us; until_us })
   | "ctrl-corrupt" -> (
-      match lookup pairs "mode" with
+      match List.assoc_opt "mode" pairs with
       | None | Some "nan" -> Ok (Ctrl_corrupt { from_us; until_us; mode = Nan })
       | Some v when String.length v > 1 && v.[0] = 'x' -> (
           match float_of_string_opt (String.sub v 1 (String.length v - 1)) with
           | Some s -> Ok (Ctrl_corrupt { from_us; until_us; mode = Scale s })
-          | None -> fail line ("bad scale: '" ^ v ^ "'"))
-      | Some v -> fail line ("bad mode: '" ^ v ^ "' (want nan or x<float>)"))
-  | kw -> fail line ("unknown event '" ^ kw ^ "'")
+          | None -> Syntax.fail line ("bad scale: '" ^ v ^ "'"))
+      | Some v -> Syntax.fail line ("bad mode: '" ^ v ^ "' (want nan or x<float>)"))
+  | kw -> Syntax.fail line ("unknown event '" ^ kw ^ "'")
 
 let of_string ?(name = "custom") src =
-  let lines = String.split_on_char '\n' src in
-  let rec go n acc name = function
-    | [] -> Ok { name; events = List.rev acc }
-    | line :: rest -> (
-        let line =
-          match String.index_opt line '#' with
-          | Some i -> String.sub line 0 i
-          | None -> line
-        in
-        match split_fields line with
-        | [] -> go (n + 1) acc name rest
-        | [ "plan"; plan_name ] -> go (n + 1) acc plan_name rest
-        | keyword :: fields -> (
-            match parse_event n keyword fields with
-            | Ok ev -> go (n + 1) (ev :: acc) name rest
-            | Error _ as e -> e))
-  in
-  let* plan = go 1 [] name lines in
+  let* name, events = Syntax.parse ~name ~keys:event_keys ~event:parse_event src in
+  let plan = { name; events } in
   match validate plan with Ok () -> Ok plan | Error msg -> Error msg
 
 let of_file path =

@@ -87,7 +87,9 @@ val of_string : ?name:string -> string -> (t, string) result
     recover-server server=2 at=1100000
     v}
     [queue=*]/[core=*] are wildcards; [until=end] means [infinity];
-    [mode] is [nan] or [x<float>] (scale).  The result is validated. *)
+    [mode] is [nan] or [x<float>] (scale).  A key the event does not
+    take, or a key given twice, is an error naming it.  The result is
+    validated. *)
 
 val of_file : string -> (t, string) result
 

@@ -1,85 +1,111 @@
-module Fifo = Netsim.Fifo
 module Rng = Dsim.Rng
 module Sim = Dsim.Sim
+module Engine = Kvserver.Engine
 module Cost = Kvserver.Cost_model
 
-(* Copy lifecycle.  A slot is [st_free] on the free list, [st_queued]
-   while waiting in a per-core FIFO, [st_service] while a core works on
-   it, and [st_marked] once cancelled in place — the FIFO still holds the
-   slot id, so the slot is only reclaimed when the queue next pops it (or
-   the queue is wiped by a kill).  Marked copies are counted at mark
-   time; reclamation is pure bookkeeping. *)
-let st_free = 0
-let st_queued = 1
-let st_service = 2
-let st_marked = 3
+(* A request waits for a completing copy ([Pending]), for the failure
+   detector on a dead server's stuck list ([Parked]), or is resolved;
+   its record is [Unused] while back in the pool. *)
+type rstate = Pending | Parked | Done | Failed | Unused
 
-(* Request resolution states. *)
-let rs_pending = 0
-let rs_done = 1
-let rs_failed = 2
+(* A copy is [Queued] from submission until its engine starts serving it
+   (the probe), [Serving] until the engine retires it, and [Written_off]
+   once the router gave up on it — a cancelled loser, or a copy on a
+   killed server.  A written-off copy is counted at write-off and
+   cancelled in its engine; its slot is only reclaimed when that engine
+   retires it, so a retirement never names a recycled copy. *)
+type cstate = Free | Queued | Serving | Written_off
+
+(* Pooled: [rid] is the permanent pool index (the hedge timer's operand);
+   every other field is rewritten on reuse. *)
+type req = {
+  rid : int;
+  mutable op : Cost.op;
+  mutable key : int;
+  mutable size : int;
+  mutable large : bool;
+  mutable scan : int;
+  mutable arrive : float;
+  mutable state : rstate;
+  mutable legs : int;  (* live copies *)
+  mutable leg_a : int;
+      (* completing copies, -1 when absent: every GET leg, a PUT's
+         first (or failover) copy *)
+  mutable leg_b : int;
+  mutable last : int;  (* server of the most recent copy *)
+  mutable hedge : Sim.handle;
+}
+
+(* Pooled too: [cid] is the tag its engine reports it under. *)
+type copy = {
+  cid : int;
+  mutable req : req;
+  mutable server : int;
+  mutable slot : int;  (* the request slot in its engine *)
+  mutable cstate : cstate;
+}
+
+(* Records recycled through a free stack, grown by doubling. *)
+type 'a pool = { mutable items : 'a array; mutable free : int list; fresh : int -> 'a }
+
+let pool fresh = { items = [||]; free = []; fresh }
+
+let take p =
+  match p.free with
+  | i :: rest ->
+      p.free <- rest;
+      p.items.(i)
+  | [] ->
+      let n = Array.length p.items in
+      let m = max 1024 (2 * n) in
+      p.items <- Array.init m (fun i -> if i < n then p.items.(i) else p.fresh i);
+      p.free <- List.init (m - n - 1) (fun k -> n + 1 + k);
+      p.items.(n)
+
+let give p i = p.free <- i :: p.free
+
+let fresh_req rid =
+  {
+    rid;
+    op = Cost.Get;
+    key = 0;
+    size = 0;
+    large = false;
+    scan = 0;
+    arrive = 0.0;
+    state = Unused;
+    legs = 0;
+    leg_a = -1;
+    leg_b = -1;
+    last = -1;
+    hedge = Sim.null_handle;
+  }
+
+let no_req = fresh_req (-1)
+let fresh_copy cid = { cid; req = no_req; server = -1; slot = -1; cstate = Free }
 
 type t = {
+  cfg : Config.t;
   sim : Sim.t;
   gen : Workload.Generator.t;
   ds : Workload.Dataset.t;
-  inj : Fault.Inject.t option;
   arrival_rng : Rng.t;
   route_rng : Rng.t;
   budget : Proto.Retry.Budget.t;
-  (* topology *)
-  shards : int;
-  mirrors : int;
-  cores : int;
-  servers : int;
-  small_cores : int;
-  large_cores : int;
-  sizeaware : bool;
-  mode : Config.mode;
-  route : Config.route;
-  cost : Cost.t;
-  shed_wm : int;  (* max_int when disabled *)
-  q_cap : int;  (* max_int when disabled *)
+  engines : Engine.t array;
   mean_iat_us : float;
-  duration_us : float;
-  warmup_us : float;
-  epoch_us : float;
-  hedge_quantile : float;
-  min_delay_samples : int;
-  (* per-server / per-core state *)
-  queues : int Fifo.t array;  (* servers * cores *)
-  core_copy : int array;  (* gcore -> in-service copy, or -1 *)
-  core_handle : Sim.handle array;  (* completion timer of that copy *)
   alive : bool array;
   routable : bool array;
   load : int array;  (* outstanding (queued + in-service) copies *)
-  stuck : int Fifo.t array;  (* per server: requests awaiting failover *)
-  (* request pool (parallel arrays; slots recycled through a free list) *)
-  mutable r_cap : int;
-  mutable r_key : int array;
-  mutable r_size : int array;
-  mutable r_put : int array;
-  mutable r_large : int array;
-  mutable r_shard : int array;
-  mutable r_last : int array;  (* server of the most recent copy *)
-  mutable r_copy_a : int array;  (* GET leg links, -1 when absent *)
-  mutable r_copy_b : int array;
-  mutable r_out : int array;  (* live copies of this request *)
-  mutable r_state : int array;
-  mutable r_stuckref : int array;  (* 1 while a stuck list references it *)
-  mutable r_hedge : Sim.handle array;
-  mutable r_arrive : float array;
-  mutable r_free : int array;
-  mutable r_free_top : int;
-  (* copy pool *)
-  mutable c_cap : int;
-  mutable c_req : int array;
-  mutable c_server : int array;
-  mutable c_state : int array;
-  mutable c_peer : int array;  (* tied sibling, -1 *)
-  mutable c_comp : int array;  (* 1 when this copy can complete the request *)
-  mutable c_free : int array;
-  mutable c_free_top : int;
+  stuck : req Queue.t array;  (* per server: requests awaiting failover *)
+  reqs : req pool;
+  copies : copy pool;
+  (* While a request's copies are being submitted, a copy its engine
+     retires on the spot (dead NIC, full ring, shed) is only noted here;
+     [fan_end] acts once every copy is out. *)
+  mutable fanning : int;
+  mutable fan_lost : bool;
+  mutable fan_dead : int;  (* server that bounced a lost leg, or -1 *)
   (* accounting *)
   mutable issued : int;
   mutable served : int;
@@ -103,33 +129,31 @@ type t = {
   lat : Stats.Float_vec.t;
   win : Stats.Windowed.t;
   mutable delays : (float * float) list;  (* newest first *)
-  (* event tags, filled at registration *)
   mutable tag_arrive : int;
-  mutable tag_service : int;
   mutable tag_hedge : int;
   mutable tag_epoch : int;
-  (* hooks for the decision log (cold; default no-ops) *)
-  mutable on_kill : float -> int -> unit;
-  mutable on_detect : float -> int -> unit;
-  mutable on_recover : float -> int -> unit;
-  mutable on_delay : float -> float -> unit;
+  mutable log : Obs.Decision_log.t option;
 }
+
+let scfg t = t.cfg.Config.server
+let shards t = t.cfg.Config.shards
+let shard_of t r = Workload.Dataset.key_partition t.ds r.key mod shards t
 
 (* ------------------------------------------------------------------ *)
 (* Replica routing.  Replica [k] of shard [s] is server [k * shards + s];
-   only [routable] members (not yet detected dead, not shed by recovery
-   lag) are candidates.  These run once (hedged: twice) per GET and are
-   proved allocation-free by @analyze (see analyze_roots.txt). *)
+   only [routable] members (not yet detected dead) are candidates.
+   These run once (hedged: twice) per GET and are proved
+   allocation-free by @analyze (see analyze_roots.txt). *)
 
 let rec routable_count t s k excl acc =
-  if k > t.mirrors then acc
+  if k > t.cfg.Config.mirrors then acc
   else
-    let srv = (k * t.shards) + s in
+    let srv = (k * shards t) + s in
     let acc = if srv <> excl && t.routable.(srv) then acc + 1 else acc in
     routable_count t s (k + 1) excl acc
 
 let rec nth_routable t s k excl n =
-  let srv = (k * t.shards) + s in
+  let srv = (k * shards t) + s in
   if srv <> excl && t.routable.(srv) then
     if n = 0 then srv else nth_routable t s (k + 1) excl (n - 1)
   else nth_routable t s (k + 1) excl n
@@ -151,547 +175,351 @@ let pick_p2c t s excl =
   end
 
 let pick t s excl =
-  match t.route with
+  match t.cfg.Config.route with
   | Config.Spread -> pick_spread t s excl
   | Config.P2c -> pick_p2c t s excl
 
-(* Core choice within a server: size-aware sends smalls to the first
-   [small_cores] cores and larges to the rest; keyhash spreads both over
-   every core, so a large ahead of a small blocks it — the single-server
-   story this layer inherits from the paper. *)
-let core_of t part large =
-  if t.sizeaware then
-    if large then t.small_cores + (part mod t.large_cores)
-    else part mod t.small_cores
-  else part mod t.cores
-
 (* ------------------------------------------------------------------ *)
-(* Pools *)
+(* Resolution *)
 
-let grow_int a cap v =
-  let b = Array.make (2 * cap) v in
-  Array.blit a 0 b 0 cap;
-  b
+let copy t cid = t.copies.items.(cid)
+let completes r c = r.leg_a = c.cid || r.leg_b = c.cid
 
-let grow_float a cap =
-  let b = Array.make (2 * cap) 0.0 in
-  Array.blit a 0 b 0 cap;
-  b
+(* A copy stops counting toward its request and its server's load. *)
+let detach t c =
+  let r = c.req in
+  t.load.(c.server) <- t.load.(c.server) - 1;
+  r.legs <- r.legs - 1;
+  if r.leg_a = c.cid then r.leg_a <- -1 else if r.leg_b = c.cid then r.leg_b <- -1
 
-let grow_reqs t =
-  let cap = t.r_cap in
-  t.r_key <- grow_int t.r_key cap 0;
-  t.r_size <- grow_int t.r_size cap 0;
-  t.r_put <- grow_int t.r_put cap 0;
-  t.r_large <- grow_int t.r_large cap 0;
-  t.r_shard <- grow_int t.r_shard cap 0;
-  t.r_last <- grow_int t.r_last cap (-1);
-  t.r_copy_a <- grow_int t.r_copy_a cap (-1);
-  t.r_copy_b <- grow_int t.r_copy_b cap (-1);
-  t.r_out <- grow_int t.r_out cap 0;
-  t.r_state <- grow_int t.r_state cap rs_pending;
-  t.r_stuckref <- grow_int t.r_stuckref cap 0;
-  t.r_hedge <-
-    (let b = Array.make (2 * cap) Sim.null_handle in
-     Array.blit t.r_hedge 0 b 0 cap;
-     b);
-  t.r_arrive <- grow_float t.r_arrive cap;
-  t.r_free <- grow_int t.r_free cap 0;
-  for i = 0 to cap - 1 do
-    t.r_free.(i) <- (2 * cap) - 1 - i
-  done;
-  t.r_free_top <- cap;
-  t.r_cap <- 2 * cap
+let release t c =
+  c.cstate <- Free;
+  c.req <- no_req;
+  give t.copies c.cid
 
-let alloc_req t =
-  if t.r_free_top = 0 then grow_reqs t;
-  t.r_free_top <- t.r_free_top - 1;
-  let r = t.r_free.(t.r_free_top) in
-  t.r_copy_a.(r) <- -1;
-  t.r_copy_b.(r) <- -1;
-  t.r_out.(r) <- 0;
-  t.r_state.(r) <- rs_pending;
-  t.r_stuckref.(r) <- 0;
-  t.r_hedge.(r) <- Sim.null_handle;
-  r
+let maybe_free t r =
+  if (r.state = Done || r.state = Failed) && r.legs = 0 then begin
+    r.state <- Unused;
+    give t.reqs r.rid
+  end
 
-let free_req t r =
-  t.r_free.(t.r_free_top) <- r;
-  t.r_free_top <- t.r_free_top + 1
+(* Give up on a live copy: detached now, cancelled in its engine,
+   reclaimed when the engine retires it.  The caller counts it. *)
+let write_off t c =
+  detach t c;
+  c.cstate <- Written_off;
+  c.req <- no_req;
+  Engine.cancel t.engines.(c.server) c.slot
 
-let grow_copies t =
-  let cap = t.c_cap in
-  t.c_req <- grow_int t.c_req cap (-1);
-  t.c_server <- grow_int t.c_server cap (-1);
-  t.c_state <- grow_int t.c_state cap st_free;
-  t.c_peer <- grow_int t.c_peer cap (-1);
-  t.c_comp <- grow_int t.c_comp cap 0;
-  t.c_free <- grow_int t.c_free cap 0;
-  for i = 0 to cap - 1 do
-    t.c_free.(i) <- (2 * cap) - 1 - i
-  done;
-  t.c_free_top <- cap;
-  t.c_cap <- 2 * cap
+let cancel_queued t cid =
+  write_off t (copy t cid);
+  t.cancelled <- t.cancelled + 1
 
-let alloc_copy t =
-  if t.c_free_top = 0 then grow_copies t;
-  t.c_free_top <- t.c_free_top - 1;
-  t.c_free.(t.c_free_top)
+let disarm t r =
+  if not (Sim.is_null r.hedge) then begin
+    ignore (Sim.cancel t.sim r.hedge);
+    r.hedge <- Sim.null_handle
+  end
 
-let free_copy t c =
-  t.c_state.(c) <- st_free;
-  t.c_server.(c) <- -1;
-  t.c_req.(c) <- -1;
-  t.c_peer.(c) <- -1;
-  t.c_free.(t.c_free_top) <- c;
-  t.c_free_top <- t.c_free_top + 1
-
-(* ------------------------------------------------------------------ *)
-(* Copy resolution helpers *)
-
-(* Break the peer's backlink before a copy resolves, so a recycled slot
-   is never cancelled through a stale tied link. *)
-let unlink_peer t c =
-  let p = t.c_peer.(c) in
-  if p >= 0 && t.c_peer.(p) = c then t.c_peer.(p) <- -1;
-  t.c_peer.(c) <- -1
-
-let unlink_req t r c =
-  if t.r_copy_a.(r) = c then t.r_copy_a.(r) <- -1
-  else if t.r_copy_b.(r) = c then t.r_copy_b.(r) <- -1
-
-let maybe_free_req t r =
-  if t.r_state.(r) <> rs_pending && t.r_out.(r) = 0 && t.r_stuckref.(r) = 0
-  then free_req t r
-
-(* Cancel a queued copy in place: counted now, reclaimed lazily.  Never
-   frees the request here — both callers (the winner's completion, a
-   tied sibling starting service) still hold a live leg whose own
-   resolution path runs [maybe_free_req] afterwards; freeing early would
-   double-free the slot under the winner's feet. *)
-let cancel_queued t c =
-  unlink_peer t c;
-  t.c_state.(c) <- st_marked;
-  t.cancelled <- t.cancelled + 1;
-  t.load.(t.c_server.(c)) <- t.load.(t.c_server.(c)) - 1;
-  let r = t.c_req.(c) in
-  t.r_out.(r) <- t.r_out.(r) - 1;
-  unlink_req t r c
-
-let fail_req t r =
-  t.r_state.(r) <- rs_failed;
+let fail t r =
+  r.state <- Failed;
   t.failed <- t.failed + 1;
-  if not (Sim.is_null t.r_hedge.(r)) then begin
-    ignore (Sim.cancel t.sim t.r_hedge.(r));
-    t.r_hedge.(r) <- Sim.null_handle
-  end;
-  maybe_free_req t r
+  disarm t r;
+  maybe_free t r
 
-let complete_req t r =
-  t.r_state.(r) <- rs_done;
+let complete t r =
+  r.state <- Done;
   t.completed <- t.completed + 1;
-  if not (Sim.is_null t.r_hedge.(r)) then begin
-    ignore (Sim.cancel t.sim t.r_hedge.(r));
-    t.r_hedge.(r) <- Sim.null_handle
-  end;
-  (* the losing leg, if still queued somewhere, is cancelled in place *)
-  let a = t.r_copy_a.(r) in
-  if a >= 0 && t.c_state.(a) = st_queued then cancel_queued t a;
-  let b = t.r_copy_b.(r) in
-  if b >= 0 && t.c_state.(b) = st_queued then cancel_queued t b;
+  disarm t r;
+  (* the losing leg, if still queued somewhere, is cancelled *)
+  if r.leg_a >= 0 && (copy t r.leg_a).cstate = Queued then cancel_queued t r.leg_a;
+  if r.leg_b >= 0 && (copy t r.leg_b).cstate = Queued then cancel_queued t r.leg_b;
   let now = Sim.now t.sim in
-  let l = now -. t.r_arrive.(r) +. t.cost.Cost.pipeline_latency_us in
+  let l = now -. r.arrive +. (scfg t).Kvserver.Config.cost.Cost.pipeline_latency_us in
   Stats.Float_vec.push t.epoch_vec l;
-  if t.r_arrive.(r) >= t.warmup_us then begin
+  if r.arrive >= (scfg t).Kvserver.Config.warmup_us then begin
     Stats.Float_vec.push t.lat l;
     Stats.Windowed.add t.win ~time:now l
   end
 
-(* ------------------------------------------------------------------ *)
-(* Service *)
-
-let rec start_service t server core =
-  let q = t.queues.((server * t.cores) + core) in
-  if not (Fifo.is_empty q) then begin
-    let c = Fifo.pop_exn q in
-    if t.c_state.(c) = st_marked then begin
-      free_copy t c;
-      start_service t server core
+(* A pending request lost a completing leg.  A PUT has one; a GET is only
+   stranded once no leg is live and no hedge timer is armed.  A leg lost
+   to a dead NIC parks the request on that server's stuck list — the
+   failure detector fails it over in one sweep; a refused leg (ring drop
+   / shed) fails the request. *)
+let rescue t r ~dead =
+  if r.state = Pending && (r.op = Cost.Put || (r.legs = 0 && Sim.is_null r.hedge)) then
+    if dead >= 0 then begin
+      r.state <- Parked;
+      Queue.push r t.stuck.(dead)
     end
-    else begin
-      (* tied requests: starting service cancels the sibling copy *)
-      let p = t.c_peer.(c) in
-      if p >= 0 && t.c_state.(p) = st_queued then cancel_queued t p;
-      t.c_state.(c) <- st_service;
-      let gcore = (server * t.cores) + core in
-      let r = t.c_req.(c) in
-      let op = if t.r_put.(r) = 1 then Cost.Put else Cost.Get in
-      let cpu = Cost.cpu_time t.cost op ~item_size:t.r_size.(r) in
-      let now = Sim.now t.sim in
-      let svc =
-        match t.inj with
-        | None -> cpu
-        | Some inj ->
-            let f = Fault.Inject.slowdown inj ~core:gcore ~now in
-            if f = infinity then
-              Fault.Inject.stall_end inj ~core:gcore ~now -. now +. cpu
-            else cpu *. f
-      in
-      t.core_copy.(gcore) <- c;
-      t.core_handle.(gcore) <-
-        Sim.schedule_timer_after t.sim svc ~tag:t.tag_service ~i:gcore ~j:c
-    end
-  end
+    else fail t r
 
-(* Enqueue one copy of request [r] on [server].  Return the copy slot, or
-   a negative resolution code: -1 dead on arrival (the server's NIC is
-   down), -2 shed, -3 queue-cap tail drop.  Every path counts the copy
-   as issued exactly once. *)
-let enqueue_copy t r server ~comp ~peer =
+let lost_leg t r ~comp ~dead =
+  if comp then
+    if r.rid = t.fanning then begin
+      t.fan_lost <- true;
+      if dead >= 0 then t.fan_dead <- dead
+    end
+    else rescue t r ~dead
+
+let fan_begin t r =
+  t.fanning <- r.rid;
+  t.fan_lost <- false;
+  t.fan_dead <- -1
+
+let fan_end t r =
+  t.fanning <- -1;
+  if t.fan_lost then rescue t r ~dead:t.fan_dead
+
+(* Submit one copy of [r] to [server]'s engine; a completing copy becomes
+   one of the request's legs.  The engine may retire it on the spot. *)
+let submit t r server ~comp =
   t.issued <- t.issued + 1;
-  t.r_last.(r) <- server;
-  if not t.alive.(server) then begin
-    t.net_dropped <- t.net_dropped + 1;
-    -1
-  end
-  else begin
-    let part = Workload.Dataset.key_partition t.ds t.r_key.(r) in
-    let core = core_of t part (t.r_large.(r) = 1) in
-    let q = t.queues.((server * t.cores) + core) in
-    let len = Fifo.length q in
-    if t.r_large.(r) = 1 && len >= t.shed_wm then begin
-      t.shed <- t.shed + 1;
-      -2
-    end
-    else if len >= t.q_cap then begin
-      t.rx_dropped <- t.rx_dropped + 1;
-      -3
-    end
-    else begin
-      let c = alloc_copy t in
-      t.c_req.(c) <- r;
-      t.c_server.(c) <- server;
-      t.c_state.(c) <- st_queued;
-      t.c_peer.(c) <- peer;
-      t.c_comp.(c) <- (if comp then 1 else 0);
-      t.r_out.(r) <- t.r_out.(r) + 1;
-      t.load.(server) <- t.load.(server) + 1;
-      Fifo.push q c;
-      let gcore = (server * t.cores) + core in
-      if t.core_copy.(gcore) < 0 then start_service t server core;
-      c
-    end
-  end
+  r.last <- server;
+  let c = take t.copies in
+  c.req <- r;
+  c.server <- server;
+  c.cstate <- Queued;
+  r.legs <- r.legs + 1;
+  t.load.(server) <- t.load.(server) + 1;
+  if comp then if r.leg_a < 0 then r.leg_a <- c.cid else r.leg_b <- c.cid;
+  let slot =
+    Engine.submit t.engines.(server) ~tag:c.cid r.op ~key_id:r.key ~item_size:r.size
+      ~is_large:r.large ~scan_len:r.scan
+  in
+  if c.cstate <> Free then c.slot <- slot
 
-(* A pending request just lost its last live leg (code < 0 from the
-   enqueue above).  Dead-on-arrival copies park the request on the dead
-   server's stuck list — the failure detector fails them over in one
-   sweep; a refused copy (shed / tail-drop) fails the request unless a
-   hedge timer is still armed to rescue it. *)
-let after_lost_leg t r code =
-  if
-    t.r_state.(r) = rs_pending
-    && t.r_out.(r) = 0
-    && Sim.is_null t.r_hedge.(r)
-  then
-    if code = -1 then begin
-      if t.r_stuckref.(r) = 0 then begin
-        t.r_stuckref.(r) <- 1;
-        Fifo.push t.stuck.(t.r_last.(r)) r
-      end
-    end
-    else fail_req t r
+(* One completing copy, rescued at once if its engine refused it. *)
+let send t r server =
+  fan_begin t r;
+  submit t r server ~comp:true;
+  fan_end t r
 
 (* ------------------------------------------------------------------ *)
-(* Event handlers *)
+(* Engine callbacks *)
 
-let on_service t gcore c =
-  let server = gcore / t.cores in
-  let core = gcore mod t.cores in
-  t.core_copy.(gcore) <- -1;
-  t.core_handle.(gcore) <- Sim.null_handle;
-  unlink_peer t c;
-  let r = t.c_req.(c) in
-  t.load.(server) <- t.load.(server) - 1;
-  t.r_out.(r) <- t.r_out.(r) - 1;
-  unlink_req t r c;
-  if t.r_put.(r) = 0 && t.r_state.(r) <> rs_pending then
-    (* a GET leg whose request was already won elsewhere: the hedge tax *)
-    t.hedged_wasted <- t.hedged_wasted + 1
+(* Service start (the engine's probe).  Tied GETs: the sibling still
+   queued elsewhere is cancelled. *)
+let on_start t cid =
+  let c = copy t cid in
+  if c.cstate = Queued then begin
+    c.cstate <- Serving;
+    let r = c.req in
+    if t.cfg.Config.mode = Config.Tied && r.op <> Cost.Put then begin
+      let sib = if r.leg_a = cid then r.leg_b else r.leg_a in
+      if sib >= 0 && (copy t sib).cstate = Queued then cancel_queued t sib
+    end
+  end
+
+let on_retire t s cid (fate : Engine.fate) =
+  let c = copy t cid in
+  if c.cstate = Written_off then release t c
   else begin
-    t.served <- t.served + 1;
-    if t.r_state.(r) = rs_pending && t.c_comp.(c) = 1 then complete_req t r
-  end;
-  free_copy t c;
-  maybe_free_req t r;
-  start_service t server core
+    let r = c.req in
+    let comp = completes r c in
+    detach t c;
+    release t c;
+    (match fate with
+    | Engine.Served ->
+        if r.op <> Cost.Put && r.state <> Pending then
+          (* a GET leg whose request was already won elsewhere: the
+             hedge tax *)
+          t.hedged_wasted <- t.hedged_wasted + 1
+        else begin
+          t.served <- t.served + 1;
+          if comp && r.state = Pending then complete t r
+        end
+    | Engine.Net_dropped ->
+        t.net_dropped <- t.net_dropped + 1;
+        lost_leg t r ~comp ~dead:s
+    | Engine.Rx_dropped ->
+        t.rx_dropped <- t.rx_dropped + 1;
+        lost_leg t r ~comp ~dead:(-1)
+    | Engine.Shed ->
+        t.shed <- t.shed + 1;
+        lost_leg t r ~comp ~dead:(-1)
+    | Engine.Cancelled ->
+        (* the router only cancels copies it has already written off *)
+        t.cancelled <- t.cancelled + 1);
+    maybe_free t r
+  end
 
-let on_hedge t r =
-  t.r_hedge.(r) <- Sim.null_handle;
-  if t.r_state.(r) = rs_pending then begin
-    let backup = pick t t.r_shard.(r) t.r_last.(r) in
-    let backup =
-      if backup >= 0 then backup else pick t t.r_shard.(r) (-1)
-    in
+(* ------------------------------------------------------------------ *)
+(* Router events *)
+
+let on_hedge t rid =
+  let r = t.reqs.items.(rid) in
+  r.hedge <- Sim.null_handle;
+  if r.state = Pending then begin
+    let backup = pick t (shard_of t r) r.last in
+    let backup = if backup >= 0 then backup else pick t (shard_of t r) (-1) in
     if backup >= 0 then begin
       t.hedges_issued <- t.hedges_issued + 1;
-      let code = enqueue_copy t r backup ~comp:true ~peer:(-1) in
-      if code >= 0 then begin
-        if t.r_copy_a.(r) < 0 then t.r_copy_a.(r) <- code
-        else t.r_copy_b.(r) <- code
-      end
-      else after_lost_leg t r code
+      send t r backup
     end
-    else after_lost_leg t r (-2)
+    else rescue t r ~dead:(-1)
   end
 
 let handle_get t r =
-  let s = t.r_shard.(r) in
+  let s = shard_of t r in
   let srv = pick t s (-1) in
-  if srv < 0 then fail_req t r
-  else begin
-    match t.mode with
+  if srv < 0 then fail t r
+  else
+    match t.cfg.Config.mode with
     | Config.Tied when routable_count t s 0 srv 0 > 0 ->
         let srv2 = pick t s srv in
         t.ties_issued <- t.ties_issued + 1;
-        let c1 = enqueue_copy t r srv ~comp:true ~peer:(-1) in
-        if c1 >= 0 then t.r_copy_a.(r) <- c1;
-        let c2 = enqueue_copy t r srv2 ~comp:true ~peer:(max c1 (-1)) in
-        if c2 >= 0 then begin
-          t.r_copy_b.(r) <- c2;
-          if c1 >= 0 then t.c_peer.(c1) <- c2
-        end;
-        if t.r_out.(r) = 0 then begin
-          (* point the stuck push at whichever server was dead *)
-          if c1 = -1 then t.r_last.(r) <- srv
-          else if c2 = -1 then t.r_last.(r) <- srv2;
-          after_lost_leg t r (if c1 = -1 || c2 = -1 then -1 else -2)
-        end
-    | _ ->
-        let c = enqueue_copy t r srv ~comp:true ~peer:(-1) in
-        if c >= 0 then t.r_copy_a.(r) <- c;
-        (match t.mode with
-        | Config.Hedged when t.mirrors > 0 ->
-            t.r_hedge.(r) <-
-              Sim.schedule_timer_after t.sim t.hedge_delay_us ~tag:t.tag_hedge
-                ~i:r ~j:0
-        | _ -> ());
-        if c < 0 then after_lost_leg t r c
-  end
+        fan_begin t r;
+        submit t r srv ~comp:true;
+        submit t r srv2 ~comp:true;
+        fan_end t r
+    | Config.Hedged when t.cfg.Config.mirrors > 0 ->
+        r.hedge <- Sim.schedule_timer_after t.sim t.hedge_delay_us ~tag:t.tag_hedge ~i:r.rid ~j:0;
+        send t r srv
+    | _ -> send t r srv
 
 let handle_put t r =
-  let s = t.r_shard.(r) in
+  let s = shard_of t r in
   (* write copies fan out to every routable replica; the first routable
      one (the primary, unless it is detected dead) completes the
-     request *)
-  let n = routable_count t s 0 (-1) 0 in
-  if n = 0 then fail_req t r
+     request, and a refused completing copy fails it — no backup leg
+     retries PUTs *)
+  if routable_count t s 0 (-1) 0 = 0 then fail t r
   else begin
-    let comp_dead = ref (-1) in
-    let comp_refused = ref false in
-    let first = ref true in
-    for k = 0 to t.mirrors do
-      let srv = (k * t.shards) + s in
-      if t.routable.(srv) then begin
-        let comp = !first in
-        first := false;
-        let code = enqueue_copy t r srv ~comp ~peer:(-1) in
-        if comp && code = -1 then comp_dead := srv
-        else if comp && code < 0 then
-          (* the write was refused at admission; no backup leg retries
-             PUTs, so the request fails (below, once fan-out is done) *)
-          comp_refused := true
-      end
+    fan_begin t r;
+    let first = t.issued in
+    for k = 0 to t.cfg.Config.mirrors do
+      let srv = (k * shards t) + s in
+      if t.routable.(srv) then submit t r srv ~comp:(t.issued = first)
     done;
-    if !comp_dead >= 0 then begin
-      if t.r_stuckref.(r) = 0 then begin
-        t.r_stuckref.(r) <- 1;
-        Fifo.push t.stuck.(!comp_dead) r
-      end
-    end
-    else if !comp_refused then fail_req t r
+    fan_end t r
   end
 
-let on_request t =
-  Workload.Generator.next_into t.gen;
-  let r = alloc_req t in
-  t.requests <- t.requests + 1;
-  let key = Workload.Generator.last_key_id t.gen in
-  t.r_key.(r) <- key;
-  t.r_size.(r) <- Workload.Generator.last_item_size t.gen;
-  t.r_large.(r) <- (if Workload.Generator.last_is_large t.gen then 1 else 0);
-  t.r_put.(r) <-
-    (* SCANs are reads: hedgeable/tieable like GETs. *)
-    (match Workload.Generator.last_op t.gen with
-    | Workload.Generator.Get | Workload.Generator.Scan -> 0
-    | Workload.Generator.Put -> 1);
-  t.r_shard.(r) <- Workload.Dataset.key_partition t.ds key mod t.shards;
-  t.r_last.(r) <- -1;
-  t.r_arrive.(r) <- Sim.now t.sim;
-  Proto.Retry.Budget.earn t.budget;
-  if t.r_put.(r) = 1 then handle_put t r else handle_get t r
-
 let on_arrive t =
-  let now = Sim.now t.sim in
-  if now < t.duration_us then begin
-    on_request t;
+  if Sim.now t.sim < (scfg t).Kvserver.Config.duration_us then begin
+    let g = t.gen in
+    Workload.Generator.next_into g;
+    let r = take t.reqs in
+    t.requests <- t.requests + 1;
+    r.op <-
+      (match Workload.Generator.last_op g with
+      | Workload.Generator.Get -> Cost.Get
+      | Workload.Generator.Scan -> Cost.Scan (* a read: hedgeable like a GET *)
+      | Workload.Generator.Put -> Cost.Put);
+    r.key <- Workload.Generator.last_key_id g;
+    r.size <- Workload.Generator.last_item_size g;
+    r.large <- Workload.Generator.last_is_large g;
+    r.scan <- Workload.Generator.last_scan_len g;
+    r.arrive <- Sim.now t.sim;
+    r.state <- Pending;
+    r.last <- -1;
+    Proto.Retry.Budget.earn t.budget;
+    if r.op = Cost.Put then handle_put t r else handle_get t r;
     let dt = Rng.exponential t.arrival_rng ~mean:t.mean_iat_us in
     Sim.schedule_call_after t.sim dt ~tag:t.tag_arrive ~i:0 ~j:0
   end
 
+let record t ~kind ~server ~delay_us =
+  Option.iter
+    (fun log -> Obs.Decision_log.record_hedge log ~kind ~now:(Sim.now t.sim) ~server ~delay_us)
+    t.log
+
+(* The delay re-estimate runs every server control epoch. *)
 let on_epoch t =
-  if Stats.Float_vec.length t.epoch_vec >= t.min_delay_samples then begin
-    let d = Stats.Quantile.of_vec t.epoch_vec t.hedge_quantile in
+  let epoch_us = (scfg t).Kvserver.Config.epoch_us in
+  if Stats.Float_vec.length t.epoch_vec >= t.cfg.Config.min_delay_samples then begin
+    let d = Stats.Quantile.of_vec t.epoch_vec t.cfg.Config.hedge_quantile in
     t.hedge_delay_us <- d;
-    let now = Sim.now t.sim in
-    t.delays <- (now, d) :: t.delays;
-    t.on_delay now d
+    t.delays <- (Sim.now t.sim, d) :: t.delays;
+    record t ~kind:Obs.Decision_log.kind_hedge_delay ~server:(-1) ~delay_us:d
   end;
   Stats.Float_vec.clear t.epoch_vec;
-  if Sim.now t.sim +. t.epoch_us <= t.duration_us then
-    Sim.schedule_call_after t.sim t.epoch_us ~tag:t.tag_epoch ~i:0 ~j:0
+  if Sim.now t.sim +. epoch_us <= (scfg t).Kvserver.Config.duration_us then
+    Sim.schedule_call_after t.sim epoch_us ~tag:t.tag_epoch ~i:0 ~j:0
 
 (* ------------------------------------------------------------------ *)
 (* Crash, detection, recovery (cold closures scheduled at setup) *)
 
+(* The engine bounces arrivals off its dead NIC from the kill instant
+   (its fault injector knows the window); the router writes off every
+   copy the server still held — queued or in service — and cancels it in
+   the engine, whose queues then drain without serving.  Requests that
+   lost their completing leg park until detection. *)
 let kill_server t s =
   if t.alive.(s) then begin
     t.server_killed <- t.server_killed + 1;
     t.alive.(s) <- false;
-    t.on_kill (Sim.now t.sim) s;
-    (* in-service completions die with the process: O(1) timer cancels *)
-    for core = 0 to t.cores - 1 do
-      let g = (s * t.cores) + core in
-      if not (Sim.is_null t.core_handle.(g)) then begin
-        ignore (Sim.cancel t.sim t.core_handle.(g));
-        t.core_handle.(g) <- Sim.null_handle
-      end;
-      t.core_copy.(g) <- -1;
-      Fifo.clear t.queues.(g)
-    done;
-    (* every copy on the server is lost; requests that lose their last
-       (or completing) leg park on the stuck list until detection *)
-    for c = 0 to t.c_cap - 1 do
-      if t.c_server.(c) = s then begin
-        let st = t.c_state.(c) in
-        if st = st_queued || st = st_service then begin
-          unlink_peer t c;
+    record t ~kind:Obs.Decision_log.kind_server_kill ~server:s ~delay_us:Float.nan;
+    Array.iter
+      (fun c ->
+        if c.server = s && (c.cstate = Queued || c.cstate = Serving) then begin
+          let r = c.req in
+          let comp = completes r c in
+          write_off t c;
           t.net_dropped <- t.net_dropped + 1;
-          t.load.(s) <- t.load.(s) - 1;
-          let r = t.c_req.(c) in
-          t.r_out.(r) <- t.r_out.(r) - 1;
-          unlink_req t r c;
-          let was_comp = t.c_comp.(c) = 1 in
-          free_copy t c;
-          if t.r_state.(r) = rs_pending then begin
-            let needs_failover =
-              if t.r_put.(r) = 1 then was_comp
-              else t.r_out.(r) = 0 && Sim.is_null t.r_hedge.(r)
-            in
-            if needs_failover && t.r_stuckref.(r) = 0 then begin
-              t.r_stuckref.(r) <- 1;
-              Fifo.push t.stuck.(s) r
-            end
-          end
-          else maybe_free_req t r
-        end
-        else if st = st_marked then free_copy t c
-      end
-    done
+          if comp then rescue t r ~dead:s;
+          maybe_free t r
+        end)
+      t.copies.items
   end
 
 let failover t r =
-  let srv = pick t t.r_shard.(r) (-1) in
-  if srv < 0 then fail_req t r
+  let srv = pick t (shard_of t r) (-1) in
+  if srv < 0 then fail t r
   else if Proto.Retry.Budget.try_spend t.budget then begin
     t.failovers <- t.failovers + 1;
-    let code = enqueue_copy t r srv ~comp:true ~peer:(-1) in
-    if code >= 0 then t.r_copy_a.(r) <- code else after_lost_leg t r code
+    send t r srv
   end
   else begin
     t.budget_exhausted <- t.budget_exhausted + 1;
-    fail_req t r
+    fail t r
   end
 
 let detect_server t s =
-  if not t.alive.(s) then begin
-    t.routable.(s) <- false;
-    t.on_detect (Sim.now t.sim) s
-  end;
-  let q = t.stuck.(s) in
-  while not (Fifo.is_empty q) do
-    let r = Fifo.pop_exn q in
-    t.r_stuckref.(r) <- 0;
-    if t.r_state.(r) = rs_pending then failover t r else maybe_free_req t r
-  done
+  if not t.alive.(s) then t.routable.(s) <- false;
+  let parked = Queue.create () in
+  Queue.transfer t.stuck.(s) parked;
+  Queue.iter
+    (fun r ->
+      r.state <- Pending;
+      failover t r)
+    parked
 
 let recover_server t s =
   if not t.alive.(s) then begin
     t.server_recovered <- t.server_recovered + 1;
     t.alive.(s) <- true;
     t.routable.(s) <- true;
-    t.on_recover (Sim.now t.sim) s
+    record t ~kind:Obs.Decision_log.kind_server_recover ~server:s ~delay_us:Float.nan
   end
 
 (* ------------------------------------------------------------------ *)
 (* Setup *)
 
-(* Static size-aware core split: the large pool gets the workload's
-   large-class share of CPU work, measured on a scratch request stream
-   (seeded independently of the run's draws). *)
-let split_cores (cfg : Config.t) ds seed =
-  if not cfg.Config.sizeaware || cfg.Config.cores < 2 then
-    (0, cfg.Config.cores)
-  else begin
-    let g = Workload.Generator.create ~seed:(seed lxor 0x5EED11) ds in
-    let large = ref 0.0 and total = ref 0.0 in
-    for _ = 1 to 4096 do
-      Workload.Generator.next_into g;
-      let op =
-        match Workload.Generator.last_op g with
-        | Workload.Generator.Get -> Cost.Get
-        | Workload.Generator.Scan -> Cost.Scan
-        | Workload.Generator.Put -> Cost.Put
-      in
-      let c =
-        Cost.cpu_time cfg.Config.cost op
-          ~item_size:(Workload.Generator.last_item_size g)
-      in
-      total := !total +. c;
-      if Workload.Generator.last_is_large g then large := !large +. c
-    done;
-    let share = !large /. !total in
-    let l =
-      int_of_float (Float.round (share *. float_of_int cfg.Config.cores))
-    in
-    let l = max 1 (min (cfg.Config.cores - 1) l) in
-    (l, cfg.Config.cores - l)
-  end
-
 let create (cfg : Config.t) ~dataset ~offered_mops ?plan ~seed () =
   (match Config.validate cfg with
   | Ok () -> ()
   | Error msg -> invalid_arg ("Hedge.Cluster: " ^ msg));
-  if not (offered_mops > 0.0) then
-    invalid_arg "Hedge.Cluster: offered load must be > 0";
+  if not (offered_mops > 0.0) then invalid_arg "Hedge.Cluster: offered load must be > 0";
+  let scfg = cfg.Config.server in
+  let duration = scfg.Kvserver.Config.duration_us in
   let sim = Sim.create ~seed () in
   let servers = Config.servers cfg in
-  let cores = cfg.Config.cores in
-  let inj =
-    match plan with
-    | None -> None
-    | Some p -> Some (Fault.Inject.create ~seed:(seed lxor 0x51ED) p)
+  let inj = Option.map (fun p -> Fault.Inject.create ~seed:(seed lxor 0x51ED) p) plan in
+  let arrival_rng = Sim.fork_rng sim in
+  let route_rng = Sim.fork_rng sim in
+  let engines =
+    Array.init servers (fun s -> Engine.attach ?fault:inj ~server:s sim scfg dataset)
   in
-  let large_cores, small_cores = split_cores cfg dataset seed in
-  let rcap = 1024 and ccap = 2048 in
   let t =
     {
+      cfg;
       sim;
       gen = Workload.Generator.create ~seed:(seed lxor 0x9E41) dataset;
       ds = dataset;
-      inj;
-      arrival_rng = Sim.fork_rng sim;
-      route_rng = Sim.fork_rng sim;
+      arrival_rng;
+      route_rng;
       budget =
         (* [try_spend] needs a whole token, so a capacity below 1.0 can
            never grant a failover: model it as a drained, non-earning
@@ -700,64 +528,21 @@ let create (cfg : Config.t) ~dataset ~offered_mops ?plan ~seed () =
            Proto.Retry.Budget.create ~capacity:cfg.Config.budget_capacity
              ~earn_per_call:cfg.Config.budget_earn_per_request ()
          else begin
-           let b =
-             Proto.Retry.Budget.create ~capacity:1.0 ~earn_per_call:0.0 ()
-           in
+           let b = Proto.Retry.Budget.create ~capacity:1.0 ~earn_per_call:0.0 () in
            ignore (Proto.Retry.Budget.try_spend b : bool);
            b
          end);
-      shards = cfg.Config.shards;
-      mirrors = cfg.Config.mirrors;
-      cores;
-      servers;
-      small_cores;
-      large_cores;
-      sizeaware = cfg.Config.sizeaware && large_cores > 0;
-      mode = cfg.Config.mode;
-      route = cfg.Config.route;
-      cost = cfg.Config.cost;
-      shed_wm =
-        (match cfg.Config.shed_watermark with Some w -> w | None -> max_int);
-      q_cap =
-        (match cfg.Config.queue_capacity with Some c -> c | None -> max_int);
+      engines;
       mean_iat_us = 1.0 /. offered_mops;
-      duration_us = cfg.Config.duration_us;
-      warmup_us = cfg.Config.warmup_us;
-      epoch_us = cfg.Config.epoch_us;
-      hedge_quantile = cfg.Config.hedge_quantile;
-      min_delay_samples = cfg.Config.min_delay_samples;
-      queues =
-        Array.init (servers * cores) (fun _ -> Fifo.create ~dummy:(-1) ());
-      core_copy = Array.make (servers * cores) (-1);
-      core_handle = Array.make (servers * cores) Sim.null_handle;
       alive = Array.make servers true;
       routable = Array.make servers true;
       load = Array.make servers 0;
-      stuck = Array.init servers (fun _ -> Fifo.create ~dummy:(-1) ());
-      r_cap = rcap;
-      r_key = Array.make rcap 0;
-      r_size = Array.make rcap 0;
-      r_put = Array.make rcap 0;
-      r_large = Array.make rcap 0;
-      r_shard = Array.make rcap 0;
-      r_last = Array.make rcap (-1);
-      r_copy_a = Array.make rcap (-1);
-      r_copy_b = Array.make rcap (-1);
-      r_out = Array.make rcap 0;
-      r_state = Array.make rcap rs_pending;
-      r_stuckref = Array.make rcap 0;
-      r_hedge = Array.make rcap Sim.null_handle;
-      r_arrive = Array.make rcap 0.0;
-      r_free = Array.init rcap (fun i -> rcap - 1 - i);
-      r_free_top = rcap;
-      c_cap = ccap;
-      c_req = Array.make ccap (-1);
-      c_server = Array.make ccap (-1);
-      c_state = Array.make ccap st_free;
-      c_peer = Array.make ccap (-1);
-      c_comp = Array.make ccap 0;
-      c_free = Array.init ccap (fun i -> ccap - 1 - i);
-      c_free_top = ccap;
+      stuck = Array.init servers (fun _ -> Queue.create ());
+      reqs = pool fresh_req;
+      copies = pool fresh_copy;
+      fanning = -1;
+      fan_lost = false;
+      fan_dead = -1;
       issued = 0;
       served = 0;
       net_dropped = 0;
@@ -777,33 +562,32 @@ let create (cfg : Config.t) ~dataset ~offered_mops ?plan ~seed () =
       hedge_delay_us = cfg.Config.hedge_delay_us;
       epoch_vec = Stats.Float_vec.create ();
       lat = Stats.Float_vec.create ();
-      win = Stats.Windowed.create ~width:cfg.Config.window_us ();
+      win = Stats.Windowed.create ~width:scfg.Kvserver.Config.epoch_us ();
       delays = [];
       tag_arrive = -1;
-      tag_service = -1;
       tag_hedge = -1;
       tag_epoch = -1;
-      on_kill = (fun _ _ -> ());
-      on_detect = (fun _ _ -> ());
-      on_recover = (fun _ _ -> ());
-      on_delay = (fun _ _ -> ());
+      log = None;
     }
   in
+  Array.iteri
+    (fun s eng ->
+      Engine.start eng (Kvserver.Design.make cfg.Config.design);
+      Engine.set_retire eng (fun cid fate -> on_retire t s cid fate);
+      Engine.set_probe eng (fun ~core:_ req -> on_start t (Engine.tag eng req)))
+    engines;
   t.tag_arrive <- Sim.register_handler sim (fun _ _ -> on_arrive t);
-  t.tag_service <- Sim.register_handler sim (fun i j -> on_service t i j);
-  t.tag_hedge <- Sim.register_handler sim (fun r _ -> on_hedge t r);
+  t.tag_hedge <- Sim.register_handler sim (fun rid _ -> on_hedge t rid);
   t.tag_epoch <- Sim.register_handler sim (fun _ _ -> on_epoch t);
   (* compile the plan's kill/recover windows into scheduled instants *)
-  (match inj with
-  | None -> ()
-  | Some inj ->
+  Option.iter
+    (fun inj ->
       let schedule_window s kill_at recover_at =
-        if kill_at < t.duration_us then begin
+        if kill_at < duration then begin
           Sim.schedule_at sim kill_at (fun () -> kill_server t s);
           let det = kill_at +. Config.detect_us cfg in
-          if det <= t.duration_us then
-            Sim.schedule_at sim det (fun () -> detect_server t s);
-          if recover_at < t.duration_us then
+          if det <= duration then Sim.schedule_at sim det (fun () -> detect_server t s);
+          if recover_at < duration then
             Sim.schedule_at sim recover_at (fun () -> recover_server t s)
         end
       in
@@ -814,31 +598,24 @@ let create (cfg : Config.t) ~dataset ~offered_mops ?plan ~seed () =
               schedule_window s kill_at recover_at
             done
           else if s < servers then schedule_window s kill_at recover_at)
-        (Fault.Inject.dead_windows inj));
+        (Fault.Inject.dead_windows inj))
+    inj;
   let dt = Rng.exponential t.arrival_rng ~mean:t.mean_iat_us in
   Sim.schedule_call_after sim dt ~tag:t.tag_arrive ~i:0 ~j:0;
-  Sim.schedule_call_after sim t.epoch_us ~tag:t.tag_epoch ~i:0 ~j:0;
+  Sim.schedule_call_after sim scfg.Kvserver.Config.epoch_us ~tag:t.tag_epoch ~i:0 ~j:0;
   t
 
-let set_hooks t ?on_kill ?on_detect ?on_recover ?on_delay () =
-  (match on_kill with Some f -> t.on_kill <- f | None -> ());
-  (match on_detect with Some f -> t.on_detect <- f | None -> ());
-  (match on_recover with Some f -> t.on_recover <- f | None -> ());
-  match on_delay with Some f -> t.on_delay <- f | None -> ()
+let set_log t log = t.log <- Some log
 
 let metrics t =
-  let in_flight = ref 0 in
-  for c = 0 to t.c_cap - 1 do
-    let st = t.c_state.(c) in
-    if st = st_queued || st = st_service then incr in_flight
-  done;
-  let n = Stats.Float_vec.length t.lat in
-  let qs =
-    if n = 0 then [ Float.nan; Float.nan; Float.nan; Float.nan ]
-    else Stats.Quantile.many_of_vec t.lat [ 0.50; 0.95; 0.99; 0.999 ]
+  let in_flight =
+    Array.fold_left
+      (fun n c -> if c.cstate = Queued || c.cstate = Serving then n + 1 else n)
+      0 t.copies.items
   in
+  let n = Stats.Float_vec.length t.lat in
   let p50, p95, p99, p999 =
-    match qs with
+    match if n = 0 then [] else Stats.Quantile.many_of_vec t.lat [ 0.50; 0.95; 0.99; 0.999 ] with
     | [ a; b; c; d ] -> (a, b, c, d)
     | _ -> (Float.nan, Float.nan, Float.nan, Float.nan)
   in
@@ -850,10 +627,14 @@ let metrics t =
     shed = t.shed;
     hedged_wasted = t.hedged_wasted;
     cancelled = t.cancelled;
-    in_flight_end = !in_flight;
+    in_flight_end = in_flight;
     requests = t.requests;
     completed = t.completed;
     failed = t.failed;
+    pending_end =
+      Array.fold_left
+        (fun n r -> if r.state = Pending || r.state = Parked then n + 1 else n)
+        0 t.reqs.items;
     hedges_issued = t.hedges_issued;
     ties_issued = t.ties_issued;
     failovers = t.failovers;
@@ -870,21 +651,18 @@ let metrics t =
     p99_series = Stats.Windowed.quantile_series t.win 0.99;
     hedge_delay_series = List.rev t.delays;
     hedge_delay_final_us = t.hedge_delay_us;
-    large_cores = t.large_cores;
-    small_cores = t.small_cores;
     events = Sim.events_processed t.sim;
+    engines = Array.map Engine.finish t.engines;
   }
 
 let run (cfg : Config.t) ~dataset ~offered_mops ?plan ~seed () =
   let t = create cfg ~dataset ~offered_mops ?plan ~seed () in
-  Sim.run t.sim ~until:t.duration_us;
+  Sim.run t.sim ~until:cfg.Config.server.Kvserver.Config.duration_us;
   metrics t
 
 (* Exposed for tests *)
 let sim t = t.sim
-let servers t = t.servers
-let hedge_delay_us t = t.hedge_delay_us
+let servers t = Array.length t.engines
 let routable_snapshot t = Array.copy t.routable
 let alive_snapshot t = Array.copy t.alive
 let pick_replica t ~shard ~exclude = pick t shard exclude
-let load_snapshot t = Array.copy t.load

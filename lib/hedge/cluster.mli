@@ -1,27 +1,25 @@
 (** Replica-aware tail-cutting over a replicated shard cluster.
 
-    One discrete-event simulation covers every server — unlike
-    {!Shardmgr.Run}, whose engines each own a private clock — because
-    hedged and tied requests race copies {e across} replicas and cancel
-    the loser through the kernel's O(1) timer handles
-    ({!Dsim.Sim.schedule_timer_after}/{!Dsim.Sim.cancel}).
+    Every server is a real {!Kvserver.Engine} running the configured
+    {!Kvserver.Design} ({!Config.t}[.design]) — its own control loop,
+    handoff queues, NIC and TX model — and all of them share one
+    discrete-event simulation, because hedged and tied requests race
+    copies {e across} replicas.  This module is only the replica router
+    in front of them: it draws the request stream, submits copies to
+    engines ({!Kvserver.Engine.submit}), learns when a copy starts
+    service (the engine's probe) and how it ended (its retire callback),
+    and cancels losers ({!Kvserver.Engine.cancel}).  Hedge timers are
+    O(1) kernel timers ({!Dsim.Sim.schedule_timer_after}/{!Dsim.Sim.cancel}).
 
-    The server model is deliberately smaller than {!Kvserver.Engine}
-    (per-core FIFO queues + {!Kvserver.Cost_model} service times; either
-    a static size-aware core split or keyhash dispatch): the quantity
-    under study is the {e routing layer} — replica spread,
-    power-of-two-choices, hedges, ties, crash failover — against the
-    single-server size-aware story, not the engine internals measured
-    elsewhere.
+    Faults: the cluster consumes a {!Fault.Plan} through one seeded
+    injector shared by every engine (so a [core-stall] window stalls that
+    core index on every server).  [Kill_server]/[Recover_server] crash
+    and restart whole servers:
 
-    Faults: the cluster consumes a {!Fault.Plan} through its own seeded
-    injector.  [Core_stall] windows apply to global core
-    [server * cores + core]; [Kill_server]/[Recover_server] crash and
-    restart whole servers:
-
-    - At the kill instant the server's in-service completions are
-      cancelled (O(1) handles), its queues are wiped, and every copy it
-      held is counted [net_dropped].  Requests that lost their
+    - From the kill instant the engine bounces every arrival off its
+      dead NIC.  The router writes off every copy the server still held
+      (queued or in service) as [net_dropped] and cancels it in the
+      engine, which drains them unserved.  Requests that lost their
       completing leg park on the server's stuck list.
     - The router only learns at [kill + detect_us]
       ({!Config.detect_us}): until then the dead replica still looks
@@ -32,7 +30,8 @@
       request fails over to a survivor, spending one retry-budget token
       ({!Proto.Retry.Budget}); an empty bucket fails the request
       ([budget_exhausted]).
-    - At recovery the server restarts empty and is immediately routable.
+    - At recovery the server is immediately routable again; its engine
+      keeps its control-loop state across the crash.
 
     Determinism: all randomness comes from streams forked off the one
     simulation RNG plus the injector's private stream, so a fixed
@@ -49,9 +48,10 @@ val create :
   seed:int ->
   unit ->
   t
-(** Build the cluster and schedule the first arrival, the epoch ticks
-    and the plan's kill/recover/detect instants.  Raises
-    [Invalid_argument] on an invalid config or plan. *)
+(** Build the engines and the router, start every engine, and schedule
+    the first arrival, the hedge-delay epoch ticks and the plan's
+    kill/recover/detect instants.  Raises [Invalid_argument] on an
+    invalid config or plan. *)
 
 val run :
   Config.t ->
@@ -61,31 +61,23 @@ val run :
   seed:int ->
   unit ->
   Metrics.t
-(** [create] + drive the simulation to [duration_us] + {!metrics}. *)
+(** [create] + drive the simulation to the server's [duration_us] +
+    {!metrics}. *)
 
 val metrics : t -> Metrics.t
-(** Snapshot the accounting (including [in_flight_end] as of now). *)
+(** Snapshot the accounting (including [in_flight_end] as of now) and
+    every engine's report ({!Kvserver.Engine.finish}). *)
 
-val set_hooks :
-  t ->
-  ?on_kill:(float -> int -> unit) ->
-  ?on_detect:(float -> int -> unit) ->
-  ?on_recover:(float -> int -> unit) ->
-  ?on_delay:(float -> float -> unit) ->
-  unit ->
-  unit
-(** Cold observation hooks for the decision log / Chrome traces:
-    [(time, server)] at kill/detect/recover, [(time, new delay)] when an
-    epoch re-estimates the hedge delay. *)
+val set_log : t -> Obs.Decision_log.t -> unit
+(** Record the router's decisions — each server kill and recovery, each
+    hedge-delay re-estimate ({!Obs.Decision_log.record_hedge}) — for
+    Chrome traces. *)
 
 val sim : t -> Dsim.Sim.t
 
 val servers : t -> int
 
 (** {2 Test probes} *)
-
-val hedge_delay_us : t -> float
-(** The delay the next hedge timer will use. *)
 
 val pick_replica : t -> shard:int -> exclude:int -> int
 (** Run the configured routing policy once (consumes routing-RNG draws);
@@ -94,6 +86,3 @@ val pick_replica : t -> shard:int -> exclude:int -> int
 
 val routable_snapshot : t -> bool array
 val alive_snapshot : t -> bool array
-
-val load_snapshot : t -> int array
-(** Outstanding copies per server (the p2c signal). *)

@@ -4,46 +4,32 @@ type route = Spread | P2c
 type t = {
   shards : int;
   mirrors : int;
-  cores : int;
-  sizeaware : bool;
   mode : mode;
   route : route;
   hedge_delay_us : float;
   hedge_quantile : float;
   min_delay_samples : int;
   detect_us : float option;
-  duration_us : float;
-  warmup_us : float;
-  epoch_us : float;
-  window_us : float;
-  queue_capacity : int option;
-  shed_watermark : int option;
   budget_capacity : float;
   budget_earn_per_request : float;
-  cost : Kvserver.Cost_model.t;
+  server : Kvserver.Config.t;
+  design : Kvserver.Design.t;
 }
 
 let default =
   {
     shards = 4;
     mirrors = 1;
-    cores = 8;
-    sizeaware = true;
     mode = Hedged;
     route = Spread;
     hedge_delay_us = 25.0;
     hedge_quantile = 0.95;
     min_delay_samples = 64;
     detect_us = None;
-    duration_us = 1_500_000.0;
-    warmup_us = 500_000.0;
-    epoch_us = 150_000.0;
-    window_us = 100_000.0;
-    queue_capacity = None;
-    shed_watermark = None;
     budget_capacity = 65_536.0;
     budget_earn_per_request = 0.1;
-    cost = Kvserver.Cost_model.default;
+    server = Kvserver.Config.default;
+    design = Kvserver.Design.minos;
   }
 
 let servers t = t.shards * (t.mirrors + 1)
@@ -51,7 +37,7 @@ let servers t = t.shards * (t.mirrors + 1)
 let detect_us t =
   match t.detect_us with
   | Some d -> d
-  | None -> 0.15 *. (t.duration_us -. t.warmup_us)
+  | None -> 0.15 *. (t.server.Kvserver.Config.duration_us -. t.server.Kvserver.Config.warmup_us)
 
 let mode_name = function Off -> "off" | Hedged -> "hedged" | Tied -> "tied"
 
@@ -72,9 +58,6 @@ let validate t =
   let err fmt = Printf.ksprintf (fun s -> Error s) fmt in
   if t.shards < 1 then err "need at least 1 shard"
   else if t.mirrors < 0 then err "mirrors must be >= 0"
-  else if t.cores < 1 then err "need at least 1 core per server"
-  else if t.sizeaware && t.cores < 2 then
-    err "size-aware dispatch needs at least 2 cores"
   else if not (t.hedge_delay_us > 0.0) then err "hedge delay must be > 0"
   else if not (t.hedge_quantile > 0.0 && t.hedge_quantile <= 1.0) then
     err "hedge quantile out of (0, 1]"
@@ -82,15 +65,7 @@ let validate t =
   else if
     match t.detect_us with Some d -> not (d >= 0.0) | None -> false
   then err "detect_us must be >= 0"
-  else if not (t.warmup_us < t.duration_us) then
-    err "warmup must precede duration end"
-  else if not (t.epoch_us > 0.0) then err "epoch must be positive"
-  else if not (t.window_us > 0.0) then err "window must be positive"
-  else if (match t.queue_capacity with Some c -> c < 1 | None -> false) then
-    err "queue_capacity must be >= 1"
-  else if (match t.shed_watermark with Some w -> w < 1 | None -> false) then
-    err "shed_watermark must be >= 1"
   else if not (t.budget_capacity >= 0.0) then err "budget capacity must be >= 0"
   else if not (t.budget_earn_per_request >= 0.0) then
     err "budget earn rate must be >= 0"
-  else Ok ()
+  else Kvserver.Config.validate t.server

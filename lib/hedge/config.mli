@@ -3,10 +3,11 @@
     Topology: [shards] primaries with [mirrors] full replicas each, laid
     out so replica [k] of shard [s] is server [k * shards + s] — the same
     ids {!Shardmgr.Table.compile} allocates when one [Add_replica] per
-    shard (in shard order) opens the run.  Every server runs [cores]
-    cores; within a server, dispatch is either size-aware (a static
-    large/small core split derived from the workload's CPU shares) or
-    keyhash (hash over all cores, the baseline the paper beats). *)
+    shard (in shard order) opens the run.  Every server is a
+    {!Kvserver.Engine} built from [server] running [design]; the
+    engine's clock ([duration_us], [warmup_us]) is the cluster's, and its
+    control epoch is also the period at which the router re-estimates
+    the hedge delay and the width of the p99 reporting window. *)
 
 type mode =
   | Off  (** one copy per GET, no backup *)
@@ -26,8 +27,6 @@ type route =
 type t = {
   shards : int;
   mirrors : int;  (** replicas per shard beyond the primary *)
-  cores : int;  (** per server *)
-  sizeaware : bool;  (** size-aware core split vs keyhash dispatch *)
   mode : mode;
   route : route;
   hedge_delay_us : float;
@@ -44,34 +43,34 @@ type t = {
           instant the router learns and fails pending copies over.
           [None] derives 15 % of the measured window — see
           {!detect_us}. *)
-  duration_us : float;
-  warmup_us : float;
-  epoch_us : float;  (** hedge-delay re-estimation period *)
-  window_us : float;  (** p99 reporting window *)
-  queue_capacity : int option;  (** per-core queue cap (tail-drop) *)
-  shed_watermark : int option;
-      (** shed large copies above this per-core queue depth *)
   budget_capacity : float;
       (** failover retry budget: token-bucket burst capacity.  A spend
           needs a whole token, so any value below 1.0 disables failover
           (every crash-stuck request is denied and fails). *)
   budget_earn_per_request : float;
       (** tokens earned per request issued (sustained failover rate) *)
-  cost : Kvserver.Cost_model.t;
+  server : Kvserver.Config.t;  (** every server's engine configuration *)
+  design : Kvserver.Design.t;  (** every server's design *)
 }
 
 val default : t
+(** 4 shards x 1 mirror of {!Kvserver.Config.default} Minos servers,
+    hedged, spread routing. *)
 
 val servers : t -> int
 (** [shards * (mirrors + 1)]. *)
 
 val detect_us : t -> float
 (** The effective failure-detector timeout: the configured value, or
-    15 % of [duration_us - warmup_us] when unset (a timeout that scales
-    with the scenario keeps kill windows visible at any run scale). *)
+    15 % of the server's [duration_us - warmup_us] when unset (a timeout
+    that scales with the scenario keeps kill windows visible at any run
+    scale). *)
 
 val mode_name : mode -> string
 val mode_of_name : string -> mode option
 val route_name : route -> string
 val route_of_name : string -> route option
+
 val validate : t -> (unit, string) result
+(** The router's own fields, then {!Kvserver.Config.validate} on
+    [server]. *)

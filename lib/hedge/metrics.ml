@@ -10,6 +10,7 @@ type t = {
   requests : int;
   completed : int;
   failed : int;
+  pending_end : int;
   hedges_issued : int;
   ties_issued : int;
   failovers : int;
@@ -26,9 +27,8 @@ type t = {
   p99_series : (float * float) list;
   hedge_delay_series : (float * float) list;
   hedge_delay_final_us : float;
-  large_cores : int;
-  small_cores : int;
   events : int;
+  engines : Kvserver.Metrics.t array;
 }
 
 let telescopes m =
@@ -36,5 +36,6 @@ let telescopes m =
   = m.served + m.net_dropped + m.rx_dropped + m.shed + m.hedged_wasted
     + m.cancelled + m.in_flight_end
 
-let requests_account m =
-  m.requests >= m.completed + m.failed
+let engines_telescope m = Array.for_all Kvserver.Metrics.telescopes m.engines
+
+let requests_account m = m.requests = m.completed + m.failed + m.pending_end

@@ -11,11 +11,12 @@
 
     - [served]: the copy completed service and its result was wanted
       (the winning GET copy; every PUT write copy that completed).
-    - [net_dropped]: the copy died with a killed server — in its queue,
-      in service at the kill instant, or bounced off the dead NIC on
-      arrival before the router detected the crash.
-    - [rx_dropped] / [shed]: refused at enqueue by the per-core queue
-      cap / the shed-large watermark.
+    - [net_dropped]: the copy died with a killed server — written off
+      by the router at the kill instant (queued or in service), or
+      bounced off the dead NIC on arrival before the router detected the
+      crash.
+    - [rx_dropped] / [shed]: refused by the server's RX ring cap /
+      admission control.
     - [hedged_wasted]: a GET copy that completed after its request was
       already won by another copy (the hedge tax, measured).
     - [cancelled]: removed before service — a tied loser cancelled on
@@ -25,7 +26,8 @@
 
     Request-level counters sit alongside: [requests] arrivals split into
     [completed], [failed] (no routable replica, refused with no backup,
-    or failover denied by the retry budget), and still-in-flight. *)
+    or failover denied by the retry budget), and [pending_end] (still
+    unresolved when the run ended). *)
 
 type t = {
   issued : int;
@@ -39,6 +41,7 @@ type t = {
   requests : int;
   completed : int;
   failed : int;
+  pending_end : int;
   hedges_issued : int;
   ties_issued : int;
   failovers : int;  (** crash-failover reissues granted by the budget *)
@@ -57,13 +60,17 @@ type t = {
   hedge_delay_series : (float * float) list;
       (** (epoch end µs, re-estimated hedge delay) *)
   hedge_delay_final_us : float;
-  large_cores : int;  (** per-server large pool (0 under keyhash) *)
-  small_cores : int;
   events : int;  (** simulator events processed *)
+  engines : Kvserver.Metrics.t array;
+      (** each server's own engine report, indexed by server id; its
+          request-level ledger counts the copies that server saw *)
 }
 
 val telescopes : t -> bool
 (** The copy-level loss-accounting identity above, checked exactly. *)
 
+val engines_telescope : t -> bool
+(** {!Kvserver.Metrics.telescopes} holds for every server's engine. *)
+
 val requests_account : t -> bool
-(** [requests >= completed + failed] (the remainder is in flight). *)
+(** [requests = completed + failed + pending_end], exactly. *)

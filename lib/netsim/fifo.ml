@@ -57,8 +57,3 @@ let[@inline] is_empty t = t.len = 0
 let total_enqueued t = t.total
 
 let max_occupancy t = t.high_water
-
-let clear t =
-  Array.fill t.buf 0 (Array.length t.buf) t.dummy;
-  t.head <- 0;
-  t.len <- 0

@@ -31,9 +31,7 @@ val length : 'a t -> int
 val is_empty : 'a t -> bool
 
 val total_enqueued : 'a t -> int
-(** Cumulative pushes since creation; not reset by {!clear}. *)
+(** Cumulative pushes since creation. *)
 
 val max_occupancy : 'a t -> int
-(** High-water mark of {!length}; not reset by {!clear}. *)
-
-val clear : 'a t -> unit
+(** High-water mark of {!length}. *)

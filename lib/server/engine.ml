@@ -45,10 +45,34 @@ type pacing = {
   next_change : float -> float;
 }
 
+type design = {
+  name : string;
+  dispatch : request -> int;
+  on_arrival : queue:int -> unit;
+  on_epoch : unit -> unit;
+  large_core_count : unit -> int;
+  current_threshold : unit -> float;
+}
+
+(* Placeholder until [start] builds the real design. *)
+let no_design =
+  {
+    name = "";
+    dispatch = (fun _ -> 0);
+    on_arrival = (fun ~queue:_ -> ());
+    on_epoch = ignore;
+    large_core_count = (fun () -> 0);
+    current_threshold = (fun () -> Float.nan);
+  }
+
+type fate = Served | Net_dropped | Rx_dropped | Shed | Cancelled
+
 type t = {
   cfg : Config.t;
   sim : Dsim.Sim.t;
-  gen : Workload.Generator.t;
+  gen : Workload.Generator.t option;
+      (* [None] for a caller-fed engine: arrivals come from [submit] *)
+  mutable design : design;
   dataset : Workload.Dataset.t;
   key_names : string array;
       (* materialized key strings, only when a real store is attached *)
@@ -78,6 +102,11 @@ type t = {
   mutable free_top : int;
   mutable arrivals : float array;
   mutable cpu_dones : float array;
+  (* Caller-fed engines only: the caller's tag for each submitted slot
+     and whether the caller cancelled it. *)
+  mutable tags : int array;
+  mutable cancel_marks : bool array;
+  mutable on_retire : int -> fate -> unit;
   (* Typed-event plumbing: designs install [resume] once; the engine
      dispatches core wake-ups and service completions through these
      handler tags instead of per-event closures. *)
@@ -119,6 +148,7 @@ type t = {
   mutable shed_large : int;
   mutable expired_misses : int;
       (* GETs processed but answered not-found: the new telescoping leg *)
+  mutable cancelled : int; (* submitted requests retired by [cancel] *)
 }
 
 let set_probe t f = t.probe <- Some f
@@ -145,23 +175,39 @@ let[@cold] grow_pool t =
   Array.blit t.arrivals 0 ar 0 old;
   let cd = Array.make n 0.0 in
   Array.blit t.cpu_dones 0 cd 0 old;
+  let tags = Array.make n (-1) in
+  Array.blit t.tags 0 tags 0 old;
+  let marks = Array.make n false in
+  Array.blit t.cancel_marks 0 marks 0 old;
   t.pool <- pool;
   t.free_slots <- free;
   t.arrivals <- ar;
-  t.cpu_dones <- cd
+  t.cpu_dones <- cd;
+  t.tags <- tags;
+  t.cancel_marks <- marks
 
 let alloc_req t =
   if t.free_top = 0 then grow_pool t;
   t.free_top <- t.free_top - 1;
   t.pool.(t.free_slots.(t.free_top))
 
-(* Exactly one free per allocated request, at whichever point retires it:
-   fault drop, RX tail-drop, shed, unsampled (no-reply) completion, or
-   reply TX completion.  Requests still sitting in queues when the run
-   ends are never freed — the pool dies with the engine. *)
-let free_req t (req : request) =
+(* Exactly one retirement per allocated request, at whichever point
+   ends it: fault drop, RX tail-drop, shed, cancellation, unsampled
+   (no-reply) completion, or reply TX completion.  A caller-fed engine
+   reports the fate under the caller's tag once the slot is free again.
+   Requests still sitting in queues when the run ends are never retired
+   — the pool dies with the engine. *)
+let fed t = Option.is_none t.gen
+
+let retire t (req : request) fate =
   t.free_slots.(t.free_top) <- req.slot;
-  t.free_top <- t.free_top + 1
+  t.free_top <- t.free_top + 1;
+  if fed t then t.on_retire t.tags.(req.slot) fate
+
+let set_retire t f = t.on_retire <- f
+let tag t (req : request) = t.tags.(req.slot)
+let is_cancelled t (req : request) = fed t && t.cancel_marks.(req.slot)
+let cancel t slot = t.cancel_marks.(slot) <- true
 
 (* ---------------- flight-recorder hooks ----------------
 
@@ -264,10 +310,10 @@ let try_shed t req ~large =
   | None -> false
   | Some wm ->
       let backlog = total_rx_backlog t in
-      if backlog > wm && (large || backlog > 4 * wm) then begin
+      if backlog > wm && (large || backlog > 4 * wm) && not (is_cancelled t req) then begin
         if large then t.shed_large <- t.shed_large + 1
         else t.shed_small <- t.shed_small + 1;
-        free_req t req;
+        retire t req Shed;
         true
       end
       else false
@@ -305,9 +351,11 @@ let touch_real_store t req =
              exercised by the KV tests and examples. *)
           Kvstore.Store.put store ~guard:`Lock key t.put_value)
 
-(* Called when the reply's last frame leaves the wire. *)
+(* Called when the reply's last frame leaves the wire.  A caller-fed
+   engine serves copies of the caller's requests, so it leaves latency
+   to the caller. *)
 let record_reply t req ~finish_time =
-  if in_window t finish_time then begin
+  if in_window t finish_time && not (fed t) then begin
     let latency =
       finish_time +. t.cfg.Config.cost.Cost_model.pipeline_latency_us
       -. t.arrivals.(req.slot)
@@ -335,14 +383,10 @@ let tx_done t slot finish_time =
          Obs.Recorder.set_ts r req.span Obs.Span.ts_end
            (finish_time +. t.cfg.Config.cost.Cost_model.pipeline_latency_us));
   record_reply t req ~finish_time;
-  free_req t req
+  retire t req Served
 
-(* Service completion (typed event): [slot] names the request, [j] packs
-   the serving core and the TX queue. *)
-let service_done t slot j =
-  let req = t.pool.(slot) in
-  let core = j land 0xffff in
-  let tx_queue = j lsr 16 in
+let complete t req ~core ~tx_queue =
+  let slot = req.slot in
   touch_real_store t req;
   (* §6.4: under reply sampling the server does all the processing but
      sends only a fraction of the replies; throughput counts processed
@@ -370,11 +414,24 @@ let service_done t slot j =
       ~payload_bytes:(Cost_model.reply_payload req.op ~item_size:req.item_size)
       ~token:slot
   end
-  else free_req t req;
+  else retire t req Served;
   (* The core is free as soon as the reply is handed to the NIC. *)
   t.resume core
 
-let execute t ~core ~tx_queue ~extra_cpu req =
+(* Service completion (typed event): [slot] names the request, [j] packs
+   the serving core and the TX queue.  A request cancelled mid-service
+   has done its work, but its reply is suppressed. *)
+let service_done t slot j =
+  let req = t.pool.(slot) in
+  let core = j land 0xffff in
+  if is_cancelled t req then begin
+    t.cancelled <- t.cancelled + 1;
+    retire t req Cancelled;
+    t.resume core
+  end
+  else complete t req ~core ~tx_queue:(j lsr 16)
+
+let serve t ~core ~tx_queue ~extra_cpu req =
   (* Residency is consulted at service start: a GET that finds no live
      item (expired, evicted, never loaded) becomes a cheap not-found
      reply; a PUT (re)loads its key, evicting under the memory budget. *)
@@ -428,31 +485,31 @@ let execute t ~core ~tx_queue ~extra_cpu req =
   Dsim.Sim.schedule_call_after t.sim cpu ~tag:t.tag_service ~i:req.slot
     ~j:(core lor (tx_queue lsl 16))
 
-let create ?dynamic ?store ?source ?pacing ?timed ?residency ?sweep_us ?obs ?fault
-    ?(server = 0) cfg gen ~offered_mops =
+(* A cancelled request leaves without being served; the core moves on
+   through an event rather than recursing into the design. *)
+let execute t ~core ~tx_queue ~extra_cpu req =
+  if is_cancelled t req then begin
+    t.cancelled <- t.cancelled + 1;
+    retire t req Cancelled;
+    Dsim.Sim.schedule_call_after t.sim 0.0 ~tag:t.tag_resume ~i:core ~j:0
+  end
+  else serve t ~core ~tx_queue ~extra_cpu req
+
+let validate_common ~server cfg =
   if server < 0 then invalid_arg "Engine.create: server must be >= 0";
-  (match Config.validate cfg with
+  match Config.validate cfg with
   | Ok () -> ()
-  | Error msg -> invalid_arg ("Engine.create: " ^ msg));
-  if not (offered_mops > 0.0) then invalid_arg "Engine.create: offered_mops must be > 0";
-  (match timed with
-  | Some trace when not (Workload.Trace.timed trace) ->
-      invalid_arg "Engine.create: timed replay needs a timestamped trace"
-  | Some trace when Workload.Trace.length trace = 0 ->
-      invalid_arg "Engine.create: timed trace is empty"
-  | Some _ | None -> ());
-  (match sweep_us with
-  | Some s when not (s > 0.0) ->
-      invalid_arg "Engine.create: sweep_us must be positive"
-  | Some _ | None -> ());
-  let sim = Dsim.Sim.create ~seed:cfg.Config.seed () in
-  let dataset = Workload.Generator.dataset gen in
+  | Error msg -> invalid_arg ("Engine.create: " ^ msg)
+
+let build ?dynamic ?store ?source ?pacing ?timed ?residency ?sweep_us ?obs ?fault ~server
+    ~sim ~gen ~dataset cfg ~offered_mops =
   let pool_init = 256 in
   let t =
     {
       cfg;
       sim;
       gen;
+      design = no_design;
       dataset;
       key_names =
         (match store with
@@ -482,6 +539,9 @@ let create ?dynamic ?store ?source ?pacing ?timed ?residency ?sweep_us ?obs ?fau
       free_top = pool_init;
       arrivals = Array.make pool_init 0.0;
       cpu_dones = Array.make pool_init 0.0;
+      tags = Array.make pool_init (-1);
+      cancel_marks = Array.make pool_init false;
+      on_retire = (fun _ _ -> ());
       resume = ignore;
       tag_resume = -1;
       tag_service = -1;
@@ -517,6 +577,7 @@ let create ?dynamic ?store ?source ?pacing ?timed ?residency ?sweep_us ?obs ?fau
       shed_small = 0;
       shed_large = 0;
       expired_misses = 0;
+      cancelled = 0;
     }
   in
   (* Forked after the record is built so it always comes after the three
@@ -542,14 +603,27 @@ let create ?dynamic ?store ?source ?pacing ?timed ?residency ?sweep_us ?obs ?fau
   t.tag_service <- Dsim.Sim.register_handler sim (fun slot j -> service_done t slot j);
   t
 
-type design = {
-  name : string;
-  dispatch : request -> int;
-  on_arrival : queue:int -> unit;
-  on_epoch : unit -> unit;
-  large_core_count : unit -> int;
-  current_threshold : unit -> float;
-}
+let create ?dynamic ?store ?source ?pacing ?timed ?residency ?sweep_us ?obs ?fault
+    ?(server = 0) cfg gen ~offered_mops =
+  validate_common ~server cfg;
+  if not (offered_mops > 0.0) then invalid_arg "Engine.create: offered_mops must be > 0";
+  (match timed with
+  | Some trace when not (Workload.Trace.timed trace) ->
+      invalid_arg "Engine.create: timed replay needs a timestamped trace"
+  | Some trace when Workload.Trace.length trace = 0 ->
+      invalid_arg "Engine.create: timed trace is empty"
+  | Some _ | None -> ());
+  (match sweep_us with
+  | Some s when not (s > 0.0) ->
+      invalid_arg "Engine.create: sweep_us must be positive"
+  | Some _ | None -> ());
+  build ?dynamic ?store ?source ?pacing ?timed ?residency ?sweep_us ?obs ?fault ~server
+    ~sim:(Dsim.Sim.create ~seed:cfg.Config.seed ())
+    ~gen:(Some gen) ~dataset:(Workload.Generator.dataset gen) cfg ~offered_mops
+
+let attach ?fault ?(server = 0) sim cfg dataset =
+  validate_common ~server cfg;
+  build ?fault ~server ~sim ~gen:None ~dataset cfg ~offered_mops:0.0
 
 (* Overwrite a pooled request's fields for a new arrival. *)
 let fill_request t req op ~key_id ~item_size ~is_large ~scan_len =
@@ -567,68 +641,76 @@ let fill_request t req op ~key_id ~item_size ~is_large ~scan_len =
 let raw_latencies t = t.latencies
 let windowed t = t.windowed
 
-let run t make_design =
-  let design = make_design t in
+(* Final delivery step, after any fault fate was applied: tail-drop when
+   the RX ring (possibly squeezed by the plan) is full, else enqueue and
+   wake the design. *)
+let deliver t (req : request) =
+  let queue = req.rx_queue in
+  let cap =
+    match t.fault with
+    | None -> t.rx_cap
+    | Some f -> min t.rx_cap (Fault.Inject.rx_capacity f ~queue ~now:(Dsim.Sim.now t.sim))
+  in
+  if cap < max_int && Netsim.Fifo.length (Netsim.Nic.rx t.nic queue) >= cap then begin
+    t.rx_dropped <- t.rx_dropped + 1;
+    retire t req Rx_dropped
+  end
+  else begin
+    let wire_bytes =
+      Netsim.Frame.wire_bytes_for_payload
+        (Cost_model.request_payload req.op ~item_size:req.item_size)
+    in
+    let wire_bytes =
+      if req.frames_in > Cost_model.request_frames req.op ~item_size:req.item_size
+      then 2 * wire_bytes
+      else wire_bytes
+    in
+    Netsim.Nic.deliver t.nic ~queue ~wire_bytes ~frames:req.frames_in req.slot;
+    t.design.on_arrival ~queue
+  end
+
+(* Dispatch + issue accounting + fault fate, shared by the Poisson
+   arrival loop, the timed-trace pump and [submit]. *)
+let admit t (req : request) =
+  let queue = t.design.dispatch req in
+  req.rx_queue <- queue;
+  t.issued <- t.issued + 1;
+  obs_sample_arrival t req ~queue;
+  match t.fault with
+  | None -> deliver t req
+  | Some f when Fault.Inject.server_dead f ~server:t.server ~now:(Dsim.Sim.now t.sim) ->
+      (* The whole server is crashed: the arrival bounces off a dead
+         NIC, same leg as a net-fault drop. *)
+      t.net_dropped <- t.net_dropped + 1;
+      retire t req Net_dropped
+  | Some f -> (
+      match Fault.Inject.fate f ~queue ~now:(Dsim.Sim.now t.sim) with
+      | Fault.Inject.Pass -> deliver t req
+      | Fault.Inject.Drop ->
+          t.net_dropped <- t.net_dropped + 1;
+          retire t req Net_dropped
+      | Fault.Inject.Duplicate ->
+          req.frames_in <- 2 * req.frames_in;
+          deliver t req
+      | Fault.Inject.Reorder ->
+          let d = Fault.Inject.reorder_delay_us f ~queue ~now:(Dsim.Sim.now t.sim) in
+          Dsim.Sim.schedule_after t.sim d (fun () -> deliver t req))
+
+let submit t ~tag op ~key_id ~item_size ~is_large ~scan_len =
+  if not (fed t) then invalid_arg "Engine.submit: engine runs its own arrivals";
+  let req = alloc_req t in
+  fill_request t req op ~key_id ~item_size ~is_large ~scan_len;
+  t.tags.(req.slot) <- tag;
+  t.cancel_marks.(req.slot) <- false;
+  let slot = req.slot in
+  admit t req;
+  slot
+
+(* The engine's own arrivals: a Poisson loop over the generator (or a
+   replayed source), or a timed trace at its recorded times. *)
+let start_arrivals t gen =
   let cfg = t.cfg in
   let mean_gap = 1.0 /. t.offered_mops (* µs between arrivals at X Mops *) in
-  (* Final delivery step, after any fault fate was applied: tail-drop when
-     the RX ring (possibly squeezed by the plan) is full, else enqueue and
-     wake the design. *)
-  let deliver (req : request) =
-    let queue = req.rx_queue in
-    let cap =
-      match t.fault with
-      | None -> t.rx_cap
-      | Some f ->
-          min t.rx_cap
-            (Fault.Inject.rx_capacity f ~queue ~now:(Dsim.Sim.now t.sim))
-    in
-    if cap < max_int && Netsim.Fifo.length (Netsim.Nic.rx t.nic queue) >= cap then begin
-      t.rx_dropped <- t.rx_dropped + 1;
-      free_req t req
-    end
-    else begin
-      let wire_bytes =
-        Netsim.Frame.wire_bytes_for_payload
-          (Cost_model.request_payload req.op ~item_size:req.item_size)
-      in
-      let wire_bytes =
-        if req.frames_in > Cost_model.request_frames req.op ~item_size:req.item_size
-        then 2 * wire_bytes
-        else wire_bytes
-      in
-      Netsim.Nic.deliver t.nic ~queue ~wire_bytes ~frames:req.frames_in req.slot;
-      design.on_arrival ~queue
-    end
-  in
-  (* Dispatch + issue accounting + fault fate, shared by the Poisson
-     arrival loop and the timed-trace pump. *)
-  let admit (req : request) =
-    let queue = design.dispatch req in
-    req.rx_queue <- queue;
-    t.issued <- t.issued + 1;
-    obs_sample_arrival t req ~queue;
-    match t.fault with
-    | None -> deliver req
-    | Some f when Fault.Inject.server_dead f ~server:t.server ~now:(Dsim.Sim.now t.sim)
-      ->
-        (* The whole server is crashed: the arrival bounces off a dead
-           NIC, same leg as a net-fault drop. *)
-        t.net_dropped <- t.net_dropped + 1;
-        free_req t req
-    | Some f -> (
-        match Fault.Inject.fate f ~queue ~now:(Dsim.Sim.now t.sim) with
-        | Fault.Inject.Pass -> deliver req
-        | Fault.Inject.Drop ->
-            t.net_dropped <- t.net_dropped + 1;
-            free_req t req
-        | Fault.Inject.Duplicate ->
-            req.frames_in <- 2 * req.frames_in;
-            deliver req
-        | Fault.Inject.Reorder ->
-            let d = Fault.Inject.reorder_delay_us f ~queue ~now:(Dsim.Sim.now t.sim) in
-            Dsim.Sim.schedule_after t.sim d (fun () -> deliver req))
-  in
   (* Arrivals are a typed event too: the generator loop is one event per
      request, so the closure-payload path would pay two pointer stores
      (write barrier) per arrival for the same one handler. *)
@@ -664,10 +746,9 @@ let run t make_design =
       | None ->
           (match t.dynamic with
           | Some sched ->
-              Workload.Generator.set_p_large t.gen
+              Workload.Generator.set_p_large gen
                 (Workload.Dynamic.p_large_at sched (Dsim.Sim.now t.sim))
           | None -> ());
-          let gen = t.gen in
           Workload.Generator.next_into gen;
           let op =
             match Workload.Generator.last_op gen with
@@ -680,7 +761,7 @@ let run t make_design =
             ~item_size:(Workload.Generator.last_item_size gen)
             ~is_large:(Workload.Generator.last_is_large gen)
             ~scan_len:(Workload.Generator.last_scan_len gen));
-      admit req;
+      admit t req;
       let mean =
         match pacing with None -> mean_gap | Some p -> 1.0 /. p.rate_at arrive_now
       in
@@ -690,22 +771,6 @@ let run t make_design =
     end
   in
   tag_arrive := Dsim.Sim.register_handler t.sim (fun _ _ -> arrive ());
-  let rec epoch () =
-    if Dsim.Sim.now t.sim < cfg.Config.duration_us then begin
-      design.on_epoch ();
-      t.large_core_series <-
-        (Dsim.Sim.now t.sim, design.large_core_count ()) :: t.large_core_series;
-      (match t.obs with
-      | None -> ()
-      | Some o ->
-          let n_large = design.large_core_count () in
-          Obs.Decision_log.record o.Obs.Instrument.decisions ~lost:(lost t)
-            ~now:(Dsim.Sim.now t.sim)
-            ~threshold:(design.current_threshold ())
-            ~n_small:(cfg.Config.cores - n_large) ~n_large ());
-      Dsim.Sim.schedule_after t.sim cfg.Config.epoch_us epoch
-    end
-  in
   (* Timed-trace replay: each recorded request is injected at its recorded
      offset from the trace start (re-based to the run's origin), looping
      with a re-base each lap so the recorded rate carries across the
@@ -737,7 +802,7 @@ let run t make_design =
             ~item_size:r.Workload.Generator.item_size
             ~is_large:r.Workload.Generator.is_large
             ~scan_len:r.Workload.Generator.scan_len;
-          admit req;
+          admit t req;
           let gap =
             if i + 1 < n then ts.(i + 1) -. ts.(i) else span -. (ts.(n - 1) -. t0)
           in
@@ -746,7 +811,31 @@ let run t make_design =
         end
       in
       tag_replay := Dsim.Sim.register_handler t.sim (fun i _ -> pump i);
-      Dsim.Sim.schedule_call_after t.sim 0.0 ~tag:!tag_replay ~i:0 ~j:0);
+      Dsim.Sim.schedule_call_after t.sim 0.0 ~tag:!tag_replay ~i:0 ~j:0)
+
+let start t make_design =
+  let design = make_design t in
+  t.design <- design;
+  let cfg = t.cfg in
+  (* A caller-fed engine has no arrival loop: requests come from
+     [submit]. *)
+  Option.iter (start_arrivals t) t.gen;
+  let rec epoch () =
+    if Dsim.Sim.now t.sim < cfg.Config.duration_us then begin
+      design.on_epoch ();
+      t.large_core_series <-
+        (Dsim.Sim.now t.sim, design.large_core_count ()) :: t.large_core_series;
+      (match t.obs with
+      | None -> ()
+      | Some o ->
+          let n_large = design.large_core_count () in
+          Obs.Decision_log.record o.Obs.Instrument.decisions ~lost:(lost t)
+            ~now:(Dsim.Sim.now t.sim)
+            ~threshold:(design.current_threshold ())
+            ~n_small:(cfg.Config.cores - n_large) ~n_large ());
+      Dsim.Sim.schedule_after t.sim cfg.Config.epoch_us epoch
+    end
+  in
   Dsim.Sim.schedule_after t.sim cfg.Config.epoch_us epoch;
   (* Background expiry sweep: a chunked cursor walk per period, sized to
      cover the resident set a few times per run without a stop-the-world
@@ -781,13 +870,16 @@ let run t make_design =
   (* Reset NIC counters at the start of the measurement window so TX
      utilization covers only the measured interval. *)
   Dsim.Sim.schedule_at t.sim cfg.Config.warmup_us (fun () ->
-      Netsim.Txsched.reset_counters t.tx);
-  Dsim.Sim.run t.sim ~until:cfg.Config.duration_us;
+      Netsim.Txsched.reset_counters t.tx)
+
+let finish t =
+  let cfg = t.cfg in
+  let design = t.design in
   let window = cfg.Config.duration_us -. cfg.Config.warmup_us in
   (* Telescoping identity: everything issued was either served, lost to a
      fault/overload mechanism (each loss counted exactly once), or is
      still in flight. *)
-  let in_flight = t.issued - t.processed_total - lost t in
+  let in_flight = t.issued - t.processed_total - lost t - t.cancelled in
   (* Unstable when the leftover backlog exceeds what a loaded-but-stable
      system would plausibly hold in flight. *)
   let backlog_cap = max 2000 (int_of_float (0.02 *. float_of_int t.issued)) in
@@ -843,4 +935,10 @@ let run t make_design =
       (match t.residency with Some r -> Residency.expired_keys r | None -> 0);
     evicted_keys =
       (match t.residency with Some r -> Residency.evicted_keys r | None -> 0);
+    cancelled = t.cancelled;
   }
+
+let run t make_design =
+  start t make_design;
+  Dsim.Sim.run t.sim ~until:t.cfg.Config.duration_us;
+  finish t

@@ -113,6 +113,19 @@ val create :
     bounces off the crashed NIC and counts [net_dropped] — multi-engine
     drivers ({!Shardmgr.Run}) pass each engine its cluster id. *)
 
+val attach :
+  ?fault:Fault.Inject.t -> ?server:int -> Dsim.Sim.t -> Config.t -> Workload.Dataset.t -> t
+(** [attach sim cfg dataset] builds a {e caller-fed} engine on a shared
+    simulator: it runs no arrival loop of its own, the caller brings each
+    request in with {!submit} and learns its end through {!set_retire}.
+    Several engines may share one [sim] (the hedged replica cluster,
+    {!Kvhedge.Cluster}); each forks its RNG streams from it in attach
+    order, and [cfg.seed] is unused.  The caller owns request latency: a
+    caller-fed engine records no latency samples, so its {!Metrics}
+    quantiles are [nan] while its ledger and per-core counters are
+    complete.  [fault] and [server] are as for {!create}.  Call {!start}
+    before the first {!submit}, drive [sim] yourself, then {!finish}. *)
+
 val sim : t -> Dsim.Sim.t
 val config : t -> Config.t
 val cores : t -> int
@@ -157,10 +170,66 @@ val execute : t -> core:int -> tx_queue:int -> extra_cpu:float -> request -> uni
     through the victim's queue so they never serialize behind a large
     reply.  The engine retires the request (returns its pool slot) once
     the reply leaves the wire, or at completion when sampling elides the
-    reply; designs must not touch it afterwards. *)
+    reply; designs must not touch it afterwards.  A {!cancel}led request
+    retires here at once instead, and [core] resumes through an event. *)
 
 val run : t -> (t -> design) -> Metrics.t
-(** Build the design, generate load, simulate, and report. *)
+(** Build the design, generate load, simulate, and report:
+    [start] + [Dsim.Sim.run] to [cfg.duration_us] + [finish]. *)
+
+val start : t -> (t -> design) -> unit
+(** Build the design and schedule the engine's own events: its arrival
+    loop (unless caller-fed), control epochs, expiry sweep, timeline
+    sampling and the warm-up counter reset.  Nothing runs until the
+    simulator does. *)
+
+val finish : t -> Metrics.t
+(** Report on the run so far (normally after the simulator reached
+    [cfg.duration_us]). *)
+
+(** {2 Caller-fed requests}
+
+    Only for engines built with {!attach}. *)
+
+(** How a submitted request ended. *)
+type fate =
+  | Served  (** the reply left the wire (or was elided by sampling) *)
+  | Net_dropped  (** lost before any queue: a fault drop or a dead server *)
+  | Rx_dropped  (** tail-dropped at a full RX ring *)
+  | Shed  (** refused by admission control *)
+  | Cancelled  (** withdrawn by {!cancel} *)
+
+val submit :
+  t ->
+  tag:int ->
+  Cost_model.op ->
+  key_id:int ->
+  item_size:int ->
+  is_large:bool ->
+  scan_len:int ->
+  int
+(** Bring one request in now, exactly as an arrival: dispatch, fault
+    fate, RX delivery.  Returns its slot (the {!cancel} handle), valid
+    until the request retires.  The request may retire inside the call
+    (dead server, full ring, shed by a core that woke up for it); the
+    retire callback then runs before [submit] returns.  Raises
+    [Invalid_argument] on an engine that runs its own arrivals. *)
+
+val set_retire : t -> (int -> fate -> unit) -> unit
+(** [f tag fate] runs once per submitted request when it retires, after
+    its slot is free again. *)
+
+val tag : t -> request -> int
+(** The caller's tag of a submitted request ([-1] for engine-generated
+    arrivals) — e.g. inside a {!set_probe} observer. *)
+
+val cancel : t -> int -> unit
+(** Withdraw the live submitted request in [slot].  Still queued (RX or
+    a design's own queue), it retires [Cancelled] when it reaches
+    {!execute}, unserved and at no CPU cost; in service, it finishes its
+    work but sends no reply and retires [Cancelled].  A request whose
+    reply is already on the wire is past cancelling and retires
+    [Served].  Counted in [Metrics.cancelled]. *)
 
 val raw_latencies : t -> Stats.Float_vec.t
 (** All recorded end-to-end latencies (µs) of the last {!run}; used to
@@ -204,8 +273,9 @@ val core_busy_live : t -> float array
 
 val set_probe : t -> (core:int -> request -> unit) -> unit
 (** Install an observer called at the start of every request execution
-    (with the executing core).  For tests asserting scheduling invariants;
-    no effect on simulated behaviour. *)
+    (with the executing core; never for a cancelled request).  Tests
+    assert scheduling invariants with it, and the hedged cluster learns
+    when a copy starts service; no effect on the engine's behaviour. *)
 
 (** {2 Flight-recorder hooks}
 

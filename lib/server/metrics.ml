@@ -31,6 +31,7 @@ type t = {
   expired_misses : int;
   expired_keys : int;
   evicted_keys : int;
+  cancelled : int;
 }
 
 let shed_total t = t.shed_small + t.shed_large
@@ -39,7 +40,7 @@ let lost_total t = t.net_dropped + t.rx_dropped + shed_total t
 let telescopes t =
   t.issued
   = t.served_total + t.net_dropped + t.rx_dropped + t.shed_small + t.shed_large
-    + t.expired_misses + t.in_flight_end
+    + t.expired_misses + t.cancelled + t.in_flight_end
 
 let goodput_fraction t =
   if t.issued = 0 then 1.0

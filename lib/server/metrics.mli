@@ -37,7 +37,7 @@ type t = {
           run (incl. warmup); with the loss counters below this
           telescopes:
           [issued = served_total + net_dropped + rx_dropped + shed_small
-          + shed_large + expired_misses + in_flight_end] *)
+          + shed_large + expired_misses + cancelled + in_flight_end] *)
   net_dropped : int;  (** lost by the (faulty) NIC before any queue *)
   rx_dropped : int;   (** tail-dropped at a full RX ring *)
   shed_small : int;   (** shed by admission control, small-classified *)
@@ -48,6 +48,11 @@ type t = {
           memory scenarios); 0 otherwise *)
   expired_keys : int; (** items reclaimed past their TTL deadline *)
   evicted_keys : int; (** live items evicted by the memory budget *)
+  cancelled : int;
+      (** submitted requests the caller withdrew ({!Engine.cancel}): a
+          queued one retires unserved, one in service has its reply
+          suppressed.  Only a caller-fed engine (the hedged cluster) can
+          cancel, so this is 0 in every single-engine run. *)
 }
 
 val shed_total : t -> int
@@ -59,7 +64,7 @@ val lost_total : t -> int
 val telescopes : t -> bool
 (** The fate identity: every issued request met exactly one fate,
     [issued = served_total + net_dropped + rx_dropped + shed_small +
-    shed_large + expired_misses + in_flight_end]. *)
+    shed_large + expired_misses + cancelled + in_flight_end]. *)
 
 val goodput_fraction : t -> float
 (** Fraction of issued requests not lost ([1.0] for a healthy run). *)

@@ -125,92 +125,41 @@ let canned name ~warmup_us ~duration_us =
   | _ -> None
 
 (* ------------------------------------------------------------------ *)
-(* Textual format (same conventions as Fault.Plan: '#' comments, a
-   'plan NAME' header, one 'keyword key=value ...' event per line) *)
+(* Textual format: the fault plans' syntax ({!Fault.Syntax}) *)
 
-let fail line msg = Error ("line " ^ string_of_int line ^ ": " ^ msg)
-
-let split_fields s =
-  String.split_on_char ' ' s
-  |> List.concat_map (String.split_on_char '\t')
-  |> List.filter (fun f -> f <> "")
-
-let lookup pairs key = List.assoc_opt key pairs
-
-let parse_pairs line fields =
-  let rec go acc = function
-    | [] -> Ok (List.rev acc)
-    | f :: rest -> (
-        match String.index_opt f '=' with
-        | None -> fail line ("expected key=value, got '" ^ f ^ "'")
-        | Some i ->
-            let k = String.sub f 0 i in
-            let v = String.sub f (i + 1) (String.length f - i - 1) in
-            go ((k, v) :: acc) rest)
-  in
-  go [] fields
-
-let parse_float line key pairs ~default =
-  match lookup pairs key with
-  | None -> (
-      match default with
-      | Some d -> Ok d
-      | None -> fail line ("missing " ^ key ^ "="))
-  | Some v -> (
-      match float_of_string_opt v with
-      | Some f -> Ok f
-      | None -> fail line ("bad float for " ^ key ^ ": '" ^ v ^ "'"))
-
-let parse_index line key pairs =
-  match lookup pairs key with
-  | None -> fail line ("missing " ^ key ^ "=")
-  | Some v -> (
-      match int_of_string_opt v with
-      | Some i when i >= 0 -> Ok i
-      | Some _ | None -> fail line ("bad index for " ^ key ^ ": '" ^ v ^ "'"))
+let event_keys = function
+  | "add-server" -> Some [ "at"; "drain"; "dual" ]
+  | "remove-server" -> Some [ "at"; "server"; "drain"; "dual" ]
+  | "add-replica" | "drop-replica" -> Some [ "at"; "shard" ]
+  | _ -> None
 
 let ( let* ) = Result.bind
 
-let parse_event line keyword fields =
-  let* pairs = parse_pairs line fields in
-  let* at_us = parse_float line "at" pairs ~default:None in
+let parse_event line keyword pairs =
+  let float key ~default = Fault.Syntax.float line key pairs ~default in
+  let index key = Fault.Syntax.index line key pairs ~default:None in
+  let* at_us = float "at" ~default:None in
   match keyword with
   | "add-server" ->
-      let* drain_us = parse_float line "drain" pairs ~default:(Some 2000.0) in
-      let* dual_us = parse_float line "dual" pairs ~default:(Some 10000.0) in
+      let* drain_us = float "drain" ~default:(Some 2000.0) in
+      let* dual_us = float "dual" ~default:(Some 10000.0) in
       Ok (Add_server { at_us; drain_us; dual_us })
   | "remove-server" ->
-      let* server = parse_index line "server" pairs in
-      let* drain_us = parse_float line "drain" pairs ~default:(Some 2000.0) in
-      let* dual_us = parse_float line "dual" pairs ~default:(Some 10000.0) in
+      let* server = index "server" in
+      let* drain_us = float "drain" ~default:(Some 2000.0) in
+      let* dual_us = float "dual" ~default:(Some 10000.0) in
       Ok (Remove_server { server; at_us; drain_us; dual_us })
   | "add-replica" ->
-      let* shard = parse_index line "shard" pairs in
+      let* shard = index "shard" in
       Ok (Add_replica { shard; at_us })
   | "drop-replica" ->
-      let* shard = parse_index line "shard" pairs in
+      let* shard = index "shard" in
       Ok (Drop_replica { shard; at_us })
-  | kw -> fail line ("unknown event '" ^ kw ^ "'")
+  | kw -> Fault.Syntax.fail line ("unknown event '" ^ kw ^ "'")
 
 let of_string ?(name = "custom") src =
-  let lines = String.split_on_char '\n' src in
-  let rec go n acc name = function
-    | [] -> Ok { name; events = List.rev acc }
-    | line :: rest -> (
-        let line =
-          match String.index_opt line '#' with
-          | Some i -> String.sub line 0 i
-          | None -> line
-        in
-        match split_fields line with
-        | [] -> go (n + 1) acc name rest
-        | [ "plan"; plan_name ] -> go (n + 1) acc plan_name rest
-        | keyword :: fields -> (
-            match parse_event n keyword fields with
-            | Ok ev -> go (n + 1) (ev :: acc) name rest
-            | Error _ as e -> e))
-  in
-  let* plan = go 1 [] name lines in
+  let* name, events = Fault.Syntax.parse ~name ~keys:event_keys ~event:parse_event src in
+  let plan = { name; events } in
   match validate plan with Ok () -> Ok plan | Error msg -> Error msg
 
 let of_file path =
@@ -227,7 +176,12 @@ let buf_kv b k f =
   Buffer.add_char b '=';
   f b
 
-let buf_float b v = Buffer.add_string b (string_of_float v)
+(* [string_of_float] keeps 12 significant digits; fall back to 17 (exact
+   for every double) when that would not read back as the same value. *)
+let buf_float b v =
+  let s = string_of_float v in
+  Buffer.add_string b
+    (if Float.equal (float_of_string s) v then s else Printf.sprintf "%.17g" v)
 let buf_int b i = Buffer.add_string b (string_of_int i)
 
 let to_string t =

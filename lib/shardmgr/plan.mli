@@ -58,7 +58,10 @@ val canned : string -> warmup_us:float -> duration_us:float -> t option
     server 1 leaves later), ["replica-cycle"]. *)
 
 val of_string : ?name:string -> string -> (t, string) result
+(** Parse the format above.  A key the event does not take, or a key
+    given twice, is an error naming it.  The result is validated. *)
+
 val of_file : string -> (t, string) result
 
 val to_string : t -> string
-(** Round-trips through {!of_string}. *)
+(** Round-trips through {!of_string}, every float exactly. *)

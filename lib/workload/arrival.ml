@@ -7,11 +7,11 @@ let validate = function
   | Poisson -> Ok ()
   | Diurnal { period_us; amplitude } ->
       if not (period_us > 0.0) then Error "diurnal period must be positive"
-      else if amplitude < 0.0 || amplitude >= 1.0 then
+      else if not (0.0 <= amplitude && amplitude < 1.0) then
         Error "diurnal amplitude out of [0, 1)"
       else Ok ()
   | Bursts { on_us; off_us; factor } ->
-      if not (on_us > 0.0) || off_us < 0.0 then Error "burst windows must be positive"
+      if not (on_us > 0.0 && off_us >= 0.0) then Error "burst windows must be positive"
       else if not (factor >= 0.0) then Error "burst factor must be >= 0"
       else Ok ()
 

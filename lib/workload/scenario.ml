@@ -32,7 +32,7 @@ let validate t =
       match Arrival.validate t.arrival with
       | Error _ as e -> e
       | Ok () ->
-          if t.scan_ratio < 0.0 || t.scan_ratio >= 1.0 then
+          if not (0.0 <= t.scan_ratio && t.scan_ratio < 1.0) then
             Error "scan_ratio out of [0, 1)"
           else if t.scan_len < 1 then Error "scan_len must be >= 1"
           else if (match t.ttl_us with Some x -> not (x > 0.0) | None -> false) then
@@ -153,6 +153,12 @@ let ms_to_us x = x *. 1000.0
 
 let opt_of_pos x = if x > 0.0 then Some x else None
 
+(* A knob whose value becomes an optional feature ([opt_of_pos]) must be
+   finite: NaN or infinity would silently switch the feature off. *)
+let finite_knob k v =
+  Result.bind (float_knob v) (fun f ->
+      if Float.is_finite f then Ok f else Error (Printf.sprintf "%s must be finite" k))
+
 let apply_knob t (k, v) =
   let ( let* ) = Result.bind in
   match String.lowercase_ascii k with
@@ -172,10 +178,10 @@ let apply_knob t (k, v) =
       let n_large = max 1 (i * t.spec.Spec.n_large_keys / max 1 t.spec.Spec.n_keys) in
       Ok { t with spec = { t.spec with Spec.n_keys = i; n_large_keys = n_large } }
   | "ttl_ms" ->
-      let* f = float_knob v in
+      let* f = finite_knob "ttl_ms" v in
       Ok { t with ttl_us = opt_of_pos (ms_to_us f) }
   | "sweep_ms" ->
-      let* f = float_knob v in
+      let* f = finite_knob "sweep_ms" v in
       Ok { t with sweep_us = opt_of_pos (ms_to_us f) }
   | "scan_ratio" ->
       let* f = float_knob v in
@@ -184,7 +190,7 @@ let apply_knob t (k, v) =
       let* i = int_knob v in
       Ok { t with scan_len = i }
   | "mem_fraction" ->
-      let* f = float_knob v in
+      let* f = finite_knob "mem_fraction" v in
       Ok { t with mem_fraction = (if f >= 1.0 then None else opt_of_pos f) }
   | "amplitude" -> (
       let* f = float_knob v in

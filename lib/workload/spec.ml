@@ -62,14 +62,16 @@ let percent_data_large t =
 
 let validate t =
   let err fmt = Printf.ksprintf (fun s -> Error s) fmt in
-  if t.p_large < 0.0 || t.p_large > 100.0 then err "p_large out of [0, 100]"
+  (* Every float range is written so that NaN fails it. *)
+  if not (0.0 <= t.p_large && t.p_large <= 100.0) then err "p_large out of [0, 100]"
   else if t.s_large_max < large_min then
     err "s_large_max %d below the large-class minimum %d" t.s_large_max large_min
-  else if t.get_ratio < 0.0 || t.get_ratio > 1.0 then err "get_ratio out of [0, 1]"
-  else if t.zipf_theta < 0.0 || t.zipf_theta >= 1.0 then err "zipf_theta out of [0, 1)"
+  else if not (0.0 <= t.get_ratio && t.get_ratio <= 1.0) then err "get_ratio out of [0, 1]"
+  else if not (0.0 <= t.zipf_theta && t.zipf_theta < 1.0) then
+    err "zipf_theta out of [0, 1)"
   else if t.n_large_keys < 0 || t.n_large_keys >= t.n_keys then
     err "need 0 <= n_large_keys < n_keys"
-  else if t.tiny_fraction < 0.0 || t.tiny_fraction > 1.0 then
+  else if not (0.0 <= t.tiny_fraction && t.tiny_fraction <= 1.0) then
     err "tiny_fraction out of [0, 1]"
   else if t.key_size < 1 then err "key_size must be positive"
   else Ok ()

@@ -145,6 +145,26 @@ let test_plan_kill_recover () =
           check bool "instant parsed" true (at_us = 500.0)
       | _ -> Alcotest.fail "unexpected event shapes")
 
+let test_plan_key_errors () =
+  (* A key the event does not take, or a key given twice, is refused by
+     name instead of being ignored or silently first-wins. *)
+  let refused src key =
+    match Fault.Plan.of_string src with
+    | Ok _ -> Alcotest.failf "accepted %S" src
+    | Error msg ->
+        let has sub =
+          let n = String.length sub and m = String.length msg in
+          let rec go i = i + n <= m && (String.sub msg i n = sub || go (i + 1)) in
+          go 0
+        in
+        check bool (Printf.sprintf "%S names %s" msg key) true (has ("'" ^ key ^ "'"))
+  in
+  refused "kill-server server=2 at=5 bogus=1" "bogus";
+  refused "kill-server server=2 at=5 at=6" "at";
+  refused "core-stall core=1 from=0 until=10 queue=2" "queue";
+  refused "net from=0 until=10 drop=0.1 drop=0.2" "drop";
+  refused "ctrl-delay from=0 until=10 mode=nan" "mode"
+
 (* ------------------------------------------------------------------ *)
 (* Inject: seeded determinism and window semantics *)
 
@@ -394,6 +414,19 @@ let test_chaos_trace_byte_identical () =
   check string "traces byte-identical" t1 t2;
   check bool "trace is non-trivial" true (String.length t1 > 1000)
 
+let test_chaos_check () =
+  (* The bench target's gate, at the bench's own (quick) scale, on the
+     three plans it names. *)
+  let cfg = Minos.Experiment.config_of_scale Minos.Experiment.quick_scale in
+  let t =
+    Minos.Chaos.run ~cfg ~seed:1 ~plans:[ "core-stall"; "loss10"; "overload" ] ()
+  in
+  (match Minos.Chaos.check t with
+  | Ok () -> ()
+  | Error msg -> Alcotest.failf "Minos.Chaos.check: %s" msg);
+  check bool "a run without the named plans is rejected" true
+    (Result.is_error (Minos.Chaos.check { t with Minos.Chaos.rows = [] }))
+
 let telescope (m : Kvserver.Metrics.t) =
   m.Kvserver.Metrics.served_total + m.Kvserver.Metrics.net_dropped
   + m.Kvserver.Metrics.rx_dropped + m.Kvserver.Metrics.shed_small
@@ -451,6 +484,7 @@ let () =
           Alcotest.test_case "parse forms" `Quick test_plan_parse_forms;
           Alcotest.test_case "kill/recover events" `Quick
             test_plan_kill_recover;
+          Alcotest.test_case "unknown and repeated keys" `Quick test_plan_key_errors;
         ] );
       ( "inject",
         [
@@ -488,5 +522,6 @@ let () =
           Alcotest.test_case "healthy runs lose nothing" `Quick
             test_healthy_runs_lose_nothing;
           Alcotest.test_case "per-plan loads" `Quick test_plan_load_scaling;
+          Alcotest.test_case "headline check" `Quick test_chaos_check;
         ] );
     ]

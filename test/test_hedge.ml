@@ -21,22 +21,25 @@ let dataset = Minos.Experiment.dataset_for workload
 (* 2 shards x 1 mirror (4 servers), 40 ms of simulated time: big enough
    for the kill window, the detector and the recovery to all land inside
    the measured region, small enough to keep the whole suite quick. *)
-let tiny ?(shards = 2) ?(mirrors = 1) ?(cores = 4) ?(sizeaware = true)
+let tiny ?(shards = 2) ?(mirrors = 1) ?(cores = 4) ?(design = Kvserver.Design.minos)
     ?(mode = Kvhedge.Config.Off) ?(route = Kvhedge.Config.Spread) ?detect_us ()
     =
   {
     Kvhedge.Config.default with
     Kvhedge.Config.shards;
     mirrors;
-    cores;
-    sizeaware;
+    design;
     mode;
     route;
     detect_us;
-    duration_us = 40_000.0;
-    warmup_us = 10_000.0;
-    epoch_us = 8_000.0;
-    window_us = 8_000.0;
+    server =
+      {
+        Kvserver.Config.default with
+        Kvserver.Config.cores;
+        duration_us = 40_000.0;
+        warmup_us = 10_000.0;
+        epoch_us = 8_000.0;
+      };
   }
 
 (* Kill the mirror of shard 0 (server 2 in the k * shards + s layout)
@@ -65,19 +68,32 @@ let test_config_validate () =
   in
   ok Kvhedge.Config.default;
   ok (tiny ());
+  ok (tiny ~design:Kvserver.Design.hkh ());
   bad { (tiny ()) with Kvhedge.Config.shards = 0 };
   bad { (tiny ()) with Kvhedge.Config.mirrors = -1 };
-  bad { (tiny ()) with Kvhedge.Config.cores = 1 }
-  (* size-aware needs a large and a small pool *);
-  ok { (tiny ~sizeaware:false ()) with Kvhedge.Config.cores = 1 };
+  bad (tiny ~cores:1 ()) (* the server config is validated too *);
   bad { (tiny ()) with Kvhedge.Config.hedge_delay_us = 0.0 };
   bad { (tiny ()) with Kvhedge.Config.hedge_quantile = 0.0 };
   bad { (tiny ()) with Kvhedge.Config.hedge_quantile = 1.5 };
   bad { (tiny ()) with Kvhedge.Config.min_delay_samples = 0 };
   bad { (tiny ()) with Kvhedge.Config.detect_us = Some (-1.0) };
-  bad { (tiny ()) with Kvhedge.Config.warmup_us = 40_000.0 };
-  bad { (tiny ()) with Kvhedge.Config.epoch_us = 0.0 };
-  bad { (tiny ()) with Kvhedge.Config.queue_capacity = Some 0 };
+  bad { (tiny ()) with Kvhedge.Config.detect_us = Some Float.nan };
+  let server = (tiny ()).Kvhedge.Config.server in
+  bad
+    {
+      (tiny ()) with
+      Kvhedge.Config.server = { server with Kvserver.Config.warmup_us = 40_000.0 };
+    };
+  bad
+    {
+      (tiny ()) with
+      Kvhedge.Config.server = { server with Kvserver.Config.epoch_us = 0.0 };
+    };
+  bad
+    {
+      (tiny ()) with
+      Kvhedge.Config.server = { server with Kvserver.Config.rx_capacity = Some 0 };
+    };
   bad { (tiny ()) with Kvhedge.Config.budget_capacity = -1.0 };
   check int "servers counts every replica" 4 (Kvhedge.Config.servers (tiny ()));
   check bool "unset detector scales with the measured window" true
@@ -104,7 +120,7 @@ let test_names_round_trip () =
 
 let test_telescoping_grid () =
   List.iter
-    (fun sizeaware ->
+    (fun design ->
       List.iter
         (fun mode ->
           List.iter
@@ -113,14 +129,16 @@ let test_telescoping_grid () =
                 (fun plan ->
                   let label =
                     Printf.sprintf "%s+%s+%s/%s"
-                      (if sizeaware then "sizeaware" else "keyhash")
+                      (Kvserver.Design.name design)
                       (Kvhedge.Config.mode_name mode)
                       (Kvhedge.Config.route_name route)
                       (match plan with None -> "none" | Some _ -> "kill")
                   in
-                  let m = run ?plan (tiny ~sizeaware ~mode ~route ()) in
+                  let m = run ?plan (tiny ~design ~mode ~route ()) in
                   check bool (label ^ ": telescopes") true
                     (Kvhedge.Metrics.telescopes m);
+                  check bool (label ^ ": engine ledgers telescope") true
+                    (Kvhedge.Metrics.engines_telescope m);
                   check bool (label ^ ": requests account") true
                     (Kvhedge.Metrics.requests_account m);
                   check bool (label ^ ": served work") true
@@ -139,7 +157,52 @@ let test_telescoping_grid () =
                 [ None; Some (kill ()) ])
             [ Kvhedge.Config.Spread; Kvhedge.Config.P2c ])
         [ Kvhedge.Config.Off; Kvhedge.Config.Hedged; Kvhedge.Config.Tied ])
-    [ true; false ]
+    [ Kvserver.Design.minos; Kvserver.Design.hkh ]
+
+(* The servers are real engines, so any registered design runs behind
+   the router; the grid above covers Minos and HKH, this covers SHO and
+   HKH+WS.  Under the kill plan both the router's copy ledger and every
+   engine's request ledger must telescope, and the killed server's
+   engine must have bounced arrivals off its dead NIC. *)
+let test_every_design_under_kill () =
+  List.iter
+    (fun design ->
+      List.iter
+        (fun mode ->
+          let label =
+            Kvserver.Design.name design ^ "+" ^ Kvhedge.Config.mode_name mode
+          in
+          let m = run ~plan:(kill ()) (tiny ~design ~mode ()) in
+          check bool (label ^ ": router ledger telescopes") true
+            (Kvhedge.Metrics.telescopes m);
+          check bool (label ^ ": engine ledgers telescope") true
+            (Kvhedge.Metrics.engines_telescope m);
+          check int (label ^ ": one engine per server") 4
+            (Array.length m.Kvhedge.Metrics.engines);
+          check bool (label ^ ": the killed server bounced arrivals") true
+            (m.Kvhedge.Metrics.engines.(2).Kvserver.Metrics.net_dropped > 0);
+          check bool (label ^ ": served work") true (m.Kvhedge.Metrics.served > 0))
+        [ Kvhedge.Config.Off; Kvhedge.Config.Hedged; Kvhedge.Config.Tied ])
+    [ Kvserver.Design.sho; Kvserver.Design.hkh_ws ]
+
+(* Overload: a shed watermark makes the engines refuse copies after the
+   router has submitted them (at classification, not on arrival); an
+   unhedged request whose only copy is shed fails, and every ledger
+   still telescopes. *)
+let test_shed_fails_request () =
+  let cfg = tiny () in
+  let server = { cfg.Kvhedge.Config.server with Kvserver.Config.shed_watermark = Some 2 } in
+  let m =
+    Kvhedge.Cluster.run
+      { cfg with Kvhedge.Config.server = server }
+      ~dataset ~offered_mops:12.0 ~seed:7 ()
+  in
+  check bool "copies shed" true (m.Kvhedge.Metrics.shed > 0);
+  check bool "shed requests fail" true (m.Kvhedge.Metrics.failed > 0);
+  check bool "telescopes" true (Kvhedge.Metrics.telescopes m);
+  check bool "engine ledgers telescope" true (Kvhedge.Metrics.engines_telescope m);
+  check bool "every request resolved once or pending" true
+    (Kvhedge.Metrics.requests_account m)
 
 let test_determinism () =
   let cfg = tiny ~mode:Kvhedge.Config.Hedged ~route:Kvhedge.Config.P2c () in
@@ -269,6 +332,9 @@ let test_experiment_grid () =
         (Kvhedge.Metrics.requests_account e.metrics))
     t1.Minos.Hedge.entries;
   check bool "hedge tax priced" true (t1.Minos.Hedge.hedge_tax >= 0.0);
+  (match Minos.Hedge.check t1 with
+  | Ok () -> ()
+  | Error msg -> Alcotest.failf "Minos.Hedge.check: %s" msg);
   check int "the canned crash kills the first mirror" t1.Minos.Hedge.shards
     t1.Minos.Hedge.killed_server;
   check bool "kill window inside the measured region" true
@@ -295,7 +361,11 @@ let () =
       ( "accounting",
         [
           Alcotest.test_case "telescoping grid" `Quick test_telescoping_grid;
+          Alcotest.test_case "every design under the kill plan" `Quick
+            test_every_design_under_kill;
           Alcotest.test_case "determinism" `Quick test_determinism;
+          Alcotest.test_case "a shed copy fails its request" `Quick
+            test_shed_fails_request;
         ] );
       ( "routing",
         [

@@ -255,6 +255,7 @@ let synthetic_metrics rate p99 =
     shed_small = 0;
     shed_large = 0;
     expired_misses = 0;
+    cancelled = 0;
     expired_keys = 0;
     evicted_keys = 0;
   }

@@ -307,6 +307,18 @@ let test_scenarios_telescope () =
       check bool "cold-tier evicts" true (m.Kvserver.Metrics.evicted_keys > 0))
     cold
 
+let test_scenarios_check () =
+  (* The bench target's gate, on the three scenarios it names. *)
+  let t =
+    Minos.Scenarios.run ~cfg:(quick_cfg ()) ~seed:1
+      ~names:[ "scan-heavy"; "cold-tier"; "ttl-churn" ] ()
+  in
+  (match Minos.Scenarios.check t with
+  | Ok () -> ()
+  | Error msg -> Alcotest.failf "Minos.Scenarios.check: %s" msg);
+  check bool "a run without the named scenarios is rejected" true
+    (Result.is_error (Minos.Scenarios.check { t with Minos.Scenarios.rows = [] }))
+
 let test_timed_trace_replay_deterministic () =
   (* A timed capture replayed through the engine must be reproducible,
      and must go down the recorded-pacing path (no Poisson draws). *)
@@ -327,6 +339,36 @@ let test_timed_trace_replay_deterministic () =
   let a = run () and b = run () in
   check bool "identical metrics" true (compare a b = 0);
   check bool "served requests" true (a.Kvserver.Metrics.served_total > 0)
+
+let test_nan_knobs_rejected () =
+  (* A NaN passes a [<]/[>] range test; every knob must still refuse it,
+     and the knobs that switch a feature off when non-positive must
+     refuse infinity too. *)
+  let refused s =
+    check bool (s ^ " refused") true (Result.is_error (Workload.Scenario.parse s))
+  in
+  List.iter
+    (fun (scenario, knob) -> refused (Printf.sprintf "%s,%s=nan" scenario knob))
+    [
+      ("default", "p_large");
+      ("default", "s_large");
+      ("default", "get_ratio");
+      ("default", "n_keys");
+      ("default", "ttl_ms");
+      ("default", "sweep_ms");
+      ("default", "scan_ratio");
+      ("default", "scan_len");
+      ("cold-tier", "mem_fraction");
+      ("diurnal", "amplitude");
+      ("diurnal", "period_ms");
+      ("bursts", "on_ms");
+      ("bursts", "off_ms");
+      ("bursts", "factor");
+    ];
+  List.iter refused
+    [ "default,ttl_ms=inf"; "default,sweep_ms=inf"; "cold-tier,mem_fraction=inf" ];
+  check bool "finite knobs still parse" true
+    (Result.is_ok (Workload.Scenario.parse "cold-tier,mem_fraction=0.5,ttl_ms=0"))
 
 let test_flat_refuses_extras () =
   (* The cluster, reshard and hedge drivers run only the flat mix; a
@@ -379,6 +421,8 @@ let () =
             test_scenarios_jobs_identical;
           Alcotest.test_case "telescoping + cold tier" `Quick
             test_scenarios_telescope;
+          Alcotest.test_case "suite check" `Quick test_scenarios_check;
+          Alcotest.test_case "nan knobs rejected" `Quick test_nan_knobs_rejected;
           Alcotest.test_case "timed replay deterministic" `Quick
             test_timed_trace_replay_deterministic;
         ] );

@@ -433,6 +433,61 @@ let test_put_master_spread () =
         Alcotest.failf "core %d receives %d of 10000 puts" i c)
     counts
 
+(* A caller-fed engine on a shared simulator: every submitted request
+   reports exactly one fate under its tag; a queued request cancelled
+   before it reaches a core retires unserved (the probe never sees it),
+   one cancelled mid-service has its reply suppressed, and the request
+   ledger telescopes with the cancelled leg. *)
+let test_caller_fed_cancel () =
+  let dataset = Workload.Dataset.create mini_spec in
+  let sim = Dsim.Sim.create ~seed:5 () in
+  let eng = Engine.attach sim mini_cfg dataset in
+  Engine.start eng (Design.make Design.hkh);
+  let n = 200 in
+  let fates = Array.make n None in
+  let started = Array.make n false in
+  let slots = Array.make n (-1) in
+  Engine.set_retire eng (fun tag fate ->
+      check bool "one fate per request" true (fates.(tag) = None);
+      fates.(tag) <- Some fate);
+  Engine.set_probe eng (fun ~core:_ req ->
+      let tag = Engine.tag eng req in
+      started.(tag) <- true;
+      (* cancel the first request while it is in service *)
+      if tag = 0 then Engine.cancel eng slots.(0));
+  for i = 0 to n - 1 do
+    slots.(i) <-
+      Engine.submit eng ~tag:i Cost_model.Get ~key_id:i
+        ~item_size:(Workload.Dataset.size_of_key dataset i) ~is_large:false ~scan_len:0
+  done;
+  (* the burst queues up behind the cores: withdraw the last ten *)
+  for i = n - 10 to n - 1 do
+    Engine.cancel eng slots.(i)
+  done;
+  Dsim.Sim.run sim ~until:mini_cfg.Config.duration_us;
+  let m = Engine.finish eng in
+  check int "every request submitted is issued" n m.Metrics.issued;
+  check int "cancelled leg" 11 m.Metrics.cancelled;
+  check bool "telescopes" true (Metrics.telescopes m);
+  check bool "in-service cancel: started, reply suppressed" true
+    (started.(0) && fates.(0) = Some Engine.Cancelled);
+  for i = n - 10 to n - 1 do
+    check bool "queued cancel: never started" false started.(i);
+    check bool "queued cancel: retired cancelled" true (fates.(i) = Some Engine.Cancelled)
+  done;
+  for i = 1 to n - 11 do
+    check bool "the rest are served" true (fates.(i) = Some Engine.Served)
+  done;
+  check bool "an engine with its own arrivals refuses submit" true
+    (let gen = Workload.Generator.create dataset in
+     let own = Engine.create mini_cfg gen ~offered_mops:1.0 in
+     match
+       Engine.submit own ~tag:0 Cost_model.Get ~key_id:0 ~item_size:1 ~is_large:false
+         ~scan_len:0
+     with
+     | exception Invalid_argument _ -> true
+     | _ -> false)
+
 let test_size_aware_execution_invariant () =
   (* THE invariant, observed directly: once the control loop is running,
      requests above the live threshold execute on large cores and requests
@@ -590,6 +645,7 @@ let () =
             test_standby_acts_as_large_core;
           Alcotest.test_case "size-aware execution invariant" `Slow
             test_size_aware_execution_invariant;
+          Alcotest.test_case "caller-fed submit and cancel" `Quick test_caller_fed_cancel;
         ] );
       ( "designs",
         [

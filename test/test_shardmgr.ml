@@ -77,7 +77,100 @@ let test_plan_parse_errors () =
       (* missing server= *)
       "add-replica at=10";
       (* missing shard= *)
+      "add-server at=10 bogus=1";
+      "add-replica shard=0 at=5 at=6";
+      "drop-replica shard=0 at=5 server=1";
     ]
+
+(* ------------------------------------------------------------------ *)
+(* Parser fuzzing: mutated canned inputs never raise, and generated
+   plans round-trip through the textual format exactly. *)
+
+let qsuite tests = List.map (fun t -> QCheck_alcotest.to_alcotest t) tests
+
+let alphabet = "=*,. \t\n#-+_:eEinfaxqd0123456789"
+
+(* One edit at a position folded into the string: delete, insert,
+   replace, or duplicate a short run elsewhere. *)
+let edit s (pos, kind, c) =
+  let n = String.length s in
+  let p = pos mod (n + 1) in
+  match kind with
+  | 0 when p < n -> String.sub s 0 p ^ String.sub s (p + 1) (n - p - 1)
+  | 2 when p < n -> String.sub s 0 p ^ String.make 1 c ^ String.sub s (p + 1) (n - p - 1)
+  | 3 ->
+      let run = String.sub s p (min 8 (n - p)) in
+      let q = pos * 7 mod (n + 1) in
+      String.sub s 0 q ^ run ^ String.sub s q (n - q)
+  | _ -> String.sub s 0 p ^ String.make 1 c ^ String.sub s p (n - p)
+
+let mutated bases =
+  let open QCheck.Gen in
+  let chars = List.init (String.length alphabet) (String.get alphabet) in
+  QCheck.make ~print:(Printf.sprintf "%S")
+    ( oneofl bases >>= fun base ->
+      list_size (int_range 1 6) (triple (int_bound 4096) (int_bound 3) (oneofl chars))
+      >|= List.fold_left edit base )
+
+let never_raises name bases parse =
+  QCheck.Test.make ~name ~count:500 (mutated bases) (fun s ->
+      match parse s with Ok _ | Error _ -> true | exception e ->
+        QCheck.Test.fail_reportf "%S raised %s" s (Printexc.to_string e))
+
+let fault_bases =
+  List.filter_map
+    (fun name ->
+      Option.map Fault.Plan.to_string
+        (Fault.Plan.canned name ~cores:8 ~warmup_us:20_000.0 ~duration_us:120_000.0))
+    Fault.Plan.canned_names
+
+let shard_bases = List.map (fun name -> Shardmgr.Plan.to_string (canned name)) Shardmgr.Plan.canned_names
+
+let scenario_bases =
+  [
+    "default,p_large=2.5,get_ratio=0.9";
+    "cold-tier,mem_fraction=0.5,ttl_ms=10";
+    "diurnal,amplitude=0.3,period_ms=50";
+    "bursts,on_ms=5,off_ms=20,factor=3";
+    "ttl-churn,ttl_ms=10,sweep_ms=5";
+    "scan-heavy,scan_ratio=0.1,scan_len=32,n_keys=1000";
+  ]
+
+let plan_gen =
+  let open QCheck.Gen in
+  let time = float_range 0.0 1e6 in
+  let index = int_bound 8 in
+  let event =
+    oneof
+      [
+        map3 (fun at_us drain_us dual_us -> Shardmgr.Plan.Add_server { at_us; drain_us; dual_us })
+          time time time;
+        map3
+          (fun server at_us (drain_us, dual_us) ->
+            Shardmgr.Plan.Remove_server { server; at_us; drain_us; dual_us })
+          index time (pair time time);
+        map2 (fun shard at_us -> Shardmgr.Plan.Add_replica { shard; at_us }) index time;
+        map2 (fun shard at_us -> Shardmgr.Plan.Drop_replica { shard; at_us }) index time;
+      ]
+  in
+  list_size (int_range 0 4) event >|= fun events -> { Shardmgr.Plan.name = "gen"; events }
+
+let round_trip =
+  QCheck.Test.make ~name:"Shardmgr.Plan.of_string (to_string p) = p" ~count:500
+    (QCheck.make ~print:Shardmgr.Plan.to_string plan_gen) (fun p ->
+      QCheck.assume (Shardmgr.Plan.validate p = Ok ());
+      match Shardmgr.Plan.of_string (Shardmgr.Plan.to_string p) with
+      | Ok p' -> compare p p' = 0
+      | Error e -> QCheck.Test.fail_reportf "re-parse failed: %s" e)
+
+let fuzz_tests =
+  [
+    never_raises "Fault.Plan.of_string never raises" fault_bases (fun s -> Fault.Plan.of_string s);
+    never_raises "Shardmgr.Plan.of_string never raises" shard_bases (fun s ->
+        Shardmgr.Plan.of_string s);
+    never_raises "Workload.Scenario.parse never raises" scenario_bases Workload.Scenario.parse;
+    round_trip;
+  ]
 
 (* ------------------------------------------------------------------ *)
 (* Table *)
@@ -438,6 +531,7 @@ let () =
             test_plan_rejects_overlapping_windows;
           Alcotest.test_case "parse errors" `Quick test_plan_parse_errors;
         ] );
+      ("parse fuzz", qsuite fuzz_tests);
       ( "table",
         [
           Alcotest.test_case "impossible steps rejected" `Quick
