@@ -163,10 +163,11 @@ let run_micro () =
     rows
 
 (* ------------------------------------------------------------------ *)
-(* Hot-path performance profile.  Three numbers the CI perf step tracks:
-   heap ns per add+pop, simulator events/sec and minor words allocated per
-   simulated request, plus the wall-clock of one figure sweep.  Written to
-   BENCH_perf.json so runs can be compared across commits. *)
+(* Hot-path performance profile: heap ns per add+pop, simulator
+   events/sec and minor words allocated per simulated request, plus the
+   wall-clock of one figure sweep.  Written to BENCH_perf.json so runs can
+   be compared across commits; [perf_gate] fails the run when one of the
+   first three leaves its bound. *)
 
 let perf_heap_ns () =
   let heap = Dsim.Heap.create ~dummy:() () in
@@ -203,35 +204,9 @@ let perf_wheel_ns () =
   1e9 *. (Unix.gettimeofday () -. t0) /. float_of_int iters
 
 (* One Minos run at a fixed 4 Mops on the default workload, instrumented
-   for allocation rate and event throughput. *)
-let perf_sim () =
-  let cfg = Minos.Experiment.config_of_scale scale in
-  let spec = Workload.Spec.default in
-  let dataset = Minos.Experiment.dataset_for spec in
-  let gen =
-    Workload.Generator.create ~seed:101 ~p_large:spec.Workload.Spec.p_large
-      ~get_ratio:spec.Workload.Spec.get_ratio dataset
-  in
-  let eng = Kvserver.Engine.create cfg gen ~offered_mops:4.0 in
-  let minor0 = Gc.minor_words () in
-  let t0 = Unix.gettimeofday () in
-  let m = Kvserver.Engine.run eng (Minos.Experiment.maker Kvserver.Design.minos) in
-  let dt = Unix.gettimeofday () -. t0 in
-  let minor = Gc.minor_words () -. minor0 in
-  let events = Dsim.Sim.events_processed (Kvserver.Engine.sim eng) in
-  let issued = m.Kvserver.Metrics.issued in
-  ( float_of_int events /. dt,
-    minor /. float_of_int (max 1 issued),
-    events, issued )
-
-(* ------------------------------------------------------------------ *)
-(* Flight-recorder overhead: the same fixed-load Minos run as [perf_sim],
-   once without an instrument and once fully sampled.  The "off" numbers
-   price merely compiling the hooks in (CI compares them against a fresh
-   BENCH_perf.json: <= 2 extra minor words/request, <= 3% events/sec);
-   the "on" numbers price actual recording.  Written to BENCH_obs.json. *)
-
-let obs_run ?obs () =
+   for allocation rate and event throughput; [obs] attaches a flight
+   recorder (the recorder-overhead comparison). *)
+let perf_sim ?obs () =
   let cfg = Minos.Experiment.config_of_scale scale in
   let spec = Workload.Spec.default in
   let dataset = Minos.Experiment.dataset_for spec in
@@ -247,16 +222,25 @@ let obs_run ?obs () =
   let minor = Gc.minor_words () -. minor0 in
   let events = Dsim.Sim.events_processed (Kvserver.Engine.sim eng) in
   let issued = m.Kvserver.Metrics.issued in
-  (float_of_int events /. dt, minor /. float_of_int (max 1 issued))
+  ( float_of_int events /. dt,
+    minor /. float_of_int (max 1 issued),
+    events, issued )
+
+(* ------------------------------------------------------------------ *)
+(* Flight-recorder overhead: the fixed-load [perf_sim] run, once without
+   an instrument and once fully sampled.  The "off" numbers price merely
+   compiling the hooks in (CI compares them against a fresh
+   BENCH_perf.json: <= 2 extra minor words/request, <= 3% events/sec);
+   the "on" numbers price actual recording.  Written to BENCH_obs.json. *)
 
 let run_obs () =
   Minos.Report.section "Flight-recorder overhead (recorder off vs on)";
   let cfg = Minos.Experiment.config_of_scale scale in
-  let ev_off, w_off = obs_run () in
+  let ev_off, w_off, _, _ = perf_sim () in
   let obs =
     Obs.Instrument.create ~spans:65536 ~cores:cfg.Kvserver.Config.cores ~seed:1 ()
   in
-  let ev_on, w_on = obs_run ~obs () in
+  let ev_on, w_on, _, _ = perf_sim ~obs () in
   let recorded = Obs.Recorder.recorded obs.Obs.Instrument.recorder in
   Minos.Report.table ~title:"recorder cost"
     ~headers:[ "metric"; "obs off"; "obs on"; "delta" ]
@@ -275,19 +259,17 @@ let run_obs () =
       ];
     ];
   Minos.Report.note "%d spans recorded while on" recorded;
-  let oc = open_out "BENCH_obs.json" in
-  Printf.fprintf oc
-    {|{
-  "quick": %b,
-  "events_per_sec_off": %.0f,
-  "events_per_sec_on": %.0f,
-  "minor_words_per_request_off": %.2f,
-  "minor_words_per_request_on": %.2f,
-  "spans_recorded": %d
-}
-|}
-    quick ev_off ev_on w_off w_on recorded;
-  close_out oc;
+  Obs.Json.(
+    to_file "BENCH_obs.json"
+      (Obj
+         [
+           ("quick", Bool quick);
+           ("events_per_sec_off", Float ev_off);
+           ("events_per_sec_on", Float ev_on);
+           ("minor_words_per_request_off", Float w_off);
+           ("minor_words_per_request_on", Float w_on);
+           ("spans_recorded", Int recorded);
+         ]));
   Printf.printf "[recorder overhead written to BENCH_obs.json]\n%!"
 
 (* ------------------------------------------------------------------ *)
@@ -360,6 +342,32 @@ let enforce target = function
       Printf.eprintf "%s check FAILED: %s\n%!" target msg;
       exit 1
 
+(* Write a target's run record to BENCH_<target>.json, then gate on its
+   check.  [noun] keeps each target's historical stdout line. *)
+let record ?noun target json verdict =
+  let file = "BENCH_" ^ target ^ ".json" in
+  Obs.Json.to_file file json;
+  Printf.printf "[%s results written to %s]\n%!" (Option.value noun ~default:target) file;
+  enforce target verdict
+
+(* The perf-smoke gate.  Two deterministic bounds (the sim is seeded, so
+   allocation and event counts are exact) plus a wide absolute throughput
+   floor that catches order-of-magnitude collapses without flaking on
+   runner hardware. *)
+let perf_gate ~words_per_req ~events ~issued ~events_per_sec =
+  let ev_per_req = float_of_int events /. float_of_int (max 1 issued) in
+  Printf.printf
+    "perf gate: %.1f words/request (<= 80), %.2f events/request (<= 4.5), %.0f events/sec (>= 1M)\n%!"
+    words_per_req ev_per_req events_per_sec;
+  Minos.Report.verdict
+    [
+      (words_per_req <= 80.0, Printf.sprintf "%.1f minor words/request (gate: 80)" words_per_req);
+      ( ev_per_req <= 4.5,
+        Printf.sprintf "%.2f events/request (gate: 4.5) — extra per-request events crept in"
+          ev_per_req );
+      (events_per_sec >= 1e6, Printf.sprintf "%.0f dsim events/sec (floor: 1M)" events_per_sec);
+    ]
+
 (* Chaos harness: every canned fault plan against the guarded Minos, the
    plain Minos and HKH+WS.  [Minos.Chaos.check] gates the run: for the
    core-stall and loss plans the guarded p99 must beat the unguarded one,
@@ -370,11 +378,7 @@ let run_chaos () =
   let cfg = Minos.Experiment.config_of_scale scale in
   let t = Minos.Chaos.run ~cfg ~seed:1 () in
   Minos.Chaos.print t;
-  let oc = open_out "BENCH_chaos.json" in
-  output_string oc (Minos.Chaos.to_json t);
-  close_out oc;
-  Printf.printf "[chaos results written to BENCH_chaos.json]\n%!";
-  enforce "chaos" (Minos.Chaos.check t)
+  record "chaos" (Minos.Chaos.to_json t) (Minos.Chaos.check t)
 
 (* Cluster scale-out: 4 shard servers behind the client-side router,
    size-aware Minos vs the keyhash baseline at the same offered load.
@@ -391,11 +395,7 @@ let run_cluster () =
       ~offered_mops:8.0
   in
   Minos.Cluster.print t;
-  let oc = open_out "BENCH_cluster.json" in
-  output_string oc (Minos.Cluster.to_json t);
-  close_out oc;
-  Printf.printf "[cluster results written to BENCH_cluster.json]\n%!";
-  enforce "cluster" (Minos.Cluster.check t)
+  record "cluster" (Minos.Cluster.to_json t) (Minos.Cluster.check t)
 
 (* Elastic resharding: the add-remove plan (a server joins mid-run, then
    server 1 drains out) against a 4-shard cluster at 8 Mops, size-aware
@@ -424,11 +424,7 @@ let run_reshard () =
       ~offered_mops:8.0 ()
   in
   Minos.Reshard.print t;
-  let oc = open_out "BENCH_reshard.json" in
-  output_string oc (Minos.Reshard.to_json t);
-  close_out oc;
-  Printf.printf "[reshard results written to BENCH_reshard.json]\n%!";
-  enforce "reshard" (Minos.Reshard.check t)
+  record "reshard" (Minos.Reshard.to_json t) (Minos.Reshard.check t)
 
 (* Scenario suite: every registry scenario beyond the paper's static
    Poisson mix — diurnal ramps, bursts, TTL churn, scan-heavy, and the
@@ -444,11 +440,7 @@ let run_scenarios () =
   let cfg = Minos.Experiment.config_of_scale scale in
   let t = Minos.Scenarios.run ~cfg ~seed:1 () in
   Minos.Scenarios.print t;
-  let oc = open_out "BENCH_scenarios.json" in
-  output_string oc (Minos.Scenarios.to_json t);
-  close_out oc;
-  Printf.printf "[scenario results written to BENCH_scenarios.json]\n%!";
-  enforce "scenarios" (Minos.Scenarios.check t)
+  record ~noun:"scenario" "scenarios" (Minos.Scenarios.to_json t) (Minos.Scenarios.check t)
 
 (* Replica-aware tail-cutting: the hedged/tied/unhedged variant grid
    against a 4-shard, 1-mirror cluster of engines at 8 Mops, fault-free
@@ -467,11 +459,7 @@ let run_hedge () =
       ~seed:1 ~offered_mops:8.0 ()
   in
   Minos.Hedge.print t;
-  let oc = open_out "BENCH_hedge.json" in
-  output_string oc (Minos.Hedge.to_json t);
-  close_out oc;
-  Printf.printf "[hedge results written to BENCH_hedge.json]\n%!";
-  enforce "hedge" (Minos.Hedge.check t)
+  record "hedge" (Minos.Hedge.to_json t) (Minos.Hedge.check t)
 
 let targets : (string * string * (unit -> unit)) list =
   [
@@ -548,25 +536,23 @@ let run_perf sweep_target =
       [ "minor words/request"; Printf.sprintf "%.1f" words_per_req ];
       [ sweep_target ^ " sweep seconds"; Printf.sprintf "%.2f" sweep_s ];
     ];
-  let oc = open_out "BENCH_perf.json" in
-  Printf.fprintf oc
-    {|{
-  "quick": %b,
-  "jobs": %d,
-  "heap_add_pop_ns": %.2f,
-  "wheel_add_pop_ns": %.2f,
-  "dsim_events_per_sec": %.0f,
-  "minor_words_per_request": %.2f,
-  "sim_events": %d,
-  "sim_issued": %d,
-  "sweep_target": %S,
-  "sweep_seconds": %.3f
-}
-|}
-    quick (Minos.Par.jobs ()) heap_ns wheel_ns events_per_sec words_per_req events
-    issued sweep_target sweep_s;
-  close_out oc;
-  Printf.printf "[perf profile written to BENCH_perf.json]\n%!"
+  Obs.Json.(
+    to_file "BENCH_perf.json"
+      (Obj
+         [
+           ("quick", Bool quick);
+           ("jobs", Int (Minos.Par.jobs ()));
+           ("heap_add_pop_ns", Float heap_ns);
+           ("wheel_add_pop_ns", Float wheel_ns);
+           ("dsim_events_per_sec", Float events_per_sec);
+           ("minor_words_per_request", Float words_per_req);
+           ("sim_events", Int events);
+           ("sim_issued", Int issued);
+           ("sweep_target", String sweep_target);
+           ("sweep_seconds", Float sweep_s);
+         ]));
+  Printf.printf "[perf profile written to BENCH_perf.json]\n%!";
+  enforce "perf" (perf_gate ~words_per_req ~events ~issued ~events_per_sec)
 
 let usage () =
   print_endline "usage: bench/main.exe [target ...]   (default: all targets)";
@@ -574,7 +560,7 @@ let usage () =
   print_endline
     "  perf measures heap ns/op, dsim events/sec, minor words/request and";
   print_endline
-    "  the wall-clock of one sweep (default fig3); writes BENCH_perf.json.";
+    "  the wall-clock of one sweep (default fig3); writes BENCH_perf.json, exits 1 past a gate.";
   print_endline "targets:";
   List.iter (fun (name, doc, _) -> Printf.printf "  %-20s %s\n" name doc) targets
 

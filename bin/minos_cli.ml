@@ -670,9 +670,7 @@ let chaos_cmd =
     match json with
     | None -> ()
     | Some file ->
-        let oc = open_out file in
-        output_string oc (Minos.Chaos.to_json t);
-        close_out oc;
+        Obs.Json.to_file file (Minos.Chaos.to_json t);
         Printf.printf "[chaos results written to %s]\n%!" file
   in
   Cmd.v
@@ -775,9 +773,7 @@ let cluster_cmd =
     match json with
     | None -> ()
     | Some file ->
-        let oc = open_out file in
-        output_string oc (Minos.Cluster.to_json t);
-        close_out oc;
+        Obs.Json.to_file file (Minos.Cluster.to_json t);
         Printf.printf "[cluster results written to %s]\n%!" file
   in
   Cmd.v
@@ -921,9 +917,7 @@ let reshard_cmd =
     match json with
     | None -> ()
     | Some file ->
-        let oc = open_out file in
-        output_string oc (Minos.Reshard.to_json t);
-        close_out oc;
+        Obs.Json.to_file file (Minos.Reshard.to_json t);
         Printf.printf "[reshard results written to %s]\n%!" file
   in
   Cmd.v
@@ -1029,9 +1023,7 @@ let hedge_cmd =
     match json with
     | None -> ()
     | Some file ->
-        let oc = open_out file in
-        output_string oc (Minos.Hedge.to_json t);
-        close_out oc;
+        Obs.Json.to_file file (Minos.Hedge.to_json t);
         Printf.printf "[hedge results written to %s]\n%!" file
   in
   Cmd.v
@@ -1110,9 +1102,7 @@ let scenarios_cmd =
     match json with
     | None -> ()
     | Some file ->
-        let oc = open_out file in
-        output_string oc (Minos.Scenarios.to_json t);
-        close_out oc;
+        Obs.Json.to_file file (Minos.Scenarios.to_json t);
         Printf.printf "[scenario results written to %s]\n%!" file
   in
   Cmd.v

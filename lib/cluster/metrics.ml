@@ -1,14 +1,7 @@
 type t = {
   per_shard : Kvserver.Metrics.t array;
   shard_share : float array;
-  issued : int;
-  served_total : int;
-  net_dropped : int;
-  rx_dropped : int;
-  shed_small : int;
-  shed_large : int;
-  expired_misses : int;
-  in_flight_end : int;
+  ledger : Obs.Ledger.t;
   throughput_mops : float;
   mean_us : float;
   p50_us : float;
@@ -25,7 +18,6 @@ let aggregate ~shard_share results =
   if Array.length shard_share <> n then
     invalid_arg "Cluster metrics: share/results length mismatch";
   let per_shard = Array.map fst results in
-  let sum f = Array.fold_left (fun acc m -> acc + f m) 0 per_shard in
   let sumf f = Array.fold_left (fun acc m -> acc +. f m) 0.0 per_shard in
   let union = Stats.Float_vec.create () in
   Array.iter (fun (_, lat) -> Stats.Float_vec.append union lat) results;
@@ -52,14 +44,7 @@ let aggregate ~shard_share results =
   {
     per_shard;
     shard_share = Array.copy shard_share;
-    issued = sum (fun m -> m.Kvserver.Metrics.issued);
-    served_total = sum (fun m -> m.Kvserver.Metrics.served_total);
-    net_dropped = sum (fun m -> m.Kvserver.Metrics.net_dropped);
-    rx_dropped = sum (fun m -> m.Kvserver.Metrics.rx_dropped);
-    shed_small = sum (fun m -> m.Kvserver.Metrics.shed_small);
-    shed_large = sum (fun m -> m.Kvserver.Metrics.shed_large);
-    expired_misses = sum (fun m -> m.Kvserver.Metrics.expired_misses);
-    in_flight_end = sum (fun m -> m.Kvserver.Metrics.in_flight_end);
+    ledger = Obs.Ledger.merge (Array.to_list (Array.map Kvserver.Metrics.ledger per_shard));
     throughput_mops = sumf (fun m -> m.Kvserver.Metrics.throughput_mops);
     mean_us =
       (if Stats.Float_vec.length union = 0 then Float.nan
@@ -73,8 +58,12 @@ let aggregate ~shard_share results =
       Array.for_all (fun (m : Kvserver.Metrics.t) -> m.Kvserver.Metrics.stable) per_shard;
   }
 
-let telescopes t =
-  t.issued
-  = t.served_total + t.net_dropped + t.rx_dropped + t.shed_small + t.shed_large
-    + t.expired_misses + t.in_flight_end
-  && Array.for_all Kvserver.Metrics.telescopes t.per_shard
+let check t =
+  let rec shard s =
+    if s = Array.length t.per_shard then Ok ()
+    else
+      match Obs.Ledger.check (Kvserver.Metrics.ledger t.per_shard.(s)) with
+      | Ok () -> shard (s + 1)
+      | Error gap -> Error ("shard " ^ string_of_int s ^ ": " ^ gap)
+  in
+  shard 0

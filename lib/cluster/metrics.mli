@@ -3,26 +3,15 @@
     Cluster-level quantiles come from the union of the shards' raw
     latency samples (each shard contributes in proportion to the traffic
     it actually served, so the union is the client-observed single-key
-    distribution).  Loss accounting sums the per-shard counters, and
-    because every {!Kvserver.Metrics.t} telescopes exactly, so does the
-    cluster total:
-
-    [issued = served_total + net_dropped + rx_dropped + shed_small
-            + shed_large + expired_misses + in_flight_end]
-
-    summed over shards — checked by {!telescopes}. *)
+    distribution).  The cluster's fate ledger is the merge of the
+    shards' {!Kvserver.Metrics.ledger}s, so it telescopes whenever
+    every shard's does; {!check} checks each shard, so gaps of opposite
+    sign on two shards cannot cancel in the merge. *)
 
 type t = {
   per_shard : Kvserver.Metrics.t array;
   shard_share : float array;  (** routed traffic fraction per shard *)
-  issued : int;
-  served_total : int;
-  net_dropped : int;
-  rx_dropped : int;
-  shed_small : int;
-  shed_large : int;
-  expired_misses : int;
-  in_flight_end : int;
+  ledger : Obs.Ledger.t;      (** {!Obs.Ledger.merge} of the shard ledgers *)
   throughput_mops : float;    (** sum of per-shard throughputs *)
   mean_us : float;
   p50_us : float;
@@ -41,6 +30,6 @@ val aggregate :
     latency vectors (as returned by the per-shard engine runs).  The
     latency vectors are only read, not retained. *)
 
-val telescopes : t -> bool
-(** Exact cluster-wide loss accounting, and per shard
-    ({!Kvserver.Metrics.telescopes}). *)
+val check : t -> (unit, string) result
+(** {!Obs.Ledger.check} of every shard's ledger; the first error is
+    prefixed ["shard s: "]. *)

@@ -94,8 +94,7 @@ let check t =
     | Some g, Some u ->
         let gp = g.metrics.Kvserver.Metrics.p99_us and up = u.metrics.Kvserver.Metrics.p99_us in
         ( gp < up,
-          Printf.sprintf "%s: guarded p99 %s not better than plain %s" plan
-            (Report.json_float gp) (Report.json_float up) )
+          Printf.sprintf "%s: guarded p99 %.3f not better than plain %.3f" plan gp up )
     | _ -> (false, plan ^ ": no Minos+guard and Minos rows")
   in
   let overload =
@@ -111,12 +110,12 @@ let check t =
   Report.verdict
     ([ guarded_beats_plain "core-stall"; guarded_beats_plain "loss10" ] @ overload)
 
+let plan_names t =
+  List.fold_left
+    (fun acc r -> if List.mem r.plan acc then acc else acc @ [ r.plan ])
+    [] t.rows
+
 let print t =
-  let plans =
-    List.fold_left
-      (fun acc r -> if List.mem r.plan acc then acc else acc @ [ r.plan ])
-      [] t.rows
-  in
   List.iter
     (fun plan ->
       Report.section ("Chaos: " ^ plan ^ " (seed " ^ string_of_int t.seed ^ ")");
@@ -136,7 +135,7 @@ let print t =
                  Report.pct (Kvserver.Metrics.goodput_fraction m);
                  string_of_int (Kvserver.Metrics.shed_total m);
                  string_of_int
-                   (m.Kvserver.Metrics.net_dropped + m.Kvserver.Metrics.rx_dropped);
+                   (Obs.Ledger.sum (Kvserver.Metrics.ledger m) [ "net_dropped"; "rx_dropped" ]);
                  (if m.Kvserver.Metrics.stable then "yes" else "no");
                ])
       in
@@ -145,49 +144,28 @@ let print t =
           [ "variant"; "p50 us"; "p99 us"; "tput Mops"; "goodput"; "shed"; "dropped";
             "stable" ]
         rows)
-    plans
+    (plan_names t)
 
 let to_json t =
-  let b = Buffer.create 4096 in
-  let fl = Report.json_float in
-  Buffer.add_string b "{\n";
-  Buffer.add_string b (Printf.sprintf "  \"seed\": %d,\n" t.seed);
-  Buffer.add_string b "  \"plans\": {\n";
-  let plans =
-    List.fold_left
-      (fun acc r -> if List.mem r.plan acc then acc else acc @ [ r.plan ])
-      [] t.rows
+  let row r =
+    let m = r.metrics in
+    ( r.label,
+      Obs.Json.(
+        Obj
+          [
+            ("p99_us", Float m.Kvserver.Metrics.p99_us);
+            ("p50_us", Float m.Kvserver.Metrics.p50_us);
+            ("throughput_mops", Float m.Kvserver.Metrics.throughput_mops);
+            ("goodput", Float (Kvserver.Metrics.goodput_fraction m));
+            ("stable", Bool m.Kvserver.Metrics.stable);
+            ("ledger", Obs.Ledger.to_json (Kvserver.Metrics.ledger m));
+          ]) )
   in
-  List.iteri
-    (fun pi plan ->
-      Buffer.add_string b (Printf.sprintf "    %s: {\n" (Report.json_string plan));
-      let rows = List.filter (fun r -> r.plan = plan) t.rows in
-      (match rows with
-      | r :: _ ->
-          Buffer.add_string b
-            (Printf.sprintf "      \"offered_mops\": %s,\n" (fl r.offered_mops))
-      | [] -> ());
-      List.iteri
-        (fun ri r ->
-          let m = r.metrics in
-          Buffer.add_string b
-            (Printf.sprintf
-               "      %s: {\"p99_us\": %s, \"p50_us\": %s, \
-                \"throughput_mops\": %s, \"goodput\": %s, \"served\": %d, \
-                \"shed_small\": %d, \"shed_large\": %d, \"net_dropped\": %d, \
-                \"rx_dropped\": %d, \"stable\": %b}%s\n"
-               (Report.json_string r.label)
-               (fl m.Kvserver.Metrics.p99_us)
-               (fl m.Kvserver.Metrics.p50_us)
-               (fl m.Kvserver.Metrics.throughput_mops)
-               (fl (Kvserver.Metrics.goodput_fraction m))
-               m.Kvserver.Metrics.served_total m.Kvserver.Metrics.shed_small
-               m.Kvserver.Metrics.shed_large m.Kvserver.Metrics.net_dropped
-               m.Kvserver.Metrics.rx_dropped m.Kvserver.Metrics.stable
-               (if ri = List.length rows - 1 then "" else ",")))
-        rows;
-      Buffer.add_string b
-        (Printf.sprintf "    }%s\n" (if pi = List.length plans - 1 then "" else ",")))
-    plans;
-  Buffer.add_string b "  }\n}\n";
-  Buffer.contents b
+  let plan name =
+    let rows = List.filter (fun r -> r.plan = name) t.rows in
+    let offered =
+      match rows with r :: _ -> [ ("offered_mops", Obs.Json.Float r.offered_mops) ] | [] -> []
+    in
+    (name, Obs.Json.Obj (offered @ List.map row rows))
+  in
+  Obs.Json.(Obj [ ("seed", Int t.seed); ("plans", Obj (List.map plan (plan_names t))) ])

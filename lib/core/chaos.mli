@@ -72,6 +72,7 @@ val check : t -> (unit, string) result
 val print : t -> unit
 (** Render as report tables, one per plan. *)
 
-val to_json : t -> string
+val to_json : t -> Obs.Json.t
 (** The BENCH_chaos.json payload: per plan and variant, p99 / throughput /
-    goodput / loss counters, plus the seed for rerun verification. *)
+    goodput and the run's ["ledger"], plus the seed for rerun
+    verification. *)

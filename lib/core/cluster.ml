@@ -71,20 +71,19 @@ let check t =
     | a :: (b :: _ as rest) -> b >= a && monotone rest
     | _ -> true
   in
-  let fan_str = String.concat ", " (List.map Report.json_float fan) in
+  let fan_str = String.concat ", " (List.map (Printf.sprintf "%.3f") fan) in
   Report.verdict
     ([
-       ( Kvcluster.Metrics.telescopes m && Kvcluster.Metrics.telescopes b,
-         "cluster loss accounting broken" );
+       Report.ledger_claim "main" (Kvcluster.Metrics.check m);
+       Report.ledger_claim "baseline" (Kvcluster.Metrics.check b);
      ]
     @ Array.to_list
         (Array.mapi
            (fun s (ms : Kvserver.Metrics.t) ->
              let bs = b.Kvcluster.Metrics.per_shard.(s) in
              ( ms.Kvserver.Metrics.p99_us < bs.Kvserver.Metrics.p99_us,
-               Printf.sprintf "shard %d: minos p99 %s not below keyhash %s" s
-                 (Report.json_float ms.Kvserver.Metrics.p99_us)
-                 (Report.json_float bs.Kvserver.Metrics.p99_us) ))
+               Printf.sprintf "shard %d: minos p99 %.3f not below keyhash %.3f" s
+                 ms.Kvserver.Metrics.p99_us bs.Kvserver.Metrics.p99_us ))
            m.Kvcluster.Metrics.per_shard)
     @ [
         (monotone fan, "fan-out p99 not monotone: " ^ fan_str);
@@ -96,9 +95,8 @@ let check t =
     @ List.map2
         (fun (a : Kvcluster.Fanout.point) bp ->
           ( p99 a < p99 bp,
-            Printf.sprintf "fanout %d: minos completion p99 %s not below keyhash %s"
-              a.Kvcluster.Fanout.fanout (Report.json_float (p99 a))
-              (Report.json_float (p99 bp)) ))
+            Printf.sprintf "fanout %d: minos completion p99 %.3f not below keyhash %.3f"
+              a.Kvcluster.Fanout.fanout (p99 a) (p99 bp) ))
         t.main.fanout t.baseline.fanout)
 
 (* ------------------------------------------------------------------ *)
@@ -122,7 +120,7 @@ let shard_table t label (r : Shardmgr.Run.t) =
              Report.f1 sm.Kvserver.Metrics.p50_us;
              Report.f1 sm.Kvserver.Metrics.p99_us;
              Report.f1 sm.Kvserver.Metrics.p999_us;
-             string_of_int (sm.Kvserver.Metrics.shed_small + sm.Kvserver.Metrics.shed_large);
+             string_of_int (Kvserver.Metrics.shed_total sm);
              (if sm.Kvserver.Metrics.stable then "yes" else "NO");
            ])
          m.Kvcluster.Metrics.per_shard)
@@ -138,7 +136,7 @@ let shard_table t label (r : Shardmgr.Run.t) =
     (Report.f1 m.Kvcluster.Metrics.p999_us)
     (Report.f1 m.Kvcluster.Metrics.worst_shard_p99_us);
   Report.note "loss accounting %s  imbalance (max/mean share) %s"
-    (if Kvcluster.Metrics.telescopes m then "exact" else "BROKEN")
+    (if Result.is_ok (Kvcluster.Metrics.check m) then "exact" else "BROKEN")
     (Report.f2 m.Kvcluster.Metrics.imbalance);
   match Shardmgr.Table.rebalance_info t.table with
   | None -> ()
@@ -179,96 +177,71 @@ let print t =
 (* ------------------------------------------------------------------ *)
 (* JSON *)
 
-let fl = Report.json_float
-
-let side_json t b indent side =
+let side_json t side =
   let r = side.run in
   let m = r.Shardmgr.Run.metrics in
-  let pad = String.make indent ' ' in
-  Buffer.add_string b
-    (Printf.sprintf "%s\"design\": %s,\n" pad
-       (Report.json_string r.Shardmgr.Run.design_name));
-  Buffer.add_string b
-    (Printf.sprintf "%s\"policy\": %s,\n" pad (Report.json_string (policy_name t)));
-  Buffer.add_string b
-    (Printf.sprintf
-       "%s\"issued\": %d, \"served\": %d, \"net_dropped\": %d, \"rx_dropped\": \
-        %d, \"shed_small\": %d, \"shed_large\": %d, \"in_flight_end\": %d,\n"
-       pad m.Kvcluster.Metrics.issued m.Kvcluster.Metrics.served_total
-       m.Kvcluster.Metrics.net_dropped m.Kvcluster.Metrics.rx_dropped
-       m.Kvcluster.Metrics.shed_small m.Kvcluster.Metrics.shed_large
-       m.Kvcluster.Metrics.in_flight_end);
-  Buffer.add_string b
-    (Printf.sprintf
-       "%s\"throughput_mops\": %s, \"p50_us\": %s, \"p99_us\": %s, \
-        \"p999_us\": %s, \"worst_shard_p99_us\": %s, \"imbalance\": %s, \
-        \"stable\": %b, \"telescopes\": %b,\n"
-       pad
-       (fl m.Kvcluster.Metrics.throughput_mops)
-       (fl m.Kvcluster.Metrics.p50_us)
-       (fl m.Kvcluster.Metrics.p99_us)
-       (fl m.Kvcluster.Metrics.p999_us)
-       (fl m.Kvcluster.Metrics.worst_shard_p99_us)
-       (fl m.Kvcluster.Metrics.imbalance)
-       m.Kvcluster.Metrics.stable
-       (Kvcluster.Metrics.telescopes m));
-  (match Shardmgr.Table.rebalance_info t.table with
-  | None -> ()
-  | Some rb ->
-      Buffer.add_string b
-        (Printf.sprintf
-           "%s\"rebalance\": {\"imbalance_before\": %s, \"imbalance_after\": \
-            %s, \"moved_share\": %s},\n"
-           pad
-           (fl rb.Shardmgr.Table.imbalance_before)
-           (fl rb.Shardmgr.Table.imbalance_after)
-           (fl rb.Shardmgr.Table.moved_share)));
-  Buffer.add_string b (Printf.sprintf "%s\"per_shard\": [\n" pad);
-  let n = Array.length m.Kvcluster.Metrics.per_shard in
-  Array.iteri
-    (fun s (sm : Kvserver.Metrics.t) ->
-      Buffer.add_string b
-        (Printf.sprintf
-           "%s  {\"shard\": %d, \"share\": %s, \"throughput_mops\": %s, \
-            \"p50_us\": %s, \"p99_us\": %s, \"p999_us\": %s, \"issued\": %d, \
-            \"served\": %d, \"stable\": %b}%s\n"
-           pad s
-           (fl m.Kvcluster.Metrics.shard_share.(s))
-           (fl sm.Kvserver.Metrics.throughput_mops)
-           (fl sm.Kvserver.Metrics.p50_us)
-           (fl sm.Kvserver.Metrics.p99_us)
-           (fl sm.Kvserver.Metrics.p999_us)
-           sm.Kvserver.Metrics.issued sm.Kvserver.Metrics.served_total
-           sm.Kvserver.Metrics.stable
-           (if s = n - 1 then "" else ",")))
-    m.Kvcluster.Metrics.per_shard;
-  Buffer.add_string b (Printf.sprintf "%s],\n" pad);
-  Buffer.add_string b (Printf.sprintf "%s\"fanout\": [\n" pad);
-  let nf = List.length side.fanout in
-  List.iteri
-    (fun i (p : Kvcluster.Fanout.point) ->
-      Buffer.add_string b
-        (Printf.sprintf
-           "%s  {\"fanout\": %d, \"p50_us\": %s, \"p99_us\": %s, \"mean_us\": \
-            %s}%s\n"
-           pad p.Kvcluster.Fanout.fanout
-           (fl p.Kvcluster.Fanout.p50_us)
-           (fl p.Kvcluster.Fanout.p99_us)
-           (fl p.Kvcluster.Fanout.mean_us)
-           (if i = nf - 1 then "" else ",")))
-    side.fanout;
-  Buffer.add_string b (Printf.sprintf "%s]\n" pad)
+  let rebalance (rb : Shardmgr.Table.rebalance_info) =
+    ( "rebalance",
+      Obs.Json.(
+        Obj
+          [
+            ("imbalance_before", Float rb.Shardmgr.Table.imbalance_before);
+            ("imbalance_after", Float rb.Shardmgr.Table.imbalance_after);
+            ("moved_share", Float rb.Shardmgr.Table.moved_share);
+          ]) )
+  in
+  let shard s (sm : Kvserver.Metrics.t) =
+    Obs.Json.(
+      Obj
+        [
+          ("shard", Int s);
+          ("share", Float m.Kvcluster.Metrics.shard_share.(s));
+          ("throughput_mops", Float sm.Kvserver.Metrics.throughput_mops);
+          ("p50_us", Float sm.Kvserver.Metrics.p50_us);
+          ("p99_us", Float sm.Kvserver.Metrics.p99_us);
+          ("p999_us", Float sm.Kvserver.Metrics.p999_us);
+          ("issued", Int sm.Kvserver.Metrics.issued);
+          ("served", Int sm.Kvserver.Metrics.served_total);
+          ("stable", Bool sm.Kvserver.Metrics.stable);
+        ])
+  in
+  let fanout (p : Kvcluster.Fanout.point) =
+    Obs.Json.(
+      Obj
+        [
+          ("fanout", Int p.Kvcluster.Fanout.fanout);
+          ("p50_us", Float p.Kvcluster.Fanout.p50_us);
+          ("p99_us", Float p.Kvcluster.Fanout.p99_us);
+          ("mean_us", Float p.Kvcluster.Fanout.mean_us);
+        ])
+  in
+  Obs.Json.(
+    Obj
+      ([
+         ("design", String r.Shardmgr.Run.design_name);
+         ("policy", String (policy_name t));
+         ("ledger", Obs.Ledger.to_json m.Kvcluster.Metrics.ledger);
+         ("throughput_mops", Float m.Kvcluster.Metrics.throughput_mops);
+         ("p50_us", Float m.Kvcluster.Metrics.p50_us);
+         ("p99_us", Float m.Kvcluster.Metrics.p99_us);
+         ("p999_us", Float m.Kvcluster.Metrics.p999_us);
+         ("worst_shard_p99_us", Float m.Kvcluster.Metrics.worst_shard_p99_us);
+         ("imbalance", Float m.Kvcluster.Metrics.imbalance);
+         ("stable", Bool m.Kvcluster.Metrics.stable);
+       ]
+      @ Option.to_list (Option.map rebalance (Shardmgr.Table.rebalance_info t.table))
+      @ [
+          ("per_shard", List (Array.to_list (Array.mapi shard m.Kvcluster.Metrics.per_shard)));
+          ("fanout", List (List.map fanout side.fanout));
+        ]))
 
 let to_json t =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b "{\n";
-  Buffer.add_string b
-    (Printf.sprintf "  \"servers\": %d,\n  \"offered_mops\": %s,\n  \"seed\": %d,\n"
-       t.servers (fl t.offered_mops) t.seed);
-  Buffer.add_string b "  \"main\": {\n";
-  side_json t b 4 t.main;
-  Buffer.add_string b "  },\n";
-  Buffer.add_string b "  \"baseline\": {\n";
-  side_json t b 4 t.baseline;
-  Buffer.add_string b "  }\n}\n";
-  Buffer.contents b
+  Obs.Json.(
+    Obj
+      [
+        ("servers", Int t.servers);
+        ("offered_mops", Float t.offered_mops);
+        ("seed", Int t.seed);
+        ("main", side_json t t.main);
+        ("baseline", side_json t t.baseline);
+      ])

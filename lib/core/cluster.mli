@@ -54,17 +54,18 @@ val run :
     configure those recorders. *)
 
 val check : t -> (unit, string) result
-(** The headline claims: loss accounting telescopes in both runs, every
-    shard's main p99 is strictly below the baseline's, the main fan-out
-    p99 is non-decreasing in the degree and not flat, and main beats the
-    baseline at every degree.  [Error] names the first claim that
-    fails. *)
+(** The headline claims: loss accounting telescopes on every shard of
+    both runs, every shard's main p99 is strictly below the baseline's,
+    the main fan-out p99 is non-decreasing in the degree and not flat,
+    and main beats the baseline at every degree.  [Error] names the
+    first claim that fails. *)
 
 val print : t -> unit
 (** Aligned text tables: per-shard breakdown for both designs, loss
     accounting, rebalance effect (when enabled) and the fan-out p99
     comparison. *)
 
-val to_json : t -> string
+val to_json : t -> Obs.Json.t
 (** The BENCH_cluster.json payload: per-shard and aggregate metrics for
-    both designs, telescoping flags, and p99 versus fan-out degree. *)
+    both designs, each design's cluster ["ledger"], and p99 versus
+    fan-out degree. *)

@@ -148,9 +148,9 @@ let run ?(config = config_of_scale Experiment.full_scale) ?(seed = 1)
      hedged run's wasted backup legs per request. *)
   let hedge_tax =
     match List.find_opt (fun e -> e.label = "sizeaware+hedged/none") entries with
-    | Some e when e.metrics.Kvhedge.Metrics.requests > 0 ->
-        float_of_int e.metrics.Kvhedge.Metrics.hedged_wasted
-        /. float_of_int e.metrics.Kvhedge.Metrics.requests
+    | Some e when Obs.Ledger.issued e.metrics.Kvhedge.Metrics.requests > 0 ->
+        float_of_int (Obs.Ledger.leg e.metrics.Kvhedge.Metrics.copies "hedged_wasted")
+        /. float_of_int (Obs.Ledger.issued e.metrics.Kvhedge.Metrics.requests)
     | _ -> Float.nan
   in
   (* Key-level conservation across the same crash, on the equivalent
@@ -187,7 +187,6 @@ let check t =
   let unhedged = p99 "sizeaware/kill-server" in
   let labels = List.sort_uniq String.compare (List.map (fun e -> e.label) t.entries) in
   let a = t.audit in
-  let us = Report.json_float in
   Report.verdict
     ([
        ( List.length labels = 9,
@@ -196,7 +195,10 @@ let check t =
     @ List.concat_map
         (fun e ->
           [
-            (Kvhedge.Metrics.telescopes e.metrics, e.label ^ ": copy legs do not sum to issued");
+            Report.ledger_claim (e.label ^ " copies")
+              (Obs.Ledger.check e.metrics.Kvhedge.Metrics.copies);
+            Report.ledger_claim (e.label ^ " requests")
+              (Obs.Ledger.check e.metrics.Kvhedge.Metrics.requests);
             ( Kvhedge.Metrics.engines_telescope e.metrics,
               e.label ^ ": a server's engine ledger does not telescope" );
           ])
@@ -210,11 +212,11 @@ let check t =
         (a.Shardmgr.Protocol.transferred > 0, "recovery resynced nothing");
         (t.hedge_tax >= 0.0, "hedge tax missing");
         ( hedged <= 3.0 *. clean,
-          Printf.sprintf "hedged p99 under crash %s us above 3x fault-free %s us" (us hedged)
-            (us clean) );
+          Printf.sprintf "hedged p99 under crash %.3f us above 3x fault-free %.3f us" hedged
+            clean );
         ( unhedged >= 10.0 *. clean,
-          Printf.sprintf "unhedged crash p99 %s us suspiciously close to fault-free %s us"
-            (us unhedged) (us clean) );
+          Printf.sprintf "unhedged crash p99 %.3f us suspiciously close to fault-free %.3f us"
+            unhedged clean );
       ])
 
 (* ------------------------------------------------------------------ *)
@@ -233,18 +235,19 @@ let print t =
     List.map
       (fun e ->
         let m = e.metrics in
+        let copy = Obs.Ledger.leg m.Kvhedge.Metrics.copies in
         [
           e.label;
           Report.f1 m.Kvhedge.Metrics.p50_us;
           Report.f1 m.Kvhedge.Metrics.p99_us;
           Report.f1 m.Kvhedge.Metrics.p999_us;
           string_of_int m.Kvhedge.Metrics.hedges_issued;
-          string_of_int m.Kvhedge.Metrics.hedged_wasted;
-          string_of_int m.Kvhedge.Metrics.cancelled;
+          string_of_int (copy "hedged_wasted");
+          string_of_int (copy "cancelled");
           string_of_int m.Kvhedge.Metrics.failovers;
-          string_of_int m.Kvhedge.Metrics.net_dropped;
-          string_of_int m.Kvhedge.Metrics.failed;
-          (if Kvhedge.Metrics.telescopes m then "exact" else "BROKEN");
+          string_of_int (copy "net_dropped");
+          string_of_int (Obs.Ledger.leg m.Kvhedge.Metrics.requests "failed");
+          (if Obs.Ledger.telescopes m.Kvhedge.Metrics.copies then "exact" else "BROKEN");
         ])
       t.entries
   in
@@ -279,81 +282,50 @@ let print t =
 (* ------------------------------------------------------------------ *)
 (* JSON *)
 
-let fl = Report.json_float
-
-let entry_json b (e : entry) ~last =
+let entry_json (e : entry) =
   let m = e.metrics in
-  Buffer.add_string b
-    (Printf.sprintf
-       "    {\"label\": %s, \"design\": %s, \"mode\": %s, \"route\": \
-        %s, \"plan\": %s,\n"
-       (Report.json_string e.label) (Report.json_string e.design)
-       (Report.json_string e.mode)
-       (Report.json_string e.route) (Report.json_string e.plan));
-  Buffer.add_string b
-    (Printf.sprintf
-       "     \"p50_us\": %s, \"p95_us\": %s, \"p99_us\": %s, \"p999_us\": %s, \
-        \"mean_us\": %s, \"samples\": %d,\n"
-       (fl m.Kvhedge.Metrics.p50_us) (fl m.Kvhedge.Metrics.p95_us)
-       (fl m.Kvhedge.Metrics.p99_us)
-       (fl m.Kvhedge.Metrics.p999_us)
-       (fl m.Kvhedge.Metrics.mean_us)
-       m.Kvhedge.Metrics.samples);
-  Buffer.add_string b
-    (Printf.sprintf
-       "     \"issued\": %d, \"served\": %d, \"net_dropped\": %d, \
-        \"rx_dropped\": %d, \"shed\": %d, \"hedged_wasted\": %d, \
-        \"cancelled\": %d, \"in_flight_end\": %d, \"telescopes\": %b,\n"
-       m.Kvhedge.Metrics.issued m.Kvhedge.Metrics.served
-       m.Kvhedge.Metrics.net_dropped m.Kvhedge.Metrics.rx_dropped
-       m.Kvhedge.Metrics.shed m.Kvhedge.Metrics.hedged_wasted
-       m.Kvhedge.Metrics.cancelled m.Kvhedge.Metrics.in_flight_end
-       (Kvhedge.Metrics.telescopes m));
-  Buffer.add_string b
-    (Printf.sprintf
-       "     \"requests\": %d, \"completed\": %d, \"failed\": %d, \
-        \"pending_end\": %d, \"hedges_issued\": %d, \"ties_issued\": %d, \
-        \"failovers\": %d, \"budget_exhausted\": %d, \"budget_spent\": %s,\n"
-       m.Kvhedge.Metrics.requests m.Kvhedge.Metrics.completed
-       m.Kvhedge.Metrics.failed m.Kvhedge.Metrics.pending_end m.Kvhedge.Metrics.hedges_issued
-       m.Kvhedge.Metrics.ties_issued m.Kvhedge.Metrics.failovers
-       m.Kvhedge.Metrics.budget_exhausted
-       (fl m.Kvhedge.Metrics.budget_spent));
-  Buffer.add_string b
-    (Printf.sprintf
-       "     \"server_killed\": %d, \"server_recovered\": %d, \
-        \"hedge_delay_final_us\": %s, \"engines_telescope\": %b, \"events\": %d}%s\n"
-       m.Kvhedge.Metrics.server_killed m.Kvhedge.Metrics.server_recovered
-       (fl m.Kvhedge.Metrics.hedge_delay_final_us)
-       (Kvhedge.Metrics.engines_telescope m) m.Kvhedge.Metrics.events
-       (if last then "" else ","))
+  Obs.Json.(
+    Obj
+      [
+        ("label", String e.label);
+        ("design", String e.design);
+        ("mode", String e.mode);
+        ("route", String e.route);
+        ("plan", String e.plan);
+        ("p50_us", Float m.Kvhedge.Metrics.p50_us);
+        ("p95_us", Float m.Kvhedge.Metrics.p95_us);
+        ("p99_us", Float m.Kvhedge.Metrics.p99_us);
+        ("p999_us", Float m.Kvhedge.Metrics.p999_us);
+        ("mean_us", Float m.Kvhedge.Metrics.mean_us);
+        ("samples", Int m.Kvhedge.Metrics.samples);
+        ("ledger", Obs.Ledger.to_json m.Kvhedge.Metrics.copies);
+        ("requests", Obs.Ledger.to_json m.Kvhedge.Metrics.requests);
+        ("hedges_issued", Int m.Kvhedge.Metrics.hedges_issued);
+        ("ties_issued", Int m.Kvhedge.Metrics.ties_issued);
+        ("failovers", Int m.Kvhedge.Metrics.failovers);
+        ("budget_exhausted", Int m.Kvhedge.Metrics.budget_exhausted);
+        ("budget_spent", Float m.Kvhedge.Metrics.budget_spent);
+        ("server_killed", Int m.Kvhedge.Metrics.server_killed);
+        ("server_recovered", Int m.Kvhedge.Metrics.server_recovered);
+        ("hedge_delay_final_us", Float m.Kvhedge.Metrics.hedge_delay_final_us);
+        ("engines_telescope", Bool (Kvhedge.Metrics.engines_telescope m));
+        ("events", Int m.Kvhedge.Metrics.events);
+      ])
 
 let to_json t =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b "{\n";
-  Buffer.add_string b
-    (Printf.sprintf
-       "  \"shards\": %d, \"mirrors\": %d, \"cores\": %d, \"offered_mops\": \
-        %s, \"seed\": %d,\n"
-       t.shards t.mirrors t.cores (fl t.offered_mops) t.seed);
-  Buffer.add_string b
-    (Printf.sprintf
-       "  \"killed_server\": %d, \"kill_at_us\": %s, \"recover_at_us\": %s, \
-        \"detect_us\": %s,\n"
-       t.killed_server (fl t.kill_at_us) (fl t.recover_at_us) (fl t.detect_us));
-  Buffer.add_string b (Printf.sprintf "  \"hedge_tax\": %s,\n" (fl t.hedge_tax));
-  Buffer.add_string b
-    (Printf.sprintf
-       "  \"audit\": {\"ops\": %d, \"puts\": %d, \"gets\": %d, \
-        \"fallback_reads\": %d, \"transferred\": %d, \"lost\": %d, \
-        \"duplicated\": %d, \"stale\": %d, \"ok\": %b},\n"
-       t.audit.Shardmgr.Protocol.ops t.audit.Shardmgr.Protocol.puts
-       t.audit.Shardmgr.Protocol.gets t.audit.Shardmgr.Protocol.fallback_reads
-       t.audit.Shardmgr.Protocol.transferred t.audit.Shardmgr.Protocol.lost
-       t.audit.Shardmgr.Protocol.duplicated t.audit.Shardmgr.Protocol.stale
-       (Shardmgr.Protocol.ok t.audit));
-  Buffer.add_string b "  \"entries\": [\n";
-  let n = List.length t.entries in
-  List.iteri (fun i e -> entry_json b e ~last:(i = n - 1)) t.entries;
-  Buffer.add_string b "  ]\n}\n";
-  Buffer.contents b
+  Obs.Json.(
+    Obj
+      [
+        ("shards", Int t.shards);
+        ("mirrors", Int t.mirrors);
+        ("cores", Int t.cores);
+        ("offered_mops", Float t.offered_mops);
+        ("seed", Int t.seed);
+        ("killed_server", Int t.killed_server);
+        ("kill_at_us", Float t.kill_at_us);
+        ("recover_at_us", Float t.recover_at_us);
+        ("detect_us", Float t.detect_us);
+        ("hedge_tax", Float t.hedge_tax);
+        ("audit", Shardmgr.Protocol.to_json t.audit);
+        ("entries", List (List.map entry_json t.entries));
+      ])

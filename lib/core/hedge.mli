@@ -86,7 +86,7 @@ val print : t -> unit
 (** Render as a report table plus audit / tax notes (the hedge tax with
     two decimals). *)
 
-val to_json : t -> string
-(** The BENCH_hedge.json payload: per-entry latency quantiles and the
-    full copy-accounting ledger, the crash window, the hedge tax and the
-    key audit — everything {!check} asserts. *)
+val to_json : t -> Obs.Json.t
+(** The BENCH_hedge.json payload: per-entry latency quantiles, the copy
+    ["ledger"] and the ["requests"] ledger, the crash window, the hedge
+    tax and the key audit — everything {!check} asserts. *)

@@ -35,16 +35,10 @@ let run ?(scale = Experiment.full_scale) ?(design = Kvserver.Design.minos) ?(see
        (Experiment.design_name design) offered_mops);
   Report.note "%s" (Format.asprintf "%a" Kvserver.Metrics.pp_row metrics);
   Report.note "%s" (Format.asprintf "%a" Kvserver.Metrics.pp_breakdown metrics);
-  if Kvserver.Metrics.lost_total metrics > 0 then
-    Report.note
-      "goodput: %d of %d issued served (%s); lost %d = %d net + %d ring + %d \
-       shed (%d large)"
-      metrics.Kvserver.Metrics.served_total metrics.Kvserver.Metrics.issued
+  if metrics.Kvserver.Metrics.lost > 0 then
+    Report.note "goodput %s; ledger %s"
       (Report.pct (Kvserver.Metrics.goodput_fraction metrics))
-      (Kvserver.Metrics.lost_total metrics)
-      metrics.Kvserver.Metrics.net_dropped metrics.Kvserver.Metrics.rx_dropped
-      (Kvserver.Metrics.shed_total metrics)
-      metrics.Kvserver.Metrics.shed_large;
+      (Format.asprintf "%a" Obs.Ledger.pp (Kvserver.Metrics.ledger metrics));
   print_anatomy anatomy;
   let r = obs.Obs.Instrument.recorder in
   Report.note "recorder: %d spans recorded, %d dropped (capacity %d, rate %.3f)"

@@ -59,23 +59,11 @@ let f2 = with_nan (Printf.sprintf "%.2f")
 let f0 = with_nan (Printf.sprintf "%.0f")
 let pct = with_nan (fun v -> Printf.sprintf "%.0f%%" (100.0 *. v))
 
-let json_float v = if Float.is_finite v then Printf.sprintf "%.3f" v else "null"
-
-let json_string s =
-  let b = Buffer.create (String.length s + 2) in
-  Buffer.add_char b '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | c when Char.code c < 0x20 -> Buffer.add_char b ' '
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.add_char b '"';
-  Buffer.contents b
-
 let verdict claims =
   match List.find_opt (fun (ok, _) -> not ok) claims with
   | Some (_, msg) -> Error msg
   | None -> Ok ()
+
+let ledger_claim label = function
+  | Ok () -> (true, label)
+  | Error gap -> (false, label ^ ": loss accounting broken: " ^ gap)

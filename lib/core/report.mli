@@ -25,14 +25,11 @@ val f0 : float -> string
 val pct : float -> string
 (** Format a 0..1 fraction as a percentage. *)
 
-val json_float : float -> string
-(** A JSON number with 3 decimals; [null] for NaN or ±infinity, which
-    JSON cannot represent. *)
-
-val json_string : string -> string
-(** A quoted JSON string literal: quotes and backslashes escaped,
-    control characters replaced by spaces. *)
-
 val verdict : (bool * string) list -> (unit, string) result
 (** [Error msg] for the first [(false, msg)] claim, else [Ok ()]: the
     shape of every [check] over a run's headline claims. *)
+
+val ledger_claim : string -> (unit, string) result -> bool * string
+(** The {!verdict} claim that a loss-accounting check
+    ({!Obs.Ledger.check}, {!Kvcluster.Metrics.check}) passed; its message
+    is the label followed by the check's error. *)

@@ -139,8 +139,8 @@ let check t =
     let p = r.Shardmgr.Run.protocol in
     let mig = r.Shardmgr.Run.mig_p99_us and steady = r.Shardmgr.Run.steady_p99_us in
     [
-      ( Kvcluster.Metrics.telescopes r.Shardmgr.Run.metrics,
-        name ^ ": loss accounting broken across reshard" );
+      Report.ledger_claim (name ^ " across reshard")
+        (Kvcluster.Metrics.check r.Shardmgr.Run.metrics);
       ( p.Shardmgr.Protocol.lost = 0
         && p.Shardmgr.Protocol.duplicated = 0
         && p.Shardmgr.Protocol.stale = 0,
@@ -151,8 +151,8 @@ let check t =
       ( not (Float.is_nan mig || Float.is_nan steady),
         name ^ ": missing migration/steady p99 split" );
       ( mig <= 3.0 *. steady,
-        Printf.sprintf "%s: migration p99 %s us above 3x steady %s us" name
-          (Report.json_float mig) (Report.json_float steady) );
+        Printf.sprintf "%s: migration p99 %.3f us above 3x steady %.3f us" name mig
+          steady );
     ]
   in
   Report.verdict
@@ -198,7 +198,7 @@ let run_table label (r : Shardmgr.Run.t) =
     (Report.f1 r.Shardmgr.Run.steady_p99_us);
   Report.note
     "loss accounting %s  keys: %d transferred, %d fallback reads, lost %d, duplicated %d, stale %d"
-    (if Kvcluster.Metrics.telescopes m then "exact" else "BROKEN")
+    (if Result.is_ok (Kvcluster.Metrics.check m) then "exact" else "BROKEN")
     p.Shardmgr.Protocol.transferred p.Shardmgr.Protocol.fallback_reads
     p.Shardmgr.Protocol.lost p.Shardmgr.Protocol.duplicated
     p.Shardmgr.Protocol.stale
@@ -230,104 +230,63 @@ let print t =
 (* ------------------------------------------------------------------ *)
 (* JSON *)
 
-let fl = Report.json_float
-
-let run_json b indent (r : Shardmgr.Run.t) =
+let run_json (r : Shardmgr.Run.t) =
   let m = r.Shardmgr.Run.metrics in
-  let pad = String.make indent ' ' in
-  Buffer.add_string b
-    (Printf.sprintf "%s\"design\": %s,\n" pad
-       (Report.json_string r.Shardmgr.Run.design_name));
-  Buffer.add_string b
-    (Printf.sprintf
-       "%s\"issued\": %d, \"served\": %d, \"net_dropped\": %d, \"rx_dropped\": \
-        %d, \"shed_small\": %d, \"shed_large\": %d, \"in_flight_end\": %d,\n"
-       pad m.Kvcluster.Metrics.issued m.Kvcluster.Metrics.served_total
-       m.Kvcluster.Metrics.net_dropped m.Kvcluster.Metrics.rx_dropped
-       m.Kvcluster.Metrics.shed_small m.Kvcluster.Metrics.shed_large
-       m.Kvcluster.Metrics.in_flight_end);
-  Buffer.add_string b
-    (Printf.sprintf
-       "%s\"throughput_mops\": %s, \"p50_us\": %s, \"p99_us\": %s, \
-        \"worst_shard_p99_us\": %s, \"stable\": %b, \"telescopes\": %b,\n"
-       pad
-       (fl m.Kvcluster.Metrics.throughput_mops)
-       (fl m.Kvcluster.Metrics.p50_us)
-       (fl m.Kvcluster.Metrics.p99_us)
-       (fl m.Kvcluster.Metrics.worst_shard_p99_us)
-       m.Kvcluster.Metrics.stable
-       (Kvcluster.Metrics.telescopes m));
-  Buffer.add_string b
-    (Printf.sprintf "%s\"mig_p99_us\": %s, \"steady_p99_us\": %s,\n" pad
-       (fl r.Shardmgr.Run.mig_p99_us)
-       (fl r.Shardmgr.Run.steady_p99_us));
   let p = r.Shardmgr.Run.protocol in
-  Buffer.add_string b
-    (Printf.sprintf
-       "%s\"protocol\": {\"ops\": %d, \"puts\": %d, \"gets\": %d, \
-        \"fallback_reads\": %d, \"transferred\": %d, \"lost\": %d, \
-        \"duplicated\": %d, \"stale\": %d},\n"
-       pad p.Shardmgr.Protocol.ops p.Shardmgr.Protocol.puts
-       p.Shardmgr.Protocol.gets p.Shardmgr.Protocol.fallback_reads
-       p.Shardmgr.Protocol.transferred p.Shardmgr.Protocol.lost
-       p.Shardmgr.Protocol.duplicated p.Shardmgr.Protocol.stale);
-  Buffer.add_string b (Printf.sprintf "%s\"p99_series\": [" pad);
-  List.iteri
-    (fun i (st, p99) ->
-      Buffer.add_string b
-        (Printf.sprintf "%s[%s, %s]" (if i = 0 then "" else ", ") (fl st)
-           (fl p99)))
-    r.Shardmgr.Run.p99_series;
-  Buffer.add_string b "],\n";
-  Buffer.add_string b (Printf.sprintf "%s\"per_shard\": [\n" pad);
-  let n = Array.length m.Kvcluster.Metrics.per_shard in
-  Array.iteri
-    (fun s (sm : Kvserver.Metrics.t) ->
-      Buffer.add_string b
-        (Printf.sprintf
-           "%s  {\"server\": %d, \"share\": %s, \"throughput_mops\": %s, \
-            \"p99_us\": %s, \"issued\": %d, \"served\": %d, \"stable\": %b}%s\n"
-           pad s
-           (fl m.Kvcluster.Metrics.shard_share.(s))
-           (fl sm.Kvserver.Metrics.throughput_mops)
-           (fl sm.Kvserver.Metrics.p99_us)
-           sm.Kvserver.Metrics.issued sm.Kvserver.Metrics.served_total
-           sm.Kvserver.Metrics.stable
-           (if s = n - 1 then "" else ",")))
-    m.Kvcluster.Metrics.per_shard;
-  Buffer.add_string b (Printf.sprintf "%s]\n" pad)
+  let server s (sm : Kvserver.Metrics.t) =
+    Obs.Json.(
+      Obj
+        [
+          ("server", Int s);
+          ("share", Float m.Kvcluster.Metrics.shard_share.(s));
+          ("throughput_mops", Float sm.Kvserver.Metrics.throughput_mops);
+          ("p99_us", Float sm.Kvserver.Metrics.p99_us);
+          ("issued", Int sm.Kvserver.Metrics.issued);
+          ("served", Int sm.Kvserver.Metrics.served_total);
+          ("stable", Bool sm.Kvserver.Metrics.stable);
+        ])
+  in
+  Obs.Json.(
+    Obj
+      [
+        ("design", String r.Shardmgr.Run.design_name);
+        ("ledger", Obs.Ledger.to_json m.Kvcluster.Metrics.ledger);
+        ("throughput_mops", Float m.Kvcluster.Metrics.throughput_mops);
+        ("p50_us", Float m.Kvcluster.Metrics.p50_us);
+        ("p99_us", Float m.Kvcluster.Metrics.p99_us);
+        ("worst_shard_p99_us", Float m.Kvcluster.Metrics.worst_shard_p99_us);
+        ("stable", Bool m.Kvcluster.Metrics.stable);
+        ("mig_p99_us", Float r.Shardmgr.Run.mig_p99_us);
+        ("steady_p99_us", Float r.Shardmgr.Run.steady_p99_us);
+        ("protocol", Shardmgr.Protocol.to_json p);
+        ( "p99_series",
+          List (List.map (fun (st, p99) -> List [ Float st; Float p99 ]) r.Shardmgr.Run.p99_series) );
+        ("per_shard", List (Array.to_list (Array.mapi server m.Kvcluster.Metrics.per_shard)));
+      ])
 
 let to_json t =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b "{\n";
-  Buffer.add_string b
-    (Printf.sprintf
-       "  \"plan\": %s,\n  \"servers\": %d,\n  \"n_servers\": %d,\n  \
-        \"offered_mops\": %s,\n  \"seed\": %d,\n  \"manager_events\": %d,\n"
-       (Report.json_string t.plan.Shardmgr.Plan.name)
-       t.servers t.n_servers (fl t.offered_mops)
-       t.seed t.manager_events);
-  Buffer.add_string b "  \"events\": [\n";
-  let events = Shardmgr.Table.events t.table in
-  let ne = List.length events in
-  List.iteri
-    (fun i (ev : Shardmgr.Table.logged) ->
-      Buffer.add_string b
-        (Printf.sprintf
-           "    {\"kind\": %s, \"at_us\": %s, \"until_us\": %s, \
-            \"server\": %d, \"shard\": %d, \"epoch\": %d}%s\n"
-           (Report.json_string (kind_str ev.Shardmgr.Table.kind))
-           (fl ev.Shardmgr.Table.at)
-           (fl ev.Shardmgr.Table.until)
-           ev.Shardmgr.Table.server ev.Shardmgr.Table.shard
-           ev.Shardmgr.Table.epoch
-           (if i = ne - 1 then "" else ",")))
-    events;
-  Buffer.add_string b "  ],\n";
-  Buffer.add_string b "  \"main\": {\n";
-  run_json b 4 t.main;
-  Buffer.add_string b "  },\n";
-  Buffer.add_string b "  \"baseline\": {\n";
-  run_json b 4 t.baseline;
-  Buffer.add_string b "  }\n}\n";
-  Buffer.contents b
+  let event (ev : Shardmgr.Table.logged) =
+    Obs.Json.(
+      Obj
+        [
+          ("kind", String (kind_str ev.Shardmgr.Table.kind));
+          ("at_us", Float ev.Shardmgr.Table.at);
+          ("until_us", Float ev.Shardmgr.Table.until);
+          ("server", Int ev.Shardmgr.Table.server);
+          ("shard", Int ev.Shardmgr.Table.shard);
+          ("epoch", Int ev.Shardmgr.Table.epoch);
+        ])
+  in
+  Obs.Json.(
+    Obj
+      [
+        ("plan", String t.plan.Shardmgr.Plan.name);
+        ("servers", Int t.servers);
+        ("n_servers", Int t.n_servers);
+        ("offered_mops", Float t.offered_mops);
+        ("seed", Int t.seed);
+        ("manager_events", Int t.manager_events);
+        ("events", List (List.map event (Shardmgr.Table.events t.table)));
+        ("main", run_json t.main);
+        ("baseline", run_json t.baseline);
+      ])

@@ -58,17 +58,17 @@ val run :
 
 val check : t -> (unit, string) result
 (** The headline claims: at least one cutover happened, and in both
-    runs loss accounting telescopes, the key audit lost, duplicated and
-    served stale nothing while transferring some backlog, and the
-    migration p99 stays within 3x of the steady-state p99.  [Error]
-    names the first claim that fails. *)
+    runs loss accounting telescopes on every server, the key audit
+    lost, duplicated and served stale nothing while transferring some
+    backlog, and the migration p99 stays within 3x of the steady-state
+    p99.  [Error] names the first claim that fails. *)
 
 val print : t -> unit
 (** Aligned text report: the compiled event schedule, per-server
     breakdown for both designs, migration vs steady-state p99 and the
     key-conservation audit. *)
 
-val to_json : t -> string
+val to_json : t -> Obs.Json.t
 (** The BENCH_reshard.json payload: the event schedule, and per design
-    the aggregate metrics, telescoping flag, p99 timeline, migration vs
-    steady p99 and protocol audit counts. *)
+    the aggregate metrics, the cluster ["ledger"], p99 timeline,
+    migration vs steady p99 and protocol audit counts. *)

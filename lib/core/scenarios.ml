@@ -3,7 +3,6 @@ type row = {
   design : string;
   offered_mops : float;
   metrics : Kvserver.Metrics.t;
-  telescopes : bool;
 }
 
 type t = { seed : int; offered_mops : float; rows : row list }
@@ -45,11 +44,13 @@ let run ?cfg ?(seed = 1) ?(offered_mops = 2.5) ?(names = suite) () =
           design = Kvserver.Design.name design;
           offered_mops;
           metrics;
-          telescopes = Kvserver.Metrics.telescopes metrics;
         })
       points
   in
   { seed; offered_mops; rows }
+
+let minos_name = Kvserver.Design.(name minos)
+let hkh_name = Kvserver.Design.(name hkh)
 
 let scenario_names t =
   List.fold_left
@@ -68,16 +69,16 @@ let check t =
     | [] -> [ (false, name ^ ": not in the run") ]
     | rs -> List.map (fun r -> (pred r.metrics, Printf.sprintf "%s/%s: %s" name r.design what)) rs
   in
-  let minos = p99 "scan-heavy" "Minos" and hkh = p99 "scan-heavy" "HKH" in
+  let minos = p99 "scan-heavy" minos_name and hkh = p99 "scan-heavy" hkh_name in
   Report.verdict
     (List.map
        (fun r ->
-         (r.telescopes, Printf.sprintf "%s/%s: extended loss accounting broken" r.scenario r.design))
+         Report.ledger_claim (r.scenario ^ "/" ^ r.design)
+           (Obs.Ledger.check (Kvserver.Metrics.ledger r.metrics)))
        t.rows
     @ [
         ( minos < hkh,
-          Printf.sprintf "scan-heavy: size-aware p99 %s not below keyhash %s"
-            (Report.json_float minos) (Report.json_float hkh) );
+          Printf.sprintf "scan-heavy: size-aware p99 %.3f not below keyhash %.3f" minos hkh );
       ]
     @ every "cold-tier" "no misses — not larger than memory" (fun m ->
           m.Kvserver.Metrics.expired_misses > 0)
@@ -112,12 +113,13 @@ let print t =
                string_of_int m.Kvserver.Metrics.expired_misses;
                string_of_int m.Kvserver.Metrics.expired_keys;
                string_of_int m.Kvserver.Metrics.evicted_keys;
-               (if r.telescopes then "yes" else "BROKEN");
+               (if Obs.Ledger.telescopes (Kvserver.Metrics.ledger m) then "yes"
+                else "BROKEN");
              ])
            rows);
       match
-        ( List.find_opt (fun r -> r.design = "minos") rows,
-          List.find_opt (fun r -> r.design = "hkh") rows )
+        ( List.find_opt (fun r -> r.design = minos_name) rows,
+          List.find_opt (fun r -> r.design = hkh_name) rows )
       with
       | Some a, Some b ->
           Report.note "size-aware p99 %s us vs keyhash %s us (%sx)"
@@ -130,42 +132,28 @@ let print t =
     (scenario_names t)
 
 let to_json t =
-  let b = Buffer.create 4096 in
-  let fl = Report.json_float in
-  Buffer.add_string b "{\n";
-  Buffer.add_string b
-    (Printf.sprintf "  \"seed\": %d,\n  \"offered_mops\": %s,\n" t.seed
-       (fl t.offered_mops));
-  Buffer.add_string b "  \"scenarios\": {\n";
-  let names = scenario_names t in
-  List.iteri
-    (fun ni name ->
-      Buffer.add_string b (Printf.sprintf "    %s: {\n" (Report.json_string name));
-      let rows = List.filter (fun r -> r.scenario = name) t.rows in
-      List.iteri
-        (fun ri r ->
-          let m = r.metrics in
-          Buffer.add_string b
-            (Printf.sprintf
-               "      %s: {\"p50_us\": %s, \"p99_us\": %s, \
-                \"throughput_mops\": %s, \"issued\": %d, \"served\": %d, \
-                \"expired_misses\": %d, \"expired_keys\": %d, \"evicted_keys\": \
-                %d, \"shed\": %d, \"in_flight_end\": %d, \"stable\": %b, \
-                \"telescopes\": %b}%s\n"
-               (Report.json_string r.design)
-               (fl m.Kvserver.Metrics.p50_us)
-               (fl m.Kvserver.Metrics.p99_us)
-               (fl m.Kvserver.Metrics.throughput_mops)
-               m.Kvserver.Metrics.issued m.Kvserver.Metrics.served_total
-               m.Kvserver.Metrics.expired_misses m.Kvserver.Metrics.expired_keys
-               m.Kvserver.Metrics.evicted_keys
-               (Kvserver.Metrics.shed_total m)
-               m.Kvserver.Metrics.in_flight_end m.Kvserver.Metrics.stable
-               r.telescopes
-               (if ri = List.length rows - 1 then "" else ",")))
-        rows;
-      Buffer.add_string b
-        (Printf.sprintf "    }%s\n" (if ni = List.length names - 1 then "" else ",")))
-    names;
-  Buffer.add_string b "  }\n}\n";
-  Buffer.contents b
+  let row r =
+    let m = r.metrics in
+    ( r.design,
+      Obs.Json.(
+        Obj
+          [
+            ("p50_us", Float m.Kvserver.Metrics.p50_us);
+            ("p99_us", Float m.Kvserver.Metrics.p99_us);
+            ("throughput_mops", Float m.Kvserver.Metrics.throughput_mops);
+            ("expired_keys", Int m.Kvserver.Metrics.expired_keys);
+            ("evicted_keys", Int m.Kvserver.Metrics.evicted_keys);
+            ("stable", Bool m.Kvserver.Metrics.stable);
+            ("ledger", Obs.Ledger.to_json (Kvserver.Metrics.ledger m));
+          ]) )
+  in
+  let scenario name =
+    (name, Obs.Json.Obj (List.map row (List.filter (fun r -> r.scenario = name) t.rows)))
+  in
+  Obs.Json.(
+    Obj
+      [
+        ("seed", Int t.seed);
+        ("offered_mops", Float t.offered_mops);
+        ("scenarios", Obj (List.map scenario (scenario_names t)));
+      ])

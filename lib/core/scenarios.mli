@@ -9,16 +9,15 @@
     results are byte-identical at any [MINOS_JOBS].
 
     The headline per scenario is the size-aware vs keyhash p99 — the
-    paper's claim carried into richer operating regimes — plus the
-    extended telescoping identity (issued = served + dropped + shed +
-    expired_misses + in_flight_end), checked per row. *)
+    paper's claim carried into richer operating regimes — plus each
+    row's fate ledger ({!Kvserver.Metrics.ledger}, with the
+    [expired_misses] leg), checked to telescope. *)
 
 type row = {
   scenario : string;  (** registry name, e.g. ["ttl-churn"] *)
-  design : string;    (** ["minos"] or ["hkh"] *)
+  design : string;    (** {!Kvserver.Design.name}: ["Minos"] or ["HKH"] *)
   offered_mops : float;
   metrics : Kvserver.Metrics.t;
-  telescopes : bool;  (** {!Kvserver.Metrics.telescopes} *)
 }
 
 type t = { seed : int; offered_mops : float; rows : row list }
@@ -46,5 +45,6 @@ val check : t -> (unit, string) result
 val print : t -> unit
 (** One table per scenario with the size-aware/keyhash p99 ratio note. *)
 
-val to_json : t -> string
-(** The BENCH_scenarios.json payload. *)
+val to_json : t -> Obs.Json.t
+(** The BENCH_scenarios.json payload: per scenario and design, the
+    tails, residency counters and the row's ["ledger"]. *)

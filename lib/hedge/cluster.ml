@@ -620,21 +620,27 @@ let metrics t =
     | _ -> (Float.nan, Float.nan, Float.nan, Float.nan)
   in
   {
-    Metrics.issued = t.issued;
-    served = t.served;
-    net_dropped = t.net_dropped;
-    rx_dropped = t.rx_dropped;
-    shed = t.shed;
-    hedged_wasted = t.hedged_wasted;
-    cancelled = t.cancelled;
-    in_flight_end = in_flight;
-    requests = t.requests;
-    completed = t.completed;
-    failed = t.failed;
-    pending_end =
-      Array.fold_left
-        (fun n r -> if r.state = Pending || r.state = Parked then n + 1 else n)
-        0 t.reqs.items;
+    Metrics.copies =
+      Obs.Ledger.make ~issued:t.issued
+        [
+          ("served", t.served);
+          ("net_dropped", t.net_dropped);
+          ("rx_dropped", t.rx_dropped);
+          ("shed", t.shed);
+          ("hedged_wasted", t.hedged_wasted);
+          ("cancelled", t.cancelled);
+          ("in_flight_end", in_flight);
+        ];
+    requests =
+      Obs.Ledger.make ~issued:t.requests
+        [
+          ("completed", t.completed);
+          ("failed", t.failed);
+          ( "pending_end",
+            Array.fold_left
+              (fun n r -> if r.state = Pending || r.state = Parked then n + 1 else n)
+              0 t.reqs.items );
+        ];
     hedges_issued = t.hedges_issued;
     ties_issued = t.ties_issued;
     failovers = t.failovers;

@@ -1,16 +1,6 @@
 type t = {
-  issued : int;
-  served : int;
-  net_dropped : int;
-  rx_dropped : int;
-  shed : int;
-  hedged_wasted : int;
-  cancelled : int;
-  in_flight_end : int;
-  requests : int;
-  completed : int;
-  failed : int;
-  pending_end : int;
+  copies : Obs.Ledger.t;
+  requests : Obs.Ledger.t;
   hedges_issued : int;
   ties_issued : int;
   failovers : int;
@@ -31,11 +21,5 @@ type t = {
   engines : Kvserver.Metrics.t array;
 }
 
-let telescopes m =
-  m.issued
-  = m.served + m.net_dropped + m.rx_dropped + m.shed + m.hedged_wasted
-    + m.cancelled + m.in_flight_end
-
-let engines_telescope m = Array.for_all Kvserver.Metrics.telescopes m.engines
-
-let requests_account m = m.requests = m.completed + m.failed + m.pending_end
+let engines_telescope m =
+  Array.for_all (fun e -> Obs.Ledger.telescopes (Kvserver.Metrics.ledger e)) m.engines

@@ -3,11 +3,8 @@
     The unit of accounting is the {e copy}: every enqueue attempt of a
     request on some replica.  A GET routed once is one copy; its hedge
     or tied backup is a second; a crash-failover reissue is a third.
-    Every copy resolves into exactly one of the legs below, so the run
-    telescopes exactly ({!telescopes}):
-
-    [issued = served + net_dropped + rx_dropped + shed + hedged_wasted
-    + cancelled + in_flight_end]
+    Every copy resolves into exactly one of the legs of the [copies]
+    ledger, so it telescopes exactly:
 
     - [served]: the copy completed service and its result was wanted
       (the winning GET copy; every PUT write copy that completed).
@@ -24,24 +21,14 @@
       completed.
     - [in_flight_end]: still queued or in service when the run ended.
 
-    Request-level counters sit alongside: [requests] arrivals split into
-    [completed], [failed] (no routable replica, refused with no backup,
-    or failover denied by the retry budget), and [pending_end] (still
-    unresolved when the run ended). *)
+    The [requests] ledger sits alongside: request arrivals ([issued])
+    split into [completed], [failed] (no routable replica, refused with
+    no backup, or failover denied by the retry budget), and
+    [pending_end] (still unresolved when the run ended). *)
 
 type t = {
-  issued : int;
-  served : int;
-  net_dropped : int;
-  rx_dropped : int;
-  shed : int;
-  hedged_wasted : int;
-  cancelled : int;
-  in_flight_end : int;
-  requests : int;
-  completed : int;
-  failed : int;
-  pending_end : int;
+  copies : Obs.Ledger.t;  (** copy fates, the legs above *)
+  requests : Obs.Ledger.t;  (** [completed], [failed], [pending_end] *)
   hedges_issued : int;
   ties_issued : int;
   failovers : int;  (** crash-failover reissues granted by the budget *)
@@ -66,11 +53,5 @@ type t = {
           request-level ledger counts the copies that server saw *)
 }
 
-val telescopes : t -> bool
-(** The copy-level loss-accounting identity above, checked exactly. *)
-
 val engines_telescope : t -> bool
-(** {!Kvserver.Metrics.telescopes} holds for every server's engine. *)
-
-val requests_account : t -> bool
-(** [requests = completed + failed + pending_end], exactly. *)
+(** Every server's engine ledger ({!Kvserver.Metrics.ledger}) telescopes. *)

@@ -164,5 +164,8 @@ let reset_counters t =
   t.busy_accum.v <- 0.0;
   t.total_bytes <- 0
 
+(* A message leaves its queue when its last frame goes on the wire, but
+   it is pending until that frame is done. *)
 let pending_messages t =
   Array.fold_left (fun acc q -> acc + Fifo.length q) 0 t.queues
+  + if t.wire_busy && message_done t.inflight then 1 else 0

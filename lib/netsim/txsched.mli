@@ -58,3 +58,5 @@ val utilization : t -> elapsed:float -> float
 val reset_counters : t -> unit
 
 val pending_messages : t -> int
+(** Messages sent and not yet completed, including one whose last frame
+    is on the wire. *)

@@ -3,29 +3,9 @@
    Offline export path: runs once after a simulation/serve finishes, so
    the Printf use here is reviewed in lint_allow.txt (the record path in
    Recorder/Timeline/Decision_log stays allocation- and Printf-free).
-   All numbers are formatted with fixed precision so traces are
+   Strings and numbers go through [Json.string] / [Json.float] (fixed
+   precision, [null] for a non-finite threshold), so traces are
    byte-identical across runs of the same seed. *)
-
-let esc s =
-  let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let ts_s v = Printf.sprintf "%.3f" v
-
-(* For values that may be non-finite (a control loop that has never seen
-   a large request reports threshold infinity): JSON has no inf/nan. *)
-let num_s v = if Float.is_finite v then Printf.sprintf "%.3f" v else "null"
 
 (* Track (tid) layout: cores at their id, TX queues offset, one synthetic
    track for the control loop.  Tids are per-pid, so every server section
@@ -47,10 +27,10 @@ let event e fmt =
 
 let thread_name e ~pid ~tid name =
   event e
-    {|"name":"thread_name","ph":"M","pid":%d,"tid":%d,"args":{"name":"%s"}|}
-    pid tid (esc name)
+    {|"name":"thread_name","ph":"M","pid":%d,"tid":%d,"args":{"name":%s}|}
+    pid tid (Json.string name)
 
-let kind_label k = esc (Decision_log.kind_name k)
+let kind_label k = Json.string (Decision_log.kind_name k)
 
 let span_events e ~pid r slot =
   let ts f = Recorder.get_ts r slot f in
@@ -74,26 +54,26 @@ let span_events e ~pid r slot =
   (* Async request span: RX enqueue to end-to-end completion. *)
   event e
     {|"ph":"b","cat":"request","id":%d,"name":"%s","pid":%d,"tid":%d,"ts":%s|}
-    seq cls pid rx_queue (ts_s t0);
+    seq cls pid rx_queue (Json.float t0);
   List.iter
     (fun f ->
       let v = ts f in
       if not (Float.is_nan v) then
         event e
           {|"ph":"n","cat":"request","id":%d,"name":"%s","pid":%d,"tid":%d,"ts":%s,"args":{"step":"%s"}|}
-          seq cls pid rx_queue (ts_s v) (Span.ts_name f))
+          seq cls pid rx_queue (Json.float v) (Span.ts_name f))
     [ Span.ts_poll; Span.ts_classify; Span.ts_handoff_enq; Span.ts_handoff_deq ];
   event e
     {|"ph":"e","cat":"request","id":%d,"name":"%s","pid":%d,"tid":%d,"ts":%s,"args":{"e2e_us":%s,"bytes":%d,"op":"%s"}|}
-    seq cls pid rx_queue (ts_s t_end)
-    (ts_s (t_end -. t0))
+    seq cls pid rx_queue (Json.float t_end)
+    (Json.float (t_end -. t0))
     (meta Span.meta_size) op;
   (* Service occupies the serving core; cores run one request at a time,
      so these B/E pairs are disjoint per track. *)
   event e {|"ph":"B","name":"service","pid":%d,"tid":%d,"ts":%s,"args":{"id":%d}|}
-    pid core (ts_s t_start) seq;
+    pid core (Json.float t_start) seq;
   event e {|"ph":"E","name":"service","pid":%d,"tid":%d,"ts":%s|} pid core
-    (ts_s t_stop);
+    (Json.float t_stop);
   (* Reply transmission: messages on one TX queue can overlap (frames are
      round-robined), so use complete events, which need not nest. *)
   if t_tx >= t_stop then
@@ -101,25 +81,19 @@ let span_events e ~pid r slot =
       {|"ph":"X","name":"tx","pid":%d,"tid":%d,"ts":%s,"dur":%s,"args":{"id":%d}|}
       pid
       (tx_tid (if txq >= 0 then txq else core))
-      (ts_s t_stop)
-      (ts_s (t_tx -. t_stop))
+      (Json.float t_stop)
+      (Json.float (t_tx -. t_stop))
       seq
 
-let counter_args_int tl s =
+let counter_args tl value =
   String.concat ","
-    (List.init (Timeline.cores tl) (fun c ->
-         Printf.sprintf {|"core%d":%d|} c (Timeline.depth tl s c)))
-
-let counter_args_util tl s =
-  String.concat ","
-    (List.init (Timeline.cores tl) (fun c ->
-         Printf.sprintf {|"core%d":%.4f|} c (Timeline.utilization tl s c)))
+    (List.init (Timeline.cores tl) (fun c -> Printf.sprintf {|"core%d":%s|} c (value c)))
 
 (* One server's worth of events, all under process id [pid]. *)
 let section e ~pid ~name ?timeline ?decisions recorder =
   event e
-    {|"name":"process_name","ph":"M","pid":%d,"tid":0,"args":{"name":"%s"}|}
-    pid (esc name);
+    {|"name":"process_name","ph":"M","pid":%d,"tid":0,"args":{"name":%s}|}
+    pid (Json.string name);
   (* Name the per-core and per-TX-queue tracks we will reference. *)
   let max_core = ref (-1) and max_tx = ref (-1) in
   (match timeline with
@@ -161,13 +135,13 @@ let section e ~pid ~name ?timeline ?decisions recorder =
       for s = 0 to Timeline.samples tl - 1 do
         event e {|"ph":"C","name":"rx_depth","pid":%d,"tid":0,"ts":%s,"args":{%s}|}
           pid
-          (ts_s (Timeline.time tl s))
-          (counter_args_int tl s);
+          (Json.float (Timeline.time tl s))
+          (counter_args tl (fun c -> string_of_int (Timeline.depth tl s c)));
         event e
           {|"ph":"C","name":"utilization","pid":%d,"tid":0,"ts":%s,"args":{%s}|}
           pid
-          (ts_s (Timeline.time tl s))
-          (counter_args_util tl s)
+          (Json.float (Timeline.time tl s))
+          (counter_args tl (fun c -> Printf.sprintf "%.4f" (Timeline.utilization tl s c)))
       done);
   match decisions with
   | None -> ()
@@ -178,19 +152,19 @@ let section e ~pid ~name ?timeline ?decisions recorder =
           event e
             {|"ph":"C","name":"control","pid":%d,"tid":%d,"ts":%s,"args":{"threshold_B":%s,"n_small":%d,"n_large":%d,"lost":%d}|}
             pid control_tid
-            (ts_s (Decision_log.time d i))
-            (num_s (Decision_log.threshold d i))
+            (Json.float (Decision_log.time d i))
+            (Json.float (Decision_log.threshold d i))
             (Decision_log.n_small d i) (Decision_log.n_large d i)
             (Decision_log.lost d i)
         else if k >= Decision_log.kind_server_kill then
           (* Tail-cutting events: crash/restart instants and hedge-delay
              re-estimates, on the reshard track. *)
           event e
-            {|"ph":"i","s":"p","name":"%s","pid":%d,"tid":%d,"ts":%s,"args":{"server":%d,"delay_us":%s}|}
+            {|"ph":"i","s":"p","name":%s,"pid":%d,"tid":%d,"ts":%s,"args":{"server":%d,"delay_us":%s}|}
             (kind_label k) pid reshard_tid
-            (ts_s (Decision_log.time d i))
+            (Json.float (Decision_log.time d i))
             (Decision_log.server d i)
-            (num_s (Decision_log.threshold d i))
+            (Json.float (Decision_log.threshold d i))
         else begin
           (* Reshard protocol state changes: dual-route windows as
              complete spans, everything else as instants, all on the
@@ -198,17 +172,17 @@ let section e ~pid ~name ?timeline ?decisions recorder =
           let until = Decision_log.until_us d i in
           if not (Float.is_nan until) then
             event e
-              {|"ph":"X","name":"%s","pid":%d,"tid":%d,"ts":%s,"dur":%s,"args":{"server":%d,"shard":%d,"epoch":%d}|}
+              {|"ph":"X","name":%s,"pid":%d,"tid":%d,"ts":%s,"dur":%s,"args":{"server":%d,"shard":%d,"epoch":%d}|}
               (kind_label k) pid reshard_tid
-              (ts_s (Decision_log.time d i))
-              (ts_s (until -. Decision_log.time d i))
+              (Json.float (Decision_log.time d i))
+              (Json.float (until -. Decision_log.time d i))
               (Decision_log.server d i) (Decision_log.shard d i)
               (Decision_log.epoch d i)
           else
             event e
-              {|"ph":"i","s":"p","name":"%s","pid":%d,"tid":%d,"ts":%s,"args":{"server":%d,"shard":%d,"epoch":%d}|}
+              {|"ph":"i","s":"p","name":%s,"pid":%d,"tid":%d,"ts":%s,"args":{"server":%d,"shard":%d,"epoch":%d}|}
               (kind_label k) pid reshard_tid
-              (ts_s (Decision_log.time d i))
+              (Json.float (Decision_log.time d i))
               (Decision_log.server d i) (Decision_log.shard d i)
               (Decision_log.epoch d i)
         end
@@ -220,13 +194,13 @@ let to_buffer ?(name = "minos") ?timeline ?decisions recorder buf =
   section e ~pid:(Recorder.server recorder) ~name ?timeline ?decisions recorder;
   Buffer.add_string buf "\n],\"displayTimeUnit\":\"ms\"}\n"
 
-let write ~path ?name ?timeline ?decisions recorder =
+let write_file path fill =
   let buf = Buffer.create 65536 in
-  to_buffer ?name ?timeline ?decisions recorder buf;
-  let oc = open_out_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> Buffer.output_buffer oc buf)
+  fill buf;
+  Out_channel.with_open_bin path (fun oc -> Buffer.output_buffer oc buf)
+
+let write ~path ?name ?timeline ?decisions recorder =
+  write_file path (to_buffer ?name ?timeline ?decisions recorder)
 
 let cluster_to_buffer sections buf =
   let e = { buf; first = true } in
@@ -240,10 +214,4 @@ let cluster_to_buffer sections buf =
     sections;
   Buffer.add_string buf "\n],\"displayTimeUnit\":\"ms\"}\n"
 
-let write_cluster ~path sections =
-  let buf = Buffer.create 65536 in
-  cluster_to_buffer sections buf;
-  let oc = open_out_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> Buffer.output_buffer oc buf)
+let write_cluster ~path sections = write_file path (cluster_to_buffer sections)

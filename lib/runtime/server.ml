@@ -42,6 +42,7 @@ type worker = {
   rx : Message.request Netsim.Ring.t;
   swq : Message.request Netsim.Ring.t;
   hist : Stats.Log_histogram.t Atomic.t;
+  accepted : int Atomic.t; (* submissions this RX ring took in *)
   served : int Atomic.t;
   busy_ns : int Atomic.t;
       (* cumulative busy time, only maintained while a timeline samples *)
@@ -151,6 +152,7 @@ let submit t req =
     else begin
       obs_sample_submit t req ~ring_idx;
       if Netsim.Ring.try_push t.workers.(ring_idx).rx req then begin
+        Atomic.incr t.workers.(ring_idx).accepted;
         Atomic.incr t.in_flight;
         true
       end
@@ -574,6 +576,7 @@ let start ?obs ?(config = default_config) store =
               rx = Netsim.Ring.create ~capacity:config.ring_capacity;
               swq = Netsim.Ring.create ~capacity:config.ring_capacity;
               hist = Atomic.make (fresh_hist ());
+              accepted = Atomic.make 0;
               served = Atomic.make 0;
               busy_ns = Atomic.make 0;
             });
@@ -625,10 +628,14 @@ type stats = {
   rx_rejected : int;
   ctrl_stale : int;
   expired : int;
+  ledger : Obs.Ledger.t;
 }
 
 let stats (t : t) =
   let plan = Atomic.get t.plan in
+  let count f = Array.fold_left (fun acc (w : worker) -> acc + Atomic.get (f w)) 0 t.workers in
+  let shed_small = Atomic.get t.shed_small and shed_large = Atomic.get t.shed_large in
+  let rx_rejected = Atomic.get t.rx_rejected in
   {
     served = Array.map (fun (w : worker) -> Atomic.get w.served) t.workers;
     handoffs = Atomic.get t.handoffs;
@@ -636,11 +643,20 @@ let stats (t : t) =
     n_small = plan.Kvserver.Control.n_small;
     n_large = plan.Kvserver.Control.n_large;
     epochs = Atomic.get t.epochs;
-    shed_small = Atomic.get t.shed_small;
-    shed_large = Atomic.get t.shed_large;
-    rx_rejected = Atomic.get t.rx_rejected;
+    shed_small;
+    shed_large;
+    rx_rejected;
     ctrl_stale = Atomic.get t.ctrl_stale;
     expired = (Kvstore.Store.stats t.store).Kvstore.Store.expired;
+    ledger =
+      Obs.Ledger.make ~issued:(count (fun w -> w.accepted) + rx_rejected)
+        [
+          ("served", count (fun w -> w.served));
+          ("shed_small", shed_small);
+          ("shed_large", shed_large);
+          ("rx_rejected", rx_rejected);
+          ("in_flight", Atomic.get t.in_flight);
+        ];
   }
 
 let stop t =

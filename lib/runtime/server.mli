@@ -110,6 +110,10 @@ type stats = {
                                      stat pipeline was delayed by a fault *)
   expired : int;                 (** TTL-lapsed slots reclaimed (lazily on
                                      read or by the sweep thread) *)
+  ledger : Obs.Ledger.t;
+      (** [issued] = submissions the RX rings accepted plus [rx_rejected],
+          against the legs [served], [shed_small], [shed_large],
+          [rx_rejected] and [in_flight]; exact after {!stop}. *)
 }
 
 val stats : t -> stats

@@ -5,13 +5,6 @@ type knob =
   | Watchdog
   | Erew_dispatch
 
-let knob_name = function
-  | Handoff_cores -> "handoff_cores"
-  | Static_threshold -> "static_threshold"
-  | Large_rx_steal -> "large_rx_steal"
-  | Watchdog -> "watchdog"
-  | Erew_dispatch -> "hkh_erew"
-
 let knob_equal (a : knob) (b : knob) =
   match (a, b) with
   | Handoff_cores, Handoff_cores

@@ -19,9 +19,6 @@ type knob =
   | Watchdog           (** [Config.watchdog] *)
   | Erew_dispatch      (** [Config.hkh_erew] *)
 
-val knob_name : knob -> string
-(** The [Config.t] field the knob corresponds to, e.g. ["handoff_cores"]. *)
-
 (** The signature a server design implements. *)
 module type S = sig
   val name : string

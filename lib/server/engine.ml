@@ -149,6 +149,7 @@ type t = {
   mutable expired_misses : int;
       (* GETs processed but answered not-found: the new telescoping leg *)
   mutable cancelled : int; (* submitted requests retired by [cancel] *)
+  mutable lost : int; (* retired with a loss fate; see [retire] *)
 }
 
 let set_probe t f = t.probe <- Some f
@@ -202,6 +203,11 @@ let fed t = Option.is_none t.gen
 let retire t (req : request) fate =
   t.free_slots.(t.free_top) <- req.slot;
   t.free_top <- t.free_top + 1;
+  (* The one definition of which fates are losses: offered load that
+     produced no reply. *)
+  (match fate with
+  | Net_dropped | Rx_dropped | Shed -> t.lost <- t.lost + 1
+  | Served | Cancelled -> ());
   if fed t then t.on_retire t.tags.(req.slot) fate
 
 let set_retire t f = t.on_retire <- f
@@ -328,9 +334,8 @@ let corrupt_threshold t threshold =
   | None -> threshold
   | Some f -> Fault.Inject.corrupt_threshold f ~now:(Dsim.Sim.now t.sim) threshold
 
-let lost t = t.net_dropped + t.rx_dropped + t.shed_small + t.shed_large
+let lost t = t.lost
 let core_ops_live t = t.core_ops
-let core_busy_live t = t.core_busy_us
 
 let touch_real_store t req =
   match t.store with
@@ -578,6 +583,7 @@ let build ?dynamic ?store ?source ?pacing ?timed ?residency ?sweep_us ?obs ?faul
       shed_large = 0;
       expired_misses = 0;
       cancelled = 0;
+      lost = 0;
     }
   in
   (* Forked after the record is built so it always comes after the three
@@ -876,10 +882,12 @@ let finish t =
   let cfg = t.cfg in
   let design = t.design in
   let window = cfg.Config.duration_us -. cfg.Config.warmup_us in
-  (* Telescoping identity: everything issued was either served, lost to a
-     fault/overload mechanism (each loss counted exactly once), or is
-     still in flight. *)
-  let in_flight = t.issued - t.processed_total - lost t - t.cancelled in
+  (* Measured, not derived from the other legs, so the ledger's identity
+     is a real check: requests still holding a pool slot, less the
+     replies on the NIC (already counted as served). *)
+  let in_flight =
+    Array.length t.pool - t.free_top - Netsim.Txsched.pending_messages t.tx
+  in
   (* Unstable when the leftover backlog exceeds what a loaded-but-stable
      system would plausibly hold in flight. *)
   let backlog_cap = max 2000 (int_of_float (0.02 *. float_of_int t.issued)) in
@@ -936,6 +944,7 @@ let finish t =
     evicted_keys =
       (match t.residency with Some r -> Residency.evicted_keys r | None -> 0);
     cancelled = t.cancelled;
+    lost = t.lost;
   }
 
 let run t make_design =

@@ -268,9 +268,6 @@ val core_ops_live : t -> int array
 (** The live per-core served-operation counters (do not mutate); the
     watchdog diffs them across epochs to detect a stalled core. *)
 
-val core_busy_live : t -> float array
-(** The live per-core busy-time accumulators (do not mutate). *)
-
 val set_probe : t -> (core:int -> request -> unit) -> unit
 (** Install an observer called at the start of every request execution
     (with the executing core; never for a cancelled request).  Tests

@@ -32,19 +32,27 @@ type t = {
   expired_keys : int;
   evicted_keys : int;
   cancelled : int;
+  lost : int;
 }
 
-let shed_total t = t.shed_small + t.shed_large
-let lost_total t = t.net_dropped + t.rx_dropped + shed_total t
+let ledger t =
+  Obs.Ledger.make ~issued:t.issued
+    [
+      ("served", t.served_total);
+      ("net_dropped", t.net_dropped);
+      ("rx_dropped", t.rx_dropped);
+      ("shed_small", t.shed_small);
+      ("shed_large", t.shed_large);
+      ("expired_misses", t.expired_misses);
+      ("cancelled", t.cancelled);
+      ("in_flight_end", t.in_flight_end);
+    ]
 
-let telescopes t =
-  t.issued
-  = t.served_total + t.net_dropped + t.rx_dropped + t.shed_small + t.shed_large
-    + t.expired_misses + t.cancelled + t.in_flight_end
+let shed_total t = Obs.Ledger.sum (ledger t) [ "shed_small"; "shed_large" ]
 
 let goodput_fraction t =
   if t.issued = 0 then 1.0
-  else float_of_int (t.issued - lost_total t) /. float_of_int t.issued
+  else float_of_int (t.issued - t.lost) /. float_of_int t.issued
 
 let pp_row fmt t =
   Format.fprintf fmt
@@ -52,7 +60,7 @@ let pp_row fmt t =
     t.design t.offered_mops t.throughput_mops t.mean_us t.p50_us t.p99_us t.p999_us
     (100.0 *. t.nic_tx_utilization)
     (if t.stable then "" else " UNSTABLE");
-  if lost_total t > 0 then
+  if t.lost > 0 then
     Format.fprintf fmt " lost: net=%d ring=%d shed=%d(%dL) goodput=%.1f%%"
       t.net_dropped t.rx_dropped (shed_total t) t.shed_large
       (100.0 *. goodput_fraction t);

@@ -34,10 +34,8 @@ type t = {
           the NIC + transmission) *)
   served_total : int;
       (** operations fully processed {e with a live item} over the whole
-          run (incl. warmup); with the loss counters below this
-          telescopes:
-          [issued = served_total + net_dropped + rx_dropped + shed_small
-          + shed_large + expired_misses + cancelled + in_flight_end] *)
+          run (incl. warmup); with the loss counters below it makes up
+          the run's {!ledger} *)
   net_dropped : int;  (** lost by the (faulty) NIC before any queue *)
   rx_dropped : int;   (** tail-dropped at a full RX ring *)
   shed_small : int;   (** shed by admission control, small-classified *)
@@ -53,18 +51,20 @@ type t = {
           queued one retires unserved, one in service has its reply
           suppressed.  Only a caller-fed engine (the hedged cluster) can
           cancel, so this is 0 in every single-engine run. *)
+  lost : int;
+      (** {!Engine.lost}: offered load that produced no reply (the NIC,
+          RX-ring and both shed legs).  A lossy run can never masquerade
+          as a healthy one: {!pp_row} appends the loss/goodput segment
+          whenever this is nonzero. *)
 }
 
-val shed_total : t -> int
-val lost_total : t -> int
-(** [net_dropped + rx_dropped + shed]: offered load that produced no
-    reply.  A lossy run can never masquerade as a healthy one — {!pp_row}
-    appends the loss/goodput segment whenever this is nonzero. *)
+val ledger : t -> Obs.Ledger.t
+(** The fate ledger: [issued] against the legs [served] (= [served_total]),
+    [net_dropped], [rx_dropped], [shed_small], [shed_large],
+    [expired_misses], [cancelled] and [in_flight_end].  Every issued
+    request meets exactly one of them, so it telescopes. *)
 
-val telescopes : t -> bool
-(** The fate identity: every issued request met exactly one fate,
-    [issued = served_total + net_dropped + rx_dropped + shed_small +
-    shed_large + expired_misses + cancelled + in_flight_end]. *)
+val shed_total : t -> int
 
 val goodput_fraction : t -> float
 (** Fraction of issued requests not lost ([1.0] for a healthy run). *)

@@ -50,8 +50,6 @@ let create ?(ttl_us = infinity) ?(budget_bytes = max_int) dataset =
     expired_misses = 0;
   }
 
-let[@inline] is_resident t id = t.pos_of.(id) >= 0
-
 let[@inline] size_of t id = Workload.Dataset.size_of_key t.dataset id
 
 (* Remove from the dense set by swapping the last element into the hole. *)

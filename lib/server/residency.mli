@@ -33,8 +33,6 @@ val sweep_step : t -> now:float -> chunk:int -> int
 (** Examine up to [chunk] resident keys from a wrapping cursor, reclaiming
     lapsed ones; returns the number reclaimed. *)
 
-val is_resident : t -> int -> bool
-
 val resident : t -> int
 
 val mem_used : t -> int

@@ -32,6 +32,21 @@ type result = {
 
 let ok r = r.lost = 0 && r.duplicated = 0 && r.stale = 0
 
+let to_json r =
+  Obs.Json.(
+    Obj
+      [
+        ("ops", Int r.ops);
+        ("puts", Int r.puts);
+        ("gets", Int r.gets);
+        ("fallback_reads", Int r.fallback_reads);
+        ("transferred", Int r.transferred);
+        ("lost", Int r.lost);
+        ("duplicated", Int r.duplicated);
+        ("stale", Int r.stale);
+        ("ok", Bool (ok r));
+      ])
+
 let check ?(ops = 20_000) ?(seed = 1) ?fault ~workload table =
   if ops < 1 then invalid_arg "Shardmgr.Protocol.check: ops must be >= 1";
   let n = Table.n_servers table in

@@ -24,6 +24,9 @@ type result = {
 val ok : result -> bool
 (** No lost, duplicated, or stale keys. *)
 
+val to_json : result -> Obs.Json.t
+(** Every counter above, then ["ok"]: {!ok}. *)
+
 val check :
   ?ops:int ->
   ?seed:int ->

@@ -91,7 +91,9 @@ let load path =
   Fun.protect
     ~finally:(fun () -> close_in ic)
     (fun () ->
-      let header = really_input_string ic 6 in
+      (* A file that ends inside the header is truncated, not End_of_file. *)
+      let read f = try f () with End_of_file -> fail "Trace.load: truncated header" in
+      let header = read (fun () -> really_input_string ic 6) in
       if String.sub header 0 4 <> magic_prefix || header.[5] <> '\n' then
         fail "Trace.load: bad magic";
       let version =
@@ -104,7 +106,7 @@ let load path =
             fail "Trace.load: unsupported trace version %c" c
       in
       let count_buf = Bytes.create 8 in
-      really_input ic count_buf 0 8;
+      read (fun () -> really_input ic count_buf 0 8);
       let count64 = Bytes.get_int64_le count_buf 0 in
       if Int64.compare count64 0L < 0 || Int64.compare count64 (Int64.of_int max_int) > 0
       then fail "Trace.load: bad record count";
@@ -112,7 +114,7 @@ let load path =
       let with_ts =
         if version = 1 then false
         else
-          match input_char ic with
+          match read (fun () -> input_char ic) with
           | '\000' -> false
           | '\001' -> true
           | _ -> fail "Trace.load: bad flags byte"
@@ -121,12 +123,14 @@ let load path =
       (* Explicit length checks up front: a short file is "truncated" and a
          long one has "trailing garbage" — never a silently shorter
          trace. *)
-      let expected = pos_in ic + (count * rec_size) in
-      if in_channel_length ic < expected then
+      let remaining = in_channel_length ic - pos_in ic in
+      (* Compare by division: [count * rec_size] overflows for a corrupt
+         count near [max_int]. *)
+      if count > remaining / rec_size then
         fail "Trace.load: truncated (%d records declared, file too short)" count;
-      if in_channel_length ic > expected then
+      if remaining > count * rec_size then
         fail "Trace.load: %d trailing bytes after the last record"
-          (in_channel_length ic - expected);
+          (remaining - (count * rec_size));
       let buf = Bytes.create rec_size in
       let ts_us = if with_ts then Array.make count 0.0 else [||] in
       let reqs =
@@ -152,7 +156,7 @@ let load path =
             in
             if with_ts then begin
               let ts = Int64.float_of_bits (Bytes.get_int64_le buf 18) in
-              if Float.is_nan ts || ts < 0.0 then
+              if Float.is_nan ts || ts < 0.0 || (i > 0 && ts < ts_us.(i - 1)) then
                 fail "Trace.load: bad timestamp in record %d" i;
               ts_us.(i) <- ts
             end;

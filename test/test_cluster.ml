@@ -8,6 +8,7 @@
 let check = Alcotest.check
 let bool = Alcotest.bool
 let int = Alcotest.int
+let exact = Alcotest.(result unit string)
 
 let with_jobs n f =
   Minos.Par.set_jobs (Some n);
@@ -374,9 +375,9 @@ let cluster_run ?(servers = 2) ?policy ?rebalance () =
 let test_cluster_deterministic_across_jobs () =
   (* The whole point of the probe/thinning construction: reruns at the
      same seed are byte-identical, sequential or on 4 domains. *)
-  let a = with_jobs 1 (fun () -> Minos.Cluster.to_json (cluster_run ())) in
-  let b = with_jobs 4 (fun () -> Minos.Cluster.to_json (cluster_run ())) in
-  let c = with_jobs 4 (fun () -> Minos.Cluster.to_json (cluster_run ())) in
+  let a = with_jobs 1 (fun () -> Obs.Json.to_string (Minos.Cluster.to_json (cluster_run ()))) in
+  let b = with_jobs 4 (fun () -> Obs.Json.to_string (Minos.Cluster.to_json (cluster_run ()))) in
+  let c = with_jobs 4 (fun () -> Obs.Json.to_string (Minos.Cluster.to_json (cluster_run ()))) in
   check Alcotest.string "jobs=1 vs jobs=4" a b;
   check Alcotest.string "rerun at jobs=4" b c
 
@@ -388,11 +389,11 @@ let test_cluster_matches_pinned_output () =
      dedicated static-routing runner the no-op-plan table replaced; both
      routing policies must keep reproducing it byte for byte. *)
   check Alcotest.string "hash" (golden "cluster_hash.json")
-    (Minos.Cluster.to_json (cluster_run ()));
+    (Obs.Json.to_string (Minos.Cluster.to_json (cluster_run ())));
   check Alcotest.string "range + rebalance"
     (golden "cluster_range_rebalance.json")
-    (Minos.Cluster.to_json
-       (cluster_run ~policy:Shardmgr.Table.Range ~rebalance:true ()))
+    (Obs.Json.to_string
+       (Minos.Cluster.to_json (cluster_run ~policy:Shardmgr.Table.Range ~rebalance:true ())))
 
 let main_metrics t = t.Minos.Cluster.main.Minos.Cluster.run.Shardmgr.Run.metrics
 let baseline_metrics t =
@@ -400,20 +401,23 @@ let baseline_metrics t =
 
 let test_cluster_telescopes () =
   let t = cluster_run () in
-  check bool "main loss accounting exact" true
-    (Kvcluster.Metrics.telescopes (main_metrics t));
-  check bool "baseline loss accounting exact" true
-    (Kvcluster.Metrics.telescopes (baseline_metrics t));
-  (* The expired-miss leg: turning served requests into expired misses
-     keeps the identity exact per shard and summed over shards. *)
+  check exact "main loss accounting exact per shard" (Ok ())
+    (Kvcluster.Metrics.check (main_metrics t));
+  check exact "baseline loss accounting exact per shard" (Ok ())
+    (Kvcluster.Metrics.check (baseline_metrics t));
+  (* Every leg survives the merge: turning served requests into expired
+     misses on every shard, and into cancelled requests on shard 0 only,
+     keeps the identity exact per shard and over the cluster. *)
   let m = main_metrics t in
   let shards =
-    Array.map
-      (fun (sm : Kvserver.Metrics.t) ->
+    Array.mapi
+      (fun s (sm : Kvserver.Metrics.t) ->
+        let cancelled = if s = 0 then 2 else 0 in
         {
           sm with
-          Kvserver.Metrics.served_total = sm.Kvserver.Metrics.served_total - 3;
+          Kvserver.Metrics.served_total = sm.Kvserver.Metrics.served_total - 3 - cancelled;
           expired_misses = sm.Kvserver.Metrics.expired_misses + 3;
+          cancelled = sm.Kvserver.Metrics.cancelled + cancelled;
         })
       m.Kvcluster.Metrics.per_shard
   in
@@ -421,10 +425,33 @@ let test_cluster_telescopes () =
     Kvcluster.Metrics.aggregate ~shard_share:m.Kvcluster.Metrics.shard_share
       (Array.map (fun sm -> (sm, Stats.Float_vec.create ())) shards)
   in
+  let leg = Obs.Ledger.leg agg.Kvcluster.Metrics.ledger in
   check int "expired misses summed over shards" (3 * Array.length shards)
-    agg.Kvcluster.Metrics.expired_misses;
-  check bool "identity holds with the expired-miss leg" true
-    (Kvcluster.Metrics.telescopes agg)
+    (leg "expired_misses");
+  check int "one shard's cancelled leg kept" 2 (leg "cancelled");
+  check exact "identity holds with the expired-miss and cancelled legs" (Ok ())
+    (Kvcluster.Metrics.check agg);
+  (* Gaps of opposite sign on two shards cancel in the merged ledger;
+     the per-shard check still names the first broken shard. *)
+  let skewed =
+    Array.mapi
+      (fun s (sm : Kvserver.Metrics.t) ->
+        let d = if s = 0 then 5 else if s = 1 then -5 else 0 in
+        { sm with Kvserver.Metrics.served_total = sm.Kvserver.Metrics.served_total + d })
+      m.Kvcluster.Metrics.per_shard
+  in
+  let agg =
+    Kvcluster.Metrics.aggregate ~shard_share:m.Kvcluster.Metrics.shard_share
+      (Array.map (fun sm -> (sm, Stats.Float_vec.create ())) skewed)
+  in
+  check bool "merged ledger blind to cancelling gaps" true
+    (Obs.Ledger.telescopes agg.Kvcluster.Metrics.ledger);
+  match Kvcluster.Metrics.check agg with
+  | Ok () -> Alcotest.fail "per-shard check passed cancelling gaps"
+  | Error msg ->
+      check bool ("names shard 0 and its gap: " ^ msg) true
+        (String.starts_with ~prefix:"shard 0: " msg
+        && String.ends_with ~suffix:"(gap -5)" msg)
 
 let test_cluster_minos_beats_keyhash_under_fanout () =
   (* The headline: at the same offered load and identical shard split,

@@ -384,8 +384,8 @@ let test_chaos_rerun_byte_identical () =
       rows = Minos.Chaos.run_plan ~cfg ~seed:5 ~offered_mops:7.0 plan;
     }
   in
-  let a = Minos.Chaos.to_json (run ()) in
-  let b = Minos.Chaos.to_json (run ()) in
+  let a = Obs.Json.to_string (Minos.Chaos.to_json (run ())) in
+  let b = Obs.Json.to_string (Minos.Chaos.to_json (run ())) in
   check string "rerun at fixed (plan, seed) is byte-identical" a b
 
 let test_chaos_trace_byte_identical () =
@@ -427,10 +427,7 @@ let test_chaos_check () =
   check bool "a run without the named plans is rejected" true
     (Result.is_error (Minos.Chaos.check { t with Minos.Chaos.rows = [] }))
 
-let telescope (m : Kvserver.Metrics.t) =
-  m.Kvserver.Metrics.served_total + m.Kvserver.Metrics.net_dropped
-  + m.Kvserver.Metrics.rx_dropped + m.Kvserver.Metrics.shed_small
-  + m.Kvserver.Metrics.shed_large + m.Kvserver.Metrics.in_flight_end
+let exact = Alcotest.(result unit string)
 
 let test_overload_telescopes () =
   (* Under the overload plan every issued request must be accounted for:
@@ -447,8 +444,8 @@ let test_overload_telescopes () =
         Minos.Experiment.run ~cfg ~fault ~seed:5 design Workload.Spec.default
           ~offered_mops:8.0
       in
-      check int (label ^ ": issued telescopes exactly")
-        m.Kvserver.Metrics.issued (telescope m);
+      check exact (label ^ ": issued telescopes exactly") (Ok ())
+        (Obs.Ledger.check (Kvserver.Metrics.ledger m));
       if Kvserver.Metrics.shed_total m > 0 then shed_seen := true)
     [
       ("Minos+guard", Kvserver.Design.minos, Minos.Chaos.guard_config cfg);
@@ -462,9 +459,9 @@ let test_healthy_runs_lose_nothing () =
     Minos.Experiment.run ~cfg ~seed:5 Kvserver.Design.minos
       Workload.Spec.default ~offered_mops:2.0
   in
-  check int "no loss without faults" 0 (Kvserver.Metrics.lost_total m);
-  check int "telescope holds when healthy" m.Kvserver.Metrics.issued
-    (telescope m)
+  check int "no loss without faults" 0 m.Kvserver.Metrics.lost;
+  check exact "telescope holds when healthy" (Ok ())
+    (Obs.Ledger.check (Kvserver.Metrics.ledger m))
 
 let test_plan_load_scaling () =
   let f = Alcotest.float 1e-9 in

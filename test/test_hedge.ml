@@ -10,6 +10,11 @@
 let check = Alcotest.check
 let bool = Alcotest.bool
 let int = Alcotest.int
+let exact = Alcotest.(result unit string)
+
+(* Legs of the router's two ledgers. *)
+let copy (m : Kvhedge.Metrics.t) = Obs.Ledger.leg m.Kvhedge.Metrics.copies
+let request (m : Kvhedge.Metrics.t) = Obs.Ledger.leg m.Kvhedge.Metrics.requests
 
 let with_jobs n f =
   Minos.Par.set_jobs (Some n);
@@ -135,14 +140,14 @@ let test_telescoping_grid () =
                       (match plan with None -> "none" | Some _ -> "kill")
                   in
                   let m = run ?plan (tiny ~design ~mode ~route ()) in
-                  check bool (label ^ ": telescopes") true
-                    (Kvhedge.Metrics.telescopes m);
+                  check exact (label ^ ": telescopes") (Ok ())
+                    (Obs.Ledger.check m.Kvhedge.Metrics.copies);
                   check bool (label ^ ": engine ledgers telescope") true
                     (Kvhedge.Metrics.engines_telescope m);
-                  check bool (label ^ ": requests account") true
-                    (Kvhedge.Metrics.requests_account m);
+                  check exact (label ^ ": requests account") (Ok ())
+                    (Obs.Ledger.check m.Kvhedge.Metrics.requests);
                   check bool (label ^ ": served work") true
-                    (m.Kvhedge.Metrics.served > 0);
+                    (copy m "served" > 0);
                   match plan with
                   | None ->
                       check int (label ^ ": no kill") 0
@@ -153,7 +158,7 @@ let test_telescoping_grid () =
                       check int (label ^ ": one recover") 1
                         m.Kvhedge.Metrics.server_recovered;
                       check bool (label ^ ": the crash dropped copies") true
-                        (m.Kvhedge.Metrics.net_dropped > 0))
+                        (copy m "net_dropped" > 0))
                 [ None; Some (kill ()) ])
             [ Kvhedge.Config.Spread; Kvhedge.Config.P2c ])
         [ Kvhedge.Config.Off; Kvhedge.Config.Hedged; Kvhedge.Config.Tied ])
@@ -173,15 +178,15 @@ let test_every_design_under_kill () =
             Kvserver.Design.name design ^ "+" ^ Kvhedge.Config.mode_name mode
           in
           let m = run ~plan:(kill ()) (tiny ~design ~mode ()) in
-          check bool (label ^ ": router ledger telescopes") true
-            (Kvhedge.Metrics.telescopes m);
+          check exact (label ^ ": router ledger telescopes") (Ok ())
+            (Obs.Ledger.check m.Kvhedge.Metrics.copies);
           check bool (label ^ ": engine ledgers telescope") true
             (Kvhedge.Metrics.engines_telescope m);
           check int (label ^ ": one engine per server") 4
             (Array.length m.Kvhedge.Metrics.engines);
           check bool (label ^ ": the killed server bounced arrivals") true
             (m.Kvhedge.Metrics.engines.(2).Kvserver.Metrics.net_dropped > 0);
-          check bool (label ^ ": served work") true (m.Kvhedge.Metrics.served > 0))
+          check bool (label ^ ": served work") true (copy m "served" > 0))
         [ Kvhedge.Config.Off; Kvhedge.Config.Hedged; Kvhedge.Config.Tied ])
     [ Kvserver.Design.sho; Kvserver.Design.hkh_ws ]
 
@@ -197,12 +202,13 @@ let test_shed_fails_request () =
       { cfg with Kvhedge.Config.server = server }
       ~dataset ~offered_mops:12.0 ~seed:7 ()
   in
-  check bool "copies shed" true (m.Kvhedge.Metrics.shed > 0);
-  check bool "shed requests fail" true (m.Kvhedge.Metrics.failed > 0);
-  check bool "telescopes" true (Kvhedge.Metrics.telescopes m);
+  check bool "copies shed" true (copy m "shed" > 0);
+  check bool "shed requests fail" true (request m "failed" > 0);
+  check exact "telescopes" (Ok ())
+    (Obs.Ledger.check m.Kvhedge.Metrics.copies);
   check bool "engine ledgers telescope" true (Kvhedge.Metrics.engines_telescope m);
-  check bool "every request resolved once or pending" true
-    (Kvhedge.Metrics.requests_account m)
+  check exact "every request resolved once or pending" (Ok ())
+    (Obs.Ledger.check m.Kvhedge.Metrics.requests)
 
 let test_determinism () =
   let cfg = tiny ~mode:Kvhedge.Config.Hedged ~route:Kvhedge.Config.P2c () in
@@ -268,18 +274,20 @@ let test_hedged_cancellation () =
   let m = run cfg in
   check bool "hedges issued" true (m.Kvhedge.Metrics.hedges_issued > 0);
   check bool "losers reaped" true
-    (m.Kvhedge.Metrics.cancelled + m.Kvhedge.Metrics.hedged_wasted > 0);
+    (Obs.Ledger.sum m.Kvhedge.Metrics.copies [ "cancelled"; "hedged_wasted" ] > 0);
   check bool "delay re-estimated each epoch" true
     (m.Kvhedge.Metrics.hedge_delay_series <> []);
   check bool "final delay is positive" true
     (m.Kvhedge.Metrics.hedge_delay_final_us > 0.0);
-  check bool "telescopes" true (Kvhedge.Metrics.telescopes m)
+  check exact "telescopes" (Ok ())
+    (Obs.Ledger.check m.Kvhedge.Metrics.copies)
 
 let test_tied_cancellation () =
   let m = run (tiny ~mode:Kvhedge.Config.Tied ()) in
   check bool "ties issued" true (m.Kvhedge.Metrics.ties_issued > 0);
-  check bool "tied losers cancelled" true (m.Kvhedge.Metrics.cancelled > 0);
-  check bool "telescopes" true (Kvhedge.Metrics.telescopes m)
+  check bool "tied losers cancelled" true (copy m "cancelled" > 0);
+  check exact "telescopes" (Ok ())
+    (Obs.Ledger.check m.Kvhedge.Metrics.copies)
 
 (* ------------------------------------------------------------------ *)
 (* Chaos SLO *)
@@ -312,8 +320,9 @@ let test_failover_budget () =
   let m = run ~plan:(kill ()) starved in
   check int "no failovers without budget" 0 m.Kvhedge.Metrics.failovers;
   check bool "denials counted" true (m.Kvhedge.Metrics.budget_exhausted > 0);
-  check bool "denied requests fail" true (m.Kvhedge.Metrics.failed > 0);
-  check bool "telescopes" true (Kvhedge.Metrics.telescopes m)
+  check bool "denied requests fail" true (request m "failed" > 0);
+  check exact "telescopes" (Ok ())
+    (Obs.Ledger.check m.Kvhedge.Metrics.copies)
 
 (* ------------------------------------------------------------------ *)
 (* Experiment driver: the nine-variant grid, jobs-invariant, audited *)
@@ -326,10 +335,10 @@ let test_experiment_grid () =
   check int "nine variants" 9 (List.length t1.Minos.Hedge.entries);
   List.iter
     (fun (e : Minos.Hedge.entry) ->
-      check bool (e.label ^ ": telescopes") true
-        (Kvhedge.Metrics.telescopes e.metrics);
-      check bool (e.label ^ ": requests account") true
-        (Kvhedge.Metrics.requests_account e.metrics))
+      check exact (e.label ^ ": telescopes") (Ok ())
+        (Obs.Ledger.check e.metrics.Kvhedge.Metrics.copies);
+      check exact (e.label ^ ": requests account") (Ok ())
+        (Obs.Ledger.check e.metrics.Kvhedge.Metrics.requests))
     t1.Minos.Hedge.entries;
   check bool "hedge tax priced" true (t1.Minos.Hedge.hedge_tax >= 0.0);
   (match Minos.Hedge.check t1 with

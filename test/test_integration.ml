@@ -256,6 +256,7 @@ let synthetic_metrics rate p99 =
     shed_large = 0;
     expired_misses = 0;
     cancelled = 0;
+    lost = 0;
     expired_keys = 0;
     evicted_keys = 0;
   }
@@ -313,12 +314,14 @@ let test_csv_export () =
 
 let test_json_helpers () =
   let str = Alcotest.string in
-  check str "finite" "1.235" (Minos.Report.json_float 1.23456);
-  check str "nan" "null" (Minos.Report.json_float Float.nan);
-  check str "+inf" "null" (Minos.Report.json_float Float.infinity);
-  check str "-inf" "null" (Minos.Report.json_float Float.neg_infinity);
-  check str "escaped string" {|"a\"b\\c d"|}
-    (Minos.Report.json_string "a\"b\\c\nd")
+  check str "finite" "1.235" (Obs.Json.float 1.23456);
+  check str "nan" "null" (Obs.Json.float Float.nan);
+  check str "+inf" "null" (Obs.Json.float Float.infinity);
+  check str "-inf" "null" (Obs.Json.float Float.neg_infinity);
+  check str "non-finite values in a document" "[\n  null,\n  null\n]\n"
+    (Obs.Json.(to_string (List [ Float Float.nan; Float Float.infinity ])));
+  check str "lossless escapes" {|"q\"b\\n\nt\tc\u0001"|}
+    (Obs.Json.string "q\"b\\n\nt\tc\x01")
 
 let test_design_names_roundtrip () =
   List.iter

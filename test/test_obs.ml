@@ -487,6 +487,77 @@ let test_cluster_trace_pids () =
       | None -> fail "event without pid")
     events
 
+(* ------------------------------------------------------------------ *)
+(* Ledger and the JSON writer *)
+
+let exact = result unit string
+
+let test_ledger_merge_by_name () =
+  let a = Obs.Ledger.make ~issued:10 [ ("served", 7); ("shed", 2); ("lost", 1) ] in
+  let b = Obs.Ledger.make ~issued:5 [ ("lost", 3); ("served", 2); ("shed", 0) ] in
+  let m = Obs.Ledger.merge [ a; b ] in
+  check int "issued" 15 (Obs.Ledger.issued m);
+  check (list int) "legs summed by name, first ledger's order" [ 9; 2; 4 ]
+    (List.map (Obs.Ledger.leg m) [ "served"; "shed"; "lost" ]);
+  check exact "merge telescopes" (Ok ()) (Obs.Ledger.check m);
+  check_raises "duplicate leg" (Invalid_argument "Ledger.make: duplicate leg in served,served")
+    (fun () -> ignore (Obs.Ledger.make ~issued:1 [ ("served", 1); ("served", 0) ]))
+
+let test_ledger_merge_mismatch () =
+  let a = Obs.Ledger.make ~issued:3 [ ("served", 3); ("cancelled", 0) ] in
+  let b = Obs.Ledger.make ~issued:3 [ ("served", 3) ] in
+  List.iter
+    (fun ls ->
+      match Obs.Ledger.merge ls with
+      | _ -> fail "a merge that drops a leg must raise"
+      | exception Invalid_argument _ -> ())
+    [ [ a; b ]; [ b; a ] ]
+
+let test_ledger_check_names_gap () =
+  let l = Obs.Ledger.make ~issued:10 [ ("served", 6); ("shed", 1) ] in
+  check bool "does not telescope" false (Obs.Ledger.telescopes l);
+  check exact "error names issued, sum and gap"
+    (Error "issued 10 but the legs sum to 7 (gap 3)") (Obs.Ledger.check l);
+  check string "pp" "issued=10 served=6 shed=1 (gap 3)" (Format.asprintf "%a" Obs.Ledger.pp l)
+
+let test_json_layout () =
+  let l = Obs.Ledger.make ~issued:3 [ ("served", 2); ("shed", 1) ] in
+  let doc =
+    Obs.Json.(
+      Obj
+        [
+          ("name", String "a");
+          ("p99_us", Float 7.4684);
+          ("ledger", Obs.Ledger.to_json l);
+          ("series", List [ List [ Float 1.0; Null ]; List [] ]);
+          ("rows", List [ Obj [ ("id", Int 0); ("ok", Bool true) ] ]);
+          ("empty", Obj []);
+        ])
+  in
+  check string "scalar-only containers inline, the rest one member per line"
+    {|{
+  "name": "a",
+  "p99_us": 7.468,
+  "ledger": {"issued": 3, "served": 2, "shed": 1, "telescopes": true},
+  "series": [
+    [1.000, null],
+    []
+  ],
+  "rows": [
+    {"id": 0, "ok": true}
+  ],
+  "empty": {}
+}
+|}
+    (Obs.Json.to_string doc);
+  check string "a scalar-only top level still gets one member per line"
+    "{\n  \"a\": 1,\n  \"b\": 2\n}\n"
+    Obs.Json.(to_string (Obj [ ("a", Int 1); ("b", Int 2) ]));
+  (* Whatever the layout, the document parses back to the same values. *)
+  match Json.member "ledger" (Json.parse (Obs.Json.to_string doc)) with
+  | Some (Json.Obj kvs) -> check int "ledger members" 4 (List.length kvs)
+  | _ -> fail "no ledger object"
+
 let () =
   run "obs"
     [
@@ -513,4 +584,11 @@ let () =
       ( "runtime",
         [ test_case "native server spans and trace" `Slow test_runtime_instrumented ]
       );
+      ( "ledger",
+        [
+          test_case "merge sums by name" `Quick test_ledger_merge_by_name;
+          test_case "merge rejects mismatched legs" `Quick test_ledger_merge_mismatch;
+          test_case "check names the gap" `Quick test_ledger_check_names_gap;
+        ] );
+      ("json", [ test_case "layout rule" `Quick test_json_layout ]);
     ]

@@ -173,6 +173,54 @@ let prop_request_roundtrip =
           && Option.map Bytes.to_string r'.Wire.value = value
       | Error _ -> false)
 
+let gen_request =
+  QCheck.Gen.(
+    map
+      (fun ((id, op, key), (value, client_ts, target_rx)) ->
+        { Wire.id; op; key; value = Option.map Bytes.of_string value; client_ts; target_rx })
+      (pair
+         (triple ui64 (oneofl [ Wire.Get; Wire.Put; Wire.Delete; Wire.Scan ])
+            (string_size (int_bound 300)))
+         (triple (opt (string_size (int_bound 3000))) ui64 (int_bound 0xFFFF))))
+
+let gen_reply =
+  QCheck.Gen.(
+    map
+      (fun (id, status, value, client_ts) ->
+        { Wire.id; status; value = Option.map Bytes.of_string value; client_ts })
+      (quad ui64
+         (oneofl [ Wire.Ok; Wire.Not_found; Wire.Overloaded ])
+         (opt (string_size (int_bound 3000)))
+         ui64))
+
+let prop_codecs_roundtrip_every_field =
+  QCheck.Test.make ~name:"request and reply codecs round-trip every field" ~count:300
+    (QCheck.make QCheck.Gen.(pair gen_request gen_reply))
+    (fun (req, rep) ->
+      Wire.decode_request (Wire.encode_request req) = Ok req
+      && Wire.decode_reply (Wire.encode_reply rep) = Ok rep)
+
+let prop_mutated_decode_total =
+  (* Nearly valid datagrams — a header field flipped, a length cut short,
+     junk appended — are where a decoder trusts a length it should not. *)
+  let bases =
+    List.concat_map
+      (fun seed ->
+        let rand = Random.State.make [| seed |] in
+        [
+          Bytes.to_string (Wire.encode_request (gen_request rand));
+          Bytes.to_string (Wire.encode_reply (gen_reply rand));
+        ])
+      [ 1; 2; 3; 4 ]
+  in
+  QCheck.Test.make ~name:"decoders total on mutated encodings" ~count:1000
+    (Fuzz.mutated ~alphabet:Fuzz.bytes_alphabet bases)
+    (fun s ->
+      let b = Bytes.of_string s in
+      match (Wire.decode_request b, Wire.decode_reply b) with
+      | _ -> true
+      | exception e -> QCheck.Test.fail_reportf "raised %s" (Printexc.to_string e))
+
 (* ------------------------------------------------------------------ *)
 (* Fragment *)
 
@@ -330,7 +378,8 @@ let () =
           Alcotest.test_case "size accessors" `Quick test_size_accessors_match_encoding;
         ]
         @ qsuite
-            [ prop_request_roundtrip; prop_decode_never_crashes;
+            [ prop_request_roundtrip; prop_codecs_roundtrip_every_field;
+              prop_decode_never_crashes; prop_mutated_decode_total;
               prop_fragment_offer_never_crashes ] );
       ( "fragment",
         [

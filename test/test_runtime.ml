@@ -177,6 +177,58 @@ let test_config_validation () =
            ~config:{ Runtime.Server.default_config with Runtime.Server.cores = 1 }
            store))
 
+(* Overload: a tight shed watermark plus every RX ring squeezed to a few
+   slots.  Flooding the server must exercise both loss legs, and once
+   [stop] has drained the rings every submission the server saw is in
+   exactly one leg of its ledger. *)
+let test_ledger_exact_under_overload () =
+  let squeeze =
+    {
+      Fault.Plan.name = "squeeze";
+      events =
+        [
+          Fault.Plan.Ring_squeeze
+            { queue = Fault.Plan.all; from_us = 0.0; until_us = infinity; capacity = 8 };
+        ];
+    }
+  in
+  let config =
+    {
+      Runtime.Server.default_config with
+      Runtime.Server.shed_watermark = Some 1;
+      fault = Some (Fault.Inject.create ~seed:1 squeeze);
+    }
+  in
+  let server =
+    with_server ~config (fun s _ ->
+        let n_keys = runtime_spec.Workload.Spec.n_keys in
+        let id = ref 0 in
+        let overloaded () =
+          let l = (Runtime.Server.stats s).Runtime.Server.ledger in
+          Obs.Ledger.leg l "rx_rejected" > 0 && Obs.Ledger.sum l [ "shed_small"; "shed_large" ] > 0
+        in
+        let rounds = ref 0 in
+        while (not (overloaded ())) && !rounds < 50 do
+          incr rounds;
+          for _ = 1 to 2_000 do
+            incr id;
+            ignore
+              (Runtime.Server.submit s
+                 { Runtime.Message.id = Int64.of_int !id; op = Runtime.Message.Get;
+                   key = Workload.Dataset.key_name (!id mod n_keys);
+                   submitted_at = 0.0; obs_slot = -1 })
+          done;
+          while Runtime.Server.poll_reply s <> None do () done
+        done;
+        s)
+  in
+  let l = (Runtime.Server.stats server).Runtime.Server.ledger in
+  check Alcotest.(result unit string) "exact after stop" (Ok ()) (Obs.Ledger.check l);
+  check int "nothing in flight after stop" 0 (Obs.Ledger.leg l "in_flight");
+  check bool "squeezed rings rejected" true (Obs.Ledger.leg l "rx_rejected" > 0);
+  check bool "admission control shed" true
+    (Obs.Ledger.sum l [ "shed_small"; "shed_large" ] > 0)
+
 (* ------------------------------------------------------------------ *)
 (* UDP front end *)
 
@@ -342,5 +394,7 @@ let () =
           Alcotest.test_case "stop idempotent" `Quick test_stop_is_idempotent;
           Alcotest.test_case "submit after stop" `Quick test_submit_refused_after_stop;
           Alcotest.test_case "config validation" `Quick test_config_validation;
+          Alcotest.test_case "ledger exact under overload" `Quick
+            test_ledger_exact_under_overload;
         ] );
     ]

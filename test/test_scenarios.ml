@@ -39,6 +39,34 @@ let test_trace_timed_roundtrip () =
   check bool "requests equal" true (Workload.Trace.requests back = reqs);
   check bool "timestamps equal" true (Workload.Trace.timestamps back = ts)
 
+(* Fuzz: a mutated copy of a saved v1 (untimed) or v2 (timed) trace
+   either loads or fails with [Failure], the documented decode-error
+   contract — never another exception. *)
+let prop_trace_load_contract =
+  let saved trace =
+    let path = tmp_file "minos_trace_base.bin" in
+    Workload.Trace.save path trace;
+    let data = In_channel.with_open_bin path In_channel.input_all in
+    Sys.remove path;
+    data
+  in
+  let bases =
+    [
+      saved (Workload.Trace.capture (Workload.Generator.create ~seed:9 small_dataset) ~n:16);
+      saved
+        (Workload.Trace.of_timed (sample_requests 16)
+           (Array.init 16 (fun i -> 2.0 *. float_of_int i)));
+    ]
+  in
+  let path = tmp_file "minos_trace_fuzz.bin" in
+  QCheck.Test.make ~name:"Trace.load loads or raises Failure on mutated files" ~count:300
+    (Fuzz.mutated ~alphabet:Fuzz.bytes_alphabet bases)
+    (fun data ->
+      Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc data);
+      match Workload.Trace.load path with
+      | _ | (exception Failure _) -> true
+      | exception e -> QCheck.Test.fail_reportf "raised %s" (Printexc.to_string e))
+
 let test_trace_untimed_stays_v1 () =
   (* A scan-free untimed capture must keep the original v1 format so old
      files and old readers stay compatible. *)
@@ -273,8 +301,8 @@ let test_scenarios_jobs_identical () =
   let names = [ "ttl-churn"; "scan-heavy" ] in
   let run jobs =
     with_jobs jobs (fun () ->
-        Minos.Scenarios.to_json
-          (Minos.Scenarios.run ~cfg:(quick_cfg ()) ~seed:3 ~names ()))
+        Obs.Json.to_string
+          (Minos.Scenarios.to_json (Minos.Scenarios.run ~cfg:(quick_cfg ()) ~seed:3 ~names ())))
   in
   let sequential = run 1 in
   check string "MINOS_JOBS=4 byte-identical" sequential (run 4);
@@ -289,10 +317,12 @@ let test_scenarios_telescope () =
   in
   List.iter
     (fun (r : Minos.Scenarios.row) ->
-      check bool
+      check
+        Alcotest.(result unit string)
         (Printf.sprintf "%s/%s telescopes" r.Minos.Scenarios.scenario
            r.Minos.Scenarios.design)
-        true r.Minos.Scenarios.telescopes)
+        (Ok ())
+        (Obs.Ledger.check (Kvserver.Metrics.ledger r.Minos.Scenarios.metrics)))
     t.Minos.Scenarios.rows;
   let cold =
     List.filter
@@ -399,6 +429,7 @@ let () =
           Alcotest.test_case "rejects corruption" `Quick test_trace_rejects_garbage;
           Alcotest.test_case "rejects future versions" `Quick
             test_trace_rejects_future_version;
+          QCheck_alcotest.to_alcotest prop_trace_load_contract;
         ] );
       ( "ttl",
         [

@@ -90,30 +90,8 @@ let qsuite tests = List.map (fun t -> QCheck_alcotest.to_alcotest t) tests
 
 let alphabet = "=*,. \t\n#-+_:eEinfaxqd0123456789"
 
-(* One edit at a position folded into the string: delete, insert,
-   replace, or duplicate a short run elsewhere. *)
-let edit s (pos, kind, c) =
-  let n = String.length s in
-  let p = pos mod (n + 1) in
-  match kind with
-  | 0 when p < n -> String.sub s 0 p ^ String.sub s (p + 1) (n - p - 1)
-  | 2 when p < n -> String.sub s 0 p ^ String.make 1 c ^ String.sub s (p + 1) (n - p - 1)
-  | 3 ->
-      let run = String.sub s p (min 8 (n - p)) in
-      let q = pos * 7 mod (n + 1) in
-      String.sub s 0 q ^ run ^ String.sub s q (n - q)
-  | _ -> String.sub s 0 p ^ String.make 1 c ^ String.sub s p (n - p)
-
-let mutated bases =
-  let open QCheck.Gen in
-  let chars = List.init (String.length alphabet) (String.get alphabet) in
-  QCheck.make ~print:(Printf.sprintf "%S")
-    ( oneofl bases >>= fun base ->
-      list_size (int_range 1 6) (triple (int_bound 4096) (int_bound 3) (oneofl chars))
-      >|= List.fold_left edit base )
-
 let never_raises name bases parse =
-  QCheck.Test.make ~name ~count:500 (mutated bases) (fun s ->
+  QCheck.Test.make ~name ~count:500 (Fuzz.mutated ~alphabet bases) (fun s ->
       match parse s with Ok _ | Error _ -> true | exception e ->
         QCheck.Test.fail_reportf "%S raised %s" s (Printexc.to_string e))
 
@@ -456,8 +434,10 @@ let metrics_fingerprint (m : Kvcluster.Metrics.t) =
   let b = Buffer.create 1024 in
   let f x = Buffer.add_string b (Printf.sprintf "%h;" x) in
   let i x = Buffer.add_string b (Printf.sprintf "%d;" x) in
-  i m.issued; i m.served_total; i m.net_dropped; i m.rx_dropped;
-  i m.shed_small; i m.shed_large; i m.in_flight_end;
+  i (Obs.Ledger.issued m.ledger);
+  List.iter
+    (fun leg -> i (Obs.Ledger.leg m.ledger leg))
+    [ "served"; "net_dropped"; "rx_dropped"; "shed_small"; "shed_large"; "in_flight_end" ];
   f m.throughput_mops; f m.mean_us; f m.p50_us; f m.p99_us; f m.p999_us;
   f m.worst_shard_p99_us; f m.imbalance;
   Buffer.add_string b (string_of_bool m.stable);
@@ -494,21 +474,21 @@ let test_noop_reproduces_static_cluster () =
 let test_reshard_preserves_accounting () =
   let r = reshard_run () in
   let m = r.Shardmgr.Run.metrics in
-  check bool "telescopes across reshard events" true
-    (Kvcluster.Metrics.telescopes m);
+  check Alcotest.(result unit string) "every shard telescopes across reshard events"
+    (Ok ()) (Kvcluster.Metrics.check m);
   check bool "audit clean" true (Shardmgr.Protocol.ok r.Shardmgr.Run.protocol);
   check bool "dual-phase fallback reads observed" true
     (r.Shardmgr.Run.protocol.Shardmgr.Protocol.fallback_reads >= 0);
   check bool "p99 timeline recorded" true (r.Shardmgr.Run.p99_series <> []);
   check bool "all engines issued something somewhere" true
-    (m.Kvcluster.Metrics.issued > 0)
+    (Obs.Ledger.issued m.Kvcluster.Metrics.ledger > 0)
 
 let reshard_front_end () =
   Minos.Reshard.run ~cfg ~seed:3 ~servers:2 ~plan:(canned "add-remove") workload
     ~offered_mops:4.0 ()
 
 let test_reshard_deterministic_across_jobs () =
-  let go () = Minos.Reshard.to_json (reshard_front_end ()) in
+  let go () = Obs.Json.to_string (Minos.Reshard.to_json (reshard_front_end ())) in
   let a = with_jobs 1 go in
   let b = with_jobs 4 go in
   check Alcotest.string "jobs=1 vs jobs=4 byte-identical" a b
