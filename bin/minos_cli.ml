@@ -442,11 +442,19 @@ let serve_cmd =
     Arg.(value & opt int 47700 & info [ "port" ] ~docv:"PORT" ~doc:"First RX-queue port.")
   in
   let cores =
-    Arg.(value & opt int 4 & info [ "cores" ] ~docv:"N" ~doc:"Worker domains (>= 2).")
+    Arg.(
+      value
+      & opt int Runtime.Server.default_config.Runtime.Server.cores
+      & info [ "cores" ] ~docv:"N"
+          ~doc:"Worker domains: at least 2, at most the machine's hardware threads.")
   in
   let arena_mb =
     Arg.(
-      value & opt int 256 & info [ "arena-mb" ] ~docv:"MB" ~doc:"Value arena size in MiB.")
+      value & opt int 256
+      & info [ "arena-mb" ] ~docv:"MB"
+          ~doc:
+            "Value arena size in MiB, shared by all keys.  A PUT the arena cannot hold is \
+             answered Overloaded.")
   in
   let verbose =
     Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Log control-loop decisions.")
@@ -475,7 +483,13 @@ let serve_cmd =
       | None -> None
       | Some _ -> Some (Obs.Instrument.create ~cores ~seed:1 ())
     in
-    let udp = Runtime.Udp.start ?obs ~config ~base_port:port store in
+    let udp =
+      try Runtime.Udp.start ?obs ~config ~base_port:port store
+      with Runtime.Server.Oversubscribed { cores; limit } ->
+        Format.eprintf "minos serve: --cores %d exceeds the %d this machine can run@." cores
+          limit;
+        exit 2
+    in
     Format.printf
       "minos: serving on 127.0.0.1 UDP ports %d-%d (%d worker domains)@." port
       (port + cores - 1) cores;
@@ -512,7 +526,10 @@ let kv_cmd =
     Arg.(value & opt int 47700 & info [ "port" ] ~docv:"PORT" ~doc:"Server base port.")
   in
   let queues =
-    Arg.(value & opt int 4 & info [ "queues" ] ~docv:"N" ~doc:"Server RX queues (= cores).")
+    Arg.(
+      value
+      & opt int Runtime.Server.default_config.Runtime.Server.cores
+      & info [ "queues" ] ~docv:"N" ~doc:"Server RX queues (= cores).")
   in
   let op =
     Arg.(
@@ -558,7 +575,10 @@ let loadtest_cmd =
     Arg.(value & opt int 47700 & info [ "port" ] ~docv:"PORT" ~doc:"Server base port.")
   in
   let queues =
-    Arg.(value & opt int 4 & info [ "queues" ] ~docv:"N" ~doc:"Server RX queues.")
+    Arg.(
+      value
+      & opt int Runtime.Server.default_config.Runtime.Server.cores
+      & info [ "queues" ] ~docv:"N" ~doc:"Server RX queues.")
   in
   let clients =
     Arg.(value & opt int 2 & info [ "clients" ] ~docv:"N" ~doc:"Client domains.")

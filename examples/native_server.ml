@@ -30,11 +30,13 @@ let run_mode mode =
   let config = { Runtime.Server.default_config with Runtime.Server.mode } in
   let server = Runtime.Server.start ~config store in
   let t0 = Unix.gettimeofday () in
-  let result = Runtime.Loadgen.run ~server ~dataset ~requests ~seed:17 () in
+  let outcome = Runtime.Loadgen.run ~server ~dataset ~requests ~seed:17 () in
   let elapsed = Unix.gettimeofday () -. t0 in
   let stats = Runtime.Server.stats server in
   Runtime.Server.stop server;
-  (result, stats, elapsed)
+  match outcome with
+  | Ok result -> (result, stats, elapsed)
+  | Error stall -> failwith ("native_server: " ^ Runtime.Loadgen.stall_message stall)
 
 let () =
   Printf.printf "native runtime: %d requests, %d worker domains, pL=%.1f%%\n\n" requests

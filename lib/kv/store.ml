@@ -20,6 +20,11 @@ type t = {
   bucket_bits : int;
   partitions : partition array;
   slab : Slab.t;
+  slab_lock : Spinlock.t;
+      (* One slab serves every partition, so writers of two partitions
+         share its free lists: [alloc] and [free] run under this lock.
+         Copying into an allocated region needs no lock, since the region
+         belongs to its writer alone. *)
   items : int Atomic.t;
   overflow_count : int Atomic.t;
   expired : int Atomic.t;
@@ -50,6 +55,7 @@ let create ?(partition_bits = 4) ?(bucket_bits = 10) ?(value_arena_bytes = 256 *
     bucket_bits;
     partitions = Array.init n_part mk_partition;
     slab = Slab.create ~capacity:value_arena_bytes;
+    slab_lock = Spinlock.create ();
     items = Atomic.make 0;
     overflow_count = Atomic.make 0;
     expired = Atomic.make 0;
@@ -154,6 +160,10 @@ let with_guard partition guard f =
   | `Crew -> f ()
   | `Lock -> Spinlock.with_lock partition.lock f
 
+let slab_alloc t len = Spinlock.with_lock t.slab_lock (fun () -> Slab.alloc t.slab len)
+
+let slab_free t r = Spinlock.with_lock t.slab_lock (fun () -> Slab.free t.slab r)
+
 let index_add t key = match t.ordered with Some idx -> Ordered.add idx key | None -> ()
 
 let index_remove t key =
@@ -168,15 +178,15 @@ let put ?(expires_at = infinity) t ~guard key value =
           (* Allocate and fill the new region before publishing it, so
              readers never observe a partially written value for the new
              pointer; the epoch protocol covers the pointer swap itself. *)
-          let r = Slab.alloc t.slab (Bytes.length value) in
+          let r = slab_alloc t (Bytes.length value) in
           Slab.write t.slab r value;
           begin_write chain;
           s.region <- Some r;
           s.expires_at <- expires_at;
           end_write chain;
-          (match old with Some r0 -> Slab.free t.slab r0 | None -> ())
+          (match old with Some r0 -> slab_free t r0 | None -> ())
       | None ->
-          let r = Slab.alloc t.slab (Bytes.length value) in
+          let r = slab_alloc t (Bytes.length value) in
           Slab.write t.slab r value;
           begin_write chain;
           let s = empty_slot t chain.head in
@@ -198,7 +208,7 @@ let clear_slot t chain s =
   s.region <- None;
   s.expires_at <- infinity;
   end_write chain;
-  (match old with Some r -> Slab.free t.slab r | None -> ());
+  (match old with Some r -> slab_free t r | None -> ());
   Atomic.decr t.items;
   index_remove t key
 

@@ -27,8 +27,10 @@ val create :
   ?partition_bits:int -> ?bucket_bits:int -> ?value_arena_bytes:int -> unit -> t
 (** [create ~partition_bits ~bucket_bits ~value_arena_bytes ()] makes a
     store with [2^partition_bits] partitions (default 4 → 16 partitions) of
-    [2^bucket_bits] buckets each (default 10 → 1024), and a slab arena for
-    values (default 256 MiB). *)
+    [2^bucket_bits] buckets each (default 10 → 1024), and one slab arena
+    for the values of every partition (default 256 MiB).  The arena's
+    allocator runs under its own lock, so writers of different partitions
+    can run at once; one value may take the whole arena. *)
 
 val partition_count : t -> int
 

@@ -17,6 +17,18 @@ type result = {
   rejected_submits : int;   (** RX-ring-full backpressure events *)
 }
 
+type stall = {
+  unanswered : int64 list;  (** ids still outstanding when the client gave up *)
+  partial : result;         (** the replies that did arrive *)
+  ledger : Obs.Ledger.t;
+      (** the server's ledger at that moment: the unanswered requests are
+          in its [in_flight] or [worker_failed] leg *)
+}
+(** A run that stopped waiting: a reply was lost or a worker died. *)
+
+val stall_message : stall -> string
+(** One line naming the unanswered ids (the first few) and the ledger. *)
+
 val run :
   ?concurrency:int ->
   ?ttl_s:float ->
@@ -27,12 +39,14 @@ val run :
   requests:int ->
   seed:int ->
   unit ->
-  result
+  (result, stall) Stdlib.result
 (** [run ~server ~dataset ~requests ~seed ()] issues [requests] operations
     drawn from the dataset's spec (GET:PUT mix, zipf popularity, size
     classes) and waits for all replies.  [concurrency] defaults to 64.
     [ttl_s] attaches a TTL to every PUT; [scan_ratio] diverts that
-    fraction of draws to SCANs of [scan_len] entries (default 16). *)
+    fraction of draws to SCANs of [scan_len] entries (default 16).
+    [Error] when the client waited 10 s without a reply or an accepted
+    submission. *)
 
 val run_concurrent :
   ?clients:int ->
@@ -42,9 +56,11 @@ val run_concurrent :
   requests_per_client:int ->
   seed:int ->
   unit ->
-  result
+  (result, stall) Stdlib.result
 (** Multiple client domains driving the server at once — the in-process
     analogue of the paper's 7 client machines.  Request ids carry the
-    client index in their top bits; a collector domain demultiplexes the
-    shared reply stream back to per-client mailboxes.  Results are
-    aggregated across clients.  [clients] defaults to 3. *)
+    client index in their top bits; each client drains the shared reply
+    stream and forwards other clients' replies to their mailboxes, each
+    sized to one client's [concurrency] window.  Results are
+    aggregated across clients; [Error] when any client gave up, with
+    every client's unanswered ids.  [clients] defaults to 3. *)

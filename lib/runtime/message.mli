@@ -31,7 +31,8 @@ type status =
   | Not_found
   | Overloaded
       (** the server's admission control shed the request before
-          execution; back off and retry *)
+          execution, or the store had no room for a PUT's value; back off
+          and retry *)
 
 type reply = {
   request_id : int64;
@@ -40,6 +41,10 @@ type reply = {
   value_size : int;      (** bytes returned (GET) or written (PUT) *)
   served_by : int;       (** worker core id, for load accounting *)
   completed_at : float;
+      (** [Unix.gettimeofday] when the serving worker began its batch,
+          re-read after each reply or write bigger than one datagram: a
+          request's latency includes every large request served ahead of
+          it in the batch, but not the service of small ones (a few µs) *)
 }
 
 val latency_us : request -> reply -> float

@@ -20,9 +20,11 @@ type config = {
   fault : Fault.Inject.t option;
 }
 
+let max_cores () = max 2 (Domain.recommended_domain_count ())
+
 let default_config =
   {
-    cores = 4;
+    cores = min 4 (max_cores ());
     batch = 32;
     epoch_s = 0.05;
     alpha = 0.9;
@@ -37,6 +39,14 @@ let default_config =
     fault = None;
   }
 
+exception Oversubscribed of { cores : int; limit : int }
+
+type transport = {
+  receive : int -> (Message.request -> bool) -> int;
+  reply : Message.request -> Message.reply -> unit;
+  park : int -> float -> unit;
+}
+
 type worker = {
   id : int;
   rx : Message.request Netsim.Ring.t;
@@ -46,15 +56,28 @@ type worker = {
   served : int Atomic.t;
   busy_ns : int Atomic.t;
       (* cumulative busy time, only maintained while a timeline samples *)
+  polled : Message.request array;
+      (* this iteration's drained requests: software queue first, then own
+         RX, then the shares of the large cores' RX rings *)
+  mutable n_queued : int; (* how many of [polled] came from [swq] *)
+  mutable n_polled : int;
+  mutable n_done : int;
+      (* of [polled], how many this worker no longer holds: answered (and
+         counted) or handed to another core.  A worker that dies holds
+         [n_polled - n_done] requests, which are lost with it. *)
+  failure : string option Atomic.t; (* the exception that killed it *)
+  mutable clock : float;
+      (* this batch's [Unix.gettimeofday], read when the batch starts and
+         again after each reply too big for one datagram, so a request
+         served behind a large one in the same batch carries its cost *)
 }
 
 type t = {
   cfg : config;
   store : Kvstore.Store.t;
   workers : worker array;
-  replies : Message.reply Netsim.Ring.t;
-  stash : Message.reply Queue.t; (* replies drained during stop *)
-  stash_lock : Mutex.t;
+  transport : transport;
+  poll : unit -> Message.reply option;
   plan : Kvserver.Control.plan Atomic.t;
   handoffs : int Atomic.t;
   epochs : int Atomic.t;
@@ -62,6 +85,8 @@ type t = {
   shed_large : int Atomic.t;
   rx_rejected : int Atomic.t;
   ctrl_stale : int Atomic.t;
+  worker_failed : int Atomic.t; (* requests lost with a dead worker *)
+  no_memory : int Atomic.t; (* PUTs the value arena could not hold *)
   (* Fault-clock outputs, sampled ~1 ms by a dedicated thread so workers
      read plain atomics instead of scanning the plan's windows. *)
   stall_us : int Atomic.t array; (* per-core extra sleep per iteration *)
@@ -93,6 +118,12 @@ let obs_mark t field (req : Message.request) =
     | Some o ->
         Obs.Recorder.set_ts o.Obs.Instrument.recorder req.Message.obs_slot field
           (now_us ())
+
+let obs_meta t field (req : Message.request) v =
+  if req.Message.obs_slot >= 0 then
+    match t.obs with
+    | None -> ()
+    | Some o -> Obs.Recorder.set_meta o.Obs.Instrument.recorder req.Message.obs_slot field v
 
 let obs_sample_submit t (req : Message.request) ~ring_idx =
   match t.obs with
@@ -138,136 +169,101 @@ let dispatch_ring t (req : Message.request) =
       Int64.to_int (Int64.rem (mix64 req.Message.id) (Int64.of_int t.cfg.cores)) |> abs
   | Message.Put _ | Message.Put_ttl _ | Message.Delete -> key_master t req.Message.key
 
-let submit t req =
+(* Admit one request to a worker's RX ring: what a NIC queue does with an
+   arriving packet.  [in_flight] rises before the push, so no worker can
+   answer the request before it is counted. *)
+let enqueue t (w : worker) req =
   if not (Atomic.get t.accepting) then false
-  else begin
-    let ring_idx = dispatch_ring t req in
+  else if
     (* A ring-capacity squeeze lowers the effective RX depth below the
        ring's physical capacity; beyond it the "NIC" tail-drops. *)
-    if Netsim.Ring.length t.workers.(ring_idx).rx >= Atomic.get t.rx_cap.(ring_idx)
-    then begin
+    Netsim.Ring.length w.rx >= Atomic.get t.rx_cap.(w.id)
+  then begin
+    Atomic.incr t.rx_rejected;
+    false
+  end
+  else begin
+    obs_sample_submit t req ~ring_idx:w.id;
+    Atomic.incr t.in_flight;
+    if Netsim.Ring.try_push w.rx req then begin
+      Atomic.incr w.accepted;
+      true
+    end
+    else begin
+      Atomic.decr t.in_flight;
       Atomic.incr t.rx_rejected;
       false
     end
-    else begin
-      obs_sample_submit t req ~ring_idx;
-      if Netsim.Ring.try_push t.workers.(ring_idx).rx req then begin
-        Atomic.incr t.workers.(ring_idx).accepted;
-        Atomic.incr t.in_flight;
-        true
-      end
-      else begin
-        Atomic.incr t.rx_rejected;
-        false
-      end
-    end
   end
+
+let submit t req = enqueue t t.workers.(dispatch_ring t req) req
 
 let store_of t = t.store
 
-let poll_reply t =
-  match Netsim.Ring.try_pop t.replies with
-  | Some _ as r -> r
-  | None ->
-      Mutex.lock t.stash_lock;
-      let r = Queue.take_opt t.stash in
-      Mutex.unlock t.stash_lock;
-      r
+let poll_reply t = t.poll ()
+
+(* The in-process transport: [submit] fills the RX rings, replies go to
+   one shared ring that [poll_reply] drains.  A reply never waits for a
+   slow client: past the ring's capacity it spills into an unbounded
+   overflow queue. *)
+let in_process () =
+  let replies = Netsim.Ring.create ~capacity:65536 in
+  let overflow = Queue.create () and lock = Mutex.create () in
+  let reply _ r =
+    if not (Netsim.Ring.try_push replies r) then begin
+      Mutex.lock lock;
+      Queue.add r overflow;
+      Mutex.unlock lock
+    end
+  in
+  let poll () =
+    match Netsim.Ring.try_pop replies with
+    | Some _ as r -> r
+    | None ->
+        Mutex.lock lock;
+        let r = Queue.take_opt overflow in
+        Mutex.unlock lock;
+        r
+  in
+  ({ receive = (fun _ _ -> 0); reply; park = (fun _ s -> Unix.sleepf s) }, poll)
 
 (* ------------------------------------------------------------------ *)
-(* Request execution on a worker *)
+(* The scheduling step: drain the rings into [polled], route each
+   classified request.  Neither function touches the store or the wire,
+   and both are zero-allocation roots of [dune build @analyze]. *)
 
-let push_reply t reply =
-  (* Spin with backoff: the ring is large and clients are expected to
-     drain; during [stop] the stopping thread drains for them. *)
-  while not (Netsim.Ring.try_push t.replies reply) do
-    Domain.cpu_relax ()
-  done;
-  Atomic.decr t.in_flight
+let rec pull ring (polled : Message.request array) n limit =
+  if n >= limit then n
+  else
+    match Netsim.Ring.pop_exn ring with
+    | req ->
+        polled.(n) <- req;
+        pull ring polled (n + 1) limit
+    | exception Netsim.Ring.Empty -> n
 
-let serve t (w : worker) (req : Message.request) =
-  obs_mark t Obs.Span.ts_service_start req;
-  (if req.Message.obs_slot >= 0 then
-     match t.obs with
-     | None -> ()
-     | Some o ->
-         let r = o.Obs.Instrument.recorder in
-         Obs.Recorder.set_meta r req.Message.obs_slot Obs.Span.meta_core w.id;
-         Obs.Recorder.set_meta r req.Message.obs_slot Obs.Span.meta_tx_queue w.id);
-  let reply_with status value value_size =
-    obs_mark t Obs.Span.ts_service_end req;
-    push_reply t
-      {
-        Message.request_id = req.Message.id;
-        status;
-        value;
-        value_size;
-        served_by = w.id;
-        completed_at = Unix.gettimeofday ();
-      };
-    (* The reply sits on the ring until the client drains it; its push is
-       the closest native analogue of the reply leaving the wire. *)
-    obs_mark t Obs.Span.ts_tx_done req;
-    obs_mark t Obs.Span.ts_end req
-  in
-  (match req.Message.op with
-  | Message.Get -> (
-      let now = Unix.gettimeofday () in
-      match Kvstore.Store.get ~now t.store req.Message.key with
-      | Some value -> reply_with Message.Ok (Some value) (Bytes.length value)
-      | None ->
-          (* Lazy expiry: a miss may be a lapsed slot; reclaim it now so
-             memory is not held until the background sweep passes. *)
-          let master = key_master t req.Message.key in
-          let guard = if master = w.id then `Crew else `Lock in
-          ignore (Kvstore.Store.expire t.store ~guard ~now req.Message.key);
-          reply_with Message.Not_found None 0)
-  | Message.Put value ->
-      let master = key_master t req.Message.key in
-      (* CREW: the master core writes lock-free; anyone else locks. *)
-      let guard = if master = w.id then `Crew else `Lock in
-      Kvstore.Store.put t.store ~guard req.Message.key value;
-      reply_with Message.Ok None (Bytes.length value)
-  | Message.Put_ttl (value, ttl_s) ->
-      let master = key_master t req.Message.key in
-      let guard = if master = w.id then `Crew else `Lock in
-      Kvstore.Store.put
-        ~expires_at:(Unix.gettimeofday () +. ttl_s)
-        t.store ~guard req.Message.key value;
-      reply_with Message.Ok None (Bytes.length value)
-  | Message.Scan count ->
-      let now = Unix.gettimeofday () in
-      let total = ref 0 in
-      let visited =
-        Kvstore.Store.scan ~now t.store ~start:req.Message.key ~count (fun _ len ->
-            total := !total + len)
-      in
-      reply_with
-        (if visited > 0 then Message.Ok else Message.Not_found)
-        None !total
-  | Message.Delete ->
-      let master = key_master t req.Message.key in
-      let guard = if master = w.id then `Crew else `Lock in
-      let existed = Kvstore.Store.delete t.store ~guard req.Message.key in
-      reply_with (if existed then Message.Ok else Message.Not_found) None 0);
-  Atomic.incr w.served
-
-(* Size of the item a request touches: the stored size for GETs (the
-   lookup the paper's small cores perform), the carried size for PUTs. *)
-let request_item_size t (req : Message.request) =
-  match req.Message.op with
-  | Message.Put value | Message.Put_ttl (value, _) -> Bytes.length value
-  | Message.Delete -> 0 (* always "small": frees, never copies *)
-  | Message.Get ->
-      Option.value ~default:0 (Kvstore.Store.size_of t.store req.Message.key)
-  | Message.Scan count ->
-      (* The size-aware classifier needs the range's total bytes — the
-         same ordered walk the serve path performs, minus the copies. *)
-      let total = ref 0 in
-      ignore
-        (Kvstore.Store.scan t.store ~start:req.Message.key ~count (fun _ len ->
-             total := !total + len));
-      !total
+(* Fill [w.polled] for one iteration and return how many it holds.  A
+   small core takes its software queue (standby large duty), its own RX
+   and a fair share of every large core's RX; a large core only its
+   software queue; a keyhash core only its own RX. *)
+let drain t (w : worker) plan =
+  let batch = t.cfg.batch in
+  match t.cfg.mode with
+  | Keyhash ->
+      w.n_queued <- 0;
+      pull w.rx w.polled 0 batch
+  | Size_aware ->
+      let queued = pull w.swq w.polled 0 batch in
+      w.n_queued <- queued;
+      if Kvserver.Control.is_small_core plan w.id then begin
+        let n_small = plan.Kvserver.Control.n_small in
+        let share = (batch + n_small - 1) / max 1 n_small in
+        let n = ref (pull w.rx w.polled queued (queued + batch)) in
+        for i = n_small to t.cfg.cores - 1 do
+          n := pull t.workers.(i).rx w.polled !n (!n + share)
+        done;
+        !n
+      end
+      else queued
 
 (* Graceful degradation (shed-large-first): above the watermark the
    worker answers [Overloaded] instead of executing.  Large requests shed
@@ -287,105 +283,142 @@ let try_shed t (w : worker) ~large =
       end
       else false
 
-let shed_reply t (w : worker) (req : Message.request) =
-  push_reply t
+type route = Small | Large_here | Handed_off | Shed
+
+(* Decide where a classified request runs, recording its size for the
+   control loop; a handoff happens here. *)
+let route t (w : worker) plan (req : Message.request) size =
+  Stats.Log_histogram.record (Atomic.get w.hist) size;
+  let j = Kvserver.Control.route_idx plan size in
+  if j < 0 then if try_shed t w ~large:false then Shed else Small
+  else if try_shed t w ~large:true then Shed
+  else begin
+    let target = t.workers.(Kvserver.Control.large_core_id plan ~cores:t.cfg.cores j) in
+    if target.id = w.id then Large_here
+    else if Netsim.Ring.try_push target.swq req then begin
+      Atomic.incr t.handoffs;
+      w.n_done <- w.n_done + 1;
+      Handed_off
+    end
+    else
+      (* Software queue full: serve in place rather than block or drop —
+         backpressure degrades to size-unaware behaviour momentarily. *)
+      Large_here
+  end
+
+(* ------------------------------------------------------------------ *)
+(* Request execution on a worker, timed by the batch's [w.clock]. *)
+
+(* The request leaves this worker's hands: it is counted (by the caller,
+   in [served] or a shed leg) and [in_flight] drops before the reply is
+   sent, so a client holding the reply always finds it in [stats]. *)
+let answer t (w : worker) (req : Message.request) status value value_size =
+  if value_size > Proto.Fragment.max_fragment_payload then
+    w.clock <- Unix.gettimeofday ();
+  Atomic.decr t.in_flight;
+  w.n_done <- w.n_done + 1;
+  t.transport.reply req
     {
       Message.request_id = req.Message.id;
-      status = Message.Overloaded;
-      value = None;
-      value_size = 0;
+      status;
+      value;
+      value_size;
       served_by = w.id;
-      completed_at = Unix.gettimeofday ();
+      completed_at = w.clock;
     }
+
+let scan_bytes ?now t (req : Message.request) count =
+  let total = ref 0 in
+  let visited =
+    Kvstore.Store.scan ?now t.store ~start:req.Message.key ~count (fun _ len ->
+        total := !total + len)
+  in
+  (visited, !total)
+
+(* Every native write takes the partition lock.  CREW's lock-free master
+   write is only sound when the master is the key's only writer, and here
+   it is not: a large PUT runs on the large core it was handed to, and
+   small cores serve the PUTs they poll from large cores' RX rings. *)
+let serve t (w : worker) (req : Message.request) =
+  obs_mark t Obs.Span.ts_service_start req;
+  obs_meta t Obs.Span.meta_core req w.id;
+  obs_meta t Obs.Span.meta_tx_queue req w.id;
+  let now = w.clock in
+  let reply_with status value value_size =
+    obs_mark t Obs.Span.ts_service_end req;
+    Atomic.incr w.served;
+    answer t w req status value value_size;
+    obs_mark t Obs.Span.ts_tx_done req;
+    obs_mark t Obs.Span.ts_end req
+  in
+  (* A PUT the value arena cannot hold is refused, not fatal: a client may
+     send a value of any size, and it must not kill the worker. *)
+  let store_value ~expires_at value =
+    match Kvstore.Store.put ~expires_at t.store ~guard:`Lock req.Message.key value with
+    | () -> reply_with Message.Ok None (Bytes.length value)
+    | exception Kvstore.Slab.Out_of_memory _ ->
+        Atomic.incr t.no_memory;
+        answer t w req Message.Overloaded None 0
+  in
+  match req.Message.op with
+  | Message.Get -> (
+      match Kvstore.Store.get ~now t.store req.Message.key with
+      | Some value -> reply_with Message.Ok (Some value) (Bytes.length value)
+      | None ->
+          (* Lazy expiry: a miss may be a lapsed slot; reclaim it now so
+             memory is not held until the background sweep passes. *)
+          ignore (Kvstore.Store.expire t.store ~guard:`Lock ~now req.Message.key);
+          reply_with Message.Not_found None 0)
+  | Message.Put value -> store_value ~expires_at:infinity value
+  | Message.Put_ttl (value, ttl_s) -> store_value ~expires_at:(now +. ttl_s) value
+  | Message.Scan count ->
+      let visited, total = scan_bytes ~now t req count in
+      reply_with (if visited > 0 then Message.Ok else Message.Not_found) None total
+  | Message.Delete ->
+      let existed = Kvstore.Store.delete t.store ~guard:`Lock req.Message.key in
+      reply_with (if existed then Message.Ok else Message.Not_found) None 0
+
+(* Size of the item a request touches: the stored size for GETs (the
+   lookup the paper's small cores perform), the carried size for PUTs. *)
+let request_item_size t (req : Message.request) =
+  match req.Message.op with
+  | Message.Put value | Message.Put_ttl (value, _) -> Bytes.length value
+  | Message.Delete -> 0 (* always "small": frees, never copies *)
+  | Message.Get ->
+      Option.value ~default:0 (Kvstore.Store.size_of t.store req.Message.key)
+  | Message.Scan count ->
+      (* The size-aware classifier needs the range's total bytes — the
+         same ordered walk the serve path performs. *)
+      snd (scan_bytes t req count)
 
 let classify_and_serve t (w : worker) plan req =
   let item_size = request_item_size t req in
-  let size = float_of_int item_size in
-  Stats.Log_histogram.record (Atomic.get w.hist) size;
   obs_mark t Obs.Span.ts_classify req;
-  (if req.Message.obs_slot >= 0 then
-     match t.obs with
-     | None -> ()
-     | Some o ->
-         Obs.Recorder.set_meta o.Obs.Instrument.recorder req.Message.obs_slot
-           Obs.Span.meta_size item_size);
-  match Kvserver.Control.route plan size with
-  | None -> if try_shed t w ~large:false then shed_reply t w req else serve t w req
-  | Some _ when try_shed t w ~large:true -> shed_reply t w req
-  | Some j ->
-      let target =
-        t.workers.(Kvserver.Control.large_core_id plan ~cores:t.cfg.cores j)
-      in
-      (if req.Message.obs_slot >= 0 then
-         match t.obs with
-         | None -> ()
-         | Some o ->
-             Obs.Recorder.set_meta o.Obs.Instrument.recorder req.Message.obs_slot
-               Obs.Span.meta_class Obs.Span.class_large);
-      if target.id = w.id then serve t w req
-      else if Netsim.Ring.try_push target.swq req then begin
-        obs_mark t Obs.Span.ts_handoff_enq req;
-        Atomic.incr t.handoffs
-      end
-      else
-        (* Software queue full: serve in place rather than block or drop —
-           backpressure degrades to size-unaware behaviour momentarily. *)
-        serve t w req
+  obs_meta t Obs.Span.meta_size req item_size;
+  match route t w plan req (float_of_int item_size) with
+  | Small -> serve t w req
+  | Shed -> answer t w req Message.Overloaded None 0
+  | Large_here ->
+      obs_meta t Obs.Span.meta_class req Obs.Span.class_large;
+      serve t w req
+  | Handed_off ->
+      obs_meta t Obs.Span.meta_class req Obs.Span.class_large;
+      obs_mark t Obs.Span.ts_handoff_enq req
 
-let drain_batch ring limit =
-  (* [pop_exn] rather than [try_pop]: this runs once per request per
-     scheduling iteration, and the exception variant skips the [Some]
-     allocation on every drained element. *)
-  let rec go acc n =
-    if n >= limit then List.rev acc
-    else
-      match Netsim.Ring.pop_exn ring with
-      | r -> go (r :: acc) (n + 1)
-      | exception Netsim.Ring.Empty -> List.rev acc
-  in
-  go [] 0
-
-(* One scheduling iteration; returns the number of requests handled. *)
-let size_aware_iteration t (w : worker) =
-  let plan = Atomic.get t.plan in
-  if Kvserver.Control.is_small_core plan w.id then begin
-    (* Small core: drain own RX plus a fair share of the large cores'. *)
-    let batch = drain_batch w.rx t.cfg.batch in
-    let ns = max 1 plan.Kvserver.Control.n_small in
-    let share = (t.cfg.batch + ns - 1) / ns in
-    let extra =
-      List.concat
-        (List.init (t.cfg.cores - plan.Kvserver.Control.n_small) (fun i ->
-             drain_batch t.workers.(plan.Kvserver.Control.n_small + i).rx share))
-    in
-    (* Standby large duty: serve anything already in our software queue
-       first. *)
-    let queued = drain_batch w.swq t.cfg.batch in
-    List.iter (obs_mark t Obs.Span.ts_handoff_deq) queued;
-    List.iter (obs_mark t Obs.Span.ts_poll) batch;
-    List.iter (obs_mark t Obs.Span.ts_poll) extra;
-    List.iter (serve t w) queued;
-    List.iter (classify_and_serve t w plan) batch;
-    List.iter (classify_and_serve t w plan) extra;
-    List.length batch + List.length extra + List.length queued
-  end
-  else begin
-    (* Large core: serve the software queue; leftover batch items from a
-       role change are classified rather than stranded. *)
-    let queued = drain_batch w.swq t.cfg.batch in
-    List.iter (obs_mark t Obs.Span.ts_handoff_deq) queued;
-    List.iter (serve t w) queued;
-    let leftover = drain_batch w.rx 0 in
-    List.iter (obs_mark t Obs.Span.ts_poll) leftover;
-    List.iter (classify_and_serve t w plan) leftover;
-    List.length queued
-  end
-
-let keyhash_iteration t (w : worker) =
-  let batch = drain_batch w.rx t.cfg.batch in
-  List.iter (obs_mark t Obs.Span.ts_poll) batch;
-  List.iter (serve t w) batch;
-  List.length batch
+let serve_polled t (w : worker) plan =
+  for i = 0 to w.n_polled - 1 do
+    let req = w.polled.(i) in
+    if i < w.n_queued then begin
+      obs_mark t Obs.Span.ts_handoff_deq req;
+      serve t w req
+    end
+    else begin
+      obs_mark t Obs.Span.ts_poll req;
+      match t.cfg.mode with
+      | Keyhash -> serve t w req
+      | Size_aware -> classify_and_serve t w plan req
+    end
+  done
 
 (* ------------------------------------------------------------------ *)
 (* Control loop: run by core 0 between batches (as in the paper). *)
@@ -467,14 +500,17 @@ let timeline_tick t tl ~now =
           ~busy_us:(float_of_int (Atomic.get w.busy_ns) /. 1.0e3))
       t.workers
 
+(* One worker is the whole data plane of its queue: receive what arrived,
+   drain the rings, classify, serve and reply, all on this domain. *)
 let worker_loop t (w : worker) =
   let smoothed = ref None in
   let last_epoch = ref (Unix.gettimeofday ()) in
   let last_tl = ref !last_epoch in
   let idle_streak = ref 0 in
+  let admit = enqueue t w in
   (* Busy accounting (per-iteration clock reads) only when a timeline is
-     attached; the uninstrumented loop keeps its single clock read on
-     worker 0. *)
+     attached; the uninstrumented loop reads the clock once per non-empty
+     batch, plus once per iteration on worker 0 for the epoch check. *)
   let tl =
     match t.obs with
     | Some { Obs.Instrument.timeline = Some tl; _ } -> Some tl
@@ -484,11 +520,15 @@ let worker_loop t (w : worker) =
     let iter_start =
       match tl with Some _ -> Unix.gettimeofday () | None -> 0.0
     in
-    let handled =
-      match t.cfg.mode with
-      | Size_aware -> size_aware_iteration t w
-      | Keyhash -> keyhash_iteration t w
-    in
+    let received = t.transport.receive w.id admit in
+    let plan = Atomic.get t.plan in
+    w.n_done <- 0;
+    w.n_polled <- drain t w plan;
+    if w.n_polled > 0 then begin
+      w.clock <- Unix.gettimeofday ();
+      serve_polled t w plan
+    end;
+    let handled = received + w.n_polled in
     (match tl with
     | Some tl ->
         let now = Unix.gettimeofday () in
@@ -515,12 +555,39 @@ let worker_loop t (w : worker) =
       incr idle_streak;
       if !idle_streak > 64 then begin
         idle_streak := 0;
-        Unix.sleepf t.cfg.idle_backoff_s
+        t.transport.park w.id t.cfg.idle_backoff_s
       end
       else Domain.cpu_relax ()
     end
     else idle_streak := 0
   done
+
+(* The domain boundary: an exception that escapes the loop kills only this
+   worker.  The requests it held are moved from [in_flight] to the
+   [worker_failed] leg, and the failure is published for [stats] and
+   [stop]. *)
+let worker_main t (w : worker) =
+  try worker_loop t w
+  with e ->
+    let lost = w.n_polled - w.n_done in
+    ignore (Atomic.fetch_and_add t.worker_failed lost);
+    ignore (Atomic.fetch_and_add t.in_flight (-lost));
+    Atomic.set w.failure (Some (Printexc.to_string e));
+    Log.err (fun m -> m "worker %d died: %s" w.id (Printexc.to_string e))
+
+(* Nobody serves a dead worker's rings: [stop] empties them into the
+   [worker_failed] leg. *)
+let reclaim t (w : worker) =
+  let rec empty ring =
+    match Netsim.Ring.pop_exn ring with
+    | (_ : Message.request) ->
+        Atomic.incr t.worker_failed;
+        Atomic.decr t.in_flight;
+        empty ring
+    | exception Netsim.Ring.Empty -> ()
+  in
+  empty w.rx;
+  empty w.swq
 
 (* ------------------------------------------------------------------ *)
 
@@ -558,13 +625,21 @@ let expiry_sweep_loop t =
     Thread.delay t.cfg.expiry_sweep_s
   done
 
-let start ?obs ?(config = default_config) store =
+let start ?obs ?(config = default_config) ?transport store =
   if config.cores < 2 then invalid_arg "Server.start: need at least 2 cores";
+  if config.cores > max_cores () then
+    raise (Oversubscribed { cores = config.cores; limit = max_cores () });
   if config.batch < 1 then invalid_arg "Server.start: batch must be >= 1";
   if config.expiry_sweep_s < 0.0 then
     invalid_arg "Server.start: expiry_sweep_s must be >= 0";
   (* SCANs walk the sorted key index; build it before workers serve. *)
   Kvstore.Store.ensure_ordered store;
+  let transport, poll =
+    match transport with Some tr -> (tr, fun () -> None) | None -> in_process ()
+  in
+  let placeholder =
+    { Message.id = -1L; op = Message.Get; key = ""; submitted_at = 0.0; obs_slot = -1 }
+  in
   let t =
     {
       cfg = config;
@@ -579,10 +654,16 @@ let start ?obs ?(config = default_config) store =
               accepted = Atomic.make 0;
               served = Atomic.make 0;
               busy_ns = Atomic.make 0;
+              (* software queue + own RX + a share of each other ring *)
+              polled = Array.make (config.batch * (config.cores + 2)) placeholder;
+              n_queued = 0;
+              n_polled = 0;
+              n_done = 0;
+              failure = Atomic.make None;
+              clock = 0.0;
             });
-      replies = Netsim.Ring.create ~capacity:65536;
-      stash = Queue.create ();
-      stash_lock = Mutex.create ();
+      transport;
+      poll;
       plan = Atomic.make (Kvserver.Control.initial ~cores:config.cores);
       handoffs = Atomic.make 0;
       epochs = Atomic.make 0;
@@ -590,6 +671,8 @@ let start ?obs ?(config = default_config) store =
       shed_large = Atomic.make 0;
       rx_rejected = Atomic.make 0;
       ctrl_stale = Atomic.make 0;
+      worker_failed = Atomic.make 0;
+      no_memory = Atomic.make 0;
       stall_us = Array.init config.cores (fun _ -> Atomic.make 0);
       rx_cap = Array.init config.cores (fun _ -> Atomic.make config.ring_capacity);
       ctrl_delayed = Atomic.make false;
@@ -608,7 +691,7 @@ let start ?obs ?(config = default_config) store =
         (match config.mode with Size_aware -> "size-aware" | Keyhash -> "keyhash"));
   t.domains <-
     List.init config.cores (fun i ->
-        Domain.spawn (fun () -> worker_loop t t.workers.(i)));
+        Domain.spawn (fun () -> worker_main t t.workers.(i)));
   (match config.fault with
   | Some f -> ignore (Thread.create (fun () -> fault_clock_loop t f) ())
   | None -> ());
@@ -626,8 +709,10 @@ type stats = {
   shed_small : int;
   shed_large : int;
   rx_rejected : int;
+  no_memory : int;
   ctrl_stale : int;
   expired : int;
+  failures : (int * string) list;
   ledger : Obs.Ledger.t;
 }
 
@@ -635,7 +720,7 @@ let stats (t : t) =
   let plan = Atomic.get t.plan in
   let count f = Array.fold_left (fun acc (w : worker) -> acc + Atomic.get (f w)) 0 t.workers in
   let shed_small = Atomic.get t.shed_small and shed_large = Atomic.get t.shed_large in
-  let rx_rejected = Atomic.get t.rx_rejected in
+  let rx_rejected = Atomic.get t.rx_rejected and no_memory = Atomic.get t.no_memory in
   {
     served = Array.map (fun (w : worker) -> Atomic.get w.served) t.workers;
     handoffs = Atomic.get t.handoffs;
@@ -646,8 +731,13 @@ let stats (t : t) =
     shed_small;
     shed_large;
     rx_rejected;
+    no_memory;
     ctrl_stale = Atomic.get t.ctrl_stale;
     expired = (Kvstore.Store.stats t.store).Kvstore.Store.expired;
+    failures =
+      Array.to_list t.workers
+      |> List.filter_map (fun (w : worker) ->
+             Option.map (fun e -> (w.id, e)) (Atomic.get w.failure));
     ledger =
       Obs.Ledger.make ~issued:(count (fun w -> w.accepted) + rx_rejected)
         [
@@ -655,6 +745,8 @@ let stats (t : t) =
           ("shed_small", shed_small);
           ("shed_large", shed_large);
           ("rx_rejected", rx_rejected);
+          ("no_memory", no_memory);
+          ("worker_failed", Atomic.get t.worker_failed);
           ("in_flight", Atomic.get t.in_flight);
         ];
   }
@@ -663,16 +755,13 @@ let stop t =
   if not t.stopped then begin
     t.stopped <- true;
     Atomic.set t.accepting false;
-    (* Drain: keep emptying the reply ring (on the clients' behalf) until
-       every accepted request has been answered. *)
+    (* Drain: wait until every accepted request has been answered, or
+       written off with a dead worker. *)
     while Atomic.get t.in_flight > 0 do
-      (match Netsim.Ring.try_pop t.replies with
-      | Some r ->
-          Mutex.lock t.stash_lock;
-          Queue.add r t.stash;
-          Mutex.unlock t.stash_lock
-      | None -> ());
-      Domain.cpu_relax ()
+      Array.iter
+        (fun (w : worker) -> if Atomic.get w.failure <> None then reclaim t w)
+        t.workers;
+      Unix.sleepf 0.0001
     done;
     Atomic.set t.stop_flag true;
     List.iter Domain.join t.domains;

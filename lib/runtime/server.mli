@@ -1,20 +1,25 @@
 (** Native multicore Minos server.
 
-    This is the paper's data plane running on real OCaml 5 domains rather
-    than in the simulator: worker domains poll lock-free RX rings in
-    batches, classify requests by looking up the item size against the
-    current threshold, serve small requests in place, and hand large ones
-    over software rings to the large pool; core 0 runs the §3 control loop
-    (merge per-core size histograms, EMA-smooth, re-derive the threshold
-    and the core split) once per epoch.
+    The paper's data plane on real OCaml 5 domains, run to completion as
+    Minos' small cores are (§4): one worker domain per queue, and each
+    worker is the whole data plane of its queue.  An iteration receives
+    what arrived on the worker's queue, drains a batch from its rings,
+    classifies each request by its item size against the current
+    threshold, serves small ones in place and replies itself.  A large
+    request crosses a software ring to a large core, which serves it and
+    replies; small cores also poll a fair share of the large cores' RX
+    rings.  Core 0 runs the §3 control loop (merge per-core size
+    histograms, EMA-smooth, re-derive the threshold and the core split)
+    once per epoch between batches.
 
-    Differences from the paper's C/DPDK implementation are confined to the
-    transport (in-process rings or kernel UDP instead of NIC queues) and
-    the clock; the sharding logic, CREW/locking discipline, batching and
-    adaptation are the real thing.  On a single-CPU host the domains
-    time-slice, so absolute latencies are not meaningful — functional
-    behaviour (classification, adaptation, exactly-once completion) is
-    what this runtime demonstrates, and what its tests assert.
+    The loop is written once over a {!transport}: in-process by default
+    ({!submit} feeds the RX rings, {!poll_reply} drains the replies), or
+    {!Udp}'s sockets.  Either way [cores = n] means exactly [n] domains.
+    Besides the transport and the clock, the write path differs from the
+    paper's DPDK implementation: every write takes its partition's lock,
+    since a key can be written from more than one core.  Tests assert
+    functional behaviour (classification, adaptation, exactly-once
+    completion), never latency.
 
     Typical use:
     {[
@@ -31,7 +36,7 @@ type mode =
   | Keyhash     (** HKH baseline: every core serves its own ring only *)
 
 type config = {
-  cores : int;            (** worker domains (>= 2) *)
+  cores : int;            (** worker domains, 2 to {!max_cores} *)
   batch : int;            (** ring poll batch *)
   epoch_s : float;        (** control-loop period, seconds *)
   alpha : float;          (** histogram smoothing (paper: 0.9) *)
@@ -39,9 +44,7 @@ type config = {
   cost_fn : Kvserver.Cost_model.cost_fn;
   mode : mode;
   ring_capacity : int;    (** per-ring slots, power of two *)
-  idle_backoff_s : float; (** sleep after repeated empty polls, so spinning
-                              workers behave on machines with fewer
-                              hardware threads than workers *)
+  idle_backoff_s : float; (** an idle worker's {!transport.park} timeout *)
   shed_watermark : int option;
       (** admission-control watermark on a worker's backlog (RX + software
           queue): above it, large requests are answered [Overloaded]
@@ -65,15 +68,38 @@ type config = {
           stat-delay windows make the controller skip epochs. *)
 }
 
+val max_cores : unit -> int
+(** The most worker domains {!start} accepts:
+    [max 2 (Domain.recommended_domain_count ())]. *)
+
 val default_config : config
-(** 4 cores, batch 32, 50 ms epochs, α = 0.9, p99, packets cost,
-    size-aware mode. *)
+(** [min 4 (max_cores ())] cores, batch 32, 50 ms epochs, α = 0.9, p99,
+    packets cost, size-aware mode. *)
+
+exception Oversubscribed of { cores : int; limit : int }
+(** Raised by {!start} when [cores > limit = max_cores ()]: surplus
+    domains would only time-slice, a silent slowdown. *)
+
+(** How the worker loop meets the outside world. *)
+type transport = {
+  receive : int -> (Message.request -> bool) -> int;
+      (** [receive q admit]: worker [q] moves what arrived on its queue
+          into its RX ring, one [admit] per request ([false]: refused,
+          drop it); returns how much arrived. *)
+  reply : Message.request -> Message.reply -> unit;
+      (** Called by whichever worker served the request; never blocks. *)
+  park : int -> float -> unit;
+      (** [park q timeout_s]: idle worker [q] waits for input. *)
+}
 
 type t
 
-val start : ?obs:Obs.Instrument.t -> ?config:config -> Kvstore.Store.t -> t
-(** Spawn the worker domains and the dispatcher state.  The store must
-    outlive the server.  [obs] attaches a flight recorder: {!submit}
+val start :
+  ?obs:Obs.Instrument.t -> ?config:config -> ?transport:transport -> Kvstore.Store.t -> t
+(** Spawn one worker domain per core; the store must outlive the server.
+    With a [transport], {!poll_reply} answers [None].  Raises
+    {!Oversubscribed} or [Invalid_argument] for a config it cannot honour.
+    [obs] attaches a flight recorder: {!submit}
     samples requests by a hash of their id ({!Obs.Recorder.try_sample_id}
     — deterministic per id with no cross-domain RNG), workers record the
     poll / classify / handoff / service / reply stages with wall-clock
@@ -89,7 +115,8 @@ val submit : t -> Message.request -> bool
     plan (client should back off and retry). *)
 
 val poll_reply : t -> Message.reply option
-(** Collect one completed reply, if any (multi-consumer safe). *)
+(** Collect one completed reply of the in-process transport, if any
+    (multi-consumer safe). *)
 
 val store_of : t -> Kvstore.Store.t
 (** The store this server serves (for front ends that need direct access,
@@ -106,18 +133,25 @@ type stats = {
   shed_large : int;              (** large requests answered [Overloaded] *)
   rx_rejected : int;             (** submissions refused at the RX ring
                                      (full ring or capacity squeeze) *)
+  no_memory : int;               (** PUTs answered [Overloaded] because the
+                                     store's value arena could not hold
+                                     them ({!Kvstore.Slab.Out_of_memory}) *)
   ctrl_stale : int;              (** control epochs skipped because the
                                      stat pipeline was delayed by a fault *)
   expired : int;                 (** TTL-lapsed slots reclaimed (lazily on
                                      read or by the sweep thread) *)
+  failures : (int * string) list;
+      (** workers killed by an exception: core id and the exception *)
   ledger : Obs.Ledger.t;
       (** [issued] = submissions the RX rings accepted plus [rx_rejected],
           against the legs [served], [shed_small], [shed_large],
-          [rx_rejected] and [in_flight]; exact after {!stop}. *)
+          [rx_rejected], [no_memory], [worker_failed] (held by a dead
+          worker, or left on its rings at {!stop}) and [in_flight]; exact
+          after {!stop}. *)
 }
 
 val stats : t -> stats
 
 val stop : t -> unit
-(** Drain in-flight work, stop the control loop and join all domains.
-    Idempotent. *)
+(** Stop accepting, wait until every accepted request is answered or
+    written off with a dead worker, and join all domains.  Idempotent. *)

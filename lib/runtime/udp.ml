@@ -4,193 +4,183 @@ let max_datagram = Netsim.Frame.max_udp_payload
 
 type pending = { addr : Unix.sockaddr; queue : int; client_ts : int64 }
 
-type t = {
-  server : Server.t;
-  base_port : int;
+(* The socket transport's state, shared by the worker domains.  Queue [q]
+   has its socket, receive buffer and fragment reassembler, all used by
+   worker [q] only; the pending table and the dedup cache share a lock. *)
+type conn = {
   sockets : Unix.file_descr array;
-  pending : (int64, pending) Hashtbl.t;
-  pending_lock : Mutex.t;
+  bufs : Bytes.t array;
+  reassemblers : Proto.Fragment.reassembler array;
+  batch : int;
+  pending : (int64, pending) Hashtbl.t; (* request id -> where to reply *)
   dedup : bytes Proto.Dedup.t; (* request id -> encoded reply *)
-  dedup_lock : Mutex.t;
-  stopping : bool Atomic.t;
-  mutable domains : unit Domain.t list;
-  mutable stopped : bool;
+  lock : Mutex.t;
 }
 
+type t = { server : Server.t; conn : conn; base_port : int; mutable stopped : bool }
+
+(* A datagram the kernel will not take now is dropped, as the wire would
+   drop it: the client retransmits. *)
 let send_fragments sock addr ~msg_id payload =
   List.iter
-    (fun frag -> ignore (Unix.sendto sock frag 0 (Bytes.length frag) [] addr))
+    (fun frag ->
+      try ignore (Unix.sendto sock frag 0 (Bytes.length frag) [] addr)
+      with Unix.Unix_error _ -> ())
     (Proto.Fragment.split ~msg_id payload)
 
-let cached_reply t id =
-  Mutex.lock t.dedup_lock;
-  let r = Proto.Dedup.find t.dedup id in
-  Mutex.unlock t.dedup_lock;
-  r
+let locked c f =
+  Mutex.lock c.lock;
+  Fun.protect ~finally:(fun () -> Mutex.unlock c.lock) f
 
-let cache_reply t id encoded =
-  Mutex.lock t.dedup_lock;
-  let r, _ = Proto.Dedup.execute t.dedup ~id (fun () -> encoded) in
-  Mutex.unlock t.dedup_lock;
-  r
+(* The cached reply of a completed request; otherwise [None], once [p]
+   is noted as where to reply. *)
+let arrive c id p =
+  locked c (fun () ->
+      let cached = Proto.Dedup.find c.dedup id in
+      if Option.is_none cached then Hashtbl.replace c.pending id p;
+      cached)
 
-let register_pending t id p =
-  Mutex.lock t.pending_lock;
-  Hashtbl.replace t.pending id p;
-  Mutex.unlock t.pending_lock
+let take_pending c id =
+  locked c (fun () ->
+      let p = Hashtbl.find_opt c.pending id in
+      Hashtbl.remove c.pending id;
+      p)
 
-let take_pending t id =
-  Mutex.lock t.pending_lock;
-  let r = Hashtbl.find_opt t.pending id in
-  Hashtbl.remove t.pending id;
-  Mutex.unlock t.pending_lock;
-  r
+let cache_reply c id encoded =
+  locked c (fun () -> fst (Proto.Dedup.execute c.dedup ~id (fun () -> encoded)))
 
-(* One reader domain per socket / RX queue. *)
-let reader_loop t queue =
-  let sock = t.sockets.(queue) in
-  let buf = Bytes.create (max_datagram + 64) in
-  let reassembler = Proto.Fragment.create_reassembler () in
-  while not (Atomic.get t.stopping) do
-    match Unix.recvfrom sock buf 0 (Bytes.length buf) [] with
-    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) ->
-        ()
-    | len, addr -> (
-        match Proto.Fragment.offer reassembler (Bytes.sub buf 0 len) with
-        | None -> ()
-        | Some (_, msg) -> (
-            match Proto.Wire.decode_request msg with
-            | Error _ -> () (* malformed datagrams are dropped *)
-            | Ok req -> (
-                let id = req.Proto.Wire.id in
-                match cached_reply t id with
-                | Some encoded ->
-                    (* Retransmission of a completed request: replay. *)
-                    send_fragments sock addr ~msg_id:id encoded
-                | None ->
-                    register_pending t id
-                      { addr; queue; client_ts = req.Proto.Wire.client_ts };
-                    let message =
-                      {
-                        Message.id;
-                        op =
-                          (match req.Proto.Wire.op with
-                          | Proto.Wire.Get -> Message.Get
-                          | Proto.Wire.Put ->
-                              Message.Put
-                                (Option.value ~default:Bytes.empty req.Proto.Wire.value)
-                          | Proto.Wire.Delete -> Message.Delete
-                          | Proto.Wire.Scan ->
-                              Message.Scan
-                                (Option.value ~default:0
-                                   (Option.bind req.Proto.Wire.value
-                                      Proto.Wire.decode_scan_count)));
-                        key = req.Proto.Wire.key;
-                        submitted_at = Unix.gettimeofday ();
-                        obs_slot = -1;
-                      }
-                    in
-                    (* The server's RX ring applies backpressure; spin
-                       briefly, then drop (the client retransmits). *)
-                    let rec push n =
-                      if Atomic.get t.stopping then ignore (take_pending t id)
-                      else if not (Server.submit t.server message) then
-                        if n > 1000 then ignore (take_pending t id)
-                        else begin
-                          Domain.cpu_relax ();
-                          push (n + 1)
-                        end
-                    in
-                    push 0)))
-  done
+let message_op (req : Proto.Wire.request) =
+  match req.Proto.Wire.op with
+  | Proto.Wire.Get -> Message.Get
+  | Proto.Wire.Put -> Message.Put (Option.value ~default:Bytes.empty req.Proto.Wire.value)
+  | Proto.Wire.Delete -> Message.Delete
+  | Proto.Wire.Scan ->
+      Message.Scan
+        (Option.value ~default:0
+           (Option.bind req.Proto.Wire.value Proto.Wire.decode_scan_count))
 
-(* The reply pump: collect completions, encode, cache for dedup, send. *)
-let pump_loop t =
-  let should_run () =
-    (not (Atomic.get t.stopping))
-    ||
-    (Mutex.lock t.pending_lock;
-     let busy = Hashtbl.length t.pending > 0 in
-     Mutex.unlock t.pending_lock;
-     busy)
+(* One decoded datagram: replay a completed request from the dedup cache,
+   otherwise note where to reply and admit it to the queue's RX ring.  A
+   full ring drops it (the client retransmits). *)
+let accept c queue addr ~now admit msg =
+  match Proto.Wire.decode_request msg with
+  | Error _ -> () (* malformed datagrams are dropped *)
+  | Ok req -> (
+      let id = req.Proto.Wire.id in
+      match arrive c id { addr; queue; client_ts = req.Proto.Wire.client_ts } with
+      | Some encoded -> send_fragments c.sockets.(queue) addr ~msg_id:id encoded
+      | None ->
+          let message =
+            {
+              Message.id;
+              op = message_op req;
+              key = req.Proto.Wire.key;
+              submitted_at = now;
+              obs_slot = -1;
+            }
+          in
+          if not (admit message) then ignore (take_pending c id))
+
+(* [Server.transport.receive]: drain up to a batch of datagrams from the
+   queue's non-blocking socket, reassembling multi-fragment requests. *)
+let receive c queue admit =
+  let sock = c.sockets.(queue) and buf = c.bufs.(queue) in
+  let rec go n now =
+    if n >= c.batch then n
+    else
+      match Unix.recvfrom sock buf 0 (Bytes.length buf) [] with
+      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> n
+      | len, addr ->
+          (* One clock read per batch stamps every request in it. *)
+          let now = if n = 0 then Unix.gettimeofday () else now in
+          (match Proto.Fragment.offer c.reassemblers.(queue) (Bytes.sub buf 0 len) with
+          | None -> ()
+          | Some (_, msg) -> accept c queue addr ~now admit msg);
+          go (n + 1) now
   in
-  while should_run () do
-    match Server.poll_reply t.server with
-    | None -> Unix.sleepf 0.0002
-    | Some reply -> (
-        let id = reply.Message.request_id in
-        match take_pending t id with
-        | None -> () (* request was dropped after backpressure *)
-        | Some p ->
-            let encoded =
-              Proto.Wire.encode_reply
-                {
-                  Proto.Wire.id;
-                  status =
-                    (match reply.Message.status with
-                    | Message.Ok -> Proto.Wire.Ok
-                    | Message.Not_found -> Proto.Wire.Not_found
-                    | Message.Overloaded -> Proto.Wire.Overloaded);
-                  value = reply.Message.value;
-                  client_ts = p.client_ts;
-                }
-            in
-            (* Shed replies are not cached: a retransmission of a shed
-               request should re-attempt execution once the overload
-               passes, not replay the rejection. *)
-            let encoded =
-              match reply.Message.status with
-              | Message.Overloaded -> encoded
-              | Message.Ok | Message.Not_found -> cache_reply t id encoded
-            in
-            send_fragments t.sockets.(p.queue) p.addr ~msg_id:id encoded)
-  done
+  go 0 0.0
+
+(* [Server.transport.reply]: encode, cache for dedup and send from the
+   socket the request arrived on — the client's socket is connected to
+   that port and accepts nothing else. *)
+let reply c (req : Message.request) (reply : Message.reply) =
+  let id = req.Message.id in
+  match take_pending c id with
+  | None -> () (* submitted in-process, or a duplicate already answered *)
+  | Some p ->
+      let encoded =
+        Proto.Wire.encode_reply
+          {
+            Proto.Wire.id;
+            status =
+              (match reply.Message.status with
+              | Message.Ok -> Proto.Wire.Ok
+              | Message.Not_found -> Proto.Wire.Not_found
+              | Message.Overloaded -> Proto.Wire.Overloaded);
+            value = reply.Message.value;
+            client_ts = p.client_ts;
+          }
+      in
+      (* Shed replies are not cached: a retransmission of a shed request
+         should re-attempt execution once the overload passes, not replay
+         the rejection. *)
+      let encoded =
+        match reply.Message.status with
+        | Message.Overloaded -> encoded
+        | Message.Ok | Message.Not_found -> cache_reply c id encoded
+      in
+      send_fragments c.sockets.(p.queue) p.addr ~msg_id:id encoded
+
+(* [Server.transport.park]. *)
+let park c queue timeout_s =
+  try ignore (Unix.select [ c.sockets.(queue) ] [] [] timeout_s)
+  with Unix.Unix_error (Unix.EINTR, _, _) -> ()
 
 let start ?obs ?(config = Server.default_config) ?(base_port = 47700)
     ?(dedup_capacity = 8192) store =
-  let server = Server.start ?obs ~config store in
+  let cores = config.Server.cores in
   let sockets =
-    Array.init config.Server.cores (fun q ->
+    Array.init cores (fun q ->
         let sock = Unix.socket Unix.PF_INET Unix.SOCK_DGRAM 0 in
         Unix.setsockopt sock Unix.SO_REUSEADDR true;
         Unix.setsockopt_int sock Unix.SO_RCVBUF (4 * 1024 * 1024);
-        Unix.setsockopt_float sock Unix.SO_RCVTIMEO 0.05;
+        Unix.set_nonblock sock;
         Unix.bind sock (Unix.ADDR_INET (loopback, base_port + q));
         sock)
   in
-  let t =
+  let conn =
     {
-      server;
-      base_port;
       sockets;
+      bufs = Array.init cores (fun _ -> Bytes.create (max_datagram + 64));
+      reassemblers = Array.init cores (fun _ -> Proto.Fragment.create_reassembler ());
+      batch = config.Server.batch;
       pending = Hashtbl.create 256;
-      pending_lock = Mutex.create ();
       dedup = Proto.Dedup.create ~capacity:dedup_capacity ();
-      dedup_lock = Mutex.create ();
-      stopping = Atomic.make false;
-      domains = [];
-      stopped = false;
+      lock = Mutex.create ();
     }
   in
-  t.domains <-
-    Domain.spawn (fun () -> pump_loop t)
-    :: List.init config.Server.cores (fun q -> Domain.spawn (fun () -> reader_loop t q));
-  t
+  let transport =
+    { Server.receive = receive conn; reply = reply conn; park = park conn }
+  in
+  let server =
+    try Server.start ?obs ~config ~transport store
+    with e ->
+      Array.iter Unix.close sockets;
+      raise e
+  in
+  { server; conn; base_port; stopped = false }
 
 let base_port t = t.base_port
 
-let queues t = Array.length t.sockets
+let queues t = Array.length t.conn.sockets
 
 let server t = t.server
 
 let stop t =
   if not t.stopped then begin
     t.stopped <- true;
-    Atomic.set t.stopping true;
-    List.iter Domain.join t.domains;
-    t.domains <- [];
     Server.stop t.server;
-    Array.iter Unix.close t.sockets
+    Array.iter Unix.close t.conn.sockets
   end
 
 (* ------------------------------------------------------------------ *)

@@ -1,12 +1,15 @@
-(** Kernel-UDP front end for the native server.
+(** Kernel-UDP transport for the native server.
 
     The closest commodity-hardware analogue of the paper's deployment: one
     UDP socket per worker core plays the role of that core's NIC RX queue
     (the paper steers packets to queues with RSS; here the client picks
     the destination port, which is what its port probing achieves).
-    Reader domains decode {!Proto.Wire} datagrams — reassembling
-    multi-fragment PUTs — and feed the {!Server}; a reply pump encodes,
-    fragments and transmits replies, and a {!Proto.Dedup} cache makes
+    There are no I/O domains: each {!Server} worker receives from its own
+    non-blocking socket, reassembles multi-fragment requests, decodes
+    them, serves them and sends the encoded, fragmented reply itself, and
+    parks on [select] over its socket when idle.  A large request crosses
+    to a large core like any other, and that core sends its reply, from
+    the socket the request arrived on.  A {!Proto.Dedup} cache makes
     retransmitted idempotent requests observable-exactly-once.
 
     All operations — including DELETEs, which the paper treats as special
@@ -22,8 +25,9 @@ val start :
   Kvstore.Store.t ->
   t
 (** Bind [config.cores] sockets on [base_port..base_port+cores-1]
-    (default 47700) on the loopback interface and start serving.  [obs]
-    is forwarded to {!Server.start}. *)
+    (default 47700) on the loopback interface and start a {!Server} over
+    them: [config.cores] domains in all.  [obs] is forwarded to
+    {!Server.start}. *)
 
 val base_port : t -> int
 
@@ -32,7 +36,8 @@ val queues : t -> int
 val server : t -> Server.t
 
 val stop : t -> unit
-(** Stop intake, drain, join all domains and close the sockets. *)
+(** {!Server.stop} (stop intake, answer what was accepted, join the
+    workers), then close the sockets. *)
 
 (** A blocking client with client-side retransmission (§4.1). *)
 module Client : sig

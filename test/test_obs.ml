@@ -414,6 +414,7 @@ let test_runtime_instrumented () =
       ~finally:(fun () -> Runtime.Server.stop server)
       (fun () -> Runtime.Loadgen.run ~server ~dataset ~requests:5_000 ~seed:3 ())
   in
+  let r = match r with Ok r -> r | Error s -> fail (Runtime.Loadgen.stall_message s) in
   check int "all answered" 5_000 r.Runtime.Loadgen.completed;
   let a = Obs.Anatomy.compute obs.Obs.Instrument.recorder in
   check bool

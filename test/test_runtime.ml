@@ -16,6 +16,12 @@ let runtime_spec =
     s_large_max = 64_000; (* large class: 1.5KB - 64KB *)
   }
 
+(* A Loadgen run that must complete: a stall fails the test, naming the
+   unanswered ids and the server's ledger. *)
+let completed = function
+  | Ok r -> r
+  | Error s -> Alcotest.fail (Runtime.Loadgen.stall_message s)
+
 let with_server ?config f =
   let dataset = Workload.Dataset.create runtime_spec in
   let store =
@@ -29,7 +35,7 @@ let with_server ?config f =
 let test_all_requests_answered () =
   with_server (fun server dataset ->
       let r =
-        Runtime.Loadgen.run ~server ~dataset ~requests:20_000 ~seed:3 ()
+        completed (Runtime.Loadgen.run ~server ~dataset ~requests:20_000 ~seed:3 ())
       in
       check int "every request answered" 20_000 r.Runtime.Loadgen.completed;
       check int "no spurious misses" 0 r.Runtime.Loadgen.not_found;
@@ -38,7 +44,7 @@ let test_all_requests_answered () =
 
 let test_served_counts_conserve () =
   with_server (fun server dataset ->
-      let r = Runtime.Loadgen.run ~server ~dataset ~requests:10_000 ~seed:5 () in
+      let r = completed (Runtime.Loadgen.run ~server ~dataset ~requests:10_000 ~seed:5 ()) in
       let stats = Runtime.Server.stats server in
       let total = Array.fold_left ( + ) 0 stats.Runtime.Server.served in
       check int "per-core serves sum to completions" r.Runtime.Loadgen.completed total)
@@ -46,7 +52,7 @@ let test_served_counts_conserve () =
 let test_controller_converges () =
   with_server (fun server dataset ->
       (* Enough traffic to span several 50 ms epochs. *)
-      let _ = Runtime.Loadgen.run ~server ~dataset ~requests:60_000 ~seed:7 () in
+      let _ = completed (Runtime.Loadgen.run ~server ~dataset ~requests:60_000 ~seed:7 ()) in
       let stats = Runtime.Server.stats server in
       check bool "control loop ran" true (stats.Runtime.Server.epochs >= 1);
       (* The p99 item size of this spec sits inside the small class. *)
@@ -65,7 +71,7 @@ let test_keyhash_mode () =
     { Runtime.Server.default_config with Runtime.Server.mode = Runtime.Server.Keyhash }
   in
   with_server ~config (fun server dataset ->
-      let r = Runtime.Loadgen.run ~server ~dataset ~requests:10_000 ~seed:9 () in
+      let r = completed (Runtime.Loadgen.run ~server ~dataset ~requests:10_000 ~seed:9 ()) in
       check int "completed" 10_000 r.Runtime.Loadgen.completed;
       let stats = Runtime.Server.stats server in
       check int "keyhash mode never hands off" 0 stats.Runtime.Server.handoffs)
@@ -79,7 +85,7 @@ let test_store_consistent_after_run () =
   Runtime.Loadgen.populate store dataset;
   let before = (Kvstore.Store.stats store).Kvstore.Store.items in
   let server = Runtime.Server.start store in
-  let _ = Runtime.Loadgen.run ~server ~dataset ~requests:15_000 ~seed:11 () in
+  let _ = completed (Runtime.Loadgen.run ~server ~dataset ~requests:15_000 ~seed:11 ()) in
   Runtime.Server.stop server;
   (* PUTs overwrite existing keys, so the item count is unchanged and
      every key still resolves with a class-consistent size. *)
@@ -97,12 +103,13 @@ let test_store_consistent_after_run () =
 
 let test_concurrent_clients () =
   (* Several client domains submitting at once: exercises multi-producer
-     RX rings, the shared reply ring and the collector demux.  Every
-     request must be answered exactly once to its own client. *)
+     RX rings, the shared reply ring and the clients' mailbox forwarding.
+     Every request must be answered exactly once to its own client. *)
   with_server (fun server dataset ->
       let r =
-        Runtime.Loadgen.run_concurrent ~clients:3 ~server ~dataset
-          ~requests_per_client:4_000 ~seed:21 ()
+        completed
+          (Runtime.Loadgen.run_concurrent ~clients:3 ~server ~dataset
+             ~requests_per_client:4_000 ~seed:21 ())
       in
       check int "all clients fully answered" 12_000 r.Runtime.Loadgen.completed;
       check int "no misses" 0 r.Runtime.Loadgen.not_found;
@@ -228,6 +235,262 @@ let test_ledger_exact_under_overload () =
   check bool "squeezed rings rejected" true (Obs.Ledger.leg l "rx_rejected" > 0);
   check bool "admission control shed" true
     (Obs.Ledger.sum l [ "shed_small"; "shed_large" ] > 0)
+
+(* A worker that raises dies alone: the client's run ends in a typed
+   stall naming what went unanswered, [stats] names the dead worker, and
+   [stop] writes its requests off instead of waiting for them forever. *)
+let test_worker_failure_is_a_stall () =
+  let dataset = Workload.Dataset.create runtime_spec in
+  let store =
+    Kvstore.Store.create ~partition_bits:4 ~bucket_bits:8
+      ~value_arena_bytes:(16 * 1024 * 1024) ()
+  in
+  Runtime.Loadgen.populate store dataset;
+  (* The injected fault: a request that breaks [Message]'s contract by
+     carrying a flight-recorder slot the recorder does not have.  With the
+     recorder's one slot taken, [submit] leaves that slot as given, and the
+     worker that polls the request raises an index error — a stand-in for
+     any bug that escapes the loop. *)
+  let obs = Obs.Instrument.create ~spans:1 ~cores:Runtime.Server.default_config.cores ~seed:1 () in
+  ignore (Obs.Recorder.try_sample obs.Obs.Instrument.recorder);
+  let server = Runtime.Server.start ~obs store in
+  let poison =
+    { Runtime.Message.id = -1L; op = Runtime.Message.Get; key = Workload.Dataset.key_name 0;
+      submitted_at = 0.0; obs_slot = 1_000_000 }
+  in
+  check bool "poison accepted" true (Runtime.Server.submit server poison);
+  let t0 = Unix.gettimeofday () in
+  while
+    (Runtime.Server.stats server).Runtime.Server.failures = []
+    && Unix.gettimeofday () -. t0 < 10.0
+  do
+    Unix.sleepf 0.001
+  done;
+  (match (Runtime.Server.stats server).Runtime.Server.failures with
+  | [ (_, e) ] -> check bool ("died of the poison: " ^ e) true (String.length e > 0)
+  | l -> Alcotest.failf "expected one dead worker, got %d" (List.length l));
+  let stall =
+    match Runtime.Loadgen.run ~server ~dataset ~requests:2_000 ~seed:13 () with
+    | Ok _ -> Alcotest.fail "a dead worker's queue cannot answer every request"
+    | Error s -> s
+  in
+  let unanswered = List.length stall.Runtime.Loadgen.unanswered in
+  check bool "the stall names unanswered ids" true (unanswered > 0);
+  check bool "the stall's ledger holds them in flight" true
+    (Obs.Ledger.leg stall.Runtime.Loadgen.ledger "in_flight" >= unanswered);
+  let stopped = Atomic.make false in
+  let stopper =
+    Domain.spawn (fun () ->
+        Runtime.Server.stop server;
+        Atomic.set stopped true)
+  in
+  let t0 = Unix.gettimeofday () in
+  while (not (Atomic.get stopped)) && Unix.gettimeofday () -. t0 < 10.0 do
+    Unix.sleepf 0.001
+  done;
+  if not (Atomic.get stopped) then Alcotest.fail "stop hung on the dead worker";
+  Domain.join stopper;
+  let l = (Runtime.Server.stats server).Runtime.Server.ledger in
+  check Alcotest.(result unit string) "exact after stop" (Ok ()) (Obs.Ledger.check l);
+  check int "nothing in flight after stop" 0 (Obs.Ledger.leg l "in_flight");
+  check int "the poison and every unanswered request are written off" (1 + unanswered)
+    (Obs.Ledger.leg l "worker_failed")
+
+(* A PUT bigger than the whole value arena is refused with [Overloaded]
+   and counted in the [no_memory] leg; no worker dies of it, and the
+   server keeps serving every queue. *)
+let test_udp_oversized_put_refused () =
+  let base_port = 48811 in
+  let store =
+    Kvstore.Store.create ~partition_bits:4 ~bucket_bits:8 ~value_arena_bytes:(64 * 1024) ()
+  in
+  let udp = Runtime.Udp.start ~base_port store in
+  let retry =
+    { Proto.Retry.max_attempts = 1; timeout_us = 500_000.0; backoff = 2.0; cap_us = infinity }
+  in
+  let client =
+    Runtime.Udp.Client.connect ~retry ~seed:5 ~base_port ~queues:(Runtime.Udp.queues udp) ()
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Runtime.Udp.Client.close client;
+      Runtime.Udp.stop udp)
+    (fun () ->
+      (match Runtime.Udp.Client.put client "huge" (Bytes.create 120_000) with
+      | () -> Alcotest.fail "a 120 kB value cannot fit a 64 kB arena"
+      | exception Runtime.Udp.Client.Timeout -> ());
+      check int "the refusal reached the client" 1 (Runtime.Udp.Client.sheds client);
+      (* Keys spread over every queue: each worker still answers. *)
+      for i = 1 to 40 do
+        let key = Printf.sprintf "small-%02d" i in
+        Runtime.Udp.Client.put client key (Bytes.make i 'v');
+        check (Alcotest.option Alcotest.int) key (Some i)
+          (Option.map Bytes.length (Runtime.Udp.Client.get client key))
+      done);
+  let s = Runtime.Server.stats (Runtime.Udp.server udp) in
+  check Alcotest.(list (pair int string)) "no dead worker" [] s.Runtime.Server.failures;
+  check int "one PUT refused" 1 s.Runtime.Server.no_memory;
+  check Alcotest.(result unit string) "exact ledger" (Ok ())
+    (Obs.Ledger.check s.Runtime.Server.ledger);
+  check int "no_memory leg" 1 (Obs.Ledger.leg s.Runtime.Server.ledger "no_memory")
+
+(* ------------------------------------------------------------------ *)
+(* Write-heavy stress on both transports: one worker per hardware thread,
+   half the operations PUTs, a sixteenth of the keys large enough to cross
+   to the large core.  A value's length names its key, and every length a
+   GET returns must be one that was PUT to that key. *)
+
+let stress_keys = 64
+
+let stress_key i = Printf.sprintf "stress-%02d" i
+
+let stress_len rng i =
+  let m = if i mod 16 = 0 then 40 + Dsim.Rng.int rng 960 else Dsim.Rng.int rng 21 in
+  i + (stress_keys * m)
+
+(* Key index -> every length ever written to it; shared by client
+   domains. *)
+type reference = { written : (int, unit) Hashtbl.t array; lock : Mutex.t }
+
+let stress_store () =
+  let store =
+    Kvstore.Store.create ~partition_bits:4 ~bucket_bits:8
+      ~value_arena_bytes:(64 * 1024 * 1024) ()
+  in
+  let written = Array.init stress_keys (fun _ -> Hashtbl.create 64) in
+  for i = 0 to stress_keys - 1 do
+    Kvstore.Store.put store ~guard:`Lock (stress_key i) (Bytes.create i);
+    Hashtbl.replace written.(i) i ()
+  done;
+  (store, { written; lock = Mutex.create () })
+
+let note_put r i len =
+  Mutex.lock r.lock;
+  Hashtbl.replace r.written.(i) len ();
+  Mutex.unlock r.lock
+
+let was_put r i len =
+  Mutex.lock r.lock;
+  let b = Hashtbl.mem r.written.(i) len in
+  Mutex.unlock r.lock;
+  b
+
+type stress_op = Put of int | Get | Delete
+
+let stress_op rng i =
+  match Dsim.Rng.int rng 10 with
+  | 0 | 1 | 2 | 3 | 4 -> Put (stress_len rng i)
+  | 5 -> Delete
+  | _ -> Get
+
+(* Short epochs, so the threshold settles and large requests cross cores
+   however fast the run goes. *)
+let stress_config () =
+  {
+    Runtime.Server.default_config with
+    Runtime.Server.cores = Runtime.Server.max_cores ();
+    epoch_s = 0.005;
+  }
+
+(* After [stop]: exact ledger, no dead worker, and every surviving value
+   has a length that was written to its key. *)
+let stress_verdict ~what server store r ~wrong =
+  let s = Runtime.Server.stats server in
+  check Alcotest.(result unit string) (what ^ ": exact ledger") (Ok ())
+    (Obs.Ledger.check s.Runtime.Server.ledger);
+  check int (what ^ ": nothing in flight") 0
+    (Obs.Ledger.leg s.Runtime.Server.ledger "in_flight");
+  check Alcotest.(list (pair int string)) (what ^ ": no dead worker") []
+    s.Runtime.Server.failures;
+  check int (what ^ ": wrong GET lengths") 0 wrong;
+  check bool (what ^ ": large requests crossed cores") true (s.Runtime.Server.handoffs > 0);
+  for i = 0 to stress_keys - 1 do
+    match Kvstore.Store.size_of store (stress_key i) with
+    | Some len when not (was_put r i len) ->
+        Alcotest.failf "%s: key %d holds %d bytes, never written" what i len
+    | Some _ | None -> ()
+  done
+
+let stress_in_process seed () =
+  let store, r = stress_store () in
+  let server = Runtime.Server.start ~config:(stress_config ()) store in
+  let rng = Dsim.Rng.create seed in
+  let outstanding = Hashtbl.create 64 in
+  let wrong = ref 0 in
+  let last_progress = ref (Unix.gettimeofday ()) in
+  let poll () =
+    match Runtime.Server.poll_reply server with
+    | Some reply ->
+        last_progress := Unix.gettimeofday ();
+        let id = reply.Runtime.Message.request_id in
+        (match (Hashtbl.find outstanding id, reply.Runtime.Message.value) with
+        | (i, Get), Some v -> if not (was_put r i (Bytes.length v)) then incr wrong
+        | _ -> ());
+        Hashtbl.remove outstanding id
+    | None ->
+        if Unix.gettimeofday () -. !last_progress > 10.0 then
+          Alcotest.failf "no reply for 10 s with %d outstanding" (Hashtbl.length outstanding);
+        Domain.cpu_relax ()
+  in
+  Fun.protect
+    ~finally:(fun () -> Runtime.Server.stop server)
+    (fun () ->
+      for n = 1 to 20_000 do
+        while Hashtbl.length outstanding >= 64 do poll () done;
+        let i = Dsim.Rng.int rng stress_keys in
+        let op = stress_op rng i in
+        let req =
+          { Runtime.Message.id = Int64.of_int n;
+            op =
+              (match op with
+              | Put len -> Runtime.Message.Put (Bytes.create len)
+              | Get -> Runtime.Message.Get
+              | Delete -> Runtime.Message.Delete);
+            key = stress_key i; submitted_at = 0.0; obs_slot = -1 }
+        in
+        (match op with Put len -> note_put r i len | Get | Delete -> ());
+        Hashtbl.replace outstanding req.Runtime.Message.id (i, op);
+        while not (Runtime.Server.submit server req) do poll () done
+      done;
+      while Hashtbl.length outstanding > 0 do poll () done);
+  stress_verdict ~what:"in-process" server store r ~wrong:!wrong
+
+let stress_udp seed () =
+  let store, r = stress_store () in
+  let config = stress_config () in
+  let base_port = 48411 + (100 * seed) in
+  let udp = Runtime.Udp.start ~config ~base_port store in
+  let client c =
+    Domain.spawn (fun () ->
+        let client =
+          Runtime.Udp.Client.connect ~seed:((10 * seed) + c) ~base_port
+            ~queues:config.Runtime.Server.cores ()
+        in
+        Fun.protect
+          ~finally:(fun () -> Runtime.Udp.Client.close client)
+          (fun () ->
+            let rng = Dsim.Rng.create ((100 * seed) + c) in
+            let wrong = ref 0 in
+            for _ = 1 to 1_500 do
+              let i = Dsim.Rng.int rng stress_keys in
+              match stress_op rng i with
+              | Put len ->
+                  note_put r i len;
+                  Runtime.Udp.Client.put client (stress_key i) (Bytes.create len)
+              | Delete -> ignore (Runtime.Udp.Client.delete client (stress_key i))
+              | Get -> (
+                  match Runtime.Udp.Client.get client (stress_key i) with
+                  | Some v -> if not (was_put r i (Bytes.length v)) then incr wrong
+                  | None -> ())
+            done;
+            !wrong))
+  in
+  let wrong =
+    Fun.protect
+      ~finally:(fun () -> Runtime.Udp.stop udp)
+      (fun () -> List.fold_left (fun acc d -> acc + Domain.join d) 0 [ client 0; client 1 ])
+  in
+  stress_verdict ~what:"udp" (Runtime.Udp.server udp) store r ~wrong
 
 (* ------------------------------------------------------------------ *)
 (* UDP front end *)
@@ -379,6 +642,7 @@ let () =
           Alcotest.test_case "large value fragmentation" `Quick
             test_udp_large_value_fragmentation;
           Alcotest.test_case "many operations" `Slow test_udp_many_operations;
+          Alcotest.test_case "oversized put refused" `Quick test_udp_oversized_put_refused;
         ] );
       ( "server",
         [
@@ -396,5 +660,17 @@ let () =
           Alcotest.test_case "config validation" `Quick test_config_validation;
           Alcotest.test_case "ledger exact under overload" `Quick
             test_ledger_exact_under_overload;
+          Alcotest.test_case "worker failure is a stall, not a hang" `Quick
+            test_worker_failure_is_a_stall;
         ] );
+      ( "stress",
+        List.concat_map
+          (fun seed ->
+            [
+              Alcotest.test_case (Printf.sprintf "in-process writes, seed %d" seed) `Slow
+                (stress_in_process seed);
+              Alcotest.test_case (Printf.sprintf "udp writes, seed %d" seed) `Slow
+                (stress_udp seed);
+            ])
+          [ 1; 2; 3 ] );
     ]
