@@ -101,6 +101,12 @@ let stdlib_safe =
     (* blits/fills: bounds-checked wrappers over noalloc C stubs *)
     "Array.blit"; "Array.fill"; "Bytes.blit"; "Bytes.blit_string";
     "Bytes.fill"; "String.blit"; "Bytes.unsafe_blit";
+    (* fixed-width byte accessors over [%caml_bytes_get/set*] intrinsics:
+       the setters store an argument the caller already holds, the
+       getters listed return immediates (the 32/64-bit getters box, and
+       stay unlisted) *)
+    "Bytes.get_uint8"; "Bytes.get_uint16_le"; "Bytes.set_uint8";
+    "Bytes.set_uint16_le"; "Bytes.set_int32_le"; "Bytes.set_int64_le";
     (* Atomic: every operation is a [%atomic_*] intrinsic or a
        non-allocating wrapper around one *)
     "Atomic.get"; "Atomic.set"; "Atomic.exchange"; "Atomic.compare_and_set";

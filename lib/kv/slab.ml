@@ -70,9 +70,7 @@ let write t r b =
   Bytes.blit b 0 t.arena r.off len;
   r.len <- len
 
-let read t r = Bytes.sub t.arena r.off r.len
-
-let blit_to t r dst pos = Bytes.blit t.arena r.off dst pos r.len
+let blit_to t r ~len dst pos = Bytes.blit t.arena r.off dst pos len
 
 let used_bytes t = t.used
 

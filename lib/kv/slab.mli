@@ -39,12 +39,11 @@ val write : t -> region -> bytes -> unit
 (** [write t r b] copies [b] into the region and updates [r.len].  Raises
     [Invalid_argument] if [b] exceeds [r.cap]. *)
 
-val read : t -> region -> bytes
-(** A fresh copy of the region's current contents. *)
-
-val blit_to : t -> region -> bytes -> int -> unit
-(** [blit_to t r dst pos] copies the region's contents into [dst] at
-    [pos]. *)
+val blit_to : t -> region -> len:int -> bytes -> int -> unit
+(** [blit_to t r ~len dst pos] copies the first [len] bytes of the region
+    ([len <= r.cap]) into [dst] at [pos].  The caller passes the length it
+    read, so a region rewritten meanwhile cannot change how much is
+    copied. *)
 
 val used_bytes : t -> int
 (** Bytes currently handed out (sum of caps of live regions). *)

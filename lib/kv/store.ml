@@ -114,13 +114,26 @@ let optimistic_read chain f =
    [expire_sweep] — readers hold no write permission under the epoch
    protocol.  The [neg_infinity] default makes the check free for callers
    without a clock. *)
-let get ?(now = neg_infinity) t key =
+let read_into ?(now = neg_infinity) t key ~buf ~off =
   let _, chain, tag = locate t key in
   optimistic_read chain (fun () ->
       match find_slot chain.head tag key with
-      | Some s when now < s.expires_at -> (
-          match s.region with Some r -> Some (Slab.read t.slab r) | None -> None)
-      | Some _ | None -> None)
+      | Some { region = Some r; expires_at; _ } when now < expires_at ->
+          (* [len] is read once: a writer may free this region and another
+             reuse it mid-copy, and the epoch check then discards the copy,
+             but its length must still fit the buffer sized for it. *)
+          let len = r.Slab.len in
+          Slab.blit_to t.slab r ~len (buf len) off;
+          len
+      | Some _ | None -> -1)
+
+let get ?now t key =
+  let value = ref Bytes.empty in
+  let fresh len =
+    value := Bytes.create len;
+    !value
+  in
+  if read_into ?now t key ~buf:fresh ~off:0 < 0 then None else Some !value
 
 let size_of ?(now = neg_infinity) t key =
   let _, chain, tag = locate t key in

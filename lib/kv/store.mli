@@ -38,10 +38,25 @@ val partition_of_key : t -> string -> int
 (** The partition a key hashes to; the server layer uses this to implement
     CREW master assignment. *)
 
+val read_into : ?now:float -> t -> string -> buf:(int -> bytes) -> off:int -> int
+(** [read_into t key ~buf ~off] copies the item's value into the buffer
+    [buf len] at offset [off] and returns its length [len], or [-1] when
+    the key is absent.  With [~now], an item whose TTL deadline is
+    [<= now] is absent (lazy expiry) — its slot is reclaimed separately
+    by {!expire} or {!expire_sweep}.
+
+    The copy is an optimistic read: it is retried until no write to the
+    item's bucket chain overlapped it, so [buf] may be called more than
+    once, each time with the length of the version being copied.  The
+    buffer returned by the last call holds one whole version of the
+    value, and the result is that version's length.  [buf len] must
+    return a buffer of at least [off + len] bytes; the caller may hand
+    back the same reused buffer every time.  Each attempt reads [len]
+    once, so a region that a concurrent write frees and reuses can make
+    the attempt retry but never overrun the buffer. *)
+
 val get : ?now:float -> t -> string -> bytes option
-(** Optimistic read; returns a copy of the value.  With [~now], an item
-    whose TTL deadline is [<= now] answers [None] (lazy expiry) — its slot
-    is reclaimed separately by {!expire} or {!expire_sweep}. *)
+(** {!read_into} a fresh buffer of exactly the value's length. *)
 
 val size_of : ?now:float -> t -> string -> int option
 (** Size of the stored value without copying it.  This is the lookup a

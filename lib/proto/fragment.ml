@@ -8,21 +8,39 @@ let fragments_for size =
   if size < 0 then invalid_arg "Fragment.fragments_for: negative size";
   if size = 0 then 1 else (size + max_fragment_payload - 1) / max_fragment_payload
 
+let write_header b ~off ~msg_id ~index ~count ~len =
+  Bytes.set_uint8 b off fragment_magic;
+  Bytes.set_int64_le b (off + 1) msg_id;
+  Bytes.set_uint16_le b (off + 9) index;
+  Bytes.set_uint16_le b (off + 11) count;
+  Bytes.set_uint16_le b (off + 13) len
+
+let checked_count total =
+  let count = fragments_for total in
+  if count > 0xFFFF then invalid_arg "Fragment: message too large";
+  count
+
 let split ~msg_id msg =
   let total = Bytes.length msg in
-  let count = fragments_for total in
-  if count > 0xFFFF then invalid_arg "Fragment.split: message too large";
+  let count = checked_count total in
   List.init count (fun i ->
       let off = i * max_fragment_payload in
       let len = min max_fragment_payload (total - off) in
       let b = Bytes.create (header_size + len) in
-      Bytes.set_uint8 b 0 fragment_magic;
-      Bytes.set_int64_le b 1 msg_id;
-      Bytes.set_uint16_le b 9 i;
-      Bytes.set_uint16_le b 11 count;
-      Bytes.set_uint16_le b 13 len;
+      write_header b ~off:0 ~msg_id ~index:i ~count ~len;
       Bytes.blit msg off b header_size len;
       b)
+
+(* Fragment [index]'s payload sits at [header_size + index * m], where [m]
+   is [max_fragment_payload], so its header goes at [index * m]: over the
+   last [header_size] payload bytes of fragment [index - 1], which has been
+   sent by then. *)
+let frame_in_place buf ~msg_id ~total ~index =
+  let count = checked_count total in
+  let off = index * max_fragment_payload in
+  let len = min max_fragment_payload (total - off) in
+  write_header buf ~off ~msg_id ~index ~count ~len;
+  header_size + len
 
 type partial = {
   count : int;
@@ -44,6 +62,9 @@ let offer t datagram =
     let count = Bytes.get_uint16_le datagram 11 in
     let plen = Bytes.get_uint16_le datagram 13 in
     if count = 0 || index >= count || len < header_size + plen then None
+    else if count = 1 && not (Hashtbl.mem t msg_id) then
+      (* A whole message in one datagram: nothing to reassemble. *)
+      Some (msg_id, Bytes.sub datagram header_size plen)
     else begin
       let partial =
         match Hashtbl.find_opt t msg_id with

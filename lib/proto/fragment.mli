@@ -22,6 +22,18 @@ val split : msg_id:int64 -> bytes -> bytes list
     {!Netsim.Frame.max_udp_payload} bytes, including the fragment
     header). *)
 
+val frame_in_place : bytes -> msg_id:int64 -> total:int -> index:int -> int
+(** Frame one fragment of a message without copying it.  The [total]-byte
+    message is stored in [buf] from offset {!header_size}.  This writes
+    fragment [index]'s header just before its payload and returns the
+    datagram's length; the datagram starts at
+    [index * max_fragment_payload].  Each header overwrites the tail of
+    the previous fragment's payload, so frame and send the fragments in
+    index order, each before framing the next.  The datagrams are the
+    ones {!split} returns.  Raises [Invalid_argument] when the message
+    needs more than 0xFFFF fragments, as {!split} does.  Allocates
+    nothing. *)
+
 type reassembler
 
 val create_reassembler : unit -> reassembler

@@ -141,16 +141,22 @@ let decode_request b =
               Stdlib.Ok { id; op; key; value; client_ts; target_rx }
             end)
 
+let reply_header_size = reply_header
+
+let write_reply_header b ~off ~id ~status ~client_ts ~value_len =
+  Bytes.set_uint8 b off reply_magic;
+  Bytes.set_uint8 b (off + 1) version;
+  Bytes.set_uint8 b (off + 2) (status_code status);
+  Bytes.set_int64_le b (off + 3) id;
+  Bytes.set_int64_le b (off + 11) client_ts;
+  Bytes.set_int32_le b (off + 19)
+    (Int32.of_int (if value_len < 0 then no_value else value_len))
+
 let encode_reply r =
   let vlen = value_len r.value in
   let b = Bytes.create (reply_header + vlen) in
-  Bytes.set_uint8 b 0 reply_magic;
-  Bytes.set_uint8 b 1 version;
-  Bytes.set_uint8 b 2 (status_code r.status);
-  Bytes.set_int64_le b 3 r.id;
-  Bytes.set_int64_le b 11 r.client_ts;
-  Bytes.set_int32_le b 19
-    (match r.value with None -> Int32.of_int no_value | Some _ -> Int32.of_int vlen);
+  write_reply_header b ~off:0 ~id:r.id ~status:r.status ~client_ts:r.client_ts
+    ~value_len:(match r.value with None -> -1 | Some _ -> vlen);
   (match r.value with Some v -> Bytes.blit v 0 b reply_header vlen | None -> ());
   b
 

@@ -68,6 +68,24 @@ val encode_reply : reply -> bytes
 
 val decode_reply : bytes -> (reply, error) result
 
+val reply_header_size : int
+(** Bytes of a reply before its value: magic(1) version(1) status(1)
+    id(8) client_ts(8) value_len(4) = 23. *)
+
+val write_reply_header :
+  bytes ->
+  off:int ->
+  id:int64 ->
+  status:status ->
+  client_ts:int64 ->
+  value_len:int ->
+  unit
+(** Write a reply's header at [off], in place: the {!reply_header_size}
+    bytes {!encode_reply} puts before the value, for a value of
+    [value_len] bytes ([value_len < 0]: no value).  The value itself
+    goes right after the header, where the caller copies it.  Allocates
+    nothing. *)
+
 val get_reply_size : value_len:int -> int
 (** Encoded size of a successful GET reply carrying a value of this length;
     used by the simulator without materializing values. *)

@@ -43,6 +43,8 @@ exception Oversubscribed of { cores : int; limit : int }
 
 type transport = {
   receive : int -> (Message.request -> bool) -> int;
+  value_buf : int -> int -> bytes;
+  value_off : int;
   reply : Message.request -> Message.reply -> unit;
   park : int -> float -> unit;
 }
@@ -66,6 +68,10 @@ type worker = {
          counted) or handed to another core.  A worker that dies holds
          [n_polled - n_done] requests, which are lost with it. *)
   failure : string option Atomic.t; (* the exception that killed it *)
+  value_dst : int -> bytes;
+      (* [transport.value_buf] for this worker, noting in [value] the
+         buffer it hands out *)
+  mutable value : bytes; (* where the last GET's value was copied *)
   mutable clock : float;
       (* this batch's [Unix.gettimeofday], read when the batch starts and
          again after each reply too big for one datagram, so a request
@@ -203,9 +209,10 @@ let store_of t = t.store
 let poll_reply t = t.poll ()
 
 (* The in-process transport: [submit] fills the RX rings, replies go to
-   one shared ring that [poll_reply] drains.  A reply never waits for a
-   slow client: past the ring's capacity it spills into an unbounded
-   overflow queue. *)
+   one shared ring that [poll_reply] drains.  A GET's value is copied into
+   a fresh buffer of its exact length, which the client then owns.  A
+   reply never waits for a slow client: past the ring's capacity it
+   spills into an unbounded overflow queue. *)
 let in_process () =
   let replies = Netsim.Ring.create ~capacity:65536 in
   let overflow = Queue.create () and lock = Mutex.create () in
@@ -225,7 +232,14 @@ let in_process () =
         Mutex.unlock lock;
         r
   in
-  ({ receive = (fun _ _ -> 0); reply; park = (fun _ s -> Unix.sleepf s) }, poll)
+  ( {
+      receive = (fun _ _ -> 0);
+      value_buf = (fun _ len -> Bytes.create len);
+      value_off = 0;
+      reply;
+      park = (fun _ s -> Unix.sleepf s);
+    },
+    poll )
 
 (* ------------------------------------------------------------------ *)
 (* The scheduling step: drain the rings into [polled], route each
@@ -361,14 +375,20 @@ let serve t (w : worker) (req : Message.request) =
         answer t w req Message.Overloaded None 0
   in
   match req.Message.op with
-  | Message.Get -> (
-      match Kvstore.Store.get ~now t.store req.Message.key with
-      | Some value -> reply_with Message.Ok (Some value) (Bytes.length value)
-      | None ->
-          (* Lazy expiry: a miss may be a lapsed slot; reclaim it now so
-             memory is not held until the background sweep passes. *)
-          ignore (Kvstore.Store.expire t.store ~guard:`Lock ~now req.Message.key);
-          reply_with Message.Not_found None 0)
+  | Message.Get ->
+      (* The one copy of the value: from the slab to where the transport
+         wants it. *)
+      let len =
+        Kvstore.Store.read_into ~now t.store req.Message.key ~buf:w.value_dst
+          ~off:t.transport.value_off
+      in
+      if len >= 0 then reply_with Message.Ok (Some w.value) len
+      else begin
+        (* Lazy expiry: a miss may be a lapsed slot; reclaim it now so
+           memory is not held until the background sweep passes. *)
+        ignore (Kvstore.Store.expire t.store ~guard:`Lock ~now req.Message.key);
+        reply_with Message.Not_found None 0
+      end
   | Message.Put value -> store_value ~expires_at:infinity value
   | Message.Put_ttl (value, ttl_s) -> store_value ~expires_at:(now +. ttl_s) value
   | Message.Scan count ->
@@ -646,22 +666,30 @@ let start ?obs ?(config = default_config) ?transport store =
       store;
       workers =
         Array.init config.cores (fun id ->
-            {
-              id;
-              rx = Netsim.Ring.create ~capacity:config.ring_capacity;
-              swq = Netsim.Ring.create ~capacity:config.ring_capacity;
-              hist = Atomic.make (fresh_hist ());
-              accepted = Atomic.make 0;
-              served = Atomic.make 0;
-              busy_ns = Atomic.make 0;
-              (* software queue + own RX + a share of each other ring *)
-              polled = Array.make (config.batch * (config.cores + 2)) placeholder;
-              n_queued = 0;
-              n_polled = 0;
-              n_done = 0;
-              failure = Atomic.make None;
-              clock = 0.0;
-            });
+            let rec w =
+              {
+                id;
+                rx = Netsim.Ring.create ~capacity:config.ring_capacity;
+                swq = Netsim.Ring.create ~capacity:config.ring_capacity;
+                hist = Atomic.make (fresh_hist ());
+                accepted = Atomic.make 0;
+                served = Atomic.make 0;
+                busy_ns = Atomic.make 0;
+                (* software queue + own RX + a share of each other ring *)
+                polled = Array.make (config.batch * (config.cores + 2)) placeholder;
+                n_queued = 0;
+                n_polled = 0;
+                n_done = 0;
+                failure = Atomic.make None;
+                value_dst =
+                  (fun len ->
+                    w.value <- transport.value_buf id len;
+                    w.value);
+                value = Bytes.empty;
+                clock = 0.0;
+              }
+            in
+            w);
       transport;
       poll;
       plan = Atomic.make (Kvserver.Control.initial ~cores:config.cores);

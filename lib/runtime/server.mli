@@ -86,8 +86,16 @@ type transport = {
       (** [receive q admit]: worker [q] moves what arrived on its queue
           into its RX ring, one [admit] per request ([false]: refused,
           drop it); returns how much arrived. *)
+  value_buf : int -> int -> bytes;
+      (** [value_buf q len]: where worker [q] copies a GET's [len]-byte
+          value, at offset [value_off]; at least [value_off + len] bytes.
+          Called while the value is read, possibly more than once. *)
+  value_off : int;
   reply : Message.request -> Message.reply -> unit;
-      (** Called by whichever worker served the request; never blocks. *)
+      (** Called by whichever worker served the request, on that worker's
+          domain; never blocks.  A successful GET's [value] is the buffer
+          [value_buf] returned last, its [value_size] bytes at
+          [value_off]. *)
   park : int -> float -> unit;
       (** [park q timeout_s]: idle worker [q] waits for input. *)
 }

@@ -5,28 +5,55 @@ let max_datagram = Netsim.Frame.max_udp_payload
 type pending = { addr : Unix.sockaddr; queue : int; client_ts : int64 }
 
 (* The socket transport's state, shared by the worker domains.  Queue [q]
-   has its socket, receive buffer and fragment reassembler, all used by
-   worker [q] only; the pending table and the dedup cache share a lock. *)
+   has its socket, receive buffer, fragment reassembler and TX buffer, all
+   used by worker [q] only; the pending table and the dedup cache share a
+   lock. *)
 type conn = {
   sockets : Unix.file_descr array;
   bufs : Bytes.t array;
   reassemblers : Proto.Fragment.reassembler array;
+  tx : Bytes.t array;
+      (* worker [q]'s outgoing message, from offset [Fragment.header_size]
+         so its fragments can be framed in place; grown to the largest
+         reply the worker has sent, and kept *)
   batch : int;
   pending : (int64, pending) Hashtbl.t; (* request id -> where to reply *)
-  dedup : bytes Proto.Dedup.t; (* request id -> encoded reply *)
+  dedup : bytes Proto.Dedup.t; (* mutation's request id -> encoded reply *)
   lock : Mutex.t;
 }
 
 type t = { server : Server.t; conn : conn; base_port : int; mutable stopped : bool }
 
-(* A datagram the kernel will not take now is dropped, as the wire would
-   drop it: the client retransmits. *)
-let send_fragments sock addr ~msg_id payload =
-  List.iter
-    (fun frag ->
-      try ignore (Unix.sendto sock frag 0 (Bytes.length frag) [] addr)
-      with Unix.Unix_error _ -> ())
-    (Proto.Fragment.split ~msg_id payload)
+(* Worker [q]'s TX buffer, with room for a [size]-byte message. *)
+let tx_buf c q size =
+  let need = Proto.Fragment.header_size + size in
+  if Bytes.length c.tx.(q) < need then c.tx.(q) <- Bytes.create need;
+  c.tx.(q)
+
+(* [Server.transport.value_buf]: a GET's value goes straight after the
+   reply header in the serving worker's TX buffer. *)
+let value_off = Proto.Fragment.header_size + Proto.Wire.reply_header_size
+
+let value_buf c q len = tx_buf c q (Proto.Wire.reply_header_size + len)
+
+(* Send the [total]-byte message in worker [q]'s TX buffer, each fragment
+   framed in place.  A datagram the kernel will not take now is dropped,
+   as the wire would drop it: the client retransmits. *)
+let send_message c q sock addr ~msg_id total =
+  let buf = c.tx.(q) in
+  for index = 0 to Proto.Fragment.fragments_for total - 1 do
+    let len = Proto.Fragment.frame_in_place buf ~msg_id ~total ~index in
+    try
+      ignore
+        (Unix.sendto sock buf (index * Proto.Fragment.max_fragment_payload) len [] addr)
+    with Unix.Unix_error _ -> ()
+  done
+
+(* Copy an encoded message into worker [q]'s TX buffer and send it. *)
+let send_copy c q sock addr ~msg_id encoded =
+  let total = Bytes.length encoded in
+  Bytes.blit encoded 0 (tx_buf c q total) Proto.Fragment.header_size total;
+  send_message c q sock addr ~msg_id total
 
 let locked c f =
   Mutex.lock c.lock;
@@ -68,7 +95,7 @@ let accept c queue addr ~now admit msg =
   | Ok req -> (
       let id = req.Proto.Wire.id in
       match arrive c id { addr; queue; client_ts = req.Proto.Wire.client_ts } with
-      | Some encoded -> send_fragments c.sockets.(queue) addr ~msg_id:id encoded
+      | Some encoded -> send_copy c queue c.sockets.(queue) addr ~msg_id:id encoded
       | None ->
           let message =
             {
@@ -100,36 +127,47 @@ let receive c queue admit =
   in
   go 0 0.0
 
-(* [Server.transport.reply]: encode, cache for dedup and send from the
-   socket the request arrived on — the client's socket is connected to
-   that port and accepts nothing else. *)
+(* Only a mutation's reply is cached: a retransmitted PUT or DELETE is
+   replayed, a retransmitted read runs again and returns the current
+   value.  Shed replies are not cached either: a retransmission of a shed
+   request should re-attempt execution once the overload passes, not
+   replay the rejection. *)
+let cacheable (req : Message.request) (reply : Message.reply) =
+  match (req.Message.op, reply.Message.status) with
+  | (Message.Put _ | Message.Put_ttl _ | Message.Delete), (Message.Ok | Message.Not_found)
+    ->
+      true
+  | (Message.Get | Message.Scan _), _ | _, Message.Overloaded -> false
+
+(* [Server.transport.reply], on the serving worker's domain: write the
+   reply header in its TX buffer (a GET's value is already behind it) and
+   send from the socket the request arrived on — the client's socket is
+   connected to that port and accepts nothing else. *)
 let reply c (req : Message.request) (reply : Message.reply) =
   let id = req.Message.id in
   match take_pending c id with
   | None -> () (* submitted in-process, or a duplicate already answered *)
   | Some p ->
-      let encoded =
-        Proto.Wire.encode_reply
-          {
-            Proto.Wire.id;
-            status =
-              (match reply.Message.status with
-              | Message.Ok -> Proto.Wire.Ok
-              | Message.Not_found -> Proto.Wire.Not_found
-              | Message.Overloaded -> Proto.Wire.Overloaded);
-            value = reply.Message.value;
-            client_ts = p.client_ts;
-          }
+      let q = reply.Message.served_by in
+      let value_len =
+        match reply.Message.value with Some _ -> reply.Message.value_size | None -> -1
       in
-      (* Shed replies are not cached: a retransmission of a shed request
-         should re-attempt execution once the overload passes, not replay
-         the rejection. *)
-      let encoded =
-        match reply.Message.status with
-        | Message.Overloaded -> encoded
-        | Message.Ok | Message.Not_found -> cache_reply c id encoded
-      in
-      send_fragments c.sockets.(p.queue) p.addr ~msg_id:id encoded
+      let total = Proto.Wire.reply_header_size + max 0 value_len in
+      let buf = tx_buf c q total in
+      Proto.Wire.write_reply_header buf ~off:Proto.Fragment.header_size ~id
+        ~status:
+          (match reply.Message.status with
+          | Message.Ok -> Proto.Wire.Ok
+          | Message.Not_found -> Proto.Wire.Not_found
+          | Message.Overloaded -> Proto.Wire.Overloaded)
+        ~client_ts:p.client_ts ~value_len;
+      let sock = c.sockets.(p.queue) in
+      if cacheable req reply then
+        (* A copy of this request that ran meanwhile may have cached its
+           reply first; every copy then answers with that one. *)
+        send_copy c q sock p.addr ~msg_id:id
+          (cache_reply c id (Bytes.sub buf Proto.Fragment.header_size total))
+      else send_message c q sock p.addr ~msg_id:id total
 
 (* [Server.transport.park]. *)
 let park c queue timeout_s =
@@ -153,6 +191,7 @@ let start ?obs ?(config = Server.default_config) ?(base_port = 47700)
       sockets;
       bufs = Array.init cores (fun _ -> Bytes.create (max_datagram + 64));
       reassemblers = Array.init cores (fun _ -> Proto.Fragment.create_reassembler ());
+      tx = Array.init cores (fun _ -> Bytes.create max_datagram);
       batch = config.Server.batch;
       pending = Hashtbl.create 256;
       dedup = Proto.Dedup.create ~capacity:dedup_capacity ();
@@ -160,7 +199,13 @@ let start ?obs ?(config = Server.default_config) ?(base_port = 47700)
     }
   in
   let transport =
-    { Server.receive = receive conn; reply = reply conn; park = park conn }
+    {
+      Server.receive = receive conn;
+      value_buf = value_buf conn;
+      value_off;
+      reply = reply conn;
+      park = park conn;
+    }
   in
   let server =
     try Server.start ?obs ~config ~transport store

@@ -6,11 +6,23 @@
     the destination port, which is what its port probing achieves).
     There are no I/O domains: each {!Server} worker receives from its own
     non-blocking socket, reassembles multi-fragment requests, decodes
-    them, serves them and sends the encoded, fragmented reply itself, and
-    parks on [select] over its socket when idle.  A large request crosses
-    to a large core like any other, and that core sends its reply, from
-    the socket the request arrived on.  A {!Proto.Dedup} cache makes
-    retransmitted idempotent requests observable-exactly-once.
+    them, serves them and sends the fragmented reply itself, and parks on
+    [select] over its socket when idle.  A large request crosses to a
+    large core like any other, and that core sends its reply, from the
+    socket the request arrived on.
+
+    A reply is built in the serving worker's TX buffer, which grows to
+    the largest reply that worker has sent and is kept: a GET's value is
+    copied once, from the store's slab to behind the reply header, and
+    each fragment's header is written in place in front of its payload,
+    so sending a reply allocates nothing.
+
+    A {!Proto.Dedup} cache holds the replies to mutations (PUT, DELETE):
+    a retransmitted mutation is replayed, not run twice.  A retransmitted
+    GET or SCAN runs again and returns the current value, which is still
+    a linearizable read; the paper assumes idempotent operations (§4.1).
+    An [Overloaded] reply is never cached, so a retransmission of a shed
+    request is executed once the overload passes.
 
     All operations — including DELETEs, which the paper treats as special
     PUTs (§3) — flow through the size-aware scheduler. *)

@@ -67,7 +67,9 @@ let test_slab_alloc_write_read () =
   let s = Slab.create ~capacity:4096 in
   let r = Slab.alloc s 10 in
   Slab.write s r (Bytes.of_string "0123456789");
-  check Alcotest.string "roundtrip" "0123456789" (Bytes.to_string (Slab.read s r));
+  let out = Bytes.create 10 in
+  Slab.blit_to s r ~len:r.Slab.len out 0;
+  check Alcotest.string "roundtrip" "0123456789" (Bytes.to_string out);
   check int "len" 10 r.Slab.len;
   check int "cap is class" 16 r.Slab.cap;
   check int "used" 16 (Slab.used_bytes s);

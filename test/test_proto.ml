@@ -341,6 +341,129 @@ let prop_fragment_roundtrip =
       in
       result = Some msg)
 
+(* [Fragment.offer] as it was before its single-datagram fast path: every
+   message, one fragment or many, went through the partial table. *)
+module Old_offer = struct
+  type partial = { count : int; parts : bytes option array; mutable received : int }
+
+  let create () : (int64, partial) Hashtbl.t = Hashtbl.create 16
+
+  let offer t datagram =
+    let len = Bytes.length datagram in
+    if len < Fragment.header_size then None
+    else if Bytes.get_uint8 datagram 0 <> 0xF7 then None
+    else begin
+      let msg_id = Bytes.get_int64_le datagram 1 in
+      let index = Bytes.get_uint16_le datagram 9 in
+      let count = Bytes.get_uint16_le datagram 11 in
+      let plen = Bytes.get_uint16_le datagram 13 in
+      if count = 0 || index >= count || len < Fragment.header_size + plen then None
+      else begin
+        let partial =
+          match Hashtbl.find_opt t msg_id with
+          | Some p when p.count = count -> Some p
+          | Some _ -> None
+          | None ->
+              let p = { count; parts = Array.make count None; received = 0 } in
+              Hashtbl.add t msg_id p;
+              Some p
+        in
+        match partial with
+        | None -> None
+        | Some p ->
+            (match p.parts.(index) with
+            | Some _ -> ()
+            | None ->
+                p.parts.(index) <- Some (Bytes.sub datagram Fragment.header_size plen);
+                p.received <- p.received + 1);
+            if p.received = p.count then begin
+              Hashtbl.remove t msg_id;
+              let parts = List.filter_map Fun.id (Array.to_list p.parts) in
+              Some (msg_id, Bytes.concat Bytes.empty parts)
+            end
+            else None
+      end
+    end
+end
+
+(* Random fragment streams: messages of 0-3 fragments under four ids, so
+   ids collide with different fragment counts; every datagram may be
+   duplicated, truncated or replaced by garbage, and the stream is
+   shuffled.  The fast path must answer exactly as the old [offer]. *)
+let prop_offer_fast_path_unchanged =
+  QCheck.Test.make ~name:"offer matches the pre-fast-path offer" ~count:500
+    QCheck.(
+      pair (list_of_size Gen.(1 -- 10) (pair (int_bound 3) (int_bound 4000))) small_nat)
+    (fun (msgs, seed) ->
+      let rng = Dsim.Rng.create seed in
+      let stream =
+        List.concat_map
+          (fun (id, size) ->
+            let msg =
+              Bytes.init size (fun i -> Char.chr ((i + (7 * id) + size) land 0xFF))
+            in
+            List.concat_map
+              (fun d ->
+                match Dsim.Rng.int rng 8 with
+                | 0 -> [ d; Bytes.copy d ] (* duplicated *)
+                | 1 -> [ Bytes.sub d 0 (Dsim.Rng.int rng (Bytes.length d)) ] (* cut *)
+                | 2 -> [ Bytes.make (Dsim.Rng.int rng 40) '\xF7' ] (* garbage *)
+                | _ -> [ d ])
+              (Fragment.split ~msg_id:(Int64.of_int id) msg))
+          msgs
+        |> Array.of_list
+      in
+      for i = Array.length stream - 1 downto 1 do
+        let j = Dsim.Rng.int rng (i + 1) in
+        let tmp = stream.(i) in
+        stream.(i) <- stream.(j);
+        stream.(j) <- tmp
+      done;
+      let fresh = Fragment.create_reassembler () and old = Old_offer.create () in
+      Array.for_all
+        (fun d ->
+          Fragment.offer fresh (Bytes.copy d) = Old_offer.offer old (Bytes.copy d)
+          && Fragment.pending fresh = Hashtbl.length old)
+        stream)
+
+(* In-place framing sends exactly the datagrams [split] makes, at every
+   size around the fragment boundaries. *)
+let test_frame_in_place_matches_split () =
+  let mfp = Fragment.max_fragment_payload in
+  List.iter
+    (fun total ->
+      let msg = Bytes.init total (fun i -> Char.chr ((i * 31) land 0xFF)) in
+      let buf = Bytes.create (Fragment.header_size + total) in
+      Bytes.blit msg 0 buf Fragment.header_size total;
+      List.iteri
+        (fun index expected ->
+          let len = Fragment.frame_in_place buf ~msg_id:42L ~total ~index in
+          check Alcotest.bytes
+            (Printf.sprintf "%d bytes, fragment %d" total index)
+            expected (Bytes.sub buf (index * mfp) len))
+        (Fragment.split ~msg_id:42L msg))
+    [ 0; 1; mfp - 1; mfp; mfp + 1; (2 * mfp) - 1; 2 * mfp; (2 * mfp) + 1; 10_000 ]
+
+(* A reply header written in place, followed by the value, is the reply
+   [encode_reply] makes. *)
+let test_reply_header_in_place () =
+  List.iter
+    (fun (status, value) ->
+      let r = { Wire.id = 99L; status; value; client_ts = 5L } in
+      let vlen = match value with Some v -> Bytes.length v | None -> -1 in
+      let off = 17 in
+      let buf = Bytes.make (off + Wire.reply_header_size + max 0 vlen) '?' in
+      Wire.write_reply_header buf ~off ~id:99L ~status ~client_ts:5L ~value_len:vlen;
+      Option.iter (fun v -> Bytes.blit v 0 buf (off + Wire.reply_header_size) vlen) value;
+      check Alcotest.bytes "in place = encoded" (Wire.encode_reply r)
+        (Bytes.sub buf off (Bytes.length buf - off)))
+    [
+      (Wire.Ok, Some (Bytes.of_string "value"));
+      (Wire.Ok, Some Bytes.empty);
+      (Wire.Not_found, None);
+      (Wire.Overloaded, None);
+    ]
+
 (* Wire messages larger than one frame survive the full encode -> fragment
    -> reassemble -> decode pipeline. *)
 let test_end_to_end_large_put () =
@@ -376,6 +499,7 @@ let () =
           Alcotest.test_case "unknown version rejected" `Quick
             test_unknown_version_rejected;
           Alcotest.test_case "size accessors" `Quick test_size_accessors_match_encoding;
+          Alcotest.test_case "reply header in place" `Quick test_reply_header_in_place;
         ]
         @ qsuite
             [ prop_request_roundtrip; prop_codecs_roundtrip_every_field;
@@ -392,6 +516,8 @@ let () =
           Alcotest.test_case "garbage ignored" `Quick test_garbage_datagrams_ignored;
           Alcotest.test_case "drop incomplete" `Quick test_drop_incomplete;
           Alcotest.test_case "end-to-end large put" `Quick test_end_to_end_large_put;
+          Alcotest.test_case "framed in place = split" `Quick
+            test_frame_in_place_matches_split;
         ]
-        @ qsuite [ prop_fragment_roundtrip ] );
+        @ qsuite [ prop_fragment_roundtrip; prop_offer_fast_path_unchanged ] );
     ]

@@ -549,6 +549,207 @@ let test_udp_many_operations () =
       check int "server served the RPCs" 600
         (Array.fold_left ( + ) 0 stats.Runtime.Server.served))
 
+(* A raw UDP client: requests with ids the test chooses, replies read
+   into one fixed buffer. *)
+let raw_socket () =
+  let sock = Unix.socket Unix.PF_INET Unix.SOCK_DGRAM 0 in
+  Unix.bind sock (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+  Unix.setsockopt_int sock Unix.SO_RCVBUF (4 * 1024 * 1024);
+  Unix.setsockopt_float sock Unix.SO_RCVTIMEO 2.0;
+  sock
+
+let raw_send sock ~port (req : Proto.Wire.request) =
+  List.iter
+    (fun frag ->
+      ignore
+        (Unix.sendto sock frag 0 (Bytes.length frag) []
+           (Unix.ADDR_INET (Unix.inet_addr_loopback, port))))
+    (Proto.Fragment.split ~msg_id:req.Proto.Wire.id (Proto.Wire.encode_request req))
+
+let raw_rpc sock ~port ~id op key value =
+  raw_send sock ~port
+    { Proto.Wire.id; op; key; value; client_ts = Int64.neg id; target_rx = 0 };
+  let reasm = Proto.Fragment.create_reassembler () and buf = Bytes.create 65536 in
+  let rec await () =
+    match Unix.recv sock buf 0 (Bytes.length buf) [] with
+    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+        Alcotest.failf "no reply to request %Ld" id
+    | len -> (
+        match Proto.Fragment.offer reasm (Bytes.sub buf 0 len) with
+        | Some (msg_id, msg) when msg_id = id -> (
+            match Proto.Wire.decode_reply msg with
+            | Ok r -> r
+            | Error e -> Alcotest.failf "bad reply: %a" Proto.Wire.pp_error e)
+        | Some _ | None -> await ())
+  in
+  await ()
+
+let udp_stats udp = Runtime.Server.stats (Runtime.Udp.server udp)
+
+let served udp = Array.fold_left ( + ) 0 (udp_stats udp).Runtime.Server.served
+
+(* GETs whose encoded reply is one byte under, exactly at and one byte
+   over a fragment's payload, and one of ~350 fragments, come back byte
+   for byte. *)
+let test_udp_fragment_boundaries () =
+  with_udp ~base_port:49011 (fun _udp client _store ->
+      let fits = Proto.Fragment.max_fragment_payload - Proto.Wire.reply_header_size in
+      List.iter
+        (fun len ->
+          let key = Printf.sprintf "v%d" len in
+          let value = Bytes.init len (fun i -> Char.chr (((i * 7) + len) land 0xFF)) in
+          Runtime.Udp.Client.put client key value;
+          match Runtime.Udp.Client.get client key with
+          | Some v -> check Alcotest.bytes (key ^ " intact") value v
+          | None -> Alcotest.failf "%s lost" key)
+        [ fits - 1; fits; fits + 1; 500_000 ])
+
+(* A retransmitted mutation is replayed from the cache, even after a later
+   write by another id; a retransmitted read runs again. *)
+let test_udp_replays_mutations_only () =
+  let base_port = 49111 in
+  with_udp ~base_port (fun udp _client store ->
+      let sock = raw_socket () in
+      Fun.protect
+        ~finally:(fun () -> Unix.close sock)
+        (fun () ->
+          let rpc = raw_rpc sock ~port:base_port in
+          let v1 = Bytes.of_string "first" and v2 = Bytes.of_string "second" in
+          let r1 = rpc ~id:1L Proto.Wire.Put "k" (Some v1) in
+          ignore (rpc ~id:2L Proto.Wire.Put "k" (Some v2));
+          let again = rpc ~id:1L Proto.Wire.Put "k" (Some v1) in
+          check bool "the same reply" true (again = r1);
+          check (Alcotest.option Alcotest.bytes) "the later value stays" (Some v2)
+            (Kvstore.Store.get store "k");
+          check int "the retransmitted PUT did not run" 2 (served udp);
+          let get () = (rpc ~id:10L Proto.Wire.Get "k" None).Proto.Wire.value in
+          check (Alcotest.option Alcotest.bytes) "read" (Some v2) (get ());
+          let v3 = Bytes.of_string "third" in
+          ignore (rpc ~id:11L Proto.Wire.Put "k" (Some v3));
+          check (Alcotest.option Alcotest.bytes) "a retransmitted GET reads anew" (Some v3)
+            (get ());
+          check int "the retransmitted GET ran" 5 (served udp)))
+
+(* An [Overloaded] reply is not cached: the retransmission runs again. *)
+let test_udp_overloaded_not_cached () =
+  let base_port = 49211 in
+  let store =
+    Kvstore.Store.create ~partition_bits:4 ~bucket_bits:8 ~value_arena_bytes:(64 * 1024) ()
+  in
+  let udp = Runtime.Udp.start ~base_port store in
+  let sock = raw_socket () in
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.close sock;
+      Runtime.Udp.stop udp)
+    (fun () ->
+      for _ = 1 to 2 do
+        let r =
+          raw_rpc sock ~port:base_port ~id:7L Proto.Wire.Put "huge"
+            (Some (Bytes.create 100_000))
+        in
+        check bool "refused" true (r.Proto.Wire.status = Proto.Wire.Overloaded)
+      done);
+  check int "both copies ran" 2 (udp_stats udp).Runtime.Server.no_memory
+
+(* One domain rewrites a key with two fill patterns of different lengths in
+   one slab size class, so a freed region is reused by the other pattern
+   while a GET may be copying it.  Every GET must return one whole pattern:
+   the optimistic read retries a torn copy, and a worker's reused TX buffer
+   carries no bytes of an earlier reply. *)
+let test_udp_no_torn_reads () =
+  with_udp ~base_port:49311 (fun _udp client store ->
+      let a = Bytes.make 262_144 'a' and b = Bytes.make 131_073 'b' in
+      Kvstore.Store.put store ~guard:`Lock "torn" a;
+      let stop = Atomic.make false in
+      let writer =
+        Domain.spawn (fun () ->
+            (* Random, not alternating: the slab's free list would give
+               each pattern a region of its own. *)
+            let rng = Dsim.Rng.create 17 and n = ref 0 in
+            while not (Atomic.get stop) do
+              Kvstore.Store.put store ~guard:`Lock "torn"
+                (if Dsim.Rng.int rng 2 = 0 then a else b);
+              incr n
+            done;
+            !n)
+      in
+      let torn = ref 0 in
+      Fun.protect
+        ~finally:(fun () -> Atomic.set stop true)
+        (fun () ->
+          for _ = 1 to 1_000 do
+            match Runtime.Udp.Client.get client "torn" with
+            | Some v when Bytes.equal v a || Bytes.equal v b -> ()
+            | Some _ | None -> incr torn
+          done);
+      let writes = Domain.join writer in
+      check bool "the writer ran" true (writes > 0);
+      check int "torn or missing replies" 0 !torn)
+
+(* The reply path allocates no value-sized copy per GET: 200 GETs of a
+   256 KiB item allocate well under a tenth of the value in major words
+   each.  A copy per GET would be 32 K words; the encode/fragment/dedup
+   path this replaced made about two. *)
+let test_udp_get_allocation () =
+  let base_port = 49411 and value_len = 256 * 1024 and gets = 200 in
+  let store =
+    Kvstore.Store.create ~partition_bits:4 ~bucket_bits:8
+      ~value_arena_bytes:(4 * 1024 * 1024) ()
+  in
+  Kvstore.Store.put store ~guard:`Lock "big" (Bytes.make value_len 'v');
+  let udp = Runtime.Udp.start ~base_port store in
+  let sock = raw_socket () in
+  let requests =
+    Array.init gets (fun i ->
+        Proto.Fragment.split ~msg_id:(Int64.of_int i)
+          (Proto.Wire.encode_request
+             {
+               Proto.Wire.id = Int64.of_int i;
+               op = Proto.Wire.Get;
+               key = "big";
+               value = None;
+               client_ts = 0L;
+               target_rx = 0;
+             }))
+  in
+  let dest = Unix.ADDR_INET (Unix.inet_addr_loopback, base_port) in
+  let buf = Bytes.create 65536 in
+  let frags = Proto.Fragment.fragments_for (Proto.Wire.reply_header_size + value_len) in
+  let send i =
+    List.iter
+      (fun f -> ignore (Unix.sendto sock f 0 (Bytes.length f) [] dest))
+      requests.(i)
+  in
+  let major_before = (Gc.quick_stat ()).Gc.major_words in
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.close sock;
+      Runtime.Udp.stop udp)
+    (fun () ->
+      for i = 0 to gets - 1 do
+        send i;
+        let got = ref 0 and retries = ref 0 in
+        while !got < frags do
+          match Unix.recv sock buf 0 (Bytes.length buf) [] with
+          | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+              incr retries;
+              if !retries > 3 then Alcotest.failf "GET %d: no reply" i;
+              got := 0;
+              send i
+          | len ->
+              if len > Proto.Fragment.header_size
+                 && Int64.to_int (Bytes.get_int64_le buf 1) = i
+              then incr got
+        done
+      done);
+  let words = (Gc.quick_stat ()).Gc.major_words -. major_before in
+  let per_get = words /. float_of_int gets in
+  let value_words = value_len / (Sys.word_size / 8) in
+  Printf.printf "%.0f major words per GET of a %d-word value\n" per_get value_words;
+  if per_get >= float_of_int value_words /. 10.0 then
+    Alcotest.failf "%.0f major words per GET of a %d-word value" per_get value_words
+
 let test_udp_dead_endpoint_fails_fast () =
   (* Nothing listens on the port, so the kernel answers the connected
      socket with ICMP port-unreachable: the client must surface
@@ -643,6 +844,12 @@ let () =
             test_udp_large_value_fragmentation;
           Alcotest.test_case "many operations" `Slow test_udp_many_operations;
           Alcotest.test_case "oversized put refused" `Quick test_udp_oversized_put_refused;
+          Alcotest.test_case "fragment boundaries" `Quick test_udp_fragment_boundaries;
+          Alcotest.test_case "replays mutations only" `Quick
+            test_udp_replays_mutations_only;
+          Alcotest.test_case "overloaded not cached" `Quick test_udp_overloaded_not_cached;
+          Alcotest.test_case "no torn reads" `Quick test_udp_no_torn_reads;
+          Alcotest.test_case "GET allocates no value copy" `Quick test_udp_get_allocation;
         ] );
       ( "server",
         [
