@@ -88,9 +88,7 @@ let micro_tests () =
     Test.make ~name:"zipf.sample(1M keys)"
       (Staged.stage (fun () -> ignore (Dsim.Dist.Zipf.sample zipf zipf_rng)))
   in
-  let hist =
-    Stats.Log_histogram.create ~buckets_per_decade:32 ~min_value:1.0 ~max_value:2.0e6 ()
-  in
+  let hist = Kvserver.Control.size_histogram () in
   let hist_rng = Dsim.Rng.create 2 in
   let hist_record =
     Test.make ~name:"log_histogram.record"

@@ -1,5 +1,6 @@
 (* The native multicore Minos: size-aware sharding running on real OCaml 5
-   domains against the real KV store, compared with keyhash mode.
+   domains against the real KV store, compared with the keyhash (HKH)
+   baseline: the server runs either registry design.
 
    On a machine with >= 5 hardware threads the latency gap mirrors the
    paper; on smaller machines the domains time-slice, so focus on the
@@ -20,14 +21,14 @@ let spec =
 
 let requests = 40_000
 
-let run_mode mode =
+let run design =
   let dataset = Workload.Dataset.create spec in
   let store =
     Kvstore.Store.create ~partition_bits:4 ~bucket_bits:9
       ~value_arena_bytes:(128 * 1024 * 1024) ()
   in
   Runtime.Loadgen.populate store dataset;
-  let config = { Runtime.Server.default_config with Runtime.Server.mode } in
+  let config = { Runtime.Server.default_config with Runtime.Server.design } in
   let server = Runtime.Server.start ~config store in
   let t0 = Unix.gettimeofday () in
   let outcome = Runtime.Loadgen.run ~server ~dataset ~requests ~seed:17 () in
@@ -42,12 +43,13 @@ let () =
   Printf.printf "native runtime: %d requests, %d worker domains, pL=%.1f%%\n\n" requests
     Runtime.Server.default_config.Runtime.Server.cores spec.Workload.Spec.p_large;
   List.iter
-    (fun (label, mode) ->
-      let result, stats, elapsed = run_mode mode in
+    (fun design ->
+      let result, stats, elapsed = run design in
       let qs =
         Stats.Quantile.many_of_vec result.Runtime.Loadgen.latencies [ 0.5; 0.99 ]
       in
-      Printf.printf "%s:\n" label;
+      Printf.printf "%s (%s):\n" (Kvserver.Design.name design)
+        (Kvserver.Design.summary design);
       Printf.printf "  completed %d ops in %.2fs (%.0f kops/s), p50=%.0fus p99=%.0fus\n"
         result.Runtime.Loadgen.completed elapsed
         (float_of_int result.Runtime.Loadgen.completed /. elapsed /. 1000.0)
@@ -55,14 +57,9 @@ let () =
       Printf.printf "  per-core serves: %s\n"
         (String.concat " "
            (Array.to_list (Array.map string_of_int stats.Runtime.Server.served)));
-      (match mode with
-      | Runtime.Server.Size_aware ->
-          Printf.printf
-            "  control loop: %d epochs, threshold=%.0fB, %d small + %d large cores, %d handoffs\n"
-            stats.Runtime.Server.epochs stats.Runtime.Server.threshold
-            stats.Runtime.Server.n_small stats.Runtime.Server.n_large
-            stats.Runtime.Server.handoffs
-      | Runtime.Server.Keyhash -> ());
-      print_newline ())
-    [ ("size-aware (Minos)", Runtime.Server.Size_aware);
-      ("keyhash (HKH baseline)", Runtime.Server.Keyhash) ]
+      Printf.printf
+        "  control loop: %d epochs, threshold=%.0fB, %d small + %d large cores, %d handoffs\n\n"
+        stats.Runtime.Server.epochs stats.Runtime.Server.threshold
+        stats.Runtime.Server.n_small stats.Runtime.Server.n_large
+        stats.Runtime.Server.handoffs)
+    [ Kvserver.Design.minos; Kvserver.Design.hkh ]

@@ -2,8 +2,6 @@ let log_src = Logs.Src.create "minos.runtime" ~doc:"Native Minos server"
 
 module Log = (val Logs.src_log log_src : Logs.LOG)
 
-type mode = Size_aware | Keyhash
-
 type config = {
   cores : int;
   batch : int;
@@ -11,7 +9,7 @@ type config = {
   alpha : float;
   percentile : float;
   cost_fn : Kvserver.Cost_model.cost_fn;
-  mode : mode;
+  design : Kvserver.Design.t;
   ring_capacity : int;
   idle_backoff_s : float;
   shed_watermark : int option;
@@ -30,7 +28,7 @@ let default_config =
     alpha = 0.9;
     percentile = 0.99;
     cost_fn = Kvserver.Cost_model.Packets;
-    mode = Size_aware;
+    design = Kvserver.Design.minos;
     ring_capacity = 4096;
     idle_backoff_s = 0.0002;
     shed_watermark = None;
@@ -40,6 +38,14 @@ let default_config =
   }
 
 exception Oversubscribed of { cores : int; limit : int }
+exception Unsupported_design of { design : string }
+
+(* The one place that decides which registry designs run natively: Minos'
+   size-aware pools, or HKH, where every core serves its own ring. *)
+let size_aware design =
+  if Kvserver.Design.(equal design minos) then true
+  else if Kvserver.Design.(equal design hkh) then false
+  else raise (Unsupported_design { design = Kvserver.Design.name design })
 
 type transport = {
   receive : int -> (Message.request -> bool) -> int;
@@ -80,6 +86,7 @@ type worker = {
 
 type t = {
   cfg : config;
+  size_aware : bool;
   store : Kvstore.Store.t;
   workers : worker array;
   transport : transport;
@@ -99,7 +106,7 @@ type t = {
   rx_cap : int Atomic.t array; (* per-core effective RX admission cap *)
   ctrl_delayed : bool Atomic.t;
   started_ns : int64; (* monotonic origin of the fault-plan clock *)
-  mutable last_good_threshold : float;
+  epoch : Kvserver.Control.Epoch.t; (* touched by worker 0 only *)
   in_flight : int Atomic.t;
   accepting : bool Atomic.t;
   stop_flag : bool Atomic.t;
@@ -155,9 +162,6 @@ let obs_sample_submit t (req : Message.request) ~ring_idx =
           | Message.Put v | Message.Put_ttl (v, _) -> Bytes.length v
           | Message.Get | Message.Delete | Message.Scan _ -> 0)
       end
-
-let fresh_hist () =
-  Stats.Log_histogram.create ~buckets_per_decade:32 ~min_value:1.0 ~max_value:2.0e6 ()
 
 (* Stateless uniform spreading for GET dispatch: mix the request id so any
    domain can dispatch without a shared RNG. *)
@@ -258,44 +262,40 @@ let rec pull ring (polled : Message.request array) n limit =
 (* Fill [w.polled] for one iteration and return how many it holds.  A
    small core takes its software queue (standby large duty), its own RX
    and a fair share of every large core's RX; a large core only its
-   software queue; a keyhash core only its own RX. *)
+   software queue.  Under HKH the plan stays {!Kvserver.Control.initial}
+   (nothing is classified), so every core only reads its own RX. *)
 let drain t (w : worker) plan =
   let batch = t.cfg.batch in
-  match t.cfg.mode with
-  | Keyhash ->
-      w.n_queued <- 0;
-      pull w.rx w.polled 0 batch
-  | Size_aware ->
-      let queued = pull w.swq w.polled 0 batch in
-      w.n_queued <- queued;
-      if Kvserver.Control.is_small_core plan w.id then begin
-        let n_small = plan.Kvserver.Control.n_small in
-        let share = (batch + n_small - 1) / max 1 n_small in
-        let n = ref (pull w.rx w.polled queued (queued + batch)) in
-        for i = n_small to t.cfg.cores - 1 do
-          n := pull t.workers.(i).rx w.polled !n (!n + share)
-        done;
-        !n
-      end
-      else queued
+  let queued = pull w.swq w.polled 0 batch in
+  w.n_queued <- queued;
+  if Kvserver.Control.is_small_core plan w.id then begin
+    let n_small = plan.Kvserver.Control.n_small in
+    let share = Kvserver.Control.fair_share ~batch ~readers:n_small in
+    let n = ref (pull w.rx w.polled queued (queued + batch)) in
+    for i = n_small to t.cfg.cores - 1 do
+      n := pull t.workers.(i).rx w.polled !n (!n + share)
+    done;
+    !n
+  end
+  else queued
 
-(* Graceful degradation (shed-large-first): above the watermark the
-   worker answers [Overloaded] instead of executing.  Large requests shed
-   first; small ones only under 4x the backlog, so the 99% of cheap
-   requests keep their latency while the expensive tail absorbs the
-   shortfall.  The reply still flows to the client, so in-flight
-   accounting stays exact and the client backs off. *)
-let try_shed t (w : worker) ~large =
+(* Top-level recursion: a local [let rec] would allocate per decision. *)
+let rec rx_backlog (workers : worker array) i acc =
+  if i >= Array.length workers then acc
+  else rx_backlog workers (i + 1) (acc + Netsim.Ring.length workers.(i).rx)
+
+(* {!Kvserver.Control.shed} over the total RX backlog, as the simulator
+   applies it.  A shed request is answered [Overloaded]: the client backs
+   off and in-flight accounting stays exact. *)
+let try_shed t ~large =
   match t.cfg.shed_watermark with
   | None -> false
-  | Some wm ->
-      let backlog = Netsim.Ring.length w.rx + Netsim.Ring.length w.swq in
-      let limit = if large then wm else 4 * wm in
-      if backlog > limit then begin
-        Atomic.incr (if large then t.shed_large else t.shed_small);
-        true
-      end
-      else false
+  | Some watermark ->
+      Kvserver.Control.shed ~watermark ~backlog:(rx_backlog t.workers 0 0) ~large
+      && begin
+           Atomic.incr (if large then t.shed_large else t.shed_small);
+           true
+         end
 
 type route = Small | Large_here | Handed_off | Shed
 
@@ -304,8 +304,8 @@ type route = Small | Large_here | Handed_off | Shed
 let route t (w : worker) plan (req : Message.request) size =
   Stats.Log_histogram.record (Atomic.get w.hist) size;
   let j = Kvserver.Control.route_idx plan size in
-  if j < 0 then if try_shed t w ~large:false then Shed else Small
-  else if try_shed t w ~large:true then Shed
+  if j < 0 then if try_shed t ~large:false then Shed else Small
+  else if try_shed t ~large:true then Shed
   else begin
     let target = t.workers.(Kvserver.Control.large_core_id plan ~cores:t.cfg.cores j) in
     if target.id = w.id then Large_here
@@ -434,9 +434,7 @@ let serve_polled t (w : worker) plan =
     end
     else begin
       obs_mark t Obs.Span.ts_poll req;
-      match t.cfg.mode with
-      | Keyhash -> serve t w req
-      | Size_aware -> classify_and_serve t w plan req
+      if t.size_aware then classify_and_serve t w plan req else serve t w req
     end
   done
 
@@ -446,69 +444,45 @@ let serve_polled t (w : worker) plan =
 let fault_now_us t =
   Int64.to_float (Int64.sub (Monotonic_clock.now ()) t.started_ns) /. 1.0e3
 
-let controller_tick t ~smoothed =
-  (* A stat-delay fault starves the controller of fresh histograms; the
-     hardened loop skips the epoch (keeping the last good plan) rather
-     than recompute from a stale or empty merge. *)
-  if Atomic.get t.ctrl_delayed then Atomic.incr t.ctrl_stale
-  else begin
-  let merged = fresh_hist () in
+let corrupt t threshold =
+  match t.cfg.fault with
+  | None -> threshold
+  | Some f -> Fault.Inject.corrupt_threshold f ~now:(fault_now_us t) threshold
+
+(* The executor's half of a control tick: drain every worker's histogram
+   (a stale tick discards them), install the plan {!Kvserver.Control.Epoch}
+   derives, and log one decision per tick, as the simulator does. *)
+let controller_tick t =
+  let merged = Kvserver.Control.size_histogram () in
   Array.iter
     (fun w ->
-      let h = Atomic.exchange w.hist (fresh_hist ()) in
-      Stats.Log_histogram.merge_into ~dst:merged h)
+      Stats.Log_histogram.merge_into ~dst:merged
+        (Atomic.exchange w.hist (Kvserver.Control.size_histogram ())))
     t.workers;
-  if not (Stats.Log_histogram.is_empty merged) then begin
-    let s =
-      match !smoothed with
-      | None -> merged
-      | Some prev -> Stats.Log_histogram.smooth ~prev ~current:merged ~alpha:t.cfg.alpha
-    in
-    smoothed := Some s;
-    (* Same quantile [Control.compute] would take, surfaced so a
-       corruption fault can mangle it and [Control.sanitize] can reject
-       NaN / clamp runaway movement against the last good value. *)
-    let raw = Stats.Log_histogram.quantile s t.cfg.percentile in
-    let raw =
-      match t.cfg.fault with
-      | None -> raw
-      | Some f -> Fault.Inject.corrupt_threshold f ~now:(fault_now_us t) raw
-    in
-    let threshold =
-      match t.cfg.clamp_threshold with
-      | None -> raw
-      | Some _ ->
-          Kvserver.Control.sanitize ~last_good:t.last_good_threshold
-            ~clamp:t.cfg.clamp_threshold raw
-    in
-    if Float.is_finite threshold && threshold > 0.0 then
-      t.last_good_threshold <- threshold;
-    let plan =
-      Kvserver.Control.compute ~cores:t.cfg.cores ~cost_fn:t.cfg.cost_fn
-        ~percentile:t.cfg.percentile ~threshold_override:threshold s
-    in
-    let old = Atomic.exchange t.plan plan in
-    if
-      old.Kvserver.Control.n_large <> plan.Kvserver.Control.n_large
-      || abs_float (old.Kvserver.Control.threshold -. plan.Kvserver.Control.threshold)
-         > 0.05 *. plan.Kvserver.Control.threshold
-    then
-      Log.info (fun m ->
-          m "epoch %d: threshold %.0fB, %d small + %d large cores"
-            (Atomic.get t.epochs + 1)
-            plan.Kvserver.Control.threshold plan.Kvserver.Control.n_small
-            plan.Kvserver.Control.n_large);
-    (match t.obs with
-    | None -> ()
-    | Some o ->
-        (* Only worker 0 runs the controller, so the log needs no lock. *)
-        Obs.Decision_log.record o.Obs.Instrument.decisions ~now:(now_us ())
-          ~threshold:plan.Kvserver.Control.threshold
-          ~n_small:plan.Kvserver.Control.n_small
-          ~n_large:plan.Kvserver.Control.n_large ());
-    Atomic.incr t.epochs
-  end
-  end
+  let stale = Atomic.get t.ctrl_delayed in
+  if stale then Atomic.incr t.ctrl_stale;
+  (match
+     Kvserver.Control.Epoch.step t.epoch ~cores:t.cfg.cores ~stale ~force:false
+       ~corrupt:(corrupt t) merged
+   with
+  | None -> ()
+  | Some plan ->
+      let old = Atomic.exchange t.plan plan in
+      let open Kvserver.Control in
+      let moved = abs_float (old.threshold -. plan.threshold) > 0.05 *. plan.threshold in
+      if moved || old.n_large <> plan.n_large then
+        Log.info (fun m ->
+            m "epoch %d: threshold %.0fB, %d small + %d large cores"
+              (Atomic.get t.epochs + 1) plan.threshold plan.n_small plan.n_large));
+  (* Only worker 0 runs the controller, so the log needs no lock. *)
+  Option.iter
+    (fun o ->
+      let { Kvserver.Control.threshold; n_small; n_large; _ } = Atomic.get t.plan in
+      Obs.Decision_log.record o.Obs.Instrument.decisions
+        ~lost:(Atomic.get t.rx_rejected + Atomic.get t.shed_small + Atomic.get t.shed_large)
+        ~now:(now_us ()) ~threshold ~n_small ~n_large ())
+    t.obs;
+  Atomic.incr t.epochs
 
 let timeline_tick t tl ~now =
   let s = Obs.Timeline.start_sample tl ~now:(now *. 1.0e6) in
@@ -523,7 +497,6 @@ let timeline_tick t tl ~now =
 (* One worker is the whole data plane of its queue: receive what arrived,
    drain the rings, classify, serve and reply, all on this domain. *)
 let worker_loop t (w : worker) =
-  let smoothed = ref None in
   let last_epoch = ref (Unix.gettimeofday ()) in
   let last_tl = ref !last_epoch in
   let idle_streak = ref 0 in
@@ -562,11 +535,11 @@ let worker_loop t (w : worker) =
           timeline_tick t tl ~now
         end
     | None -> ());
-    if w.id = 0 && t.cfg.mode = Size_aware then begin
+    if w.id = 0 then begin
       let now = Unix.gettimeofday () in
       if now -. !last_epoch >= t.cfg.epoch_s then begin
         last_epoch := now;
-        controller_tick t ~smoothed
+        controller_tick t
       end
     end;
     let stall = Atomic.get t.stall_us.(w.id) in
@@ -617,22 +590,24 @@ let reclaim t (w : worker) =
    here, off the data path.  A slowdown factor f becomes an extra
    (f - 1) x 100 us sleep per scheduling iteration (capped at 5 ms), a
    serviceable stand-in for a core running f times slower. *)
+let fault_sample t f =
+  let now = fault_now_us t in
+  for c = 0 to t.cfg.cores - 1 do
+    let factor = Fault.Inject.slowdown f ~core:c ~now in
+    let stall =
+      if factor > 1.0 then int_of_float (Float.min 5000.0 ((factor -. 1.0) *. 100.0))
+      else 0
+    in
+    Atomic.set t.stall_us.(c) stall;
+    Atomic.set t.rx_cap.(c)
+      (min t.cfg.ring_capacity (Fault.Inject.rx_capacity f ~queue:c ~now))
+  done;
+  Atomic.set t.ctrl_delayed (Fault.Inject.ctrl_delayed f ~now)
+
 let fault_clock_loop t f =
   while not (Atomic.get t.stop_flag) do
-    let now = fault_now_us t in
-    for c = 0 to t.cfg.cores - 1 do
-      let factor = Fault.Inject.slowdown f ~core:c ~now in
-      let stall =
-        if factor > 1.0 then
-          int_of_float (Float.min 5000.0 ((factor -. 1.0) *. 100.0))
-        else 0
-      in
-      Atomic.set t.stall_us.(c) stall;
-      Atomic.set t.rx_cap.(c)
-        (min t.cfg.ring_capacity (Fault.Inject.rx_capacity f ~queue:c ~now))
-    done;
-    Atomic.set t.ctrl_delayed (Fault.Inject.ctrl_delayed f ~now);
-    Thread.delay 0.001
+    Thread.delay 0.001;
+    fault_sample t f
   done
 
 (* Background expiry: one posix thread walks the store every sweep
@@ -649,6 +624,7 @@ let start ?obs ?(config = default_config) ?transport store =
   if config.cores < 2 then invalid_arg "Server.start: need at least 2 cores";
   if config.cores > max_cores () then
     raise (Oversubscribed { cores = config.cores; limit = max_cores () });
+  let size_aware = size_aware config.design in
   if config.batch < 1 then invalid_arg "Server.start: batch must be >= 1";
   if config.expiry_sweep_s < 0.0 then
     invalid_arg "Server.start: expiry_sweep_s must be >= 0";
@@ -663,6 +639,7 @@ let start ?obs ?(config = default_config) ?transport store =
   let t =
     {
       cfg = config;
+      size_aware;
       store;
       workers =
         Array.init config.cores (fun id ->
@@ -671,7 +648,7 @@ let start ?obs ?(config = default_config) ?transport store =
                 id;
                 rx = Netsim.Ring.create ~capacity:config.ring_capacity;
                 swq = Netsim.Ring.create ~capacity:config.ring_capacity;
-                hist = Atomic.make (fresh_hist ());
+                hist = Atomic.make (Kvserver.Control.size_histogram ());
                 accepted = Atomic.make 0;
                 served = Atomic.make 0;
                 busy_ns = Atomic.make 0;
@@ -705,7 +682,9 @@ let start ?obs ?(config = default_config) ?transport store =
       rx_cap = Array.init config.cores (fun _ -> Atomic.make config.ring_capacity);
       ctrl_delayed = Atomic.make false;
       started_ns = Monotonic_clock.now ();
-      last_good_threshold = infinity;
+      epoch =
+        Kvserver.Control.Epoch.create ?clamp:config.clamp_threshold ~alpha:config.alpha
+          ~percentile:config.percentile ~cost_fn:config.cost_fn ();
       in_flight = Atomic.make 0;
       accepting = Atomic.make true;
       stop_flag = Atomic.make false;
@@ -715,8 +694,11 @@ let start ?obs ?(config = default_config) ?transport store =
     }
   in
   Log.info (fun m ->
-      m "starting: %d worker domains, batch %d, %s mode" config.cores config.batch
-        (match config.mode with Size_aware -> "size-aware" | Keyhash -> "keyhash"));
+      m "starting: %d worker domains, batch %d, %s" config.cores config.batch
+        (Kvserver.Design.name config.design));
+  (* The first sample precedes the workers, so a window open at time 0
+     holds from their first iteration. *)
+  Option.iter (fault_sample t) config.fault;
   t.domains <-
     List.init config.cores (fun i ->
         Domain.spawn (fun () -> worker_main t t.workers.(i)));

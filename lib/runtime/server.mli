@@ -8,9 +8,10 @@
     threshold, serves small ones in place and replies itself.  A large
     request crosses a software ring to a large core, which serves it and
     replies; small cores also poll a fair share of the large cores' RX
-    rings.  Core 0 runs the §3 control loop (merge per-core size
-    histograms, EMA-smooth, re-derive the threshold and the core split)
-    once per epoch between batches.
+    rings.  Core 0 runs the §3 control loop, {!Kvserver.Control.Epoch}
+    as the simulator does, once per epoch between batches.  Under
+    {!Kvserver.Design.hkh} nothing is classified: every core serves its
+    own ring.
 
     The loop is written once over a {!transport}: in-process by default
     ({!submit} feeds the RX rings, {!poll_reply} drains the replies), or
@@ -31,10 +32,6 @@
       Server.stop server
     ]} *)
 
-type mode =
-  | Size_aware  (** Minos: small/large pools + control loop *)
-  | Keyhash     (** HKH baseline: every core serves its own ring only *)
-
 type config = {
   cores : int;            (** worker domains, 2 to {!max_cores} *)
   batch : int;            (** ring poll batch *)
@@ -42,19 +39,18 @@ type config = {
   alpha : float;          (** histogram smoothing (paper: 0.9) *)
   percentile : float;     (** threshold percentile (0.99) *)
   cost_fn : Kvserver.Cost_model.cost_fn;
-  mode : mode;
+  design : Kvserver.Design.t;
+      (** {!Kvserver.Design.minos} or {!Kvserver.Design.hkh}; {!start}
+          raises {!Unsupported_design} for any other *)
   ring_capacity : int;    (** per-ring slots, power of two *)
   idle_backoff_s : float; (** an idle worker's {!transport.park} timeout *)
   shed_watermark : int option;
-      (** admission-control watermark on a worker's backlog (RX + software
-          queue): above it, large requests are answered [Overloaded]
-          instead of executed; small requests only shed above 4x the
-          watermark.  [None] (default) disables shedding. *)
+      (** {!Kvserver.Control.shed}'s watermark on the total RX backlog:
+          a shed request is answered [Overloaded].  [None] (default)
+          disables shedding. *)
   clamp_threshold : float option;
-      (** harden the control loop: reject NaN / non-positive thresholds
-          and clamp per-epoch movement to this fraction of the last good
-          value ({!Kvserver.Control.sanitize}).  [None] keeps the
-          unguarded paper behaviour. *)
+      (** harden the control loop ({!Kvserver.Control.Epoch.plan});
+          [None] keeps the unguarded paper behaviour. *)
   expiry_sweep_s : float;
       (** period of the background expiry-sweep thread that reclaims
           TTL-lapsed items ({!Kvstore.Store.expire_sweep}); [0.0]
@@ -64,8 +60,8 @@ type config = {
       (** deterministic fault plan to run the server under: a fault-clock
           thread samples the plan's windows ~every millisecond into
           per-core flags — core slowdowns become per-iteration stalls,
-          ring squeezes lower the effective RX admission cap, and control
-          stat-delay windows make the controller skip epochs. *)
+          ring squeezes lower the effective RX admission cap, and a
+          control stat-delay window makes every control tick stale. *)
 }
 
 val max_cores : unit -> int
@@ -74,11 +70,15 @@ val max_cores : unit -> int
 
 val default_config : config
 (** [min 4 (max_cores ())] cores, batch 32, 50 ms epochs, α = 0.9, p99,
-    packets cost, size-aware mode. *)
+    packets cost, {!Kvserver.Design.minos}. *)
 
 exception Oversubscribed of { cores : int; limit : int }
 (** Raised by {!start} when [cores > limit = max_cores ()]: surplus
     domains would only time-slice, a silent slowdown. *)
+
+exception Unsupported_design of { design : string }
+(** Raised by {!start} for a registry design other than
+    {!Kvserver.Design.minos} and {!Kvserver.Design.hkh}, by its name. *)
 
 (** How the worker loop meets the outside world. *)
 type transport = {
@@ -106,14 +106,14 @@ val start :
   ?obs:Obs.Instrument.t -> ?config:config -> ?transport:transport -> Kvstore.Store.t -> t
 (** Spawn one worker domain per core; the store must outlive the server.
     With a [transport], {!poll_reply} answers [None].  Raises
-    {!Oversubscribed} or [Invalid_argument] for a config it cannot honour.
-    [obs] attaches a flight recorder: {!submit}
+    {!Oversubscribed}, {!Unsupported_design} or [Invalid_argument] for a
+    config it cannot honour.  [obs] attaches a flight recorder: {!submit}
     samples requests by a hash of their id ({!Obs.Recorder.try_sample_id}
     — deterministic per id with no cross-domain RNG), workers record the
     poll / classify / handoff / service / reply stages with wall-clock
     microsecond timestamps, worker 0 appends one {!Obs.Decision_log}
-    entry per control epoch and, when the instrument carries a timeline,
-    samples per-core RX depth and busy time.  Export (e.g. with
+    entry per control tick, stale ones included, and, when the instrument
+    carries a timeline, samples per-core RX depth and busy time.  Export (e.g. with
     {!Obs.Chrome_trace}) only after {!stop}. *)
 
 val submit : t -> Message.request -> bool
@@ -136,7 +136,7 @@ type stats = {
   threshold : float;             (** current size threshold *)
   n_small : int;
   n_large : int;
-  epochs : int;                  (** control-loop executions *)
+  epochs : int;                  (** control ticks, stale ones included *)
   shed_small : int;              (** small requests answered [Overloaded] *)
   shed_large : int;              (** large requests answered [Overloaded] *)
   rx_rejected : int;             (** submissions refused at the RX ring
@@ -144,8 +144,8 @@ type stats = {
   no_memory : int;               (** PUTs answered [Overloaded] because the
                                      store's value arena could not hold
                                      them ({!Kvstore.Slab.Out_of_memory}) *)
-  ctrl_stale : int;              (** control epochs skipped because the
-                                     stat pipeline was delayed by a fault *)
+  ctrl_stale : int;              (** control ticks a fault made stale:
+                                     their histograms were discarded *)
   expired : int;                 (** TTL-lapsed slots reclaimed (lazily on
                                      read or by the sweep thread) *)
   failures : (int * string) list;

@@ -25,7 +25,7 @@
     request is executed once the overload passes.
 
     All operations — including DELETEs, which the paper treats as special
-    PUTs (§3) — flow through the size-aware scheduler. *)
+    PUTs (§3) — flow through the server's scheduler. *)
 
 type t
 

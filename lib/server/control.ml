@@ -81,32 +81,79 @@ let compute ~cores ~cost_fn ~percentile ?threshold_override ?(extra_large_core =
       if extra_large_core && n_large > 0 then min (cores - 1) (n_large + 1) else n_large
     in
     let n_small = cores - n_large in
-    if n_large = 0 then { threshold; n_small = cores; n_large = 0; ranges = [||] }
-    else
-      {
-        threshold;
-        n_small;
-        n_large;
-        ranges = split_ranges hist ~cost_fn ~threshold ~n:n_large;
-      }
+    let ranges = if n_large = 0 then [||] else split_ranges hist ~cost_fn ~threshold ~n:n_large in
+    { threshold; n_small; n_large; ranges }
   end
 
 (* Control-loop hardening: never let a corrupt or wildly moving threshold
    reach the routing plan.  NaN and non-positive candidates fall back to
-   the last good value; with a clamp, one epoch may move the threshold by
-   at most the given fraction in either direction. *)
+   the last good value, and one epoch may move the threshold by at most
+   the clamp fraction in either direction. *)
 let sanitize ~last_good ~clamp candidate =
   let bad v = Float.is_nan v || v <= 0.0 in
   if bad candidate then if bad last_good then infinity else last_good
-  else
-    match clamp with
-    | None -> candidate
-    | Some c ->
-        if Float.is_finite last_good && last_good > 0.0 then
-          let lo = last_good /. (1.0 +. c) in
-          let hi = last_good *. (1.0 +. c) in
-          Float.min hi (Float.max lo candidate)
-        else candidate
+  else if Float.is_finite last_good && last_good > 0.0 then
+    Float.min (last_good *. (1.0 +. clamp)) (Float.max (last_good /. (1.0 +. clamp)) candidate)
+  else candidate
+
+let size_histogram () =
+  Stats.Log_histogram.create ~buckets_per_decade:32 ~min_value:1.0 ~max_value:2.0e6 ()
+
+let shed ~watermark ~backlog ~large =
+  backlog > watermark && (large || backlog > 4 * watermark)
+
+let fair_share ~batch ~readers =
+  let readers = max 1 readers in
+  (batch + readers - 1) / readers
+
+module Epoch = struct
+  type t = {
+    alpha : float;
+    percentile : float;
+    cost_fn : Cost_model.cost_fn;
+    static_threshold : float option; (* the §6.2 variant *)
+    clamp : float option;
+    extra_large_core : bool; (* the §6.1 variant *)
+    mutable smoothed : Stats.Log_histogram.t option;
+    mutable last_good : float;
+  }
+
+  let create ?static_threshold ?clamp ?(extra_large_core = false) ~alpha ~percentile
+      ~cost_fn () =
+    { alpha; percentile; cost_fn; static_threshold; clamp; extra_large_core;
+      smoothed = None; last_good = infinity }
+
+  let last_good t = t.last_good
+
+  let plan t ~cores ~corrupt =
+    match t.smoothed with
+    | None ->
+        { (initial ~cores) with threshold = Option.value t.static_threshold ~default:infinity }
+    | Some smoothed ->
+        let raw =
+          match t.static_threshold with
+          | Some th -> th
+          | None -> Stats.Log_histogram.quantile smoothed t.percentile
+        in
+        let threshold =
+          match t.clamp with
+          | None -> corrupt raw
+          | Some clamp -> sanitize ~last_good:t.last_good ~clamp (corrupt raw)
+        in
+        if Float.is_finite threshold && threshold > 0.0 then t.last_good <- threshold;
+        compute ~cores ~cost_fn:t.cost_fn ~percentile:t.percentile
+          ~threshold_override:threshold ~extra_large_core:t.extra_large_core smoothed
+
+  let step t ~cores ~stale ~force ~corrupt merged =
+    let fresh = (not stale) && not (Stats.Log_histogram.is_empty merged) in
+    if fresh then
+      t.smoothed <-
+        Some
+          (match t.smoothed with
+          | None -> merged
+          | Some prev -> Stats.Log_histogram.smooth ~prev ~current:merged ~alpha:t.alpha);
+    if fresh || force then Some (plan t ~cores ~corrupt) else None
+end
 
 (* Top-level recursion: a local [let rec] would close over [plan]/[size]
    and allocate a closure per routed request. *)
@@ -117,17 +164,11 @@ let rec route_range ranges size n i =
     if size <= hi then i else route_range ranges size n (i + 1)
   end
 
-(* Allocation-free variant for the per-request dispatch path: [-1] means
-   small (the [None] of [route]); [0] in standby mode is the standby
-   core by convention. *)
+(* Allocation-free, for the per-request dispatch path: [-1] means small. *)
 let route_idx plan size =
   if size <= plan.threshold then -1
   else if plan.n_large = 0 then 0 (* standby core, by convention *)
   else route_range plan.ranges size (Array.length plan.ranges) 0
-
-let route plan size =
-  let j = route_idx plan size in
-  if j < 0 then None else Some j
 
 let is_small_core plan id = id < plan.n_small
 

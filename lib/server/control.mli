@@ -1,7 +1,8 @@
 (** Minos' adaptation logic (§3), as pure, unit-testable functions.
 
-    Every epoch, core 0 merges the per-core item-size histograms, smooths
-    them against the previous epoch, and derives a {!plan}:
+    Every epoch, core 0 merges the per-core item-size histograms
+    ({!size_histogram}) and {!Epoch.step} smooths them against the
+    previous epoch and derives a {!plan}; both executors run this loop:
 
     - the size {b threshold}: the configured percentile (99th) of observed
       item sizes — by construction the small cores serve the smallest 99 %
@@ -43,25 +44,52 @@ val compute :
     large core (to be paired with RX stealing).  An empty histogram yields
     {!initial}. *)
 
-val sanitize : last_good:float -> clamp:float option -> float -> float
-(** [sanitize ~last_good ~clamp candidate] hardens a freshly computed
-    threshold: NaN or non-positive candidates yield [last_good] (or
-    [infinity] when there is no good value yet); with [clamp = Some c]
-    the result is bounded to
-    [[last_good /. (1. +. c), last_good *. (1. +. c)]] whenever
-    [last_good] is finite and positive.  [clamp = None] passes sane
-    candidates through unchanged. *)
+val size_histogram : unit -> Stats.Log_histogram.t
+(** The one item-size histogram layout: 32 buckets per decade, 1 B–2 MB. *)
+
+val shed : watermark:int -> backlog:int -> large:bool -> bool
+(** Shed-large-first admission: above the watermark the large class is
+    shed, the small class only above four times it. *)
+
+val fair_share : batch:int -> readers:int -> int
+(** [ceil (batch / max 1 readers)]: what a small core polls from each
+    large core's RX queue per batch, so all queues drain alike (§3). *)
+
+module Epoch : sig
+  type t
+  (** The smoothed histogram and the last good threshold. *)
+
+  val create :
+    ?static_threshold:float -> ?clamp:float -> ?extra_large_core:bool ->
+    alpha:float -> percentile:float -> cost_fn:Cost_model.cost_fn -> unit -> t
+  (** [static_threshold] is the §6.2 variant, [extra_large_core] the §6.1
+      one ({!compute}); [clamp] hardens the threshold (see {!plan}). *)
+
+  val step :
+    t -> cores:int -> stale:bool -> force:bool -> corrupt:(float -> float) ->
+    Stats.Log_histogram.t -> plan option
+  (** One control tick over the merged histogram, which [step] takes
+      over.  A [stale] tick (a fault delays the stat pipeline) or an empty
+      merge discards it and yields [None] unless [force] (the active core
+      set changed); otherwise it is EMA-smoothed in and {!plan} follows. *)
+
+  val plan : t -> cores:int -> corrupt:(float -> float) -> plan
+  (** {!initial} (with the static threshold, if any) before the first
+      histogram.  After it: the static threshold or the smoothed
+      percentile, then [corrupt] (a fault plan's corruption window), then,
+      with a clamp [c], hardening — NaN or non-positive falls back to the
+      last good threshold, and the move is bounded to a factor [1 + c] —
+      then {!compute}.  A finite, positive threshold becomes the last good
+      one. *)
+
+  val last_good : t -> float (** [infinity] until a finite, positive one *)
+end
 
 val route_idx : plan -> float -> int
 (** [route_idx plan size]: [-1] if the request is small, else the
-    large-core index.  Allocation-free variant of [route] for the
-    per-request dispatch path (an [int option] boxes [Some j]). *)
-
-val route : plan -> float -> int option
-(** [route plan size]: [None] if the request is small; [Some j] with the
-    large-core index [0 <= j < n_large] otherwise.  In standby mode
-    ([n_large = 0]) large requests return [Some 0] — by convention the
-    standby core. *)
+    large-core index [0 <= j < n_large].  In standby mode ([n_large = 0])
+    large requests return [0] — by convention the standby core.
+    Allocation-free (an [int option] would box every [Some j]). *)
 
 val standby_core : cores:int -> int
 (** Identity of the standby large core (the last core). *)
@@ -71,5 +99,5 @@ val is_small_core : plan -> int -> bool
     cores count as small). *)
 
 val large_core_id : plan -> cores:int -> int -> int
-(** [large_core_id plan ~cores j] maps a large-core index from {!route} to
+(** [large_core_id plan ~cores j] maps a large-core index from {!route_idx} to
     a physical core id.  Large cores occupy the tail of the id space. *)

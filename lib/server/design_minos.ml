@@ -26,8 +26,8 @@ type state = {
   mutable excluded : int; (* physical id, -1 when none *)
   wd : Watchdog.t option;
   mutable plan : Control.plan; (* over the [n_active] slots *)
-  mutable smoothed : Stats.Log_histogram.t option;
-  mutable last_good_threshold : float;
+  epoch : Control.Epoch.t;
+  corrupt : float -> float; (* the fault plan's threshold corruption *)
   mutable standby_engaged : bool;
       (** In standby mode (n_large = 0), whether the standby core is
           currently acting as a large core.  While engaged it stops
@@ -35,9 +35,6 @@ type state = {
           — "if a large request arrives, it is sent to this core, which
           then becomes a large core" (§3). *)
 }
-
-let size_histogram () =
-  Stats.Log_histogram.create ~buckets_per_decade:32 ~min_value:1.0 ~max_value:2.0e6 ()
 
 let profiling_cost st =
   (* The §6.2 static-threshold variant skips per-request profiling. *)
@@ -144,8 +141,10 @@ and refill st c =
      their RX queues for them. *)
   let pulled = pull_from st c (Engine.rx st.eng c.id) b in
   let standby_engaged = standby_mode st && st.standby_engaged in
-  let ns = max 1 (st.plan.Control.n_small - if standby_engaged then 1 else 0) in
-  let share = (b + ns - 1) / ns in
+  let share =
+    Control.fair_share ~batch:b
+      ~readers:(st.plan.Control.n_small - if standby_engaged then 1 else 0)
+  in
   let pulled = pull_large_shares st c share st.plan.Control.n_small pulled in
   let pulled =
     if standby_engaged && c.id <> standby_phys st then
@@ -240,13 +239,6 @@ let exclude st p =
   st.n_active <- st.n_active - 1;
   st.excluded <- p
 
-let readmit st p =
-  (* The excluded core already sits at slot [n_active]; growing the
-     active set re-covers it. *)
-  st.n_active <- st.n_active + 1;
-  st.excluded <- -1;
-  ignore p
-
 let watchdog_tick st =
   match st.wd with
   | None -> false
@@ -260,126 +252,94 @@ let watchdog_tick st =
       | Watchdog.Exclude p ->
           exclude st p;
           true
-      | Watchdog.Readmit p ->
-          readmit st p;
+      | Watchdog.Readmit _ ->
+          (* The excluded core already sits at slot [n_active]; growing
+             the active set re-covers it. *)
+          st.n_active <- st.n_active + 1;
+          st.excluded <- -1;
           true)
 
 (* ---------------- control loop ---------------- *)
 
-(* Recompute the plan over the current active set.  The raw threshold (the
-   configured override or the smoothed histogram's percentile) passes
-   through the fault plan's corruption window, then — when hardening is
-   configured — through {!Control.sanitize}; the plan is derived from
-   whatever survives. *)
-let recompute st =
-  match st.smoothed with
-  | None -> (
-      match st.cfg.Config.static_threshold with
-      | Some threshold -> { (Control.initial ~cores:st.n_active) with Control.threshold }
-      | None -> Control.initial ~cores:st.n_active)
-  | Some smoothed ->
-      let raw =
-        match st.cfg.Config.static_threshold with
-        | Some t -> t
-        | None -> Stats.Log_histogram.quantile smoothed st.cfg.Config.percentile
-      in
-      let corrupted = Engine.corrupt_threshold st.eng raw in
-      let threshold =
-        match st.cfg.Config.clamp_threshold with
-        | None -> corrupted
-        | Some _ ->
-            Control.sanitize ~last_good:st.last_good_threshold
-              ~clamp:st.cfg.Config.clamp_threshold corrupted
-      in
-      if Float.is_finite threshold && threshold > 0.0 then
-        st.last_good_threshold <- threshold;
-      Control.compute ~cores:st.n_active ~cost_fn:st.cfg.Config.cost_fn
-        ~percentile:st.cfg.Config.percentile ~threshold_override:threshold
-        ~extra_large_core:st.cfg.Config.large_rx_steal smoothed
-
+(* The executor's half of a control tick: drain the per-core histograms
+   (a stale tick discards them) and, when {!Control.Epoch.step} derives a
+   plan over the current active set, install it and re-route what the
+   change displaced. *)
 let on_epoch st () =
   let set_changed = watchdog_tick st in
-  let stale = Engine.ctrl_delayed st.eng in
-  let merged = size_histogram () in
+  let merged = Control.size_histogram () in
   Array.iter
     (fun c ->
       Stats.Log_histogram.merge_into ~dst:merged c.hist;
       Stats.Log_histogram.reset c.hist)
     st.cores;
-  let fresh = (not stale) && not (Stats.Log_histogram.is_empty merged) in
-  if fresh then
-    st.smoothed <-
-      Some
-        (match st.smoothed with
-        | None -> merged
-        | Some prev ->
-            Stats.Log_histogram.smooth ~prev ~current:merged
-              ~alpha:st.cfg.Config.alpha);
-  if fresh || set_changed then begin
-    let new_plan = recompute st in
-    let old_plan = st.plan in
-    st.plan <- new_plan;
-    (* Each epoch re-designates roles; a previously engaged standby core
-       returns to small duty once its queue is clear. *)
-    st.standby_engaged <-
-      new_plan.Control.n_large = 0
-      && not (Netsim.Fifo.is_empty st.cores.(standby_phys st).swq);
-    (* Requests queued for cores whose role or range changed are
-       re-routed under the new plan; an active-set change displaces
-       everything queued at the excluded/readmitted core too. *)
-    if
-      set_changed
-      || new_plan.Control.n_small <> old_plan.Control.n_small
-      || new_plan.Control.ranges <> old_plan.Control.ranges
-    then begin
-      let displaced = ref [] in
-      Array.iter
-        (fun c ->
-          let rec drain () =
-            match Netsim.Fifo.pop c.swq with
-            | Some r ->
-                displaced := r :: !displaced;
-                drain ()
-            | None -> ()
-          in
-          drain ();
-          (* An excluded core's staged batch would otherwise be served at
-             its degraded speed; reclaim it. *)
-          if c.id = st.excluded then
-            while not (Netsim.Fifo.is_empty c.batch) do
-              displaced := Netsim.Fifo.pop_exn c.batch :: !displaced
-            done)
-        st.cores;
-      List.iter
-        (fun slot ->
-          let r = Engine.req_of_slot st.eng slot in
-          match Control.route st.plan (float_of_int r.Engine.item_size) with
-          | Some j ->
+  match
+    Control.Epoch.step st.epoch ~cores:st.n_active ~stale:(Engine.ctrl_delayed st.eng)
+      ~force:set_changed ~corrupt:st.corrupt merged
+  with
+  | None -> ()
+  | Some new_plan ->
+      let old_plan = st.plan in
+      st.plan <- new_plan;
+      (* Each epoch re-designates roles; a previously engaged standby core
+         returns to small duty once its queue is clear. *)
+      st.standby_engaged <-
+        new_plan.Control.n_large = 0
+        && not (Netsim.Fifo.is_empty st.cores.(standby_phys st).swq);
+      (* Requests queued for cores whose role or range changed are
+         re-routed under the new plan; an active-set change displaces
+         everything queued at the excluded/readmitted core too. *)
+      if
+        set_changed
+        || new_plan.Control.n_small <> old_plan.Control.n_small
+        || new_plan.Control.ranges <> old_plan.Control.ranges
+      then begin
+        let displaced = ref [] in
+        let take q =
+          while not (Netsim.Fifo.is_empty q) do
+            displaced := Netsim.Fifo.pop_exn q :: !displaced
+          done
+        in
+        (* An excluded core's staged batch would otherwise be served at its
+           degraded speed; reclaim it too. *)
+        Array.iter (fun c -> take c.swq; if c.id = st.excluded then take c.batch) st.cores;
+        List.iter
+          (fun slot ->
+            let r = Engine.req_of_slot st.eng slot in
+            let j = Control.route_idx st.plan (float_of_int r.Engine.item_size) in
+            if j >= 0 then begin
               if standby_mode st then st.standby_engaged <- true;
               Engine.obs_handoff_enq st.eng r;
               Netsim.Fifo.push
-                st.cores.(phys st (Control.large_core_id st.plan ~cores:st.n_active j))
-                  .swq slot
-          | None ->
+                st.cores.(phys st (Control.large_core_id st.plan ~cores:st.n_active j)).swq
+                slot
+            end
+            else
               (* Under the new threshold this queued request counts as
                  small; stage it in a (small) core's local batch. *)
               Netsim.Fifo.push st.cores.(standby_phys st).batch slot)
-        (List.rev !displaced)
-    end;
-    (* Charge the aggregation work to the first active core if it is
-       idle; when busy the merge overlaps with request processing. *)
-    let c0 = st.cores.(phys st 0) in
-    if c0.idle then begin
-      c0.idle <- false;
-      Engine.busy st.eng ~core:c0.id st.cfg.Config.cost.Cost_model.epoch_aggregate_us
-    end;
-    (* Roles may have changed: give every core a chance to find work. *)
-    Array.iter (fun c -> wake st c) st.cores
-  end
+          (List.rev !displaced)
+      end;
+      (* Charge the aggregation work to the first active core if it is
+         idle; when busy the merge overlaps with request processing. *)
+      let c0 = st.cores.(phys st 0) in
+      if c0.idle then begin
+        c0.idle <- false;
+        Engine.busy st.eng ~core:c0.id st.cfg.Config.cost.Cost_model.epoch_aggregate_us
+      end;
+      (* Roles may have changed: give every core a chance to find work. *)
+      Array.iter (fun c -> wake st c) st.cores
 
 let make eng =
   let cfg = Engine.config eng in
   let n = Engine.cores eng in
+  let epoch =
+    Control.Epoch.create ?static_threshold:cfg.Config.static_threshold
+      ?clamp:cfg.Config.clamp_threshold ~extra_large_core:cfg.Config.large_rx_steal
+      ~alpha:cfg.Config.alpha ~percentile:cfg.Config.percentile
+      ~cost_fn:cfg.Config.cost_fn ()
+  in
+  let corrupt = Engine.corrupt_threshold eng in
   let st =
     {
       eng;
@@ -391,20 +351,16 @@ let make eng =
               idle = true;
               batch = Netsim.Fifo.create ~dummy:(-1) ();
               swq = Netsim.Fifo.create ~dummy:(-1) ();
-              hist = size_histogram ();
+              hist = Control.size_histogram ();
             });
       slot_core = Array.init n (fun i -> i);
       core_slot = Array.init n (fun i -> i);
       n_active = n;
       excluded = -1;
       wd = (if cfg.Config.watchdog then Some (Watchdog.create ~cores:n ()) else None);
-      plan =
-        (match cfg.Config.static_threshold with
-        | Some threshold ->
-            { (Control.initial ~cores:n) with Control.threshold }
-        | None -> Control.initial ~cores:n);
-      smoothed = None;
-      last_good_threshold = infinity;
+      plan = Control.Epoch.plan epoch ~cores:n ~corrupt;
+      epoch;
+      corrupt;
       standby_engaged = false;
     }
   in

@@ -306,17 +306,15 @@ let rec rx_backlog_scan t n i acc =
 
 let total_rx_backlog t = rx_backlog_scan t t.cfg.Config.cores 0 0
 
-(* Admission control: above the watermark the large class is shed first —
-   large requests are rare but expensive (the paper's core insight), so
-   shedding them recovers the most capacity for the least goodput loss.
-   Smalls are shed only past 4x the watermark, when the backlog says the
-   system is drowning regardless of class. *)
+(* Admission control over the total RX backlog ({!Control.shed}): large
+   requests are rare but expensive (the paper's core insight), so shedding
+   them first recovers the most capacity for the least goodput loss. *)
 let try_shed t req ~large =
   match t.cfg.Config.shed_watermark with
   | None -> false
-  | Some wm ->
-      let backlog = total_rx_backlog t in
-      if backlog > wm && (large || backlog > 4 * wm) && not (is_cancelled t req) then begin
+  | Some watermark ->
+      if Control.shed ~watermark ~backlog:(total_rx_backlog t) ~large && not (is_cancelled t req)
+      then begin
         if large then t.shed_large <- t.shed_large + 1
         else t.shed_small <- t.shed_small + 1;
         retire t req Shed;

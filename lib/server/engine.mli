@@ -243,26 +243,20 @@ val windowed : t -> Stats.Windowed.t option
 val try_shed : t -> request -> large:bool -> bool
 (** Admission control, called by designs at classification time with
     their view of the request's class.  [true] when the request must be
-    dropped instead of served: the total RX backlog exceeds
-    [cfg.shed_watermark] and the request is large-classified (smalls are
-    shed only beyond 4x the watermark).  Counted per class in
+    dropped instead of served: {!Control.shed} of the total RX backlog
+    against [cfg.shed_watermark].  Counted per class in
     {!Metrics}.  On [true] the engine retires the request (returns its
     pool slot); the caller must not touch it afterwards.  Always [false]
     (and free) when no watermark is set. *)
 
 val ctrl_delayed : t -> bool
-(** Whether a fault plan is currently starving the control loop of fresh
-    statistics; designs skip their epoch recomputation when it holds. *)
+(** Whether a fault plan starves the control loop of fresh statistics. *)
 
 val corrupt_threshold : t -> float -> float
-(** Apply the fault plan's control-corruption window (if open) to a
-    freshly computed threshold; identity otherwise. *)
+(** The fault plan's control-corruption window, if open, else identity. *)
 
 val lost : t -> int
 (** NIC drops + ring drops + shed so far (cumulative, whole run). *)
-
-val total_rx_backlog : t -> int
-(** Sum of all RX queue depths right now. *)
 
 val core_ops_live : t -> int array
 (** The live per-core served-operation counters (do not mutate); the

@@ -68,7 +68,7 @@ let test_controller_converges () =
 
 let test_keyhash_mode () =
   let config =
-    { Runtime.Server.default_config with Runtime.Server.mode = Runtime.Server.Keyhash }
+    { Runtime.Server.default_config with Runtime.Server.design = Kvserver.Design.hkh }
   in
   with_server ~config (fun server dataset ->
       let r = completed (Runtime.Loadgen.run ~server ~dataset ~requests:10_000 ~seed:9 ()) in
@@ -182,7 +182,101 @@ let test_config_validation () =
       ignore
         (Runtime.Server.start
            ~config:{ Runtime.Server.default_config with Runtime.Server.cores = 1 }
-           store))
+           store));
+  (* Registry designs the native server does not run are refused by name,
+     never served as some other design. *)
+  List.iter
+    (fun design ->
+      let name = Kvserver.Design.name design in
+      Alcotest.check_raises name (Runtime.Server.Unsupported_design { design = name })
+        (fun () ->
+          ignore
+            (Runtime.Server.start
+               ~config:{ Runtime.Server.default_config with Runtime.Server.design }
+               store)))
+    [ Kvserver.Design.hkh_ws; Kvserver.Design.sho ]
+
+(* The control loop under a fault plan whose windows run on the server's
+   wall clock from [start]: a stat-delay window, clean epochs, then a
+   NaN-corrupted threshold under a clamp.  Each phase's traffic ends a few
+   hundred milliseconds before the next window edge, and each check waits
+   several 20 ms epochs after the traffic. *)
+let test_controller_fault_windows () =
+  let plan =
+    {
+      Fault.Plan.name = "ctrl";
+      events =
+        [
+          Fault.Plan.Ctrl_delay { from_us = 0.0; until_us = 1.0e6 };
+          Fault.Plan.Ctrl_corrupt
+            { from_us = 2.0e6; until_us = infinity; mode = Fault.Plan.Nan };
+        ];
+    }
+  in
+  let config =
+    {
+      Runtime.Server.default_config with
+      Runtime.Server.epoch_s = 0.02;
+      clamp_threshold = Some 0.5;
+      fault = Some (Fault.Inject.create ~seed:1 plan);
+    }
+  in
+  let obs =
+    Obs.Instrument.create ~spans:64 ~timeline:false ~cores:config.Runtime.Server.cores
+      ~seed:1 ()
+  in
+  let dataset = Workload.Dataset.create runtime_spec in
+  let store =
+    Kvstore.Store.create ~partition_bits:4 ~bucket_bits:8
+      ~value_arena_bytes:(64 * 1024 * 1024) ()
+  in
+  Runtime.Loadgen.populate store dataset;
+  let server = Runtime.Server.start ~obs ~config store in
+  let t0 = Unix.gettimeofday () in
+  let elapsed () = Unix.gettimeofday () -. t0 in
+  let seed = ref 100 in
+  let traffic_until deadline =
+    while elapsed () < deadline do
+      incr seed;
+      ignore (completed (Runtime.Loadgen.run ~server ~dataset ~requests:500 ~seed:!seed ()))
+    done
+  in
+  let settle_until t = Unix.sleepf (Float.max 0.15 (t -. elapsed ())) in
+  let stats () = Runtime.Server.stats server in
+  Fun.protect
+    ~finally:(fun () -> Runtime.Server.stop server)
+    (fun () ->
+      traffic_until 0.5;
+      let s = stats () in
+      check bool "stale ticks counted" true (s.Runtime.Server.ctrl_stale >= 1);
+      check bool "plan kept under the stale window" true
+        (s.Runtime.Server.threshold = infinity);
+      (* The window's histograms were drained and discarded, so the clean
+         ticks after it have nothing to learn from. *)
+      settle_until 1.3;
+      let s = stats () in
+      check bool "stale histograms discarded" true (s.Runtime.Server.threshold = infinity);
+      check bool "clean ticks after the window" true
+        (s.Runtime.Server.epochs > s.Runtime.Server.ctrl_stale);
+      let stale = s.Runtime.Server.ctrl_stale in
+      traffic_until 1.6;
+      settle_until 1.75;
+      let good = (stats ()).Runtime.Server.threshold in
+      check bool "a clean epoch learns a threshold" true (Float.is_finite good && good > 0.0);
+      settle_until 2.1;
+      let before = (stats ()).Runtime.Server.epochs in
+      traffic_until 2.4;
+      settle_until 2.4;
+      let s = stats () in
+      check bool "ticks under corruption" true (s.Runtime.Server.epochs > before);
+      check (Alcotest.float 0.0) "NaN clamped to the last good threshold" good
+        s.Runtime.Server.threshold;
+      check int "no stale tick outside the window" stale s.Runtime.Server.ctrl_stale);
+  let s = stats () in
+  let log = obs.Obs.Instrument.decisions in
+  check int "one decision per tick" s.Runtime.Server.epochs (Obs.Decision_log.length log);
+  check bool "the stale window's decisions keep the initial plan" true
+    (Obs.Decision_log.threshold log 0 = infinity)
 
 (* Overload: a tight shed watermark plus every RX ring squeezed to a few
    slots.  Flooding the server must exercise both loss legs, and once
@@ -865,6 +959,8 @@ let () =
           Alcotest.test_case "stop idempotent" `Quick test_stop_is_idempotent;
           Alcotest.test_case "submit after stop" `Quick test_submit_refused_after_stop;
           Alcotest.test_case "config validation" `Quick test_config_validation;
+          Alcotest.test_case "controller fault windows" `Quick
+            test_controller_fault_windows;
           Alcotest.test_case "ledger exact under overload" `Quick
             test_ledger_exact_under_overload;
           Alcotest.test_case "worker failure is a stall, not a hang" `Quick

@@ -80,8 +80,7 @@ let test_config_validate () =
 (* ------------------------------------------------------------------ *)
 (* Control *)
 
-let size_hist () =
-  Stats.Log_histogram.create ~buckets_per_decade:32 ~min_value:1.0 ~max_value:2.0e6 ()
+let size_hist = Control.size_histogram
 
 (* A synthetic histogram shaped like the default workload. *)
 let default_like_hist ?(n = 100_000) ?(p_large = 0.00125) () =
@@ -143,7 +142,7 @@ let test_control_all_small_when_no_large () =
   check int "standby mode" 0 p.Control.n_large;
   (* route still sends an (unexpected) large request somewhere: the
      standby core. *)
-  check (Alcotest.option int) "routes to standby" (Some 0) (Control.route p 5000.0);
+  check int "routes to standby" 0 (Control.route_idx p 5000.0);
   check int "standby physical id" 7 (Control.large_core_id p ~cores:8 0)
 
 let test_control_ranges_cover_and_are_ordered () =
@@ -164,15 +163,10 @@ let test_control_ranges_cover_and_are_ordered () =
 
 let test_control_route () =
   let p = compute (default_like_hist ~p_large:0.01 ()) in
-  check (Alcotest.option int) "small routes to None" None
-    (Control.route p (p.Control.threshold -. 1.0));
-  (match Control.route p (p.Control.threshold +. 1.0) with
-  | Some 0 -> ()
-  | Some j -> Alcotest.failf "smallest large should go to core 0, got %d" j
-  | None -> Alcotest.fail "should be large");
-  (match Control.route p 1.0e9 with
-  | Some j -> check int "oversized goes to last" (p.Control.n_large - 1) j
-  | None -> Alcotest.fail "oversized must route");
+  check int "small routes to -1" (-1) (Control.route_idx p (p.Control.threshold -. 1.0));
+  check int "smallest large goes to core 0" 0
+    (Control.route_idx p (p.Control.threshold +. 1.0));
+  check int "oversized goes to last" (p.Control.n_large - 1) (Control.route_idx p 1.0e9);
   check bool "is_small_core" true (Control.is_small_core p 0);
   check bool "large ids at tail" true
     (not (Control.is_small_core p (Control.large_core_id p ~cores:8 0)))
@@ -185,6 +179,79 @@ let test_control_extra_large_core () =
   let base = compute (default_like_hist ()) in
   let extra = compute ~extra_large_core:true (default_like_hist ()) in
   check int "one more large" (base.Control.n_large + 1) extra.Control.n_large
+
+(* The shed rule's boundaries: strictly above the watermark for large,
+   strictly above 4x the watermark for small. *)
+let test_control_shed_boundaries () =
+  let shed backlog ~large = Control.shed ~watermark:10 ~backlog ~large in
+  check bool "large at the watermark kept" false (shed 10 ~large:true);
+  check bool "large above the watermark shed" true (shed 11 ~large:true);
+  check bool "small above the watermark kept" false (shed 11 ~large:false);
+  check bool "small at 4x kept" false (shed 40 ~large:false);
+  check bool "small above 4x shed" true (shed 41 ~large:false);
+  check bool "large at 4x shed" true (shed 40 ~large:true)
+
+let test_control_fair_share () =
+  check int "ceil 32/3" 11 (Control.fair_share ~batch:32 ~readers:3);
+  check int "even split" 8 (Control.fair_share ~batch:32 ~readers:4);
+  check int "no readers counts as one" 32 (Control.fair_share ~batch:32 ~readers:0)
+
+let epoch ?static_threshold ?clamp () =
+  Control.Epoch.create ?static_threshold ?clamp ~alpha:0.9 ~percentile:0.99
+    ~cost_fn:Cost_model.Packets ()
+
+let step ?(stale = false) ?(force = false) ?(corrupt = Fun.id) ep hist =
+  Control.Epoch.step ep ~cores:8 ~stale ~force ~corrupt hist
+
+let threshold_of = function
+  | Some p -> p.Control.threshold
+  | None -> Alcotest.fail "expected a new plan"
+
+let test_epoch_empty_merge () =
+  let ep = epoch () in
+  check bool "empty merge: no plan" true (step ep (size_hist ()) = None);
+  ignore (step ep (default_like_hist ()));
+  check bool "empty merge after data: no plan" true (step ep (size_hist ()) = None)
+
+let test_epoch_stale_discards () =
+  let ep = epoch () in
+  check bool "stale tick: no plan" true (step ~stale:true ep (default_like_hist ()) = None);
+  (* The stale merge was discarded, not kept for the next tick. *)
+  check bool "nothing carried over" true (step ep (size_hist ()) = None);
+  check bool "no threshold learnt" true (Control.Epoch.last_good ep = infinity)
+
+let test_epoch_static_before_first_hist () =
+  let ep = epoch ~static_threshold:1472.0 () in
+  let p = Control.Epoch.plan ep ~cores:8 ~corrupt:(fun _ -> Alcotest.fail "corrupted") in
+  check bool "initial with the static threshold" true
+    (p = { (Control.initial ~cores:8) with Control.threshold = 1472.0 });
+  check bool "forced tick: the same plan" true (step ~force:true ep (size_hist ()) = Some p)
+
+let test_epoch_nan_unclamped_passes () =
+  let ep = epoch () in
+  let t = threshold_of (step ~corrupt:(fun _ -> Float.nan) ep (default_like_hist ())) in
+  check bool "NaN reaches the plan" true (Float.is_nan t);
+  check bool "NaN is not a good threshold" true (Control.Epoch.last_good ep = infinity)
+
+let test_epoch_nan_clamped_falls_back () =
+  let ep = epoch ~clamp:0.5 () in
+  let good = threshold_of (step ep (default_like_hist ())) in
+  check (approx 1e-9) "last good" good (Control.Epoch.last_good ep);
+  let t = threshold_of (step ~corrupt:(fun _ -> Float.nan) ep (default_like_hist ())) in
+  check (approx 1e-9) "NaN falls back to the last good" good t
+
+let test_epoch_last_good_only_sane () =
+  let ep = epoch () in
+  let good = threshold_of (step ep (default_like_hist ())) in
+  List.iter
+    (fun bad ->
+      ignore (step ~corrupt:(fun _ -> bad) ep (default_like_hist ()));
+      check (approx 1e-9) (Printf.sprintf "%g leaves last good" bad) good
+        (Control.Epoch.last_good ep))
+    [ Float.nan; 0.0; -5.0; infinity ];
+  ignore (step ~corrupt:(fun _ -> 2000.0) ep (default_like_hist ()));
+  check (approx 1e-9) "a sane threshold becomes last good" 2000.0
+    (Control.Epoch.last_good ep)
 
 let prop_ranges_balance_cost =
   (* The size ranges assigned to large cores carry approximately equal
@@ -216,9 +283,9 @@ let prop_route_total =
     QCheck.(pair (float_range 1.0 2.0e6) (float_range 0.0001 0.05))
     (fun (size, p_large) ->
       let p = compute (default_like_hist ~n:20_000 ~p_large ()) in
-      match Control.route p size with
-      | None -> size <= p.Control.threshold
-      | Some j -> size > p.Control.threshold && j >= 0 && j < max 1 p.Control.n_large)
+      let j = Control.route_idx p size in
+      if j < 0 then size <= p.Control.threshold
+      else size > p.Control.threshold && j < max 1 p.Control.n_large)
 
 (* ------------------------------------------------------------------ *)
 (* Engine + designs: miniature runs *)
@@ -625,6 +692,18 @@ let () =
           Alcotest.test_case "route" `Quick test_control_route;
           Alcotest.test_case "static override" `Quick test_control_static_threshold_override;
           Alcotest.test_case "extra large core" `Quick test_control_extra_large_core;
+          Alcotest.test_case "shed boundaries" `Quick test_control_shed_boundaries;
+          Alcotest.test_case "fair share" `Quick test_control_fair_share;
+          Alcotest.test_case "epoch: empty merge" `Quick test_epoch_empty_merge;
+          Alcotest.test_case "epoch: stale tick discards" `Quick test_epoch_stale_discards;
+          Alcotest.test_case "epoch: static before first hist" `Quick
+            test_epoch_static_before_first_hist;
+          Alcotest.test_case "epoch: NaN unclamped passes" `Quick
+            test_epoch_nan_unclamped_passes;
+          Alcotest.test_case "epoch: NaN clamped falls back" `Quick
+            test_epoch_nan_clamped_falls_back;
+          Alcotest.test_case "epoch: last good only sane" `Quick
+            test_epoch_last_good_only_sane;
         ]
         @ qsuite [ prop_route_total; prop_ranges_balance_cost ] );
       ( "engine",
