@@ -1,7 +1,7 @@
 (** A sorted key index: the ordered view that backs SCAN.
 
     The store's hash table gives O(1) point lookups but no key order; this
-    side index keeps the live key set in a balanced map so range reads can
+    side index keeps the live key set in a balanced set so range reads can
     walk keys in lexicographic order.  Writers mutate under a spinlock and
     publish a fresh immutable snapshot; readers iterate snapshots without
     locking, so scans never block writers (and are not linearizable with
@@ -10,6 +10,19 @@
 type t
 
 val create : unit -> t
+(** An index that is off: {!add} and {!remove} do nothing until {!build}. *)
+
+val build : t -> (unit -> string list) -> unit
+(** [build t keys] switches the index on.  Under the index lock it marks
+    the index built, calls [keys ()] and publishes the set of the
+    returned keys as one snapshot, built from the sorted list in linear
+    time.  {!add} and {!remove} calls that race the build wait on the
+    lock and apply after it; a writer that finds the index still off must
+    have finished its write before [keys] was called.  [keys] must not
+    take a lock that a writer holds while it calls {!add} or {!remove}.
+    Only the first call builds; a later one waits for it and returns. *)
+
+val built : t -> bool
 
 val add : t -> string -> unit
 

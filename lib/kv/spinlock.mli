@@ -1,9 +1,10 @@
 (** Test-and-test-and-set spinlock.
 
-    Guards PUTs on keys whose master core is a large core (§4.2): those
-    writes can be issued from any core, so CREW's lock-free write path does
-    not apply.  Contention is expected to be very low (large keys are rare
-    and sharded by size range), so a spinlock beats a mutex.
+    Guards the store's writes, one lock per partition.  The paper takes it
+    only for keys mastered by large cores (§4.2); in the native server any
+    worker may write any key, so CREW's lock-free write path does not
+    apply and every write locks.  Critical sections are short and spread
+    over the partitions, so a spinlock beats a mutex.
 
     Memory-model contract (OCaml 5, see DESIGN.md §8): [lock]'s successful
     [Atomic.exchange] is an acquire, [unlock]'s [Atomic.set] a release, so

@@ -28,7 +28,7 @@ type t = {
   items : int Atomic.t;
   overflow_count : int Atomic.t;
   expired : int Atomic.t;
-  mutable ordered : Ordered.t option;
+  ordered : Ordered.t; (* off until [ensure_ordered] *)
 }
 
 let fresh_bucket () =
@@ -59,7 +59,7 @@ let create ?(partition_bits = 4) ?(bucket_bits = 10) ?(value_arena_bytes = 256 *
     items = Atomic.make 0;
     overflow_count = Atomic.make 0;
     expired = Atomic.make 0;
-    ordered = None;
+    ordered = Ordered.create ();
   }
 
 let partition_count t = Array.length t.partitions
@@ -177,11 +177,6 @@ let slab_alloc t len = Spinlock.with_lock t.slab_lock (fun () -> Slab.alloc t.sl
 
 let slab_free t r = Spinlock.with_lock t.slab_lock (fun () -> Slab.free t.slab r)
 
-let index_add t key = match t.ordered with Some idx -> Ordered.add idx key | None -> ()
-
-let index_remove t key =
-  match t.ordered with Some idx -> Ordered.remove idx key | None -> ()
-
 let put ?(expires_at = infinity) t ~guard key value =
   let partition, chain, tag = locate t key in
   with_guard partition guard (fun () ->
@@ -209,7 +204,7 @@ let put ?(expires_at = infinity) t ~guard key value =
           s.tag <- tag (* publish last: readers scan by tag *);
           end_write chain;
           Atomic.incr t.items;
-          index_add t key)
+          Ordered.add t.ordered key)
 
 (* Clear a slot inside the write critical section of its chain. *)
 let clear_slot t chain s =
@@ -223,7 +218,7 @@ let clear_slot t chain s =
   end_write chain;
   (match old with Some r -> slab_free t r | None -> ());
   Atomic.decr t.items;
-  index_remove t key
+  Ordered.remove t.ordered key
 
 let delete t ~guard key =
   let partition, chain, tag = locate t key in
@@ -267,42 +262,46 @@ let expire_sweep t ~now =
     t.partitions;
   !removed
 
-let ensure_ordered t =
-  match t.ordered with
-  | Some _ -> ()
-  | None ->
-      let idx = Ordered.create () in
-      (* Install the index before the backfill so writes racing with the
-         backfill are captured; double insertion is idempotent. *)
-      t.ordered <- Some idx;
-      let rec index_bucket b =
-        Array.iter (fun s -> if s.tag <> 0 then Ordered.add idx s.key) b.slots;
-        match b.overflow with Some b -> index_bucket b | None -> ()
-      in
-      Array.iter
-        (fun p -> Array.iter (fun c -> index_bucket c.head) p.chains)
-        t.partitions
+(* The live keys of every chain, each chain read under its epoch as a GET
+   reads it.  Takes no partition lock: the index build calls this while
+   holding the index lock, and writers take the partition lock first. *)
+let live_keys t =
+  let rec bucket_keys b acc =
+    let acc =
+      Array.fold_left (fun acc s -> if s.tag <> 0 then s.key :: acc else acc) acc b.slots
+    in
+    match b.overflow with Some b -> bucket_keys b acc | None -> acc
+  in
+  Array.fold_left
+    (fun acc p ->
+      Array.fold_left
+        (fun acc c ->
+          List.rev_append (optimistic_read c (fun () -> bucket_keys c.head [])) acc)
+        acc p.chains)
+    [] t.partitions
+
+let ensure_ordered t = Ordered.build t.ordered (fun () -> live_keys t)
 
 let scan ?(now = neg_infinity) t ~start ~count f =
-  match t.ordered with
-  | None -> invalid_arg "Store.scan: ensure_ordered has not been called"
-  | Some idx ->
-      let visited = ref 0 in
-      Ordered.iter_from idx ~start (fun key ->
-          if !visited >= count then false
-          else begin
-            (match size_of ~now t key with
-            | Some len ->
-                f key len;
-                incr visited
-            | None -> () (* deleted or lapsed since the snapshot *));
-            !visited < count
-          end);
-      !visited
+  if not (Ordered.built t.ordered) then
+    invalid_arg "Store.scan: ensure_ordered has not been called";
+  let visited = ref 0 in
+  Ordered.iter_from t.ordered ~start (fun key ->
+      if !visited >= count then false
+      else begin
+        (match size_of ~now t key with
+        | Some len ->
+            f key len;
+            incr visited
+        | None -> () (* deleted or lapsed since the snapshot *));
+        !visited < count
+      end);
+  !visited
 
 type stats = {
   items : int;
   value_bytes : int;
+  arena_bytes : int;
   overflow_buckets : int;
   partitions : int;
   expired : int;
@@ -312,6 +311,7 @@ let stats (t : t) =
   {
     items = Atomic.get t.items;
     value_bytes = Slab.used_bytes t.slab;
+    arena_bytes = Slab.arena_bytes t.slab;
     overflow_buckets = Atomic.get t.overflow_count;
     partitions = partition_count t;
     expired = Atomic.get t.expired;

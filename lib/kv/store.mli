@@ -6,18 +6,20 @@
     the value.  Overflow buckets are chained dynamically when a bucket
     fills up.
 
-    Concurrency follows the paper's scheme:
-    - GETs are optimistic: each bucket chain has a 64-bit epoch, odd while
-      a write is in flight; readers snapshot the epoch, read, re-check, and
-      retry on a mismatch.
-    - PUTs/DELETEs either rely on CREW (the caller is the partition's
-      master core, so writes are already serialized — [`Crew]) or take the
-      partition spinlock ([`Lock], used for keys mastered by large cores,
-      which any core may write). *)
+    Concurrency:
+    - GETs are optimistic, as in the paper: each bucket chain has a 64-bit
+      epoch, odd while a write is in flight; readers snapshot the epoch,
+      read, re-check, and retry on a mismatch.
+    - PUTs/DELETEs take the partition spinlock ([`Lock]).  The native
+      server passes [`Lock] on every write: any of its workers may serve
+      any key, so no core is a partition's sole writer.  [`Crew] skips the
+      lock and is correct only when the caller is the partition's single
+      writer (the paper's CREW master core); only single-domain tests use
+      it. *)
 
 type t
 
-type guard = [ `Crew  (** caller is the partition master; no lock *)
+type guard = [ `Crew  (** caller is the partition's only writer; no lock *)
              | `Lock  (** take the partition spinlock *) ]
 
 val slots_per_bucket : int
@@ -35,8 +37,8 @@ val create :
 val partition_count : t -> int
 
 val partition_of_key : t -> string -> int
-(** The partition a key hashes to; the server layer uses this to implement
-    CREW master assignment. *)
+(** The partition a key hashes to, whose spinlock guards the key's
+    writes. *)
 
 val read_into : ?now:float -> t -> string -> buf:(int -> bytes) -> off:int -> int
 (** [read_into t key ~buf ~off] copies the item's value into the buffer
@@ -83,7 +85,13 @@ val mem : ?now:float -> t -> string -> bool
 
 val ensure_ordered : t -> unit
 (** Build (once) the sorted key index that {!scan} walks.  After this,
-    every insert/remove also maintains the index.  Idempotent. *)
+    every insert/remove also maintains the index.  Idempotent.
+
+    The build reads every chain's keys under the chain's epoch, as a GET
+    reads them, sorts them once and publishes one snapshot, all while
+    holding the index lock.  Writers racing the build queue on that lock
+    and apply their insert or remove after it, so the index ends up equal
+    to the key set.  The build takes no partition lock. *)
 
 val scan : ?now:float -> t -> start:string -> count:int -> (string -> int -> unit) -> int
 (** [scan t ~start ~count f] visits up to [count] live items with key
@@ -94,6 +102,7 @@ val scan : ?now:float -> t -> start:string -> count:int -> (string -> int -> uni
 type stats = {
   items : int;
   value_bytes : int;      (** bytes handed out by the slab (rounded to class) *)
+  arena_bytes : int;      (** the slab arena's high-water mark: live or free *)
   overflow_buckets : int; (** dynamically chained buckets *)
   partitions : int;
   expired : int;          (** slots reclaimed by {!expire} / {!expire_sweep} *)
