@@ -1,6 +1,10 @@
 (* Benchmark harness: regenerates every table and figure of the paper
-   (see DESIGN.md's per-experiment index) plus ablations and Bechamel
-   microbenchmarks of the hot data structures.
+   (see DESIGN.md's per-experiment index), the ablations and the gated
+   runners, each through the library entry point [minos] uses, plus the
+   bench-only targets: the hot-path perf profile and its gate (perf), the
+   flight-recorder overhead gate (obs) and the closed-form capacity model
+   (capacity).  A gated runner writes BENCH_<target>.json and exits 1
+   when its headline claims fail.
 
    Usage:
      dune exec bench/main.exe                 # everything, full scale
@@ -13,152 +17,9 @@ let quick =
   | Some ("1" | "true" | "yes") -> true
   | Some _ | None -> false
 
-let scale = if quick then Minos.Experiment.quick_scale else Minos.Experiment.full_scale
+let scale = Minos.Experiment.scale_of ~quick
 
-let fig2_requests = if quick then 60_000 else 300_000
-
-(* ------------------------------------------------------------------ *)
-(* Bechamel microbenchmarks of the core data structures. *)
-
-let micro_tests () =
-  let open Bechamel in
-  (* KV store pre-populated with 10k keys.  Key names are materialized up
-     front: the staged closures must time store operations, not
-     [Printf.sprintf] (format interpretation used to dominate them). *)
-  let micro_keys = Array.init 10_000 (Printf.sprintf "key-%d") in
-  let store =
-    Kvstore.Store.create ~partition_bits:4 ~bucket_bits:10
-      ~value_arena_bytes:(1 lsl 24) ()
-  in
-  Array.iter
-    (fun key -> Kvstore.Store.put store ~guard:`Lock key (Bytes.create 64))
-    micro_keys;
-  let get_i = ref 0 in
-  let kv_get =
-    Test.make ~name:"kvstore.get(64B)"
-      (Staged.stage (fun () ->
-           get_i := (!get_i + 1) land 0x1FFF;
-           ignore (Kvstore.Store.get store micro_keys.(!get_i))))
-  in
-  let put_value = Bytes.create 64 in
-  let put_i = ref 0 in
-  let kv_put =
-    Test.make ~name:"kvstore.put(64B)"
-      (Staged.stage (fun () ->
-           put_i := (!put_i + 1) land 0x1FFF;
-           Kvstore.Store.put store ~guard:`Lock micro_keys.(!put_i) put_value))
-  in
-  let ring = Netsim.Ring.create ~capacity:1024 in
-  let ring_cycle =
-    Test.make ~name:"ring.push+pop"
-      (Staged.stage (fun () ->
-           ignore (Netsim.Ring.try_push ring 42);
-           ignore (Netsim.Ring.try_pop ring)))
-  in
-  let heap = Dsim.Heap.create ~dummy:() () in
-  let heap_seq = ref 0 in
-  let heap_cycle =
-    Test.make ~name:"heap.add+pop"
-      (Staged.stage (fun () ->
-           incr heap_seq;
-           Dsim.Heap.add heap ~time:(float_of_int (!heap_seq land 0xFF)) ~seq:!heap_seq ();
-           ignore (Dsim.Heap.pop_min heap)))
-  in
-  let wheel = Dsim.Wheel.create ~dummy:() () in
-  let wheel_seq = ref 0 in
-  let wheel_cycle =
-    Test.make ~name:"wheel.add+pop"
-      (Staged.stage (fun () ->
-           incr wheel_seq;
-           Dsim.Wheel.add wheel
-             ~time:(float_of_int (!wheel_seq land 0xFF))
-             ~seq:!wheel_seq ();
-           ignore (Dsim.Wheel.pop wheel)))
-  in
-  let toeplitz =
-    Test.make ~name:"toeplitz.hash_ipv4"
-      (Staged.stage (fun () ->
-           ignore
-             (Netsim.Toeplitz.hash_ipv4 ~src_ip:0x0A000001l ~dst_ip:0x0A000002l
-                ~src_port:12345 ~dst_port:11211 ())))
-  in
-  let zipf = Dsim.Dist.Zipf.create ~n:1_000_000 ~theta:0.99 in
-  let zipf_rng = Dsim.Rng.create 1 in
-  let zipf_sample =
-    Test.make ~name:"zipf.sample(1M keys)"
-      (Staged.stage (fun () -> ignore (Dsim.Dist.Zipf.sample zipf zipf_rng)))
-  in
-  let hist = Kvserver.Control.size_histogram () in
-  let hist_rng = Dsim.Rng.create 2 in
-  let hist_record =
-    Test.make ~name:"log_histogram.record"
-      (Staged.stage (fun () ->
-           Stats.Log_histogram.record hist
-             (float_of_int (1 + Dsim.Rng.int hist_rng 500_000))))
-  in
-  let slab = Kvstore.Slab.create ~capacity:(1 lsl 24) in
-  let slab_cycle =
-    Test.make ~name:"slab.alloc+free(100B)"
-      (Staged.stage (fun () ->
-           let r = Kvstore.Slab.alloc slab 100 in
-           Kvstore.Slab.free slab r))
-  in
-  let req =
-    {
-      Proto.Wire.id = 42L;
-      op = Proto.Wire.Get;
-      key = "some-key";
-      value = None;
-      client_ts = 123456L;
-      target_rx = 3;
-    }
-  in
-  let encode =
-    Test.make ~name:"wire.encode_request(get)"
-      (Staged.stage (fun () -> ignore (Proto.Wire.encode_request req)))
-  in
-  let encoded = Proto.Wire.encode_request req in
-  let decode =
-    Test.make ~name:"wire.decode_request(get)"
-      (Staged.stage (fun () -> ignore (Proto.Wire.decode_request encoded)))
-  in
-  let big = Bytes.create 100_000 in
-  let fragment =
-    Test.make ~name:"fragment.split(100KB)"
-      (Staged.stage (fun () -> ignore (Proto.Fragment.split ~msg_id:1L big)))
-  in
-  [
-    kv_get; kv_put; ring_cycle; heap_cycle; wheel_cycle; toeplitz; zipf_sample; hist_record;
-    slab_cycle; encode; decode; fragment;
-  ]
-
-let run_micro () =
-  let open Bechamel in
-  Minos.Report.section "Microbenchmarks (Bechamel, ns per call)";
-  let cfg =
-    Benchmark.cfg ~limit:2000
-      ~quota:(Time.second (if quick then 0.2 else 0.5))
-      ~kde:None ()
-  in
-  let instance = Toolkit.Instance.monotonic_clock in
-  let grouped = Test.make_grouped ~name:"micro" (micro_tests ()) in
-  let raw = Benchmark.all cfg [ instance ] grouped in
-  let ols = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |] in
-  let results = Analyze.all ols instance raw in
-  let rows =
-    Hashtbl.fold
-      (fun name ols acc ->
-        let ns =
-          match Analyze.OLS.estimates ols with
-          | Some (x :: _) -> Printf.sprintf "%.1f" x
-          | Some [] | None -> "-"
-        in
-        [ name; ns ] :: acc)
-      results []
-    |> List.sort compare
-  in
-  Minos.Report.table ~title:"hot-path operations" ~headers:[ "operation"; "ns/call" ]
-    rows
+let bench_file target = "BENCH_" ^ target ^ ".json"
 
 (* ------------------------------------------------------------------ *)
 (* Hot-path performance profile: heap ns per add+pop, simulator
@@ -232,14 +93,6 @@ let enforce target = function
       Printf.eprintf "%s check FAILED: %s\n%!" target msg;
       exit 1
 
-(* Write a target's run record to BENCH_<target>.json, then gate on its
-   check.  [noun] keeps each target's historical stdout line. *)
-let record ?noun target json verdict =
-  let file = "BENCH_" ^ target ^ ".json" in
-  Obs.Json.to_file file json;
-  Printf.printf "[%s results written to %s]\n%!" (Option.value noun ~default:target) file;
-  enforce target verdict
-
 (* ------------------------------------------------------------------ *)
 (* Flight-recorder overhead: the fixed-load [perf_sim] run, once without
    an instrument and once fully sampled.  Written to BENCH_obs.json.  The
@@ -273,9 +126,9 @@ let run_obs () =
       ];
     ];
   Minos.Report.note "%d spans recorded while on" recorded;
-  record ~noun:"recorder overhead" "obs"
-    Obs.Json.(
-      Obj
+  Obs.Json.(
+    to_file (bench_file "obs")
+      (Obj
         [
           ("quick", Bool quick);
           ("events_per_sec_off", Float ev_off);
@@ -283,7 +136,9 @@ let run_obs () =
           ("minor_words_per_request_off", Float w_off);
           ("minor_words_per_request_on", Float w_on);
           ("spans_recorded", Int recorded);
-        ])
+        ]));
+  Printf.printf "[recorder overhead results written to %s]\n%!" (bench_file "obs");
+  enforce "obs"
     (Minos.Report.verdict
        [
          ( w_on -. w_off <= 2.0,
@@ -328,29 +183,6 @@ let run_capacity () =
     *. Queueing.Capacity.hol_exposure Workload.Spec.default cost ~cores:8
          ~offered_mops:1.0)
 
-let run_numa () =
-  Minos.Report.section "Multi-NUMA scaling (independent per-domain instances, §3)";
-  let cfg = Minos.Experiment.config_of_scale scale in
-  let rows =
-    List.map
-      (fun domains ->
-        let r =
-          Minos.Numa.run ~cfg ~domains Workload.Spec.default
-            ~offered_mops:(3.0 *. float_of_int domains)
-        in
-        [
-          string_of_int domains;
-          Printf.sprintf "%.2f" r.Minos.Numa.total_throughput_mops;
-          Minos.Report.f1 r.Minos.Numa.p50_us;
-          Minos.Report.f1 r.Minos.Numa.p99_us;
-          (if r.Minos.Numa.stable then "yes" else "no");
-        ])
-      [ 1; 2; 4 ]
-  in
-  Minos.Report.table ~title:"Minos at 3 Mops per domain"
-    ~headers:[ "domains"; "tput Mops"; "p50 us"; "p99 us"; "stable" ]
-    rows
-
 (* ------------------------------------------------------------------ *)
 (* The perf-smoke gate.  Two deterministic bounds (the sim is seeded, so
    allocation and event counts are exact) plus a wide absolute throughput
@@ -370,150 +202,45 @@ let perf_gate ~words_per_req ~events ~issued ~events_per_sec =
       (events_per_sec >= 1e6, Printf.sprintf "%.0f dsim events/sec (floor: 1M)" events_per_sec);
     ]
 
-(* Chaos harness: every canned fault plan against the guarded Minos, the
-   plain Minos and HKH+WS.  [Minos.Chaos.check] gates the run: for the
-   core-stall and loss plans the guarded p99 must beat the unguarded one,
-   and the overload plan must shed while staying stable.  CI also checks
-   that a rerun at the same seed is byte-identical. *)
-
-let run_chaos () =
-  let cfg = Minos.Experiment.config_of_scale scale in
-  let t = Minos.Chaos.run ~cfg ~seed:1 () in
-  Minos.Chaos.print t;
-  record "chaos" (Minos.Chaos.to_json t) (Minos.Chaos.check t)
-
-(* Cluster scale-out: 4 shard servers behind the client-side router,
-   size-aware Minos vs the keyhash baseline at the same offered load.
-   [Minos.Cluster.check] gates the run: multi-GET p99 must grow with the
-   fan-out degree, per-server Minos p99 must stay strictly below the
-   keyhash baseline's and cluster loss accounting must telescope
-   exactly.  A rerun at the same seed (any MINOS_JOBS) is
-   byte-identical. *)
-
-let run_cluster () =
-  let cfg = Minos.Experiment.config_of_scale scale in
-  let t =
-    Minos.Cluster.run ~cfg ~seed:1 ~servers:4 Workload.Spec.default
-      ~offered_mops:8.0
-  in
-  Minos.Cluster.print t;
-  record "cluster" (Minos.Cluster.to_json t) (Minos.Cluster.check t)
-
-(* Elastic resharding: the add-remove plan (a server joins mid-run, then
-   server 1 drains out) against a 4-shard cluster at 8 Mops, size-aware
-   Minos vs the keyhash baseline over the same routing table.
-   [Minos.Reshard.check] gates the run: loss accounting must telescope
-   exactly across the reshard events, the key-conservation audit must
-   report zero lost/duplicated/stale keys and the p99 during migration
-   must stay within 3x of steady state.  A rerun at the same seed (any
-   MINOS_JOBS) is byte-identical. *)
-
-let run_reshard () =
-  let cfg =
-    {
-      (Minos.Experiment.config_of_scale scale) with
-      Kvserver.Config.window_us = Some scale.Minos.Experiment.window_us;
-    }
-  in
-  let plan =
-    Option.get
-      (Shardmgr.Plan.canned "add-remove"
-         ~warmup_us:cfg.Kvserver.Config.warmup_us
-         ~duration_us:cfg.Kvserver.Config.duration_us)
-  in
-  let t =
-    Minos.Reshard.run ~cfg ~seed:1 ~servers:4 ~plan Workload.Spec.default
-      ~offered_mops:8.0 ()
-  in
-  Minos.Reshard.print t;
-  record "reshard" (Minos.Reshard.to_json t) (Minos.Reshard.check t)
-
-(* Scenario suite: every registry scenario beyond the paper's static
-   Poisson mix — diurnal ramps, bursts, TTL churn, scan-heavy, and the
-   larger-than-memory cold tier — size-aware Minos vs the keyhash
-   baseline.  [Minos.Scenarios.check] gates the run: the extended
-   loss-accounting identity (with the expired-miss leg) must hold
-   exactly in every row, size-aware p99 must beat keyhash on the
-   scan-heavy scenario, cold-tier must miss and evict, and ttl-churn
-   must expire keys.  CI also checks that a rerun at the same seed (any
-   MINOS_JOBS) is byte-identical. *)
-
-let run_scenarios () =
-  let cfg = Minos.Experiment.config_of_scale scale in
-  let t = Minos.Scenarios.run ~cfg ~seed:1 () in
-  Minos.Scenarios.print t;
-  record ~noun:"scenario" "scenarios" (Minos.Scenarios.to_json t) (Minos.Scenarios.check t)
-
-(* Replica-aware tail-cutting: the hedged/tied/unhedged variant grid
-   against a 4-shard, 1-mirror cluster of engines at 8 Mops, fault-free
-   and under the canned kill-server plan.  [Minos.Hedge.check] gates the
-   run: copy accounting and every engine ledger must telescope exactly
-   in every variant, the key audit across the crash must be clean, the
-   hedged size-aware p99 under the kill must stay within 3x of
-   fault-free while the unhedged one degrades by at least 10x.  CI also
-   checks that a rerun at the same seed (any MINOS_JOBS) is
-   byte-identical. *)
-
-let run_hedge () =
-  let t =
-    Minos.Hedge.run
-      ~config:(Minos.Hedge.config_of_scale scale)
-      ~seed:1 ~offered_mops:8.0 ()
-  in
-  Minos.Hedge.print t;
-  record "hedge" (Minos.Hedge.to_json t) (Minos.Hedge.check t)
+(* A gated runner at its own defaults: the same run and emit as
+   [minos <target> --quick --json BENCH_<target>.json], then its [check]
+   gates the run.  CI also checks that a rerun at the same seed, at any
+   MINOS_JOBS, is byte-identical. *)
+let gated target (run : Minos.Run.t -> 'a) (report : 'a Minos.Run.report) () =
+  let r = { Minos.Run.default with Minos.Run.scale; json = Some (bench_file target) } in
+  let t = run r in
+  Minos.Run.emit r report t;
+  enforce target (report.Minos.Run.check t)
 
 let targets : (string * string * (unit -> unit)) list =
-  [
-    ("fig1", "service time vs item size", fun () -> Minos.Figures.print_fig1 ());
-    ( "fig2",
-      "queueing models of size-unaware sharding",
-      fun () -> Minos.Figures.print_fig2 ~requests:fig2_requests () );
-    ("table1", "item size variability profiles", fun () -> Minos.Figures.print_table1 ());
-    ( "fig3",
-      "throughput vs 99p, default workload",
-      fun () -> Minos.Figures.print_fig3 ~scale () );
-    ("fig4", "99p of large requests", fun () -> Minos.Figures.print_fig4 ~scale ());
-    ("fig5", "throughput vs 99p, 50:50", fun () -> Minos.Figures.print_fig5 ~scale ());
-    ( "fig6",
-      "max throughput under SLO vs pL",
-      fun () -> Minos.Figures.print_fig6 ~scale () );
-    ( "fig7",
-      "max throughput under SLO vs sL",
-      fun () -> Minos.Figures.print_fig7 ~scale () );
-    ( "fig8",
-      "network bandwidth scaling (sampling)",
-      fun () -> Minos.Figures.print_fig8 ~scale () );
-    ("fig9", "per-core load breakdown", fun () -> Minos.Figures.print_fig9 ~scale ());
-    ("fig10", "dynamic workload", fun () -> Minos.Figures.print_fig10 ~scale ());
-    ( "fanout",
-      "tail-at-scale fan-out analysis",
-      fun () -> Minos.Figures.print_fanout ~scale () );
-    ( "ablation-threshold",
-      "adaptive vs static threshold",
-      fun () -> Minos.Figures.print_ablation_threshold ~scale () );
-    ( "ablation-cost",
-      "control-loop cost functions",
-      fun () -> Minos.Figures.print_ablation_cost_fn ~scale () );
-    ( "ablation-steal",
-      "large-core RX stealing variant",
-      fun () -> Minos.Figures.print_ablation_steal ~scale () );
-    ( "ablation-epoch",
-      "epoch length / smoothing sensitivity",
-      fun () -> Minos.Figures.print_ablation_epoch ~scale () );
-    ( "ablation-erew",
-      "HKH CREW vs EREW dispatch under skew",
-      fun () -> Minos.Figures.print_ablation_erew ~scale () );
-    ("capacity", "closed-form capacity model", run_capacity);
-    ("chaos", "fault plans vs hardened/plain designs", run_chaos);
-    ("cluster", "multi-server sharding + fan-out multi-GET", run_cluster);
-    ("reshard", "elastic resharding: live migration + replicas", run_reshard);
-    ("hedge", "replica-aware tail-cutting vs kill-server chaos", run_hedge);
-    ("scenarios", "scenario suite: arrivals/TTL/scans/cold-tier", run_scenarios);
-    ("obs", "flight-recorder overhead on/off", run_obs);
-    ("numa", "multi-NUMA-domain scaling", run_numa);
-    ("micro", "bechamel microbenchmarks", run_micro);
-  ]
+  List.map (fun (name, (doc, print)) -> (name, doc, fun () -> print quick)) Minos.Figures.table
+  @ [
+      ("capacity", "closed-form capacity model", run_capacity);
+      (* guarded Minos beats plain under core-stall and loss10; overload sheds *)
+      ( "chaos",
+        "fault plans vs hardened/plain designs",
+        gated "chaos" (fun r -> Minos.Chaos.run r) Minos.Chaos.report );
+      (* per-shard Minos p99 below keyhash; fan-out p99 grows with the degree *)
+      ( "cluster",
+        "multi-server sharding + fan-out multi-GET",
+        gated "cluster" (fun r -> Minos.Cluster.run r) Minos.Cluster.report );
+      (* exact accounting and a clean key audit across add-remove; migration
+         p99 within 3x of steady state *)
+      ( "reshard",
+        "elastic resharding: live migration + replicas",
+        gated "reshard" (fun r -> Minos.Reshard.run r) Minos.Reshard.report );
+      (* hedged Minos p99 under the kill within 3x of fault-free, unhedged
+         at least 10x *)
+      ( "hedge",
+        "replica-aware tail-cutting vs kill-server chaos",
+        gated "hedge" (fun r -> Minos.Hedge.run r) Minos.Hedge.report );
+      (* the extended identity telescopes in every row; scan-heavy, cold-tier
+         and ttl-churn exercise their features *)
+      ( "scenarios",
+        "scenario suite: arrivals/TTL/scans/cold-tier",
+        gated "scenarios" (fun r -> Minos.Scenarios.run r) Minos.Scenarios.report );
+      ("obs", "flight-recorder overhead on/off", run_obs);
+    ]
 
 let run_perf sweep_target =
   Minos.Report.section "Hot-path performance profile";
@@ -539,7 +266,7 @@ let run_perf sweep_target =
       [ sweep_target ^ " sweep seconds"; Printf.sprintf "%.2f" sweep_s ];
     ];
   Obs.Json.(
-    to_file "BENCH_perf.json"
+    to_file (bench_file "perf")
       (Obj
          [
            ("quick", Bool quick);
@@ -553,7 +280,7 @@ let run_perf sweep_target =
            ("sweep_target", String sweep_target);
            ("sweep_seconds", Float sweep_s);
          ]));
-  Printf.printf "[perf profile written to BENCH_perf.json]\n%!";
+  Printf.printf "[perf profile written to %s]\n%!" (bench_file "perf");
   enforce "perf" (perf_gate ~words_per_req ~events ~issued ~events_per_sec)
 
 let usage () =

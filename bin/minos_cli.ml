@@ -1,12 +1,24 @@
 (* Command-line front end for the Minos reproduction.
 
-   Subcommands:
-     run      simulate one (design x workload x load) point
-     sweep    throughput vs latency curve for one design
-     slo      max throughput under a 99p SLO
-     figure   regenerate one of the paper's tables/figures
-     queueing run a §2.2 queueing model point
-     chaos    fault plans against hardened/plain Minos and HKH+WS
+   Simulation subcommands (each composes the shared run description):
+     run        simulate one (design x workload x load) point
+     sweep      throughput vs latency curve for one design
+     slo        max throughput under a 99p SLO
+     obs        one instrumented point: latency anatomy, Perfetto trace
+     trace      capture a workload trace, derive the static threshold
+     numa       scale across independent NUMA-domain instances
+     chaos      fault plans against hardened/plain Minos and HKH+WS
+     cluster    a sharded cluster, size-aware vs a baseline
+     reshard    live server add/remove and replica events
+     hedge      hedged/tied replica requests vs a crashed server
+     scenarios  the scenario suite, size-aware vs keyhash
+   Other subcommands:
+     figure     regenerate one of the paper's tables/figures
+     queueing   run a §2.2 queueing model point
+     workloads  list the workload scenario registry
+     serve      run the native KV server over kernel UDP
+     kv         GET/PUT/DELETE against a running server
+     loadtest   closed-loop load test against a running server
 *)
 
 open Cmdliner
@@ -30,64 +42,8 @@ let design_conv =
   let print fmt d = Format.pp_print_string fmt (Kvserver.Design.name d) in
   Arg.conv (parse, print)
 
-let design =
-  Arg.(
-    value
-    & opt design_conv Kvserver.Design.minos
-    & info [ "d"; "design" ] ~docv:"DESIGN"
-        ~doc:(Printf.sprintf "Server design: %s." (design_names ())))
-
-let load =
-  Arg.(
-    value
-    & opt float 3.0
-    & info [ "l"; "load" ] ~docv:"MOPS" ~doc:"Offered load in million ops/s.")
-
-let p_large =
-  Arg.(
-    value
-    & opt float 0.125
-    & info [ "p-large" ] ~docv:"PCT" ~doc:"Percentage of requests for large items.")
-
-let s_large =
-  Arg.(
-    value
-    & opt int 500_000
-    & info [ "s-large" ] ~docv:"BYTES" ~doc:"Maximum large item size in bytes.")
-
-let get_ratio =
-  Arg.(
-    value
-    & opt float 0.95
-    & info [ "get-ratio" ] ~docv:"FRAC" ~doc:"Fraction of GET operations (0..1).")
-
-let quick =
-  Arg.(value & flag & info [ "quick" ] ~doc:"Use the reduced (test-sized) run scale.")
-
-let seed =
-  Arg.(value & opt int 1 & info [ "seed" ] ~docv:"N" ~doc:"Random seed for the run.")
-
-let jobs =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "j"; "jobs" ] ~docv:"N"
-        ~doc:
-          "Worker domains for parallel experiment runs (default: the MINOS_JOBS \
-           environment variable, else the machine's core count; 1 forces sequential \
-           execution).  Results are identical for every value.")
-
-let spec_of ~p_large ~s_large ~get_ratio =
-  {
-    Workload.Spec.default with
-    Workload.Spec.p_large;
-    s_large_max = s_large;
-    get_ratio;
-  }
-
-(* The one composable workload selector: --workload NAME[,k=v,...] picks a
-   registered scenario ({!Workload.Scenario}); the legacy --p-large /
-   --s-large / --get-ratio knobs still work when it is absent. *)
+(* The one workload selector: --workload NAME[,k=v,...] picks a registered
+   scenario ({!Workload.Scenario}). *)
 let workload_conv =
   let parse s =
     match Workload.Scenario.parse s with
@@ -99,42 +55,104 @@ let workload_conv =
   in
   Arg.conv (parse, print)
 
-let workload_arg =
+let quick_flag =
+  Arg.(value & flag & info [ "quick" ] ~doc:"Use the reduced (test-sized) run scale.")
+
+let jobs_arg =
   Arg.(
     value
-    & opt (some workload_conv) None
-    & info [ "w"; "workload" ] ~docv:"NAME[,k=v,...]"
+    & opt (some int) None
+    & info [ "j"; "jobs" ] ~docv:"N"
         ~doc:
-          "Workload scenario from the registry (list with $(b,minos workloads)), \
-           with optional knob overrides, e.g. $(b,-w ttl-churn,ttl_ms=20).  \
-           Overrides --p-large/--s-large/--get-ratio.")
+          "Worker domains for parallel experiment runs (default: the MINOS_JOBS \
+           environment variable, else the machine's core count; 1 forces sequential \
+           execution).  Results are identical for every value.")
 
-let trace_file_arg =
-  Arg.(
-    value
-    & opt (some file) None
-    & info [ "trace-file" ] ~docv:"FILE"
-        ~doc:
-          "Replay a captured trace file (see $(b,minos trace)) instead of the \
-           synthetic generator; a timed trace replays at its recorded pacing.")
+(* ------------------------------------------------------------------ *)
+(* The shared run description.  Each flag below sets one field of
+   {!Minos.Run.t}; a simulation subcommand lists the flags it takes and
+   [run_term] folds them into one record. *)
 
-let scenario_of ~workload ~p_large ~s_large ~get_ratio =
-  match workload with
-  | Some sc -> sc
-  | None -> Workload.Scenario.of_spec (spec_of ~p_large ~s_large ~get_ratio)
+let field arg set = Term.(const set $ arg)
 
-(* The cluster, reshard and hedge drivers run a flat request mix: a
-   scenario with extras they cannot honour is refused, not reduced. *)
-let flat_spec_of cmd ~workload ~p_large ~s_large ~get_ratio =
-  let sc = scenario_of ~workload ~p_large ~s_large ~get_ratio in
-  match Workload.Scenario.flat sc with
-  | Ok spec -> spec
-  | Error msg ->
-      Printf.eprintf "%s: %s\n" cmd msg;
-      exit 1
+let quick =
+  field quick_flag (fun quick r ->
+      { r with Minos.Run.scale = Minos.Experiment.scale_of ~quick })
 
-let scale_of quick =
-  if quick then Minos.Experiment.quick_scale else Minos.Experiment.full_scale
+let seed =
+  field
+    Arg.(value & opt int 1 & info [ "seed" ] ~docv:"N" ~doc:"Random seed for the run.")
+    (fun seed r -> { r with Minos.Run.seed })
+
+let workload =
+  field
+    Arg.(
+      value
+      & opt workload_conv Workload.Scenario.default
+      & info [ "w"; "workload" ] ~docv:"NAME[,k=v,...]"
+          ~doc:
+            "Workload scenario from the registry (list with $(b,minos workloads)), \
+             with optional knob overrides, e.g. $(b,-w ttl-churn,ttl_ms=20) or \
+             $(b,-w default,p_large=0.5).  Subcommands that run only a flat \
+             request mix refuse a scenario with extras.")
+    (fun workload r -> { r with Minos.Run.workload })
+
+let design =
+  field
+    Arg.(
+      value
+      & opt design_conv Kvserver.Design.minos
+      & info [ "d"; "design" ] ~docv:"DESIGN"
+          ~doc:(Printf.sprintf "Server design: %s." (design_names ())))
+    (fun design r -> { r with Minos.Run.design })
+
+let baseline =
+  field
+    Arg.(
+      value
+      & opt design_conv Kvserver.Design.hkh
+      & info [ "baseline" ] ~docv:"DESIGN"
+          ~doc:
+            (Printf.sprintf "Per-server baseline design to compare against: %s."
+               (design_names ())))
+    (fun baseline r -> { r with Minos.Run.baseline })
+
+let load =
+  field
+    Arg.(
+      value
+      & opt (some float) None
+      & info [ "l"; "load" ] ~docv:"MOPS"
+          ~doc:
+            "Offered load in million ops/s.  Each subcommand has its own default: \
+             3.0 for run, obs, trace and numa (the total across domains); 4.0 for \
+             chaos, whose canned plans scale it (loss10 runs at 1.75x, overload \
+             at 2x); 8.0 for cluster, reshard and hedge (the whole cluster); 2.5 \
+             for scenarios.")
+    (fun offered_mops r -> { r with Minos.Run.offered_mops })
+
+let json =
+  field
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "json" ] ~docv:"FILE" ~doc:"Also write the results as JSON.")
+    (fun json r -> { r with Minos.Run.json })
+
+let trace_out doc =
+  field
+    Arg.(value & opt (some string) None & info [ "trace-out" ] ~docv:"FILE" ~doc)
+    (fun trace_out r -> { r with Minos.Run.trace_out })
+
+let jobs =
+  field jobs_arg (fun jobs r ->
+      Minos.Par.set_jobs jobs;
+      r)
+
+let run_term fields =
+  List.fold_left
+    (fun acc set -> Term.(const (fun r set -> set r) $ acc $ set))
+    (Term.const Minos.Run.default) fields
 
 let print_metrics m =
   Format.printf "%a@." Kvserver.Metrics.pp_row m;
@@ -151,34 +169,29 @@ let print_metrics m =
 (* run *)
 
 let run_cmd =
-  let action design load workload trace_file p_large s_large get_ratio quick seed =
-    match trace_file with
-    | Some path ->
-        let trace = Workload.Trace.load path in
-        let sc = scenario_of ~workload ~p_large ~s_large ~get_ratio in
-        let cfg = Minos.Experiment.config_of_scale (scale_of quick) in
-        let m =
-          Minos.Experiment.run_trace ~cfg ~seed design trace
-            ~spec:sc.Workload.Scenario.spec ~offered_mops:load
-        in
-        print_metrics m
-    | None ->
-        let m =
-          Minos.Experiment.Spec.make design
-          |> Minos.Experiment.Spec.with_workload
-               (scenario_of ~workload ~p_large ~s_large ~get_ratio)
-          |> Minos.Experiment.with_scale (scale_of quick)
-          |> Minos.Experiment.Spec.with_load load
-          |> Minos.Experiment.Spec.with_seed seed
-          |> Minos.Experiment.run_spec
-        in
-        print_metrics m
+  let trace_file =
+    Arg.(
+      value
+      & opt (some file) None
+      & info [ "trace-file" ] ~docv:"FILE"
+          ~doc:
+            "Replay a captured trace file (see $(b,minos trace)) instead of the \
+             synthetic generator; a timed trace replays at its recorded pacing.")
+  in
+  let action trace_file (run : Minos.Run.t) =
+    let spec = Minos.Run.spec run in
+    print_metrics
+      (match trace_file with
+      | Some path ->
+          Minos.Experiment.run_trace ~cfg:spec.Minos.Experiment.Spec.cfg
+            ~seed:run.Minos.Run.seed run.Minos.Run.design (Workload.Trace.load path)
+            ~spec:run.Minos.Run.workload.Workload.Scenario.spec
+            ~offered_mops:spec.Minos.Experiment.Spec.offered_mops
+      | None -> Minos.Experiment.run_spec spec)
   in
   Cmd.v
     (Cmd.info "run" ~doc:"Simulate one (design, workload, load) point.")
-    Term.(
-      const action $ design $ load $ workload_arg $ trace_file_arg $ p_large $ s_large
-      $ get_ratio $ quick $ seed)
+    Term.(const action $ trace_file $ run_term [ design; load; workload; quick; seed ])
 
 (* ------------------------------------------------------------------ *)
 (* sweep *)
@@ -190,18 +203,15 @@ let sweep_cmd =
       & opt (list float) [ 1.0; 2.0; 3.0; 4.0; 5.0; 5.5; 6.0; 6.5 ]
       & info [ "loads" ] ~docv:"MOPS,..." ~doc:"Comma-separated offered loads.")
   in
-  let action design loads p_large s_large get_ratio quick jobs =
-    Minos.Par.set_jobs jobs;
-    let spec = spec_of ~p_large ~s_large ~get_ratio in
-    let cfg = Minos.Experiment.config_of_scale (scale_of quick) in
+  let action loads (run : Minos.Run.t) =
     List.iter
       (fun (_, m) -> Format.printf "%a@." Kvserver.Metrics.pp_row m)
-      (Minos.Experiment.sweep ~cfg design spec ~loads_mops:loads)
+      (Minos.Experiment.sweep ~cfg:(Minos.Run.config run) run.Minos.Run.design
+         (Minos.Run.flat run) ~loads_mops:loads)
   in
   Cmd.v
     (Cmd.info "sweep" ~doc:"Throughput vs latency curve for one design.")
-    Term.(
-      const action $ design $ loads_arg $ p_large $ s_large $ get_ratio $ quick $ jobs)
+    Term.(const action $ loads_arg $ run_term [ design; workload; quick; jobs ])
 
 (* ------------------------------------------------------------------ *)
 (* slo *)
@@ -213,15 +223,14 @@ let slo_cmd =
       & opt float 50.0
       & info [ "slo" ] ~docv:"US" ~doc:"The 99p latency bound in microseconds.")
   in
-  let action design slo_us p_large s_large get_ratio quick jobs =
-    Minos.Par.set_jobs jobs;
-    let spec = spec_of ~p_large ~s_large ~get_ratio in
-    let scale = scale_of quick in
-    let cfg = Minos.Experiment.config_of_scale scale in
+  let action slo_us (run : Minos.Run.t) =
+    let spec = Minos.Run.flat run in
+    let cfg = Minos.Run.config run in
+    let design = run.Minos.Run.design in
     let eval rate = Minos.Experiment.run ~cfg design spec ~offered_mops:rate in
     let r =
       Minos.Slo_search.search ~eval ~slo_p99_us:slo_us ~lo_mops:0.25 ~hi_mops:8.0
-        ~iters:scale.Minos.Experiment.slo_iters
+        ~iters:run.Minos.Run.scale.Minos.Experiment.slo_iters
     in
     Format.printf "%s: max throughput %.2f Mops under p99 <= %.0f us (%d evaluations)@."
       (Minos.Experiment.design_name design)
@@ -229,7 +238,7 @@ let slo_cmd =
   in
   Cmd.v
     (Cmd.info "slo" ~doc:"Maximum throughput under a 99p latency SLO.")
-    Term.(const action $ design $ slo_us $ p_large $ s_large $ get_ratio $ quick $ jobs)
+    Term.(const action $ slo_us $ run_term [ design; workload; quick; jobs ])
 
 (* ------------------------------------------------------------------ *)
 (* figure *)
@@ -240,45 +249,25 @@ let figure_cmd =
       required
       & pos 0 (some string) None
       & info [] ~docv:"FIGURE"
-          ~doc:"One of: fig1 fig2 table1 fig3 ... fig10 fanout.")
+          ~doc:
+            ("One of: " ^ String.concat " " (List.map fst Minos.Figures.table) ^ "."))
   in
   let action name quick jobs =
     Minos.Par.set_jobs jobs;
-    let scale = scale_of quick in
-    match name with
-    | "fig1" -> Minos.Figures.print_fig1 ()
-    | "fig2" -> Minos.Figures.print_fig2 ()
-    | "table1" -> Minos.Figures.print_table1 ()
-    | "fig3" -> Minos.Figures.print_fig3 ~scale ()
-    | "fig4" -> Minos.Figures.print_fig4 ~scale ()
-    | "fig5" -> Minos.Figures.print_fig5 ~scale ()
-    | "fig6" -> Minos.Figures.print_fig6 ~scale ()
-    | "fig7" -> Minos.Figures.print_fig7 ~scale ()
-    | "fig8" -> Minos.Figures.print_fig8 ~scale ()
-    | "fig9" -> Minos.Figures.print_fig9 ~scale ()
-    | "fig10" -> Minos.Figures.print_fig10 ~scale ()
-    | "fanout" -> Minos.Figures.print_fanout ~scale ()
-    | other ->
-        Printf.eprintf "unknown figure %s\n" other;
+    match List.assoc_opt name Minos.Figures.table with
+    | Some (_, print) -> print quick
+    | None ->
+        Printf.eprintf "unknown figure %s\n" name;
         exit 1
   in
   Cmd.v
     (Cmd.info "figure" ~doc:"Regenerate one of the paper's tables or figures.")
-    Term.(const action $ fig_name $ quick $ jobs)
+    Term.(const action $ fig_name $ quick_flag $ jobs_arg)
 
 (* ------------------------------------------------------------------ *)
 (* obs: instrumented run with flight-recorder trace + latency anatomy *)
 
 let obs_cmd =
-  let trace_out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "trace-out" ] ~docv:"FILE"
-          ~doc:
-            "Write a Chrome trace-event JSON of the sampled requests (load in \
-             Perfetto or chrome://tracing).")
-  in
   let sample_rate =
     Arg.(
       value
@@ -292,12 +281,8 @@ let obs_cmd =
       & opt int 65536
       & info [ "spans" ] ~docv:"N" ~doc:"Flight-recorder capacity in spans.")
   in
-  let action design load p_large s_large get_ratio quick seed trace_out sample_rate
-      spans =
-    let spec = spec_of ~p_large ~s_large ~get_ratio in
-    ignore
-      (Minos.Obs_report.run ~scale:(scale_of quick) ~design ~seed ~spans ~sample_rate
-         ?trace_out spec ~offered_mops:load)
+  let action sample_rate spans run =
+    ignore (Minos.Obs_report.run ~spans ~sample_rate run)
   in
   Cmd.v
     (Cmd.info "obs"
@@ -305,8 +290,14 @@ let obs_cmd =
          "Instrumented simulation: per-request flight-recorder spans, latency-anatomy \
           table, control-loop decisions and an optional Perfetto trace.")
     Term.(
-      const action $ design $ load $ p_large $ s_large $ get_ratio $ quick $ seed
-      $ trace_out $ sample_rate $ spans)
+      const action $ sample_rate $ spans
+      $ run_term
+          [
+            design; load; workload; quick; seed;
+            trace_out
+              "Write a Chrome trace-event JSON of the sampled requests (load in \
+               Perfetto or chrome://tracing).";
+          ])
 
 (* ------------------------------------------------------------------ *)
 (* queueing *)
@@ -367,19 +358,20 @@ let trace_cmd =
       & info [ "replay" ] ~docv:"DESIGN"
           ~doc:"After capturing, replay the trace through this design.")
   in
-  let action out count workload p_large s_large get_ratio seed replay load quick =
-    let sc = scenario_of ~workload ~p_large ~s_large ~get_ratio in
+  let action out count replay (run : Minos.Run.t) =
+    let sc = run.Minos.Run.workload in
     let spec = sc.Workload.Scenario.spec in
     let dataset = Minos.Experiment.dataset_for spec in
+    let load = (Minos.Run.spec run).Minos.Experiment.Spec.offered_mops in
+    let seed = run.Minos.Run.seed in
     let trace =
-      match workload with
-      | Some sc ->
-          (* A scenario capture is timed: replaying it reproduces the
-             scenario's arrival process at its recorded pacing. *)
+      match Workload.Scenario.flat sc with
+      | Ok _ -> Workload.Trace.capture (Workload.Scenario.generator ~seed sc dataset) ~n:count
+      | Error _ ->
+          (* A scenario with extras is captured timed: replaying it
+             reproduces the scenario's arrival process at its recorded
+             pacing. *)
           Workload.Scenario.capture ~seed sc dataset ~rate_mops:load ~n:count
-      | None ->
-          let gen = Workload.Generator.create ~seed ~p_large ~get_ratio dataset in
-          Workload.Trace.capture gen ~n:count
     in
     Workload.Trace.save out trace;
     Format.printf "wrote %d%s requests to %s@." count
@@ -393,9 +385,9 @@ let trace_cmd =
     match replay with
     | None -> ()
     | Some design ->
-        let cfg = Minos.Experiment.config_of_scale (scale_of quick) in
         let m =
-          Minos.Experiment.run_trace ~cfg design trace ~spec ~offered_mops:load
+          Minos.Experiment.run_trace ~cfg:(Minos.Run.config run) design trace ~spec
+            ~offered_mops:load
         in
         Format.printf "trace-driven replay:@.";
         print_metrics m
@@ -406,8 +398,7 @@ let trace_cmd =
          "Capture a workload trace, derive the static size threshold offline, and \
           optionally replay it.")
     Term.(
-      const action $ out $ count $ workload_arg $ p_large $ s_large $ get_ratio $ seed
-      $ replay $ load $ quick)
+      const action $ out $ count $ replay $ run_term [ workload; seed; load; quick ])
 
 (* ------------------------------------------------------------------ *)
 (* numa: multi-domain scaling *)
@@ -416,13 +407,11 @@ let numa_cmd =
   let domains =
     Arg.(value & opt int 2 & info [ "domains" ] ~docv:"N" ~doc:"NUMA domains.")
   in
-  let action design domains load p_large s_large get_ratio quick =
-    let spec = spec_of ~p_large ~s_large ~get_ratio in
-    let cfg = Minos.Experiment.config_of_scale (scale_of quick) in
-    let r = Minos.Numa.run ~cfg ~design ~domains spec ~offered_mops:load in
+  let action domains (run : Minos.Run.t) =
+    let r = Minos.Numa.run ~domains run in
     Format.printf
       "%d domains x %s: tput=%.2f Mops p50=%.1fus p99=%.1fus p999=%.1fus%s@." domains
-      (Minos.Experiment.design_name design)
+      (Minos.Experiment.design_name run.Minos.Run.design)
       r.Minos.Numa.total_throughput_mops r.Minos.Numa.p50_us r.Minos.Numa.p99_us
       r.Minos.Numa.p999_us
       (if r.Minos.Numa.stable then "" else " UNSTABLE");
@@ -432,7 +421,7 @@ let numa_cmd =
   in
   Cmd.v
     (Cmd.info "numa" ~doc:"Scale across NUMA domains (independent instances, §3).")
-    Term.(const action $ design $ domains $ load $ p_large $ s_large $ get_ratio $ quick)
+    Term.(const action $ domains $ run_term [ design; load; workload; quick ])
 
 (* ------------------------------------------------------------------ *)
 (* serve: run the native size-aware KV server over kernel UDP *)
@@ -647,26 +636,7 @@ let chaos_cmd =
             "Canned plans to run (default: all of core-stall, loss10, overload, \
              ctrl-corrupt).  Ignored with $(b,--fault-plan).")
   in
-  let json_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "json" ] ~docv:"FILE" ~doc:"Also write the results as JSON.")
-  in
-  let chaos_load =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "l"; "load" ] ~docv:"MOPS"
-          ~doc:
-            "Base offered load in million ops/s (default 4.0).  Canned plans \
-             scale it per plan: loss10 runs at 1.75x, overload at 2x.")
-  in
-  let action plan_file plans json load workload p_large s_large get_ratio quick seed
-      jobs =
-    Minos.Par.set_jobs jobs;
-    let workload = scenario_of ~workload ~p_large ~s_large ~get_ratio in
-    let cfg = Minos.Experiment.config_of_scale (scale_of quick) in
+  let action plan_file plans run =
     let t =
       match plan_file with
       | Some file -> (
@@ -674,24 +644,12 @@ let chaos_cmd =
           | Error e ->
               Printf.eprintf "chaos: %s\n" e;
               exit 1
-          | Ok plan ->
-              let offered = Option.value load ~default:4.0 in
-              {
-                Minos.Chaos.seed;
-                rows =
-                  Minos.Chaos.run_plan ~cfg ~workload ~seed ~offered_mops:offered
-                    plan;
-              })
+          | Ok plan -> Minos.Chaos.run_plan run plan)
       | None ->
           let plans = match plans with [] -> None | l -> Some l in
-          Minos.Chaos.run ~cfg ~workload ~seed ?offered_mops:load ?plans ()
+          Minos.Chaos.run ?plans run
     in
-    Minos.Chaos.print t;
-    match json with
-    | None -> ()
-    | Some file ->
-        Obs.Json.to_file file (Minos.Chaos.to_json t);
-        Printf.printf "[chaos results written to %s]\n%!" file
+    Minos.Run.emit run Minos.Chaos.report t
   in
   Cmd.v
     (Cmd.info "chaos"
@@ -701,8 +659,8 @@ let chaos_cmd =
           the plain Minos and the HKH+WS baseline.  Fixed (plan, seed) pairs \
           reproduce byte-identical results.")
     Term.(
-      const action $ plan_file $ plans_arg $ json_arg $ chaos_load $ workload_arg
-      $ p_large $ s_large $ get_ratio $ quick $ seed $ jobs)
+      const action $ plan_file $ plans_arg
+      $ run_term [ json; load; workload; quick; seed; jobs ])
 
 (* ------------------------------------------------------------------ *)
 (* cluster *)
@@ -713,15 +671,6 @@ let cluster_cmd =
       value
       & opt int 4
       & info [ "servers" ] ~docv:"N" ~doc:"Number of shard servers.")
-  in
-  let baseline_arg =
-    Arg.(
-      value
-      & opt design_conv Kvserver.Design.hkh
-      & info [ "baseline" ] ~docv:"DESIGN"
-          ~doc:
-            (Printf.sprintf "Per-server baseline design to compare against: %s."
-               (design_names ())))
   in
   let policy_conv =
     Arg.enum [ ("hash", Shardmgr.Table.Hash); ("range", Shardmgr.Table.Range) ]
@@ -762,39 +711,9 @@ let cluster_cmd =
       & opt (some int) None
       & info [ "trials" ] ~docv:"N" ~doc:"Multi-GET trials per fan-out degree.")
   in
-  let json_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "json" ] ~docv:"FILE" ~doc:"Also write the results as JSON.")
-  in
-  let trace_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "trace-out" ] ~docv:"FILE"
-          ~doc:
-            "Write a merged Chrome trace of the main run, one process group \
-             per shard server.")
-  in
-  let action design baseline servers policy rebalance vnodes fanouts trials json
-      trace_out load workload p_large s_large get_ratio quick seed jobs =
-    Minos.Par.set_jobs jobs;
-    let workload = flat_spec_of "cluster" ~workload ~p_large ~s_large ~get_ratio in
-    let cfg = Minos.Experiment.config_of_scale (scale_of quick) in
-    let t =
-      Minos.Cluster.run ~cfg ~design ~baseline ~policy ~vnodes ~rebalance
-        ~fanouts ?trials ~seed ?trace_out ~servers workload ~offered_mops:load
-    in
-    Minos.Cluster.print t;
-    (match trace_out with
-    | Some path -> Printf.printf "[cluster trace written to %s]\n%!" path
-    | None -> ());
-    match json with
-    | None -> ()
-    | Some file ->
-        Obs.Json.to_file file (Minos.Cluster.to_json t);
-        Printf.printf "[cluster results written to %s]\n%!" file
+  let action servers policy rebalance vnodes fanouts trials run =
+    Minos.Run.emit run Minos.Cluster.report
+      (Minos.Cluster.run ~policy ~vnodes ~rebalance ~fanouts ?trials ~servers run)
   in
   Cmd.v
     (Cmd.info "cluster"
@@ -805,10 +724,16 @@ let cluster_cmd =
           loss-accounting, and multi-GET completion p99 versus fan-out \
           degree.")
     Term.(
-      const action $ design $ baseline_arg $ servers_arg $ policy_arg
-      $ rebalance_arg $ vnodes_arg $ fanouts_arg $ trials_arg $ json_arg
-      $ trace_arg $ load $ workload_arg $ p_large $ s_large $ get_ratio $ quick
-      $ seed $ jobs)
+      const action $ servers_arg $ policy_arg $ rebalance_arg $ vnodes_arg
+      $ fanouts_arg $ trials_arg
+      $ run_term
+          [
+            design; baseline; json;
+            trace_out
+              "Write a merged Chrome trace of the main run, one process group \
+               per shard server.";
+            load; workload; quick; seed; jobs;
+          ])
 
 (* ------------------------------------------------------------------ *)
 (* reshard *)
@@ -819,15 +744,6 @@ let reshard_cmd =
       value
       & opt int 4
       & info [ "servers" ] ~docv:"N" ~doc:"Initial number of shard servers.")
-  in
-  let baseline_arg =
-    Arg.(
-      value
-      & opt design_conv Kvserver.Design.hkh
-      & info [ "baseline" ] ~docv:"DESIGN"
-          ~doc:
-            (Printf.sprintf "Per-server baseline design to compare against: %s."
-               (design_names ())))
   in
   let plan_file_arg =
     Arg.(
@@ -871,39 +787,7 @@ let reshard_cmd =
              turns them into add/drop-replica events, and the measured run \
              replays with those appended to the plan.")
   in
-  let json_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "json" ] ~docv:"FILE" ~doc:"Also write the results as JSON.")
-  in
-  let trace_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "trace-out" ] ~docv:"FILE"
-          ~doc:
-            "Write a merged Chrome trace of the main run: one process group \
-             per server plus a shardmgr track carrying the reshard schedule.")
-  in
-  let reshard_load =
-    Arg.(
-      value
-      & opt float 8.0
-      & info [ "l"; "load" ] ~docv:"MOPS"
-          ~doc:"Total offered load in million ops/s (default 8.0).")
-  in
-  let action design baseline servers plan_file plan_name groups vnodes manage
-      json trace_out load workload p_large s_large get_ratio quick seed jobs =
-    Minos.Par.set_jobs jobs;
-    let workload = flat_spec_of "reshard" ~workload ~p_large ~s_large ~get_ratio in
-    let s = scale_of quick in
-    let cfg =
-      {
-        (Minos.Experiment.config_of_scale s) with
-        Kvserver.Config.window_us = Some s.Minos.Experiment.window_us;
-      }
-    in
+  let action servers plan_file plan_name groups vnodes manage (run : Minos.Run.t) =
     let plan =
       match plan_file with
       | Some file -> (
@@ -913,10 +797,10 @@ let reshard_cmd =
               Printf.eprintf "reshard: %s\n" e;
               exit 1)
       | None -> (
+          let s = run.Minos.Run.scale in
           match
-            Shardmgr.Plan.canned plan_name
-              ~warmup_us:cfg.Kvserver.Config.warmup_us
-              ~duration_us:cfg.Kvserver.Config.duration_us
+            Shardmgr.Plan.canned plan_name ~warmup_us:s.Minos.Experiment.warmup_us
+              ~duration_us:s.Minos.Experiment.duration_us
           with
           | Some p -> p
           | None ->
@@ -926,19 +810,8 @@ let reshard_cmd =
               exit 1)
     in
     let manage = if manage then Some Shardmgr.Manager.default else None in
-    let t =
-      Minos.Reshard.run ~cfg ~design ~baseline ~vnodes ~groups ~seed ?manage
-        ?trace_out ~servers ~plan workload ~offered_mops:load ()
-    in
-    Minos.Reshard.print t;
-    (match trace_out with
-    | Some path -> Printf.printf "[reshard trace written to %s]\n%!" path
-    | None -> ());
-    match json with
-    | None -> ()
-    | Some file ->
-        Obs.Json.to_file file (Minos.Reshard.to_json t);
-        Printf.printf "[reshard results written to %s]\n%!" file
+    Minos.Run.emit run Minos.Reshard.report
+      (Minos.Reshard.run ~vnodes ~groups ?manage ~servers ~plan run)
   in
   Cmd.v
     (Cmd.info "reshard"
@@ -950,10 +823,16 @@ let reshard_cmd =
           accounting and a key-conservation audit; fixed (seed, plan) pairs \
           reproduce byte-identical results.")
     Term.(
-      const action $ design $ baseline_arg $ servers_arg $ plan_file_arg
-      $ plan_name_arg $ groups_arg $ vnodes_arg $ manage_arg $ json_arg
-      $ trace_arg $ reshard_load $ workload_arg $ p_large $ s_large $ get_ratio
-      $ quick $ seed $ jobs)
+      const action $ servers_arg $ plan_file_arg $ plan_name_arg $ groups_arg
+      $ vnodes_arg $ manage_arg
+      $ run_term
+          [
+            design; baseline; json;
+            trace_out
+              "Write a merged Chrome trace of the main run: one process group \
+               per server plus a shardmgr track carrying the reshard schedule.";
+            load; workload; quick; seed; jobs;
+          ])
 
 (* ------------------------------------------------------------------ *)
 (* hedge *)
@@ -996,55 +875,9 @@ let hedge_cmd =
             "Failure-detector timeout in microseconds (default: 15% of the \
              measured window).")
   in
-  let json_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "json" ] ~docv:"FILE" ~doc:"Also write the results as JSON.")
-  in
-  let trace_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "trace-out" ] ~docv:"FILE"
-          ~doc:
-            "Write a Chrome trace whose decision track carries the hedged \
-             kill-server variant's crash / restart / hedge-delay instants.")
-  in
-  let hedge_load =
-    Arg.(
-      value
-      & opt float 8.0
-      & info [ "l"; "load" ] ~docv:"MOPS"
-          ~doc:"Total offered load in million ops/s (default 8.0).")
-  in
-  let action shards mirrors cores quantile detect json trace_out load workload
-      p_large s_large get_ratio quick seed jobs =
-    Minos.Par.set_jobs jobs;
-    let workload = flat_spec_of "hedge" ~workload ~p_large ~s_large ~get_ratio in
-    let base = Minos.Hedge.config_of_scale (scale_of quick) in
-    let config =
-      {
-        base with
-        Kvhedge.Config.shards = shards;
-        mirrors;
-        hedge_quantile = quantile;
-        detect_us = detect;
-        server = { base.Kvhedge.Config.server with Kvserver.Config.cores };
-      }
-    in
-    let t =
-      Minos.Hedge.run ~config ~seed ?trace_out ~workload ~offered_mops:load ()
-    in
-    Minos.Hedge.print t;
-    (match trace_out with
-    | Some path -> Printf.printf "[hedge trace written to %s]\n%!" path
-    | None -> ());
-    match json with
-    | None -> ()
-    | Some file ->
-        Obs.Json.to_file file (Minos.Hedge.to_json t);
-        Printf.printf "[hedge results written to %s]\n%!" file
+  let action shards mirrors cores hedge_quantile detect_us run =
+    Minos.Run.emit run Minos.Hedge.report
+      (Minos.Hedge.run ~shards ~mirrors ~cores ~hedge_quantile ?detect_us run)
   in
   Cmd.v
     (Cmd.info "hedge"
@@ -1057,9 +890,15 @@ let hedge_cmd =
           key-conservation audit across the crash; fixed seeds reproduce \
           byte-identical results.")
     Term.(
-      const action $ shards_arg $ mirrors_arg $ cores_arg $ quantile_arg
-      $ detect_arg $ json_arg $ trace_arg $ hedge_load $ workload_arg $ p_large
-      $ s_large $ get_ratio $ quick $ seed $ jobs)
+      const action $ shards_arg $ mirrors_arg $ cores_arg $ quantile_arg $ detect_arg
+      $ run_term
+          [
+            json;
+            trace_out
+              "Write a Chrome trace whose decision track carries the hedged \
+               kill-server variant's crash / restart / hedge-delay instants.";
+            load; workload; quick; seed; jobs;
+          ])
 
 (* ------------------------------------------------------------------ *)
 (* workloads: list the scenario registry *)
@@ -1102,28 +941,8 @@ let scenarios_cmd =
       & info [ "names" ] ~docv:"NAME,..."
           ~doc:"Scenarios to run (default: the full suite).")
   in
-  let json_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "json" ] ~docv:"FILE" ~doc:"Also write results as JSON to $(docv).")
-  in
-  let scen_load =
-    Arg.(
-      value
-      & opt float 2.5
-      & info [ "l"; "load" ] ~docv:"MOPS" ~doc:"Offered load in million ops/s.")
-  in
-  let action names json load quick seed jobs =
-    Minos.Par.set_jobs jobs;
-    let cfg = Minos.Experiment.config_of_scale (scale_of quick) in
-    let t = Minos.Scenarios.run ~cfg ~seed ~offered_mops:load ~names () in
-    Minos.Scenarios.print t;
-    match json with
-    | None -> ()
-    | Some file ->
-        Obs.Json.to_file file (Minos.Scenarios.to_json t);
-        Printf.printf "[scenario results written to %s]\n%!" file
+  let action names run =
+    Minos.Run.emit run Minos.Scenarios.report (Minos.Scenarios.run ~names run)
   in
   Cmd.v
     (Cmd.info "scenarios"
@@ -1132,18 +951,26 @@ let scenarios_cmd =
           larger-than-memory cold tier) size-aware vs keyhash and report p99s \
           plus the extended loss-accounting identity; fixed seeds reproduce \
           byte-identical results at any --jobs.")
-    Term.(const action $ names_arg $ json_arg $ scen_load $ quick $ seed $ jobs)
+    Term.(const action $ names_arg $ run_term [ json; load; quick; seed; jobs ])
 
 let () =
   let info =
     Cmd.info "minos" ~version:"1.0.0"
       ~doc:"Size-aware sharding for in-memory key-value stores (NSDI'19 reproduction)."
   in
+  let cmd =
+    Cmd.group info
+      [
+        run_cmd; sweep_cmd; slo_cmd; figure_cmd; obs_cmd; queueing_cmd; trace_cmd;
+        numa_cmd; serve_cmd; kv_cmd; loadtest_cmd; chaos_cmd; cluster_cmd;
+        reshard_cmd; hedge_cmd; workloads_cmd; scenarios_cmd;
+      ]
+  in
+  (* The runners raise [Invalid_argument] on a run they refuse, such as a
+     scenario with extras on a flat-mix subcommand or an unknown scenario
+     name: that is a user error, not a crash. *)
   exit
-    (Cmd.eval
-       (Cmd.group info
-          [
-            run_cmd; sweep_cmd; slo_cmd; figure_cmd; obs_cmd; queueing_cmd; trace_cmd;
-            numa_cmd; serve_cmd; kv_cmd; loadtest_cmd; chaos_cmd; cluster_cmd;
-            reshard_cmd; hedge_cmd; workloads_cmd; scenarios_cmd;
-          ]))
+    (try Cmd.eval ~catch:false cmd
+     with Invalid_argument msg ->
+       Printf.eprintf "minos: %s\n" msg;
+       1)

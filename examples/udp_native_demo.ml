@@ -1,11 +1,14 @@
 (* The full native stack end-to-end over kernel UDP on loopback:
 
-     client --UDP--> per-core sockets (RX queues) --> reader domains
-            --> lock-free rings --> size-aware worker domains
-            --> real KV store --> reply pump --UDP--> client
+     client --UDP--> per-core sockets (RX queues) --> size-aware worker
+            domains, each receiving from its own socket --> real KV store
+            --> the serving worker replies --UDP--> client
 
-   with Wire-protocol encoding, UDP-level fragmentation for big values,
-   client-side retransmission and server-side request-id deduplication.
+   A large request crosses a lock-free ring to a large core, which serves
+   it and replies from the socket it arrived on.  Wire-protocol encoding,
+   UDP-level fragmentation for big values (the 300 KB item spans ~200
+   datagrams each way), client-side retransmission and server-side
+   request-id deduplication.
 
    Run with: dune exec examples/udp_native_demo.exe
 *)
@@ -23,7 +26,7 @@ let () =
   (* A spread of item sizes across the tiny/small/large classes. *)
   let items =
     [ ("config:flag", 1); ("user:42", 120); ("session:9", 1_390);
-      ("thumb:7", 24_000); ("asset:3", 150_000) ]
+      ("thumb:7", 24_000); ("asset:3", 150_000); ("video:5", 300_000) ]
   in
   List.iter
     (fun (key, size) ->

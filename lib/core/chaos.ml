@@ -41,33 +41,30 @@ let variant_points base =
     ("HKH+WS", Kvserver.Design.hkh_ws, baseline_config base);
   ]
 
-let run_plan ?cfg ?(workload = Workload.Scenario.default) ?(seed = 1)
-    ?(offered_mops = 4.0) plan =
-  let base =
-    match cfg with Some c -> c | None -> Experiment.config_of_scale Experiment.full_scale
+let run_plan (run : Run.t) plan =
+  let offered_mops = Option.value run.Run.offered_mops ~default:4.0 in
+  let rows =
+    variant_points (Run.config run)
+    |> Par.map_list (fun (label, design, cfg) ->
+           (* Each run owns its injector: the fault stream advances as the
+              run consumes it, so sharing one across runs would entangle
+              their decisions. *)
+           let fault = Fault.Inject.create ~seed:run.Run.seed plan in
+           let metrics =
+             Experiment.Spec.make design
+             |> Experiment.Spec.with_workload run.Run.workload
+             |> Experiment.Spec.with_cfg cfg
+             |> Experiment.Spec.with_seed run.Run.seed
+             |> Experiment.Spec.with_load offered_mops
+             |> Experiment.Spec.with_fault fault
+             |> Experiment.run_spec
+           in
+           { plan = plan.Fault.Plan.name; label; offered_mops; metrics })
   in
-  variant_points base
-  |> Par.map_list (fun (label, design, cfg) ->
-         (* Each run owns its injector: the fault stream advances as the
-            run consumes it, so sharing one across runs would entangle
-            their decisions. *)
-         let fault = Fault.Inject.create ~seed plan in
-         let metrics =
-           Experiment.Spec.make design
-           |> Experiment.Spec.with_workload workload
-           |> Experiment.Spec.with_cfg cfg
-           |> Experiment.Spec.with_seed seed
-           |> Experiment.Spec.with_load offered_mops
-           |> Experiment.Spec.with_fault fault
-           |> Experiment.run_spec
-         in
-         { plan = plan.Fault.Plan.name; label; offered_mops; metrics })
+  { seed = run.Run.seed; rows }
 
-let run ?cfg ?workload ?(seed = 1) ?offered_mops ?plans () =
-  let base =
-    match cfg with Some c -> c | None -> Experiment.config_of_scale Experiment.full_scale
-  in
-  let names = match plans with Some l -> l | None -> Fault.Plan.canned_names in
+let run ?(plans = Fault.Plan.canned_names) (run : Run.t) =
+  let base = Run.config run in
   let rows =
     List.concat_map
       (fun name ->
@@ -80,12 +77,11 @@ let run ?cfg ?workload ?(seed = 1) ?offered_mops ?plans () =
           | Some p -> p
           | None -> invalid_arg ("Chaos.run: unknown canned plan " ^ name)
         in
-        run_plan ~cfg:base ?workload ~seed
-          ~offered_mops:(plan_load ?base:offered_mops name)
-          plan)
-      names
+        let load = plan_load ?base:run.Run.offered_mops name in
+        (run_plan { run with Run.offered_mops = Some load } plan).rows)
+      plans
   in
-  { seed; rows }
+  { seed = run.Run.seed; rows }
 
 let check t =
   let find plan label = List.find_opt (fun r -> r.plan = plan && r.label = label) t.rows in
@@ -169,3 +165,5 @@ let to_json t =
     (name, Obs.Json.Obj (offered @ List.map row rows))
   in
   Obs.Json.(Obj [ ("seed", Int t.seed); ("plans", Obj (List.map plan (plan_names t))) ])
+
+let report = { Run.noun = "chaos"; print; to_json; check }

@@ -38,30 +38,17 @@ val guard_config : Kvserver.Config.t -> Kvserver.Config.t
 (** The hardened configuration: watchdog on, shed watermark 256, threshold
     clamp 0.5, RX capacity bounded at 4096. *)
 
-val run_plan :
-  ?cfg:Kvserver.Config.t ->
-  ?workload:Workload.Scenario.t ->
-  ?seed:int ->
-  ?offered_mops:float ->
-  Fault.Plan.t ->
-  row list
-(** Run the three variants under one plan (in parallel over {!Par}).
-    Each variant gets a fresh injector over the same plan and seed.
-    [workload] (default {!Workload.Scenario.default}) composes with the
-    faults — TTL churn or an arrival ramp under a fault plan is a valid
-    point. *)
+val run_plan : Run.t -> Fault.Plan.t -> t
+(** Run the three variants under one plan (in parallel over {!Par}) at
+    the run's offered load (default 4.0 Mops).  Each variant gets a fresh
+    injector over the same plan and seed.  The run's workload composes
+    with the faults: TTL churn or an arrival ramp under a fault plan is a
+    valid point. *)
 
-val run :
-  ?cfg:Kvserver.Config.t ->
-  ?workload:Workload.Scenario.t ->
-  ?seed:int ->
-  ?offered_mops:float ->
-  ?plans:string list ->
-  unit ->
-  t
+val run : ?plans:string list -> Run.t -> t
 (** All canned plans (default {!Fault.Plan.canned_names}), three variants
-    each.  Plan windows are derived from the config's warmup/duration;
-    each plan runs at {!plan_load} scaled off [offered_mops]. *)
+    each.  Plan windows are derived from the run's scale; each plan runs
+    at {!plan_load} scaled off the run's offered load. *)
 
 val check : t -> (unit, string) result
 (** The run's headline claims: under [core-stall] and [loss10] the
@@ -76,3 +63,6 @@ val to_json : t -> Obs.Json.t
 (** The BENCH_chaos.json payload: per plan and variant, p99 / throughput /
     goodput and the run's ["ledger"], plus the seed for rerun
     verification. *)
+
+val report : t Run.report
+(** {!print}, {!to_json} and {!check} under the noun ["chaos"]. *)

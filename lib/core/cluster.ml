@@ -9,14 +9,12 @@ type t = {
   baseline : side;
 }
 
-let run ?cfg ?(design = Kvserver.Design.minos) ?(baseline = Kvserver.Design.hkh)
-    ?policy ?vnodes ?rebalance ?(fanouts = [ 1; 2; 4; 8; 16 ]) ?trials
-    ?(seed = 1) ?trace_out ?spans ?sample_rate ~servers workload ~offered_mops =
-  let cfg =
-    match cfg with
-    | Some c -> c
-    | None -> Experiment.config_of_scale Experiment.full_scale
-  in
+let run ?policy ?vnodes ?rebalance ?(fanouts = [ 1; 2; 4; 8; 16 ]) ?trials
+    ?(servers = 4) (r : Run.t) =
+  let cfg = Run.config r in
+  let workload = Run.flat r in
+  let seed = r.Run.seed in
+  let offered_mops = Option.value r.Run.offered_mops ~default:8.0 in
   let dataset = Experiment.dataset_for workload in
   let table =
     Shardmgr.Table.compile ?policy ?rebalance ?vnodes ~seed ~servers ~workload
@@ -24,13 +22,12 @@ let run ?cfg ?(design = Kvserver.Design.minos) ?(baseline = Kvserver.Design.hkh)
       Shardmgr.Plan.empty
   in
   let instruments =
-    match trace_out with
+    match r.Run.trace_out with
     | None -> None
     | Some _ ->
         Some
           (Array.init servers (fun s ->
-               Obs.Instrument.create ~server:s ?spans ?sample_rate
-                 ~cores:cfg.Kvserver.Config.cores
+               Obs.Instrument.create ~server:s ~cores:cfg.Kvserver.Config.cores
                  ~seed:(seed + (97 * s) + 0x0b5) ()))
   in
   let instrument =
@@ -50,9 +47,9 @@ let run ?cfg ?(design = Kvserver.Design.minos) ?(baseline = Kvserver.Design.hkh)
     in
     { run; fanout }
   in
-  let main = go design ?instrument () in
-  let baseline = go baseline () in
-  (match (trace_out, instruments) with
+  let main = go r.Run.design ?instrument () in
+  let baseline = go r.Run.baseline () in
+  (match (r.Run.trace_out, instruments) with
   | Some path, Some arr ->
       let sections =
         Array.to_list
@@ -245,3 +242,5 @@ let to_json t =
         ("main", side_json t t.main);
         ("baseline", side_json t t.baseline);
       ])
+
+let report = { Run.noun = "cluster"; print; to_json; check }

@@ -27,31 +27,24 @@ type t = {
 }
 
 val run :
-  ?cfg:Kvserver.Config.t ->
-  ?design:Kvserver.Design.t ->
-  ?baseline:Kvserver.Design.t ->
   ?policy:Shardmgr.Table.policy ->
   ?vnodes:int ->
   ?rebalance:bool ->
   ?fanouts:int list ->
   ?trials:int ->
-  ?seed:int ->
-  ?trace_out:string ->
-  ?spans:int ->
-  ?sample_rate:float ->
-  servers:int ->
-  Workload.Spec.t ->
-  offered_mops:float ->
+  ?servers:int ->
+  Run.t ->
   t
-(** [design] defaults to {!Kvserver.Design.minos}, [baseline] to
-    {!Kvserver.Design.hkh}; both runs share one compiled table ([policy],
-    [vnodes], [rebalance] pass through to {!Shardmgr.Table.compile}) and
-    seed, so they see identical shard splits.  [fanouts] (default
-    [1; 2; 4; 8; 16]) and [trials] drive the multi-GET measurement.
-    [trace_out] attaches one flight recorder per shard to the main run
-    and writes a merged Chrome trace whose process ids are the server
-    ids ({!Obs.Chrome_trace.write_cluster}); [spans] / [sample_rate]
-    configure those recorders. *)
+(** Run the flat mix ({!Run.flat}) over [servers] shards (default 4) at
+    the run's offered load (default 8.0 Mops), under the run's design and
+    again under its baseline.  Both runs share one compiled table
+    ([policy], [vnodes], [rebalance] pass through to
+    {!Shardmgr.Table.compile}) and seed, so they see identical shard
+    splits.  [fanouts] (default [1; 2; 4; 8; 16]) and [trials] drive the
+    multi-GET measurement.  The run's [trace_out] attaches one flight
+    recorder per shard to the main run and writes a merged Chrome trace
+    whose process ids are the server ids
+    ({!Obs.Chrome_trace.write_cluster}). *)
 
 val check : t -> (unit, string) result
 (** The headline claims: loss accounting telescopes on every shard of
@@ -69,3 +62,6 @@ val to_json : t -> Obs.Json.t
 (** The BENCH_cluster.json payload: per-shard and aggregate metrics for
     both designs, each design's cluster ["ledger"], and p99 versus
     fan-out degree. *)
+
+val report : t Run.report
+(** {!print}, {!to_json} and {!check} under the noun ["cluster"]. *)

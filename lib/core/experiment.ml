@@ -37,6 +37,8 @@ let quick_scale =
     window_us = 50_000.0;
   }
 
+let scale_of ~quick = if quick then quick_scale else full_scale
+
 (* Dataset memoization: sizes depend on shape fields only, so the key is
    the tuple of those fields.  Guarded by a mutex — {!Par} runs experiment
    points on several domains, and all of them share this cache.  Creation

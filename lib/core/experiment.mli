@@ -49,6 +49,9 @@ val full_scale : scale
 val quick_scale : scale
 (** Roughly 4× cheaper; used by tests and [--quick] benches. *)
 
+val scale_of : quick:bool -> scale
+(** {!quick_scale} for [--quick] / [QUICK=1] runs, else {!full_scale}. *)
+
 val dataset_for : Workload.Spec.t -> Workload.Dataset.t
 (** Memoized dataset construction. *)
 

@@ -65,11 +65,11 @@ let fig2 ?(requests = 200_000) ?(loads = fig2_loads) () =
          in
          { discipline; k; points })
 
-let print_fig2 ?requests () =
+let print_fig2 ~requests () =
   Report.section
     "Figure 2: 99p response time vs load, size-unaware sharding (bimodal service, \
      pL=0.125%)";
-  let series = fig2 ?requests () in
+  let series = fig2 ~requests () in
   List.iter
     (fun (d : Queueing.Models.discipline) ->
       let of_k k =
@@ -176,23 +176,23 @@ let print_curves title curves =
 let fig3 ?scale ?loads () =
   run_curves ?scale ?loads Workload.Spec.default Experiment.all_designs
 
-let print_fig3 ?scale ?loads () =
+let print_fig3 ~scale () =
   Report.section "Figure 3: throughput vs 99p latency, default workload";
-  print_curves "default workload (95:5, pL=0.125%, sL=500KB)" (fig3 ?scale ?loads ())
+  print_curves "default workload (95:5, pL=0.125%, sL=500KB)" (fig3 ~scale ())
 
 let fig5 ?scale ?loads () =
   run_curves ?scale ?loads Workload.Spec.write_intensive Experiment.all_designs
 
-let print_fig5 ?scale ?loads () =
+let print_fig5 ~scale () =
   Report.section "Figure 5: throughput vs 99p latency, 50:50 GET:PUT";
-  print_curves "write-intensive workload" (fig5 ?scale ?loads ())
+  print_curves "write-intensive workload" (fig5 ~scale ())
 
 let fig4 ?scale ?loads () =
   run_curves ?scale ?loads Workload.Spec.default [ Kvserver.Design.minos; Kvserver.Design.hkh_ws ]
 
-let print_fig4 ?scale ?loads () =
+let print_fig4 ~scale () =
   Report.section "Figure 4: 99p latency of LARGE requests, default workload";
-  let curves = fig4 ?scale ?loads () in
+  let curves = fig4 ~scale () in
   let loads = List.map fst (List.hd curves).points in
   let rows =
     List.mapi
@@ -321,17 +321,17 @@ let print_slo_rows ~varied_label ~format_varied rows =
       [ varied_label; "SLO us"; "Minos"; "HKH"; "HKH+WS"; "SHO"; "xHKH"; "xWS"; "xSHO" ]
     rows_txt
 
-let print_fig6 ?scale ?p_values () =
+let print_fig6 ~scale () =
   Report.section "Figure 6: max throughput under 99p SLO vs % of large requests";
   print_slo_rows ~varied_label:"pL %"
     ~format_varied:(Printf.sprintf "%.4f")
-    (fig6 ?scale ?p_values ())
+    (fig6 ~scale ())
 
-let print_fig7 ?scale ?s_values () =
+let print_fig7 ~scale () =
   Report.section "Figure 7: max throughput under 99p SLO vs max large item size";
   print_slo_rows ~varied_label:"sL"
     ~format_varied:(fun s -> Printf.sprintf "%.0f KB" (s /. 1000.0))
-    (fig7 ?scale ?s_values ())
+    (fig7 ~scale ())
 
 (* ------------------------------------------------------------------ *)
 (* Figure 8 *)
@@ -355,10 +355,10 @@ let fig8 ?(scale = Experiment.full_scale) ?(samplings = [ 1.0; 0.75; 0.5; 0.25 ]
       { sampling; points = Experiment.sweep ~cfg Kvserver.Design.minos spec ~loads_mops:loads })
     samplings
 
-let print_fig8 ?scale () =
+let print_fig8 ~scale () =
   Report.section
     "Figure 8: Minos with more network bandwidth (reply sampling, pL=0.75)";
-  let series = fig8 ?scale () in
+  let series = fig8 ~scale () in
   let loads = List.map fst (List.hd series).points in
   let rows =
     List.mapi
@@ -416,7 +416,7 @@ let fig9 ?(scale = Experiment.full_scale) ?(p_values = [ 0.0625; 0.25; 0.75 ]) (
       })
     p_values
 
-let print_fig9 ?scale () =
+let print_fig9 ~scale () =
   Report.section "Figure 9: per-core load breakdown in Minos (at 2.0 Mops)";
   List.iter
     (fun row ->
@@ -433,7 +433,7 @@ let print_fig9 ?scale () =
         ~title:(Printf.sprintf "pL = %.4f%% (%d small cores)" row.p_large row.n_small)
         ~headers:[ "core"; "% ops"; "% packets" ]
         rows_txt)
-    (fig9 ?scale ())
+    (fig9 ~scale ())
 
 (* ------------------------------------------------------------------ *)
 (* Figure 10 *)
@@ -482,9 +482,9 @@ let fig10 ?(scale = Experiment.full_scale) ?(rate_mops = 2.0) () =
       List.map (fun (t, v) -> (t /. 1.0e6, v)) minos.Kvserver.Metrics.large_core_series;
   }
 
-let print_fig10 ?scale () =
+let print_fig10 ~scale () =
   Report.section "Figure 10: dynamic workload (pL cycles 0.125 -> 0.75 -> 0.125)";
-  let r = fig10 ?scale () in
+  let r = fig10 ~scale () in
   let cores_at t =
     (* The latest control decision at or before this window. *)
     List.fold_left
@@ -543,7 +543,7 @@ let fanout ?(scale = Experiment.full_scale) ?(fanouts = [ 1; 10; 40; 100 ])
       })
     fanouts
 
-let print_fanout ?scale () =
+let print_fanout ~scale () =
   Report.section
     "Fan-out analysis: p99 of a request that fans out to N parallel lookups (4 Mops)";
   let rows =
@@ -551,7 +551,7 @@ let print_fanout ?scale () =
       (fun r ->
         [ string_of_int r.fanout; Report.f1 r.minos_p99_us; Report.f1 r.hkh_p99_us;
           Printf.sprintf "%.1fx" (r.hkh_p99_us /. r.minos_p99_us) ])
-      (fanout ?scale ())
+      (fanout ~scale ())
   in
   Report.table ~title:"max-of-N response time, default workload"
     ~headers:[ "fan-out N"; "Minos p99 us"; "HKH p99 us"; "gap" ]
@@ -563,7 +563,7 @@ let print_fanout ?scale () =
 (* ------------------------------------------------------------------ *)
 (* Ablations *)
 
-let print_ablation_threshold ?(scale = Experiment.full_scale) () =
+let print_ablation_threshold ~scale () =
   Report.section
     "Ablation: adaptive vs static threshold (write-intensive, cf. §6.2)";
   let cfg = Experiment.config_of_scale scale in
@@ -587,7 +587,7 @@ let print_ablation_threshold ?(scale = Experiment.full_scale) () =
     ~headers:[ "variant"; "tput Mops"; "p99 us"; "threshold B" ]
     rows
 
-let print_ablation_cost_fn ?(scale = Experiment.full_scale) () =
+let print_ablation_cost_fn ~scale () =
   Report.section "Ablation: control-loop cost function";
   let base = Experiment.config_of_scale scale in
   let rows =
@@ -608,7 +608,7 @@ let print_ablation_cost_fn ?(scale = Experiment.full_scale) () =
     ~headers:[ "cost fn"; "tput Mops"; "p99 us"; "large cores" ]
     rows
 
-let print_ablation_steal ?(scale = Experiment.full_scale) () =
+let print_ablation_steal ~scale () =
   Report.section "Ablation: large-core RX stealing (future-work variant of §6.1)";
   let base = Experiment.config_of_scale scale in
   let rows =
@@ -628,7 +628,9 @@ let print_ablation_steal ?(scale = Experiment.full_scale) () =
     ~headers:[ "variant"; "p99 us"; "large p99 us"; "large cores" ]
     rows
 
-let print_ablation_erew ?(scale = Experiment.full_scale) () =
+(* The paper picks CREW for HKH (§5.2): "This policy performs the best
+   on skewed read-dominated workloads". *)
+let print_ablation_erew ~scale () =
   Report.section "Ablation: HKH dispatch mode — CREW vs EREW under zipf skew";
   let base = Experiment.config_of_scale scale in
   let rows =
@@ -654,7 +656,7 @@ let print_ablation_erew ?(scale = Experiment.full_scale) () =
     ~headers:[ "mode"; "offered Mops"; "p99 us"; "hottest core / mean" ]
     rows
 
-let print_ablation_epoch ?(scale = Experiment.full_scale) () =
+let print_ablation_epoch ~scale () =
   Report.section "Ablation: control epoch length and smoothing alpha (dynamic workload)";
   let phase p =
     { Workload.Dynamic.duration_us = scale.Experiment.phase_us /. 2.0; p_large = p }
@@ -693,3 +695,53 @@ let print_ablation_epoch ?(scale = Experiment.full_scale) () =
   Report.table ~title:"windowed p99 across a pL step (2.25 Mops)"
     ~headers:[ "epoch ms"; "alpha"; "mean p99 us"; "worst p99 us" ]
     rows
+
+(* ------------------------------------------------------------------ *)
+(* Multi-NUMA scaling (§3): Minos at 3 Mops per domain *)
+
+let print_numa ~scale () =
+  Report.section "Multi-NUMA scaling (independent per-domain instances, §3)";
+  let rows =
+    List.map
+      (fun domains ->
+        let r =
+          Numa.run ~domains
+            { Run.default with Run.scale; offered_mops = Some (3.0 *. float_of_int domains) }
+        in
+        [
+          string_of_int domains;
+          Printf.sprintf "%.2f" r.Numa.total_throughput_mops;
+          Report.f1 r.Numa.p50_us;
+          Report.f1 r.Numa.p99_us;
+          (if r.Numa.stable then "yes" else "no");
+        ])
+      [ 1; 2; 4 ]
+  in
+  Report.table ~title:"Minos at 3 Mops per domain"
+    ~headers:[ "domains"; "tput Mops"; "p50 us"; "p99 us"; "stable" ]
+    rows
+
+let table =
+  let scaled print quick = print ~scale:(Experiment.scale_of ~quick) () in
+  [
+    ("fig1", ("service time vs item size", fun _ -> print_fig1 ()));
+    ( "fig2",
+      ( "queueing models of size-unaware sharding",
+        fun quick -> print_fig2 ~requests:(if quick then 60_000 else 300_000) () ) );
+    ("table1", ("item size variability profiles", fun _ -> print_table1 ()));
+    ("fig3", ("throughput vs 99p, default workload", scaled print_fig3));
+    ("fig4", ("99p of large requests", scaled print_fig4));
+    ("fig5", ("throughput vs 99p, 50:50", scaled print_fig5));
+    ("fig6", ("max throughput under SLO vs pL", scaled print_fig6));
+    ("fig7", ("max throughput under SLO vs sL", scaled print_fig7));
+    ("fig8", ("network bandwidth scaling (sampling)", scaled print_fig8));
+    ("fig9", ("per-core load breakdown", scaled print_fig9));
+    ("fig10", ("dynamic workload", scaled print_fig10));
+    ("fanout", ("tail-at-scale fan-out analysis", scaled print_fanout));
+    ("ablation-threshold", ("adaptive vs static threshold", scaled print_ablation_threshold));
+    ("ablation-cost", ("control-loop cost functions", scaled print_ablation_cost_fn));
+    ("ablation-steal", ("large-core RX stealing variant", scaled print_ablation_steal));
+    ("ablation-epoch", ("epoch length / smoothing sensitivity", scaled print_ablation_epoch));
+    ("ablation-erew", ("HKH CREW vs EREW dispatch under skew", scaled print_ablation_erew));
+    ("numa", ("multi-NUMA-domain scaling", scaled print_numa));
+  ]

@@ -1,6 +1,7 @@
 (** One runner per table/figure of the paper's evaluation (see DESIGN.md's
-    per-experiment index).  Each [figN] returns the figure's data; each
-    [print_figN] renders it as a text table the way the paper reports it.
+    per-experiment index).  Each [figN] returns the figure's data; its
+    {!table} entry renders it as a text table the way the paper reports
+    it.
 
     All runners accept a {!Experiment.scale} so tests can run miniature
     versions ([Experiment.quick_scale]) while the benchmark harness runs
@@ -14,8 +15,6 @@ val fig1 : unit -> (int * float) list
 (** Closed-loop (no queueing) service latency for GETs of each size:
     pipeline + CPU + reply wire time. *)
 
-val print_fig1 : unit -> unit
-
 (** {1 Figure 2 — queueing simulation of size-unaware sharding} *)
 
 type fig2_series = {
@@ -26,14 +25,10 @@ type fig2_series = {
 
 val fig2 : ?requests:int -> ?loads:float list -> unit -> fig2_series list
 
-val print_fig2 : ?requests:int -> unit -> unit
-
 (** {1 Table 1 — item size variability profiles} *)
 
 val table1 : ?mc_samples:int -> unit -> (float * int * float * float) list
 (** (p_l, s_l, analytic % data large, Monte-Carlo % data large). *)
-
-val print_table1 : unit -> unit
 
 (** {1 Figures 3/5 — throughput vs 99p latency, default and 50:50} *)
 
@@ -44,18 +39,12 @@ type curve = {
 
 val fig3 : ?scale:scale -> ?loads:float list -> unit -> curve list
 
-val print_fig3 : ?scale:scale -> ?loads:float list -> unit -> unit
-
 val fig5 : ?scale:scale -> ?loads:float list -> unit -> curve list
-
-val print_fig5 : ?scale:scale -> ?loads:float list -> unit -> unit
 
 (** {1 Figure 4 — 99p latency of large requests} *)
 
 val fig4 : ?scale:scale -> ?loads:float list -> unit -> curve list
 (** Minos and HKH+WS only; read [large_p99_us] from the metrics. *)
-
-val print_fig4 : ?scale:scale -> ?loads:float list -> unit -> unit
 
 (** {1 Figures 6/7 — max throughput under an SLO} *)
 
@@ -70,11 +59,7 @@ type slo_row = {
 
 val fig6 : ?scale:scale -> ?p_values:float list -> unit -> slo_row list
 
-val print_fig6 : ?scale:scale -> ?p_values:float list -> unit -> unit
-
 val fig7 : ?scale:scale -> ?s_values:int list -> unit -> slo_row list
-
-val print_fig7 : ?scale:scale -> ?s_values:int list -> unit -> unit
 
 (** {1 Figure 8 — scaling with network bandwidth via reply sampling} *)
 
@@ -85,8 +70,6 @@ type fig8_series = {
 
 val fig8 : ?scale:scale -> ?samplings:float list -> ?loads:float list -> unit ->
   fig8_series list
-
-val print_fig8 : ?scale:scale -> unit -> unit
 
 (** {1 Figure 9 — per-core load breakdown} *)
 
@@ -99,8 +82,6 @@ type fig9_row = {
 
 val fig9 : ?scale:scale -> ?p_values:float list -> unit -> fig9_row list
 
-val print_fig9 : ?scale:scale -> unit -> unit
-
 (** {1 Figure 10 — dynamic workload} *)
 
 type fig10_result = {
@@ -110,8 +91,6 @@ type fig10_result = {
 }
 
 val fig10 : ?scale:scale -> ?rate_mops:float -> unit -> fig10_result
-
-val print_fig10 : ?scale:scale -> unit -> unit
 
 (** {1 Fan-out analysis (the §1 motivation, quantified)} *)
 
@@ -128,24 +107,15 @@ val fanout : ?scale:scale -> ?fanouts:int list -> ?load:float -> unit -> fanout_
     head-of-line blocking compounds with fan-out: with N = 100, {e most}
     user operations hit the server's tail. *)
 
-val print_fanout : ?scale:scale -> unit -> unit
+(** {1 The printable figures} *)
 
-(** {1 Ablations (beyond the paper's figures)} *)
-
-val print_ablation_threshold : ?scale:scale -> unit -> unit
-(** Adaptive vs static threshold on the write-intensive workload (§6.2). *)
-
-val print_ablation_cost_fn : ?scale:scale -> unit -> unit
-(** Packets vs bytes vs constant+bytes control-loop cost functions. *)
-
-val print_ablation_steal : ?scale:scale -> unit -> unit
-(** §6.1 variant: extra large core + RX stealing by idle large cores. *)
-
-val print_ablation_epoch : ?scale:scale -> unit -> unit
-(** Control-epoch length and smoothing-α sensitivity on the dynamic
-    workload. *)
-
-val print_ablation_erew : ?scale:scale -> unit -> unit
-(** MICA CREW vs EREW dispatch for the HKH baseline under zipfian skew
-    (the paper picks CREW, §5.2: "This policy performs the best on skewed
-    read-dominated workloads"). *)
+val table : (string * (string * (bool -> unit))) list
+(** Every printable figure by name, with a one-line description and its
+    printer, in report order: fig1, fig2, table1, fig3-fig10, fanout, the
+    ablations
+    (adaptive vs static threshold, control-loop cost functions, RX
+    stealing, epoch/smoothing sensitivity, HKH CREW vs EREW under skew)
+    and numa (Minos at 3 Mops per NUMA domain, for 1, 2 and 4 domains).
+    The printer's argument is the quick flag: it picks
+    {!Experiment.scale_of} and fig2's request count (60k quick, 300k
+    full).  [minos figure] and [bench] both read this table. *)

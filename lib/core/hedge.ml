@@ -59,13 +59,28 @@ let audit_plan ~shards ~mirrors =
                  Shardmgr.Plan.Add_replica { shard; at_us = 0.0 })));
   }
 
-let run ?(config = config_of_scale Experiment.full_scale) ?(seed = 1)
-    ?trace_out ?(workload = Workload.Spec.default) ~offered_mops () =
+let run ?shards ?mirrors ?cores ?hedge_quantile ?detect_us (r : Run.t) =
+  let base = config_of_scale r.Run.scale in
+  let server = base.Kvhedge.Config.server in
+  let ( |? ) v d = Option.value v ~default:d in
+  let config =
+    {
+      base with
+      Kvhedge.Config.shards = shards |? base.Kvhedge.Config.shards;
+      mirrors = mirrors |? base.Kvhedge.Config.mirrors;
+      hedge_quantile = hedge_quantile |? base.Kvhedge.Config.hedge_quantile;
+      detect_us;
+      server = { server with Kvserver.Config.cores = cores |? server.Kvserver.Config.cores };
+    }
+  in
   (match Kvhedge.Config.validate config with
   | Ok () -> ()
   | Error msg -> invalid_arg ("Hedge.run: " ^ msg));
   if config.Kvhedge.Config.mirrors < 1 then
     invalid_arg "Hedge.run: tail-cutting needs at least one mirror per shard";
+  let workload = Run.flat r in
+  let seed = r.Run.seed in
+  let offered_mops = Option.value r.Run.offered_mops ~default:8.0 in
   let shards = config.Kvhedge.Config.shards in
   let mirrors = config.Kvhedge.Config.mirrors in
   let server = config.Kvhedge.Config.server in
@@ -121,7 +136,7 @@ let run ?(config = config_of_scale Experiment.full_scale) ?(seed = 1)
     (* The traced variant's kill / recover / hedge-delay instants go on
        one pseudo-process's decision track. *)
     let ins =
-      match trace_out with
+      match r.Run.trace_out with
       | Some _ when label = traced ->
           let ins = Obs.Instrument.create ~server:0 ~spans:1 ~timeline:false ~cores:1 ~seed:0 () in
           Kvhedge.Cluster.set_log c ins.Obs.Instrument.decisions;
@@ -141,7 +156,7 @@ let run ?(config = config_of_scale Experiment.full_scale) ?(seed = 1)
   in
   let results = Par.map_list job variants in
   let entries = List.map fst results in
-  (match (trace_out, List.find_map snd results) with
+  (match (r.Run.trace_out, List.find_map snd results) with
   | Some path, Some ins -> Obs.Chrome_trace.write_cluster ~path [ ("hedge", ins) ]
   | _ -> ());
   (* The hedge tax, measured where hedging buys nothing: the fault-free
@@ -329,3 +344,5 @@ let to_json t =
         ("audit", Shardmgr.Protocol.to_json t.audit);
         ("entries", List (List.map entry_json t.entries));
       ])
+
+let report = { Run.noun = "hedge"; print; to_json; check }

@@ -48,28 +48,24 @@ type t = {
       (** key-level conservation across the crash *)
 }
 
-val config_of_scale : Experiment.scale -> Kvhedge.Config.t
-(** {!Kvhedge.Config.default} with {!Experiment.config_of_scale} servers
-    (the scale's duration / warmup / epoch). *)
-
 val run :
-  ?config:Kvhedge.Config.t ->
-  ?seed:int ->
-  ?trace_out:string ->
-  ?workload:Workload.Spec.t ->
-  offered_mops:float ->
-  unit ->
+  ?shards:int ->
+  ?mirrors:int ->
+  ?cores:int ->
+  ?hedge_quantile:float ->
+  ?detect_us:float ->
+  Run.t ->
   t
-(** Run the nine-variant grid.  [workload] (default
-    {!Workload.Spec.default}) is a flat request mix: scenario extras
-    (arrivals, TTL, scans, memory budget) are single-engine features.
-    [config] defaults to
-    {!config_of_scale}[ Experiment.full_scale]; its [mode], [route] and
-    [design] fields are overridden per variant, everything else
-    (topology, server config, quantile, budget, detector) applies to
-    all.  [trace_out] writes a
-    Chrome trace whose decision track carries the traced hedged-kill
-    variant's kill / recover / hedge-delay instants
+(** Run the nine-variant grid on the run's flat mix ({!Run.flat}):
+    scenario extras (arrivals, TTL, scans, memory budget) are
+    single-engine features.  The cluster is {!Kvhedge.Config.default}
+    with {!Run.config} servers, except for the topology and tail knobs
+    given here: [shards], [mirrors], worker [cores] per server, the
+    [hedge_quantile] tracked as the hedge delay and the failure detector
+    timeout [detect_us].  The variants override [mode], [route] and
+    [design].  The offered load defaults to 8.0 Mops.  The run's
+    [trace_out] writes a Chrome trace whose decision track carries the
+    traced hedged-kill variant's kill / recover / hedge-delay instants
     ({!Obs.Decision_log.record_hedge}).  Raises [Invalid_argument] on an
     invalid config or [mirrors = 0] (tail-cutting needs a replica to
     hedge to). *)
@@ -90,3 +86,6 @@ val to_json : t -> Obs.Json.t
 (** The BENCH_hedge.json payload: per-entry latency quantiles, the copy
     ["ledger"] and the ["requests"] ledger, the crash window, the hedge
     tax and the key audit — everything {!check} asserts. *)
+
+val report : t Run.report
+(** {!print}, {!to_json} and {!check} under the noun ["hedge"]. *)

@@ -7,9 +7,12 @@ type result = {
   stable : bool;
 }
 
-let run ?cfg ?(design = Kvserver.Design.minos) ?(seed = 1) ~domains spec ~offered_mops =
+let run ~domains (r : Run.t) =
   if domains < 1 then invalid_arg "Numa.run: need at least one domain";
-  let cfg = match cfg with Some c -> c | None -> Experiment.config_of_scale Experiment.full_scale in
+  let cfg = Run.config r in
+  let spec = Run.flat r in
+  let seed = r.Run.seed in
+  let offered_mops = Option.value r.Run.offered_mops ~default:3.0 in
   (* Each domain owns a disjoint key-space slice: same size distribution,
      1/domains of the keys and of the large keys. *)
   let domain_spec =
@@ -31,7 +34,7 @@ let run ?cfg ?(design = Kvserver.Design.minos) ?(seed = 1) ~domains spec ~offere
         in
         let cfg = { cfg with Kvserver.Config.seed = cfg.Kvserver.Config.seed + d } in
         let eng = Kvserver.Engine.create cfg gen ~offered_mops:per_rate in
-        let metrics = Kvserver.Engine.run eng (Experiment.maker design) in
+        let metrics = Kvserver.Engine.run eng (Experiment.maker r.Run.design) in
         (metrics, Kvserver.Engine.raw_latencies eng))
   in
   let per_domain = List.map fst runs in

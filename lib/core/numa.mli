@@ -21,14 +21,8 @@ type result = {
   stable : bool; (** all domains stable *)
 }
 
-val run :
-  ?cfg:Kvserver.Config.t ->
-  ?design:Experiment.design ->
-  ?seed:int ->
-  domains:int ->
-  Workload.Spec.t ->
-  offered_mops:float ->
-  result
-(** [run ~domains spec ~offered_mops] simulates [domains] independent
-    instances, each with the per-domain share of keys and load, and
-    combines the results.  [offered_mops] is the total across domains. *)
+val run : domains:int -> Run.t -> result
+(** [run ~domains r] simulates [domains] independent instances of the
+    run's design, each with the per-domain share of the keys of its flat
+    mix ({!Run.flat}) and of its offered load (default 3.0 Mops, the
+    total across domains), and combines the results. *)

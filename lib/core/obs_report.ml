@@ -21,14 +21,19 @@ let print_anatomy (a : Obs.Anatomy.t) =
   Report.note "spans: %d complete; component sums match end-to-end within %.4f us"
     a.Obs.Anatomy.spans_used a.Obs.Anatomy.max_sum_error_us
 
-let run ?(scale = Experiment.full_scale) ?(design = Kvserver.Design.minos) ?(seed = 1)
-    ?(spans = 65536) ?(sample_rate = 1.0) ?trace_out spec ~offered_mops =
-  let cfg = Experiment.config_of_scale scale in
+let run ?(spans = 65536) ?(sample_rate = 1.0) (run : Run.t) =
+  let cfg = Run.config run in
+  let design = run.Run.design in
   let obs =
     Obs.Instrument.create ~spans ~sample_rate ~cores:cfg.Kvserver.Config.cores
-      ~seed:(cfg.Kvserver.Config.seed + seed) ()
+      ~seed:(cfg.Kvserver.Config.seed + run.Run.seed) ()
   in
-  let metrics = Experiment.run ~cfg ~obs ~seed design spec ~offered_mops in
+  let spec =
+    Run.spec { run with Run.workload = Workload.Scenario.of_spec (Run.flat run) }
+    |> Experiment.Spec.with_obs obs
+  in
+  let offered_mops = spec.Experiment.Spec.offered_mops in
+  let metrics = Experiment.run_spec spec in
   let anatomy = Obs.Anatomy.compute obs.Obs.Instrument.recorder in
   Report.section
     (Printf.sprintf "Latency anatomy: %s at %.2f Mops"
@@ -49,7 +54,7 @@ let run ?(scale = Experiment.full_scale) ?(design = Kvserver.Design.minos) ?(see
     Report.note "control: %d epochs, %d core-count changes, final threshold %s B"
       (Obs.Decision_log.length d) (Obs.Decision_log.moves d)
       (Report.f0 (Obs.Decision_log.threshold d (Obs.Decision_log.length d - 1)));
-  (match trace_out with
+  (match run.Run.trace_out with
   | None -> ()
   | Some path ->
       Obs.Chrome_trace.write ~path

@@ -13,17 +13,13 @@ val print_anatomy : Obs.Anatomy.t -> unit
     the anatomy themselves. *)
 
 val run :
-  ?scale:Experiment.scale ->
-  ?design:Experiment.design ->
-  ?seed:int ->
   ?spans:int ->
   ?sample_rate:float ->
-  ?trace_out:string ->
-  Workload.Spec.t ->
-  offered_mops:float ->
+  Run.t ->
   Obs.Instrument.t * Obs.Anatomy.t * Kvserver.Metrics.t
-(** Run one instrumented point and print the report.  [spans] bounds the
-    recorder ring, [sample_rate] the fraction of requests recorded,
-    [trace_out] names the Chrome trace JSON to write.  Returns the
+(** Run the run's point ({!Run.spec}) on its flat mix ({!Run.flat}) with
+    a flight recorder attached, and print the report.  [spans] bounds the
+    recorder ring, [sample_rate] the fraction of requests recorded; the
+    run's [trace_out] names the Chrome trace JSON to write.  Returns the
     instrument (for exporters/tests), the computed anatomy and the run's
     metrics. *)

@@ -44,27 +44,31 @@ let manager_plan ~mcfg ~window_us ~duration_us ~servers ~plan
   ( { plan with Shardmgr.Plan.events = plan.Shardmgr.Plan.events @ events },
     List.length events )
 
-let run ?cfg ?(design = Kvserver.Design.minos) ?(baseline = Kvserver.Design.hkh)
-    ?vnodes ?groups ?probe ?(seed = 1) ?manage ?fault ?trace_out ?spans
-    ?sample_rate ~servers ~plan workload ~offered_mops () =
-  let cfg =
-    match cfg with
-    | Some c -> c
-    | None ->
-        let s = Experiment.full_scale in
-        {
-          (Experiment.config_of_scale s) with
-          Kvserver.Config.window_us = Some s.Experiment.window_us;
-        }
-  in
-  let dataset = Experiment.dataset_for workload in
+let run ?vnodes ?groups ?manage ?(servers = 4) ?plan (r : Run.t) =
+  (* The run's scale with its p99 window on: the timeline and manage
+     mode read it. *)
+  let window_us = r.Run.scale.Experiment.window_us in
+  let cfg = { (Run.config r) with Kvserver.Config.window_us = Some window_us } in
   let duration_us = cfg.Kvserver.Config.duration_us in
+  let plan =
+    match plan with
+    | Some p -> p
+    | None ->
+        Option.get
+          (Shardmgr.Plan.canned "add-remove" ~warmup_us:cfg.Kvserver.Config.warmup_us
+             ~duration_us)
+  in
+  let workload = Run.flat r in
+  let seed = r.Run.seed in
+  let offered_mops = Option.value r.Run.offered_mops ~default:8.0 in
+  let design = r.Run.design in
+  let dataset = Experiment.dataset_for workload in
   let compile plan =
-    Shardmgr.Table.compile ?vnodes ?groups ?probe ~seed ~servers ~workload
+    Shardmgr.Table.compile ?vnodes ?groups ~seed ~servers ~workload
       ~dataset ~duration_us ~offered_mops plan
   in
   let go ?instrument design table =
-    Shardmgr.Run.run ~seed ?fault ?instrument ~map:Par.map_list ~cfg ~design
+    Shardmgr.Run.run ~seed ?instrument ~map:Par.map_list ~cfg ~design
       ~workload ~table ()
   in
   (* Managed mode is two deterministic passes: record the per-shard p99
@@ -75,31 +79,24 @@ let run ?cfg ?(design = Kvserver.Design.minos) ?(baseline = Kvserver.Design.hkh)
     match manage with
     | None -> (plan, 0)
     | Some mcfg ->
-        let window_us =
-          match cfg.Kvserver.Config.window_us with
-          | Some w -> w
-          | None ->
-              invalid_arg "Reshard.run: manage mode needs cfg.window_us"
-        in
         let pass1 = go design (compile plan) in
         manager_plan ~mcfg ~window_us ~duration_us ~servers ~plan pass1
   in
   let table = compile plan in
   let n_servers = Shardmgr.Table.n_servers table in
   let instruments =
-    match trace_out with
+    match r.Run.trace_out with
     | None -> None
     | Some _ ->
         Some
           (Array.init n_servers (fun s ->
-               Obs.Instrument.create ~server:s ?spans ?sample_rate
-                 ~cores:cfg.Kvserver.Config.cores
+               Obs.Instrument.create ~server:s ~cores:cfg.Kvserver.Config.cores
                  ~seed:(seed + (97 * s) + 0x0b5) ()))
   in
   let instrument = Option.map (fun arr s -> arr.(s)) instruments in
   let main = go ?instrument design table in
-  let baseline = go baseline table in
-  (match (trace_out, instruments) with
+  let baseline = go r.Run.baseline table in
+  (match (r.Run.trace_out, instruments) with
   | Some path, Some arr ->
       (* One pseudo-process carries the planned reshard schedule, so the
          drain / dual / cutover / replica marks land on their own track
@@ -290,3 +287,5 @@ let to_json t =
         ("main", run_json t.main);
         ("baseline", run_json t.baseline);
       ])
+
+let report = { Run.noun = "reshard"; print; to_json; check }

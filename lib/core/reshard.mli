@@ -26,35 +26,25 @@ type t = {
 }
 
 val run :
-  ?cfg:Kvserver.Config.t ->
-  ?design:Kvserver.Design.t ->
-  ?baseline:Kvserver.Design.t ->
   ?vnodes:int ->
   ?groups:int ->
-  ?probe:int ->
-  ?seed:int ->
   ?manage:Shardmgr.Manager.cfg ->
-  ?fault:Fault.Plan.t ->
-  ?trace_out:string ->
-  ?spans:int ->
-  ?sample_rate:float ->
-  servers:int ->
-  plan:Shardmgr.Plan.t ->
-  Workload.Spec.t ->
-  offered_mops:float ->
-  unit ->
+  ?servers:int ->
+  ?plan:Shardmgr.Plan.t ->
+  Run.t ->
   t
-(** [design] defaults to {!Kvserver.Design.minos}, [baseline] to
-    {!Kvserver.Design.hkh}; both replay the same compiled table.  The
-    workload is a flat request mix: scenario extras (arrivals, TTL,
-    scans, memory budget) are single-engine features.  The
-    default [cfg] is {!Experiment.full_scale} with its p99 window
-    enabled (a caller-supplied [cfg] needs [window_us] set to get the
-    timeline, and manage mode requires it).  [trace_out] writes a merged
-    Chrome trace of the main run: one process per server plus a
+(** Replay [plan] (default: the canned [add-remove] over the run's
+    windows) against [servers] base shards (default 4) at the run's
+    offered load (default 8.0 Mops), under the run's design and again
+    under its baseline; both replay the same compiled table.  The
+    workload is the run's flat mix ({!Run.flat}): scenario extras
+    (arrivals, TTL, scans, memory budget) are single-engine features.
+    The engines run {!Run.config} with the scale's p99 window on, which
+    the timeline and manage mode read.  The run's [trace_out] writes a
+    merged Chrome trace of the main run: one process per server plus a
     "shardmgr" pseudo-process whose track carries the planned drain /
-    dual-route / cutover / replica marks.  Remaining knobs pass through
-    to {!Shardmgr.Table.compile} and {!Shardmgr.Run.run}. *)
+    dual-route / cutover / replica marks.  [vnodes] and [groups] pass
+    through to {!Shardmgr.Table.compile}. *)
 
 val check : t -> (unit, string) result
 (** The headline claims: at least one cutover happened, and in both
@@ -72,3 +62,6 @@ val to_json : t -> Obs.Json.t
 (** The BENCH_reshard.json payload: the event schedule, and per design
     the aggregate metrics, the cluster ["ledger"], p99 timeline,
     migration vs steady p99 and protocol audit counts. *)
+
+val report : t Run.report
+(** {!print}, {!to_json} and {!check} under the noun ["reshard"]. *)

@@ -11,12 +11,10 @@ let suite = [ "diurnal"; "bursts"; "ttl-churn"; "scan-heavy"; "cold-tier" ]
 
 let designs () = [ Kvserver.Design.minos; Kvserver.Design.hkh ]
 
-let run ?cfg ?(seed = 1) ?(offered_mops = 2.5) ?(names = suite) () =
-  let cfg =
-    match cfg with
-    | Some c -> c
-    | None -> Experiment.config_of_scale Experiment.full_scale
-  in
+let run ?(names = suite) (r : Run.t) =
+  let cfg = Run.config r in
+  let seed = r.Run.seed in
+  let offered_mops = Option.value r.Run.offered_mops ~default:2.5 in
   let points =
     List.concat_map
       (fun name ->
@@ -157,3 +155,5 @@ let to_json t =
         ("offered_mops", Float t.offered_mops);
         ("scenarios", Obj (List.map scenario (scenario_names t)));
       ])
+
+let report = { Run.noun = "scenario"; print; to_json; check }

@@ -25,15 +25,10 @@ type t = { seed : int; offered_mops : float; rows : row list }
 val suite : string list
 (** [["diurnal"; "bursts"; "ttl-churn"; "scan-heavy"; "cold-tier"]]. *)
 
-val run :
-  ?cfg:Kvserver.Config.t ->
-  ?seed:int ->
-  ?offered_mops:float ->
-  ?names:string list ->
-  unit ->
-  t
-(** Run [names] (default {!suite}) × [minos; hkh] at [offered_mops]
-    (default 2.5).  Raises [Invalid_argument] on an unregistered name. *)
+val run : ?names:string list -> Run.t -> t
+(** Run [names] (default {!suite}) × [minos; hkh] at the run's scale,
+    seed and offered load (default 2.5 Mops); each scenario brings its
+    own workload.  Raises [Invalid_argument] on an unregistered name. *)
 
 val check : t -> (unit, string) result
 (** The run's headline claims: every row telescopes; under [scan-heavy]
@@ -48,3 +43,6 @@ val print : t -> unit
 val to_json : t -> Obs.Json.t
 (** The BENCH_scenarios.json payload: per scenario and design, the
     tails, residency counters and the row's ["ledger"]. *)
+
+val report : t Run.report
+(** {!print}, {!to_json} and {!check} under the noun ["scenario"]. *)

@@ -90,7 +90,6 @@ type info = {
    parser below accepts this whole set uniformly. *)
 let common_knobs =
   [
-    ("load", "ignored here; kept for CLI symmetry");
     ("p_large", "percentage of large requests (0..100)");
     ("s_large", "max large item size, bytes");
     ("get_ratio", "fraction of GETs (0..1)");
@@ -162,7 +161,6 @@ let finite_knob k v =
 let apply_knob t (k, v) =
   let ( let* ) = Result.bind in
   match String.lowercase_ascii k with
-  | "load" -> Ok t (* consumed by the CLI, inert here *)
   | "p_large" ->
       let* f = float_knob v in
       Ok { t with spec = { t.spec with Spec.p_large = f } }

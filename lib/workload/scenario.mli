@@ -43,8 +43,9 @@ val flat : t -> (Spec.t, string) result
 (** The flat request mix, when every scenario extra is inert (Poisson,
     no TTL / scans / budget / replay) — i.e. the run reduces to the
     original spec path.  Otherwise an error naming the active extras:
-    drivers that run only the mix (cluster, reshard, hedge) refuse such
-    a scenario rather than silently drop its extras. *)
+    runners that run only the mix (sweep, slo, obs, numa, cluster,
+    reshard, hedge, through [Minos.Run.flat]) refuse such a scenario
+    rather than silently drop its extras. *)
 
 val generator : ?seed:int -> t -> Dataset.t -> Generator.t
 (** A generator for the scenario's mix (including its scan knobs). *)

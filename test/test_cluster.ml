@@ -365,12 +365,10 @@ let test_fanout_p99_grows_with_degree () =
 (* End-to-end cluster runs (quick scale) *)
 
 let scale = Minos.Experiment.quick_scale
-let cfg = Minos.Experiment.config_of_scale scale
 
 let cluster_run ?(servers = 2) ?policy ?rebalance () =
-  Minos.Cluster.run ~cfg ?policy ?rebalance ~servers ~seed:3
-    ~fanouts:[ 1; 2; 4; 8 ] ~trials:5_000 Workload.Spec.default
-    ~offered_mops:4.0
+  Minos.Cluster.run ?policy ?rebalance ~servers ~fanouts:[ 1; 2; 4; 8 ] ~trials:5_000
+    { Minos.Run.default with Minos.Run.scale; seed = 3; offered_mops = Some 4.0 }
 
 let test_cluster_deterministic_across_jobs () =
   (* The whole point of the probe/thinning construction: reruns at the

@@ -124,9 +124,16 @@ let test_trace_driven_simulation () =
 (* NUMA *)
 
 let test_numa_domains_scale_throughput () =
-  let cfg = Minos.Experiment.config_of_scale Minos.Experiment.quick_scale in
-  let one = Minos.Numa.run ~cfg ~domains:1 small_spec ~offered_mops:3.0 in
-  let two = Minos.Numa.run ~cfg ~domains:2 small_spec ~offered_mops:6.0 in
+  let run offered_mops =
+    {
+      Minos.Run.default with
+      Minos.Run.scale = Minos.Experiment.quick_scale;
+      workload = Workload.Scenario.of_spec small_spec;
+      offered_mops = Some offered_mops;
+    }
+  in
+  let one = Minos.Numa.run ~domains:1 (run 3.0) in
+  let two = Minos.Numa.run ~domains:2 (run 6.0) in
   check bool "single stable" true one.Minos.Numa.stable;
   check bool "dual stable at 2x load" true two.Minos.Numa.stable;
   if two.Minos.Numa.total_throughput_mops < 1.9 *. one.Minos.Numa.total_throughput_mops
@@ -139,7 +146,7 @@ let test_numa_domains_scale_throughput () =
 
 let test_numa_validation () =
   Alcotest.check_raises "domains" (Invalid_argument "Numa.run: need at least one domain")
-    (fun () -> ignore (Minos.Numa.run ~domains:0 small_spec ~offered_mops:1.0))
+    (fun () -> ignore (Minos.Numa.run ~domains:0 Minos.Run.default))
 
 let () =
   Alcotest.run "extensions"

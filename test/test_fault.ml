@@ -362,9 +362,10 @@ let test_watchdog_depth_floor () =
 (* ------------------------------------------------------------------ *)
 (* End to end: determinism and loss accounting on the dsim engine *)
 
-let tiny_config () =
-  let c = Minos.Experiment.config_of_scale Minos.Experiment.quick_scale in
-  { c with Kvserver.Config.warmup_us = 20_000.0; duration_us = 120_000.0 }
+let tiny_scale =
+  { Minos.Experiment.quick_scale with warmup_us = 20_000.0; duration_us = 120_000.0 }
+
+let tiny_config () = Minos.Experiment.config_of_scale tiny_scale
 
 let canned_for cfg name =
   Option.get
@@ -379,10 +380,9 @@ let test_chaos_rerun_byte_identical () =
   let cfg = tiny_config () in
   let plan = canned_for cfg "loss10" in
   let run () =
-    {
-      Minos.Chaos.seed = 5;
-      rows = Minos.Chaos.run_plan ~cfg ~seed:5 ~offered_mops:7.0 plan;
-    }
+    Minos.Chaos.run_plan
+      { Minos.Run.default with Minos.Run.scale = tiny_scale; seed = 5; offered_mops = Some 7.0 }
+      plan
   in
   let a = Obs.Json.to_string (Minos.Chaos.to_json (run ())) in
   let b = Obs.Json.to_string (Minos.Chaos.to_json (run ())) in
@@ -417,9 +417,9 @@ let test_chaos_trace_byte_identical () =
 let test_chaos_check () =
   (* The bench target's gate, at the bench's own (quick) scale, on the
      three plans it names. *)
-  let cfg = Minos.Experiment.config_of_scale Minos.Experiment.quick_scale in
   let t =
-    Minos.Chaos.run ~cfg ~seed:1 ~plans:[ "core-stall"; "loss10"; "overload" ] ()
+    Minos.Chaos.run ~plans:[ "core-stall"; "loss10"; "overload" ]
+      { Minos.Run.default with Minos.Run.scale = Minos.Experiment.quick_scale }
   in
   (match Minos.Chaos.check t with
   | Ok () -> ()

@@ -328,7 +328,23 @@ let test_failover_budget () =
 (* Experiment driver: the nine-variant grid, jobs-invariant, audited *)
 
 let test_experiment_grid () =
-  let go () = Minos.Hedge.run ~config:(tiny ()) ~seed:3 ~offered_mops:2.0 () in
+  (* [tiny ()]'s topology and server timing, through the runner's own
+     configuration. *)
+  let run =
+    {
+      Minos.Run.default with
+      Minos.Run.scale =
+        {
+          Minos.Experiment.quick_scale with
+          duration_us = 40_000.0;
+          warmup_us = 10_000.0;
+          epoch_us = 8_000.0;
+        };
+      seed = 3;
+      offered_mops = Some 2.0;
+    }
+  in
+  let go () = Minos.Hedge.run ~shards:2 ~cores:4 run in
   let t1 = with_jobs 1 go in
   let t4 = with_jobs 4 go in
   check bool "byte-identical at any MINOS_JOBS" true (compare t1 t4 = 0);
@@ -355,7 +371,7 @@ let test_experiment_grid () =
   check bool "recovery resynced the mirror" true
     (t1.Minos.Hedge.audit.Shardmgr.Protocol.transferred > 0);
   check bool "tail-cutting needs a replica: mirrors=0 rejected" true
-    (match Minos.Hedge.run ~config:(tiny ~mirrors:0 ()) ~offered_mops:1.0 () with
+    (match Minos.Hedge.run ~shards:2 ~cores:4 ~mirrors:0 run with
     | exception Invalid_argument _ -> true
     | _ -> false)
 

@@ -297,12 +297,15 @@ let with_jobs n f =
 
 let quick_cfg () = Minos.Experiment.config_of_scale Minos.Experiment.quick_scale
 
+let quick_run seed =
+  { Minos.Run.default with Minos.Run.scale = Minos.Experiment.quick_scale; seed }
+
 let test_scenarios_jobs_identical () =
   let names = [ "ttl-churn"; "scan-heavy" ] in
   let run jobs =
     with_jobs jobs (fun () ->
         Obs.Json.to_string
-          (Minos.Scenarios.to_json (Minos.Scenarios.run ~cfg:(quick_cfg ()) ~seed:3 ~names ())))
+          (Minos.Scenarios.to_json (Minos.Scenarios.run ~names (quick_run 3))))
   in
   let sequential = run 1 in
   check string "MINOS_JOBS=4 byte-identical" sequential (run 4);
@@ -312,8 +315,7 @@ let test_scenarios_telescope () =
   (* The larger-than-memory scenario must complete with the extended
      loss-accounting identity exact, and actually exercise the new legs. *)
   let t =
-    Minos.Scenarios.run ~cfg:(quick_cfg ()) ~seed:1
-      ~names:[ "cold-tier"; "diurnal"; "bursts" ] ()
+    Minos.Scenarios.run ~names:[ "cold-tier"; "diurnal"; "bursts" ] (quick_run 1)
   in
   List.iter
     (fun (r : Minos.Scenarios.row) ->
@@ -340,8 +342,7 @@ let test_scenarios_telescope () =
 let test_scenarios_check () =
   (* The bench target's gate, on the three scenarios it names. *)
   let t =
-    Minos.Scenarios.run ~cfg:(quick_cfg ()) ~seed:1
-      ~names:[ "scan-heavy"; "cold-tier"; "ttl-churn" ] ()
+    Minos.Scenarios.run ~names:[ "scan-heavy"; "cold-tier"; "ttl-churn" ] (quick_run 1)
   in
   (match Minos.Scenarios.check t with
   | Ok () -> ()
@@ -400,9 +401,19 @@ let test_nan_knobs_rejected () =
   check bool "finite knobs still parse" true
     (Result.is_ok (Workload.Scenario.parse "cold-tier,mem_fraction=0.5,ttl_ms=0"))
 
+let test_unknown_knob_refused () =
+  (* A knob no scenario consumes is refused by name: [load] used to parse
+     and be dropped, so [-w default,load=50] silently ran at the
+     subcommand's own load. *)
+  check
+    Alcotest.(result reject string)
+    "load is not a knob" (Error "default: unknown knob \"load\"")
+    (Result.map ignore (Workload.Scenario.parse "default,load=50"))
+
 let test_flat_refuses_extras () =
-  (* The cluster, reshard and hedge drivers run only the flat mix; a
-     scenario with extras must be refused by name, never reduced. *)
+  (* The flat-mix runners (sweep, slo, obs, numa, cluster, reshard,
+     hedge) run only the mix; a scenario with extras must be refused by
+     name, never reduced. *)
   let parse name =
     match Workload.Scenario.parse name with
     | Ok sc -> sc
@@ -454,6 +465,7 @@ let () =
             test_scenarios_telescope;
           Alcotest.test_case "suite check" `Quick test_scenarios_check;
           Alcotest.test_case "nan knobs rejected" `Quick test_nan_knobs_rejected;
+          Alcotest.test_case "unknown knob refused" `Quick test_unknown_knob_refused;
           Alcotest.test_case "timed replay deterministic" `Quick
             test_timed_trace_replay_deterministic;
         ] );

@@ -484,8 +484,8 @@ let test_reshard_preserves_accounting () =
     (Obs.Ledger.issued m.Kvcluster.Metrics.ledger > 0)
 
 let reshard_front_end () =
-  Minos.Reshard.run ~cfg ~seed:3 ~servers:2 ~plan:(canned "add-remove") workload
-    ~offered_mops:4.0 ()
+  Minos.Reshard.run ~servers:2
+    { Minos.Run.default with Minos.Run.scale; seed = 3; offered_mops = Some 4.0 }
 
 let test_reshard_deterministic_across_jobs () =
   let go () = Obs.Json.to_string (Minos.Reshard.to_json (reshard_front_end ())) in
