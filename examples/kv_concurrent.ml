@@ -1,9 +1,7 @@
 (* Concurrent use of the KV substrate with real OCaml domains.
 
    Demonstrates the paper's §4.2 concurrency scheme working for real:
-   - CREW: each domain is the master of a partition set and writes its own
-     keys without locks;
-   - cross-partition writers take the partition spinlock;
+   - writers share the key space and take the partition spinlock;
    - readers use the optimistic bucket-epoch protocol and never observe a
      torn value;
    - a lock-free ring hands off work between domains, like the DPDK rings
@@ -50,8 +48,7 @@ let () =
         let rng = Dsim.Rng.create (1000 + id) in
         for version = 1 to updates_per_writer do
           let i = Dsim.Rng.int rng n_keys in
-          (* Writers share the key space, so all writes take the lock (the
-             CREW fast path is exercised by the store test suite). *)
+          (* Writers share the key space, so all writes take the lock. *)
           Kvstore.Store.put store ~guard:`Lock (key i) (value i version);
           if version mod 64 = 0 then
             (* Hand a marker to the consumer, spinning while full. *)

@@ -111,6 +111,9 @@ let stdlib_safe =
        non-allocating wrapper around one *)
     "Atomic.get"; "Atomic.set"; "Atomic.exchange"; "Atomic.compare_and_set";
     "Atomic.fetch_and_add"; "Atomic.incr"; "Atomic.decr";
+    (* spin-wait hint: a noalloc C stub behind [Domain]'s abstract
+       signature *)
+    "Domain.cpu_relax";
     (* misc non-allocating *)
     "Hashtbl.length"; "Queue.length"; "Queue.is_empty";
     "Option.is_none"; "Option.is_some"; "Fun.id";

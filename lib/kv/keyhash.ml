@@ -1,12 +1,15 @@
+(* Inlined within this unit: an [int64] crossing a call boundary is
+   boxed, so [fields] hashes and splits a key without allocating. *)
+
 let fnv_offset = 0xCBF29CE484222325L
 let fnv_prime = 0x100000001B3L
 
-let avalanche z =
+let[@inline] avalanche z =
   let z = Int64.(mul (logxor z (shift_right_logical z 33)) 0xFF51AFD7ED558CCDL) in
   let z = Int64.(mul (logxor z (shift_right_logical z 33)) 0xC4CEB9FE1A85EC53L) in
   Int64.(logxor z (shift_right_logical z 33))
 
-let hash key =
+let[@inline] hash key =
   let h = ref fnv_offset in
   for i = 0 to String.length key - 1 do
     h := Int64.logxor !h (Int64.of_int (Char.code (String.unsafe_get key i)));
@@ -14,19 +17,25 @@ let hash key =
   done;
   avalanche !h
 
-let mask_of_bits bits =
+let[@inline] mask_of_bits bits =
   if bits < 0 || bits > 30 then invalid_arg "Keyhash: bits out of [0, 30]";
   (1 lsl bits) - 1
 
-let partition_of h ~bits =
+let[@inline] partition_of h ~bits =
   let m = mask_of_bits bits in
   Int64.to_int (Int64.shift_right_logical h (64 - bits)) land m
 
-let bucket_of h ~bits =
+let[@inline] bucket_of h ~bits =
   let m = mask_of_bits bits in
   (* Skip the low 16 tag bits. *)
   Int64.to_int (Int64.shift_right_logical h 16) land m
 
-let tag_of h =
+let[@inline] tag_of h =
   let t = Int64.to_int h land 0xFFFF in
   if t = 0 then 1 else t
+
+let fields key ~partition_bits ~bucket_bits =
+  let h = hash key in
+  (partition_of h ~bits:partition_bits lsl (bucket_bits + 16))
+  lor (bucket_of h ~bits:bucket_bits lsl 16)
+  lor tag_of h

@@ -19,3 +19,11 @@ val bucket_of : int64 -> bits:int -> int
 val tag_of : int64 -> int
 (** The low 16 bits, with 0 mapped to 1 so that tag 0 can mean "empty
     slot". *)
+
+val fields : string -> partition_bits:int -> bucket_bits:int -> int
+(** [fields key ~partition_bits ~bucket_bits] is the key's partition,
+    bucket and tag in one immediate,
+    [(partition lsl (bucket_bits + 16)) lor (bucket lsl 16) lor tag], as
+    {!partition_of}, {!bucket_of} and {!tag_of} compute them from
+    {!hash}.  It allocates nothing, where a boxed {!hash} result would.
+    [partition_bits + bucket_bits <= 46] required. *)

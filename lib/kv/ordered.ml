@@ -7,13 +7,30 @@ let create () =
 
 let built t = Atomic.get t.built
 
+(* The set of the sorted [keys.(lo) .. keys.(hi - 1)], built from its
+   halves by [union].  Two trees over disjoint key ranges unite along one
+   spine, so the build allocates little beyond the final tree.
+   [SSet.of_list] merge-sorts a list instead, and the cells of its longer
+   runs outlive the minor heap: at 100k keys that garbage was 8 MB of the
+   native server's peak RSS. *)
+let rec of_sorted keys lo hi =
+  if hi - lo <= 4 then add_range keys lo hi SSet.empty
+  else
+    let mid = (lo + hi) / 2 in
+    SSet.union (of_sorted keys lo mid) (of_sorted keys mid hi)
+
+and add_range keys i hi s =
+  if i >= hi then s else add_range keys (i + 1) hi (SSet.add keys.(i) s)
+
 let build t keys =
   Spinlock.with_lock t.lock (fun () ->
       if not (Atomic.get t.built) then begin
         (* Set before [keys] reads the store: a writer that then finds the
            index off finished its write before the read began. *)
         Atomic.set t.built true;
-        Atomic.set t.snapshot (SSet.of_list (keys ()))
+        let keys = Array.of_list (keys ()) in
+        Array.stable_sort String.compare keys;
+        Atomic.set t.snapshot (of_sorted keys 0 (Array.length keys))
       end)
 
 let add t key =

@@ -15,10 +15,11 @@ val create : unit -> t
 val build : t -> (unit -> string list) -> unit
 (** [build t keys] switches the index on.  Under the index lock it marks
     the index built, calls [keys ()] and publishes the set of the
-    returned keys as one snapshot, built from the sorted list in linear
-    time.  {!add} and {!remove} calls that race the build wait on the
-    lock and apply after it; a writer that finds the index still off must
-    have finished its write before [keys] was called.  [keys] must not
+    returned keys as one snapshot: it sorts them in an array and joins
+    sorted halves, leaving little garbage beyond the set itself.  {!add}
+    and {!remove} calls that race the build wait on the lock and apply
+    after it; a writer that finds the index still off must have finished
+    its write before [keys] was called.  [keys] must not
     take a lock that a writer holds while it calls {!add} or {!remove}.
     Only the first call builds; a later one waits for it and returns. *)
 

@@ -39,6 +39,10 @@ let validate t =
             Error "ttl_us must be positive"
           else if (match t.sweep_us with Some x -> not (x > 0.0) | None -> false)
           then Error "sweep_us must be positive"
+          else if t.sweep_us <> None && t.ttl_us = None && t.mem_fraction = None then
+            (* Only a TTL or a memory budget gives the sweep anything to
+               reclaim; without one the knob would be silently dropped. *)
+            Error "sweep_ms needs ttl_ms or mem_fraction: there is nothing to sweep"
           else if
             match t.mem_fraction with
             | Some f -> not (f > 0.0) || f > 1.0

@@ -410,6 +410,21 @@ let test_unknown_knob_refused () =
     "load is not a knob" (Error "default: unknown knob \"load\"")
     (Result.map ignore (Workload.Scenario.parse "default,load=50"))
 
+let test_idle_sweep_refused () =
+  (* A sweep reclaims only what a TTL or a memory budget expires; alone it
+     used to parse and be dropped, so [-w default,sweep_ms=5] ran the
+     plain default workload. *)
+  check
+    Alcotest.(result reject string)
+    "sweep without ttl or budget"
+    (Error "default: sweep_ms needs ttl_ms or mem_fraction: there is nothing to sweep")
+    (Result.map ignore (Workload.Scenario.parse "default,sweep_ms=5"));
+  check bool "ttl-churn without its TTL refused" true
+    (Result.is_error (Workload.Scenario.parse "ttl-churn,ttl_ms=0"));
+  List.iter
+    (fun s -> check bool (s ^ " parses") true (Result.is_ok (Workload.Scenario.parse s)))
+    [ "ttl-churn,ttl_ms=10,sweep_ms=5"; "ttl-churn,ttl_ms=0,sweep_ms=0"; "cold-tier,ttl_ms=0" ]
+
 let test_flat_refuses_extras () =
   (* The flat-mix runners (sweep, slo, obs, numa, cluster, reshard,
      hedge) run only the mix; a scenario with extras must be refused by
@@ -466,6 +481,8 @@ let () =
           Alcotest.test_case "suite check" `Quick test_scenarios_check;
           Alcotest.test_case "nan knobs rejected" `Quick test_nan_knobs_rejected;
           Alcotest.test_case "unknown knob refused" `Quick test_unknown_knob_refused;
+          Alcotest.test_case "sweep with nothing to sweep refused" `Quick
+            test_idle_sweep_refused;
           Alcotest.test_case "timed replay deterministic" `Quick
             test_timed_trace_replay_deterministic;
         ] );
