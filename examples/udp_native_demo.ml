@@ -11,6 +11,7 @@
    request-id deduplication.
 
    Run with: dune exec examples/udp_native_demo.exe
+   It exits 1 when a GET returns a wrong size or a deleted key.
 *)
 
 let () =
@@ -32,18 +33,25 @@ let () =
     (fun (key, size) ->
       Runtime.Udp.Client.put client key (Bytes.init size (fun i -> Char.chr (i mod 256))))
     items;
+  let wrong = ref 0 in
   List.iter
     (fun (key, size) ->
       match Runtime.Udp.Client.get client key with
       | Some v when Bytes.length v = size -> Printf.printf "GET %-12s -> %6d B ok\n" key size
-      | Some v -> Printf.printf "GET %-12s -> WRONG SIZE %d\n" key (Bytes.length v)
-      | None -> Printf.printf "GET %-12s -> MISSING\n" key)
+      | Some v ->
+          incr wrong;
+          Printf.printf "GET %-12s -> WRONG SIZE %d\n" key (Bytes.length v)
+      | None ->
+          incr wrong;
+          Printf.printf "GET %-12s -> MISSING\n" key)
     items;
   ignore (Runtime.Udp.Client.delete client "config:flag");
   Printf.printf "after DELETE: config:flag -> %s\n"
     (match Runtime.Udp.Client.get client "config:flag" with
     | None -> "Not_found (correct)"
-    | Some _ -> "still there?!");
+    | Some _ ->
+        incr wrong;
+        "still there?!");
 
   (* A quick closed-loop burst to exercise the scheduler. *)
   let t0 = Unix.gettimeofday () in
@@ -62,4 +70,5 @@ let () =
     stats.Runtime.Server.handoffs stats.Runtime.Server.threshold
     stats.Runtime.Server.n_small stats.Runtime.Server.n_large;
   Runtime.Udp.Client.close client;
-  Runtime.Udp.stop udp
+  Runtime.Udp.stop udp;
+  if !wrong > 0 then exit 1

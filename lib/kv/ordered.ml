@@ -1,11 +1,25 @@
 module SSet = Set.Make (String)
 
-type t = { snapshot : SSet.t Atomic.t; lock : Spinlock.t; built : bool Atomic.t }
+(* Two flags, because a build runs between them: [maintained] is set
+   first, under the lock, so that writers keep the index from then on;
+   [published] is set last, once [snapshot] holds the whole key set.  A
+   walk reads only a published snapshot. *)
+type t = {
+  snapshot : SSet.t Atomic.t;
+  lock : Spinlock.t;
+  maintained : bool Atomic.t;
+  published : bool Atomic.t;
+}
 
 let create () =
-  { snapshot = Atomic.make SSet.empty; lock = Spinlock.create (); built = Atomic.make false }
+  {
+    snapshot = Atomic.make SSet.empty;
+    lock = Spinlock.create ();
+    maintained = Atomic.make false;
+    published = Atomic.make false;
+  }
 
-let built t = Atomic.get t.built
+let maintained t = Atomic.get t.maintained
 
 (* The set of the sorted [keys.(lo) .. keys.(hi - 1)], built from its
    halves by [union].  Two trees over disjoint key ranges unite along one
@@ -23,29 +37,27 @@ and add_range keys i hi s =
   if i >= hi then s else add_range keys (i + 1) hi (SSet.add keys.(i) s)
 
 let build t keys =
-  Spinlock.with_lock t.lock (fun () ->
-      if not (Atomic.get t.built) then begin
-        (* Set before [keys] reads the store: a writer that then finds the
-           index off finished its write before the read began. *)
-        Atomic.set t.built true;
-        let keys = Array.of_list (keys ()) in
-        Array.stable_sort String.compare keys;
-        Atomic.set t.snapshot (of_sorted keys 0 (Array.length keys))
-      end)
+  if not (Atomic.get t.published) then
+    Spinlock.with_lock t.lock (fun () ->
+        if not (Atomic.get t.published) then begin
+          (* Set before [keys] reads the store: a writer that then finds
+             the index off finished its write before the read began. *)
+          Atomic.set t.maintained true;
+          let keys = Array.of_list (keys ()) in
+          Array.stable_sort String.compare keys;
+          Atomic.set t.snapshot (of_sorted keys 0 (Array.length keys));
+          Atomic.set t.published true
+        end)
 
 let add t key =
-  if Atomic.get t.built then
+  if Atomic.get t.maintained then
     Spinlock.with_lock t.lock (fun () ->
         Atomic.set t.snapshot (SSet.add key (Atomic.get t.snapshot)))
 
 let remove t key =
-  if Atomic.get t.built then
+  if Atomic.get t.maintained then
     Spinlock.with_lock t.lock (fun () ->
         Atomic.set t.snapshot (SSet.remove key (Atomic.get t.snapshot)))
-
-let cardinal t = SSet.cardinal (Atomic.get t.snapshot)
-
-let mem t key = SSet.mem key (Atomic.get t.snapshot)
 
 let iter_from t ~start f =
   (* Readers walk an immutable snapshot: concurrent writers publish a new
@@ -57,4 +69,4 @@ let iter_from t ~start f =
     | Seq.Nil -> ()
     | Seq.Cons (key, rest) -> if f key then walk rest
   in
-  walk (SSet.to_seq_from start (Atomic.get t.snapshot))
+  if Atomic.get t.published then walk (SSet.to_seq_from start (Atomic.get t.snapshot))

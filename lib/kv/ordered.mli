@@ -10,29 +10,34 @@
 type t
 
 val create : unit -> t
-(** An index that is off: {!add} and {!remove} do nothing until {!build}. *)
+(** An index that is off: {!add} and {!remove} do nothing and
+    {!iter_from} walks nothing until {!build}. *)
 
 val build : t -> (unit -> string list) -> unit
-(** [build t keys] switches the index on.  Under the index lock it marks
-    the index built, calls [keys ()] and publishes the set of the
-    returned keys as one snapshot: it sorts them in an array and joins
-    sorted halves, leaving little garbage beyond the set itself.  {!add}
+(** [build t keys] switches the index on and returns once its snapshot
+    is published.  The first call takes the index lock, marks the index
+    maintained, calls [keys ()], and publishes the set of the returned
+    keys as one snapshot: it sorts them in an array and joins sorted
+    halves, leaving little garbage beyond the set itself.
+
+    Writers maintain the index from the moment it is marked, so {!add}
     and {!remove} calls that race the build wait on the lock and apply
     after it; a writer that finds the index still off must have finished
-    its write before [keys] was called.  [keys] must not
-    take a lock that a writer holds while it calls {!add} or {!remove}.
-    Only the first call builds; a later one waits for it and returns. *)
+    its write before [keys] was called.  A later [build] returns at once
+    when the snapshot is published, and otherwise waits on the lock for
+    the build in flight.  [keys] must not take a lock that a writer
+    holds while it calls {!add} or {!remove}. *)
 
-val built : t -> bool
+val maintained : t -> bool
+(** Whether writers maintain the index: true from the moment the first
+    {!build} marks it, before its snapshot is published. *)
 
 val add : t -> string -> unit
 
 val remove : t -> string -> unit
 
-val cardinal : t -> int
-
-val mem : t -> string -> bool
-
 val iter_from : t -> start:string -> (string -> bool) -> unit
-(** [iter_from t ~start f] applies [f] to every key [>= start] in
-    ascending order, stopping early when [f] returns [false]. *)
+(** [iter_from t ~start f] applies [f] to every key [>= start] of the
+    published snapshot in ascending order, stopping early when [f]
+    returns [false].  Before {!build} has published one, it applies [f]
+    to nothing. *)

@@ -60,7 +60,7 @@ type t = {
   items : int Atomic.t;
   overflow_count : int Atomic.t;
   expired : int Atomic.t;
-  ordered : Ordered.t; (* off until [ensure_ordered] *)
+  ordered : Ordered.t; (* off until the first [scan] *)
 }
 
 let create ?(partition_bits = 4) ?(bucket_bits = 10) ?(value_arena_bytes = 256 * 1024 * 1024)
@@ -225,7 +225,8 @@ let get ?now t key =
 
 let no_copy _ = Bytes.empty
 
-let length ?(now = neg_infinity) t key = lookup t key now no_copy (-1)
+let length ?now t key =
+  lookup t key (match now with Some now -> now | None -> neg_infinity) no_copy (-1)
 
 let size_of ?now t key =
   let len = length ?now t key in
@@ -336,15 +337,15 @@ let put ?(expires_at = infinity) t ~guard:(_ : guard) key value =
   Spinlock.unlock p.lock;
   if old >= 0 then slab_free t old
 
-(* Clear slot [i] of chain [b] inside the partition lock; the caller frees
-   the item once the lock is released. *)
-let clear_slot t p b i key =
+(* Clear slot [i] of chain [b] inside the partition lock; the caller
+   removes the key from the SCAN index after this, and frees the item
+   once the lock is released. *)
+let clear_slot t p b i =
   let epoch = p.epochs.(b) in
   begin_write epoch;
   p.table.(i) <- 0;
   end_write epoch;
-  Atomic.decr t.items;
-  Ordered.remove t.ordered key
+  Atomic.decr t.items
 
 (* Remove [key] if its deadline is [<= now] (always, for [now = infinity]);
    returns the freed item or -1. *)
@@ -355,7 +356,10 @@ let remove t key now =
   let i = find_slot t.arena p.table (b * bucket_words) 0 (f land tag_mask) key in
   let item = if i < 0 then -1 else p.table.(i) lsr tag_bits in
   let removed = item >= 0 && (now = infinity || lapsed t.arena item now) in
-  if removed then clear_slot t p b i key;
+  if removed then begin
+    clear_slot t p b i;
+    Ordered.remove t.ordered key
+  end;
   Spinlock.unlock p.lock;
   if removed then begin
     slab_free t item;
@@ -393,8 +397,12 @@ let rec sweep_chain t p b base s now n =
     let w = p.table.(base + s) in
     let item = w lsr tag_bits in
     if w <> 0 && lapsed t.arena item now then begin
-      clear_slot t p b (base + s)
-        (if Ordered.built t.ordered then key_string t.arena item else "");
+      clear_slot t p b (base + s);
+      (* Checked after the slot is cleared, as [Ordered.remove] checks it:
+         an index build that starts later reads the chain without the
+         item. *)
+      if Ordered.maintained t.ordered then
+        Ordered.remove t.ordered (key_string t.arena item);
       slab_free t item;
       Atomic.incr t.expired;
       sweep_chain t p b base (s + 1) now (n + 1)
@@ -443,15 +451,13 @@ let fold_items t f acc =
       !acc)
     acc t.partitions
 
-(* Takes no partition lock: the index build calls this while holding the
-   index lock, and writers take the partition lock first. *)
-let ensure_ordered t =
-  Ordered.build t.ordered (fun () ->
-      fold_items t (fun a item keys -> key_string a item :: keys) [])
+(* The index build: every key, read out of the arena.  Takes no
+   partition lock, since it runs under the index lock and writers take
+   the partition lock first. *)
+let keys t () = fold_items t (fun a item keys -> key_string a item :: keys) []
 
 let scan ?(now = neg_infinity) t ~start ~count f =
-  if not (Ordered.built t.ordered) then
-    invalid_arg "Store.scan: ensure_ordered has not been called";
+  Ordered.build t.ordered (keys t);
   let visited = ref 0 in
   Ordered.iter_from t.ordered ~start (fun key ->
       if !visited >= count then false

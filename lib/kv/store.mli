@@ -87,9 +87,13 @@ val read_into : ?now:float -> t -> string -> buf:(int -> bytes) -> off:int -> in
 val get : ?now:float -> t -> string -> bytes option
 (** {!read_into} a fresh buffer of exactly the value's length. *)
 
+val length : ?now:float -> t -> string -> int
+(** Size of the stored value without copying it, or [-1] when the key is
+    absent.  This is the lookup a Minos small core performs to classify
+    a GET as small or large (§3); it allocates nothing. *)
+
 val size_of : ?now:float -> t -> string -> int option
-(** Size of the stored value without copying it.  This is the lookup a
-    Minos small core performs to classify a GET as small or large (§3). *)
+(** {!length} as an option: [None] when the key is absent. *)
 
 val put : ?expires_at:float -> t -> guard:guard -> string -> bytes -> unit
 (** Insert or update; [~expires_at] attaches an absolute TTL deadline
@@ -110,22 +114,23 @@ val expire_sweep : t -> now:float -> int
 
 val mem : ?now:float -> t -> string -> bool
 
-val ensure_ordered : t -> unit
-(** Build (once) the sorted key index that {!scan} walks.  After this,
-    every insert/remove also maintains the index.  Idempotent.
-
-    The build reads every chain's keys out of the arena under the
-    chain's epoch, as a GET reads them, sorts them once and publishes one
-    snapshot, all while holding the index lock.  Writers racing the
-    build queue on that lock and apply their insert or remove after it,
-    so the index ends up equal to the key set.  The build takes no
-    partition lock. *)
-
 val scan : ?now:float -> t -> start:string -> count:int -> (string -> int -> unit) -> int
 (** [scan t ~start ~count f] visits up to [count] live items with key
     [>= start] in ascending key order, calling [f key value_size]; returns
     the number visited.  Skips items deleted or lapsed since the index
-    snapshot.  Raises [Invalid_argument] unless {!ensure_ordered} ran. *)
+    snapshot.
+
+    The first call builds the sorted key index ({!Ordered}) that scans
+    walk; a store that is never scanned holds no OCaml object per key.
+    The build reads every chain's keys out of the arena under the chain's
+    epoch, as a GET reads them, then sorts them and publishes one
+    snapshot, all while holding the index lock: on the native
+    benchmark's 100k keys the first call takes 0.13 s (2 vCPUs), a later
+    one ~5 us.  From then on every insert and delete also maintains the
+    index.  Inserts and deletes that race the build, and scans that
+    arrive while it runs, wait on the index lock until it is published,
+    so the index ends up equal to the key set and no scan walks a
+    partial one.  The build takes no partition lock. *)
 
 type stats = {
   items : int;

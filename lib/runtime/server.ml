@@ -404,8 +404,7 @@ let request_item_size t (req : Message.request) =
   match req.Message.op with
   | Message.Put value | Message.Put_ttl (value, _) -> Bytes.length value
   | Message.Delete -> 0 (* always "small": frees, never copies *)
-  | Message.Get ->
-      Option.value ~default:0 (Kvstore.Store.size_of t.store req.Message.key)
+  | Message.Get -> max 0 (Kvstore.Store.length t.store req.Message.key) (* absent: -1 *)
   | Message.Scan count ->
       (* The size-aware classifier needs the range's total bytes — the
          same ordered walk the serve path performs. *)
@@ -628,8 +627,6 @@ let start ?obs ?(config = default_config) ?transport store =
   if config.batch < 1 then invalid_arg "Server.start: batch must be >= 1";
   if config.expiry_sweep_s < 0.0 then
     invalid_arg "Server.start: expiry_sweep_s must be >= 0";
-  (* SCANs walk the sorted key index; build it before workers serve. *)
-  Kvstore.Store.ensure_ordered store;
   let transport, poll =
     match transport with Some tr -> (tr, fun () -> None) | None -> in_process ()
   in

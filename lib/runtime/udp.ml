@@ -76,15 +76,16 @@ let take_pending c id =
 let cache_reply c id encoded =
   locked c (fun () -> fst (Proto.Dedup.execute c.dedup ~id (fun () -> encoded)))
 
+(* [None] for a request whose op lacks its payload: a PUT without a value
+   or a SCAN without a valid count. *)
 let message_op (req : Proto.Wire.request) =
-  match req.Proto.Wire.op with
-  | Proto.Wire.Get -> Message.Get
-  | Proto.Wire.Put -> Message.Put (Option.value ~default:Bytes.empty req.Proto.Wire.value)
-  | Proto.Wire.Delete -> Message.Delete
-  | Proto.Wire.Scan ->
-      Message.Scan
-        (Option.value ~default:0
-           (Option.bind req.Proto.Wire.value Proto.Wire.decode_scan_count))
+  match (req.Proto.Wire.op, req.Proto.Wire.value) with
+  | Proto.Wire.Get, _ -> Some Message.Get
+  | Proto.Wire.Put, Some value -> Some (Message.Put value)
+  | Proto.Wire.Delete, _ -> Some Message.Delete
+  | Proto.Wire.Scan, Some count ->
+      Option.map (fun n -> Message.Scan n) (Proto.Wire.decode_scan_count count)
+  | (Proto.Wire.Put | Proto.Wire.Scan), None -> None
 
 (* One decoded datagram: replay a completed request from the dedup cache,
    otherwise note where to reply and admit it to the queue's RX ring.  A
@@ -93,20 +94,23 @@ let accept c queue addr ~now admit msg =
   match Proto.Wire.decode_request msg with
   | Error _ -> () (* malformed datagrams are dropped *)
   | Ok req -> (
-      let id = req.Proto.Wire.id in
-      match arrive c id { addr; queue; client_ts = req.Proto.Wire.client_ts } with
-      | Some encoded -> send_copy c queue c.sockets.(queue) addr ~msg_id:id encoded
-      | None ->
-          let message =
-            {
-              Message.id;
-              op = message_op req;
-              key = req.Proto.Wire.key;
-              submitted_at = now;
-              obs_slot = -1;
-            }
-          in
-          if not (admit message) then ignore (take_pending c id))
+      match message_op req with
+      | None -> () (* so are requests missing their payload *)
+      | Some op -> (
+          let id = req.Proto.Wire.id in
+          match arrive c id { addr; queue; client_ts = req.Proto.Wire.client_ts } with
+          | Some encoded -> send_copy c queue c.sockets.(queue) addr ~msg_id:id encoded
+          | None ->
+              let message =
+                {
+                  Message.id;
+                  op;
+                  key = req.Proto.Wire.key;
+                  submitted_at = now;
+                  obs_slot = -1;
+                }
+              in
+              if not (admit message) then ignore (take_pending c id)))
 
 (* [Server.transport.receive]: drain up to a batch of datagrams from the
    queue's non-blocking socket, reassembling multi-fragment requests. *)

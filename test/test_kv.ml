@@ -502,8 +502,8 @@ let test_store_no_per_key_heap () =
   check int "all stored" n (Store.stats s).Store.items;
   if words > 2.0 then Alcotest.failf "%.2f heap words per key (bound 2)" words
 
-(* A GET copying into a reused buffer and a PUT over an existing key
-   allocate nothing on the OCaml heap. *)
+(* A GET copying into a reused buffer, a PUT over an existing key and a
+   size lookup allocate nothing on the OCaml heap. *)
 let test_store_zero_alloc_ops () =
   let s = Store.create ~partition_bits:2 ~bucket_bits:4 ~value_arena_bytes:(1 lsl 22) () in
   let keys = Array.init 1000 (Printf.sprintf "key-%04d") in
@@ -524,13 +524,18 @@ let test_store_zero_alloc_ops () =
     Store.put s ~guard:`Lock keys.(i mod 1000) value
   done;
   let w2 = Gc.minor_words () in
+  for i = 0 to ops - 1 do
+    if Store.length s keys.(i mod 1000) <> 100 then Alcotest.fail "length lost a key"
+  done;
+  let w3 = Gc.minor_words () in
   check (Alcotest.float 0.0) "read_into words/op" 0.0 ((w1 -. w0) /. float_of_int ops);
   check (Alcotest.float 0.0) "overwriting put words/op" 0.0 ((w2 -. w1) /. float_of_int ops);
+  check (Alcotest.float 0.0) "length words/op" 0.0 ((w3 -. w2) /. float_of_int ops);
   check int "still 1000 items" 1000 (Store.stats s).Store.items
 
-(* [ensure_ordered] racing a writer: one domain inserts and deletes keys
-   while the index is built.  After the join, a full scan must list
-   exactly the store's keys, in order. *)
+(* The index build racing a writer: one domain inserts and deletes keys
+   while the first scan builds the index.  After the join, a full scan
+   must list exactly the store's keys, in order. *)
 let test_store_ordered_build_race () =
   for round = 1 to 20 do
     let s = Store.create ~partition_bits:2 ~bucket_bits:6 ~value_arena_bytes:(1 lsl 22) () in
@@ -554,7 +559,7 @@ let test_store_ordered_build_race () =
     while not (Atomic.get started) do
       Domain.cpu_relax ()
     done;
-    Store.ensure_ordered s;
+    ignore (Store.scan s ~start:"" ~count:1 (fun _ _ -> ()));
     Atomic.set stop true;
     Domain.join writer;
     let scanned = ref [] in
@@ -564,6 +569,40 @@ let test_store_ordered_build_race () =
     check (Alcotest.list Alcotest.string)
       (Printf.sprintf "round %d: scan = sorted key set" round)
       (List.sort String.compare !keys) (List.rev !scanned)
+  done
+
+(* Two domains issue their first scan at once, so one of them builds the
+   index while the other arrives mid-build.  Both must see the full
+   prefix: a scan that finds the build in flight waits for its snapshot
+   instead of walking an empty one. *)
+let test_store_first_scans_race () =
+  let n = 50_000 and count = 10 in
+  let names = Array.init n Workload.Dataset.key_name in
+  let expect =
+    List.filteri (fun i _ -> i < count) (List.sort String.compare (Array.to_list names))
+  in
+  for round = 1 to 10 do
+    let s = Store.create ~value_arena_bytes:(8 lsl 20) () in
+    Array.iter (fun key -> Store.put s ~guard:`Lock key (Bytes.create 8)) names;
+    let arrived = Atomic.make 0 in
+    let first_scan () =
+      Atomic.incr arrived;
+      while Atomic.get arrived < 2 do
+        Domain.cpu_relax ()
+      done;
+      let got = ref [] in
+      ignore (Store.scan s ~start:"" ~count (fun key _ -> got := key :: !got));
+      List.rev !got
+    in
+    let other = Domain.spawn first_scan in
+    let mine = first_scan () in
+    let theirs = Domain.join other in
+    List.iter
+      (fun got ->
+        check (Alcotest.list Alcotest.string)
+          (Printf.sprintf "round %d: the first %d keys" round count)
+          expect got)
+      [ mine; theirs ]
   done
 
 let () =
@@ -618,6 +657,7 @@ let () =
           Alcotest.test_case "zero-allocation store ops" `Quick test_store_zero_alloc_ops;
           Alcotest.test_case "ordered build races a writer" `Slow
             test_store_ordered_build_race;
+          Alcotest.test_case "first scans race" `Slow test_store_first_scans_race;
         ]
         @ qsuite [ prop_store_model_check ] );
     ]

@@ -22,8 +22,8 @@ let completed = function
   | Ok r -> r
   | Error s -> Alcotest.fail (Runtime.Loadgen.stall_message s)
 
-let with_server ?config f =
-  let dataset = Workload.Dataset.create runtime_spec in
+let with_server ?config ?(spec = runtime_spec) f =
+  let dataset = Workload.Dataset.create spec in
   let store =
     Kvstore.Store.create ~partition_bits:4 ~bucket_bits:8
       ~value_arena_bytes:(64 * 1024 * 1024) ()
@@ -329,6 +329,56 @@ let test_ledger_exact_under_overload () =
   check bool "squeezed rings rejected" true (Obs.Ledger.leg l "rx_rejected" > 0);
   check bool "admission control shed" true
     (Obs.Ledger.sum l [ "shed_small"; "shed_large" ] > 0)
+
+(* Starting a server builds nothing per key: the SCAN index waits for
+   the first SCAN, so the heap a start adds does not grow with the
+   store. *)
+let test_start_builds_nothing_per_key () =
+  let n = 50_000 in
+  let live () =
+    Gc.full_major ();
+    (Gc.stat ()).Gc.live_words
+  in
+  let start_words keys =
+    let store = Kvstore.Store.create ~value_arena_bytes:(8 lsl 20) () in
+    for id = 0 to keys - 1 do
+      Kvstore.Store.put store ~guard:`Lock (Workload.Dataset.key_name id) (Bytes.create 8)
+    done;
+    let before = live () in
+    let server = Runtime.Server.start store in
+    let words = live () - before in
+    Runtime.Server.stop server;
+    words
+  in
+  let empty = start_words 0 in
+  let per_key = float_of_int (start_words n - empty) /. float_of_int n in
+  if per_key > 0.5 then
+    Alcotest.failf "start added %.2f heap words per key (bound 0.5)" per_key
+
+(* SCANs on the native server amid the write-intensive mix: the first
+   one builds the index while writers run.  Nothing is deleted and every
+   SCAN starts at a stored key, so no SCAN finds nothing. *)
+let test_native_scans_under_writes () =
+  let spec =
+    {
+      runtime_spec with
+      Workload.Spec.get_ratio = Workload.Spec.write_intensive.Workload.Spec.get_ratio;
+    }
+  in
+  let server =
+    with_server ~spec (fun server dataset ->
+        let r =
+          completed
+            (Runtime.Loadgen.run ~scan_ratio:0.05 ~server ~dataset ~requests:20_000
+               ~seed:17 ())
+        in
+        check int "every request answered" 20_000 r.Runtime.Loadgen.completed;
+        check int "no Not_found" 0 r.Runtime.Loadgen.not_found;
+        server)
+  in
+  let l = (Runtime.Server.stats server).Runtime.Server.ledger in
+  check Alcotest.(result unit string) "exact ledger" (Ok ()) (Obs.Ledger.check l);
+  check int "nothing in flight" 0 (Obs.Ledger.leg l "in_flight")
 
 (* A worker that raises dies alone: the client's run ends in a typed
    stall naming what went unanswered, [stats] names the dead worker, and
@@ -724,6 +774,40 @@ let test_udp_replays_mutations_only () =
             (get ());
           check int "the retransmitted GET ran" 5 (served udp)))
 
+(* A PUT without a value and a SCAN without a count are malformed: both
+   are dropped unserved, and the stored value stays. *)
+let test_udp_malformed_dropped () =
+  let base_port = 49511 in
+  with_udp ~base_port (fun udp _client store ->
+      let sock = raw_socket () in
+      Fun.protect
+        ~finally:(fun () -> Unix.close sock)
+        (fun () ->
+          let rpc = raw_rpc sock ~port:base_port in
+          let v = Bytes.of_string "intact" in
+          ignore (rpc ~id:1L Proto.Wire.Put "k" (Some v));
+          let before = served udp in
+          List.iter
+            (fun (id, op) ->
+              raw_send sock ~port:base_port
+                {
+                  Proto.Wire.id;
+                  op;
+                  key = "k";
+                  value = None;
+                  client_ts = 0L;
+                  target_rx = 0;
+                })
+            [ (2L, Proto.Wire.Put); (3L, Proto.Wire.Scan) ];
+          (* The same queue reads datagrams in order: this reply comes
+             after both were read. *)
+          let r = rpc ~id:4L Proto.Wire.Get "k" None in
+          check (Alcotest.option Alcotest.bytes) "the GET reads the value" (Some v)
+            r.Proto.Wire.value;
+          check (Alcotest.option Alcotest.bytes) "the stored value is intact" (Some v)
+            (Kvstore.Store.get store "k");
+          check int "only the GET was served" (before + 1) (served udp)))
+
 (* An [Overloaded] reply is not cached: the retransmission runs again. *)
 let test_udp_overloaded_not_cached () =
   let base_port = 49211 in
@@ -942,6 +1026,7 @@ let () =
           Alcotest.test_case "replays mutations only" `Quick
             test_udp_replays_mutations_only;
           Alcotest.test_case "overloaded not cached" `Quick test_udp_overloaded_not_cached;
+          Alcotest.test_case "malformed requests dropped" `Quick test_udp_malformed_dropped;
           Alcotest.test_case "no torn reads" `Quick test_udp_no_torn_reads;
           Alcotest.test_case "GET allocates no value copy" `Quick test_udp_get_allocation;
         ] );
@@ -965,6 +1050,10 @@ let () =
             test_ledger_exact_under_overload;
           Alcotest.test_case "worker failure is a stall, not a hang" `Quick
             test_worker_failure_is_a_stall;
+          Alcotest.test_case "start builds nothing per key" `Quick
+            test_start_builds_nothing_per_key;
+          Alcotest.test_case "native SCANs under writes" `Slow
+            test_native_scans_under_writes;
         ] );
       ( "stress",
         List.concat_map

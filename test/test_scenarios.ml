@@ -252,7 +252,6 @@ let test_eviction_conservation () =
 
 let test_scan_matches_sorted_reference () =
   let store = ttl_store () in
-  Kvstore.Store.ensure_ordered store;
   (* A scattered subset of ids, inserted in shuffled order. *)
   let rng = Dsim.Rng.create 5 in
   let ids = Array.init 300 (fun _ -> Dsim.Rng.int rng 100_000) in
