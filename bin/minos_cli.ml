@@ -176,18 +176,16 @@ let run_cmd =
       & info [ "trace-file" ] ~docv:"FILE"
           ~doc:
             "Replay a captured trace file (see $(b,minos trace)) instead of the \
-             synthetic generator; a timed trace replays at its recorded pacing.")
+             synthetic generator; a timed trace replays at its recorded pacing.  \
+             The workload's TTL, sweep and memory budget apply to the replay.")
   in
   let action trace_file (run : Minos.Run.t) =
     let spec = Minos.Run.spec run in
     print_metrics
-      (match trace_file with
-      | Some path ->
-          Minos.Experiment.run_trace ~cfg:spec.Minos.Experiment.Spec.cfg
-            ~seed:run.Minos.Run.seed run.Minos.Run.design (Workload.Trace.load path)
-            ~spec:run.Minos.Run.workload.Workload.Scenario.spec
-            ~offered_mops:spec.Minos.Experiment.Spec.offered_mops
-      | None -> Minos.Experiment.run_spec spec)
+      (Minos.Experiment.run_spec
+         (match trace_file with
+         | Some path -> Minos.Experiment.Spec.with_trace (Workload.Trace.load path) spec
+         | None -> spec))
   in
   Cmd.v
     (Cmd.info "run" ~doc:"Simulate one (design, workload, load) point.")
@@ -224,16 +222,12 @@ let slo_cmd =
       & info [ "slo" ] ~docv:"US" ~doc:"The 99p latency bound in microseconds.")
   in
   let action slo_us (run : Minos.Run.t) =
-    let spec = Minos.Run.flat run in
-    let cfg = Minos.Run.config run in
-    let design = run.Minos.Run.design in
-    let eval rate = Minos.Experiment.run ~cfg design spec ~offered_mops:rate in
     let r =
-      Minos.Slo_search.search ~eval ~slo_p99_us:slo_us ~lo_mops:0.25 ~hi_mops:8.0
+      Minos.Slo_search.max_under_slo (Minos.Run.spec run) ~slo_us
         ~iters:run.Minos.Run.scale.Minos.Experiment.slo_iters
     in
     Format.printf "%s: max throughput %.2f Mops under p99 <= %.0f us (%d evaluations)@."
-      (Minos.Experiment.design_name design)
+      (Minos.Experiment.design_name run.Minos.Run.design)
       r.Minos.Slo_search.max_mops slo_us r.Minos.Slo_search.evaluations
   in
   Cmd.v
@@ -385,9 +379,15 @@ let trace_cmd =
     match replay with
     | None -> ()
     | Some design ->
+        (* The capture already carries the scenario's arrival process and
+           stands in for its own replay capture. *)
+        let workload =
+          { sc with Workload.Scenario.arrival = Workload.Arrival.Poisson; replay = false }
+        in
         let m =
-          Minos.Experiment.run_trace ~cfg:(Minos.Run.config run) design trace ~spec
-            ~offered_mops:load
+          Minos.Run.spec { run with Minos.Run.design; workload }
+          |> Minos.Experiment.Spec.with_trace trace
+          |> Minos.Experiment.run_spec
         in
         Format.printf "trace-driven replay:@.";
         print_metrics m

@@ -22,8 +22,11 @@ let () =
     }
   in
   let run design =
-    Minos.Experiment.run ~cfg ~dynamic:schedule design Workload.Spec.default
-      ~offered_mops:2.0
+    Minos.Experiment.Spec.make design
+    |> Minos.Experiment.Spec.with_cfg cfg
+    |> Minos.Experiment.Spec.with_load 2.0
+    |> Minos.Experiment.Spec.with_dynamic schedule
+    |> Minos.Experiment.run_spec
   in
   let minos = run Kvserver.Design.minos in
   let ws = run Kvserver.Design.hkh_ws in

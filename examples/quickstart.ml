@@ -35,7 +35,13 @@ let () =
   print_endline "simulating 3.0 Mops on an 8-core server, all four designs:";
   List.iter
     (fun design ->
-      let m = Minos.Experiment.run ~cfg design spec ~offered_mops:3.0 in
+      let m =
+        Minos.Experiment.Spec.make design
+        |> Minos.Experiment.Spec.with_workload_spec spec
+        |> Minos.Experiment.Spec.with_cfg cfg
+        |> Minos.Experiment.Spec.with_load 3.0
+        |> Minos.Experiment.run_spec
+      in
       Printf.printf "  %-8s p50=%5.1fus  p99=%6.1fus  p999=%7.1fus  nic=%2.0f%%\n"
         m.Kvserver.Metrics.design m.Kvserver.Metrics.p50_us m.Kvserver.Metrics.p99_us
         m.Kvserver.Metrics.p999_us

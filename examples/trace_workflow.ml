@@ -35,8 +35,14 @@ let () =
   (* 3. adaptive vs static at a demanding load *)
   let scale = Minos.Experiment.quick_scale in
   let base = Minos.Experiment.config_of_scale scale in
+  let point =
+    Minos.Experiment.Spec.make Kvserver.Design.minos
+    |> Minos.Experiment.Spec.with_workload_spec spec
+    |> Minos.Experiment.Spec.with_cfg base
+    |> Minos.Experiment.Spec.with_load 5.0
+  in
   let show label cfg =
-    let m = Minos.Experiment.run ~cfg Kvserver.Design.minos spec ~offered_mops:5.0 in
+    let m = Minos.Experiment.run_spec (Minos.Experiment.Spec.with_cfg cfg point) in
     Printf.printf "%-22s p50=%5.1fus p99=%6.1fus tput=%.2fM threshold=%.0fB\n" label
       m.Kvserver.Metrics.p50_us m.Kvserver.Metrics.p99_us
       m.Kvserver.Metrics.throughput_mops m.Kvserver.Metrics.final_threshold
@@ -47,8 +53,8 @@ let () =
 
   (* 4. trace-driven replay (same requests, not resampled) *)
   let m =
-    Minos.Experiment.run_trace ~cfg:base Kvserver.Design.minos
-      (Workload.Trace.load path) ~spec ~offered_mops:5.0
+    Minos.Experiment.run_spec
+      (Minos.Experiment.Spec.with_trace (Workload.Trace.load path) point)
   in
   Printf.printf "%-22s p50=%5.1fus p99=%6.1fus tput=%.2fM threshold=%.0fB\n"
     "trace-driven replay" m.Kvserver.Metrics.p50_us m.Kvserver.Metrics.p99_us

@@ -86,7 +86,7 @@ module Spec = struct
     cfg : Kvserver.Config.t;
     seed : int;
     dynamic : Workload.Dynamic.t option;
-    store : Kvstore.Store.t option;
+    trace : Workload.Trace.t option;
     obs : Obs.Instrument.t option;
     fault : Fault.Inject.t option;
   }
@@ -99,19 +99,18 @@ module Spec = struct
       cfg = config_of_scale full_scale;
       seed = 1;
       dynamic = None;
-      store = None;
+      trace = None;
       obs = None;
       fault = None;
     }
 
-  let with_design design t = { t with design }
   let with_workload workload t = { t with workload }
   let with_workload_spec spec t = { t with workload = Workload.Scenario.of_spec spec }
   let with_load offered_mops t = { t with offered_mops }
   let with_cfg cfg t = { t with cfg }
   let with_seed seed t = { t with seed }
   let with_dynamic d t = { t with dynamic = Some d }
-  let with_store s t = { t with store = Some s }
+  let with_trace tr t = { t with trace = Some tr }
   let with_obs o t = { t with obs = Some o }
   let with_fault f t = { t with fault = Some f }
 end
@@ -126,12 +125,38 @@ let capture_n ~offered_mops (cfg : Kvserver.Config.t) =
   let expected = offered_mops *. cfg.Kvserver.Config.duration_us in
   max 1024 (min 262_144 (int_of_float expected))
 
+(* A supplied trace must fit the run: the engine indexes the dataset by
+   the trace's key ids, and it cannot honour a second arrival process or
+   a second request source next to the trace's own. *)
+let check_trace (s : Spec.t) dataset trace =
+  let refuse msg = invalid_arg ("Experiment.run_spec: " ^ msg) in
+  let sc = s.Spec.workload in
+  if Workload.Trace.length trace = 0 then refuse "empty trace";
+  let max_key =
+    Array.fold_left
+      (fun acc (r : Workload.Generator.request) -> max acc r.Workload.Generator.key_id)
+      (-1) (Workload.Trace.requests trace)
+  in
+  let n_keys = Workload.Dataset.n_keys dataset in
+  if max_key >= n_keys then
+    refuse
+      (Printf.sprintf "trace key id %d is outside the dataset (n_keys = %d)" max_key
+         n_keys);
+  if sc.Workload.Scenario.replay then
+    refuse "a trace and a replay scenario both supply the requests";
+  match sc.Workload.Scenario.arrival with
+  | Workload.Arrival.Poisson -> ()
+  | _ when Workload.Trace.timed trace ->
+      refuse "a timed trace carries its own arrivals; the scenario's are not Poisson"
+  | _ -> ()
+
 let run_spec_raw (s : Spec.t) =
   let sc = s.Spec.workload in
   (match Workload.Scenario.validate sc with
   | Ok () -> ()
   | Error msg -> invalid_arg ("Experiment.run_spec: " ^ msg));
   let dataset = dataset_for sc.Workload.Scenario.spec in
+  Option.iter (check_trace s dataset) s.Spec.trace;
   let gen = Workload.Scenario.generator ~seed:(s.Spec.seed + 101) sc dataset in
   let cfg =
     { s.Spec.cfg with Kvserver.Config.seed = s.Spec.cfg.Kvserver.Config.seed + s.Spec.seed }
@@ -168,42 +193,32 @@ let run_spec_raw (s : Spec.t) =
   let sweep_us =
     match residency with None -> None | Some _ -> sc.Workload.Scenario.sweep_us
   in
-  let timed =
-    if not sc.Workload.Scenario.replay then None
-    else
-      Some
-        (Workload.Scenario.capture ~seed:(s.Spec.seed + 211) sc dataset
-           ~rate_mops:s.Spec.offered_mops
-           ~n:(capture_n ~offered_mops:s.Spec.offered_mops cfg))
+  (* Where the requests come from.  The engine never draws from [gen]
+     when it has a timed trace or a source, so a replayed trace sees the
+     same engine streams as a generated run. *)
+  let timed, source =
+    match s.Spec.trace with
+    | Some trace when Workload.Trace.timed trace -> (Some trace, None)
+    | Some trace ->
+        let next = Workload.Trace.replayer ~loop:true trace in
+        (None, Some (fun () -> Option.get (next ())))
+    | None when sc.Workload.Scenario.replay ->
+        ( Some
+            (Workload.Scenario.capture ~seed:(s.Spec.seed + 211) sc dataset
+               ~rate_mops:s.Spec.offered_mops
+               ~n:(capture_n ~offered_mops:s.Spec.offered_mops cfg)),
+          None )
+    | None -> (None, None)
   in
   let eng =
-    Kvserver.Engine.create ?dynamic:s.Spec.dynamic ?store:s.Spec.store ?pacing ?timed
-      ?residency ?sweep_us ?obs:s.Spec.obs ?fault:s.Spec.fault cfg gen
+    Kvserver.Engine.create ?dynamic:s.Spec.dynamic ?source ?pacing ?timed ?residency
+      ?sweep_us ?obs:s.Spec.obs ?fault:s.Spec.fault cfg gen
       ~offered_mops:s.Spec.offered_mops
   in
   let metrics = Kvserver.Engine.run eng (Kvserver.Design.make s.Spec.design) in
   (metrics, Kvserver.Engine.raw_latencies eng)
 
 let run_spec s = fst (run_spec_raw s)
-
-let spec_of ?cfg ?dynamic ?store ?obs ?fault ?(seed = 1) design workload ~offered_mops =
-  {
-    Spec.design;
-    workload = Workload.Scenario.of_spec workload;
-    offered_mops;
-    cfg = (match cfg with Some c -> c | None -> config_of_scale full_scale);
-    seed;
-    dynamic;
-    store;
-    obs;
-    fault;
-  }
-
-let run_raw ?cfg ?dynamic ?store ?obs ?fault ?seed design spec ~offered_mops =
-  run_spec_raw (spec_of ?cfg ?dynamic ?store ?obs ?fault ?seed design spec ~offered_mops)
-
-let run ?cfg ?dynamic ?store ?obs ?fault ?seed design spec ~offered_mops =
-  fst (run_raw ?cfg ?dynamic ?store ?obs ?fault ?seed design spec ~offered_mops)
 
 let better (a : Kvserver.Metrics.t) (b : Kvserver.Metrics.t) =
   if a.Kvserver.Metrics.stable <> b.Kvserver.Metrics.stable then
@@ -217,71 +232,24 @@ let better (a : Kvserver.Metrics.t) (b : Kvserver.Metrics.t) =
   else if a.Kvserver.Metrics.p99_us <= b.Kvserver.Metrics.p99_us then a
   else b
 
-let run_best_handoff ?cfg ?seed design spec ~offered_mops =
-  let base = match cfg with Some c -> c | None -> config_of_scale full_scale in
+let run_best_handoff (s : Spec.t) =
+  let cfg = s.Spec.cfg in
   [ 1; 2; 3 ]
-  |> List.filter (fun h -> h < base.Kvserver.Config.cores)
+  |> List.filter (fun h -> h < cfg.Kvserver.Config.cores)
   |> Par.map_list (fun handoff_cores ->
-         run ~cfg:{ base with Kvserver.Config.handoff_cores } ?seed design spec
-           ~offered_mops)
+         run_spec (Spec.with_cfg { cfg with Kvserver.Config.handoff_cores } s))
   |> function
-  | [] -> invalid_arg "run_sho_best: no valid handoff configuration"
+  | [] -> invalid_arg "Experiment.sweep: no valid handoff configuration"
   | first :: rest -> List.fold_left better first rest
 
-let run_sho_best ?cfg ?seed spec ~offered_mops =
-  run_best_handoff ?cfg ?seed Kvserver.Design.sho spec ~offered_mops
-
-let run_trace ?cfg ?(seed = 1) design trace ~spec ~offered_mops =
-  if Workload.Trace.length trace = 0 then invalid_arg "run_trace: empty trace";
-  let cfg = match cfg with Some c -> c | None -> config_of_scale full_scale in
-  let cfg = { cfg with Kvserver.Config.seed = cfg.Kvserver.Config.seed + seed } in
-  let gen = Workload.Generator.create ~seed:(seed + 101) (dataset_for spec) in
-  let eng =
-    if Workload.Trace.timed trace then
-      (* A timed trace carries its own arrival process: replay it at the
-         recorded pacing (looping with rebasing if the run outlasts it)
-         instead of drawing Poisson arrivals at [offered_mops]. *)
-      Kvserver.Engine.create ~timed:trace cfg gen ~offered_mops
-    else
-      let next = Workload.Trace.replayer ~loop:true trace in
-      let source () = Option.get (next ()) in
-      Kvserver.Engine.create ~source cfg gen ~offered_mops
-  in
-  Kvserver.Engine.run eng (Kvserver.Design.make design)
-
-type replicated = {
-  runs : Kvserver.Metrics.t list;
-  p99_mean : float;
-  p99_stddev : float;
-  throughput_mean : float;
-}
-
-let run_replicated ?cfg ?(seeds = [ 1; 2; 3 ]) design spec ~offered_mops =
-  if seeds = [] then invalid_arg "run_replicated: need at least one seed";
-  let runs = Par.map_list (fun seed -> run ?cfg ~seed design spec ~offered_mops) seeds in
-  let p99s = Stats.Summary.create () and tput = Stats.Summary.create () in
-  List.iter
-    (fun (m : Kvserver.Metrics.t) ->
-      if not (Float.is_nan m.Kvserver.Metrics.p99_us) then
-        Stats.Summary.add p99s m.Kvserver.Metrics.p99_us;
-      Stats.Summary.add tput m.Kvserver.Metrics.throughput_mops)
-    runs;
-  {
-    runs;
-    p99_mean = Stats.Summary.mean p99s;
-    p99_stddev = Stats.Summary.stddev p99s;
-    throughput_mean = Stats.Summary.mean tput;
-  }
-
-let sweep ?cfg ?(sho_best = false) design spec ~loads_mops =
+let sweep ?(cfg = config_of_scale full_scale) ?(sho_best = false) design spec
+    ~loads_mops =
+  let base = Spec.make design |> Spec.with_workload_spec spec |> Spec.with_cfg cfg in
   let search_handoff =
     sho_best && Kvserver.Design.supports design Kvserver.Design.Handoff_cores
   in
   Par.map_list
     (fun load ->
-      let m =
-        if search_handoff then run_best_handoff ?cfg design spec ~offered_mops:load
-        else run ?cfg design spec ~offered_mops:load
-      in
-      (load, m))
+      let s = Spec.with_load load base in
+      (load, if search_handoff then run_best_handoff s else run_spec s))
     loads_mops

@@ -10,11 +10,10 @@
     through the registry, so anything {!Kvserver.Design.register}ed is
     runnable here without new cases anywhere.
 
-    {!sweep}, {!run_sho_best} and {!run_replicated} fan their independent
-    points out over {!Par}'s domain pool.  Every point owns its own
-    simulator and RNG streams and derives its seeds from the job, so
-    parallel results are bit-identical to sequential ([MINOS_JOBS=1])
-    ones. *)
+    {!sweep} fans its independent points out over {!Par}'s domain pool.
+    Every point owns its own simulator and RNG streams and derives its
+    seeds from the job, so parallel results are bit-identical to
+    sequential ([MINOS_JOBS=1]) ones. *)
 
 type design = Kvserver.Design.t
 
@@ -57,16 +56,13 @@ val dataset_for : Workload.Spec.t -> Workload.Dataset.t
 
 val config_of_scale : ?base:Kvserver.Config.t -> scale -> Kvserver.Config.t
 
-(** Typed run specification.
-
-    One record holds everything {!run} used to take as optional
-    arguments.  Build one with {!Spec.make} and refine it with the
-    [with_*] builders (each returns an updated copy, so they chain with
-    [|>]):
+(** Typed run specification: one record holds everything about a point.
+    Build one with {!Spec.make} and refine it with the [with_*] builders
+    (each returns an updated copy, so they chain with [|>]):
 
     {[
       Experiment.Spec.make Kvserver.Design.minos
-      |> Experiment.Spec.with_scale Experiment.quick_scale
+      |> Experiment.with_scale Experiment.quick_scale
       |> Experiment.Spec.with_load 3.0
       |> Experiment.Spec.with_seed 7
       |> Experiment.run_spec
@@ -79,7 +75,8 @@ module Spec : sig
     cfg : Kvserver.Config.t;
     seed : int;
     dynamic : Workload.Dynamic.t option;
-    store : Kvstore.Store.t option;
+    trace : Workload.Trace.t option;
+        (** replay these requests instead of drawing from the generator *)
     obs : Obs.Instrument.t option;
     fault : Fault.Inject.t option;
   }
@@ -87,9 +84,7 @@ module Spec : sig
   val make : Kvserver.Design.t -> t
   (** Defaults: the default workload scenario, 3.0 Mops offered load,
       {!config_of_scale}[ full_scale], seed 1, no dynamic phase plan, no
-      store, no recorder, no fault plan. *)
-
-  val with_design : Kvserver.Design.t -> t -> t
+      trace, no recorder, no fault plan. *)
 
   val with_workload : Workload.Scenario.t -> t -> t
   (** Select the workload as a scenario — registry entries
@@ -107,7 +102,7 @@ module Spec : sig
   val with_seed : int -> t -> t
 
   val with_dynamic : Workload.Dynamic.t -> t -> t
-  val with_store : Kvstore.Store.t -> t -> t
+  val with_trace : Workload.Trace.t -> t -> t
   val with_obs : Obs.Instrument.t -> t -> t
   val with_fault : Fault.Inject.t -> t -> t
 end
@@ -125,55 +120,30 @@ val run_spec : Spec.t -> Kvserver.Metrics.t
     [replay] scenario first captures a timed trace
     ({!Workload.Scenario.capture}, seeded from the spec's seed) and runs
     through it.  Plain scenarios take none of these paths and reproduce
-    the pre-scenario byte streams exactly.  [spec.obs] attaches a flight
-    recorder to the run (see {!Kvserver.Engine.create}); sampling draws
-    from the recorder's own stream, so an instrumented run reports the
-    same metrics as an uninstrumented one.  [spec.fault] runs the point
-    under a deterministic fault plan ({!Fault.Inject.create}); each run
-    needs its own injector (its RNG advances during the run).  Raises
-    [Invalid_argument] on a scenario that fails
-    {!Workload.Scenario.validate}. *)
+    the pre-scenario byte streams exactly.
+
+    [spec.trace] replays a captured trace in place of the generator: a
+    timed trace at its recorded pacing, an untimed one through the
+    arrival loop, each looping if the run outlasts it.  The scenario's
+    TTL, sweep and memory budget apply to the replayed requests; its mix
+    knobs do not (the trace is the mix).  [spec.obs] attaches a flight
+    recorder (see {!Kvserver.Engine.create}); sampling draws from the
+    recorder's own stream, so an instrumented run reports the same
+    metrics as an uninstrumented one.  [spec.fault] runs the point under a
+    deterministic fault plan ({!Fault.Inject.create}); each run needs its
+    own injector (its RNG advances during the run).
+
+    Raises [Invalid_argument] on a scenario that fails
+    {!Workload.Scenario.validate}, and on a combination the engine cannot
+    honour, naming it: an empty trace, a trace whose key ids run past the
+    dataset's [n_keys], a timed trace under a non-Poisson arrival process,
+    a trace together with a [replay] scenario.  A dynamic phase plan does
+    not apply to a trace. *)
 
 val run_spec_raw : Spec.t -> Kvserver.Metrics.t * Stats.Float_vec.t
 (** Like {!run_spec}, additionally returning the raw latency samples (µs)
     — for analyses that need the full distribution (fan-out, NUMA and
     cluster merging). *)
-
-val run :
-  ?cfg:Kvserver.Config.t ->
-  ?dynamic:Workload.Dynamic.t ->
-  ?store:Kvstore.Store.t ->
-  ?obs:Obs.Instrument.t ->
-  ?fault:Fault.Inject.t ->
-  ?seed:int ->
-  design ->
-  Workload.Spec.t ->
-  offered_mops:float ->
-  Kvserver.Metrics.t
-(** @deprecated Thin wrapper over {!run_spec}; build a {!Spec.t}. *)
-
-val run_raw :
-  ?cfg:Kvserver.Config.t ->
-  ?dynamic:Workload.Dynamic.t ->
-  ?store:Kvstore.Store.t ->
-  ?obs:Obs.Instrument.t ->
-  ?fault:Fault.Inject.t ->
-  ?seed:int ->
-  design ->
-  Workload.Spec.t ->
-  offered_mops:float ->
-  Kvserver.Metrics.t * Stats.Float_vec.t
-(** @deprecated Thin wrapper over {!run_spec_raw}; build a {!Spec.t}. *)
-
-val run_sho_best :
-  ?cfg:Kvserver.Config.t ->
-  ?seed:int ->
-  Workload.Spec.t ->
-  offered_mops:float ->
-  Kvserver.Metrics.t
-(** SHO with 1, 2 and 3 handoff cores, keeping the best result (the paper
-    reports SHO's best configuration per workload, §5.2).  "Best" prefers
-    stability, then higher throughput, then lower p99. *)
 
 val sweep :
   ?cfg:Kvserver.Config.t ->
@@ -182,37 +152,10 @@ val sweep :
   Workload.Spec.t ->
   loads_mops:float list ->
   (float * Kvserver.Metrics.t) list
-(** One run per offered load, computed in parallel across domains (results
-    in load order, identical to a sequential run).  With [sho_best], a
-    design supporting the [Handoff_cores] knob searches handoff core
-    counts per load point. *)
-
-val run_trace :
-  ?cfg:Kvserver.Config.t ->
-  ?seed:int ->
-  design ->
-  Workload.Trace.t ->
-  spec:Workload.Spec.t ->
-  offered_mops:float ->
-  Kvserver.Metrics.t
-(** Trace-driven simulation: requests come from the captured trace
-    (looping if the run outlasts it) instead of the synthetic generator.
-    [spec] should be the spec the trace was captured under. *)
-
-type replicated = {
-  runs : Kvserver.Metrics.t list;
-  p99_mean : float;
-  p99_stddev : float;
-  throughput_mean : float;
-}
-
-val run_replicated :
-  ?cfg:Kvserver.Config.t ->
-  ?seeds:int list ->
-  design ->
-  Workload.Spec.t ->
-  offered_mops:float ->
-  replicated
-(** The same point under several seeds (default [1; 2; 3]), with the
-    across-seed mean and standard deviation of the p99 — the error bars
-    behind the single-seed numbers the tables report. *)
+(** One {!run_spec} per offered load, computed in parallel across domains
+    (results in load order, identical to a sequential run).  With
+    [sho_best], a design supporting the [Handoff_cores] knob runs with 1,
+    2 and 3 handoff cores (those below [cfg.cores]) per load point and
+    keeps the best: the paper reports SHO's best configuration per
+    workload (§5.2).  "Best" prefers stability, then higher throughput,
+    then lower p99. *)

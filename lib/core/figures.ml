@@ -2,6 +2,13 @@ type scale = Experiment.scale
 
 let default_loads = [ 0.5; 1.0; 2.0; 3.0; 4.0; 4.5; 5.0; 5.5; 6.0; 6.5 ]
 
+(* One simulated point: [design] on the flat [workload] at [load] Mops. *)
+let point ~cfg design workload load =
+  Experiment.Spec.make design
+  |> Experiment.Spec.with_workload_spec workload
+  |> Experiment.Spec.with_cfg cfg
+  |> Experiment.Spec.with_load load
+
 (* ------------------------------------------------------------------ *)
 (* Figure 1 *)
 
@@ -235,31 +242,6 @@ type slo_row = {
   sho_mops : float;
 }
 
-(* Pick SHO's handoff-core count once per workload at a moderate load,
-   then keep it fixed during the bisection. *)
-let sho_handoff_for ~cfg spec =
-  let score h =
-    let m =
-      Experiment.run ~cfg:{ cfg with Kvserver.Config.handoff_cores = h } Kvserver.Design.sho
-        spec ~offered_mops:3.0
-    in
-    (m.Kvserver.Metrics.stable, m.Kvserver.Metrics.throughput_mops)
-  in
-  [ 1; 2; 3 ]
-  |> List.map (fun h -> (h, score h))
-  |> List.sort (fun (_, a) (_, b) -> compare b a)
-  |> List.hd |> fst
-
-let max_under_slo ~cfg ~iters design spec ~slo_us =
-  let cfg =
-    if Kvserver.Design.supports design Kvserver.Design.Handoff_cores then
-      { cfg with Kvserver.Config.handoff_cores = sho_handoff_for ~cfg spec }
-    else cfg
-  in
-  let eval rate = Experiment.run ~cfg design spec ~offered_mops:rate in
-  (Slo_search.search ~eval ~slo_p99_us:slo_us ~lo_mops:0.25 ~hi_mops:8.0 ~iters)
-    .Slo_search.max_mops
-
 (* SLO searches run many simulations per reported number; a shorter
    measurement window (still >= 10^5 samples per point at the loads that
    matter) keeps Figures 6 and 7 tractable without changing the verdicts. *)
@@ -279,7 +261,15 @@ let slo_rows ?(scale = Experiment.full_scale) specs ~varied_of =
   List.concat_map (fun spec -> List.map (fun slo_us -> (spec, slo_us)) [ 50.0; 100.0 ])
     specs
   |> Par.map_list (fun (spec, slo_us) ->
-         let max d = max_under_slo ~cfg ~iters:scale.Experiment.slo_iters d spec ~slo_us in
+         let max d =
+           let point =
+             Experiment.Spec.make d
+             |> Experiment.Spec.with_workload_spec spec
+             |> Experiment.Spec.with_cfg cfg
+           in
+           (Slo_search.max_under_slo point ~slo_us ~iters:scale.Experiment.slo_iters)
+             .Slo_search.max_mops
+         in
          {
            varied = varied_of spec;
            slo_us;
@@ -401,7 +391,7 @@ let fig9 ?(scale = Experiment.full_scale) ?(p_values = [ 0.0625; 0.25; 0.75 ]) (
     (fun p_large ->
       let spec = Workload.Spec.with_p_large Workload.Spec.default p_large in
       (* A high-but-stable load so the balance is meaningful. *)
-      let m = Experiment.run ~cfg Kvserver.Design.minos spec ~offered_mops:2.0 in
+      let m = Experiment.run_spec (point ~cfg Kvserver.Design.minos spec 2.0) in
       let share arr =
         let total = Array.fold_left ( + ) 0 arr in
         Array.map (fun v -> float_of_int v /. float_of_int (max total 1)) arr
@@ -466,8 +456,9 @@ let fig10 ?(scale = Experiment.full_scale) ?(rate_mops = 2.0) () =
     }
   in
   let run design =
-    Experiment.run ~cfg ~dynamic:schedule design Workload.Spec.default
-      ~offered_mops:rate_mops
+    point ~cfg design Workload.Spec.default rate_mops
+    |> Experiment.Spec.with_dynamic schedule
+    |> Experiment.run_spec
   in
   let minos, ws =
     match Par.map_list run [ Kvserver.Design.minos; Kvserver.Design.hkh_ws ] with
@@ -527,7 +518,7 @@ let fanout ?(scale = Experiment.full_scale) ?(fanouts = [ 1; 10; 40; 100 ])
     match
       Par.map_list
         (fun design ->
-          snd (Experiment.run_raw ~cfg design Workload.Spec.default ~offered_mops:load))
+          snd (Experiment.run_spec_raw (point ~cfg design Workload.Spec.default load)))
         [ Kvserver.Design.minos; Kvserver.Design.hkh ]
     with
     | [ m; h ] -> (m, h)
@@ -574,8 +565,8 @@ let print_ablation_threshold ~scale () =
     Par.map_list
       (fun (label, cfg) ->
         let m =
-          Experiment.run ~cfg Kvserver.Design.minos Workload.Spec.write_intensive
-            ~offered_mops:5.5
+          Experiment.run_spec
+            (point ~cfg Kvserver.Design.minos Workload.Spec.write_intensive 5.5)
         in
         [ label; Report.f2 m.Kvserver.Metrics.throughput_mops;
           (if m.Kvserver.Metrics.stable then Report.f1 m.Kvserver.Metrics.p99_us
@@ -595,7 +586,7 @@ let print_ablation_cost_fn ~scale () =
       (fun cost_fn ->
         let cfg = { base with Kvserver.Config.cost_fn } in
         let m =
-          Experiment.run ~cfg Kvserver.Design.minos Workload.Spec.default ~offered_mops:4.5
+          Experiment.run_spec (point ~cfg Kvserver.Design.minos Workload.Spec.default 4.5)
         in
         [ Kvserver.Cost_model.cost_fn_name cost_fn;
           Report.f2 m.Kvserver.Metrics.throughput_mops;
@@ -616,7 +607,7 @@ let print_ablation_steal ~scale () =
       (fun (label, large_rx_steal) ->
         let cfg = { base with Kvserver.Config.large_rx_steal } in
         let m =
-          Experiment.run ~cfg Kvserver.Design.minos Workload.Spec.default ~offered_mops:4.5
+          Experiment.run_spec (point ~cfg Kvserver.Design.minos Workload.Spec.default 4.5)
         in
         [ label;
           Report.f1 m.Kvserver.Metrics.p99_us;
@@ -640,7 +631,7 @@ let print_ablation_erew ~scale () =
     |> Par.map_list (fun (label, hkh_erew, load) ->
            let cfg = { base with Kvserver.Config.hkh_erew } in
            let m =
-             Experiment.run ~cfg Kvserver.Design.hkh Workload.Spec.default ~offered_mops:load
+             Experiment.run_spec (point ~cfg Kvserver.Design.hkh Workload.Spec.default load)
            in
            let ops = m.Kvserver.Metrics.per_core_ops in
            let total = Array.fold_left ( + ) 0 ops in
@@ -677,8 +668,9 @@ let print_ablation_epoch ~scale () =
           }
         in
         let m =
-          Experiment.run ~cfg ~dynamic:schedule Kvserver.Design.minos Workload.Spec.default
-            ~offered_mops:2.25
+          point ~cfg Kvserver.Design.minos Workload.Spec.default 2.25
+          |> Experiment.Spec.with_dynamic schedule
+          |> Experiment.run_spec
         in
         let p99s = List.map snd m.Kvserver.Metrics.p99_series in
         let worst = List.fold_left Float.max 0.0 p99s in

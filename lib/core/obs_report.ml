@@ -28,10 +28,7 @@ let run ?(spans = 65536) ?(sample_rate = 1.0) (run : Run.t) =
     Obs.Instrument.create ~spans ~sample_rate ~cores:cfg.Kvserver.Config.cores
       ~seed:(cfg.Kvserver.Config.seed + run.Run.seed) ()
   in
-  let spec =
-    Run.spec { run with Run.workload = Workload.Scenario.of_spec (Run.flat run) }
-    |> Experiment.Spec.with_obs obs
-  in
+  let spec = Run.spec run |> Experiment.Spec.with_obs obs in
   let offered_mops = spec.Experiment.Spec.offered_mops in
   let metrics = Experiment.run_spec spec in
   let anatomy = Obs.Anatomy.compute obs.Obs.Instrument.recorder in

@@ -31,13 +31,16 @@ val config : t -> Kvserver.Config.t
 
 val flat : t -> Workload.Spec.t
 (** The workload's flat request mix ({!Workload.Scenario.flat}), for the
-    runners that run only the mix.  Raises [Invalid_argument] naming the
+    runners that run only the mix (sweep, numa, cluster, reshard,
+    hedge).  Raises [Invalid_argument] naming the
     extras of a scenario that has any: such a run is refused, not
     reduced to its mix. *)
 
 val spec : t -> Experiment.Spec.t
 (** The single-engine point the run describes: its design, workload,
-    scale and seed, at its offered load or {!Experiment.Spec.make}'s. *)
+    scale and seed, at its offered load or {!Experiment.Spec.make}'s.
+    [minos run], [slo], [obs] and [trace --replay] evaluate through it,
+    scenario extras included. *)
 
 (** What {!emit} needs to write a runner's result, and the claims
     [bench] gates it on. *)

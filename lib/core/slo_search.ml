@@ -48,3 +48,31 @@ let search ~eval ~slo_p99_us ~lo_mops ~hi_mops ~iters =
       { max_mops = rate; metrics = Some m; evaluations = !evaluations }
     end
   end
+
+(* Pick a handoff design's core count once per workload at a moderate
+   load, then keep it fixed during the bisection. *)
+let handoff_for (s : Experiment.Spec.t) =
+  let score h =
+    let cfg = { s.Experiment.Spec.cfg with Kvserver.Config.handoff_cores = h } in
+    let m =
+      s |> Experiment.Spec.with_cfg cfg |> Experiment.Spec.with_load 3.0
+      |> Experiment.run_spec
+    in
+    (m.Kvserver.Metrics.stable, m.Kvserver.Metrics.throughput_mops)
+  in
+  [ 1; 2; 3 ]
+  |> List.map (fun h -> (h, score h))
+  |> List.sort (fun (_, a) (_, b) -> compare b a)
+  |> List.hd |> fst
+
+let max_under_slo (s : Experiment.Spec.t) ~slo_us ~iters =
+  let s =
+    if Kvserver.Design.supports s.Experiment.Spec.design Kvserver.Design.Handoff_cores
+    then
+      Experiment.Spec.with_cfg
+        { s.Experiment.Spec.cfg with Kvserver.Config.handoff_cores = handoff_for s }
+        s
+    else s
+  in
+  let eval rate = Experiment.run_spec (Experiment.Spec.with_load rate s) in
+  search ~eval ~slo_p99_us:slo_us ~lo_mops:0.25 ~hi_mops:8.0 ~iters

@@ -23,6 +23,14 @@ val search :
     is (noisily) nondecreasing in load, which holds for these systems.
 
     The two bracket endpoints are evaluated eagerly, through {!Par} —
-    [eval] must therefore be domain-safe ({!Experiment.run} closures are).
-    The bisection itself is inherently sequential.  Results are identical
-    whether or not domains are available. *)
+    [eval] must therefore be domain-safe ({!Experiment.run_spec} closures
+    are).  The bisection itself is inherently sequential.  Results are
+    identical whether or not domains are available. *)
+
+val max_under_slo : Experiment.Spec.t -> slo_us:float -> iters:int -> result
+(** The paper's search (Figs 6–7) for one point: bisect the spec's
+    offered load on \[0.25, 8\] Mops through {!Experiment.run_spec}.  A
+    design supporting the [Handoff_cores] knob (SHO) first picks its
+    handoff core count, 1 to 3, by the most stable and then highest
+    throughput at 3 Mops, and keeps it fixed during the bisection; those
+    three runs are not counted in [evaluations]. *)

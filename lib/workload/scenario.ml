@@ -10,6 +10,8 @@ type t = {
   replay : bool;
 }
 
+let default_scan_len = 16
+
 let of_spec ?(label = "custom") spec =
   {
     label;
@@ -18,7 +20,7 @@ let of_spec ?(label = "custom") spec =
     ttl_us = None;
     sweep_us = None;
     scan_ratio = 0.0;
-    scan_len = 16;
+    scan_len = default_scan_len;
     mem_fraction = None;
     replay = false;
   }
@@ -35,6 +37,10 @@ let validate t =
           if not (0.0 <= t.scan_ratio && t.scan_ratio < 1.0) then
             Error "scan_ratio out of [0, 1)"
           else if t.scan_len < 1 then Error "scan_len must be >= 1"
+          else if t.scan_ratio = 0.0 && t.scan_len <> default_scan_len then
+            (* Without SCANs the length is never read; the knob would be
+               silently dropped. *)
+            Error "scan_len needs scan_ratio > 0: no request is a SCAN"
           else if (match t.ttl_us with Some x -> not (x > 0.0) | None -> false) then
             Error "ttl_us must be positive"
           else if (match t.sweep_us with Some x -> not (x > 0.0) | None -> false)

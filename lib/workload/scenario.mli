@@ -43,8 +43,8 @@ val flat : t -> (Spec.t, string) result
 (** The flat request mix, when every scenario extra is inert (Poisson,
     no TTL / scans / budget / replay) — i.e. the run reduces to the
     original spec path.  Otherwise an error naming the active extras:
-    runners that run only the mix (sweep, slo, obs, numa, cluster,
-    reshard, hedge, through [Minos.Run.flat]) refuse such a scenario
+    runners that run only the mix (sweep, numa, cluster, reshard, hedge,
+    through [Minos.Run.flat]) refuse such a scenario
     rather than silently drop its extras. *)
 
 val generator : ?seed:int -> t -> Dataset.t -> Generator.t

@@ -50,7 +50,13 @@ let test_predicted_peak_matches_simulator () =
   let measured =
     List.fold_left
       (fun acc load ->
-        let m = Minos.Experiment.run ~cfg Kvserver.Design.hkh spec ~offered_mops:load in
+        let m =
+          Minos.Experiment.Spec.make Kvserver.Design.hkh
+          |> Minos.Experiment.Spec.with_workload_spec spec
+          |> Minos.Experiment.Spec.with_cfg cfg
+          |> Minos.Experiment.Spec.with_load load
+          |> Minos.Experiment.run_spec
+        in
         if m.Kvserver.Metrics.stable then Float.max acc m.Kvserver.Metrics.throughput_mops
         else acc)
       0.0
@@ -99,7 +105,13 @@ let test_expected_large_cores_matches_simulator () =
         Queueing.Capacity.expected_large_cores s cost ~cores:8 ~percentile:0.99
       in
       let cfg = Minos.Experiment.config_of_scale Minos.Experiment.quick_scale in
-      let m = Minos.Experiment.run ~cfg Kvserver.Design.minos s ~offered_mops:2.0 in
+      let m =
+        Minos.Experiment.Spec.make Kvserver.Design.minos
+        |> Minos.Experiment.Spec.with_workload_spec s
+        |> Minos.Experiment.Spec.with_cfg cfg
+        |> Minos.Experiment.Spec.with_load 2.0
+        |> Minos.Experiment.run_spec
+      in
       (* Standby mode reports 1 when engaged; treat analytic 0 as <=1. *)
       let sim = m.Kvserver.Metrics.final_large_cores in
       if analytic = 0 then begin

@@ -8,6 +8,12 @@ let bool = Alcotest.bool
 let small_spec =
   { Workload.Spec.default with Workload.Spec.n_keys = 20_000; n_large_keys = 100 }
 
+let point load =
+  Minos.Experiment.Spec.make Kvserver.Design.minos
+  |> Minos.Experiment.Spec.with_workload_spec small_spec
+  |> Minos.Experiment.with_scale Minos.Experiment.quick_scale
+  |> Minos.Experiment.Spec.with_load load
+
 let make_trace n =
   let dataset = Workload.Dataset.create small_spec in
   let gen = Workload.Generator.create dataset in
@@ -81,10 +87,7 @@ let test_trace_offline_threshold_matches_online () =
      agree with what the online controller converges to. *)
   let t = make_trace 100_000 in
   let offline = Workload.Trace.size_percentile t 0.99 in
-  let cfg =
-    Minos.Experiment.config_of_scale Minos.Experiment.quick_scale
-  in
-  let m = Minos.Experiment.run ~cfg Kvserver.Design.minos small_spec ~offered_mops:2.0 in
+  let m = Minos.Experiment.run_spec (point 2.0) in
   let online = m.Kvserver.Metrics.final_threshold in
   (* The online value is a log-bucket upper bound; allow one bucket plus
      sampling noise. *)
@@ -103,14 +106,10 @@ let test_trace_driven_simulation () =
   (* Replaying a captured trace through the engine gives the same picture
      as the generator that produced it. *)
   let trace = make_trace 200_000 in
-  let cfg = Minos.Experiment.config_of_scale Minos.Experiment.quick_scale in
   let replayed =
-    Minos.Experiment.run_trace ~cfg Kvserver.Design.minos trace ~spec:small_spec
-      ~offered_mops:2.0
+    Minos.Experiment.run_spec (Minos.Experiment.Spec.with_trace trace (point 2.0))
   in
-  let synthetic =
-    Minos.Experiment.run ~cfg Kvserver.Design.minos small_spec ~offered_mops:2.0
-  in
+  let synthetic = Minos.Experiment.run_spec (point 2.0) in
   Alcotest.(check bool) "stable" true replayed.Kvserver.Metrics.stable;
   let rel a b = abs_float (a -. b) /. b in
   if rel replayed.Kvserver.Metrics.p50_us synthetic.Kvserver.Metrics.p50_us > 0.25 then

@@ -400,8 +400,13 @@ let test_chaos_trace_byte_identical () =
     in
     let fault = Fault.Inject.create ~seed:3 plan in
     let m =
-      Minos.Experiment.run ~cfg ~obs ~fault ~seed:3 Kvserver.Design.minos
-        Workload.Spec.default ~offered_mops:2.0
+      Minos.Experiment.Spec.make Kvserver.Design.minos
+      |> Minos.Experiment.Spec.with_cfg cfg
+      |> Minos.Experiment.Spec.with_load 2.0
+      |> Minos.Experiment.Spec.with_seed 3
+      |> Minos.Experiment.Spec.with_obs obs
+      |> Minos.Experiment.Spec.with_fault fault
+      |> Minos.Experiment.run_spec
     in
     let buf = Buffer.create 65536 in
     Obs.Chrome_trace.to_buffer ?timeline:obs.Obs.Instrument.timeline
@@ -441,8 +446,12 @@ let test_overload_telescopes () =
     (fun (label, design, cfg) ->
       let fault = Fault.Inject.create ~seed:5 plan in
       let m =
-        Minos.Experiment.run ~cfg ~fault ~seed:5 design Workload.Spec.default
-          ~offered_mops:8.0
+        Minos.Experiment.Spec.make design
+        |> Minos.Experiment.Spec.with_cfg cfg
+        |> Minos.Experiment.Spec.with_load 8.0
+        |> Minos.Experiment.Spec.with_seed 5
+        |> Minos.Experiment.Spec.with_fault fault
+        |> Minos.Experiment.run_spec
       in
       check exact (label ^ ": issued telescopes exactly") (Ok ())
         (Obs.Ledger.check (Kvserver.Metrics.ledger m));
@@ -456,8 +465,11 @@ let test_overload_telescopes () =
 let test_healthy_runs_lose_nothing () =
   let cfg = tiny_config () in
   let m =
-    Minos.Experiment.run ~cfg ~seed:5 Kvserver.Design.minos
-      Workload.Spec.default ~offered_mops:2.0
+    Minos.Experiment.Spec.make Kvserver.Design.minos
+    |> Minos.Experiment.Spec.with_cfg cfg
+    |> Minos.Experiment.Spec.with_load 2.0
+    |> Minos.Experiment.Spec.with_seed 5
+    |> Minos.Experiment.run_spec
   in
   check int "no loss without faults" 0 m.Kvserver.Metrics.lost;
   check exact "telescope holds when healthy" (Ok ())

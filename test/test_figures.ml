@@ -101,9 +101,10 @@ let test_print_functions_do_not_raise () =
     (fun name -> (snd (List.assoc name Minos.Figures.table)) true)
     [ "fig1"; "table1" ];
   Format.printf "%a@." Kvserver.Metrics.pp_row
-    (Minos.Experiment.run
-       ~cfg:(Minos.Experiment.config_of_scale scale)
-       Kvserver.Design.hkh Workload.Spec.default ~offered_mops:1.0);
+    (Minos.Experiment.Spec.make Kvserver.Design.hkh
+    |> Minos.Experiment.with_scale scale
+    |> Minos.Experiment.Spec.with_load 1.0
+    |> Minos.Experiment.run_spec);
   Format.printf "%a@." Workload.Spec.pp Workload.Spec.default;
   check bool "printed" true true
 

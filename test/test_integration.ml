@@ -8,8 +8,13 @@ let bool = Alcotest.bool
 let scale = Minos.Experiment.quick_scale
 let cfg = Minos.Experiment.config_of_scale scale
 
-let run ?(cfg = cfg) design load =
-  Minos.Experiment.run ~cfg design Workload.Spec.default ~offered_mops:load
+let point ?(cfg = cfg) ?(spec = Workload.Spec.default) design load =
+  Minos.Experiment.Spec.make design
+  |> Minos.Experiment.Spec.with_workload_spec spec
+  |> Minos.Experiment.Spec.with_cfg cfg
+  |> Minos.Experiment.Spec.with_load load
+
+let run ?cfg ?spec design load = Minos.Experiment.run_spec (point ?cfg ?spec design load)
 
 (* ------------------------------------------------------------------ *)
 (* Figure 3 claims *)
@@ -57,10 +62,12 @@ let test_fig3_peaks () =
     let rec highest_stable best = function
       | [] -> best
       | load :: rest ->
+          (* SHO at its best handoff core count per load. *)
           let m =
-            if Kvserver.Design.equal design Kvserver.Design.sho then
-              Minos.Experiment.run_sho_best ~cfg Workload.Spec.default ~offered_mops:load
-            else run design load
+            snd
+              (List.hd
+                 (Minos.Experiment.sweep ~cfg ~sho_best:true design Workload.Spec.default
+                    ~loads_mops:[ load ]))
           in
           if m.Kvserver.Metrics.stable then
             highest_stable (Float.max best m.Kvserver.Metrics.throughput_mops) rest
@@ -98,8 +105,8 @@ let test_fig4_large_requests_pay_a_bounded_price () =
 let test_fig5_write_intensive () =
   (* Minos keeps its tail advantage on 50:50. *)
   let spec = Workload.Spec.write_intensive in
-  let minos = Minos.Experiment.run ~cfg Kvserver.Design.minos spec ~offered_mops:4.0 in
-  let hkh = Minos.Experiment.run ~cfg Kvserver.Design.hkh spec ~offered_mops:4.0 in
+  let minos = run ~spec Kvserver.Design.minos 4.0 in
+  let hkh = run ~spec Kvserver.Design.hkh 4.0 in
   check bool "tail advantage holds under writes" true
     (minos.Kvserver.Metrics.p99_us < hkh.Kvserver.Metrics.p99_us)
 
@@ -108,12 +115,9 @@ let test_fig5_write_intensive () =
 
 let test_fig6_slo_speedup () =
   (* Under the strict 50us SLO, Minos sustains a multiple of HKH's load. *)
-  let eval design rate =
-    Minos.Experiment.run ~cfg design Workload.Spec.default ~offered_mops:rate
-  in
   let max_of design =
     (Minos.Slo_search.search
-       ~eval:(eval design)
+       ~eval:(run design)
        ~slo_p99_us:50.0 ~lo_mops:0.25 ~hi_mops:7.0 ~iters:6)
       .Minos.Slo_search.max_mops
   in
@@ -128,9 +132,7 @@ let test_fig6_slo_speedup () =
 let test_fig8_sampling_shifts_bottleneck () =
   let spec = Workload.Spec.with_p_large Workload.Spec.default 0.75 in
   let with_sampling s load =
-    Minos.Experiment.run
-      ~cfg:{ cfg with Kvserver.Config.sampling = s }
-      Kvserver.Design.minos spec ~offered_mops:load
+    run ~cfg:{ cfg with Kvserver.Config.sampling = s } ~spec Kvserver.Design.minos load
   in
   (* At the same offered load, sampling frees NIC bandwidth... *)
   let full = with_sampling 1.0 1.5 in
@@ -283,16 +285,24 @@ let test_replication_stability () =
   (* Three seeds at a moderate load: p99s agree within a few times their
      spread, and every run is stable.  Guards against seed-sensitive
      artifacts in the reported numbers. *)
-  let r =
-    Minos.Experiment.run_replicated ~cfg Kvserver.Design.minos Workload.Spec.default
-      ~offered_mops:3.0
+  let runs =
+    Minos.Par.map_list
+      (fun seed ->
+        Minos.Experiment.run_spec
+          (Minos.Experiment.Spec.with_seed seed (point Kvserver.Design.minos 3.0)))
+      [ 1; 2; 3 ]
   in
-  check bool "all stable" true
-    (List.for_all (fun m -> m.Kvserver.Metrics.stable) r.Minos.Experiment.runs);
-  check bool "p99 positive" true (r.Minos.Experiment.p99_mean > 0.0);
-  if r.Minos.Experiment.p99_stddev > 0.35 *. r.Minos.Experiment.p99_mean then
-    Alcotest.failf "p99 %.1f +- %.1f: too seed-sensitive" r.Minos.Experiment.p99_mean
-      r.Minos.Experiment.p99_stddev
+  let p99s = Stats.Summary.create () in
+  List.iter
+    (fun (m : Kvserver.Metrics.t) ->
+      if not (Float.is_nan m.Kvserver.Metrics.p99_us) then
+        Stats.Summary.add p99s m.Kvserver.Metrics.p99_us)
+    runs;
+  let p99_mean = Stats.Summary.mean p99s and p99_stddev = Stats.Summary.stddev p99s in
+  check bool "all stable" true (List.for_all (fun m -> m.Kvserver.Metrics.stable) runs);
+  check bool "p99 positive" true (p99_mean > 0.0);
+  if p99_stddev > 0.35 *. p99_mean then
+    Alcotest.failf "p99 %.1f +- %.1f: too seed-sensitive" p99_mean p99_stddev
 
 let test_csv_export () =
   let dir = Filename.get_temp_dir_name () in

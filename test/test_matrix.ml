@@ -24,7 +24,12 @@ let profiles =
 (* A load every profile can sustain (pL = 0.75 is NIC-bound near 2.1). *)
 let offered_mops = 1.5
 
-let run design spec = Minos.Experiment.run ~cfg design spec ~offered_mops
+let run design spec =
+  Minos.Experiment.Spec.make design
+  |> Minos.Experiment.Spec.with_workload_spec spec
+  |> Minos.Experiment.Spec.with_cfg cfg
+  |> Minos.Experiment.Spec.with_load offered_mops
+  |> Minos.Experiment.run_spec
 
 let test_invariants_for design () =
   List.iter

@@ -170,7 +170,12 @@ let instrumented_run ?(seed = 1) ?(spans = 4096) () =
     Obs.Instrument.create ~spans ~cores:cfg.Kvserver.Config.cores ~seed ()
   in
   let metrics =
-    Minos.Experiment.run ~cfg ~obs Kvserver.Design.minos spec ~offered_mops:2.0
+    Minos.Experiment.Spec.make Kvserver.Design.minos
+    |> Minos.Experiment.Spec.with_workload_spec spec
+    |> Minos.Experiment.Spec.with_cfg cfg
+    |> Minos.Experiment.Spec.with_load 2.0
+    |> Minos.Experiment.Spec.with_obs obs
+    |> Minos.Experiment.run_spec
   in
   (obs, metrics)
 

@@ -89,10 +89,19 @@ let test_sweep_deterministic () =
   check int "same number of points" (List.length seq) (List.length par);
   check bool "sweep bit-identical across domain counts" true (same seq par)
 
+let point design load =
+  Minos.Experiment.Spec.make design
+  |> Minos.Experiment.Spec.with_workload_spec spec
+  |> Minos.Experiment.Spec.with_cfg cfg
+  |> Minos.Experiment.Spec.with_load load
+
 let test_replicated_deterministic () =
   let go () =
-    Minos.Experiment.run_replicated ~cfg ~seeds:[ 1; 2; 3; 4 ]
-      Kvserver.Design.hkh spec ~offered_mops:2.5
+    Minos.Par.map_list
+      (fun seed ->
+        Minos.Experiment.run_spec
+          (Minos.Experiment.Spec.with_seed seed (point Kvserver.Design.hkh 2.5)))
+      [ 1; 2; 3; 4 ]
   in
   let seq = with_jobs 1 go in
   let par = with_jobs 4 go in
@@ -101,8 +110,7 @@ let test_replicated_deterministic () =
 let test_slo_search_deterministic () =
   let go () =
     Minos.Slo_search.search
-      ~eval:(fun load ->
-        Minos.Experiment.run ~cfg Kvserver.Design.minos spec ~offered_mops:load)
+      ~eval:(fun load -> Minos.Experiment.run_spec (point Kvserver.Design.minos load))
       ~slo_p99_us:50.0 ~lo_mops:0.5 ~hi_mops:5.0 ~iters:4
   in
   let seq = with_jobs 1 go in

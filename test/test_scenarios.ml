@@ -299,6 +299,17 @@ let quick_cfg () = Minos.Experiment.config_of_scale Minos.Experiment.quick_scale
 let quick_run seed =
   { Minos.Run.default with Minos.Run.scale = Minos.Experiment.quick_scale; seed }
 
+let scenario name =
+  match Workload.Scenario.parse name with
+  | Ok sc -> sc
+  | Error e -> Alcotest.failf "%s: %s" name e
+
+let quick_point sc =
+  Minos.Experiment.Spec.make Kvserver.Design.minos
+  |> Minos.Experiment.Spec.with_workload sc
+  |> Minos.Experiment.Spec.with_cfg (quick_cfg ())
+  |> Minos.Experiment.Spec.with_load 2.0
+
 let test_scenarios_jobs_identical () =
   let names = [ "ttl-churn"; "scan-heavy" ] in
   let run jobs =
@@ -352,23 +363,86 @@ let test_scenarios_check () =
 let test_timed_trace_replay_deterministic () =
   (* A timed capture replayed through the engine must be reproducible,
      and must go down the recorded-pacing path (no Poisson draws). *)
-  let sc =
-    match Workload.Scenario.parse "bursts" with
-    | Ok sc -> sc
-    | Error e -> Alcotest.fail e
-  in
+  let sc = scenario "bursts" in
   let dataset = Minos.Experiment.dataset_for sc.Workload.Scenario.spec in
   let trace =
     Workload.Scenario.capture ~seed:13 sc dataset ~rate_mops:2.0 ~n:20_000
   in
   check bool "capture is timed" true (Workload.Trace.timed trace);
   let run () =
-    Minos.Experiment.run_trace ~cfg:(quick_cfg ()) ~seed:2 Kvserver.Design.minos
-      trace ~spec:sc.Workload.Scenario.spec ~offered_mops:2.0
+    quick_point (Workload.Scenario.of_spec sc.Workload.Scenario.spec)
+    |> Minos.Experiment.Spec.with_seed 2
+    |> Minos.Experiment.Spec.with_trace trace
+    |> Minos.Experiment.run_spec
   in
   let a = run () and b = run () in
   check bool "identical metrics" true (compare a b = 0);
   check bool "served requests" true (a.Kvserver.Metrics.served_total > 0)
+
+let test_trace_replay_honours_ttl () =
+  (* A replayed trace runs under its scenario's TTL: GETs of lapsed keys
+     miss. *)
+  let sc = scenario "ttl-churn" in
+  let dataset = Minos.Experiment.dataset_for sc.Workload.Scenario.spec in
+  let trace = Workload.Scenario.capture ~seed:13 sc dataset ~rate_mops:2.0 ~n:20_000 in
+  let m =
+    Minos.Experiment.run_spec (Minos.Experiment.Spec.with_trace trace (quick_point sc))
+  in
+  check bool "expired misses" true (m.Kvserver.Metrics.expired_misses > 0);
+  check
+    Alcotest.(result unit string)
+    "telescopes" (Ok ())
+    (Obs.Ledger.check (Kvserver.Metrics.ledger m))
+
+(* [f ()] raises [Invalid_argument] and its message contains each of
+   [needles]. *)
+let refused_naming needles f =
+  match f () with
+  | _ -> Alcotest.failf "expected Invalid_argument naming %s" (String.concat ", " needles)
+  | exception Invalid_argument msg ->
+      List.iter
+        (fun needle ->
+          let n = String.length needle in
+          let rec found i =
+            i + n <= String.length msg && (String.sub msg i n = needle || found (i + 1))
+          in
+          if not (found 0) then Alcotest.failf "%S does not name %S" msg needle)
+        needles
+
+let test_trace_conflicts_refused () =
+  (* The engine replays a timed trace at its own recorded arrivals, and
+     runs one request source: a second arrival process or a second trace
+     cannot be honoured, and is refused by name. *)
+  let diurnal = scenario "diurnal" in
+  let dataset = Minos.Experiment.dataset_for diurnal.Workload.Scenario.spec in
+  let timed = Workload.Scenario.capture ~seed:3 diurnal dataset ~rate_mops:2.0 ~n:1_000 in
+  refused_naming [ "timed trace"; "not Poisson" ] (fun () ->
+      Minos.Experiment.run_spec (Minos.Experiment.Spec.with_trace timed (quick_point diurnal)));
+  let cold = scenario "cold-tier" in
+  refused_naming [ "replay" ] (fun () ->
+      Minos.Experiment.run_spec (Minos.Experiment.Spec.with_trace timed (quick_point cold)))
+
+let test_trace_key_ids_checked () =
+  (* A trace captured over a larger dataset than the replaying scenario's
+     names keys the engine does not have: refused before the run, naming
+     the largest key id and the dataset's size. *)
+  let wide = scenario "write-intensive" in
+  let dataset = Minos.Experiment.dataset_for wide.Workload.Scenario.spec in
+  let trace =
+    Workload.Trace.capture (Workload.Scenario.generator ~seed:1 wide dataset) ~n:20_000
+  in
+  let max_key =
+    Array.fold_left
+      (fun acc (r : Workload.Generator.request) -> max acc r.Workload.Generator.key_id)
+      0 (Workload.Trace.requests trace)
+  in
+  let narrow = scenario "ttl-churn" in
+  let n_keys = narrow.Workload.Scenario.spec.Workload.Spec.n_keys in
+  check bool "trace reaches past the narrow dataset" true (max_key >= n_keys);
+  refused_naming
+    [ string_of_int max_key; Printf.sprintf "n_keys = %d" n_keys ]
+    (fun () ->
+      Minos.Experiment.run_spec (Minos.Experiment.Spec.with_trace trace (quick_point narrow)))
 
 let test_nan_knobs_rejected () =
   (* A NaN passes a [<]/[>] range test; every knob must still refuse it,
@@ -424,23 +498,109 @@ let test_idle_sweep_refused () =
     (fun s -> check bool (s ^ " parses") true (Result.is_ok (Workload.Scenario.parse s)))
     [ "ttl-churn,ttl_ms=10,sweep_ms=5"; "ttl-churn,ttl_ms=0,sweep_ms=0"; "cold-tier,ttl_ms=0" ]
 
-let test_flat_refuses_extras () =
-  (* The flat-mix runners (sweep, slo, obs, numa, cluster, reshard,
-     hedge) run only the mix; a scenario with extras must be refused by
-     name, never reduced. *)
-  let parse name =
-    match Workload.Scenario.parse name with
-    | Ok sc -> sc
-    | Error e -> Alcotest.failf "%s: %s" name e
+let test_idle_scan_len_refused () =
+  (* Without SCANs a SCAN length is never read, so setting it is refused
+     rather than silently dropped. *)
+  check
+    Alcotest.(result reject string)
+    "scan_len without scans"
+    (Error "default: scan_len needs scan_ratio > 0: no request is a SCAN")
+    (Result.map ignore (Workload.Scenario.parse "default,scan_len=50"));
+  check bool "scan_len with scans parses" true
+    (Result.is_ok (Workload.Scenario.parse "default,scan_ratio=0.01,scan_len=50"))
+
+(* Every knob either is refused or matters.  For every builtin scenario
+   and every common knob, set to a value away from the scenario's own,
+   [parse] refuses it or a short run differs from the base scenario's.
+   [paper] is left out: it is [default]'s flat mix over a 16M-key dataset
+   (~170 MB to build), so its knobs take [default]'s code paths.  The run
+   is long enough for the builtin TTLs (at most 150 ms) to lapse, so a
+   sweep has something to reclaim, at a light load to stay cheap. *)
+let knob_value (b : Workload.Scenario.t) knob =
+  let spec = b.Workload.Scenario.spec in
+  let ms us = us /. 1000.0 in
+  match knob with
+  | "p_large" -> Printf.sprintf "%g" (4.0 *. spec.Workload.Spec.p_large)
+  | "s_large" -> string_of_int (spec.Workload.Spec.s_large_max / 2)
+  | "get_ratio" -> if spec.Workload.Spec.get_ratio > 0.6 then "0.5" else "0.95"
+  | "n_keys" -> string_of_int (spec.Workload.Spec.n_keys / 2)
+  | "ttl_ms" -> (
+      match b.Workload.Scenario.ttl_us with
+      | None -> "20"
+      | Some us -> Printf.sprintf "%g" (ms us /. 10.0))
+  | "sweep_ms" -> "1"
+  | "scan_ratio" ->
+      if b.Workload.Scenario.scan_ratio = 0.0 then "0.05"
+      else Printf.sprintf "%g" (b.Workload.Scenario.scan_ratio /. 2.0)
+  | "scan_len" -> string_of_int (2 * b.Workload.Scenario.scan_len)
+  | "mem_fraction" -> (
+      match b.Workload.Scenario.mem_fraction with
+      | None -> "0.5"
+      | Some f -> Printf.sprintf "%g" (f /. 2.0))
+  | "replay" -> string_of_bool (not b.Workload.Scenario.replay)
+  | _ -> (
+      (* Arrival knobs: half the scenario's value where it has one; any
+         other scenario refuses them whatever the value. *)
+      match (b.Workload.Scenario.arrival, knob) with
+      | Workload.Arrival.Diurnal d, "amplitude" -> Printf.sprintf "%g" (d.amplitude /. 2.0)
+      | Workload.Arrival.Diurnal d, "period_ms" -> Printf.sprintf "%g" (ms d.period_us /. 2.0)
+      | Workload.Arrival.Bursts b, "on_ms" -> Printf.sprintf "%g" (ms b.on_us /. 2.0)
+      | Workload.Arrival.Bursts b, "off_ms" -> Printf.sprintf "%g" (ms b.off_us /. 2.0)
+      | Workload.Arrival.Bursts b, "factor" -> Printf.sprintf "%g" (b.factor /. 2.0)
+      | _ -> "1")
+
+let test_every_knob_matters () =
+  let cfg =
+    { (quick_cfg ()) with
+      Kvserver.Config.duration_us = 200_000.0; warmup_us = 5_000.0; epoch_us = 5_000.0 }
   in
-  (match Workload.Scenario.flat (parse "cold-tier") with
+  let fingerprint sc =
+    let m =
+      Minos.Experiment.Spec.make Kvserver.Design.minos
+      |> Minos.Experiment.Spec.with_workload sc
+      |> Minos.Experiment.Spec.with_cfg cfg
+      |> Minos.Experiment.Spec.with_load 0.1
+      |> Minos.Experiment.run_spec
+    in
+    Kvserver.Metrics.
+      ( m.issued, m.p50_us, m.p99_us, m.per_core_ops, m.expired_misses, m.expired_keys,
+        m.evicted_keys )
+  in
+  let mattered = Hashtbl.create 16 in
+  List.iter
+    (fun (info : Workload.Scenario.info) ->
+      let name = info.Workload.Scenario.name in
+      if name <> "paper" then begin
+        let base = fingerprint (scenario name) in
+        List.iter
+          (fun (knob, _) ->
+            let arg = Printf.sprintf "%s,%s=%s" name knob (knob_value info.base knob) in
+            match Workload.Scenario.parse arg with
+            | Error _ -> ()
+            | Ok sc ->
+                if compare (fingerprint sc) base = 0 then
+                  Alcotest.failf "%s parses but runs like %s" arg name;
+                Hashtbl.replace mattered knob ())
+          Workload.Scenario.common_knobs
+      end)
+    (Workload.Scenario.all ());
+  List.iter
+    (fun (knob, _) ->
+      check bool (knob ^ " matters on some scenario") true (Hashtbl.mem mattered knob))
+    Workload.Scenario.common_knobs
+
+let test_flat_refuses_extras () =
+  (* The flat-mix runners (sweep, numa, cluster, reshard, hedge) run only
+     the mix; a scenario with extras must be refused by
+     name, never reduced. *)
+  (match Workload.Scenario.flat (scenario "cold-tier") with
   | Ok _ -> Alcotest.fail "cold-tier reduced to its flat mix"
   | Error msg ->
       check string "extras named"
         "scenario cold-tier has extras only a single engine honours \
          (arrival, ttl, mem_fraction, replay); pick a flat workload"
         msg);
-  match Workload.Scenario.flat (parse "default") with
+  match Workload.Scenario.flat (scenario "default") with
   | Ok spec -> check bool "default is the flat default spec" true (spec = Workload.Spec.default)
   | Error e -> Alcotest.failf "default refused: %s" e
 
@@ -482,7 +642,14 @@ let () =
           Alcotest.test_case "unknown knob refused" `Quick test_unknown_knob_refused;
           Alcotest.test_case "sweep with nothing to sweep refused" `Quick
             test_idle_sweep_refused;
+          Alcotest.test_case "idle scan_len refused" `Quick test_idle_scan_len_refused;
+          Alcotest.test_case "every knob matters" `Quick test_every_knob_matters;
           Alcotest.test_case "timed replay deterministic" `Quick
             test_timed_trace_replay_deterministic;
+          Alcotest.test_case "trace replay honours TTL" `Quick
+            test_trace_replay_honours_ttl;
+          Alcotest.test_case "trace conflicts refused" `Quick
+            test_trace_conflicts_refused;
+          Alcotest.test_case "trace key ids checked" `Quick test_trace_key_ids_checked;
         ] );
     ]
