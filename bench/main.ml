@@ -23,10 +23,10 @@ let bench_file target = "BENCH_" ^ target ^ ".json"
 
 (* ------------------------------------------------------------------ *)
 (* Hot-path performance profile: heap ns per add+pop, simulator
-   events/sec and minor words allocated per simulated request, plus the
-   wall-clock of one figure sweep.  Written to BENCH_perf.json so runs can
-   be compared across commits; [perf_gate] fails the run when one of the
-   first three leaves its bound. *)
+   events/sec, minor and major words allocated per simulated request, the
+   dataset's heap words per key, plus the wall-clock of one figure sweep.
+   Written to BENCH_perf.json so runs can be compared across commits;
+   [perf_gate] fails the run when one of them leaves its bound. *)
 
 let perf_heap_ns () =
   let heap = Dsim.Heap.create ~dummy:() () in
@@ -62,6 +62,16 @@ let perf_wheel_ns () =
   done;
   1e9 *. (Unix.gettimeofday () -. t0) /. float_of_int iters
 
+type sim_profile = {
+  events_per_sec : float;
+  minor_per_req : float;
+  major_per_req : float;
+      (* words allocated on or promoted to the major heap: the latency
+         record and everything that outlives a minor collection *)
+  events : int;
+  issued : int;
+}
+
 (* One Minos run at a fixed 4 Mops on the default workload, instrumented
    for allocation rate and event throughput; [obs] attaches a flight
    recorder (the recorder-overhead comparison). *)
@@ -75,15 +85,29 @@ let perf_sim ?obs () =
   in
   let eng = Kvserver.Engine.create ?obs cfg gen ~offered_mops:4.0 in
   let minor0 = Gc.minor_words () in
+  let major0 = (Gc.quick_stat ()).Gc.major_words in
   let t0 = Unix.gettimeofday () in
   let m = Kvserver.Engine.run eng (Minos.Experiment.maker Kvserver.Design.minos) in
   let dt = Unix.gettimeofday () -. t0 in
   let minor = Gc.minor_words () -. minor0 in
+  let major = (Gc.quick_stat ()).Gc.major_words -. major0 in
   let events = Dsim.Sim.events_processed (Kvserver.Engine.sim eng) in
   let issued = m.Kvserver.Metrics.issued in
-  ( float_of_int events /. dt,
-    minor /. float_of_int (max 1 issued),
-    events, issued )
+  let per_req w = w /. float_of_int (max 1 issued) in
+  {
+    events_per_sec = float_of_int events /. dt;
+    minor_per_req = per_req minor;
+    major_per_req = per_req major;
+    events;
+    issued;
+  }
+
+(* Heap words the memoized default dataset holds per key: the simulator's
+   only per-key state (a point adds per-request state, not per-key). *)
+let dataset_words_per_key () =
+  let d = Minos.Experiment.dataset_for Workload.Spec.default in
+  float_of_int (Obj.reachable_words (Obj.repr d))
+  /. float_of_int (Workload.Dataset.n_keys d)
 
 (* Exit non-zero when a run's headline claims fail (the [check] of each
    driver); the written JSON stays for inspection. *)
@@ -103,11 +127,11 @@ let enforce target = function
 let run_obs () =
   Minos.Report.section "Flight-recorder overhead (recorder off vs on)";
   let cfg = Minos.Experiment.config_of_scale scale in
-  let ev_off, w_off, _, _ = perf_sim () in
+  let { events_per_sec = ev_off; minor_per_req = w_off; _ } = perf_sim () in
   let obs =
     Obs.Instrument.create ~spans:65536 ~cores:cfg.Kvserver.Config.cores ~seed:1 ()
   in
-  let ev_on, w_on, _, _ = perf_sim ~obs () in
+  let { events_per_sec = ev_on; minor_per_req = w_on; _ } = perf_sim ~obs () in
   let recorded = Obs.Recorder.recorded obs.Obs.Instrument.recorder in
   Minos.Report.table ~title:"recorder cost"
     ~headers:[ "metric"; "obs off"; "obs on"; "delta" ]
@@ -184,18 +208,31 @@ let run_capacity () =
          ~offered_mops:1.0)
 
 (* ------------------------------------------------------------------ *)
-(* The perf-smoke gate.  Two deterministic bounds (the sim is seeded, so
-   allocation and event counts are exact) plus a wide absolute throughput
-   floor that catches order-of-magnitude collapses without flaking on
-   runner hardware. *)
-let perf_gate ~words_per_req ~events ~issued ~events_per_sec =
-  let ev_per_req = float_of_int events /. float_of_int (max 1 issued) in
+(* The perf-smoke gate.  Four deterministic bounds (the sim is seeded, so
+   allocation and event counts are exact, and the dataset's size is fixed
+   by its spec) plus a wide absolute throughput floor that catches
+   order-of-magnitude collapses without flaking on runner hardware.  The
+   major-words and dataset bounds sit at the values this code measures
+   (each repeated exactly over three runs); only ever tighten them. *)
+let max_major_per_req = 2.7
+let max_dataset_words_per_key = 0.252
+
+let perf_gate (p : sim_profile) ~dataset_words =
+  let words_per_req = p.minor_per_req and events_per_sec = p.events_per_sec in
+  let ev_per_req = float_of_int p.events /. float_of_int (max 1 p.issued) in
   Printf.printf
-    "perf gate: %.1f words/request (<= 80), %.2f events/request (<= 4.5), %.0f events/sec (>= 1M)\n%!"
-    words_per_req ev_per_req events_per_sec;
+    "perf gate: %.1f words/request (<= 80), %.2f events/request (<= 4.5), %.0f events/sec (>= 1M), %.3f major words/request (<= %g), %.3f dataset words/key (<= %g)\n%!"
+    words_per_req ev_per_req events_per_sec p.major_per_req max_major_per_req dataset_words
+    max_dataset_words_per_key;
   Minos.Report.verdict
     [
       (words_per_req <= 80.0, Printf.sprintf "%.1f minor words/request (gate: 80)" words_per_req);
+      ( p.major_per_req <= max_major_per_req,
+        Printf.sprintf "%.3f major words/request (gate: %g) — the latency record grew"
+          p.major_per_req max_major_per_req );
+      ( dataset_words <= max_dataset_words_per_key,
+        Printf.sprintf "%.3f dataset heap words/key (gate: %g) — per-key state crept in"
+          dataset_words max_dataset_words_per_key );
       ( ev_per_req <= 4.5,
         Printf.sprintf "%.2f events/request (gate: 4.5) — extra per-request events crept in"
           ev_per_req );
@@ -246,7 +283,8 @@ let run_perf sweep_target =
   Minos.Report.section "Hot-path performance profile";
   let heap_ns = perf_heap_ns () in
   let wheel_ns = perf_wheel_ns () in
-  let events_per_sec, words_per_req, events, issued = perf_sim () in
+  let dataset_words = dataset_words_per_key () in
+  let p = perf_sim () in
   let sweep_fn =
     match List.find_opt (fun (n, _, _) -> n = sweep_target) targets with
     | Some (_, _, f) -> f
@@ -261,8 +299,10 @@ let run_perf sweep_target =
     [
       [ "heap add+pop ns/op"; Printf.sprintf "%.1f" heap_ns ];
       [ "wheel add+pop ns/op"; Printf.sprintf "%.1f" wheel_ns ];
-      [ "dsim events/sec"; Printf.sprintf "%.0f" events_per_sec ];
-      [ "minor words/request"; Printf.sprintf "%.1f" words_per_req ];
+      [ "dsim events/sec"; Printf.sprintf "%.0f" p.events_per_sec ];
+      [ "minor words/request"; Printf.sprintf "%.1f" p.minor_per_req ];
+      [ "major words/request"; Printf.sprintf "%.3f" p.major_per_req ];
+      [ "dataset heap words/key"; Printf.sprintf "%.3f" dataset_words ];
       [ sweep_target ^ " sweep seconds"; Printf.sprintf "%.2f" sweep_s ];
     ];
   Obs.Json.(
@@ -273,21 +313,24 @@ let run_perf sweep_target =
            ("jobs", Int (Minos.Par.jobs ()));
            ("heap_add_pop_ns", Float heap_ns);
            ("wheel_add_pop_ns", Float wheel_ns);
-           ("dsim_events_per_sec", Float events_per_sec);
-           ("minor_words_per_request", Float words_per_req);
-           ("sim_events", Int events);
-           ("sim_issued", Int issued);
+           ("dsim_events_per_sec", Float p.events_per_sec);
+           ("minor_words_per_request", Float p.minor_per_req);
+           ("major_words_per_request", Float p.major_per_req);
+           ("dataset_words_per_key", Float dataset_words);
+           ("sim_events", Int p.events);
+           ("sim_issued", Int p.issued);
            ("sweep_target", String sweep_target);
            ("sweep_seconds", Float sweep_s);
          ]));
   Printf.printf "[perf profile written to %s]\n%!" (bench_file "perf");
-  enforce "perf" (perf_gate ~words_per_req ~events ~issued ~events_per_sec)
+  enforce "perf" (perf_gate p ~dataset_words)
 
 let usage () =
   print_endline "usage: bench/main.exe [target ...]   (default: all targets)";
   print_endline "       bench/main.exe perf [sweep-target]";
   print_endline
-    "  perf measures heap ns/op, dsim events/sec, minor words/request and";
+    "  perf measures heap ns/op, dsim events/sec, minor and major words/request,";
+  print_endline "  the dataset's heap words/key and";
   print_endline
     "  the wall-clock of one sweep (default fig3); writes BENCH_perf.json, exits 1 past a gate.";
   print_endline "targets:";
@@ -304,8 +347,8 @@ let () =
       (* Undocumented: loop the perf_sim workload so a sampling profiler
          (gprofng, perf) sees only the simulator hot path. *)
       for _ = 1 to 5 do
-        let ev, w, _, _ = perf_sim () in
-        Printf.printf "events/sec %.0f  words/req %.1f\n%!" ev w
+        let p = perf_sim () in
+        Printf.printf "events/sec %.0f  words/req %.1f\n%!" p.events_per_sec p.minor_per_req
       done
   | [] ->
       Printf.printf "Minos benchmark harness (%s scale)\n"

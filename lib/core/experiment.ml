@@ -144,13 +144,16 @@ let check_trace (s : Spec.t) dataset trace =
          n_keys);
   if sc.Workload.Scenario.replay then
     refuse "a trace and a replay scenario both supply the requests";
+  if Option.is_some s.Spec.dynamic then
+    refuse "a dynamic phase plan varies the generator, which the trace replaces";
   match sc.Workload.Scenario.arrival with
   | Workload.Arrival.Poisson -> ()
   | _ when Workload.Trace.timed trace ->
       refuse "a timed trace carries its own arrivals; the scenario's are not Poisson"
   | _ -> ()
 
-let run_spec_raw (s : Spec.t) =
+(* The engine of one point, ready to run. *)
+let engine_of_spec (s : Spec.t) =
   let sc = s.Spec.workload in
   (match Workload.Scenario.validate sc with
   | Ok () -> ()
@@ -210,15 +213,17 @@ let run_spec_raw (s : Spec.t) =
           None )
     | None -> (None, None)
   in
-  let eng =
-    Kvserver.Engine.create ?dynamic:s.Spec.dynamic ?source ?pacing ?timed ?residency
-      ?sweep_us ?obs:s.Spec.obs ?fault:s.Spec.fault cfg gen
-      ~offered_mops:s.Spec.offered_mops
-  in
+  Kvserver.Engine.create ?dynamic:s.Spec.dynamic ?source ?pacing ?timed ?residency
+    ?sweep_us ?obs:s.Spec.obs ?fault:s.Spec.fault cfg gen
+    ~offered_mops:s.Spec.offered_mops
+
+let run_spec (s : Spec.t) =
+  Kvserver.Engine.run (engine_of_spec s) (Kvserver.Design.make s.Spec.design)
+
+let run_spec_raw (s : Spec.t) =
+  let eng = engine_of_spec s in
   let metrics = Kvserver.Engine.run eng (Kvserver.Design.make s.Spec.design) in
   (metrics, Kvserver.Engine.raw_latencies eng)
-
-let run_spec s = fst (run_spec_raw s)
 
 let better (a : Kvserver.Metrics.t) (b : Kvserver.Metrics.t) =
   if a.Kvserver.Metrics.stable <> b.Kvserver.Metrics.stable then

@@ -137,8 +137,9 @@ val run_spec : Spec.t -> Kvserver.Metrics.t
     {!Workload.Scenario.validate}, and on a combination the engine cannot
     honour, naming it: an empty trace, a trace whose key ids run past the
     dataset's [n_keys], a timed trace under a non-Poisson arrival process,
-    a trace together with a [replay] scenario.  A dynamic phase plan does
-    not apply to a trace. *)
+    a trace together with a [replay] scenario or with a dynamic phase plan
+    (the plan varies the generator, which the trace replaces; the engine
+    refuses a plan with a [replay] scenario's capture alike). *)
 
 val run_spec_raw : Spec.t -> Kvserver.Metrics.t * Stats.Float_vec.t
 (** Like {!run_spec}, additionally returning the raw latency samples (µs)

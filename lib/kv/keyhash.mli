@@ -27,3 +27,10 @@ val fields : string -> partition_bits:int -> bucket_bits:int -> int
     {!partition_of}, {!bucket_of} and {!tag_of} compute them from
     {!hash}.  It allocates nothing, where a boxed {!hash} result would.
     [partition_bits + bucket_bits <= 46] required. *)
+
+val hex_name_partition : prefix:char -> int -> bits:int -> int
+(** [hex_name_partition ~prefix id ~bits] is
+    [partition_of (hash name) ~bits] for [name] = [prefix] followed by the
+    low 32 bits of [id] as 8 lowercase hex digits (["k%08x"] for
+    [prefix = 'k']).  It hashes the digits as it derives them, so no name
+    string is built and nothing is allocated. *)

@@ -118,9 +118,11 @@ type t = {
   core_ops : int array;
   core_packets : int array;
   core_busy_us : float array;
-  latencies : Stats.Float_vec.t;
-  small_latencies : Stats.Float_vec.t;
-  large_latencies : Stats.Float_vec.t;
+  latencies : Stats.Float_vec.t; (* every recorded latency, completion order *)
+  mutable large_marks : Bytes.t;
+      (* bit [i] set: sample [i] of [latencies] is a large request's;
+         [finish] splits the classes from it *)
+  mutable large_samples : int;
   windowed : Stats.Windowed.t option;
   mutable issued : int;
   mutable processed_total : int; (* served ops, stability accounting *)
@@ -354,6 +356,24 @@ let touch_real_store t req =
              exercised by the KV tests and examples. *)
           Kvstore.Store.put store ~guard:`Lock key t.put_value)
 
+(* Set the class bit of latency sample [i], growing the bitmap by
+   doubling (new bytes zeroed: unmarked samples are small). *)
+let mark_large t i =
+  let byte = i lsr 3 in
+  if byte >= Bytes.length t.large_marks then begin
+    let marks = Bytes.make (2 * max byte 1) '\000' in
+    Bytes.blit t.large_marks 0 marks 0 (Bytes.length t.large_marks);
+    t.large_marks <- marks
+  end;
+  Bytes.set_uint8 t.large_marks byte
+    (Bytes.get_uint8 t.large_marks byte lor (1 lsl (i land 7)));
+  t.large_samples <- t.large_samples + 1
+
+let[@inline] marked_large t i =
+  let byte = i lsr 3 in
+  byte < Bytes.length t.large_marks
+  && Bytes.get_uint8 t.large_marks byte land (1 lsl (i land 7)) <> 0
+
 (* Called when the reply's last frame leaves the wire.  A caller-fed
    engine serves copies of the caller's requests, so it leaves latency
    to the caller. *)
@@ -363,9 +383,8 @@ let record_reply t req ~finish_time =
       finish_time +. t.cfg.Config.cost.Cost_model.pipeline_latency_us
       -. t.arrivals.(req.slot)
     in
+    if req.is_large_truth then mark_large t (Stats.Float_vec.length t.latencies);
     Stats.Float_vec.push t.latencies latency;
-    if req.is_large_truth then Stats.Float_vec.push t.large_latencies latency
-    else Stats.Float_vec.push t.small_latencies latency;
     match t.windowed with
     | Some w -> Stats.Windowed.add w ~time:finish_time latency
     | None -> ()
@@ -552,8 +571,8 @@ let build ?dynamic ?store ?source ?pacing ?timed ?residency ?sweep_us ?obs ?faul
       core_packets = Array.make cfg.Config.cores 0;
       core_busy_us = Array.make cfg.Config.cores 0.0;
       latencies = Stats.Float_vec.create ~capacity:65536 ();
-      small_latencies = Stats.Float_vec.create ~capacity:65536 ();
-      large_latencies = Stats.Float_vec.create ~capacity:1024 ();
+      large_marks = Bytes.make 8192 '\000';
+      large_samples = 0;
       windowed =
         (match cfg.Config.window_us with
         | Some w -> Some (Stats.Windowed.create ~width:w ())
@@ -621,6 +640,12 @@ let create ?dynamic ?store ?source ?pacing ?timed ?residency ?sweep_us ?obs ?fau
   | Some s when not (s > 0.0) ->
       invalid_arg "Engine.create: sweep_us must be positive"
   | Some _ | None -> ());
+  (match (dynamic, source, timed) with
+  | Some _, Some _, _ | Some _, _, Some _ ->
+      invalid_arg
+        "Engine.create: a dynamic phase plan varies the generator, which a source or a \
+         timed trace replaces"
+  | _ -> ());
   build ?dynamic ?store ?source ?pacing ?timed ?residency ?sweep_us ?obs ?fault ~server
     ~sim:(Dsim.Sim.create ~seed:cfg.Config.seed ())
     ~gen:(Some gen) ~dataset:(Workload.Generator.dataset gen) cfg ~offered_mops
@@ -889,19 +914,32 @@ let finish t =
   (* Unstable when the leftover backlog exceeds what a loaded-but-stable
      system would plausibly hold in flight. *)
   let backlog_cap = max 2000 (int_of_float (0.02 *. float_of_int t.issued)) in
-  (* Every recorded latency lands in exactly one class vector, so sorting
-     the two classes and merging reproduces the sorted overall sample —
-     one full sort instead of three (overall + per class). *)
+  (* The class marks split the samples into two arrays, each sorted once;
+     the overall quantiles are selected across the pair, so no merged copy
+     of the whole sample is built. *)
   let p50, p95, p99, p999, small_p99, large_p99 =
-    let small = Stats.Float_vec.to_array t.small_latencies in
-    let large = Stats.Float_vec.to_array t.large_latencies in
+    let n = Stats.Float_vec.length t.latencies in
+    let small = Array.create_float (n - t.large_samples) in
+    let large = Array.create_float t.large_samples in
+    let n_small = ref 0 and n_large = ref 0 in
+    for i = 0 to n - 1 do
+      let x = Stats.Float_vec.get t.latencies i in
+      if marked_large t i then begin
+        large.(!n_large) <- x;
+        incr n_large
+      end
+      else begin
+        small.(!n_small) <- x;
+        incr n_small
+      end
+    done;
     Stats.Quantile.sort_floats small;
     Stats.Quantile.sort_floats large;
-    let all = Stats.Quantile.merge_sorted small large in
     let q a p =
       if Array.length a = 0 then Float.nan else Stats.Quantile.of_sorted a p
     in
-    (q all 0.5, q all 0.95, q all 0.99, q all 0.999, q small 0.99, q large 0.99)
+    let all p = if n = 0 then Float.nan else Stats.Quantile.of_sorted_union small large p in
+    (all 0.5, all 0.95, all 0.99, all 0.999, q small 0.99, q large 0.99)
   in
   {
     Metrics.design = design.name;

@@ -84,13 +84,15 @@ val create :
     {!Kvstore.Store} (used by examples and integration tests; the store
     must already contain the dataset's keys).  [source] overrides the
     generator as the supplier of request descriptors — e.g. a looping
-    {!Workload.Trace.replayer} for trace-driven simulation; [dynamic] is
-    ignored in that case.  [pacing] makes the offered rate time-varying
-    (reshard and diurnal/burst scenario runs); [offered_mops] then only
-    labels the metrics.  [timed] replays a {e timestamped} trace at its
-    recorded arrival times (looping, re-based each lap), overriding the
-    Poisson arrival loop entirely — [source] and [pacing] are ignored;
-    raises [Invalid_argument] on an untimed or empty trace.
+    {!Workload.Trace.replayer} for trace-driven simulation.  [pacing]
+    makes the offered rate time-varying (reshard and diurnal/burst
+    scenario runs); [offered_mops] then only labels the metrics.  [timed]
+    replays a {e timestamped} trace at its recorded arrival times
+    (looping, re-based each lap), overriding the Poisson arrival loop
+    entirely — [source] and [pacing] are ignored; raises
+    [Invalid_argument] on an untimed or empty trace.  [dynamic] drives
+    the generator, so it is refused ([Invalid_argument]) together with
+    [source] or [timed].
     [residency] attaches the TTL/eviction model ({!Residency}): GETs that
     find no live item become not-found replies counted in
     [Metrics.expired_misses], PUTs (re)load their key and evict under the
@@ -232,8 +234,11 @@ val cancel : t -> int -> unit
     [Served].  Counted in [Metrics.cancelled]. *)
 
 val raw_latencies : t -> Stats.Float_vec.t
-(** All recorded end-to-end latencies (µs) of the last {!run}; used to
-    combine distributions across NUMA domains ({!Minos.Numa}). *)
+(** All recorded end-to-end latencies (µs) of the last {!run}, in reply
+    completion order — the engine's one latency record (each sample's
+    class is a bit beside it, not a second copy).  Used to combine
+    distributions across NUMA domains ({!Minos.Numa}) and cluster
+    servers, and resampled by the fan-out figure. *)
 
 val windowed : t -> Stats.Windowed.t option
 (** The per-window latency recorder (present when [cfg.window_us] is

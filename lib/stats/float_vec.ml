@@ -1,16 +1,26 @@
 type t = { mutable arr : float array; mutable len : int }
 
-let create ?(capacity = 1024) () =
-  { arr = Array.make (max capacity 1) 0.0; len = 0 }
+(* [Array.create_float] leaves the new storage unwritten, so capacity that
+   is never pushed to is never touched: on a large vector the untouched
+   tail costs address space, not resident memory ([Array.make] would
+   zero-fill all of it). *)
+let create ?(capacity = 1024) () = { arr = Array.create_float (max capacity 1); len = 0 }
 
 let length t = t.len
 
+(* Double the capacity until [need] fits, keeping the first [len]
+   elements. *)
+let grow t need =
+  let cap = ref (max 1 (Array.length t.arr)) in
+  while !cap < need do
+    cap := 2 * !cap
+  done;
+  let arr = Array.create_float !cap in
+  Array.blit t.arr 0 arr 0 t.len;
+  t.arr <- arr
+
 let[@inline] push t x =
-  if t.len = Array.length t.arr then begin
-    let arr = Array.make (2 * t.len) 0.0 in
-    Array.blit t.arr 0 arr 0 t.len;
-    t.arr <- arr
-  end;
+  if t.len = Array.length t.arr then grow t (t.len + 1);
   t.arr.(t.len) <- x;
   t.len <- t.len + 1
 
@@ -27,15 +37,7 @@ let iter f t =
 
 let append dst src =
   let need = dst.len + src.len in
-  if need > Array.length dst.arr then begin
-    let cap = ref (max 1 (Array.length dst.arr)) in
-    while !cap < need do
-      cap := 2 * !cap
-    done;
-    let arr = Array.make !cap 0.0 in
-    Array.blit dst.arr 0 arr 0 dst.len;
-    dst.arr <- arr
-  end;
+  if need > Array.length dst.arr then grow dst need;
   Array.blit src.arr 0 dst.arr dst.len src.len;
   dst.len <- need
 

@@ -6,6 +6,8 @@
 type t
 
 val create : ?capacity:int -> unit -> t
+(** Storage is reserved with [Array.create_float] (here and on growth), so
+    capacity that is never pushed to is never written. *)
 
 val length : t -> int
 

@@ -47,36 +47,36 @@ let sort_floats (a : float array) =
   in
   if Array.length a > 1 then qsort 0 (Array.length a - 1)
 
-(* Standard two-finger merge.  Equal elements are interchangeable (they
-   are plain floats), so merging two sorted class-partitioned arrays
-   yields exactly the array a direct sort of their union would. *)
-let merge_sorted a b =
-  let na = Array.length a and nb = Array.length b in
-  if na = 0 then Array.copy b
-  else if nb = 0 then Array.copy a
-  else begin
-    let out = Array.make (na + nb) 0.0 in
-    let i = ref 0 and j = ref 0 in
-    for k = 0 to na + nb - 1 do
-      if !j >= nb || (!i < na && a.(!i) <= b.(!j)) then begin
-        out.(k) <- a.(!i);
-        incr i
-      end
-      else begin
-        out.(k) <- b.(!j);
-        incr j
-      end
-    done;
-    out
-  end
-
-let of_sorted sorted q =
-  let n = Array.length sorted in
-  if n = 0 then invalid_arg "Quantile.of_sorted: empty sample";
-  if q <= 0.0 || q > 1.0 then invalid_arg "Quantile.of_sorted: q out of (0, 1]";
+(* Index of the nearest-rank [q]-quantile among [n] sorted samples. *)
+let rank_index ~fn n q =
+  if n = 0 then invalid_arg ("Quantile." ^ fn ^ ": empty sample");
+  if q <= 0.0 || q > 1.0 then invalid_arg ("Quantile." ^ fn ^ ": q out of (0, 1]");
   let rank = int_of_float (ceil (q *. float_of_int n)) in
-  let idx = max 0 (min (n - 1) (rank - 1)) in
-  sorted.(idx)
+  max 0 (min (n - 1) (rank - 1))
+
+let of_sorted sorted q = sorted.(rank_index ~fn:"of_sorted" (Array.length sorted) q)
+
+(* The [k]-th smallest (0-based) element of the union of sorted [a] and
+   [b]: bisect on [i], how many of the [k + 1] smallest come from [a].
+   The split is right when neither side's last taken element exceeds the
+   other side's first untaken one; the answer is then the larger of the
+   two last taken elements.  Equal elements are plain floats, so any
+   valid split yields the same value. *)
+let kth_of_union a b k =
+  let na = Array.length a and nb = Array.length b in
+  let rec search lo hi =
+    let i = (lo + hi) / 2 in
+    let j = k + 1 - i in
+    if i > 0 && j < nb && a.(i - 1) > b.(j) then search lo (i - 1)
+    else if j > 0 && i < na && b.(j - 1) > a.(i) then search (i + 1) hi
+    else if i = 0 then b.(j - 1)
+    else if j = 0 then a.(i - 1)
+    else Float.max a.(i - 1) b.(j - 1)
+  in
+  search (max 0 (k + 1 - nb)) (min na (k + 1))
+
+let of_sorted_union a b q =
+  kth_of_union a b (rank_index ~fn:"of_sorted_union" (Array.length a + Array.length b) q)
 
 let of_array arr q =
   let copy = Array.copy arr in

@@ -10,14 +10,17 @@ val sort_floats : float array -> unit
     [Array.sort compare] on a [float array]).  Samples must be finite:
     NaNs are not ordered. *)
 
-val merge_sorted : float array -> float array -> float array
-(** Merge two sorted arrays into a fresh sorted array.  When the inputs
-    partition a sample (e.g. per-class latency vectors), this reproduces
-    the sorted union for half the sorting work. *)
-
 val of_sorted : float array -> float -> float
 (** [of_sorted sorted q] with [0 < q <= 1].  Raises [Invalid_argument] on an
     empty array or out-of-range [q]. *)
+
+val of_sorted_union : float array -> float array -> float -> float
+(** [of_sorted_union a b q] is [of_sorted] over the sorted union of the
+    sorted arrays [a] and [b] (either may be empty), found by bisection in
+    O(log n) without building the union.  When [a] and [b] partition a
+    sample (e.g. per-class latencies), this is the quantile of the whole
+    sample.  Raises [Invalid_argument] when both are empty or [q] is out
+    of range. *)
 
 val of_array : float array -> float -> float
 (** Sorts a copy, then applies {!of_sorted}. *)

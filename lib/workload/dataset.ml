@@ -11,7 +11,6 @@ type t = {
   zipf : Dsim.Dist.Zipf.t;
   n_small : int;
   perm_key : int; (* parameter of the rank -> key-id scrambling *)
-  part30 : int array; (* per-key 30-bit keyhash partition, precomputed *)
 }
 
 (* Multiplicative scrambling of zipf ranks onto key ids: an affine map with
@@ -24,8 +23,8 @@ let rec coprime_mult n candidate =
   if gcd candidate n = 1 then candidate else coprime_mult n (candidate + 2)
 
 (* Hand-rolled ["k%08x"]: producing the same strings as [Printf.sprintf]
-   without interpreting a format per key makes the whole-dataset hash
-   precomputation (and real-store key materialization) cheap. *)
+   without interpreting a format per key keeps real-store key
+   materialization cheap. *)
 let hex_digits = "0123456789abcdef"
 
 let key_name id =
@@ -68,9 +67,6 @@ let create ?(seed = 7) spec =
     zipf = Dsim.Dist.Zipf.create ~n:n_small ~theta:spec.Spec.zipf_theta;
     n_small;
     perm_key = coprime_mult n_small 2_654_435_761;
-    part30 =
-      Array.init n (fun id ->
-          Kvstore.Keyhash.partition_of (Kvstore.Keyhash.hash (key_name id)) ~bits:30);
   }
 
 let spec t = t.spec
@@ -85,7 +81,7 @@ let[@inline] size_of_key t id =
 
 let[@inline] is_large_key t id = id >= t.n_small
 
-let[@inline] key_partition t id = t.part30.(id)
+let key_partition _ id = Kvstore.Keyhash.hex_name_partition ~prefix:'k' id ~bits:30
 
 let sample_small_key t rng =
   let rank = Dsim.Dist.Zipf.sample t.zipf rng in

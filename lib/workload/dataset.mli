@@ -30,9 +30,11 @@ val key_name : int -> string
     (equivalent to [Printf.sprintf "k%08x" id], without the formatter). *)
 
 val key_partition : t -> int -> int
-(** The 30-bit {!Kvstore.Keyhash} partition index of the key's name hash,
-    precomputed at dataset creation — the engine's PUT dispatch never
-    formats or hashes key names on the per-request path. *)
+(** The 30-bit {!Kvstore.Keyhash} partition index of the key's name hash:
+    [Keyhash.partition_of (Keyhash.hash (key_name id)) ~bits:30],
+    computed from the id's hex digits without building the name, so the
+    engine's PUT dispatch allocates nothing and the dataset stores no
+    per-key hash. *)
 
 val sample_small_key : t -> Dsim.Rng.t -> int
 (** A zipf-distributed tiny/small key. *)

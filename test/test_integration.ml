@@ -342,6 +342,28 @@ let test_design_names_roundtrip () =
     Minos.Experiment.all_designs;
   check bool "unknown rejected" true (Minos.Experiment.design_of_name "nope" = None)
 
+(* The raw latency vector is the engine's one completion-order record:
+   NUMA and cluster runs union it and the fan-out figure resamples it, so
+   its order is part of the output.  Pinned bit for bit (digest of the
+   samples' IEEE bits, little-endian) at a fixed QUICK point. *)
+let test_raw_latencies_pinned () =
+  List.iter
+    (fun (design, n, digest) ->
+      let _, lat =
+        Minos.Experiment.run_spec_raw
+          (point design 2.0 |> Minos.Experiment.Spec.with_seed 5)
+      in
+      let b = Buffer.create (8 * Stats.Float_vec.length lat) in
+      Stats.Float_vec.iter (fun x -> Buffer.add_int64_le b (Int64.bits_of_float x)) lat;
+      let name = Minos.Experiment.design_name design in
+      check Alcotest.int (name ^ " samples") n (Stats.Float_vec.length lat);
+      check Alcotest.string (name ^ " digest") digest
+        (Digest.to_hex (Digest.string (Buffer.contents b))))
+    [
+      (Kvserver.Design.minos, 160_349, "19d732d7a10a6c2daad9a119005a365f");
+      (Kvserver.Design.hkh, 160_349, "5246d4f17dc0aeeb5fc677c45c199bb7");
+    ]
+
 let () =
   Alcotest.run "integration"
     [
@@ -375,6 +397,7 @@ let () =
           Alcotest.test_case "slo search mechanics" `Quick test_slo_search_mechanics;
           Alcotest.test_case "design names" `Quick test_design_names_roundtrip;
           Alcotest.test_case "replication stability" `Slow test_replication_stability;
+          Alcotest.test_case "raw latencies pinned" `Quick test_raw_latencies_pinned;
           Alcotest.test_case "csv export" `Quick test_csv_export;
           Alcotest.test_case "json helpers" `Quick test_json_helpers;
         ] );

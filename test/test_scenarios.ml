@@ -420,7 +420,37 @@ let test_trace_conflicts_refused () =
       Minos.Experiment.run_spec (Minos.Experiment.Spec.with_trace timed (quick_point diurnal)));
   let cold = scenario "cold-tier" in
   refused_naming [ "replay" ] (fun () ->
-      Minos.Experiment.run_spec (Minos.Experiment.Spec.with_trace timed (quick_point cold)))
+      Minos.Experiment.run_spec (Minos.Experiment.Spec.with_trace timed (quick_point cold)));
+  (* A dynamic phase plan varies the generator's p_large; a replayed trace
+     replaces the generator, so the plan would be dropped silently. *)
+  let plan =
+    Workload.Dynamic.create
+      [
+        { Workload.Dynamic.duration_us = 20_000.0; p_large = 0.125 };
+        { Workload.Dynamic.duration_us = 20_000.0; p_large = 0.75 };
+      ]
+  in
+  let default = scenario "default" in
+  let untimed =
+    Workload.Trace.capture (Workload.Scenario.generator ~seed:1 default dataset) ~n:1_000
+  in
+  refused_naming [ "dynamic phase plan"; "trace" ] (fun () ->
+      Minos.Experiment.run_spec
+        (quick_point default
+        |> Minos.Experiment.Spec.with_trace untimed
+        |> Minos.Experiment.Spec.with_dynamic plan));
+  let gen = Workload.Scenario.generator ~seed:1 default dataset in
+  let next = Workload.Trace.replayer ~loop:true untimed in
+  refused_naming [ "dynamic phase plan"; "source" ] (fun () ->
+      Kvserver.Engine.create ~dynamic:plan
+        ~source:(fun () -> Option.get (next ()))
+        (quick_cfg ()) gen ~offered_mops:2.0);
+  let timed_default =
+    Workload.Scenario.capture ~seed:3 default dataset ~rate_mops:2.0 ~n:1_000
+  in
+  refused_naming [ "dynamic phase plan"; "timed trace" ] (fun () ->
+      Kvserver.Engine.create ~dynamic:plan ~timed:timed_default (quick_cfg ()) gen
+        ~offered_mops:2.0)
 
 let test_trace_key_ids_checked () =
   (* A trace captured over a larger dataset than the replaying scenario's

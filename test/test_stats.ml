@@ -71,6 +71,35 @@ let prop_quantile_monotone_in_q =
       let lo = min q1 q2 and hi = max q1 q2 in
       Quantile.of_array arr lo <= Quantile.of_array arr hi)
 
+(* Selection across two sorted arrays equals [of_sorted] over their
+   sorted union.  Values come from a small grid, so ties across and within
+   the arrays are common, and either side may be empty. *)
+let prop_of_sorted_union =
+  let side = QCheck.(list_of_size Gen.(0 -- 40) (map float_of_int (int_bound 12))) in
+  QCheck.Test.make ~name:"of_sorted_union = of_sorted over the union" ~count:1000
+    QCheck.(triple side side (float_range 0.001 1.0))
+    (fun (xs, ys, q) ->
+      QCheck.assume (xs <> [] || ys <> []);
+      let sorted l =
+        let a = Array.of_list l in
+        Quantile.sort_floats a;
+        a
+      in
+      let a = sorted xs and b = sorted ys in
+      let union = sorted (xs @ ys) in
+      List.for_all
+        (fun q ->
+          Quantile.of_sorted_union a b q = Quantile.of_sorted union q
+          && Quantile.of_sorted_union b a q = Quantile.of_sorted union q)
+        [ q; 0.5; 0.99; 0.999; 1.0 ])
+
+let test_of_sorted_union_errors () =
+  Alcotest.check_raises "empty" (Invalid_argument "Quantile.of_sorted_union: empty sample")
+    (fun () -> ignore (Quantile.of_sorted_union [||] [||] 0.5));
+  Alcotest.check_raises "q out of range"
+    (Invalid_argument "Quantile.of_sorted_union: q out of (0, 1]") (fun () ->
+      ignore (Quantile.of_sorted_union [| 1.0 |] [||] 0.0))
+
 let test_many_of_vec () =
   let v = Float_vec.create () in
   for i = 1 to 100 do
@@ -266,7 +295,8 @@ let () =
           Alcotest.test_case "errors" `Quick test_quantile_errors;
           Alcotest.test_case "many + mean" `Quick test_many_of_vec;
         ]
-        @ qsuite [ prop_quantile_bounds; prop_quantile_monotone_in_q ] );
+        @ [ Alcotest.test_case "union errors" `Quick test_of_sorted_union_errors ]
+        @ qsuite [ prop_quantile_bounds; prop_quantile_monotone_in_q; prop_of_sorted_union ] );
       ( "log_histogram",
         [
           Alcotest.test_case "record and total" `Quick test_hist_record_and_total;

@@ -179,6 +179,38 @@ let test_key_name_unique () =
   check bool "distinct" true (Dataset.key_name 1 <> Dataset.key_name 2);
   check Alcotest.string "stable" (Dataset.key_name 42) (Dataset.key_name 42)
 
+(* [key_partition] hashes the id's hex digits in place of the name string;
+   it must agree with hashing the name itself. *)
+let partition_by_name id =
+  Kvstore.Keyhash.partition_of (Kvstore.Keyhash.hash (Dataset.key_name id)) ~bits:30
+
+let prop_key_partition_matches_name_hash =
+  let dataset = Dataset.create small_spec in
+  QCheck.Test.make ~name:"key_partition = name hash, ids below 2^32" ~count:2000
+    QCheck.(int_bound ((1 lsl 32) - 1))
+    (fun id -> Dataset.key_partition dataset id = partition_by_name id)
+
+let test_key_partition_every_key () =
+  let dataset = Dataset.create { small_spec with Spec.n_keys = 100_000 } in
+  for id = 0 to Dataset.n_keys dataset - 1 do
+    if Dataset.key_partition dataset id <> partition_by_name id then
+      Alcotest.failf "key %d: partition %d, name hash %d" id
+        (Dataset.key_partition dataset id) (partition_by_name id)
+  done;
+  (* No per-key table: the dataset is its 2-byte small-size table plus
+     the large keys' sizes, a quarter word per key. *)
+  let words = Obj.reachable_words (Obj.repr dataset) in
+  if words > Dataset.n_keys dataset / 3 then
+    Alcotest.failf "dataset holds %d heap words for %d keys" words (Dataset.n_keys dataset);
+  let minor0 = Gc.minor_words () in
+  let acc = ref 0 in
+  for id = 0 to 9_999 do
+    acc := !acc lxor Dataset.key_partition dataset id
+  done;
+  let words = Gc.minor_words () -. minor0 in
+  ignore (Sys.opaque_identity !acc);
+  if words > 100.0 then Alcotest.failf "10k key_partition calls allocated %.0f words" words
+
 (* ------------------------------------------------------------------ *)
 (* Generator *)
 
@@ -294,7 +326,10 @@ let () =
           Alcotest.test_case "put preserves class" `Quick test_dataset_put_class_preserved;
           Alcotest.test_case "scramble bijective" `Slow test_dataset_scramble_bijective;
           Alcotest.test_case "key names" `Quick test_key_name_unique;
-        ] );
+          Alcotest.test_case "key partition of every key" `Quick
+            test_key_partition_every_key;
+        ]
+        @ List.map (fun t -> QCheck_alcotest.to_alcotest t) [ prop_key_partition_matches_name_hash ] );
       ( "generator",
         [
           Alcotest.test_case "mix" `Slow test_generator_mix;
