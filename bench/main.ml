@@ -214,7 +214,7 @@ let run_capacity () =
    order-of-magnitude collapses without flaking on runner hardware.  The
    major-words and dataset bounds sit at the values this code measures
    (each repeated exactly over three runs); only ever tighten them. *)
-let max_major_per_req = 2.7
+let max_major_per_req = 0.085
 let max_dataset_words_per_key = 0.252
 
 let perf_gate (p : sim_profile) ~dataset_words =

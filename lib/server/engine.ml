@@ -121,8 +121,7 @@ type t = {
   latencies : Stats.Float_vec.t; (* every recorded latency, completion order *)
   mutable large_marks : Bytes.t;
       (* bit [i] set: sample [i] of [latencies] is a large request's;
-         [finish] splits the classes from it *)
-  mutable large_samples : int;
+         [finish] selects each class's quantile through it *)
   windowed : Stats.Windowed.t option;
   mutable issued : int;
   mutable processed_total : int; (* served ops, stability accounting *)
@@ -266,9 +265,9 @@ let rx t i = Netsim.Nic.rx t.nic i
 let[@inline] req_of_slot t slot = t.pool.(slot)
 let dispatch_rng t = t.dispatch_rng
 
-(* Keyhash-based master core: mix the key id so that dense ids spread, as a
-   real keyhash would.  The 30-bit partition of each key's name hash is
-   precomputed in the dataset, so dispatch is a table lookup. *)
+(* Keyhash-based master core: the 30-bit partition of the key's name hash,
+   as a real keyhash would spread it.  The dataset computes it from the key
+   id in registers, without building the name. *)
 let put_master t req =
   Workload.Dataset.key_partition t.dataset req.key_id mod t.cfg.Config.cores
 
@@ -366,13 +365,7 @@ let mark_large t i =
     t.large_marks <- marks
   end;
   Bytes.set_uint8 t.large_marks byte
-    (Bytes.get_uint8 t.large_marks byte lor (1 lsl (i land 7)));
-  t.large_samples <- t.large_samples + 1
-
-let[@inline] marked_large t i =
-  let byte = i lsr 3 in
-  byte < Bytes.length t.large_marks
-  && Bytes.get_uint8 t.large_marks byte land (1 lsl (i land 7)) <> 0
+    (Bytes.get_uint8 t.large_marks byte lor (1 lsl (i land 7)))
 
 (* Called when the reply's last frame leaves the wire.  A caller-fed
    engine serves copies of the caller's requests, so it leaves latency
@@ -523,9 +516,21 @@ let validate_common ~server cfg =
   | Ok () -> ()
   | Error msg -> invalid_arg ("Engine.create: " ^ msg)
 
+(* Room for every reply the window can record: the offered rate over the
+   measurement window, plus six standard deviations of its Poisson count
+   and a few requests in flight at the window's edges.  Sized once, the
+   latency record is never copied; [Array.create_float] leaves what an
+   overloaded point does not record unwritten, so it costs address space,
+   not memory.  Paced or bursty arrivals and timed traces that outrun it
+   fall back to doubling; a caller-fed engine (rate 0) records nothing. *)
+let expected_samples cfg ~offered_mops =
+  let mean = offered_mops *. (cfg.Config.duration_us -. cfg.Config.warmup_us) in
+  if not (mean > 0.0) then 1 else int_of_float (Float.ceil (mean +. (6.0 *. sqrt mean))) + 256
+
 let build ?dynamic ?store ?source ?pacing ?timed ?residency ?sweep_us ?obs ?fault ~server
     ~sim ~gen ~dataset cfg ~offered_mops =
   let pool_init = 256 in
+  let samples = expected_samples cfg ~offered_mops in
   let t =
     {
       cfg;
@@ -570,9 +575,8 @@ let build ?dynamic ?store ?source ?pacing ?timed ?residency ?sweep_us ?obs ?faul
       core_ops = Array.make cfg.Config.cores 0;
       core_packets = Array.make cfg.Config.cores 0;
       core_busy_us = Array.make cfg.Config.cores 0.0;
-      latencies = Stats.Float_vec.create ~capacity:65536 ();
-      large_marks = Bytes.make 8192 '\000';
-      large_samples = 0;
+      latencies = Stats.Float_vec.create ~capacity:samples ();
+      large_marks = Bytes.make ((samples + 7) / 8) '\000';
       windowed =
         (match cfg.Config.window_us with
         | Some w -> Some (Stats.Windowed.create ~width:w ())
@@ -914,32 +918,14 @@ let finish t =
   (* Unstable when the leftover backlog exceeds what a loaded-but-stable
      system would plausibly hold in flight. *)
   let backlog_cap = max 2000 (int_of_float (0.02 *. float_of_int t.issued)) in
-  (* The class marks split the samples into two arrays, each sorted once;
-     the overall quantiles are selected across the pair, so no merged copy
-     of the whole sample is built. *)
-  let p50, p95, p99, p999, small_p99, large_p99 =
-    let n = Stats.Float_vec.length t.latencies in
-    let small = Array.create_float (n - t.large_samples) in
-    let large = Array.create_float t.large_samples in
-    let n_small = ref 0 and n_large = ref 0 in
-    for i = 0 to n - 1 do
-      let x = Stats.Float_vec.get t.latencies i in
-      if marked_large t i then begin
-        large.(!n_large) <- x;
-        incr n_large
-      end
-      else begin
-        small.(!n_small) <- x;
-        incr n_small
-      end
-    done;
-    Stats.Quantile.sort_floats small;
-    Stats.Quantile.sort_floats large;
-    let q a p =
-      if Array.length a = 0 then Float.nan else Stats.Quantile.of_sorted a p
-    in
-    let all p = if n = 0 then Float.nan else Stats.Quantile.of_sorted_union small large p in
-    (all 0.5, all 0.95, all 0.99, all 0.999, q small 0.99, q large 0.99)
+  (* Every quantile is selected in place from the one completion-order
+     record; the class marks restrict the per-class ones. *)
+  let all p =
+    if Stats.Float_vec.length t.latencies = 0 then Float.nan
+    else Stats.Quantile.of_vec t.latencies p
+  in
+  let cls ~large p =
+    Stats.Quantile.of_vec_marked t.latencies ~marks:t.large_marks ~marked:large p
   in
   {
     Metrics.design = design.name;
@@ -948,12 +934,12 @@ let finish t =
     completed = t.processed_window;
     throughput_mops = float_of_int t.processed_window /. window;
     mean_us = Stats.Quantile.mean_of_vec t.latencies;
-    p50_us = p50;
-    p95_us = p95;
-    p99_us = p99;
-    p999_us = p999;
-    small_p99_us = small_p99;
-    large_p99_us = large_p99;
+    p50_us = all 0.5;
+    p95_us = all 0.95;
+    p99_us = all 0.99;
+    p999_us = all 0.999;
+    small_p99_us = cls ~large:false 0.99;
+    large_p99_us = cls ~large:true 0.99;
     nic_tx_utilization = Netsim.Txsched.utilization t.tx ~elapsed:window;
     stable = in_flight <= backlog_cap;
     per_core_ops = Array.copy t.core_ops;

@@ -236,7 +236,10 @@ val cancel : t -> int -> unit
 val raw_latencies : t -> Stats.Float_vec.t
 (** All recorded end-to-end latencies (µs) of the last {!run}, in reply
     completion order — the engine's one latency record (each sample's
-    class is a bit beside it, not a second copy).  Used to combine
+    class is a bit beside it, not a second copy).  It is sized once, from
+    [offered_mops] over the measurement window, and grows by doubling only
+    when a run records more; {!finish} reads its quantiles in place, so
+    the record keeps this order.  Used to combine
     distributions across NUMA domains ({!Minos.Numa}) and cluster
     servers, and resampled by the fan-out figure. *)
 

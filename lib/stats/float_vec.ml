@@ -30,6 +30,8 @@ let get t i =
 
 let to_array t = Array.sub t.arr 0 t.len
 
+let unsafe_data t = t.arr
+
 let iter f t =
   for i = 0 to t.len - 1 do
     f t.arr.(i)

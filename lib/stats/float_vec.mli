@@ -19,6 +19,12 @@ val get : t -> int -> float
 val to_array : t -> float array
 (** A fresh array with exactly [length t] elements. *)
 
+val unsafe_data : t -> float array
+(** The backing store itself, not a copy: its first [length t] elements
+    are the samples in push order, and the rest is unwritten capacity.
+    For readers that must not copy the sample ({!Quantile}); never write
+    to it.  A later [push] may replace it. *)
+
 val iter : (float -> unit) -> t -> unit
 
 val append : t -> t -> unit

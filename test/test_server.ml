@@ -500,6 +500,38 @@ let test_put_master_spread () =
         Alcotest.failf "core %d receives %d of 10000 puts" i c)
     counts
 
+(* [finish] reads its quantiles out of the one latency record in place:
+   the record keeps its completion order and contents, the overall
+   quantiles equal sorting a copy, and the call allocates nothing
+   proportional to the sample (it used to split it into two arrays and
+   read each sample through a boxed [Float_vec.get]). *)
+let test_finish_reads_record_in_place () =
+  let dataset = Workload.Dataset.create mini_spec in
+  let gen = Workload.Generator.create dataset in
+  let eng = Engine.create mini_cfg gen ~offered_mops:2.0 in
+  Engine.start eng (Design.make Design.minos);
+  Dsim.Sim.run (Engine.sim eng) ~until:mini_cfg.Config.duration_us;
+  let raw = Engine.raw_latencies eng in
+  let before = Stats.Float_vec.to_array raw in
+  let n = Array.length before in
+  let words () =
+    let minor, promoted, major = Gc.counters () in
+    minor +. major -. promoted
+  in
+  let w0 = words () in
+  let m = Engine.finish eng in
+  let allocated = words () -. w0 in
+  if allocated > float_of_int n /. 4.0 then
+    Alcotest.failf "finish allocated %.0f words over %d samples" allocated n;
+  check bool "record unchanged" true (before = Stats.Float_vec.to_array raw);
+  let sorted = Array.copy before in
+  Stats.Quantile.sort_floats sorted;
+  List.iter
+    (fun (name, q, got) ->
+      check (Alcotest.float 0.0) name (Stats.Quantile.of_sorted sorted q) got)
+    [ ("p50", 0.5, m.Metrics.p50_us); ("p99", 0.99, m.Metrics.p99_us);
+      ("p999", 0.999, m.Metrics.p999_us) ]
+
 (* A caller-fed engine on a shared simulator: every submitted request
    reports exactly one fate under its tag; a queued request cancelled
    before it reaches a core retires unserved (the probe never sees it),
@@ -709,6 +741,8 @@ let () =
       ( "engine",
         [
           Alcotest.test_case "conservation" `Slow test_engine_conservation;
+          Alcotest.test_case "finish reads the record in place" `Quick
+            test_finish_reads_record_in_place;
           Alcotest.test_case "throughput tracks offered" `Slow
             test_engine_throughput_tracks_offered;
           Alcotest.test_case "latencies sane" `Quick test_engine_latencies_sane;

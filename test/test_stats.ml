@@ -1,5 +1,5 @@
 (* Tests for the statistics library: vectors, quantiles, histograms,
-   summaries, windows and reservoirs. *)
+   summaries and windows. *)
 
 open Stats
 
@@ -71,34 +71,134 @@ let prop_quantile_monotone_in_q =
       let lo = min q1 q2 and hi = max q1 q2 in
       Quantile.of_array arr lo <= Quantile.of_array arr hi)
 
-(* Selection across two sorted arrays equals [of_sorted] over their
-   sorted union.  Values come from a small grid, so ties across and within
-   the arrays are common, and either side may be empty. *)
-let prop_of_sorted_union =
-  let side = QCheck.(list_of_size Gen.(0 -- 40) (map float_of_int (int_bound 12))) in
-  QCheck.Test.make ~name:"of_sorted_union = of_sorted over the union" ~count:1000
-    QCheck.(triple side side (float_range 0.001 1.0))
-    (fun (xs, ys, q) ->
-      QCheck.assume (xs <> [] || ys <> []);
-      let sorted l =
-        let a = Array.of_list l in
-        Quantile.sort_floats a;
-        a
+(* A random sample for the selection properties: small (one count pass,
+   then the gathered sort) or above the 4,096-sample gather bound (several
+   count passes), drawn as heavy duplicates
+   (2-5 distinct values, so one value can hold thousands of samples), all
+   equal, latency-like, or signed across 200 binades with zeros of both
+   signs and infinities.  [marks] is a random class bitmap, possibly
+   shorter than the sample. *)
+let gen_selection =
+  let open QCheck.Gen in
+  let* n = frequency [ (3, int_range 1 60); (2, int_range 4000 12_000) ] in
+  let* kind = int_bound 3 in
+  let* seed = int in
+  let* q = float_range 1e-6 1.0 in
+  return (n, kind, seed, q)
+
+let selection_sample (n, kind, seed, _) =
+  let st = Random.State.make [| seed |] in
+  let grid = 2 + Random.State.int st 4 and c = Random.State.float st 100.0 in
+  let draw _ =
+    match kind with
+    | 0 -> float_of_int (Random.State.int st grid)
+    | 1 -> c
+    | 2 -> 1.0 -. (10.0 *. log (1.0 -. Random.State.float st 1.0))
+    | _ -> (
+        match Random.State.int st 20 with
+        | 0 -> 0.0
+        | 1 -> -0.0
+        | 2 -> infinity
+        | 3 -> neg_infinity
+        | _ ->
+            let m = Random.State.float st 1.0 in
+            let m = if Random.State.bool st then m else -.m in
+            ldexp m (Random.State.int st 200 - 100))
+  in
+  let samples = Array.init n draw in
+  let marks =
+    Bytes.init (Random.State.int st ((n / 8) + 3)) (fun _ -> Char.chr (Random.State.int st 256))
+  in
+  (samples, marks)
+
+let is_marked marks i =
+  i lsr 3 < Bytes.length marks
+  && Char.code (Bytes.get marks (i lsr 3)) land (1 lsl (i land 7)) <> 0
+
+(* The in-place selection equals sorting a copy and indexing it, over the
+   whole sample and over each class of the bitmap (NaN for an empty one). *)
+let prop_selection_is_sort =
+  QCheck.Test.make ~name:"selection = sort + of_sorted" ~count:300
+    (QCheck.make
+       ~print:(fun ((n, kind, seed, q) as p) ->
+         Printf.sprintf "n=%d kind=%d seed=%d q=%g marks=%d" n kind seed q
+           (Bytes.length (snd (selection_sample p))))
+       gen_selection)
+    (fun ((_, _, _, q) as p) ->
+      let samples, marks = selection_sample p in
+      let v = Float_vec.create ~capacity:1 () in
+      Array.iter (Float_vec.push v) samples;
+      let by_sort l q =
+        match l with
+        | [] -> Float.nan
+        | l ->
+            let a = Array.of_list l in
+            Quantile.sort_floats a;
+            Quantile.of_sorted a q
       in
-      let a = sorted xs and b = sorted ys in
-      let union = sorted (xs @ ys) in
+      let all = Array.to_list samples in
+      let cls marked = List.filteri (fun i _ -> is_marked marks i = marked) all in
       List.for_all
         (fun q ->
-          Quantile.of_sorted_union a b q = Quantile.of_sorted union q
-          && Quantile.of_sorted_union b a q = Quantile.of_sorted union q)
-        [ q; 0.5; 0.99; 0.999; 1.0 ])
+          let expect = by_sort all q in
+          Float.equal (Quantile.of_array samples q) expect
+          && Float.equal (Quantile.of_vec v q) expect
+          && List.for_all
+               (fun marked ->
+                 Float.equal
+                   (Quantile.of_vec_marked v ~marks ~marked q)
+                   (by_sort (cls marked) q))
+               [ true; false ])
+        [ q; 1e-9; 0.5; 0.99; 0.999; 1.0 ])
 
-let test_of_sorted_union_errors () =
-  Alcotest.check_raises "empty" (Invalid_argument "Quantile.of_sorted_union: empty sample")
-    (fun () -> ignore (Quantile.of_sorted_union [||] [||] 0.5));
-  Alcotest.check_raises "q out of range"
-    (Invalid_argument "Quantile.of_sorted_union: q out of (0, 1]") (fun () ->
-      ignore (Quantile.of_sorted_union [| 1.0 |] [||] 0.0))
+let test_selection_in_place () =
+  let st = Random.State.make [| 7 |] in
+  let v = Float_vec.create () in
+  for _ = 1 to 50_000 do
+    Float_vec.push v (Random.State.float st 1000.0)
+  done;
+  let before = Float_vec.to_array v in
+  let marks = Bytes.init 6250 (fun _ -> Char.chr (Random.State.int st 256)) in
+  ignore (Quantile.many_of_vec v [ 0.5; 0.99; 0.999 ]);
+  ignore (Quantile.of_vec_marked v ~marks ~marked:true 0.99);
+  ignore (Quantile.of_vec_marked v ~marks ~marked:false 0.99);
+  let same a b =
+    Array.for_all2 (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)) a b
+  in
+  check Alcotest.bool "vector order and contents unchanged" true
+    (same before (Float_vec.to_array v));
+  let arr = Array.copy before in
+  ignore (Quantile.of_array arr 0.5);
+  check Alcotest.bool "array unchanged" true (same before arr);
+  (* The passes allocate a histogram and a bounded scratch array, nothing
+     per sample. *)
+  let minor0 = Gc.minor_words () in
+  ignore (Quantile.of_vec_marked v ~marks ~marked:true 0.99);
+  let minor = Gc.minor_words () -. minor0 in
+  if minor > 1000.0 then
+    Alcotest.failf "selection over 50k samples allocated %.0f minor words" minor
+
+let test_selection_errors () =
+  let small = Float_vec.create () and large = Float_vec.create () in
+  Float_vec.push small 1.0;
+  Float_vec.push small Float.nan;
+  for i = 1 to 5000 do
+    Float_vec.push large (float_of_int i)
+  done;
+  Float_vec.push large Float.nan;
+  List.iter
+    (fun v ->
+      Alcotest.check_raises "NaN refused" (Invalid_argument "Quantile.of_vec: NaN sample")
+        (fun () -> ignore (Quantile.of_vec v 0.5)))
+    [ small; large ];
+  Alcotest.check_raises "empty vector"
+    (Invalid_argument "Quantile.of_vec: empty sample") (fun () ->
+      ignore (Quantile.of_vec (Float_vec.create ()) 0.5));
+  check Alcotest.bool "empty class is NaN" true
+    (Float.is_nan (Quantile.of_vec_marked large ~marks:Bytes.empty ~marked:true 0.5));
+  Alcotest.check_raises "q checked for an empty class"
+    (Invalid_argument "Quantile.of_vec_marked: q out of (0, 1]") (fun () ->
+      ignore (Quantile.of_vec_marked large ~marks:Bytes.empty ~marked:true 0.0))
 
 let test_many_of_vec () =
   let v = Float_vec.create () in
@@ -255,31 +355,6 @@ let test_windowed_out_of_order () =
   let starts = List.map (fun x -> x.Windowed.start_time) (Windowed.windows w) in
   check (Alcotest.list (approx 1e-9)) "sorted" [ 2.0; 5.0 ] starts
 
-(* ------------------------------------------------------------------ *)
-(* Reservoir *)
-
-let test_reservoir_under_capacity () =
-  let r = Reservoir.create ~capacity:10 () in
-  List.iter (Reservoir.add r) [ 5.0; 1.0; 3.0 ];
-  check int "seen" 3 (Reservoir.seen r);
-  check int "size" 3 (Reservoir.size r);
-  let sorted = Reservoir.to_array r in
-  Array.sort compare sorted;
-  check (Alcotest.array (approx 0.0)) "contents" [| 1.0; 3.0; 5.0 |] sorted
-
-let test_reservoir_bounded () =
-  let r = Reservoir.create ~capacity:100 () in
-  for i = 1 to 10_000 do
-    Reservoir.add r (float_of_int i)
-  done;
-  check int "seen all" 10_000 (Reservoir.seen r);
-  check int "bounded" 100 (Reservoir.size r);
-  (* A uniform subsample of 1..10000 should have a median far from the
-     extremes. *)
-  let q50 = Reservoir.quantile r 0.5 in
-  if q50 < 2000.0 || q50 > 8000.0 then
-    Alcotest.failf "median %.0f suggests biased sampling" q50
-
 let () =
   Alcotest.run "stats"
     [
@@ -294,9 +369,10 @@ let () =
           Alcotest.test_case "unsorted input" `Quick test_quantile_unsorted_input;
           Alcotest.test_case "errors" `Quick test_quantile_errors;
           Alcotest.test_case "many + mean" `Quick test_many_of_vec;
+          Alcotest.test_case "selection in place" `Quick test_selection_in_place;
+          Alcotest.test_case "selection errors" `Quick test_selection_errors;
         ]
-        @ [ Alcotest.test_case "union errors" `Quick test_of_sorted_union_errors ]
-        @ qsuite [ prop_quantile_bounds; prop_quantile_monotone_in_q; prop_of_sorted_union ] );
+        @ qsuite [ prop_quantile_bounds; prop_quantile_monotone_in_q; prop_selection_is_sort ] );
       ( "log_histogram",
         [
           Alcotest.test_case "record and total" `Quick test_hist_record_and_total;
@@ -318,10 +394,5 @@ let () =
           Alcotest.test_case "routing" `Quick test_windowed_routing;
           Alcotest.test_case "quantile series" `Quick test_windowed_quantile_series;
           Alcotest.test_case "out of order" `Quick test_windowed_out_of_order;
-        ] );
-      ( "reservoir",
-        [
-          Alcotest.test_case "under capacity" `Quick test_reservoir_under_capacity;
-          Alcotest.test_case "bounded" `Quick test_reservoir_bounded;
         ] );
     ]
