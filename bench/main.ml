@@ -24,7 +24,8 @@ let bench_file target = "BENCH_" ^ target ^ ".json"
 (* ------------------------------------------------------------------ *)
 (* Hot-path performance profile: heap ns per add+pop, simulator
    events/sec, minor and major words allocated per simulated request, the
-   dataset's heap words per key, plus the wall-clock of one figure sweep.
+   dataset's heap words per key, its build's time and minor words per key,
+   plus the wall-clock of one figure sweep.
    Written to BENCH_perf.json so runs can be compared across commits;
    [perf_gate] fails the run when one of them leaves its bound. *)
 
@@ -72,13 +73,22 @@ type sim_profile = {
   issued : int;
 }
 
+(* The default dataset, built in order on this domain: not through the
+   memo, whose build spawns the {!Minos.Par} pool.  Once a pool domain
+   exists, even idle, the major GC's cycle ends (which empty every
+   domain's minor heap) fall at times that vary from run to run, so this
+   domain's major words/request stop repeating (0.0851-0.0860 over four
+   runs, against 0.0844 in every single-domain run).  [run_perf] profiles
+   before anything spawns the pool. *)
+let profile_dataset = lazy (Workload.Dataset.create Workload.Spec.default)
+
 (* One Minos run at a fixed 4 Mops on the default workload, instrumented
    for allocation rate and event throughput; [obs] attaches a flight
    recorder (the recorder-overhead comparison). *)
 let perf_sim ?obs () =
   let cfg = Minos.Experiment.config_of_scale scale in
   let spec = Workload.Spec.default in
-  let dataset = Minos.Experiment.dataset_for spec in
+  let dataset = Lazy.force profile_dataset in
   let gen =
     Workload.Generator.create ~seed:101 ~p_large:spec.Workload.Spec.p_large
       ~get_ratio:spec.Workload.Spec.get_ratio dataset
@@ -102,12 +112,44 @@ let perf_sim ?obs () =
     issued;
   }
 
-(* Heap words the memoized default dataset holds per key: the simulator's
-   only per-key state (a point adds per-request state, not per-key). *)
+(* Heap words the default dataset holds per key: the simulator's only
+   per-key state (a point adds per-request state, not per-key). *)
 let dataset_words_per_key () =
-  let d = Minos.Experiment.dataset_for Workload.Spec.default in
+  let d = Lazy.force profile_dataset in
   float_of_int (Obj.reachable_words (Obj.repr d))
   /. float_of_int (Workload.Dataset.n_keys d)
+
+(* The default dataset's build, outside the memo: wall time of the whole
+   build on the pool and of its zipf normalizer alone (the size draw is
+   the difference), both from a collected heap as at a process start, and
+   the minor words per key of a build whose tasks run in order on this
+   domain.  [Gc.minor_words] counts the calling domain only, so only that
+   build's count repeats exactly. *)
+type build_profile = { build_ms : float; zeta_ms : float; build_words_per_key : float }
+
+let perf_build () =
+  let spec = Workload.Spec.default in
+  let ms f =
+    let t0 = Unix.gettimeofday () in
+    ignore (Sys.opaque_identity (f ()));
+    1000.0 *. (Unix.gettimeofday () -. t0)
+  in
+  Gc.full_major ();
+  let build_ms = ms (fun () -> Workload.Dataset.create ~run:Minos.Par.run spec) in
+  let zeta_ms =
+    ms (fun () ->
+        Dsim.Dist.Zipf.create ~run:Minos.Par.run
+          ~n:(spec.Workload.Spec.n_keys - spec.Workload.Spec.n_large_keys)
+          ~theta:spec.Workload.Spec.zipf_theta ())
+  in
+  let minor0 = Gc.minor_words () in
+  ignore (Sys.opaque_identity (Workload.Dataset.create spec));
+  let words = Gc.minor_words () -. minor0 in
+  {
+    build_ms;
+    zeta_ms;
+    build_words_per_key = words /. float_of_int spec.Workload.Spec.n_keys;
+  }
 
 (* Exit non-zero when a run's headline claims fail (the [check] of each
    driver); the written JSON stays for inspection. *)
@@ -208,22 +250,25 @@ let run_capacity () =
          ~offered_mops:1.0)
 
 (* ------------------------------------------------------------------ *)
-(* The perf-smoke gate.  Four deterministic bounds (the sim is seeded, so
+(* The perf-smoke gate.  Five deterministic bounds (the sim is seeded, so
    allocation and event counts are exact, and the dataset's size is fixed
    by its spec) plus a wide absolute throughput floor that catches
    order-of-magnitude collapses without flaking on runner hardware.  The
-   major-words and dataset bounds sit at the values this code measures
-   (each repeated exactly over three runs); only ever tighten them. *)
+   major-words and both dataset bounds sit at the values this code
+   measures (each repeated exactly over three runs; the build's 481 minor
+   words over 1 M keys were 1,998,802 while each class draw boxed a
+   float); only ever tighten them. *)
 let max_major_per_req = 0.085
 let max_dataset_words_per_key = 0.252
+let max_build_words_per_key = 0.0005
 
-let perf_gate (p : sim_profile) ~dataset_words =
+let perf_gate (p : sim_profile) ~dataset_words ~(build : build_profile) =
   let words_per_req = p.minor_per_req and events_per_sec = p.events_per_sec in
   let ev_per_req = float_of_int p.events /. float_of_int (max 1 p.issued) in
   Printf.printf
-    "perf gate: %.1f words/request (<= 80), %.2f events/request (<= 4.5), %.0f events/sec (>= 1M), %.3f major words/request (<= %g), %.3f dataset words/key (<= %g)\n%!"
+    "perf gate: %.1f words/request (<= 80), %.2f events/request (<= 4.5), %.0f events/sec (>= 1M), %.3f major words/request (<= %g), %.3f dataset words/key (<= %g), %.4f build minor words/key (<= %g)\n%!"
     words_per_req ev_per_req events_per_sec p.major_per_req max_major_per_req dataset_words
-    max_dataset_words_per_key;
+    max_dataset_words_per_key build.build_words_per_key max_build_words_per_key;
   Minos.Report.verdict
     [
       (words_per_req <= 80.0, Printf.sprintf "%.1f minor words/request (gate: 80)" words_per_req);
@@ -233,6 +278,9 @@ let perf_gate (p : sim_profile) ~dataset_words =
       ( dataset_words <= max_dataset_words_per_key,
         Printf.sprintf "%.3f dataset heap words/key (gate: %g) — per-key state crept in"
           dataset_words max_dataset_words_per_key );
+      ( build.build_words_per_key <= max_build_words_per_key,
+        Printf.sprintf "%.4f minor words/key building the dataset (gate: %g) — the build boxes per key"
+          build.build_words_per_key max_build_words_per_key );
       ( ev_per_req <= 4.5,
         Printf.sprintf "%.2f events/request (gate: 4.5) — extra per-request events crept in"
           ev_per_req );
@@ -283,8 +331,9 @@ let run_perf sweep_target =
   Minos.Report.section "Hot-path performance profile";
   let heap_ns = perf_heap_ns () in
   let wheel_ns = perf_wheel_ns () in
-  let dataset_words = dataset_words_per_key () in
   let p = perf_sim () in
+  let dataset_words = dataset_words_per_key () in
+  let build = perf_build () in
   let sweep_fn =
     match List.find_opt (fun (n, _, _) -> n = sweep_target) targets with
     | Some (_, _, f) -> f
@@ -303,6 +352,10 @@ let run_perf sweep_target =
       [ "minor words/request"; Printf.sprintf "%.1f" p.minor_per_req ];
       [ "major words/request"; Printf.sprintf "%.3f" p.major_per_req ];
       [ "dataset heap words/key"; Printf.sprintf "%.3f" dataset_words ];
+      [ "dataset build ms"; Printf.sprintf "%.1f" build.build_ms ];
+      [ "  zipf normalizer ms"; Printf.sprintf "%.1f" build.zeta_ms ];
+      [ "  size draw ms (build - zipf)"; Printf.sprintf "%.1f" (build.build_ms -. build.zeta_ms) ];
+      [ "dataset build minor words/key"; Printf.sprintf "%.4f" build.build_words_per_key ];
       [ sweep_target ^ " sweep seconds"; Printf.sprintf "%.2f" sweep_s ];
     ];
   Obs.Json.(
@@ -317,20 +370,24 @@ let run_perf sweep_target =
            ("minor_words_per_request", Float p.minor_per_req);
            ("major_words_per_request", Float p.major_per_req);
            ("dataset_words_per_key", Float dataset_words);
+           ("dataset_build_ms", Float build.build_ms);
+           ("dataset_zeta_ms", Float build.zeta_ms);
+           ("dataset_build_minor_words_per_key", Float build.build_words_per_key);
            ("sim_events", Int p.events);
            ("sim_issued", Int p.issued);
            ("sweep_target", String sweep_target);
            ("sweep_seconds", Float sweep_s);
          ]));
   Printf.printf "[perf profile written to %s]\n%!" (bench_file "perf");
-  enforce "perf" (perf_gate p ~dataset_words)
+  enforce "perf" (perf_gate p ~dataset_words ~build)
 
 let usage () =
   print_endline "usage: bench/main.exe [target ...]   (default: all targets)";
   print_endline "       bench/main.exe perf [sweep-target]";
   print_endline
     "  perf measures heap ns/op, dsim events/sec, minor and major words/request,";
-  print_endline "  the dataset's heap words/key and";
+  print_endline "  the dataset's heap words/key, its build's ms (zipf normalizer, size draw) and";
+  print_endline "  minor words/key, and";
   print_endline
     "  the wall-clock of one sweep (default fig3); writes BENCH_perf.json, exits 1 past a gate.";
   print_endline "targets:";

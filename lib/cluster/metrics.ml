@@ -19,11 +19,12 @@ let aggregate ~shard_share results =
     invalid_arg "Cluster metrics: share/results length mismatch";
   let per_shard = Array.map fst results in
   let sumf f = Array.fold_left (fun acc m -> acc +. f m) 0.0 per_shard in
-  let union = Stats.Float_vec.create () in
-  Array.iter (fun (_, lat) -> Stats.Float_vec.append union lat) results;
+  (* The union of the shards' samples, read in place. *)
+  let union = Array.map snd results in
+  let empty = Array.for_all (fun lat -> Stats.Float_vec.length lat = 0) union in
   let qs =
-    if Stats.Float_vec.length union = 0 then [ Float.nan; Float.nan; Float.nan ]
-    else Stats.Quantile.many_of_vec union [ 0.5; 0.99; 0.999 ]
+    if empty then [ Float.nan; Float.nan; Float.nan ]
+    else Stats.Quantile.many_of_vecs union [ 0.5; 0.99; 0.999 ]
   in
   let p50_us, p99_us, p999_us =
     match qs with [ a; b; c ] -> (a, b, c) | _ -> assert false
@@ -46,9 +47,7 @@ let aggregate ~shard_share results =
     shard_share = Array.copy shard_share;
     ledger = Obs.Ledger.merge (Array.to_list (Array.map Kvserver.Metrics.ledger per_shard));
     throughput_mops = sumf (fun m -> m.Kvserver.Metrics.throughput_mops);
-    mean_us =
-      (if Stats.Float_vec.length union = 0 then Float.nan
-       else Stats.Quantile.mean_of_vec union);
+    mean_us = (if empty then Float.nan else Stats.Quantile.mean_of_vecs union);
     p50_us;
     p99_us;
     p999_us;

@@ -43,7 +43,11 @@ let scale_of ~quick = if quick then quick_scale else full_scale
    the tuple of those fields.  Guarded by a mutex — {!Par} runs experiment
    points on several domains, and all of them share this cache.  Creation
    happens under the lock so a dataset is built exactly once (a duplicate
-   build would waste hundreds of milliseconds and break sharing). *)
+   build would waste tens of milliseconds and break sharing).  The build's
+   own tasks run through {!Par} too: on the main domain they spread over
+   the pool, from a worker they run in order, and the dataset is the same
+   bits either way.  Holding the lock cannot deadlock the pool, since the
+   caller of [Par.map] claims every task the pool does not. *)
 let dataset_mutex = Mutex.create ()
 
 let dataset_cache : (int * int * int * float * float * int, Workload.Dataset.t) Hashtbl.t
@@ -66,7 +70,7 @@ let dataset_for (spec : Workload.Spec.t) =
       match Hashtbl.find_opt dataset_cache key with
       | Some d -> d
       | None ->
-          let d = Workload.Dataset.create spec in
+          let d = Workload.Dataset.create ~run:Par.run spec in
           Hashtbl.add dataset_cache key d;
           d)
 

@@ -52,7 +52,9 @@ val scale_of : quick:bool -> scale
 (** {!quick_scale} for [--quick] / [QUICK=1] runs, else {!full_scale}. *)
 
 val dataset_for : Workload.Spec.t -> Workload.Dataset.t
-(** Memoized dataset construction. *)
+(** Memoized dataset construction: {!Workload.Dataset.create} at the
+    default seed, its size draw and zipf normalizer run as {!Par} tasks
+    (bit-identical to a sequential build). *)
 
 val config_of_scale : ?base:Kvserver.Config.t -> scale -> Kvserver.Config.t
 

@@ -38,10 +38,10 @@ let run ~domains (r : Run.t) =
         (metrics, Kvserver.Engine.raw_latencies eng))
   in
   let per_domain = List.map fst runs in
-  let all = Stats.Float_vec.create () in
-  List.iter (fun (_, vec) -> Stats.Float_vec.append all vec) runs;
+  let all = Array.of_list (List.map snd runs) in
   let q p =
-    if Stats.Float_vec.length all = 0 then Float.nan else Stats.Quantile.of_vec all p
+    if Array.for_all (fun vec -> Stats.Float_vec.length vec = 0) all then Float.nan
+    else Stats.Quantile.of_vecs all p
   in
   {
     per_domain;

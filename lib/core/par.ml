@@ -137,3 +137,5 @@ let map f arr =
   else parallel_map f arr ~degree
 
 let map_list f l = Array.to_list (map f (Array.of_list l))
+
+let run tasks = ignore (map (fun task -> task ()) tasks)

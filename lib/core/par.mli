@@ -11,6 +11,11 @@
     RNGs, seeds derive from the job itself, and any cross-job cache (e.g.
     {!Experiment.dataset_for}) must be domain-safe.  Under that contract a
     parallel run is bit-identical to a sequential ([MINOS_JOBS=1]) run.
+    {!run}'s tasks may share one buffer when each writes its own disjoint
+    part and the caller reads it only after [run] returns (which orders
+    every task's writes before the caller's reads): the dataset build
+    splits its size table and its zipf terms that way, and keeps every
+    order-sensitive step, such as a floating-point sum, on the caller.
 
     Nested calls (a job itself calling [map]) degrade gracefully to
     sequential execution inside the worker, so composed parallel code
@@ -33,3 +38,9 @@ val map : ('a -> 'b) -> 'a array -> 'b array
 
 val map_list : ('a -> 'b) -> 'a list -> 'b list
 (** [map_list f l] = [List.map f l], via {!map}. *)
+
+val run : (unit -> unit) array -> unit
+(** [run tasks] runs every task once, via {!map}, and returns when all
+    have finished: the task runner {!Workload.Dataset.create} and
+    {!Dsim.Dist.Zipf.create} take.  Tasks that write disjoint memory give
+    the same result at any {!jobs}. *)

@@ -8,18 +8,43 @@ module Zipf = struct
     threshold1 : float; (* zeta contribution used for the rank-1 shortcut *)
   }
 
-  let zeta n theta =
-    let sum = ref 0.0 in
-    for i = 1 to n do
-      sum := !sum +. (1.0 /. Float.pow (float_of_int i) theta)
-    done;
-    !sum
+  (* The generalized harmonic number sum_{i=1..n} 1 / i^theta, summed in
+     index order.  Each term is a pure [pow], which is nearly all of the
+     cost, so [run] may compute a round of [round_blocks] blocks of terms
+     on several domains; the calling domain then adds the round's terms in
+     index order, the same additions as one sequential loop, bit for bit.
+     The buffer bounds the transient memory at one round (1 MB). *)
+  let block = 32_768
+  let round_blocks = 4
 
-  let create ~n ~theta =
+  let sequential tasks = Array.iter (fun task -> task ()) tasks
+
+  let zeta ?(run = sequential) n theta =
+    let buf = Array.create_float (min n (block * round_blocks)) in
+    let sum = [| 0.0 |] in
+    let first = ref 1 in
+    while !first <= n do
+      let base = !first in
+      let len = min (n - base + 1) (Array.length buf) in
+      run
+        (Array.init
+           ((len + block - 1) / block)
+           (fun b () ->
+             for j = b * block to min len ((b + 1) * block) - 1 do
+               buf.(j) <- 1.0 /. Float.pow (float_of_int (base + j)) theta
+             done));
+      for j = 0 to len - 1 do
+        sum.(0) <- sum.(0) +. buf.(j)
+      done;
+      first := base + len
+    done;
+    sum.(0)
+
+  let create ?run ~n ~theta () =
     if n < 1 then invalid_arg "Zipf.create: n must be >= 1";
     if theta < 0.0 || theta >= 1.0 then
       invalid_arg "Zipf.create: theta must be in [0, 1)";
-    let zetan = zeta n theta in
+    let zetan = zeta ?run n theta in
     let zeta2 = zeta (min n 2) theta in
     let alpha = 1.0 /. (1.0 -. theta) in
     let eta =
@@ -30,6 +55,8 @@ module Zipf = struct
 
   let n t = t.n
   let theta t = t.theta
+  let zetan t = t.zetan
+  let eta t = t.eta
 
   let sample t rng =
     if t.n = 1 then 0

@@ -21,6 +21,12 @@ let[@inline] bits t =
   t.state <- t.state + golden_gamma;
   mix t.state
 
+let advance t k =
+  if k < 0 then invalid_arg "Rng.advance: negative count";
+  (* [bits] adds [golden_gamma] once per draw, and native [int] arithmetic
+     wraps mod 2^63 either way, so k draws are one multiply-add. *)
+  t.state <- t.state + (k * golden_gamma)
+
 let bits64 t = Int64.of_int (bits t)
 
 let split t =
@@ -31,19 +37,25 @@ let split t =
 
 let copy t = { state = t.state }
 
+(* One draw of [int]'s rejection sampling (which avoids modulo bias):
+   the value, or -1 when the draw falls in the last, partial bucket. *)
+let[@inline] int_draw t n =
+  let r = bits t lsr 1 in
+  let x = r mod n in
+  if r - x <= max_int - (n - 1) then x else -1
+
+let int_once t n =
+  if n <= 0 then invalid_arg "Rng.int_once: bound must be positive";
+  int_draw t n
+
 let int t n =
   if n <= 0 then invalid_arg "Rng.int: bound must be positive";
-  (* Rejection sampling to avoid modulo bias.  A while loop instead of a
-     local recursive function: the latter costs a closure allocation per
-     call without flambda, and this runs once per simulated GET. *)
-  let v = ref 0 and rejected = ref true in
-  while !rejected do
-    let r = bits t lsr 1 in
-    let x = r mod n in
-    if r - x <= max_int - (n - 1) then begin
-      v := x;
-      rejected := false
-    end
+  (* A while loop instead of a local recursive function: the latter costs
+     a closure allocation per call without flambda, and this runs once per
+     simulated GET. *)
+  let v = ref (int_draw t n) in
+  while !v < 0 do
+    v := int_draw t n
   done;
   !v
 

@@ -22,12 +22,35 @@ val copy : t -> t
 (** [copy t] duplicates the current state; the copy and the original then
     produce identical streams. *)
 
+val advance : t -> int -> unit
+(** [advance t k] moves [t] past its next [k] draws in O(1): afterwards
+    [t] is in the state that [k] calls of {!bits} would leave, because a
+    draw adds a fixed odd constant to the state (mod 2^63) and [advance]
+    adds [k] times it.  Any [k >= 0] is exact, including counts whose
+    product wraps.  Splitting a loop that makes a known number of draws
+    per step across domains starts each part here.  Raises
+    [Invalid_argument] on a negative [k]. *)
+
+val bits : t -> int
+(** Next raw output: 63 uniform bits as a native [int] (negative when the
+    top bit is set).  Every other draw below is made of one or more of
+    these; a caller comparing [bits t lsr 10] with an integer threshold
+    makes {!unit_float}'s decision without boxing a float. *)
+
 val bits64 : t -> int64
 (** Next raw output, sign-extended to 64 bits (the generator itself works
     on 63-bit native integers). *)
 
 val int : t -> int -> int
-(** [int t n] is uniform in \[0, n).  Requires [n > 0]. *)
+(** [int t n] is uniform in \[0, n).  Requires [n > 0].  Usually one
+    draw: it rejects a draw in the last, partial bucket of [n] values
+    (probability below [n / 2^62]) and draws again. *)
+
+val int_once : t -> int -> int
+(** [int_once t n] makes exactly one draw: what {!int} would return if
+    that draw is accepted, or [-1] where {!int} would reject it and draw
+    again.  Lets a loop that counts draws (see {!advance}) notice the
+    rare extra one.  Requires [n > 0]. *)
 
 val float : t -> float -> float
 (** [float t x] is uniform in \[0, x).  Requires [x > 0]. *)

@@ -97,56 +97,70 @@ let float_of_key ~prefix ~digit =
   let k = Int64.logor (Int64.shift_left (Int64.of_int prefix) digit_bits) (Int64.of_int digit) in
   Int64.float_of_bits (if k < 0L then Int64.logxor k Int64.min_int else Int64.lognot k)
 
+(* The samples are read as one sequence: samples [0, lens.(s)) of each
+   segment [segs.(s)] in turn, so the union of several vectors is
+   selected without concatenating them.  A sample's position in that
+   sequence is the index of its class bit. *)
+
 (* Class membership: [want] is -1 for every sample, else the value that
-   bit [i] of [marks] must have (bits past the end of [marks] read 0). *)
-let[@inline] member marks want i =
+   bit [at] of [marks] must have (bits past the end of [marks] read 0). *)
+let[@inline] member marks want at =
   want < 0
   ||
-  let byte = i lsr 3 in
+  let byte = at lsr 3 in
   let bit =
     if byte < Bytes.length marks then
-      (Char.code (Bytes.unsafe_get marks byte) lsr (i land 7)) land 1
+      (Char.code (Bytes.unsafe_get marks byte) lsr (at land 7)) land 1
     else 0
   in
   bit = want
 
-(* A sample is a candidate when it is a member and its key bits
-   [pshift, 64) equal [prefix] ([pshift = 64]: no prefix yet). *)
-let[@inline] candidate (data : float array) marks want ~prefix ~pshift i =
-  member marks want i
+(* Sample [i] of [data], at [at] in the sequence, is a candidate when it
+   is a member and its key bits [pshift, 64) equal [prefix] ([pshift =
+   64]: no prefix yet). *)
+let[@inline] candidate (data : float array) marks want ~prefix ~pshift ~at i =
+  member marks want at
   && (pshift = 64 || key_bits (Array.unsafe_get data i) pshift = prefix)
 
 let nan_sample ~fn = invalid_arg ("Quantile." ^ fn ^ ": NaN sample")
 
 (* Histogram the candidates by their digit at [pshift - digit_bits]. *)
-let count_pass ~fn (data : float array) len marks want hist ~prefix ~pshift =
+let count_pass ~fn (segs : float array array) lens marks want hist ~prefix ~pshift =
   Array.fill hist 0 radix 0;
-  let shift = pshift - digit_bits in
-  for i = 0 to len - 1 do
-    if candidate data marks want ~prefix ~pshift i then begin
-      let x = Array.unsafe_get data i in
-      if x <> x then nan_sample ~fn;
-      let d = key_bits x shift land (radix - 1) in
-      Array.unsafe_set hist d (Array.unsafe_get hist d + 1)
-    end
+  let shift = pshift - digit_bits and base = ref 0 in
+  for s = 0 to Array.length segs - 1 do
+    let data = segs.(s) and b = !base in
+    for i = 0 to lens.(s) - 1 do
+      if candidate data marks want ~prefix ~pshift ~at:(b + i) i then begin
+        let x = Array.unsafe_get data i in
+        if x <> x then nan_sample ~fn;
+        let d = key_bits x shift land (radix - 1) in
+        Array.unsafe_set hist d (Array.unsafe_get hist d + 1)
+      end
+    done;
+    base := b + lens.(s)
   done
 
 (* Copy the candidates into [scratch], which has room for them all. *)
-let gather (data : float array) len marks want ~prefix ~pshift scratch =
-  let m = ref 0 in
-  for i = 0 to len - 1 do
-    if candidate data marks want ~prefix ~pshift i then begin
-      Array.unsafe_set scratch !m (Array.unsafe_get data i);
-      incr m
-    end
+let gather (segs : float array array) lens marks want ~prefix ~pshift scratch =
+  let m = ref 0 and base = ref 0 in
+  for s = 0 to Array.length segs - 1 do
+    let data = segs.(s) and b = !base in
+    for i = 0 to lens.(s) - 1 do
+      if candidate data marks want ~prefix ~pshift ~at:(b + i) i then begin
+        Array.unsafe_set scratch !m (Array.unsafe_get data i);
+        incr m
+      end
+    done;
+    base := b + lens.(s)
   done
 
-(* The nearest-rank [q]-quantile of the members among [data.(0 .. len - 1)];
-   NaN when there is none.  [q] is checked even then. *)
-let select ~fn (data : float array) len marks want q =
+(* The nearest-rank [q]-quantile of the members of the sequence; NaN when
+   there is none.  [q] is checked even then. *)
+let select ~fn segs lens marks want q =
   check_q ~fn q;
   let hist = Array.make radix 0 in
-  count_pass ~fn data len marks want hist ~prefix:0 ~pshift:64;
+  count_pass ~fn segs lens marks want hist ~prefix:0 ~pshift:64;
   let n = Array.fold_left ( + ) 0 hist in
   if n = 0 then Float.nan
   else begin
@@ -165,12 +179,12 @@ let select ~fn (data : float array) len marks want q =
         let prefix = (prefix lsl digit_bits) lor !d in
         if count <= gather_max then begin
           let scratch = Array.create_float count in
-          gather data len marks want ~prefix ~pshift:shift scratch;
+          gather segs lens marks want ~prefix ~pshift:shift scratch;
           sort_floats scratch;
           scratch.(k - !below)
         end
         else begin
-          count_pass ~fn data len marks want hist ~prefix ~pshift:shift;
+          count_pass ~fn segs lens marks want hist ~prefix ~pshift:shift;
           descend ~prefix ~pshift:shift ~below:!below
         end
       end
@@ -180,19 +194,42 @@ let select ~fn (data : float array) len marks want q =
 
 let of_array arr q =
   if Array.length arr = 0 then empty_sample ~fn:"of_array";
-  select ~fn:"of_array" arr (Array.length arr) Bytes.empty (-1) q
+  select ~fn:"of_array" [| arr |] [| Array.length arr |] Bytes.empty (-1) q
 
 let of_vec vec q =
   if Float_vec.length vec = 0 then empty_sample ~fn:"of_vec";
-  select ~fn:"of_vec" (Float_vec.unsafe_data vec) (Float_vec.length vec) Bytes.empty (-1) q
+  select ~fn:"of_vec" [| Float_vec.unsafe_data vec |] [| Float_vec.length vec |] Bytes.empty (-1) q
 
 let of_vec_marked vec ~marks ~marked q =
-  select ~fn:"of_vec_marked" (Float_vec.unsafe_data vec) (Float_vec.length vec) marks
+  select ~fn:"of_vec_marked" [| Float_vec.unsafe_data vec |] [| Float_vec.length vec |] marks
     (if marked then 1 else 0)
     q
 
+let total vecs = Array.fold_left (fun acc v -> acc + Float_vec.length v) 0 vecs
+
+let of_vecs vecs q =
+  if total vecs = 0 then empty_sample ~fn:"of_vecs";
+  select ~fn:"of_vecs" (Array.map Float_vec.unsafe_data vecs) (Array.map Float_vec.length vecs)
+    Bytes.empty (-1) q
+
 let many_of_vec vec qs = List.map (of_vec vec) qs
+
+let many_of_vecs vecs qs = List.map (of_vecs vecs) qs
 
 let mean_of_vec vec =
   let n = Float_vec.length vec in
   if n = 0 then 0.0 else Float_vec.sum vec /. float_of_int n
+
+(* One accumulator through every vector in turn: the additions, and so
+   the bits, of [Float_vec.sum] over their concatenation. *)
+let mean_of_vecs vecs =
+  let acc = [| 0.0 |] in
+  Array.iter
+    (fun v ->
+      let data = Float_vec.unsafe_data v in
+      for i = 0 to Float_vec.length v - 1 do
+        acc.(0) <- acc.(0) +. Array.unsafe_get data i
+      done)
+    vecs;
+  let n = total vecs in
+  if n = 0 then 0.0 else acc.(0) /. float_of_int n

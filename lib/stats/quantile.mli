@@ -40,5 +40,19 @@ val of_vec_marked : Float_vec.t -> marks:Bytes.t -> marked:bool -> float -> floa
 val many_of_vec : Float_vec.t -> float list -> float list
 (** {!of_vec} at each quantile. *)
 
+val of_vecs : Float_vec.t array -> float -> float
+(** The [q]-quantile of the union of the vectors' samples, equal to
+    {!of_vec} over their concatenation, selected in place: nothing is
+    copied, and each pass reads the vectors one after another.  Raises
+    [Invalid_argument] when the vectors hold no sample, on an
+    out-of-range [q] or a NaN sample. *)
+
+val many_of_vecs : Float_vec.t array -> float list -> float list
+(** {!of_vecs} at each quantile. *)
+
 val mean_of_vec : Float_vec.t -> float
 (** Arithmetic mean; 0 for an empty vector. *)
+
+val mean_of_vecs : Float_vec.t array -> float
+(** {!mean_of_vec} of the vectors' concatenation, bit for bit (the same
+    additions in the same order), without building it. *)

@@ -37,39 +37,92 @@ let key_name id =
   done;
   Bytes.unsafe_to_string b
 
-let create ?(seed = 7) spec =
+(* The size draw makes two draws per small key (class, then size) and
+   one per large key, except where [Rng.int] rejects a draw and draws
+   again (probability below 1e-15 per draw).  So the generator that
+   draws key [id] can be placed by {!Dsim.Rng.advance} instead of by
+   drawing every earlier key, which lets chunks of keys draw in parallel. *)
+let draws_before ~n_small id = if id < n_small then 2 * id else n_small + id
+
+(* Draw the sizes of keys [lo, hi) with [rng] standing at key [lo]'s first
+   draw, and return the first key not drawn: [hi], or, without [retry],
+   the first key whose size draw [Rng.int] would reject (with [retry],
+   draw again exactly as [Rng.int] does).  The class draw compares the
+   53 bits [Rng.unit_float] would scale with [tiny_below], the exact
+   integer image of [tiny_fraction], so nothing is boxed. *)
+let draw_sizes ~retry ~n_small ~tiny_below ~s_large_max small large rng ~lo ~hi =
+  let stop = ref hi and id = ref lo in
+  while !id < !stop do
+    let i = !id in
+    let is_small = i < n_small in
+    let tiny = is_small && Dsim.Rng.bits rng lsr 10 < tiny_below in
+    let least =
+      if not is_small then Spec.large_min else if tiny then Spec.tiny_min else Spec.small_min
+    in
+    let span =
+      1 - least
+      + if not is_small then s_large_max else if tiny then Spec.tiny_max else Spec.small_max
+    in
+    let x = ref (Dsim.Rng.int_once rng span) in
+    while retry && !x < 0 do
+      x := Dsim.Rng.int_once rng span
+    done;
+    if !x < 0 then stop := i
+    else begin
+      if is_small then Bytes.set_uint16_le small (2 * i) (least + !x)
+      else large.(i - n_small) <- least + !x;
+      id := i + 1
+    end
+  done;
+  !stop
+
+let chunk_keys = 65_536
+
+let create ?(seed = 7) ?(run = Array.iter (fun task -> task ())) spec =
   (match Spec.validate spec with
   | Ok () -> ()
   | Error msg -> invalid_arg ("Dataset.create: " ^ msg));
-  let rng = Dsim.Rng.create seed in
   let n = spec.Spec.n_keys in
-  let n_large = spec.Spec.n_large_keys in
-  let n_small = n - n_large in
+  let n_small = n - spec.Spec.n_large_keys in
   assert (Spec.small_max < 0x10000);
   let small_sizes = Bytes.create (2 * n_small) in
-  for i = 0 to n_small - 1 do
-    let size =
-      if Dsim.Rng.unit_float rng < spec.Spec.tiny_fraction then
-        Dsim.Dist.uniform_int_in rng ~lo:Spec.tiny_min ~hi:Spec.tiny_max
-      else Dsim.Dist.uniform_int_in rng ~lo:Spec.small_min ~hi:Spec.small_max
-    in
-    Bytes.set_uint16_le small_sizes (2 * i) size
-  done;
-  let large_sizes =
-    Array.init (n - n_small) (fun _ ->
-        Dsim.Dist.uniform_int_in rng ~lo:Spec.large_min ~hi:spec.Spec.s_large_max)
+  let large_sizes = Array.make (n - n_small) 0 in
+  (* u < f for u = r * 2^-53 and an integer r < 2^53 iff r < ceil (f * 2^53);
+     both products are exact. *)
+  let tiny_below = int_of_float (Float.ceil (spec.Spec.tiny_fraction *. 0x1p53)) in
+  let seeded = Dsim.Rng.create seed in
+  let draw ~retry lo hi =
+    let rng = Dsim.Rng.copy seeded in
+    Dsim.Rng.advance rng (draws_before ~n_small lo);
+    draw_sizes ~retry ~n_small ~tiny_below ~s_large_max:spec.Spec.s_large_max small_sizes
+      large_sizes rng ~lo ~hi
   in
+  let chunks = (n + chunk_keys - 1) / chunk_keys in
+  let chunk_end c = min n ((c + 1) * chunk_keys) in
+  let stopped = Array.make chunks 0 in
+  run
+    (Array.init chunks (fun c () ->
+         stopped.(c) <- draw ~retry:false (c * chunk_keys) (chunk_end c)));
+  (* A rejected draw shifts every later key's draws by one, so the keys
+     from the first one a chunk could not draw are drawn again in order. *)
+  let c = ref 0 in
+  while !c < chunks && stopped.(!c) = chunk_end !c do
+    incr c
+  done;
+  if !c < chunks then ignore (draw ~retry:true stopped.(!c) n);
   {
     spec;
     n;
     small_sizes;
     large_sizes;
-    zipf = Dsim.Dist.Zipf.create ~n:n_small ~theta:spec.Spec.zipf_theta;
+    zipf = Dsim.Dist.Zipf.create ~run ~n:n_small ~theta:spec.Spec.zipf_theta ();
     n_small;
     perm_key = coprime_mult n_small 2_654_435_761;
   }
 
 let spec t = t.spec
+
+let zipf t = t.zipf
 
 let n_keys t = t.n
 

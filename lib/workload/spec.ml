@@ -60,6 +60,12 @@ let percent_data_large t =
   let small = (1.0 -. pl) *. mean_small_item_bytes t in
   100.0 *. large /. (large +. small)
 
+(* Key ids are printed as 8 hex digits ([Dataset.key_name]), and the
+   dataset scrambles a zipf rank onto a key id with [rank * mult] for a
+   multiplier just above 2,654,435,761, which leaves 63 bits from about
+   1.7e9 keys.  2^30 keeps both exact with room to spare. *)
+let max_keys = 1 lsl 30
+
 let validate t =
   let err fmt = Printf.ksprintf (fun s -> Error s) fmt in
   (* Every float range is written so that NaN fails it. *)
@@ -69,6 +75,7 @@ let validate t =
   else if not (0.0 <= t.get_ratio && t.get_ratio <= 1.0) then err "get_ratio out of [0, 1]"
   else if not (0.0 <= t.zipf_theta && t.zipf_theta < 1.0) then
     err "zipf_theta out of [0, 1)"
+  else if t.n_keys > max_keys then err "n_keys %d above the maximum %d" t.n_keys max_keys
   else if t.n_large_keys < 0 || t.n_large_keys >= t.n_keys then
     err "need 0 <= n_large_keys < n_keys"
   else if not (0.0 <= t.tiny_fraction && t.tiny_fraction <= 1.0) then

@@ -56,8 +56,13 @@ val percent_data_large : t -> float
 (** Percentage of transferred bytes due to large requests — the third
     column of Table 1. *)
 
+val max_keys : int
+(** The largest [n_keys] a spec may ask for, 2^30: below it every key id
+    has a unique 8-hex-digit name and the dataset's rank-to-id scramble
+    stays inside 63-bit integers (it overflows from about 1.7e9 keys). *)
+
 val validate : t -> (unit, string) result
 (** Check internal consistency (fractions in range, sizes ordered,
-    [n_large_keys < n_keys], ...). *)
+    [n_large_keys < n_keys <= max_keys], ...). *)
 
 val pp : Format.formatter -> t -> unit

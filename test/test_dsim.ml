@@ -79,6 +79,75 @@ let test_rng_unit_float_range () =
     if v < 0.0 || v >= 1.0 then Alcotest.fail "unit_float out of [0,1)"
   done
 
+(* [advance t k] must leave [t] where [k] draws would: compared over the
+   next few outputs, for k = 0, 1 and random k. *)
+let same_stream a b =
+  List.for_all (fun _ -> Rng.bits a = Rng.bits b) [ 1; 2; 3; 4 ]
+
+let advanced_like_draws seed k =
+  let drawn = Rng.create seed and jumped = Rng.create seed in
+  for _ = 1 to k do
+    ignore (Rng.bits drawn)
+  done;
+  Rng.advance jumped k;
+  same_stream drawn jumped
+
+let prop_rng_advance =
+  QCheck.Test.make ~name:"advance k = k draws" ~count:300
+    QCheck.(pair int (oneof [ always 0; always 1; int_bound 5000 ]))
+    (fun (seed, k) -> advanced_like_draws seed k)
+
+(* Counts whose product with the draw constant wraps many times over: the
+   largest count composes with a few draws, and since the state has
+   period 2^63 = 2 (max_int + 1), two largest jumps and two draws come
+   back to the start. *)
+let prop_rng_advance_wraps =
+  QCheck.Test.make ~name:"advance near the 2^63 wrap" ~count:200
+    QCheck.(pair int (int_bound 1000))
+    (fun (seed, m) ->
+      let whole = Rng.create seed and parts = Rng.create seed in
+      Rng.advance whole max_int;
+      Rng.advance parts (max_int - m);
+      for _ = 1 to m do
+        ignore (Rng.bits parts)
+      done;
+      let round = Rng.create seed and start = Rng.create seed in
+      Rng.advance round max_int;
+      Rng.advance round max_int;
+      ignore (Rng.bits round);
+      ignore (Rng.bits round);
+      same_stream whole parts && same_stream round start)
+
+let test_rng_advance_negative () =
+  Alcotest.check_raises "negative count" (Invalid_argument "Rng.advance: negative count")
+    (fun () -> Rng.advance (Rng.create 1) (-1))
+
+(* [int_once] is [int]'s first draw: the same value when accepted, and
+   exactly one draw consumed either way. *)
+let prop_rng_int_once =
+  QCheck.Test.make ~name:"int_once = one draw of int" ~count:500
+    QCheck.(pair int (int_range 1 max_int))
+    (fun (seed, n) ->
+      let a = Rng.create seed and b = Rng.create seed in
+      let once = Rng.int_once a n in
+      let v = Rng.int b n in
+      (once = v || once = -1) && 0 <= v && v < n
+      && (once = -1 || same_stream a b))
+
+(* A crafted stream whose draw 5 is rejected for n = 1387 (the small-size
+   span): [int_once] reports it, and [int] answers from draw 6. *)
+let test_rng_int_rejection () =
+  let n = 1387 and draw = 5 in
+  let seed = Rng_craft.seed_for ~draw ~out:Rng_craft.rejected_output in
+  let g = Rng.create seed in
+  Rng.advance g draw;
+  check int "crafted output" Rng_craft.rejected_output (Rng.bits (Rng.copy g));
+  let once = Rng.copy g and full = Rng.copy g and next = Rng.copy g in
+  check int "int_once rejects" (-1) (Rng.int_once once n);
+  Rng.advance next 1;
+  check int "int draws again" (Rng.int_once next n) (Rng.int full n);
+  check bool "int consumed two draws" true (same_stream full next)
+
 let test_rng_exponential_mean () =
   let r = Rng.create 17 in
   let n = 200_000 in
@@ -92,7 +161,7 @@ let test_rng_exponential_mean () =
 (* Dist.Zipf *)
 
 let test_zipf_prob_sums_to_one () =
-  let z = Dist.Zipf.create ~n:1000 ~theta:0.99 in
+  let z = Dist.Zipf.create ~n:1000 ~theta:0.99 () in
   let sum = ref 0.0 in
   for k = 0 to 999 do
     sum := !sum +. Dist.Zipf.prob z k
@@ -100,7 +169,7 @@ let test_zipf_prob_sums_to_one () =
   check (approx 1e-9) "probabilities sum to 1" 1.0 !sum
 
 let test_zipf_monotone () =
-  let z = Dist.Zipf.create ~n:100 ~theta:0.9 in
+  let z = Dist.Zipf.create ~n:100 ~theta:0.9 () in
   for k = 0 to 98 do
     if Dist.Zipf.prob z k < Dist.Zipf.prob z (k + 1) then
       Alcotest.fail "zipf probabilities must be nonincreasing in rank"
@@ -108,7 +177,7 @@ let test_zipf_monotone () =
 
 let test_zipf_sample_range_and_skew () =
   let n = 10_000 in
-  let z = Dist.Zipf.create ~n ~theta:0.99 in
+  let z = Dist.Zipf.create ~n ~theta:0.99 () in
   let r = Rng.create 23 in
   let draws = 100_000 in
   let rank0 = ref 0 in
@@ -125,18 +194,45 @@ let test_zipf_sample_range_and_skew () =
 
 let test_zipf_theta_zero_is_uniform () =
   let n = 16 in
-  let z = Dist.Zipf.create ~n ~theta:0.0 in
+  let z = Dist.Zipf.create ~n ~theta:0.0 () in
   List.iter
     (fun k -> check (approx 1e-9) "uniform prob" (1.0 /. float_of_int n)
         (Dist.Zipf.prob z k))
     [ 0; 7; 15 ]
 
 let test_zipf_single_key () =
-  let z = Dist.Zipf.create ~n:1 ~theta:0.5 in
+  let z = Dist.Zipf.create ~n:1 ~theta:0.5 () in
   let r = Rng.create 2 in
   for _ = 1 to 100 do
     check int "only rank 0" 0 (Dist.Zipf.sample z r)
   done
+
+(* The normalizer and [eta] equal the sequential sum's bits whichever
+   order the term blocks finish in: on the pool at 1-4 jobs (0: every
+   round's tasks in reverse), at n on and around the block (32,768 terms)
+   and round (4 blocks) boundaries and at random n. *)
+let zipf_matches_oracle ~run n theta =
+  let z = Dist.Zipf.create ~run ~n ~theta () in
+  Int64.bits_of_float (Dist.Zipf.zetan z) = Int64.bits_of_float (Build_oracle.zeta n theta)
+  && Int64.bits_of_float (Dist.Zipf.eta z) = Int64.bits_of_float (Build_oracle.eta n theta)
+
+let zeta_block = 32_768
+
+let prop_zipf_zeta_exact =
+  QCheck.Test.make ~name:"zeta in blocks = sequential sum, bit for bit" ~count:40
+    QCheck.(
+      triple
+        (oneof
+           [
+             oneofl
+               [ 1; 2; zeta_block - 1; zeta_block; zeta_block + 1; (4 * zeta_block) + 1 ];
+             int_range 1 300_000;
+           ])
+        (oneofl [ 0.0; 0.5; 0.99 ])
+        (int_range 0 4))
+    (fun (n, theta, jobs) ->
+      let run = if jobs = 0 then Build_oracle.reverse_run else Build_oracle.par_run jobs in
+      zipf_matches_oracle ~run n theta)
 
 (* ------------------------------------------------------------------ *)
 (* Dist.Alias *)
@@ -395,7 +491,11 @@ let () =
           Alcotest.test_case "int uniformity" `Slow test_rng_int_uniformity;
           Alcotest.test_case "unit_float range" `Quick test_rng_unit_float_range;
           Alcotest.test_case "exponential mean" `Slow test_rng_exponential_mean;
-        ] );
+          Alcotest.test_case "advance refuses a negative count" `Quick
+            test_rng_advance_negative;
+          Alcotest.test_case "int rejection" `Quick test_rng_int_rejection;
+        ]
+        @ qsuite [ prop_rng_advance; prop_rng_advance_wraps; prop_rng_int_once ] );
       ( "zipf",
         [
           Alcotest.test_case "probs sum to 1" `Quick test_zipf_prob_sums_to_one;
@@ -403,7 +503,8 @@ let () =
           Alcotest.test_case "sample range and skew" `Slow test_zipf_sample_range_and_skew;
           Alcotest.test_case "theta 0 uniform" `Quick test_zipf_theta_zero_is_uniform;
           Alcotest.test_case "single key" `Quick test_zipf_single_key;
-        ] );
+        ]
+        @ qsuite [ prop_zipf_zeta_exact ] );
       ( "alias",
         [
           Alcotest.test_case "empirical distribution" `Slow test_alias_empirical;

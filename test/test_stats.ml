@@ -151,6 +151,35 @@ let prop_selection_is_sort =
                [ true; false ])
         [ q; 1e-9; 0.5; 0.99; 0.999; 1.0 ])
 
+(* Several vectors are selected as their concatenation: the sample of
+   [prop_selection_is_sort] cut at random points into 1-6 vectors, some
+   of them empty; the mean is the concatenation's, bit for bit. *)
+let prop_selection_over_vectors =
+  QCheck.Test.make ~name:"selection over vectors = over their concatenation" ~count:200
+    (QCheck.make
+       ~print:(fun (n, kind, seed, q) -> Printf.sprintf "n=%d kind=%d seed=%d q=%g" n kind seed q)
+       gen_selection)
+    (fun ((n, _, seed, q) as p) ->
+      let samples, _ = selection_sample p in
+      let st = Random.State.make [| seed; n |] in
+      let cuts = List.init (Random.State.int st 6) (fun _ -> Random.State.int st (n + 1)) in
+      let bounds = Array.of_list (0 :: List.sort compare cuts @ [ n ]) in
+      let vecs =
+        Array.init (Array.length bounds - 1) (fun i ->
+            let v = Float_vec.create ~capacity:1 () in
+            for j = bounds.(i) to bounds.(i + 1) - 1 do
+              Float_vec.push v samples.(j)
+            done;
+            v)
+      in
+      let whole = Float_vec.create ~capacity:1 () in
+      Array.iter (Float_vec.append whole) vecs;
+      let qs = [ q; 1e-9; 0.5; 0.99; 0.999; 1.0 ] in
+      List.for_all2 Float.equal (Quantile.many_of_vecs vecs qs) (Quantile.many_of_vec whole qs)
+      && Int64.equal
+           (Int64.bits_of_float (Quantile.mean_of_vecs vecs))
+           (Int64.bits_of_float (Quantile.mean_of_vec whole)))
+
 let test_selection_in_place () =
   let st = Random.State.make [| 7 |] in
   let v = Float_vec.create () in
@@ -176,7 +205,14 @@ let test_selection_in_place () =
   ignore (Quantile.of_vec_marked v ~marks ~marked:true 0.99);
   let minor = Gc.minor_words () -. minor0 in
   if minor > 1000.0 then
-    Alcotest.failf "selection over 50k samples allocated %.0f minor words" minor
+    Alcotest.failf "selection over 50k samples allocated %.0f minor words" minor;
+  let minor0 = Gc.minor_words () in
+  ignore (Quantile.of_vecs [| v; Float_vec.create (); v |] 0.99);
+  ignore (Quantile.mean_of_vecs [| v; v |]);
+  let minor = Gc.minor_words () -. minor0 in
+  if minor > 1000.0 then
+    Alcotest.failf "selection over 3 vectors allocated %.0f minor words" minor;
+  check Alcotest.bool "vectors unchanged" true (same before (Float_vec.to_array v))
 
 let test_selection_errors () =
   let small = Float_vec.create () and large = Float_vec.create () in
@@ -194,6 +230,14 @@ let test_selection_errors () =
   Alcotest.check_raises "empty vector"
     (Invalid_argument "Quantile.of_vec: empty sample") (fun () ->
       ignore (Quantile.of_vec (Float_vec.create ()) 0.5));
+  Alcotest.check_raises "empty vectors"
+    (Invalid_argument "Quantile.of_vecs: empty sample") (fun () ->
+      ignore (Quantile.of_vecs [| Float_vec.create (); Float_vec.create () |] 0.5));
+  Alcotest.check_raises "NaN in a later vector" (Invalid_argument "Quantile.of_vecs: NaN sample")
+    (fun () ->
+      let clean = Float_vec.create () in
+      Float_vec.push clean 2.0;
+      ignore (Quantile.of_vecs [| clean; small |] 0.5));
   check Alcotest.bool "empty class is NaN" true
     (Float.is_nan (Quantile.of_vec_marked large ~marks:Bytes.empty ~marked:true 0.5));
   Alcotest.check_raises "q checked for an empty class"
@@ -372,7 +416,13 @@ let () =
           Alcotest.test_case "selection in place" `Quick test_selection_in_place;
           Alcotest.test_case "selection errors" `Quick test_selection_errors;
         ]
-        @ qsuite [ prop_quantile_bounds; prop_quantile_monotone_in_q; prop_selection_is_sort ] );
+        @ qsuite
+            [
+              prop_quantile_bounds;
+              prop_quantile_monotone_in_q;
+              prop_selection_is_sort;
+              prop_selection_over_vectors;
+            ] );
       ( "log_histogram",
         [
           Alcotest.test_case "record and total" `Quick test_hist_record_and_total;

@@ -31,6 +31,27 @@ let test_spec_validate () =
     (bad { Spec.default with Spec.n_large_keys = Spec.default.Spec.n_keys });
   check bool "tiny fraction" true (bad { Spec.default with Spec.tiny_fraction = -0.1 })
 
+(* The largest key count is refused by name past the bound, before any
+   dataset is built, and the bound keeps key names unique (8 hex digits)
+   and the rank scramble's [rank * mult] (mult a little above
+   2,654,435,761) inside 63 bits. *)
+let test_spec_max_keys () =
+  let at n = { Spec.default with Spec.n_keys = n } in
+  check bool "max_keys valid" true (Spec.validate (at Spec.max_keys) = Ok ());
+  let msg =
+    match Spec.validate (at (Spec.max_keys + 1)) with
+    | Ok () -> Alcotest.fail "n_keys above max_keys accepted"
+    | Error msg -> msg
+  in
+  check bool "names n_keys" true (String.starts_with ~prefix:"n_keys " msg);
+  Alcotest.check_raises "create refuses" (Invalid_argument ("Dataset.create: " ^ msg))
+    (fun () -> ignore (Dataset.create (at (Spec.max_keys + 1))));
+  (match Scenario.parse (Printf.sprintf "default,n_keys=%d" (Spec.max_keys + 1)) with
+  | Ok _ -> Alcotest.fail "n_keys knob above max_keys accepted"
+  | Error e -> check Alcotest.string "knob refused by name" ("default: " ^ msg) e);
+  check bool "names unique" true (Spec.max_keys <= 1 lsl 32);
+  check bool "scramble fits" true (Spec.max_keys < (max_int - 0x9E37) / (2_654_435_761 + 65_536))
+
 let test_spec_class_boundaries () =
   check int "tiny 1..13" 1 Spec.tiny_min;
   check int "tiny max" 13 Spec.tiny_max;
@@ -94,6 +115,123 @@ let test_dataset_deterministic () =
   for id = 0 to 999 do
     check int "same sizes" (Dataset.size_of_key a id) (Dataset.size_of_key b id)
   done
+
+(* ------------------------------------------------------------------ *)
+(* The chunked, parallel build = the sequential loop (Build_oracle) *)
+
+let bits = Int64.bits_of_float
+
+(* [None] when [Dataset.create ~seed ~run spec] equals the oracle in every
+   size and in the zipf normalizer's bits, else what differs. *)
+let build_mismatch ~seed ~run spec =
+  let d = Dataset.create ~seed ~run spec in
+  let want = Build_oracle.sizes ~seed spec in
+  let n_small = Dataset.n_small_keys d and theta = spec.Spec.zipf_theta in
+  let z = Dataset.zipf d in
+  let rec first id =
+    if id = Array.length want then None
+    else if Dataset.size_of_key d id <> want.(id) then
+      Some (Printf.sprintf "key %d: size %d, oracle %d" id (Dataset.size_of_key d id) want.(id))
+    else first (id + 1)
+  in
+  if Dataset.n_keys d <> Array.length want then Some "key count"
+  else if bits (Dsim.Dist.Zipf.zetan z) <> bits (Build_oracle.zeta n_small theta) then
+    Some "zetan bits"
+  else if bits (Dsim.Dist.Zipf.eta z) <> bits (Build_oracle.eta n_small theta) then
+    Some "eta bits"
+  else first 0
+
+let pp_build (n, n_large, theta, tiny_fraction, jobs, seed) =
+  Printf.sprintf "n=%d n_large=%d theta=%g tiny=%g jobs=%d seed=%d" n n_large theta
+    tiny_fraction jobs seed
+
+(* n on and around the zeta block (32,768), round (4 blocks) and size
+   chunk (65,536 keys) boundaries, or random up to 300k; 0, 1 or a random
+   number of large keys; every theta and tiny fraction class. *)
+let build_case =
+  let open QCheck.Gen in
+  let* n =
+    oneof
+      [
+        oneofl [ 1; 32_767; 32_768; 32_769; 65_535; 65_536; 65_537; 131_073 ];
+        int_range 1 300_000;
+      ]
+  in
+  let* n_large = oneof [ return 0; return (min 1 (n - 1)); int_range 0 (n - 1) ] in
+  let* theta = oneofl [ 0.0; 0.5; 0.99 ] in
+  let* tiny_fraction = oneofl [ 0.0; 0.4; 1.0 ] in
+  let* jobs = int_range 1 4 in
+  let* seed = int in
+  return (n, n_large, theta, tiny_fraction, jobs, seed)
+
+let prop_build_matches_oracle =
+  QCheck.Test.make ~name:"parallel build = sequential loop, bit for bit" ~count:40
+    (QCheck.make ~print:pp_build build_case)
+    (fun (n, n_large_keys, zipf_theta, tiny_fraction, jobs, seed) ->
+      let spec =
+        { small_spec with Spec.n_keys = n; n_large_keys; zipf_theta; tiny_fraction }
+      in
+      match build_mismatch ~seed ~run:(Build_oracle.par_run jobs) spec with
+      | None -> true
+      | Some what -> QCheck.Test.fail_reportf "%s" what)
+
+let test_default_build_matches_oracle () =
+  List.iter
+    (fun jobs ->
+      match build_mismatch ~seed:7 ~run:(Build_oracle.par_run jobs) Spec.default with
+      | None -> ()
+      | Some what -> Alcotest.failf "jobs %d: %s" jobs what)
+    [ 1; 2 ]
+
+(* A seed crafted so that key [id]'s size draw is one [Rng.int] rejects:
+   the chunk holding [id] must stop there and hand the rest of the keys
+   to a sequential finish, or every later key is one draw off. *)
+let test_build_rejected_draw () =
+  let case ~what ~spec ~id =
+    let n_small = spec.Spec.n_keys - spec.Spec.n_large_keys in
+    let draw = if id < n_small then (2 * id) + 1 else n_small + id in
+    let span =
+      if id >= n_small then spec.Spec.s_large_max - Spec.large_min + 1
+      else if spec.Spec.tiny_fraction = 1.0 then Spec.tiny_max - Spec.tiny_min + 1
+      else Spec.small_max - Spec.small_min + 1
+    in
+    let seed = Rng_craft.seed_for ~draw ~out:Rng_craft.rejected_output in
+    let g = Dsim.Rng.create seed in
+    Dsim.Rng.advance g draw;
+    if Dsim.Rng.int_once g span <> -1 then Alcotest.failf "%s: crafted draw not rejected" what;
+    List.iter
+      (fun run ->
+        match build_mismatch ~seed ~run spec with
+        | None -> ()
+        | Some m -> Alcotest.failf "%s: %s" what m)
+      [ Build_oracle.par_run 1; Build_oracle.par_run 4; Build_oracle.reverse_run ]
+  in
+  let spec n n_large tiny_fraction =
+    { small_spec with Spec.n_keys = n; n_large_keys = n_large; tiny_fraction }
+  in
+  case ~what:"small key, second chunk" ~spec:(spec 200_000 100 0.0) ~id:(65_536 + 1234);
+  case ~what:"tiny key, first chunk" ~spec:(spec 100_000 10 1.0) ~id:10;
+  case ~what:"large key, second chunk" ~spec:(spec 140_000 70_000 0.4) ~id:73_000
+
+(* The class draw compares the draw's 53 bits with ceil (tiny_fraction *
+   2^53) where [Rng.unit_float] compared their float with tiny_fraction:
+   seeds crafted to put those bits on either side of the threshold at
+   one key must give that key the oracle's class. *)
+let test_build_tiny_threshold () =
+  List.iter
+    (fun tiny_fraction ->
+      let threshold = int_of_float (Float.ceil (tiny_fraction *. 0x1p53)) in
+      let spec = { small_spec with Spec.n_keys = 100_000; tiny_fraction } and id = 70_000 in
+      List.iter
+        (fun (r, tiny) ->
+          let seed = Rng_craft.seed_for ~draw:(2 * id) ~out:(r lsl 10) in
+          let what = Printf.sprintf "tiny_fraction %g, 53 bits %d" tiny_fraction r in
+          (match build_mismatch ~seed ~run:(Build_oracle.par_run 2) spec with
+          | None -> ()
+          | Some m -> Alcotest.failf "%s: %s" what m);
+          check bool what tiny (Dataset.size_of_key (Dataset.create ~seed spec) id <= Spec.tiny_max))
+        [ (threshold - 1, true); (threshold, false) ])
+    [ 0.4; 0.5; 1e-9 ]
 
 let test_dataset_zipf_skew () =
   (* The most popular key should receive far more than the uniform share,
@@ -313,6 +451,7 @@ let () =
           Alcotest.test_case "Table 1 percent data" `Quick
             test_spec_percent_data_large_vs_paper;
           Alcotest.test_case "builders" `Quick test_spec_builders;
+          Alcotest.test_case "key count bound" `Quick test_spec_max_keys;
         ] );
       ( "dataset",
         [
@@ -320,6 +459,7 @@ let () =
             test_dataset_sizes_in_class_ranges;
           Alcotest.test_case "tiny fraction" `Quick test_dataset_tiny_fraction;
           Alcotest.test_case "deterministic" `Quick test_dataset_deterministic;
+
           Alcotest.test_case "zipf skew" `Slow test_dataset_zipf_skew;
           Alcotest.test_case "large sampling" `Quick test_dataset_large_sampling_uniform;
           Alcotest.test_case "get key mix" `Slow test_dataset_get_key_mix;
@@ -328,8 +468,14 @@ let () =
           Alcotest.test_case "key names" `Quick test_key_name_unique;
           Alcotest.test_case "key partition of every key" `Quick
             test_key_partition_every_key;
+          Alcotest.test_case "default build = sequential loop" `Quick
+            test_default_build_matches_oracle;
+          Alcotest.test_case "rejected draw hands back" `Quick test_build_rejected_draw;
+          Alcotest.test_case "class draw at the tiny threshold" `Quick test_build_tiny_threshold;
         ]
-        @ List.map (fun t -> QCheck_alcotest.to_alcotest t) [ prop_key_partition_matches_name_hash ] );
+        @ List.map
+            (fun t -> QCheck_alcotest.to_alcotest t)
+            [ prop_key_partition_matches_name_hash; prop_build_matches_oracle ] );
       ( "generator",
         [
           Alcotest.test_case "mix" `Slow test_generator_mix;
