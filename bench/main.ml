@@ -151,6 +151,29 @@ let perf_build () =
     build_words_per_key = words /. float_of_int spec.Workload.Spec.n_keys;
   }
 
+(* The native store's memory per user byte: udp-read's dataset (100k keys
+   of the paper's mix, 62 large, dataset seed 1, as the native benchmark
+   draws it) populated into a default store, as its server does; the
+   arena's high-water mark over the values' bytes, item headers and keys
+   included in the numerator.  It repeats exactly at a fixed seed. *)
+let store_bytes_per_user_byte () =
+  let spec =
+    {
+      Workload.Spec.default with
+      Workload.Spec.n_keys = 100_000;
+      n_large_keys = 62;
+      get_ratio = 1.0;
+    }
+  in
+  let ds = Workload.Dataset.create ~seed:1 spec in
+  let store = Kvstore.Store.create () in
+  for id = 0 to Workload.Dataset.n_keys ds - 1 do
+    Kvstore.Store.put store ~guard:`Lock (Workload.Dataset.key_name id)
+      (Bytes.create (Workload.Dataset.size_of_key ds id))
+  done;
+  float_of_int (Kvstore.Store.stats store).Kvstore.Store.arena_peak_bytes
+  /. float_of_int (Workload.Dataset.total_value_bytes ds)
+
 (* Exit non-zero when a run's headline claims fail (the [check] of each
    driver); the written JSON stays for inspection. *)
 let enforce target = function
@@ -250,25 +273,28 @@ let run_capacity () =
          ~offered_mops:1.0)
 
 (* ------------------------------------------------------------------ *)
-(* The perf-smoke gate.  Five deterministic bounds (the sim is seeded, so
+(* The perf-smoke gate.  Six deterministic bounds (the sim is seeded, so
    allocation and event counts are exact, and the dataset's size is fixed
    by its spec) plus a wide absolute throughput floor that catches
    order-of-magnitude collapses without flaking on runner hardware.  The
-   major-words and both dataset bounds sit at the values this code
-   measures (each repeated exactly over three runs; the build's 481 minor
-   words over 1 M keys were 1,998,802 while each class draw boxed a
-   float); only ever tighten them. *)
+   major-words, both dataset and the store bounds sit at the values this
+   code measures (each repeated exactly over three runs; the build's 481
+   minor words over 1 M keys were 1,998,802 while each class draw boxed a
+   float; the store's 1.0402 bytes/user byte were 1.131 with quarter-step
+   size classes); only ever tighten them. *)
 let max_major_per_req = 0.085
 let max_dataset_words_per_key = 0.252
 let max_build_words_per_key = 0.0005
+let max_store_bytes_per_user_byte = 1.0403
 
-let perf_gate (p : sim_profile) ~dataset_words ~(build : build_profile) =
+let perf_gate (p : sim_profile) ~dataset_words ~(build : build_profile) ~store_ratio =
   let words_per_req = p.minor_per_req and events_per_sec = p.events_per_sec in
   let ev_per_req = float_of_int p.events /. float_of_int (max 1 p.issued) in
   Printf.printf
-    "perf gate: %.1f words/request (<= 80), %.2f events/request (<= 4.5), %.0f events/sec (>= 1M), %.3f major words/request (<= %g), %.3f dataset words/key (<= %g), %.4f build minor words/key (<= %g)\n%!"
+    "perf gate: %.1f words/request (<= 80), %.2f events/request (<= 4.5), %.0f events/sec (>= 1M), %.3f major words/request (<= %g), %.3f dataset words/key (<= %g), %.4f build minor words/key (<= %g), %.4f store bytes/user byte (<= %g)\n%!"
     words_per_req ev_per_req events_per_sec p.major_per_req max_major_per_req dataset_words
-    max_dataset_words_per_key build.build_words_per_key max_build_words_per_key;
+    max_dataset_words_per_key build.build_words_per_key max_build_words_per_key store_ratio
+    max_store_bytes_per_user_byte;
   Minos.Report.verdict
     [
       (words_per_req <= 80.0, Printf.sprintf "%.1f minor words/request (gate: 80)" words_per_req);
@@ -281,6 +307,9 @@ let perf_gate (p : sim_profile) ~dataset_words ~(build : build_profile) =
       ( build.build_words_per_key <= max_build_words_per_key,
         Printf.sprintf "%.4f minor words/key building the dataset (gate: %g) — the build boxes per key"
           build.build_words_per_key max_build_words_per_key );
+      ( store_ratio <= max_store_bytes_per_user_byte,
+        Printf.sprintf "%.4f store arena bytes/user byte (gate: %g) — items take more than their size"
+          store_ratio max_store_bytes_per_user_byte );
       ( ev_per_req <= 4.5,
         Printf.sprintf "%.2f events/request (gate: 4.5) — extra per-request events crept in"
           ev_per_req );
@@ -334,6 +363,7 @@ let run_perf sweep_target =
   let p = perf_sim () in
   let dataset_words = dataset_words_per_key () in
   let build = perf_build () in
+  let store_ratio = store_bytes_per_user_byte () in
   let sweep_fn =
     match List.find_opt (fun (n, _, _) -> n = sweep_target) targets with
     | Some (_, _, f) -> f
@@ -356,6 +386,7 @@ let run_perf sweep_target =
       [ "  zipf normalizer ms"; Printf.sprintf "%.1f" build.zeta_ms ];
       [ "  size draw ms (build - zipf)"; Printf.sprintf "%.1f" (build.build_ms -. build.zeta_ms) ];
       [ "dataset build minor words/key"; Printf.sprintf "%.4f" build.build_words_per_key ];
+      [ "store arena bytes/user byte"; Printf.sprintf "%.4f" store_ratio ];
       [ sweep_target ^ " sweep seconds"; Printf.sprintf "%.2f" sweep_s ];
     ];
   Obs.Json.(
@@ -373,13 +404,14 @@ let run_perf sweep_target =
            ("dataset_build_ms", Float build.build_ms);
            ("dataset_zeta_ms", Float build.zeta_ms);
            ("dataset_build_minor_words_per_key", Float build.build_words_per_key);
+           ("store_arena_bytes_per_user_byte", Float store_ratio);
            ("sim_events", Int p.events);
            ("sim_issued", Int p.issued);
            ("sweep_target", String sweep_target);
            ("sweep_seconds", Float sweep_s);
          ]));
   Printf.printf "[perf profile written to %s]\n%!" (bench_file "perf");
-  enforce "perf" (perf_gate p ~dataset_words ~build)
+  enforce "perf" (perf_gate p ~dataset_words ~build ~store_ratio)
 
 let usage () =
   print_endline "usage: bench/main.exe [target ...]   (default: all targets)";
@@ -387,7 +419,7 @@ let usage () =
   print_endline
     "  perf measures heap ns/op, dsim events/sec, minor and major words/request,";
   print_endline "  the dataset's heap words/key, its build's ms (zipf normalizer, size draw) and";
-  print_endline "  minor words/key, and";
+  print_endline "  minor words/key, the native store's arena bytes per user byte, and";
   print_endline
     "  the wall-clock of one sweep (default fig3); writes BENCH_perf.json, exits 1 past a gate.";
   print_endline "targets:";

@@ -442,8 +442,8 @@ let serve_cmd =
       value & opt int 256
       & info [ "arena-mb" ] ~docv:"MB"
           ~doc:
-            "Value arena size in MiB, shared by all keys.  A PUT the arena cannot hold is \
-             answered Overloaded.")
+            "Value arena size in MiB (at most 4096), shared by all keys.  A PUT the arena \
+             cannot hold is answered Overloaded.")
   in
   let verbose =
     Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Log control-loop decisions.")

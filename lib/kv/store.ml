@@ -14,18 +14,18 @@ let tag_bits = 16
 
 let tag_mask = (1 lsl tag_bits) - 1
 
-(* Item header offsets; byte 0 is the slab's (Slab.header_bytes = 1). *)
-let flags_at = 1
+(* Item header offsets; bytes 0-3 are the slab's (Slab.header_bytes). *)
+let flags_at = 4
 
-let klen_at = 2
+let klen_at = 5
 
-let vlen_at = 4
+let vlen_at = 7
 
-let expiry_at = 8
+let expiry_at = 11
 
-let header_bytes = 8
+let header_bytes = 11
 
-let ttl_header_bytes = 16
+let ttl_header_bytes = 19
 
 let has_ttl = 1
 
@@ -102,12 +102,14 @@ let bucket_of t f = (f lsr tag_bits) land ((1 lsl t.bucket_bits) - 1)
 (* ---- items, read in place ------------------------------------------ *)
 
 (* The readers below may see a freed and reused item (the epoch check
-   then discards what they read), so each bounds what it reads.  Item
-   offsets are always region starts and regions are at least 16 B, so
-   the 16 header bytes are in bounds, and a region's class byte is exact
-   even mid-reuse (regions never change class); the key is checked
-   against the arena and the value against its region before either is
-   touched. *)
+   then discards what they read), so each bounds what it reads.  A stale
+   item offset may since have been merged into a free block, split, or
+   landed inside another item's bytes, so nothing read there is trusted:
+   an offset was once the start of a block of at least 16 B, so the
+   11-byte header lies in the arena, and every length derived from it
+   (the TTL header's end, the key, the value) is checked against the
+   arena before it is used.  A value length also sizes the caller's
+   buffer, so [copy_value] confirms it with the chain epoch first. *)
 
 let item_header a off =
   if Bytes.get_uint8 a (off + flags_at) land has_ttl = 0 then header_bytes
@@ -164,18 +166,25 @@ let absent = -1
 
 let torn = -2
 
-(* [len] is read once: a writer may free this item and another reuse it
-   mid-copy, and the epoch check then discards the copy, but its length
-   must still fit the buffer sized for it.  [off < 0] asks for the length
-   only. *)
-let copy_value t item now buf off =
+(* [len] is read once and checked against the arena.  Before it sizes
+   [buf] the chain's epoch must still read [e1]: then the item was live
+   all along and [len] is its value's, where a torn read could otherwise
+   grow the caller's buffer to the arena's size.  A writer may still free
+   the item and another reuse it mid-copy; the caller's epoch check then
+   discards the copy, which fits the buffer sized for it.  [off < 0] asks
+   for the length only. *)
+let copy_value t epoch e1 item now buf off =
   let a = t.arena in
-  if lapsed a item now then absent
+  let hdr = item_header a item in
+  if item + hdr > Bytes.length a then torn
+  else if lapsed a item now then absent
   else
-    let len = value_length a item and pos = item + item_header a item + key_length a item in
-    if pos + len > item + Slab.region_bytes t.slab item then torn
+    let len = value_length a item and pos = item + hdr + key_length a item in
+    if pos + len > Bytes.length a then torn
+    else if off < 0 then len
+    else if Atomic.get epoch <> e1 then torn
     else begin
-      if off >= 0 then Bytes.blit a pos (buf len) off len;
+      Bytes.blit a pos (buf len) off len;
       len
     end
 
@@ -191,7 +200,9 @@ let rec read_attempt t p b tag key now buf off =
   else
     let table = p.table in
     let i = find_slot t.arena table (b * bucket_words) 0 tag key in
-    let len = if i < 0 then absent else copy_value t (table.(i) lsr tag_bits) now buf off in
+    let len =
+      if i < 0 then absent else copy_value t epoch e1 (table.(i) lsr tag_bits) now buf off
+    in
     if len <> torn && Atomic.get epoch = e1 then len
     else begin
       Domain.cpu_relax ();
@@ -475,6 +486,7 @@ type stats = {
   items : int;
   value_bytes : int;
   arena_bytes : int;
+  arena_peak_bytes : int;
   overflow_buckets : int;
   partitions : int;
   expired : int;
@@ -485,6 +497,7 @@ let stats (t : t) =
     items = Atomic.get t.items;
     value_bytes = Slab.used_bytes t.slab;
     arena_bytes = Slab.arena_bytes t.slab;
+    arena_peak_bytes = Slab.peak_bytes t.slab;
     overflow_buckets = Atomic.get t.overflow_count;
     partitions = partition_count t;
     expired = Atomic.get t.expired;

@@ -10,11 +10,11 @@
     unlinked.
 
     Items live in one slab arena ({!Slab}) shared by every partition.
-    An item is one region: an 8-byte header, then the key, then the
-    value.  Header bytes (little-endian): 0, the slab's class byte; 1,
-    flags (bit 0: the item has a TTL); 2-3, key length; 4-7, value
+    An item is one block: an 11-byte header, then the key, then the
+    value.  Header bytes (little-endian): 0-3, the slab's block header;
+    4, flags (bit 0: the item has a TTL); 5-6, key length; 7-10, value
     length.  A TTL'd item carries its deadline as an 8-byte float after
-    the header, so its header is 16 B.  Keys are at most 65535 bytes and
+    the header, so its header is 19 B.  Keys are at most 65535 bytes and
     values under 4 GiB.  Nothing per key lives on the OCaml heap: the
     index costs 8 bytes per slot, allocated with the buckets.
 
@@ -22,10 +22,12 @@
     - GETs are optimistic, as in the paper: each bucket chain has an
       epoch, odd while a write is in flight; readers snapshot the epoch,
       read, re-check, and retry on a mismatch.  A read that races a
-      write may see a freed and reused item; it bounds every header
-      field it reads against the arena before using it, so a torn header
-      can make the read retry but never index outside the arena or
-      overrun the caller's buffer.
+      write may see a freed item whose bytes were since merged, split or
+      reused; it bounds every length it derives from the header against
+      the arena before using it, and confirms a value's length with the
+      chain epoch before that length sizes the caller's buffer, so a
+      torn header can make the read retry but never index outside the
+      arena, overrun the caller's buffer or grow it.
     - PUTs/DELETEs take the partition spinlock.  The native server's
       workers may all serve any key, so no core is a partition's sole
       writer and every write locks.  A PUT fills its new item before it
@@ -37,8 +39,8 @@
     Measured on the native benchmark's dataset (100k keys, 58.2 MB of
     values, 2 vCPUs): populating takes 0.11 s, the index grows the major
     heap by 0.6 words per key, a GET costs ~0.9 us and a size lookup
-    ~0.4 us, and [stats.value_bytes] is ~1.13x the value bytes, since it
-    counts headers and keys. *)
+    ~0.4 us, and [stats.value_bytes] is 1.040x the value bytes, since it
+    counts headers and keys and rounds each item up to 8 B. *)
 
 type t
 
@@ -55,7 +57,7 @@ val create :
 (** [create ~partition_bits ~bucket_bits ~value_arena_bytes ()] makes a
     store with [2^partition_bits] partitions (default 4 → 16 partitions) of
     [2^bucket_bits] buckets each (default 10 → 1024), and one slab arena
-    for the items of every partition (default 256 MiB).  The arena's
+    for the items of every partition (default 256 MiB, at most 4 GiB).  The arena's
     allocator runs under its own lock, so writers of different partitions
     can run at once; one item may take the whole arena.  Both bit counts
     must lie in [[0, 30]]. *)
@@ -80,9 +82,11 @@ val read_into : ?now:float -> t -> string -> buf:(int -> bytes) -> off:int -> in
     value, and the result is that version's length.  [buf len] must
     return a buffer of at least [off + len] bytes; the caller may hand
     back the same reused buffer every time.  Each attempt reads [len]
-    once and checks it against the item's slab region, so an item that
-    a concurrent write frees and reuses can make the attempt retry but
-    never overrun the buffer or ask for more than the region holds. *)
+    once, checks it against the arena and, before calling [buf], checks
+    that no write to the chain has begun since the attempt started, so
+    [buf] is only ever asked for the length of a value that was stored:
+    an item that a concurrent write frees and reuses can make the
+    attempt retry but never overrun the buffer or ask for more. *)
 
 val get : ?now:float -> t -> string -> bytes option
 (** {!read_into} a fresh buffer of exactly the value's length. *)
@@ -135,9 +139,12 @@ val scan : ?now:float -> t -> start:string -> count:int -> (string -> int -> uni
 type stats = {
   items : int;
   value_bytes : int;
-      (** bytes handed out by the slab, rounded to class: item headers
-          and keys as well as values *)
-  arena_bytes : int;      (** the slab arena's high-water mark: live or free *)
+      (** bytes in the slab's live blocks: item headers and keys as well
+          as values, each item rounded up to 8 B *)
+  arena_bytes : int;      (** the slab's tail: bytes under live and free blocks *)
+  arena_peak_bytes : int;
+      (** the highest the tail has been: the item memory a run has
+          touched, which the process's peak RSS includes *)
   overflow_buckets : int; (** dynamically chained buckets *)
   partitions : int;
   expired : int;          (** slots reclaimed by {!expire} / {!expire_sweep} *)

@@ -4,6 +4,14 @@ let max_datagram = Netsim.Frame.max_udp_payload
 
 type pending = { addr : Unix.sockaddr; queue : int; client_ts : int64 }
 
+(* Receive and wait calls that allocate nothing on an empty socket
+   (udp_stubs.c).  [recv] returns the datagram's length and stores its
+   sender in [from.(0)], or returns -1 when none is waiting. *)
+external recv : Unix.file_descr -> bytes -> int -> int -> Unix.sockaddr array -> int
+  = "minos_udp_recv"
+
+external wait_readable : Unix.file_descr -> int -> unit = "minos_udp_wait_readable"
+
 (* The socket transport's state, shared by the worker domains.  Queue [q]
    has its socket, receive buffer, fragment reassembler and TX buffer, all
    used by worker [q] only; the pending table and the dedup cache share a
@@ -11,6 +19,7 @@ type pending = { addr : Unix.sockaddr; queue : int; client_ts : int64 }
 type conn = {
   sockets : Unix.file_descr array;
   bufs : Bytes.t array;
+  from : Unix.sockaddr array array; (* queue -> its last datagram's sender *)
   reassemblers : Proto.Fragment.reassembler array;
   tx : Bytes.t array;
       (* worker [q]'s outgoing message, from offset [Fragment.header_size]
@@ -113,23 +122,24 @@ let accept c queue addr ~now admit msg =
               if not (admit message) then ignore (take_pending c id)))
 
 (* [Server.transport.receive]: drain up to a batch of datagrams from the
-   queue's non-blocking socket, reassembling multi-fragment requests. *)
-let receive c queue admit =
-  let sock = c.sockets.(queue) and buf = c.bufs.(queue) in
-  let rec go n now =
-    if n >= c.batch then n
-    else
-      match Unix.recvfrom sock buf 0 (Bytes.length buf) [] with
-      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> n
-      | len, addr ->
-          (* One clock read per batch stamps every request in it. *)
-          let now = if n = 0 then Unix.gettimeofday () else now in
-          (match Proto.Fragment.offer c.reassemblers.(queue) (Bytes.sub buf 0 len) with
-          | None -> ()
-          | Some (_, msg) -> accept c queue addr ~now admit msg);
-          go (n + 1) now
-  in
-  go 0 0.0
+   queue's non-blocking socket, reassembling multi-fragment requests.  An
+   empty socket costs one [recv] and allocates nothing. *)
+let rec receive_batch c queue admit sock buf n now =
+  if n >= c.batch then n
+  else
+    let from = c.from.(queue) in
+    let len = recv sock buf 0 (Bytes.length buf) from in
+    if len < 0 then n
+    else begin
+      (* One clock read per batch stamps every request in it. *)
+      let now = if n = 0 then Unix.gettimeofday () else now in
+      (match Proto.Fragment.offer c.reassemblers.(queue) (Bytes.sub buf 0 len) with
+      | None -> ()
+      | Some (_, msg) -> accept c queue from.(0) ~now admit msg);
+      receive_batch c queue admit sock buf (n + 1) now
+    end
+
+let receive c queue admit = receive_batch c queue admit c.sockets.(queue) c.bufs.(queue) 0 0.0
 
 (* Only a mutation's reply is cached: a retransmitted PUT or DELETE is
    replayed, a retransmitted read runs again and returns the current
@@ -173,10 +183,10 @@ let reply c (req : Message.request) (reply : Message.reply) =
           (cache_reply c id (Bytes.sub buf Proto.Fragment.header_size total))
       else send_message c q sock p.addr ~msg_id:id total
 
-(* [Server.transport.park]. *)
+(* [Server.transport.park]: sleep until a datagram arrives on the
+   queue's socket, or [timeout_s] passes. *)
 let park c queue timeout_s =
-  try ignore (Unix.select [ c.sockets.(queue) ] [] [] timeout_s)
-  with Unix.Unix_error (Unix.EINTR, _, _) -> ()
+  wait_readable c.sockets.(queue) (int_of_float (timeout_s *. 1.0e6))
 
 let start ?obs ?(config = Server.default_config) ?(base_port = 47700)
     ?(dedup_capacity = 8192) store =
@@ -194,6 +204,7 @@ let start ?obs ?(config = Server.default_config) ?(base_port = 47700)
     {
       sockets;
       bufs = Array.init cores (fun _ -> Bytes.create (max_datagram + 64));
+      from = Array.init cores (fun _ -> [| Unix.ADDR_UNIX "" |]);
       reassemblers = Array.init cores (fun _ -> Proto.Fragment.create_reassembler ());
       tx = Array.init cores (fun _ -> Bytes.create max_datagram);
       batch = config.Server.batch;

@@ -7,7 +7,7 @@
     There are no I/O domains: each {!Server} worker receives from its own
     non-blocking socket, reassembles multi-fragment requests, decodes
     them, serves them and sends the fragmented reply itself, and parks on
-    [select] over its socket when idle.  A large request crosses to a
+    [poll] on its socket when idle.  A large request crosses to a
     large core like any other, and that core sends its reply, from the
     socket the request arrived on.
 

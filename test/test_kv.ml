@@ -57,11 +57,16 @@ let prop_tag_never_zero =
 (* ------------------------------------------------------------------ *)
 (* Slab *)
 
-let test_slab_class_rounding () =
-  check int "min class" 16 (Slab.class_of_size 0);
-  check int "exact" 16 (Slab.class_of_size 16);
-  check int "rounds up" 20 (Slab.class_of_size 17);
-  check int "large" 262144 (Slab.class_of_size 250_000)
+(* A block is the request rounded up to 8 B, 16 B at least. *)
+let test_slab_exact_fit () =
+  let s = Slab.create ~capacity:(1 lsl 20) in
+  List.iter
+    (fun (len, block) ->
+      check int (Printf.sprintf "block for %d B" len) block (Slab.region_bytes s (Slab.alloc s len)))
+    [ (0, 16); (16, 16); (17, 24); (24, 24); (250_000, 250_000); (250_001, 250_008) ];
+  check int "insert-only: the tail is the sum of the blocks"
+    (16 + 16 + 24 + 24 + 250_000 + 250_008)
+    (Slab.arena_bytes s)
 
 let test_slab_alloc_write_read () =
   let s = Slab.create ~capacity:4096 in
@@ -71,30 +76,45 @@ let test_slab_alloc_write_read () =
   check Alcotest.string "roundtrip" "0123456789" out;
   check bool "region holds header and data" true
     (Slab.region_bytes s r >= Slab.header_bytes + 10);
-  check int "cap is class" 16 (Slab.region_bytes s r);
+  check int "block is the request rounded to 8 B" 16 (Slab.region_bytes s r);
   check int "used" 16 (Slab.used_bytes s);
   check int "live" 1 (Slab.live_regions s)
 
 let test_slab_free_and_reuse () =
   let s = Slab.create ~capacity:64 in
   let r1 = Slab.alloc s 30 in
-  (* class 32 *)
+  (* 32 B, and a guard after it so that freeing it does not lower the tail *)
+  let guard = Slab.alloc s 16 in
   Slab.free s r1;
-  check int "used after free" 0 (Slab.used_bytes s);
-  let r2 = Slab.alloc s 25 in
-  (* class 28 has no free region, so the fallback reuses the class-32
-     one (up to twice the request's class): no new arena consumption *)
+  check int "used after free" 16 (Slab.used_bytes s);
+  check int "free listed" 32 (Slab.free_bytes s);
+  let r2 = Slab.alloc s 10 in
+  (* the free block is split: its first 16 B serve, 16 B stay free *)
   check int "recycled offset" r1 r2;
-  let r3 = Slab.alloc s 20 in
-  (* fresh region from the remaining 32 bytes *)
-  check bool "distinct offsets" true (r3 <> r2)
+  check int "split" 16 (Slab.free_bytes s);
+  let r3 = Slab.alloc s 16 in
+  check int "the rest serves the next request" (r1 + 16) r3;
+  check int "no new arena" 48 (Slab.arena_bytes s);
+  Slab.free s r2;
+  Slab.free s r3;
+  check int "merged back" 32 (Slab.free_bytes s);
+  Slab.free s guard;
+  check int "all returned to the tail" 0 (Slab.arena_bytes s);
+  check int "no free block left" 0 (Slab.free_bytes s);
+  check int "the peak stays" 48 (Slab.peak_bytes s)
 
+(* A freed block either sits on a free list, flagged free, or has gone
+   back to the tail; freeing it again is caught both ways. *)
 let test_slab_double_free () =
   let s = Slab.create ~capacity:64 in
   let r = Slab.alloc s 8 in
+  let last = Slab.alloc s 8 in
   Slab.free s r;
   Alcotest.check_raises "double free" (Invalid_argument "Slab.free: double free")
-    (fun () -> Slab.free s r)
+    (fun () -> Slab.free s r);
+  Slab.free s last;
+  Alcotest.check_raises "double free past the tail" (Invalid_argument "Slab.free: not a region")
+    (fun () -> Slab.free s last)
 
 let test_slab_out_of_memory () =
   let s = Slab.create ~capacity:32 in
@@ -125,26 +145,34 @@ let prop_slab_many_alloc_free =
       List.iter (Slab.free s) regions;
       live_ok && Slab.live_regions s = 0 && Slab.used_bytes s = 0)
 
-let prop_slab_class_bounds =
-  QCheck.Test.make ~name:"class >= size, < 1.25 x size above 16 B, monotone" ~count:2000
-    QCheck.(int_range 0 (1 lsl 20))
-    (fun n ->
-      let c = Slab.class_of_size n in
-      c >= n
-      && (n <= Slab.min_class || 4 * c < 5 * n)
-      && (n = 0 || Slab.class_of_size (n - 1) <= c))
+let round8 n = max 16 ((n + 7) land lnot 7)
 
-let prop_slab_fallback_reuse =
-  QCheck.Test.make ~name:"a freed region serves a request up to 2x smaller" ~count:200
+let prop_slab_block_bounds =
+  QCheck.Test.make ~name:"a block is its request rounded to 8 B, at most 8 B more" ~count:500
+    QCheck.(pair (list_of_size Gen.(0 -- 20) (int_range 0 5000)) (int_range 0 (1 lsl 18)))
+    (fun (earlier, n) ->
+      let s = Slab.create ~capacity:(1 lsl 20) in
+      (* Allocate and free every other earlier request, so [n] may be
+         served from a split or a whole free block. *)
+      List.iteri (fun i m -> let r = Slab.alloc s m in if i land 1 = 0 then Slab.free s r) earlier;
+      let b = Slab.region_bytes s (Slab.alloc s n) in
+      b = round8 n || b = round8 n + 8)
+
+let prop_slab_split_merge =
+  QCheck.Test.make ~name:"a freed block is split for a smaller request and merged back" ~count:200
     QCheck.(pair (int_range 1 (1 lsl 20)) (float_bound_inclusive 1.0))
     (fun (n, f) ->
-      let m = ((n + 1) / 2) + int_of_float (f *. float_of_int (n - ((n + 1) / 2))) in
+      let m = 1 + int_of_float (f *. float_of_int (n - 1)) in
       let s = Slab.create ~capacity:(1 lsl 21) in
       let r = Slab.alloc s n in
+      let _guard = Slab.alloc s 16 in
       Slab.free s r;
       let arena = Slab.arena_bytes s in
       let r' = Slab.alloc s m in
-      r' = r && Slab.arena_bytes s = arena)
+      let reused = r' = r && Slab.arena_bytes s = arena in
+      let rest = Slab.free_bytes s = round8 n - Slab.region_bytes s r' in
+      Slab.free s r';
+      reused && rest && Slab.free_bytes s = round8 n)
 
 (* Random alloc/free sequences: after every step the live regions are
    disjoint, inside the arena and at least as large as their requests,
@@ -198,6 +226,57 @@ let prop_slab_regions_disjoint =
               | exception Slab.Out_of_memory _ -> ()));
           consistent ())
         ops)
+
+(* Random alloc/free sequences, checked by walking the heap after every
+   step: the blocks tile [0, arena_bytes) with no gap or overlap, no two
+   neighbours are both free, the free blocks are exactly what the free
+   lists hold, the used ones are exactly the live regions, and freeing
+   everything returns the tail to 0. *)
+let prop_slab_heap_tiled =
+  QCheck.Test.make ~name:"split and coalesce keep the heap tiled" ~count:300
+    QCheck.(list_of_size Gen.(1 -- 400) (pair (int_bound 2) (int_range 0 2000)))
+    (fun ops ->
+      let s = Slab.create ~capacity:(1 lsl 16) in
+      let live = ref [] in
+      let tiled () =
+        let stop, _, used, free, n_used, ok =
+          Slab.fold_blocks s
+            (fun off size is_free (stop, prev_free, used, free, n_used, ok) ->
+              ( off + size,
+                is_free,
+                (if is_free then used else used + size),
+                (if is_free then free + size else free),
+                (if is_free then n_used else n_used + 1),
+                ok && off = stop && size >= 16 && size land 7 = 0
+                && not (is_free && prev_free)
+                && (is_free || List.mem off !live) ))
+            (0, false, 0, 0, 0, true)
+        in
+        ok && stop = Slab.arena_bytes s
+        && used = Slab.used_bytes s
+        && free = Slab.free_bytes s
+        && used + free = Slab.arena_bytes s
+        && n_used = List.length !live
+        && Slab.live_regions s = n_used
+        && Slab.arena_bytes s <= Slab.peak_bytes s
+      in
+      List.for_all
+        (fun (op, n) ->
+          (match (op, !live) with
+          | 0, (_ :: _ as l) ->
+              let off = List.nth l (n mod List.length l) in
+              Slab.free s off;
+              live := List.filter (fun o -> o <> off) l
+          | _ -> (
+              match Slab.alloc s n with
+              | off -> live := off :: !live
+              | exception Slab.Out_of_memory _ -> ()));
+          tiled ())
+        ops
+      &&
+      (List.iter (Slab.free s) !live;
+       live := [];
+       Slab.arena_bytes s = 0 && Slab.used_bytes s = 0 && Slab.free_bytes s = 0 && tiled ()))
 
 (* ------------------------------------------------------------------ *)
 (* Spinlock *)
@@ -386,24 +465,51 @@ let test_store_concurrent_readers_writer () =
   check int "no torn reads" 0 (Atomic.get violations)
 
 let test_store_concurrent_mixed_churn () =
-  (* Four domains doing mixed put/get/delete churn on a shared key space:
-     no crashes, no torn reads, and a sane final state. *)
-  let s = Store.create ~partition_bits:2 ~bucket_bits:3 ~value_arena_bytes:(1 lsl 22) () in
-  let n_keys = 32 in
+  (* Four domains doing mixed put/get/delete churn on a shared key space,
+     with values from a few bytes to tens of KB, so readers race blocks
+     being split, merged and returned to the tail: no crashes, no torn
+     reads, no buffer asked for more than the largest value ever written,
+     and a sane final state.  Few keys, so that readers often meet an
+     item that a writer is replacing.  Without the epoch check that
+     confirms a value length before it sizes the buffer, half of ten runs
+     failed; without that check and the arena bound, every run did. *)
+  let s = Store.create ~partition_bits:2 ~bucket_bits:3 ~value_arena_bytes:(1 lsl 23) () in
+  let n_keys = 8 in
   let keys = Array.init n_keys (fun i -> Printf.sprintf "churn-%d" i) in
+  (* The value length encodes the key index, and every byte is the key's
+     letter. *)
+  let size rng i =
+    let k =
+      match Dsim.Rng.int rng 3 with
+      | 0 -> Dsim.Rng.int rng 4
+      | 1 -> Dsim.Rng.int rng 64
+      | _ -> Dsim.Rng.int rng 1500
+    in
+    i + (n_keys * k)
+  in
+  let largest = n_keys - 1 + (n_keys * 1499) in
+  let letter i = Char.chr (Char.code 'A' + i) in
   let errors = Atomic.make 0 in
+  let consistent i buf len =
+    len mod n_keys = i
+    && (len = 0
+       || Bytes.get buf 0 = letter i
+          && Bytes.get buf (len / 2) = letter i
+          && Bytes.get buf (len - 1) = letter i)
+  in
   let worker seed =
     Domain.spawn (fun () ->
         let rng = Dsim.Rng.create seed in
-        for _ = 1 to 20_000 do
+        let buf = Bytes.create largest in
+        let dst len = if len > largest then failwith "buffer asked for too much" else buf in
+        for _ = 1 to 200_000 do
           let i = Dsim.Rng.int rng n_keys in
           match Dsim.Rng.int rng 4 with
           | 0 | 1 -> (
-              (* The value length encodes the key index. *)
-              match Store.get s keys.(i) with
-              | Some v -> if Bytes.length v mod n_keys <> i then Atomic.incr errors
-              | None -> ())
-          | 2 -> Store.put s ~guard:`Lock keys.(i) (Bytes.create (i + (n_keys * Dsim.Rng.int rng 4)))
+              match Store.read_into s keys.(i) ~buf:dst ~off:0 with
+              | len -> if len >= 0 && not (consistent i buf len) then Atomic.incr errors
+              | exception Failure _ -> Atomic.incr errors)
+          | 2 -> Store.put s ~guard:`Lock keys.(i) (Bytes.make (size rng i) (letter i))
           | _ -> ignore (Store.delete s ~guard:`Lock keys.(i))
         done)
   in
@@ -414,7 +520,7 @@ let test_store_concurrent_mixed_churn () =
   Array.iteri
     (fun i k ->
       match Store.get s k with
-      | Some v -> if Bytes.length v mod n_keys <> i then Alcotest.fail "corrupt survivor"
+      | Some v -> if not (consistent i v (Bytes.length v)) then Alcotest.fail "corrupt survivor"
       | None -> ())
     keys
 
@@ -445,25 +551,27 @@ let prop_store_model_check =
         ops
       && (Store.stats s).Store.items = Hashtbl.length model)
 
-(* The paper's key/size mix, as the native benchmark serves it (100k keys,
-   62 large), must fit in an arena of 1.3x its user bytes, and keep
-   fitting through a write-intensive churn of 300k PUTs that redraws
-   every size from the whole dataset, so keys move between tiny, small
-   and large.  With power-of-two classes the population alone took 1.47x
-   its user bytes and raised Out_of_memory here. *)
-let test_store_churn_fits () =
+(* Populate a store with the write-intensive mix at [n_keys] keys (of
+   which [n_large] large) drawn at [seed], then run 3 PUTs per key that
+   redraw every size from the whole dataset, so keys move between tiny,
+   small and large; checks every key's size against a model.  Returns the
+   arena's high-water mark per initial user (value) byte after the
+   population and after the churn. *)
+let churn_ratios ~n_keys ~n_large ~seed ~arena =
   let spec =
-    { Workload.Spec.write_intensive with Workload.Spec.n_keys = 100_000; n_large_keys = 62 }
+    { Workload.Spec.write_intensive with Workload.Spec.n_keys = n_keys; n_large_keys = n_large }
   in
-  let ds = Workload.Dataset.create ~seed:1 spec in
+  let ds = Workload.Dataset.create ~seed spec in
   let n = Workload.Dataset.n_keys ds in
   let user0 = Workload.Dataset.total_value_bytes ds in
-  let s = Store.create ~value_arena_bytes:(user0 * 13 / 10) () in
+  let s = Store.create ~value_arena_bytes:(int_of_float (arena *. float_of_int user0)) () in
   let model = Array.init n (Workload.Dataset.size_of_key ds) in
   Array.iteri
     (fun id size -> Store.put s ~guard:`Lock (Workload.Dataset.key_name id) (Bytes.create size))
     model;
-  let rng = Dsim.Rng.create 1 in
+  let ratio () = float_of_int (Store.stats s).Store.arena_peak_bytes /. float_of_int user0 in
+  let population = ratio () in
+  let rng = Dsim.Rng.create seed in
   for _ = 1 to 3 * n do
     let id, _ = Workload.Dataset.sample_put ds rng in
     let size = Workload.Dataset.size_of_key ds (Dsim.Rng.int rng n) in
@@ -473,14 +581,41 @@ let test_store_churn_fits () =
   Array.iteri
     (fun id size ->
       if Store.size_of s (Workload.Dataset.key_name id) <> Some size then
-        Alcotest.failf "key %d lost its value" id)
+        Alcotest.failf "seed %d: key %d lost its value" seed id)
     model;
-  (* Measured: the arena's high-water mark is 1.16x the initial user
-     bytes (1.14-1.16 over ten dataset and churn seeds; the population
-     alone is 1.13x, item headers and keys included).  Power-of-two
-     classes touched 1.49x in an arena large enough to hold them. *)
-  let ratio = float_of_int (Store.stats s).Store.arena_bytes /. float_of_int user0 in
-  if ratio > 1.2 then Alcotest.failf "arena high-water %.3fx the user bytes (bound 1.2)" ratio
+  (population, ratio ())
+
+(* The paper's key/size mix, as the native benchmark serves it (100k keys,
+   62 large), must fit in an arena of 1.3x its user bytes, and keep
+   fitting through the write-intensive churn.  The population touches
+   exactly its items rounded to 8 B, headers and keys included.
+   Measured over ten dataset and churn seeds: population 1.039-1.043x,
+   churn 1.040-1.063x (1.062 at seed 1).  The quarter-step size classes
+   took 1.13x and up to 1.16x, power-of-two classes 1.47x and 1.49x (and
+   raised Out_of_memory here). *)
+let test_store_churn_fits () =
+  let population, churn = churn_ratios ~n_keys:100_000 ~n_large:62 ~seed:1 ~arena:1.3 in
+  if population > 1.06 then
+    Alcotest.failf "population touched %.4fx the user bytes (bound 1.06)" population;
+  if churn > 1.08 then Alcotest.failf "arena high-water %.4fx the user bytes (bound 1.08)" churn
+
+(* A few large keys churning among many small ones: 20k keys, 12 large,
+   the worst of ten seeds.  A block that a large value frees is split for
+   the next request and merged back when its neighbours go, so the
+   high-water mark stays near the population's (1.037-1.043x).  Measured:
+   1.042-1.146x, worst at seed 2; a PUT allocates its new value before it
+   frees the old one, so a large key's update briefly holds both.  The
+   quarter-step classes, which neither split nor merged, reached 1.33x. *)
+let test_store_churn_few_large () =
+  let worst =
+    List.fold_left
+      (fun worst seed ->
+        let _, churn = churn_ratios ~n_keys:20_000 ~n_large:12 ~seed ~arena:2.0 in
+        Float.max worst churn)
+      0.0
+      (List.init 10 (fun i -> i + 1))
+  in
+  if worst > 1.17 then Alcotest.failf "arena high-water %.4fx the user bytes (bound 1.17)" worst
 
 (* The index holds no OCaml object per key: items (header, key, value)
    live in the arena and a slot is one word of a bucket array allocated
@@ -618,7 +753,7 @@ let () =
         @ qsuite [ prop_tag_never_zero ] );
       ( "slab",
         [
-          Alcotest.test_case "class rounding" `Quick test_slab_class_rounding;
+          Alcotest.test_case "exact fit" `Quick test_slab_exact_fit;
           Alcotest.test_case "alloc write read" `Quick test_slab_alloc_write_read;
           Alcotest.test_case "free and reuse" `Quick test_slab_free_and_reuse;
           Alcotest.test_case "double free" `Quick test_slab_double_free;
@@ -628,9 +763,10 @@ let () =
         @ qsuite
             [
               prop_slab_many_alloc_free;
-              prop_slab_class_bounds;
-              prop_slab_fallback_reuse;
+              prop_slab_block_bounds;
+              prop_slab_split_merge;
               prop_slab_regions_disjoint;
+              prop_slab_heap_tiled;
             ] );
       ( "spinlock",
         [
@@ -653,6 +789,7 @@ let () =
           Alcotest.test_case "concurrent mixed churn" `Slow
             test_store_concurrent_mixed_churn;
           Alcotest.test_case "paper mix fits through churn" `Quick test_store_churn_fits;
+          Alcotest.test_case "few large keys churn within bounds" `Quick test_store_churn_few_large;
           Alcotest.test_case "no per-key heap objects" `Quick test_store_no_per_key_heap;
           Alcotest.test_case "zero-allocation store ops" `Quick test_store_zero_alloc_ops;
           Alcotest.test_case "ordered build races a writer" `Slow

@@ -928,6 +928,27 @@ let test_udp_get_allocation () =
   if per_get >= float_of_int value_words /. 10.0 then
     Alcotest.failf "%.0f major words per GET of a %d-word value" per_get value_words
 
+(* An idle worker polls its socket and parks on it without allocating:
+   in OCaml 5 each minor collection stops every domain, so allocation on
+   an empty poll would stall the busy workers of a loaded server.  Only
+   the controller's epoch tick allocates, a few words every 50 ms.
+   [minor_collections] counts the collections of every domain. *)
+let test_udp_idle_poll_allocates_nothing () =
+  let store =
+    Kvstore.Store.create ~partition_bits:2 ~bucket_bits:4 ~value_arena_bytes:(1 lsl 20) ()
+  in
+  let udp = Runtime.Udp.start ~base_port:49511 store in
+  Fun.protect
+    ~finally:(fun () -> Runtime.Udp.stop udp)
+    (fun () ->
+      Unix.sleepf 0.2;
+      let before = (Gc.quick_stat ()).Gc.minor_collections in
+      Unix.sleepf 2.0;
+      let collections = (Gc.quick_stat ()).Gc.minor_collections - before in
+      Printf.printf "%d minor collections in 2 s idle\n" collections;
+      if collections > 2 then
+        Alcotest.failf "%d minor collections in 2 s of an idle server (bound 2)" collections)
+
 let test_udp_dead_endpoint_fails_fast () =
   (* Nothing listens on the port, so the kernel answers the connected
      socket with ICMP port-unreachable: the client must surface
@@ -1029,6 +1050,8 @@ let () =
           Alcotest.test_case "malformed requests dropped" `Quick test_udp_malformed_dropped;
           Alcotest.test_case "no torn reads" `Quick test_udp_no_torn_reads;
           Alcotest.test_case "GET allocates no value copy" `Quick test_udp_get_allocation;
+          Alcotest.test_case "idle poll allocates nothing" `Quick
+            test_udp_idle_poll_allocates_nothing;
         ] );
       ( "server",
         [
