@@ -40,7 +40,9 @@ val analytic_max_quantile : float array -> k:int -> q:float -> float
 (** [analytic_max_quantile sorted ~k ~q]: the [q]-quantile of the max of
     [k] iid draws from the empirical distribution given by [sorted]
     (ascending), i.e. the [q{^ 1/k}]-quantile of the base distribution —
-    the inverse-CDF identity [P(max <= x) = F(x){^ k}]. *)
+    the inverse-CDF identity [P(max <= x) = F(x){^ k}].  Only
+    test_cluster calls it, as the oracle {!measure}'s fan-out p99 is
+    checked against. *)
 
 val analytic_hedge_quantile : float array -> d:float -> q:float -> float
 (** [analytic_hedge_quantile sorted ~d ~q]: the [q]-quantile of a hedged
@@ -52,7 +54,8 @@ val analytic_hedge_quantile : float array -> d:float -> q:float -> float
     [G] is a step function jumping only at the sample points and their
     [d]-shifts, so the quantile is found by exact inversion over that
     candidate set.  [d = 0] degenerates to min-of-two (tied requests);
-    large [d] recovers the unhedged quantile. *)
+    large [d] recovers the unhedged quantile.  Only test_cluster calls
+    it, as the closed-form oracle of a hedge's gain. *)
 
 val sample_hedge_quantile :
   rng:Dsim.Rng.t ->
@@ -64,5 +67,5 @@ val sample_hedge_quantile :
   float
 (** Monte-Carlo estimate of {!analytic_hedge_quantile}: [trials]
     (default 20_000) draws of [min (X{_1}, d + X{_2})] resampled from
-    [sorted] with [rng].  The tests check it converges to the analytic
-    answer. *)
+    [sorted] with [rng].  Only test_cluster calls it, as the Monte-Carlo
+    cross-check that {!analytic_hedge_quantile} inverts the right CDF. *)

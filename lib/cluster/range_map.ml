@@ -9,17 +9,6 @@ type weight_error =
 
 exception Bad_weights of weight_error
 
-let weight_error_to_string = function
-  | All_zero -> "all probe weights are zero"
-  | Negative b -> "negative weight in bucket " ^ string_of_int b
-  | Not_finite b -> "non-finite weight in bucket " ^ string_of_int b
-  | Too_few_buckets { buckets; servers } ->
-      "only " ^ string_of_int buckets ^ " buckets for " ^ string_of_int servers
-      ^ " servers (need at least one per server)"
-  | Too_many_buckets { buckets; n_keys } ->
-      string_of_int buckets ^ " buckets exceed the " ^ string_of_int n_keys
-      ^ "-key space"
-
 let validate_starts ~servers ~n_keys starts =
   if Array.length starts <> servers then
     invalid_arg "Range_map: starts length must equal servers";

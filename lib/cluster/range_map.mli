@@ -32,11 +32,6 @@ type weight_error =
 
 exception Bad_weights of weight_error
 
-val weight_error_to_string : weight_error -> string
-
-val check_weights : t -> weights:float array -> (unit, weight_error) result
-(** Validate a probe-weight array against this map without cutting. *)
-
 val rebalance : t -> weights:float array -> t
 (** [rebalance t ~weights] re-cuts the ranges from observed load.
     [weights.(b)] is the load seen in bucket [b] of the key space (the

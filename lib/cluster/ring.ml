@@ -51,10 +51,6 @@ let of_members ?(vnodes = 128) ?(seed = 0) members =
     owner = Array.map snd pairs;
   }
 
-let create ?(vnodes = 128) ?(seed = 0) ~servers () =
-  if servers < 1 then invalid_arg "Ring.create: servers must be >= 1";
-  of_members ~vnodes ~seed (List.init servers Fun.id)
-
 let lookup t h =
   let h = mix h in
   let n = Array.length t.points in

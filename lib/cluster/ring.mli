@@ -13,17 +13,13 @@
 
 type t
 
-val create : ?vnodes:int -> ?seed:int -> servers:int -> unit -> t
-(** [vnodes] defaults to 128, [seed] to 0.  [servers] must be >= 1.
-    Equivalent to [of_members (List.init servers Fun.id)]. *)
-
 val of_members : ?vnodes:int -> ?seed:int -> int list -> t
-(** The ring over an explicit membership (arbitrary non-negative,
-    distinct server ids).  A server's points are a pure function of
-    [(seed, server, vnode)], independent of the other members — so
-    [of_members (ms @ [s])] moves only keys that land on [s]'s new
-    points, and [remove (of_members ms) s] routes identically to
-    [of_members] over [ms] without [s] (pinned by qcheck in
+(** The ring over an explicit membership (arbitrary non-negative, distinct
+    server ids); [vnodes] defaults to 128, [seed] to 0.  A server's points
+    are a pure function of [(seed, server, vnode)], independent of the
+    other members — so [of_members (ms @ [s])] moves only keys that land
+    on [s]'s new points, and [remove (of_members ms) s] routes identically
+    to [of_members] over [ms] without [s] (pinned by qcheck in
     test/test_cluster.ml).  The elastic-resharding cutover protocol
     ({!Shardmgr}) relies on exactly these two properties. *)
 
@@ -35,4 +31,6 @@ val remove : t -> int -> t
 (** [remove t s] is the ring without server [s]'s points (server ids keep
     their numbering).  Keys not owned by [s] keep their owner — the
     stability property {!lookup} inherits from the ring structure.
-    Raises [Invalid_argument] when removing the last server. *)
+    Raises [Invalid_argument] when removing the last server.  Only
+    test_cluster calls it, to pin the property {!Shardmgr}'s cutovers
+    rely on: dropping a member moves only that member's keys. *)

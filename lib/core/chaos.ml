@@ -7,8 +7,6 @@ type row = {
 
 type t = { seed : int; rows : row list }
 
-let variants = [ "Minos+guard"; "Minos"; "HKH+WS" ]
-
 (* Each canned plan is run at the load that makes its failure mode bite.
    A core stall or a corrupted control loop collapses the tail even at
    moderate load, but 10% loss only separates the variants once the

@@ -24,19 +24,19 @@ type row = {
 
 type t = { seed : int; rows : row list }
 
-val variants : string list
-(** [["Minos+guard"; "Minos"; "HKH+WS"]] in run order. *)
-
 val plan_load : ?base:float -> string -> float
 (** The offered load a canned plan runs at, scaled off [base] (default
     4.0 Mops): [loss10] at 1.75x (the retransmission storm only separates
     the variants near saturation), [overload] at 2x (the squeezed ring
     must be pushed past its service rate or nothing is shed), everything
-    else at [base]. *)
+    else at [base].  Outside this module only test_fault calls it, to
+    check the scaling {!run} applies. *)
 
 val guard_config : Kvserver.Config.t -> Kvserver.Config.t
 (** The hardened configuration: watchdog on, shed watermark 256, threshold
-    clamp 0.5, RX capacity bounded at 4096. *)
+    clamp 0.5, RX capacity bounded at 4096.  Outside this module only
+    test_fault calls it, to run the guarded variant under a plan of its
+    own. *)
 
 val run_plan : Run.t -> Fault.Plan.t -> t
 (** Run the three variants under one plan (in parallel over {!Par}) at
@@ -50,19 +50,13 @@ val run : ?plans:string list -> Run.t -> t
     each.  Plan windows are derived from the run's scale; each plan runs
     at {!plan_load} scaled off the run's offered load. *)
 
-val check : t -> (unit, string) result
-(** The run's headline claims: under [core-stall] and [loss10] the
-    guarded Minos p99 beats the plain one, and under [overload] the
-    guarded variant sheds something and stays stable.  Those three plans
-    must be in the run.  [Error] names the first failed claim. *)
-
-val print : t -> unit
-(** Render as report tables, one per plan. *)
-
-val to_json : t -> Obs.Json.t
-(** The BENCH_chaos.json payload: per plan and variant, p99 / throughput /
-    goodput and the run's ["ledger"], plus the seed for rerun
-    verification. *)
-
 val report : t Run.report
-(** {!print}, {!to_json} and {!check} under the noun ["chaos"]. *)
+(** The runner's result under the noun ["chaos"].
+    - [check]: the run's headline claims: under [core-stall] and [loss10]
+      the guarded Minos p99 beats the plain one, and under [overload] the
+      guarded variant sheds something and stays stable.  Those three plans
+      must be in the run.  [Error] names the first failed claim.
+    - [print]: render as report tables, one per plan.
+    - [to_json]: the BENCH_chaos.json payload: per plan and variant, p99 /
+      throughput / goodput and the run's ["ledger"], plus the seed for
+      rerun verification. *)

@@ -46,22 +46,16 @@ val run :
     whose process ids are the server ids
     ({!Obs.Chrome_trace.write_cluster}). *)
 
-val check : t -> (unit, string) result
-(** The headline claims: loss accounting telescopes on every shard of
-    both runs, every shard's main p99 is strictly below the baseline's,
-    the main fan-out p99 is non-decreasing in the degree and not flat,
-    and main beats the baseline at every degree.  [Error] names the
-    first claim that fails. *)
-
-val print : t -> unit
-(** Aligned text tables: per-shard breakdown for both designs, loss
-    accounting, rebalance effect (when enabled) and the fan-out p99
-    comparison. *)
-
-val to_json : t -> Obs.Json.t
-(** The BENCH_cluster.json payload: per-shard and aggregate metrics for
-    both designs, each design's cluster ["ledger"], and p99 versus
-    fan-out degree. *)
-
 val report : t Run.report
-(** {!print}, {!to_json} and {!check} under the noun ["cluster"]. *)
+(** The runner's result under the noun ["cluster"].
+    - [check]: the headline claims: loss accounting telescopes on every
+      shard of both runs, every shard's main p99 is strictly below the
+      baseline's, the main fan-out p99 is non-decreasing in the degree and
+      not flat, and main beats the baseline at every degree.  [Error]
+      names the first claim that fails.
+    - [print]: aligned text tables: per-shard breakdown for both designs,
+      loss accounting, rebalance effect (when enabled) and the fan-out p99
+      comparison.
+    - [to_json]: the BENCH_cluster.json payload: per-shard and aggregate
+      metrics for both designs, each design's cluster ["ledger"], and p99
+      versus fan-out degree. *)

@@ -4,8 +4,6 @@ let all_designs = Kvserver.Design.all ()
 
 let design_name = Kvserver.Design.name
 
-let design_of_name = Kvserver.Design.find
-
 let maker = Kvserver.Design.make
 
 type scale = {

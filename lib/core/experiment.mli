@@ -23,10 +23,6 @@ val all_designs : design list
 
 val design_name : design -> string
 
-val design_of_name : string -> design option
-(** Case-insensitive registry lookup; accepts ["minos"], ["hkh"],
-    ["hkh+ws"/"hkh_ws"/"ws"], ["sho"] and any registered alias. *)
-
 val maker : design -> Kvserver.Engine.t -> Kvserver.Engine.design
 (** [Kvserver.Design.make]. *)
 

@@ -18,7 +18,6 @@ let fig1_sizes =
 
 let fig1 () =
   let cost = Kvserver.Cost_model.default in
-  let tx = Netsim.Txlink.create ~gbps:40.0 in
   List.map
     (fun size ->
       let cpu = Kvserver.Cost_model.cpu_time cost Kvserver.Cost_model.Get ~item_size:size in
@@ -31,7 +30,7 @@ let fig1 () =
          server-internal interval (request reception to reply
          transmission), so the fixed client/NIC pipeline latency is
          excluded. *)
-      let wire_us = float_of_int wire_bytes *. 8.0e-3 /. Netsim.Txlink.gbps tx in
+      let wire_us = float_of_int wire_bytes *. 8.0e-3 /. 40.0 (* Gbit/s *) in
       (size, cpu +. wire_us))
     fig1_sizes
 
@@ -439,13 +438,7 @@ type fig10_result = {
    in the heavy phase (see EXPERIMENTS.md), so the default here is 2.0 —
    still ~95 % NIC utilization at pL = 0.75. *)
 let fig10 ?(scale = Experiment.full_scale) ?(rate_mops = 2.0) () =
-  let phase p =
-    { Workload.Dynamic.duration_us = scale.Experiment.phase_us; p_large = p }
-  in
-  let schedule =
-    Workload.Dynamic.create
-      (List.map phase [ 0.125; 0.25; 0.5; 0.75; 0.5; 0.25; 0.125 ])
-  in
+  let schedule = Workload.Dynamic.paper_schedule ~phase_us:scale.Experiment.phase_us in
   let total = Workload.Dynamic.total_duration schedule in
   let cfg =
     {

@@ -1,7 +1,9 @@
 (** One runner per table/figure of the paper's evaluation (see DESIGN.md's
     per-experiment index).  Each [figN] returns the figure's data; its
     {!table} entry renders it as a text table the way the paper reports
-    it.
+    it.  The data functions exported below are read outside this module
+    only by the tests, which check the paper's claims on the data rather
+    than on printed text (perfbench also times {!fig3}).
 
     All runners accept a {!Experiment.scale} so tests can run miniature
     versions ([Experiment.quick_scale]) while the benchmark harness runs
@@ -30,7 +32,7 @@ val fig2 : ?requests:int -> ?loads:float list -> unit -> fig2_series list
 val table1 : ?mc_samples:int -> unit -> (float * int * float * float) list
 (** (p_l, s_l, analytic % data large, Monte-Carlo % data large). *)
 
-(** {1 Figures 3/5 — throughput vs 99p latency, default and 50:50} *)
+(** {1 Figure 3 — throughput vs 99p latency} *)
 
 type curve = {
   design : Experiment.design;
@@ -39,27 +41,10 @@ type curve = {
 
 val fig3 : ?scale:scale -> ?loads:float list -> unit -> curve list
 
-val fig5 : ?scale:scale -> ?loads:float list -> unit -> curve list
-
 (** {1 Figure 4 — 99p latency of large requests} *)
 
 val fig4 : ?scale:scale -> ?loads:float list -> unit -> curve list
 (** Minos and HKH+WS only; read [large_p99_us] from the metrics. *)
-
-(** {1 Figures 6/7 — max throughput under an SLO} *)
-
-type slo_row = {
-  varied : float; (** p_l (fig 6) or s_l in bytes (fig 7) *)
-  slo_us : float;
-  minos_mops : float;
-  hkh_mops : float;
-  hkh_ws_mops : float;
-  sho_mops : float;
-}
-
-val fig6 : ?scale:scale -> ?p_values:float list -> unit -> slo_row list
-
-val fig7 : ?scale:scale -> ?s_values:int list -> unit -> slo_row list
 
 (** {1 Figure 8 — scaling with network bandwidth via reply sampling} *)
 

@@ -70,22 +70,17 @@ val run :
     invalid config or [mirrors = 0] (tail-cutting needs a replica to
     hedge to). *)
 
-val check : t -> (unit, string) result
-(** The run's headline claims, at any scale: nine distinct variants;
-    every variant's copy legs sum to [issued] and every server's engine
-    ledger telescopes; the crash audit is clean and recovery resynced
-    keys; the hedge tax is priced; under the kill, the hedged Minos p99
-    stays within 3x of fault-free while the unhedged one degrades by at
-    least 10x.  [Error] names the first failed claim. *)
-
-val print : t -> unit
-(** Render as a report table plus audit / tax notes (the hedge tax with
-    two decimals). *)
-
-val to_json : t -> Obs.Json.t
-(** The BENCH_hedge.json payload: per-entry latency quantiles, the copy
-    ["ledger"] and the ["requests"] ledger, the crash window, the hedge
-    tax and the key audit — everything {!check} asserts. *)
-
 val report : t Run.report
-(** {!print}, {!to_json} and {!check} under the noun ["hedge"]. *)
+(** The runner's result under the noun ["hedge"].
+    - [check]: the run's headline claims, at any scale: nine distinct
+      variants; every variant's copy legs sum to [issued] and every
+      server's engine ledger telescopes; the crash audit is clean and
+      recovery resynced keys; the hedge tax is priced; under the kill, the
+      hedged Minos p99 stays within 3x of fault-free while the unhedged
+      one degrades by at least 10x.  [Error] names the first failed claim.
+    - [print]: render as a report table plus audit / tax notes (the hedge
+      tax with two decimals).
+    - [to_json]: the BENCH_hedge.json payload: per-entry latency
+      quantiles, the copy ["ledger"] and the ["requests"] ledger, the
+      crash window, the hedge tax and the key audit — everything [check]
+      asserts. *)

@@ -34,7 +34,9 @@ val set_jobs : int option -> unit
 val map : ('a -> 'b) -> 'a array -> 'b array
 (** [map f arr] = [Array.map f arr], computed on up to {!jobs} domains.
     The calling domain participates.  If any [f] raises, the first
-    exception (in completion order) is re-raised after all jobs finish. *)
+    exception (in completion order) is re-raised after all jobs finish.
+    Production code calls it through {!map_list} and {!run}; only
+    test_par calls it directly. *)
 
 val map_list : ('a -> 'b) -> 'a list -> 'b list
 (** [map_list f l] = [List.map f l], via {!map}. *)

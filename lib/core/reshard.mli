@@ -46,22 +46,16 @@ val run :
     dual-route / cutover / replica marks.  [vnodes] and [groups] pass
     through to {!Shardmgr.Table.compile}. *)
 
-val check : t -> (unit, string) result
-(** The headline claims: at least one cutover happened, and in both
-    runs loss accounting telescopes on every server, the key audit
-    lost, duplicated and served stale nothing while transferring some
-    backlog, and the migration p99 stays within 3x of the steady-state
-    p99.  [Error] names the first claim that fails. *)
-
-val print : t -> unit
-(** Aligned text report: the compiled event schedule, per-server
-    breakdown for both designs, migration vs steady-state p99 and the
-    key-conservation audit. *)
-
-val to_json : t -> Obs.Json.t
-(** The BENCH_reshard.json payload: the event schedule, and per design
-    the aggregate metrics, the cluster ["ledger"], p99 timeline,
-    migration vs steady p99 and protocol audit counts. *)
-
 val report : t Run.report
-(** {!print}, {!to_json} and {!check} under the noun ["reshard"]. *)
+(** The runner's result under the noun ["reshard"].
+    - [check]: the headline claims: at least one cutover happened, and in
+      both runs loss accounting telescopes on every server, the key audit
+      lost, duplicated and served stale nothing while transferring some
+      backlog, and the migration p99 stays within 3x of the steady-state
+      p99.  [Error] names the first claim that fails.
+    - [print]: aligned text report: the compiled event schedule, per-
+      server breakdown for both designs, migration vs steady-state p99 and
+      the key-conservation audit.
+    - [to_json]: the BENCH_reshard.json payload: the event schedule, and
+      per design the aggregate metrics, the cluster ["ledger"], p99
+      timeline, migration vs steady p99 and protocol audit counts. *)

@@ -30,19 +30,14 @@ val run : ?names:string list -> Run.t -> t
     seed and offered load (default 2.5 Mops); each scenario brings its
     own workload.  Raises [Invalid_argument] on an unregistered name. *)
 
-val check : t -> (unit, string) result
-(** The run's headline claims: every row telescopes; under [scan-heavy]
-    the size-aware p99 is below keyhash; under [cold-tier] every design
-    misses and evicts; under [ttl-churn] every design expires keys.
-    Those three scenarios must be in the run.  [Error] names the first
-    failed claim. *)
-
-val print : t -> unit
-(** One table per scenario with the size-aware/keyhash p99 ratio note. *)
-
-val to_json : t -> Obs.Json.t
-(** The BENCH_scenarios.json payload: per scenario and design, the
-    tails, residency counters and the row's ["ledger"]. *)
-
 val report : t Run.report
-(** {!print}, {!to_json} and {!check} under the noun ["scenario"]. *)
+(** The runner's result under the noun ["scenario"].
+    - [check]: the run's headline claims: every row telescopes; under
+      [scan-heavy] the size-aware p99 is below keyhash; under [cold-tier]
+      every design misses and evicts; under [ttl-churn] every design
+      expires keys. Those three scenarios must be in the run.  [Error]
+      names the first failed claim.
+    - [print]: one table per scenario with the size-aware/keyhash p99
+      ratio note.
+    - [to_json]: the BENCH_scenarios.json payload: per scenario and
+      design, the tails, residency counters and the row's ["ledger"]. *)

@@ -25,7 +25,9 @@ val search :
     The two bracket endpoints are evaluated eagerly, through {!Par} —
     [eval] must therefore be domain-safe ({!Experiment.run_spec} closures
     are).  The bisection itself is inherently sequential.  Results are
-    identical whether or not domains are available. *)
+    identical whether or not domains are available.  Production code
+    reaches it through {!max_under_slo}; the tests call it directly with
+    synthetic [eval] functions to check the bisection. *)
 
 val max_under_slo : Experiment.Spec.t -> slo_us:float -> iters:int -> result
 (** The paper's search (Figs 6–7) for one point: bisect the spec's

@@ -53,8 +53,6 @@ module Zipf = struct
     in
     { n; theta; alpha; zetan; eta; threshold1 = 1.0 +. Float.pow 0.5 theta }
 
-  let n t = t.n
-  let theta t = t.theta
   let zetan t = t.zetan
   let eta t = t.eta
 
@@ -118,5 +116,3 @@ end
 let uniform_int_in rng ~lo ~hi =
   if hi < lo then invalid_arg "Dist.uniform_int_in: empty range";
   lo + Rng.int rng (hi - lo + 1)
-
-let exponential rng ~mean = Rng.exponential rng ~mean

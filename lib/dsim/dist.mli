@@ -21,26 +21,29 @@ module Zipf : sig
       1 MB buffer, and the calling domain adds each round in index order,
       so {!zetan} and {!eta} are bit-identical whatever [run] does. *)
 
-  val n : t -> int
-  val theta : t -> float
-
   val zetan : t -> float
   (** The generalized harmonic number [sum_{i=1..n} 1 / i^theta], summed in
-      index order. *)
+      index order.  Only the tests read it, to check that a parallel build
+      is bit-identical to the sequential loop. *)
 
   val eta : t -> float
-  (** Gray et al.'s [eta], derived from {!zetan}. *)
+  (** Gray et al.'s [eta], derived from {!zetan}.  Read only by the same
+      bit-identity tests. *)
 
   val sample : t -> Rng.t -> int
   (** A rank in [0, n); rank 0 most likely. *)
 
   val prob : t -> int -> float
-  (** [prob t k] is the exact probability of rank [k]. *)
+  (** [prob t k] is the exact probability of rank [k].  Only test_dsim
+      calls it, as the exact distribution {!sample} is checked against. *)
 end
 
 module Alias : sig
   (** Vose's alias method: O(1) sampling from an arbitrary finite discrete
-      distribution after O(k) preprocessing. *)
+      distribution after O(k) preprocessing.  No production code samples
+      through it (the workload draws keys with {!Zipf} and sizes from its
+      classes); only test_dsim calls it.  Deleting it also deletes
+      test_dsim's three alias cases, so it is left for a later change. *)
 
   type t
 
@@ -53,6 +56,3 @@ end
 
 val uniform_int_in : Rng.t -> lo:int -> hi:int -> int
 (** Uniform integer in the inclusive range \[lo, hi\]. *)
-
-val exponential : Rng.t -> mean:float -> float
-(** Re-export of {!Rng.exponential} for discoverability. *)

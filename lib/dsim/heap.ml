@@ -118,17 +118,6 @@ let pop t =
   else t.vals.(0) <- t.dummy;
   v
 
-let pop_min t =
-  if t.size = 0 then None
-  else begin
-    let time = t.times.(0) and seq = t.seqs.(0) in
-    let v = pop t in
-    Some (time, seq, v)
-  end
-
-let peek_min t =
-  if t.size = 0 then None else Some (t.times.(0), t.seqs.(0), t.vals.(0))
-
 let clear t =
   (* Retain the backing arrays so a reused heap does not re-grow from 16;
      overwrite the value slots with [dummy] so no stored value stays

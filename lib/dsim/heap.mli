@@ -18,11 +18,14 @@ val create : dummy:'a -> unit -> 'a t
     is never returned by any accessor. *)
 
 val length : 'a t -> int
+(** Only the tests read it: test_wheel compares it with the wheel's
+    length in the wheel≡heap differential. *)
 
 val is_empty : 'a t -> bool
 
 val capacity : 'a t -> int
-(** Current backing-array capacity (for growth diagnostics and tests). *)
+(** Current backing-array capacity.  Only test_dsim reads it, to check
+    that steady-state use and {!clear} never regrow the arrays. *)
 
 val add : 'a t -> time:float -> seq:int -> 'a -> unit
 (** Insert an element.  O(log n); allocates only when the heap grows. *)
@@ -32,7 +35,8 @@ val min_time : 'a t -> float
     @raise Invalid_argument on an empty heap. *)
 
 val min_seq : 'a t -> int
-(** Sequence key of the minimum element.  O(1).
+(** Sequence key of the minimum element.  O(1).  Only the tests read it:
+    test_wheel's wheel≡heap differential compares it with the wheel's.
     @raise Invalid_argument on an empty heap. *)
 
 val min_value : 'a t -> 'a
@@ -43,14 +47,6 @@ val pop : 'a t -> 'a
 (** Remove the minimum element and return its value, without materializing
     a tuple.  Read {!min_time} first if the key is needed.  O(log n).
     @raise Invalid_argument on an empty heap. *)
-
-val pop_min : 'a t -> (float * int * 'a) option
-(** Remove and return the element with the smallest key.  O(log n).
-    Allocating convenience wrapper around {!pop}; prefer
-    {!is_empty}/{!min_time}/{!pop} on hot paths. *)
-
-val peek_min : 'a t -> (float * int * 'a) option
-(** Return the element with the smallest key without removing it.  O(1). *)
 
 val clear : 'a t -> unit
 (** Remove all elements.  The backing arrays (capacity) are retained so a

@@ -64,12 +64,6 @@ let[@inline] unit_float t =
   let r = bits t lsr 10 in
   float_of_int r *. 0x1p-53
 
-let float t x =
-  if x <= 0.0 then invalid_arg "Rng.float: bound must be positive";
-  unit_float t *. x
-
-let bool t = bits t land 1 = 1
-
 let[@inline] exponential t ~mean =
   let u = unit_float t in
   (* 1 - u is in (0, 1], so log is finite. *)

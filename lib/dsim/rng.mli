@@ -52,13 +52,8 @@ val int_once : t -> int -> int
     again.  Lets a loop that counts draws (see {!advance}) notice the
     rare extra one.  Requires [n > 0]. *)
 
-val float : t -> float -> float
-(** [float t x] is uniform in \[0, x).  Requires [x > 0]. *)
-
 val unit_float : t -> float
 (** Uniform in \[0, 1), with 53 bits of precision. *)
-
-val bool : t -> bool
 
 val exponential : t -> mean:float -> float
 (** Exponentially distributed sample with the given mean (inverse-CDF

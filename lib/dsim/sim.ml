@@ -34,8 +34,6 @@ let create ?(seed = 42) () =
 
 let[@inline] now t = t.clock.now_us
 
-let rng t = t.root_rng
-
 let fork_rng t = Rng.split t.root_rng
 
 let register_handler t f =

@@ -41,9 +41,6 @@ val create : ?seed:int -> unit -> t
 val now : t -> float
 (** Current simulated time in microseconds. *)
 
-val rng : t -> Rng.t
-(** The simulation's root RNG.  Prefer {!fork_rng} for per-entity streams. *)
-
 val fork_rng : t -> Rng.t
 (** An independent RNG stream split off the root; give each stochastic
     entity its own stream so that adding an entity does not perturb the
@@ -62,14 +59,10 @@ val register_handler : t -> (int -> int -> unit) -> int
     Registration is cold (one small allocation); call it at entity setup
     time, once per event kind. *)
 
-val schedule_call_at : t -> float -> tag:int -> i:int -> j:int -> unit
-(** [schedule_call_at t time ~tag ~i ~j] runs [handler i j] when the
-    clock reaches [time], where [handler] was registered under [tag].
-    Allocation-free in steady state.  Scheduling in the past raises
-    [Invalid_argument]. *)
-
 val schedule_call_after : t -> float -> tag:int -> i:int -> j:int -> unit
-(** Relative-time variant of {!schedule_call_at} ([delay >= 0]). *)
+(** [schedule_call_after t delay ~tag ~i ~j] runs [handler i j] [delay]
+    µs from now ([delay >= 0]), where [handler] was registered under
+    [tag].  Allocation-free in steady state. *)
 
 val schedule_timer_after : t -> float -> tag:int -> i:int -> j:int -> handle
 (** Like {!schedule_call_after} but returns a {!handle} that can cancel
@@ -90,7 +83,8 @@ val run_until_idle : t -> unit
 (** Process events until none remain. *)
 
 val pending_events : t -> int
-(** Number of events currently queued. *)
+(** Number of events currently queued.  Only the tests read it, to check
+    that every scheduled event is run or cancelled exactly once. *)
 
 val events_processed : t -> int
 (** Total events executed since creation; useful for cost reporting. *)

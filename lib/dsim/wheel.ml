@@ -495,11 +495,6 @@ let min_i t =
   if not t.head_valid then ensure_head t;
   t.iargs.(t.head)
 
-let min_j t =
-  if t.live = 0 then invalid_arg "Wheel.min_j: empty wheel";
-  if not t.head_valid then ensure_head t;
-  t.jargs.(t.head)
-
 let remove_head t =
   let id = t.head in
   if t.head_far then ignore (Heap.pop t.far : int)

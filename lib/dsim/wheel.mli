@@ -53,7 +53,8 @@ val length : 'a t -> int
 val is_empty : 'a t -> bool
 
 val capacity : 'a t -> int
-(** Current arena capacity (for growth diagnostics and tests). *)
+(** Current arena capacity.  Only test_wheel reads it, to check that
+    cancelled slots are reclaimed rather than regrown. *)
 
 val add : 'a t -> time:float -> seq:int -> 'a -> unit
 (** Insert a closure-payload event.  O(1) amortized; allocates only when
@@ -80,7 +81,10 @@ val min_time : 'a t -> float
     @raise Invalid_argument on an empty wheel. *)
 
 val min_seq : 'a t -> int
-(** Sequence key of the minimum pending event.
+(** Sequence key of the minimum pending event.  The event loop reads the
+    head through the unchecked accessors below; this and the other
+    checked [min_*] accessors are what test_wheel's wheel≡heap
+    differential compares.
     @raise Invalid_argument on an empty wheel. *)
 
 val min_tag : 'a t -> int
@@ -89,11 +93,10 @@ val min_tag : 'a t -> int
 
 val min_i : 'a t -> int
 
-val min_j : 'a t -> int
-
 val pop : 'a t -> 'a
 (** Remove the minimum event and return its value ([dummy] for typed
-    events — use {!drop} for those).  Amortized O(1) for near-future
+    events — use {!drop} for those).  The event loop uses {!pop_head};
+    only test_wheel calls this checked form.  Amortized O(1) for near-future
     events; O(log far) when serving from the far-future heap.
     @raise Invalid_argument on an empty wheel. *)
 
@@ -125,4 +128,6 @@ val drop_head : 'a t -> unit
 val clear : 'a t -> unit
 (** Remove all events (including lazily cancelled ones) and rewind the
     cursor to time zero.  The arena and slot arrays are retained; value
-    slots are reset to [dummy], so nothing stays reachable. *)
+    slots are reset to [dummy], so nothing stays reachable.  Only
+    test_wheel calls it, to check the rewound cursor and released
+    values. *)

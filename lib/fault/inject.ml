@@ -3,7 +3,6 @@ type fate = Pass | Drop | Duplicate | Reorder
 (* Events compiled into parallel arrays per kind: queries scan a handful
    of windows with no allocation and no closure captures. *)
 type t = {
-  plan : Plan.t;
   rng : Dsim.Rng.t;
   stall_core : int array;
   stall_from : float array;
@@ -84,7 +83,6 @@ let create ~seed (plan : Plan.t) =
   let delays = Array.of_list (List.rev !delays) in
   let corrupts = Array.of_list (List.rev !corrupts) in
   {
-    plan;
     rng = Dsim.Rng.create (seed lxor 0x2FA171);
     stall_core = Array.map (fun (c, _, _, _) -> c) stalls;
     stall_from = Array.map (fun (_, f, _, _) -> f) stalls;
@@ -118,7 +116,6 @@ let create ~seed (plan : Plan.t) =
     dead_until = Array.map (fun (_, _, u) -> u) deads;
   }
 
-let plan t = t.plan
 let in_window ~from_us ~until_us now = now >= from_us && now < until_us
 
 (* The window scans below are top-level recursions over the index, not

@@ -19,8 +19,6 @@ type fate =
 val create : seed:int -> Plan.t -> t
 (** Raises [Invalid_argument] when the plan does not {!Plan.validate}. *)
 
-val plan : t -> Plan.t
-
 val slowdown : t -> core:int -> now:float -> float
 (** CPU-time multiplier for work started on [core] at [now]: [1.0] when
     healthy, [infinity] inside a full-stall window. *)

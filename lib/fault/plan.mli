@@ -58,6 +58,8 @@ val all : int
 (** Wildcard core/queue index ([-1]). *)
 
 val empty : t
+(** The plan with no events.  Only test_fault uses it, as the fault-free
+    baseline an injector must leave untouched. *)
 
 val validate : t -> (unit, string) result
 (** Rates in [[0, 1]] with [drop +. dup +. reorder <= 1], windows with
@@ -89,9 +91,11 @@ val of_string : ?name:string -> string -> (t, string) result
     [queue=*]/[core=*] are wildcards; [until=end] means [infinity];
     [mode] is [nan] or [x<float>] (scale).  A key the event does not
     take, or a key given twice, is an error naming it.  The result is
-    validated. *)
+    validated.  Production reads plans through {!of_file}; the tests
+    call this parser directly, and fuzz it. *)
 
 val of_file : string -> (t, string) result
 
 val to_string : t -> string
-(** Round-trippable rendering in the {!of_string} format. *)
+(** Round-trippable rendering in the {!of_string} format.  Only the
+    tests call it, to check that the parser round-trips. *)

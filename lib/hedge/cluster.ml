@@ -661,11 +661,6 @@ let metrics t =
     engines = Array.map Engine.finish t.engines;
   }
 
-let run (cfg : Config.t) ~dataset ~offered_mops ?plan ~seed () =
-  let t = create cfg ~dataset ~offered_mops ?plan ~seed () in
-  Sim.run t.sim ~until:cfg.Config.server.Kvserver.Config.duration_us;
-  metrics t
-
 (* Exposed for tests *)
 let sim t = t.sim
 let servers t = Array.length t.engines

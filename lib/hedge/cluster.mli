@@ -53,17 +53,6 @@ val create :
     kill/recover/detect instants.  Raises [Invalid_argument] on an
     invalid config or plan. *)
 
-val run :
-  Config.t ->
-  dataset:Workload.Dataset.t ->
-  offered_mops:float ->
-  ?plan:Fault.Plan.t ->
-  seed:int ->
-  unit ->
-  Metrics.t
-(** [create] + drive the simulation to the server's [duration_us] +
-    {!metrics}. *)
-
 val metrics : t -> Metrics.t
 (** Snapshot the accounting (including [in_flight_end] as of now) and
     every engine's report ({!Kvserver.Engine.finish}). *)
@@ -75,9 +64,12 @@ val set_log : t -> Obs.Decision_log.t -> unit
 
 val sim : t -> Dsim.Sim.t
 
-val servers : t -> int
+(** {2 Test probes}
 
-(** {2 Test probes} *)
+    Only test_hedge calls these: they read the router's state in the
+    middle of a run, which {!metrics} does not report. *)
+
+val servers : t -> int
 
 val pick_replica : t -> shard:int -> exclude:int -> int
 (** Run the configured routing policy once (consumes routing-RNG draws);

@@ -41,18 +41,7 @@ let detect_us t =
 
 let mode_name = function Off -> "off" | Hedged -> "hedged" | Tied -> "tied"
 
-let mode_of_name = function
-  | "off" -> Some Off
-  | "hedged" -> Some Hedged
-  | "tied" -> Some Tied
-  | _ -> None
-
 let route_name = function Spread -> "spread" | P2c -> "p2c"
-
-let route_of_name = function
-  | "spread" -> Some Spread
-  | "p2c" -> Some P2c
-  | _ -> None
 
 let validate t =
   let err fmt = Printf.ksprintf (fun s -> Error s) fmt in

@@ -67,9 +67,7 @@ val detect_us : t -> float
     scale). *)
 
 val mode_name : mode -> string
-val mode_of_name : string -> mode option
 val route_name : route -> string
-val route_of_name : string -> route option
 
 val validate : t -> (unit, string) result
 (** The router's own fields, then {!Kvserver.Config.validate} on

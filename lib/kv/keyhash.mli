@@ -14,11 +14,12 @@ val partition_of : int64 -> bits:int -> int
 
 val bucket_of : int64 -> bits:int -> int
 (** [bucket_of h ~bits] uses the middle bits (below the 16 partition bits):
-    a value in [0, 2^bits). *)
+    a value in [0, 2^bits).  Only test_kv calls it, as the oracle for
+    {!fields}. *)
 
 val tag_of : int64 -> int
 (** The low 16 bits, with 0 mapped to 1 so that tag 0 can mean "empty
-    slot". *)
+    slot".  Only test_kv calls it, as the oracle for {!fields}. *)
 
 val fields : string -> partition_bits:int -> bucket_bits:int -> int
 (** [fields key ~partition_bits ~bucket_bits] is the key's partition,

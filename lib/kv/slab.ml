@@ -250,7 +250,6 @@ let arena_bytes t = t.tail
 
 let peak_bytes t = t.peak
 
-let capacity t = Bytes.length t.arena
 
 let live_regions t = t.live
 

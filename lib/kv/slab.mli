@@ -36,7 +36,9 @@ val create : capacity:int -> t
 
 val header_bytes : int
 (** Bytes at the start of every block that the slab owns (4: the size
-    word).  The caller owns [[off + header_bytes, off + region_bytes)]. *)
+    word).  The caller owns [[off + header_bytes, off + region_bytes)].
+    Only test_kv reads it; the store lays its item header out after
+    these bytes. *)
 
 val alloc : t -> int -> int
 (** [alloc t len] returns the offset of a block of at least [len] bytes,
@@ -53,7 +55,8 @@ val free : t -> int -> unit
     [Invalid_argument]. *)
 
 val region_bytes : t -> int -> int
-(** The size of the block at this offset. *)
+(** The size of the block at this offset.  For tests: test_kv checks each
+    block's size against the fit rule with it. *)
 
 val write : t -> int -> pos:int -> bytes -> unit
 (** [write t off ~pos b] copies [b] into the block at [off], starting
@@ -73,14 +76,16 @@ val arena_bytes : t -> int
 val peak_bytes : t -> int
 (** The highest the tail has been: the item memory a run has touched. *)
 
-val capacity : t -> int
-
 val live_regions : t -> int
+(** Blocks allocated and not freed.  For tests: test_kv's allocator
+    invariants read it. *)
 
 val fold_blocks : t -> (int -> int -> bool -> 'a -> 'a) -> 'a -> 'a
 (** [fold_blocks t f acc] folds [f off size is_free] over the blocks
-    below the tail in address order.  For tests and tooling. *)
+    below the tail in address order.  For tests: test_kv's allocator
+    invariants (disjoint blocks, no two adjacent free) walk the arena
+    with it. *)
 
 val free_bytes : t -> int
 (** Bytes in blocks on the free lists, summed by walking the lists.  For
-    tests and tooling. *)
+    tests: test_kv checks it against the blocks {!fold_blocks} sees. *)

@@ -95,7 +95,6 @@ let partition_count t = Array.length t.partitions
 let fields t key =
   Keyhash.fields key ~partition_bits:t.partition_bits ~bucket_bits:t.bucket_bits
 
-let partition_of_key t key = fields t key lsr (t.bucket_bits + tag_bits)
 
 let bucket_of t f = (f lsr tag_bits) land ((1 lsl t.bucket_bits) - 1)
 
@@ -243,7 +242,6 @@ let size_of ?now t key =
   let len = length ?now t key in
   if len < 0 then None else Some len
 
-let mem ?now t key = length ?now t key >= 0
 
 (* ---- writes ------------------------------------------------------------ *)
 

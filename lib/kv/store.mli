@@ -48,10 +48,6 @@ type guard = [ `Lock  (** take the partition spinlock *) ]
 (** Every write takes its partition's spinlock; the argument remains so
     that callers name the lock they rely on. *)
 
-val slots_per_bucket : int
-(** 7: a bucket is 8 words (64 bytes, MICA's cache line), 7 slot words
-    and the overflow link. *)
-
 val create :
   ?partition_bits:int -> ?bucket_bits:int -> ?value_arena_bytes:int -> unit -> t
 (** [create ~partition_bits ~bucket_bits ~value_arena_bytes ()] makes a
@@ -61,12 +57,6 @@ val create :
     allocator runs under its own lock, so writers of different partitions
     can run at once; one item may take the whole arena.  Both bit counts
     must lie in [[0, 30]]. *)
-
-val partition_count : t -> int
-
-val partition_of_key : t -> string -> int
-(** The partition a key hashes to, whose spinlock guards the key's
-    writes. *)
 
 val read_into : ?now:float -> t -> string -> buf:(int -> bytes) -> off:int -> int
 (** [read_into t key ~buf ~off] copies the item's value into the buffer
@@ -116,8 +106,6 @@ val expire_sweep : t -> now:float -> int
 (** Walk every slot and reclaim those whose deadline is [<= now]; returns
     the number removed.  Takes each partition's spinlock in turn. *)
 
-val mem : ?now:float -> t -> string -> bool
-
 val scan : ?now:float -> t -> start:string -> count:int -> (string -> int -> unit) -> int
 (** [scan t ~start ~count f] visits up to [count] live items with key
     [>= start] in ascending key order, calling [f key value_size]; returns
@@ -154,4 +142,5 @@ val stats : t -> stats
 
 val iter : t -> (string -> int -> unit) -> unit
 (** [iter t f] calls [f key value_size] for every item.  Not linearizable
-    with respect to concurrent writes; intended for tests and tooling. *)
+    with respect to concurrent writes.  Only test_kv calls it, as the
+    key-set oracle that {!scan}'s sorted index is checked against. *)

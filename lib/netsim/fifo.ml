@@ -9,12 +9,10 @@ type 'a t = {
   mutable head : int; (* index of the front element *)
   mutable len : int;
   dummy : 'a;
-  mutable total : int;
-  mutable high_water : int;
 }
 
 let create ~dummy () =
-  { buf = Array.make 16 dummy; head = 0; len = 0; dummy; total = 0; high_water = 0 }
+  { buf = Array.make 16 dummy; head = 0; len = 0; dummy }
 
 let[@cold] grow t =
   let cap = Array.length t.buf in
@@ -28,9 +26,7 @@ let[@cold] grow t =
 let[@inline] push t v =
   if t.len = Array.length t.buf then grow t;
   t.buf.((t.head + t.len) land (Array.length t.buf - 1)) <- v;
-  t.len <- t.len + 1;
-  t.total <- t.total + 1;
-  if t.len > t.high_water then t.high_water <- t.len
+  t.len <- t.len + 1
 
 let[@inline never] empty_pop () = invalid_arg "Fifo.pop_exn: empty"
 
@@ -48,12 +44,6 @@ let peek_exn t =
   if t.len = 0 then invalid_arg "Fifo.peek_exn: empty";
   t.buf.(t.head)
 
-let peek t = if t.len = 0 then None else Some t.buf.(t.head)
-
 let[@inline] length t = t.len
 
 let[@inline] is_empty t = t.len = 0
-
-let total_enqueued t = t.total
-
-let max_occupancy t = t.high_water

@@ -6,33 +6,18 @@
     cost model (packets per request) and by the NIC bandwidth model (bytes
     on the wire, including per-frame overheads). *)
 
-val mtu : int
-(** 1500: maximum Ethernet payload (IP header onward). *)
-
-val eth_header : int
-(** 14 (header) + 4 (FCS) = 18 bytes. *)
-
-val eth_overhead_on_wire : int
-(** Preamble (8) + inter-frame gap (12) = 20 bytes consumed on the wire per
-    frame beyond the frame itself. *)
-
-val ip_header : int
-(** 20 bytes (no options). *)
-
-val udp_header : int
-(** 8 bytes. *)
-
 val max_udp_payload : int
-(** UDP payload bytes that fit in one frame: [mtu - ip_header - udp_header]
-    = 1472. *)
+(** UDP payload bytes that fit in one frame: the 1500-byte Ethernet MTU
+    less the 20-byte IPv4 and 8-byte UDP headers, 1472. *)
 
 val frames_for_payload : int -> int
 (** Number of UDP fragments needed for a payload of this many bytes.  A
     zero-byte payload still needs one frame. *)
 
 val wire_bytes_for_frame_payload : int -> int
-(** Bytes consumed on the wire by a single frame carrying this UDP payload
-    (payload + UDP + IP + Ethernet + preamble/IFG). *)
+(** Bytes consumed on the wire by a single frame carrying this UDP payload:
+    the payload plus 66 bytes of UDP (8), IPv4 (20), Ethernet header and
+    FCS (18), preamble and inter-frame gap (20). *)
 
 val wire_bytes_for_payload : int -> int
 (** Total wire bytes to carry a (possibly fragmented) UDP payload. *)

@@ -1,32 +1,9 @@
-type queue_stats = { mutable frames : int; mutable wire_bytes : int }
+type 'a t = 'a Fifo.t array
 
-type 'a t = {
-  rx_queues : 'a Fifo.t array;
-  stats : queue_stats array;
-  tx : Txlink.t;
-}
-
-let create ~queues ~tx_gbps ~dummy =
+let create ~queues ~dummy =
   if queues <= 0 then invalid_arg "Nic.create: need at least one queue";
-  {
-    rx_queues = Array.init queues (fun _ -> Fifo.create ~dummy ());
-    stats = Array.init queues (fun _ -> { frames = 0; wire_bytes = 0 });
-    tx = Txlink.create ~gbps:tx_gbps;
-  }
+  Array.init queues (fun _ -> Fifo.create ~dummy ())
 
-let queues t = Array.length t.rx_queues
+let rx t i = t.(i)
 
-let rx t i = t.rx_queues.(i)
-
-let tx t = t.tx
-
-let deliver t ~queue ~wire_bytes ~frames v =
-  let s = t.stats.(queue) in
-  s.frames <- s.frames + frames;
-  s.wire_bytes <- s.wire_bytes + wire_bytes;
-  Fifo.push t.rx_queues.(queue) v
-
-let rx_stats t i = t.stats.(i)
-
-let total_rx_wire_bytes t =
-  Array.fold_left (fun acc s -> acc + s.wire_bytes) 0 t.stats
+let deliver t ~queue v = Fifo.push t.(queue) v

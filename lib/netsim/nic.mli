@@ -1,34 +1,27 @@
-(** Multi-queue NIC model.
+(** Multi-queue NIC model: one receive queue per core (the paper
+    configures n RX and n TX queues).
 
-    One receive queue per core (the paper configures n RX and n TX queues),
-    hardware dispatch chooses the RX queue per request — at random for GETs,
-    by keyhash for PUTs, both realized by clients picking a UDP source port
-    whose Toeplitz hash lands on the intended queue — and a single shared
-    transmit line ({!Txlink}) serializes replies.
+    The paper's Minos steers requests with NIC hardware: RSS sprays GETs
+    over the RX queues and Flow Director sends a PUT to its key's queue.
+    The simulator models the outcome of that steering, not the hardware.
+    The server's design picks the queue before {!deliver}: a GET or SCAN
+    draws its RX queue uniformly from the engine's dispatch RNG
+    ([Kvserver.Engine.uniform_queue]), and a PUT (or, under EREW, a GET)
+    goes to its key's partition mod cores ([Kvserver.Engine.put_master]).
+    The software-handoff baseline sprays every request uniformly over its
+    handoff cores instead.
+    Replies leave through the frame-level scheduler {!Txsched}.
 
     The element type is abstract: the server library enqueues its own
     request records. *)
 
 type 'a t
 
-val create : queues:int -> tx_gbps:float -> dummy:'a -> 'a t
+val create : queues:int -> dummy:'a -> 'a t
 (** [dummy] fills vacated RX-queue slots (see {!Fifo.create}). *)
-
-val queues : 'a t -> int
 
 val rx : 'a t -> int -> 'a Fifo.t
 (** The RX queue with the given id. *)
 
-val tx : 'a t -> Txlink.t
-
-val deliver : 'a t -> queue:int -> wire_bytes:int -> frames:int -> 'a -> unit
-(** A request (possibly spanning several frames) arrives on [queue];
-    updates per-queue frame/byte counters and enqueues the element. *)
-
-type queue_stats = { mutable frames : int; mutable wire_bytes : int }
-(** Counters are updated in place on every delivery; treat the returned
-    record as read-only. *)
-
-val rx_stats : 'a t -> int -> queue_stats
-
-val total_rx_wire_bytes : 'a t -> int
+val deliver : 'a t -> queue:int -> 'a -> unit
+(** A request arrives on [queue]. *)

@@ -15,7 +15,6 @@ module type S = sig
   type 'a t
 
   val create : capacity:int -> 'a t
-  val capacity : 'a t -> int
   val try_push : 'a t -> 'a -> bool
   val try_pop : 'a t -> 'a option
   val pop_exn : 'a t -> 'a
@@ -52,7 +51,6 @@ module Make (A : Atomic_ops.S) = struct
       tail = A.make 0;
     }
 
-  let capacity t = t.mask + 1
 
   (* Top-level self-recursion for the CAS retry, not a local [attempt]
      closure: a closure would capture [t]/[v] and allocate per call,
@@ -128,7 +126,6 @@ let create ~capacity =
     tail = Atomic.make 0;
   }
 
-let capacity t = t.mask + 1
 
 (* Top-level self-recursion for the CAS retry, not a local [attempt]
    closure: a closure would capture [t]/[v] and allocate per call,

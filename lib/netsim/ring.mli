@@ -28,8 +28,6 @@ module type S = sig
   val create : capacity:int -> 'a t
   (** [capacity] must be a power of two, >= 2. *)
 
-  val capacity : 'a t -> int
-
   val try_push : 'a t -> 'a -> bool
   (** [false] when the ring is full.  Does not allocate. *)
 

@@ -48,8 +48,12 @@ val send : t -> queue:int -> payload_bytes:int -> token:int -> unit
     wire-completion time of its last frame. *)
 
 val busy : t -> bool
+(** Whether a frame is on the wire.  Only test_txsched reads it, to check
+    that the wire goes idle after the last frame. *)
 
 val total_bytes : t -> int
+(** Wire bytes sent since the last {!reset_counters}.  Only test_txsched
+    reads it, as the probe of the scheduler's byte accounting. *)
 
 val utilization : t -> elapsed:float -> float
 (** Fraction of [elapsed] µs the wire spent transmitting since the last

@@ -39,7 +39,8 @@ val to_buffer :
   Recorder.t ->
   Buffer.t ->
   unit
-(** Same, into a caller-supplied buffer (used by the tests). *)
+(** Same, into a caller-supplied buffer.  Only the tests call it, to
+    read a trace without a file. *)
 
 val write_cluster : path:string -> (string * Instrument.t) list -> unit
 (** One merged trace for a cluster run: each [(name, instrument)] pair
@@ -48,3 +49,5 @@ val write_cluster : path:string -> (string * Instrument.t) list -> unit
     deterministic, so fixed-seed cluster traces are byte-identical. *)
 
 val cluster_to_buffer : (string * Instrument.t) list -> Buffer.t -> unit
+(** {!write_cluster} into a caller-supplied buffer.  Only test_obs
+    calls it, to read a cluster trace without a file. *)

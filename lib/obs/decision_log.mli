@@ -59,6 +59,8 @@ val record_hedge :
 
 val length : t -> int
 val dropped : t -> int
+(** Entries lost to the bounded log.  Only test_obs reads it, to check
+    the bound. *)
 
 val kind : t -> int -> int
 val time : t -> int -> float

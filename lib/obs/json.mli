@@ -30,7 +30,9 @@ val string : string -> string
     escape is lossless. *)
 
 val to_string : t -> string
-(** The value under the layout rule above, followed by a newline. *)
+(** The value under the layout rule above, followed by a newline.
+    Production writes through {!to_file}; the tests compare records as
+    strings with it. *)
 
 val to_file : string -> t -> unit
 (** [to_file path v] writes [to_string v] to [path]. *)

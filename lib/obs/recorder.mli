@@ -71,4 +71,5 @@ val complete : t -> int -> bool
 (** A span is complete once [Span.ts_end] has been recorded. *)
 
 val reset : t -> unit
-(** Forget all recorded spans (slots are re-zeroed on acquisition). *)
+(** Forget all recorded spans (slots are re-zeroed on acquisition).  Only
+    test_obs calls it, to reuse a recorder across cases. *)

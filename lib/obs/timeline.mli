@@ -26,7 +26,6 @@ val set_core : t -> sample:int -> core:int -> depth:int -> busy_us:float -> unit
 
 val time : t -> int -> float
 val depth : t -> int -> int -> int
-val busy_us : t -> int -> int -> float
 
 val utilization : t -> int -> int -> float
 (** Busy fraction of the interval ending at the given sample, in [0, 1];

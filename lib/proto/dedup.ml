@@ -14,7 +14,6 @@ let mem t id = Hashtbl.mem t.table id
 
 let size t = Hashtbl.length t.table
 
-let capacity t = t.capacity
 
 let insert t id reply =
   if Hashtbl.length t.table >= t.capacity then begin

@@ -23,7 +23,8 @@ val execute : 'reply t -> id:int64 -> (unit -> 'reply) -> 'reply * [ `Fresh | `R
 val find : 'reply t -> int64 -> 'reply option
 
 val mem : 'reply t -> int64 -> bool
+(** Only test_exactly_once calls it, to check which ids eviction kept. *)
 
 val size : 'reply t -> int
-
-val capacity : 'reply t -> int
+(** Only test_exactly_once calls it, to check that the cache stays
+    bounded. *)

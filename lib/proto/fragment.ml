@@ -107,5 +107,3 @@ let offer t datagram =
   end
 
 let pending t = Hashtbl.length t
-
-let drop_incomplete t = Hashtbl.reset t

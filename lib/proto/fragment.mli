@@ -44,7 +44,6 @@ val offer : reassembler -> bytes -> (int64 * bytes) option
     ignored ([None]).  Fragments of different messages may interleave. *)
 
 val pending : reassembler -> int
-(** Number of partially reassembled messages currently buffered. *)
-
-val drop_incomplete : reassembler -> unit
-(** Discard all partial messages (e.g. on epoch change or timeout). *)
+(** Number of partially reassembled messages currently buffered.  Only
+    test_proto reads it, to check that garbage and completed messages
+    leave nothing buffered. *)

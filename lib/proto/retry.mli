@@ -32,9 +32,6 @@ type config = {
                             [infinity] disables the cap *)
 }
 
-val default_config : config
-(** 5 attempts, 1000 µs initial timeout, 2x backoff, no cap. *)
-
 (** Token-bucket retry budget, shared across the calls of one
     connection. *)
 module Budget : sig
@@ -48,6 +45,7 @@ module Budget : sig
       sporadic loss, fail-fast under systemic loss. *)
 
   val tokens : t -> float
+  (** Only the tests read it, to check what calls earn and spend. *)
 
   val try_spend : t -> bool
   (** Take one token; [false] (and no change) when fewer than one
@@ -67,7 +65,9 @@ val call :
 (** [call ~send ~wait_reply ()] transmits, waits, and retransmits until a
     reply arrives or the attempt budget is exhausted.  [`Timed_out n]
     reports the number of transmissions made; [`Budget_exhausted n] that
-    the shared {!Budget} blocked the [n+1]th transmission.
+    the shared {!Budget} blocked the [n+1]th transmission.  [config]
+    defaults to 5 attempts, a 1000 µs initial timeout, 2x backoff and no
+    cap.
 
     With [rng], timeouts jitter decorrelated: attempt 1 waits exactly
     [timeout_us]; attempt [n+1] waits
@@ -79,8 +79,10 @@ val call :
 val total_budget_us : config -> float
 (** Worst-case time the call can take: the sum of all attempt timeouts at
     their upper bounds (with or without jitter).  A server {!Dedup} cache
-    must retain replies at least this long. *)
+    must retain replies at least this long.  Only the tests call it, as
+    the upper bound a call's measured duration is checked against. *)
 
 val min_budget_us : config -> float
 (** Best-case (fully jittered) total wait:
-    [max_attempts *. timeout_us]. *)
+    [max_attempts *. timeout_us].  Only the tests call it, as the lower
+    bound a call's measured duration is checked against. *)

@@ -59,10 +59,6 @@ let status_of_code = function
 
 let value_len = function None -> 0 | Some v -> Bytes.length v
 
-let request_size r = request_header + String.length r.key + value_len r.value
-
-let reply_size r = reply_header + value_len r.value
-
 let get_request_size ~key_len = request_header + key_len
 
 let put_request_size ~key_len ~value_len = request_header + key_len + value_len
@@ -70,12 +66,6 @@ let put_request_size ~key_len ~value_len = request_header + key_len + value_len
 (* A SCAN names its start key and carries the requested entry count as a
    4-byte value payload — the request record itself is unchanged. *)
 let scan_request_size ~key_len = request_header + key_len + 4
-
-let encode_scan_count count =
-  if count < 0 || count > 0xFFFFFF then invalid_arg "Wire.encode_scan_count";
-  let b = Bytes.create 4 in
-  Bytes.set_int32_le b 0 (Int32.of_int count);
-  b
 
 let decode_scan_count b =
   if Bytes.length b <> 4 then None

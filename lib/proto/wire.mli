@@ -15,7 +15,7 @@ type op =
   | Delete
   | Scan
       (** ordered range read: [key] is the start key; the value payload
-          carries the requested entry count ({!encode_scan_count}) *)
+          carries the requested entry count ({!decode_scan_count}) *)
 
 type request = {
   id : int64;          (** client-chosen id, echoed in the reply *)
@@ -49,16 +49,13 @@ type error =
   | Bad_status
 
 val pp_error : Format.formatter -> error -> unit
+(** Only the test suites call it, to name a decode failure. *)
 
 val version : int
 (** Protocol version this build speaks, carried in byte 1 of every
     message (right after the magic).  Decoders reject any other value
-    with {!Bad_version} — additions to the format must bump it. *)
-
-val request_size : request -> int
-(** Exact encoded size in bytes, without encoding. *)
-
-val reply_size : reply -> int
+    with {!Bad_version} — additions to the format must bump it.  Only
+    test_proto reads it, to check the version byte of encoded messages. *)
 
 val encode_request : request -> bytes
 
@@ -103,10 +100,7 @@ val scan_request_size : key_len:int -> int
 (** Encoded size of a SCAN request: header + start key + the 4-byte entry
     count carried as its value payload. *)
 
-val encode_scan_count : int -> bytes
-(** The 4-byte SCAN value payload.  Raises [Invalid_argument] outside
-    [0, 0xFFFFFF]. *)
-
 val decode_scan_count : bytes -> int option
-(** Inverse of {!encode_scan_count}; [None] on wrong length or an
-    out-of-range count. *)
+(** The entry count of a SCAN's value payload: a 4-byte little-endian
+    count in [0, 0xFFFFFF]; [None] on wrong length or an out-of-range
+    count. *)

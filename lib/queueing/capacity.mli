@@ -30,11 +30,15 @@ val cpu_bound_mops :
 val minos_small_pool_bound_mops :
   Workload.Spec.t -> Kvserver.Cost_model.t -> cores:int -> n_small:int -> float
 (** Minos-specific ceiling: the small pool must absorb ~99 % of requests
-    plus profiling; usually the binding CPU constraint for Minos. *)
+    plus profiling; usually the binding CPU constraint for Minos.  Only
+    test_capacity calls it, as the oracle the simulated Minos peak is
+    checked against. *)
 
 val predicted_peak_mops :
   Workload.Spec.t -> Kvserver.Cost_model.t -> cores:int -> gbps:float -> float
-(** min(NIC bound, CPU bound): where the throughput curves flatten. *)
+(** min(NIC bound, CPU bound): where the throughput curves flatten.  Only
+    test_capacity calls it, as the oracle the simulated peaks are checked
+    against. *)
 
 val hol_exposure :
   Workload.Spec.t -> Kvserver.Cost_model.t -> cores:int -> offered_mops:float -> float

@@ -63,4 +63,6 @@ val run_concurrent :
     stream and forwards other clients' replies to their mailboxes, each
     sized to one client's [concurrency] window.  Results are
     aggregated across clients; [Error] when any client gave up, with
-    every client's unanswered ids.  [clients] defaults to 3. *)
+    every client's unanswered ids.  [clients] defaults to 3.  Only
+    test_runtime calls it: it is the multi-client stress load of the
+    store's write path. *)

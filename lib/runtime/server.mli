@@ -66,7 +66,8 @@ type config = {
 
 val max_cores : unit -> int
 (** The most worker domains {!start} accepts:
-    [max 2 (Domain.recommended_domain_count ())]. *)
+    [max 2 (Domain.recommended_domain_count ())].  Only test_runtime
+    reads it, to size its runs to the box. *)
 
 val default_config : config
 (** [min 4 (max_cores ())] cores, batch 32, 50 ms epochs, α = 0.9, p99,

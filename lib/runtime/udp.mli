@@ -101,7 +101,8 @@ module Client : sig
   val sheds : c -> int
   (** [Overloaded] replies this connection has absorbed — each one is a
       request the server's admission control rejected before execution
-      (the client then backed off and retransmitted). *)
+      (the client then backed off and retransmitted).  Only
+      test_runtime reads it, to check that admission control sheds. *)
 
   val close : c -> unit
 end

@@ -82,7 +82,9 @@ module Epoch : sig
       then {!compute}.  A finite, positive threshold becomes the last good
       one. *)
 
-  val last_good : t -> float (** [infinity] until a finite, positive one *)
+  val last_good : t -> float
+  (** [infinity] until a finite, positive one.  Only test_server reads
+      it, to check that a corrupt threshold is never adopted. *)
 end
 
 val route_idx : plan -> float -> int

@@ -11,7 +11,7 @@
       as the paper states for its platform.
 
     Reply transmission time on the 40 Gbit link is modelled separately by
-    {!Netsim.Txlink}.
+    {!Netsim.Txsched}.
 
     The module also provides the {e cost function} used by Minos' control
     loop to size the small/large core pools (§3: "currently uses the number

@@ -550,9 +550,7 @@ let build ?dynamic ?store ?source ?pacing ?timed ?residency ?sweep_us ?obs ?faul
       store;
       residency;
       sweep_us;
-      nic =
-        Netsim.Nic.create ~queues:cfg.Config.cores ~tx_gbps:cfg.Config.tx_gbps
-          ~dummy:(-1);
+      nic = Netsim.Nic.create ~queues:cfg.Config.cores ~dummy:(-1);
       tx =
         (* placeholder, replaced below once [t] exists for the completion
            callback *)
@@ -689,16 +687,7 @@ let deliver t (req : request) =
     retire t req Rx_dropped
   end
   else begin
-    let wire_bytes =
-      Netsim.Frame.wire_bytes_for_payload
-        (Cost_model.request_payload req.op ~item_size:req.item_size)
-    in
-    let wire_bytes =
-      if req.frames_in > Cost_model.request_frames req.op ~item_size:req.item_size
-      then 2 * wire_bytes
-      else wire_bytes
-    in
-    Netsim.Nic.deliver t.nic ~queue ~wire_bytes ~frames:req.frames_in req.slot;
+    Netsim.Nic.deliver t.nic ~queue req.slot;
     t.design.on_arrival ~queue
   end
 

@@ -132,6 +132,8 @@ val sim : t -> Dsim.Sim.t
 val config : t -> Config.t
 val cores : t -> int
 val now : t -> float
+(** The simulated clock.  Only test_server reads it through the engine. *)
+
 val rx : t -> int -> int Netsim.Fifo.t
 (** RX queue [i].  Queues carry pool {e slots} (resolve with
     {!req_of_slot}), not request pointers: int queues keep the
@@ -262,9 +264,6 @@ val ctrl_delayed : t -> bool
 
 val corrupt_threshold : t -> float -> float
 (** The fault plan's control-corruption window, if open, else identity. *)
-
-val lost : t -> int
-(** NIC drops + ring drops + shed so far (cumulative, whole run). *)
 
 val core_ops_live : t -> int array
 (** The live per-core served-operation counters (do not mutate); the

@@ -35,6 +35,9 @@ val sweep_step : t -> now:float -> chunk:int -> int
 
 val resident : t -> int
 
+(** The counters below are read only by test_scenarios, which checks the
+    residency model's accounting with them. *)
+
 val mem_used : t -> int
 
 val budget_bytes : t -> int

@@ -42,4 +42,5 @@ val observe : t -> ops:int array -> depth:(int -> int) -> verdict
     exclusion/readmission per call. *)
 
 val excluded : t -> int
-(** Currently excluded physical core, [-1] when none. *)
+(** Currently excluded physical core, [-1] when none.  Only test_fault
+    reads it, to check which core the watchdog benched. *)

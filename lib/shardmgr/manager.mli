@@ -22,14 +22,14 @@ type cfg = {
 val default : cfg
 (** 50 µs hot / 10 µs cold, 2 up / 3 down, 20 ms cooldown, 1 replica. *)
 
-val validate : cfg -> (unit, string) result
-
 val decide : cfg -> shard:int -> window_us:float -> (float * float) list -> Plan.event list
 (** [decide c ~shard ~window_us series] folds one shard's
     [(window_start, p99)] series (time order) into timed
     [Add_replica] / [Drop_replica] events, each stamped at the end of
     the deciding window.  NaN windows (no samples) are skipped.  Raises
-    [Invalid_argument] when the config fails {!validate}. *)
+    [Invalid_argument] on an invalid config.  Production calls it
+    through {!decide_all}; test_shardmgr checks one shard's decisions
+    with it. *)
 
 val decide_all : cfg -> window_us:float -> (float * float) list array -> Plan.event list
 (** {!decide} over every base shard ([series.(s)] is shard [s]'s); the

@@ -42,10 +42,6 @@ val empty : t
 
 val at_us : event -> float
 
-val window : event -> (float * float) option
-(** The [(start, end)] migration window of a membership event
-    ([end = at + drain + dual]); [None] for replica instants. *)
-
 val validate : t -> (unit, string) result
 (** Event fields well-formed and migration windows pairwise disjoint
     (the routing table handles one membership change at a time). *)
@@ -59,9 +55,12 @@ val canned : string -> warmup_us:float -> duration_us:float -> t option
 
 val of_string : ?name:string -> string -> (t, string) result
 (** Parse the format above.  A key the event does not take, or a key
-    given twice, is an error naming it.  The result is validated. *)
+    given twice, is an error naming it.  The result is validated.
+    Production reads plans through {!of_file}; the tests call this parser
+    directly, and fuzz it. *)
 
 val of_file : string -> (t, string) result
 
 val to_string : t -> string
-(** Round-trips through {!of_string}, every float exactly. *)
+(** Round-trips through {!of_string}, every float exactly.  Only the
+    tests call it, to check that round trip. *)

@@ -79,6 +79,8 @@ val compile :
 (** {2 Hot-path queries (allocation-free)} *)
 
 val epoch_at : t -> now:float -> int
+(** The epoch in force at [now].  Outside this module only
+    test_shardmgr calls it, to check the compiled schedule. *)
 
 val routes_to : t -> now:float -> get:bool -> key:int -> int -> bool
 (** Whether server [s] serves this request at [now]: the deterministic
@@ -108,6 +110,9 @@ val duration_us : t -> float
 val epoch_count : t -> int
 val epoch_start : t -> int -> float
 val epoch_rates : t -> int -> float array
+(** Per-server offered rates of one epoch.  Only test_shardmgr reads it,
+    to check the compiled schedule. *)
+
 val avg_rate : t -> int -> float
 (** Time-weighted mean rate; exactly the common rate when constant
     across epochs (labels the engine's metrics). *)

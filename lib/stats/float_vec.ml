@@ -46,18 +46,11 @@ let append dst src =
 let sum t =
   (* Accumulate through a one-element float array: flat float storage, so
      the loop allocates nothing (a [float ref] would box every update,
-     and [fold ( +. )] boxes both arguments per element). *)
+     and a closure fold would box both arguments per element). *)
   let acc = [| 0.0 |] in
   for i = 0 to t.len - 1 do
     acc.(0) <- acc.(0) +. t.arr.(i)
   done;
   acc.(0)
-
-let fold f init t =
-  let acc = ref init in
-  for i = 0 to t.len - 1 do
-    acc := f !acc t.arr.(i)
-  done;
-  !acc
 
 let clear t = t.len <- 0

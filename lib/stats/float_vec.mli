@@ -17,7 +17,8 @@ val get : t -> int -> float
 (** Raises [Invalid_argument] when out of bounds. *)
 
 val to_array : t -> float array
-(** A fresh array with exactly [length t] elements. *)
+(** A fresh array with exactly [length t] elements.  Only the tests call
+    it, to check that reading quantiles leaves a sample untouched. *)
 
 val unsafe_data : t -> float array
 (** The backing store itself, not a copy: its first [length t] elements
@@ -32,8 +33,6 @@ val append : t -> t -> unit
     single blit (no per-element work).  [src] is unchanged. *)
 
 val sum : t -> float
-(** Sum of all elements; allocation-free (unlike [fold ( +. ) 0.0]). *)
-
-val fold : ('a -> float -> 'a) -> 'a -> t -> 'a
+(** Sum of all elements; allocation-free. *)
 
 val clear : t -> unit

@@ -26,14 +26,10 @@ let create ?(buckets_per_decade = 32) ~min_value ~max_value () =
     total = 0.0;
   }
 
-let copy t = { t with counts = Array.copy t.counts }
-
 let same_layout a b =
   a.min_value = b.min_value
   && a.max_value = b.max_value
   && Array.length a.counts = Array.length b.counts
-
-let bucket_count t = Array.length t.counts
 
 let index_of t v =
   if v <= t.min_value then 0
@@ -44,12 +40,10 @@ let index_of t v =
     else i
   end
 
-let record_n t v w =
+let record t v =
   let i = index_of t v in
-  t.counts.(i) <- t.counts.(i) +. w;
-  t.total <- t.total +. w
-
-let record t v = record_n t v 1.0
+  t.counts.(i) <- t.counts.(i) +. 1.0;
+  t.total <- t.total +. 1.0
 
 let total t = t.total
 

@@ -17,23 +17,14 @@ val create : ?buckets_per_decade:int -> min_value:float -> max_value:float -> un
 (** [buckets_per_decade] controls resolution (default 32, i.e. ~7.5 % wide
     buckets).  Requires [0 < min_value < max_value]. *)
 
-val copy : t -> t
-
-val same_layout : t -> t -> bool
-(** Whether two histograms can be merged / smoothed together. *)
-
 val record : t -> float -> unit
 (** Add one observation. *)
 
-val record_n : t -> float -> float -> unit
-(** [record_n t v w] adds [w] observations of value [v]. *)
-
 val total : t -> float
-(** Sum of all counts. *)
+(** Sum of all counts.  Only test_stats reads it, as the probe of what
+    {!record}, {!merge_into} and {!smooth} add. *)
 
 val is_empty : t -> bool
-
-val bucket_count : t -> int
 
 val bucket_upper_bound : t -> int -> float
 (** Exclusive upper bound of bucket [i]; observations reported by

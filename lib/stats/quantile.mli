@@ -15,7 +15,8 @@
 val sort_floats : float array -> unit
 (** In-place float-specialized sort (no per-element boxing, unlike
     [Array.sort compare] on a [float array]).  Samples must be finite:
-    NaNs are not ordered. *)
+    NaNs are not ordered.  Outside this module only the tests call it, as
+    the sort-then-{!of_sorted} oracle for the in-place selection. *)
 
 val of_sorted : float array -> float -> float
 (** [of_sorted sorted q] with [0 < q <= 1].  Raises [Invalid_argument] on an

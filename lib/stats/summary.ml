@@ -1,57 +1,13 @@
-(* All fields are floats so the record uses OCaml's flat float layout:
+(* Both fields are floats so the record uses OCaml's flat float layout:
    [add] then updates fields without boxing (a mixed int/float record
    boxes every float store, and [add] sits on the simulator's per-request
    path).  The count is kept as a float — exact up to 2^53 samples. *)
-type t = {
-  mutable n : float;
-  mutable mean : float;
-  mutable m2 : float;
-  mutable min : float;
-  mutable max : float;
-}
+type t = { mutable n : float; mutable mean : float }
 
-let create () = { n = 0.0; mean = 0.0; m2 = 0.0; min = infinity; max = neg_infinity }
+let create () = { n = 0.0; mean = 0.0 }
 
 let[@inline] add t x =
   t.n <- t.n +. 1.0;
-  let delta = x -. t.mean in
-  t.mean <- t.mean +. (delta /. t.n);
-  t.m2 <- t.m2 +. (delta *. (x -. t.mean));
-  if x < t.min then t.min <- x;
-  if x > t.max then t.max <- x
-
-let count t = int_of_float t.n
+  t.mean <- t.mean +. ((x -. t.mean) /. t.n)
 
 let mean t = if t.n = 0.0 then 0.0 else t.mean
-
-let variance t = if t.n < 2.0 then 0.0 else t.m2 /. (t.n -. 1.0)
-
-let stddev t = sqrt (variance t)
-
-let min t = t.min
-
-let max t = t.max
-
-let sum t = t.mean *. t.n
-
-let merge a b =
-  if a.n = 0.0 then { b with n = b.n }
-  else if b.n = 0.0 then { a with n = a.n }
-  else begin
-    let n = a.n +. b.n in
-    let delta = b.mean -. a.mean in
-    {
-      n;
-      mean = a.mean +. (delta *. b.n /. n);
-      m2 = a.m2 +. b.m2 +. (delta *. delta *. a.n *. b.n /. n);
-      min = Stdlib.min a.min b.min;
-      max = Stdlib.max a.max b.max;
-    }
-  end
-
-let reset t =
-  t.n <- 0.0;
-  t.mean <- 0.0;
-  t.m2 <- 0.0;
-  t.min <- infinity;
-  t.max <- neg_infinity

@@ -1,6 +1,6 @@
-(** Streaming summary statistics (Welford's online algorithm).
+(** Streaming mean (Welford's online update).
 
-    Constant memory; numerically stable mean/variance. *)
+    Constant memory; numerically stable. *)
 
 type t
 
@@ -8,25 +8,5 @@ val create : unit -> t
 
 val add : t -> float -> unit
 
-val count : t -> int
-
 val mean : t -> float
 (** 0 when empty. *)
-
-val variance : t -> float
-(** Unbiased sample variance; 0 when fewer than two samples. *)
-
-val stddev : t -> float
-
-val min : t -> float
-(** [infinity] when empty. *)
-
-val max : t -> float
-(** [neg_infinity] when empty. *)
-
-val sum : t -> float
-
-val merge : t -> t -> t
-(** Combine two summaries as if all samples were seen by one. *)
-
-val reset : t -> unit

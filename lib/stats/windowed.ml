@@ -30,9 +30,3 @@ let quantile_series t q =
   |> List.filter_map (fun w ->
          if Float_vec.length w.samples = 0 then None
          else Some (w.start_time, Quantile.of_vec w.samples q))
-
-let mean_series t =
-  windows t
-  |> List.filter_map (fun w ->
-         if Float_vec.length w.samples = 0 then None
-         else Some (w.start_time, Quantile.mean_of_vec w.samples))

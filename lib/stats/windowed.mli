@@ -24,5 +24,3 @@ val windows : t -> window list
 val quantile_series : t -> float -> (float * float) list
 (** [(window start time, q-quantile of that window)] for each non-empty
     window. *)
-
-val mean_series : t -> (float * float) list

@@ -75,11 +75,3 @@ let timestamps t ~base ~n ~seed =
     end
   done;
   ts
-
-let pp fmt = function
-  | Poisson -> Format.pp_print_string fmt "poisson"
-  | Diurnal { period_us; amplitude } ->
-      Format.fprintf fmt "diurnal(period=%.0fus, amplitude=%.2f)" period_us amplitude
-  | Bursts { on_us; off_us; factor } ->
-      Format.fprintf fmt "bursts(on=%.0fus, off=%.0fus, factor=%.2f)" on_us off_us
-        factor

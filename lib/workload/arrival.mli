@@ -27,11 +27,6 @@ val next_change : t -> base:float -> float -> float
     (infinity for Poisson); used to park an engine whose current rate is
     zero. *)
 
-val max_rate : t -> base:float -> float
-(** Upper envelope of {!rate_at} — the thinning envelope. *)
-
 val timestamps : t -> base:float -> n:int -> seed:int -> float array
 (** [n] arrival times (µs, ascending from ~0) drawn from the process by
     thinning; deterministic per [seed]. *)
-
-val pp : Format.formatter -> t -> unit

@@ -147,25 +147,9 @@ let sample_get_key t rng =
   if Dsim.Rng.unit_float rng < t.spec.Spec.p_large /. 100.0 then sample_large_key t rng
   else sample_small_key t rng
 
-let sample_put t rng =
-  let key = sample_get_key t rng in
-  let new_size =
-    if is_large_key t key then
-      Dsim.Dist.uniform_int_in rng ~lo:Spec.large_min ~hi:t.spec.Spec.s_large_max
-    else if size_of_key t key <= Spec.tiny_max then
-      Dsim.Dist.uniform_int_in rng ~lo:Spec.tiny_min ~hi:Spec.tiny_max
-    else Dsim.Dist.uniform_int_in rng ~lo:Spec.small_min ~hi:Spec.small_max
-  in
-  (key, new_size)
-
 let total_value_bytes t =
   let acc = ref 0 in
   for id = 0 to t.n - 1 do
     acc := !acc + size_of_key t id
   done;
   !acc
-
-let mean_item_bytes_per_request t =
-  let pl = t.spec.Spec.p_large /. 100.0 in
-  (pl *. Spec.mean_large_item_bytes t.spec)
-  +. ((1.0 -. pl) *. Spec.mean_small_item_bytes t.spec)

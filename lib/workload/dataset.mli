@@ -38,7 +38,9 @@ val create : ?seed:int -> ?run:((unit -> unit) array -> unit) -> Spec.t -> t
 val spec : t -> Spec.t
 
 val zipf : t -> Dsim.Dist.Zipf.t
-(** The sampler behind {!sample_small_key}. *)
+(** The sampler behind {!sample_small_key}.  Only test_workload reads it,
+    to check that the parallel build's normalizer is bit-identical to the
+    sequential loop's. *)
 
 val n_keys : t -> int
 
@@ -48,6 +50,9 @@ val size_of_key : t -> int -> int
 (** Item size in bytes for a key id. *)
 
 val is_large_key : t -> int -> bool
+(** Whether the id is one of the large keys.  Only the tests call it, as
+    the class oracle for the samplers and for the native server's
+    replies. *)
 
 val key_name : int -> string
 (** Stable printable key for use with the real {!Kvstore.Store}
@@ -70,14 +75,6 @@ val sample_get_key : t -> Dsim.Rng.t -> int
 (** Pick a key for a GET: with probability [p_large/100] a uniform large
     key, otherwise a zipf-distributed small key. *)
 
-val sample_put : t -> Dsim.Rng.t -> int * int
-(** Pick a key and the new value size for a PUT.  The new size is drawn
-    from the key's own class (tiny/small/large), modelling updates that
-    keep an item's character without keeping its exact size. *)
-
 val total_value_bytes : t -> int
 (** Sum of all stored item sizes — the resident-set size of the fully
     populated dataset, which a memory budget is measured against. *)
-
-val mean_item_bytes_per_request : t -> float
-(** Expected item size per request under the spec's request mix. *)

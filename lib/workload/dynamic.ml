@@ -11,12 +11,10 @@ let create phases =
     phases;
   { phases = Array.of_list phases }
 
-let seconds s = s *. 1_000_000.0
-
-let paper_schedule =
+let paper_schedule ~phase_us =
   create
     (List.map
-       (fun p -> { duration_us = seconds 20.0; p_large = p })
+       (fun p -> { duration_us = phase_us; p_large = p })
        [ 0.125; 0.25; 0.5; 0.75; 0.5; 0.25; 0.125 ])
 
 let total_duration t =
@@ -32,11 +30,3 @@ let p_large_at t time =
     end
   in
   go 0 0.0
-
-let phase_boundaries t =
-  let acc = ref 0.0 in
-  Array.to_list t.phases
-  |> List.map (fun p ->
-         let s = !acc in
-         acc := !acc +. p.duration_us;
-         s)

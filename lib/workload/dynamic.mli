@@ -12,14 +12,13 @@ type t
 val create : phase list -> t
 (** At least one phase; durations must be positive. *)
 
-val paper_schedule : t
-(** The §6.6 schedule (7 × 20 s phases). *)
+val paper_schedule : phase_us:float -> t
+(** The §6.6 schedule: seven phases of [phase_us] each, with p_l rising
+    0.125 → 0.25 → 0.5 → 0.75 and falling back (20 s phases in the
+    paper). *)
 
 val total_duration : t -> float
 
 val p_large_at : t -> float -> float
 (** The p_l in effect at an absolute simulation time.  Times past the end
     hold the last phase's value. *)
-
-val phase_boundaries : t -> float list
-(** Start times of each phase, for plotting. *)

@@ -122,14 +122,3 @@ let next t =
     is_large = t.last_is_large;
     scan_len = t.last_scan_len;
   }
-
-let request_wire_bytes r ~key_size =
-  match r.op with
-  | Get ->
-      Netsim.Frame.wire_bytes_for_payload (Proto.Wire.get_request_size ~key_len:key_size)
-  | Scan ->
-      Netsim.Frame.wire_bytes_for_payload
-        (Proto.Wire.scan_request_size ~key_len:key_size)
-  | Put ->
-      Netsim.Frame.wire_bytes_for_payload
-        (Proto.Wire.put_request_size ~key_len:key_size ~value_len:r.item_size)

@@ -44,13 +44,10 @@ val create :
 val dataset : t -> Dataset.t
 
 val p_large : t -> float
-(** Current large-request percentage (initially the spec's). *)
+(** Current large-request percentage (initially the spec's).  Only
+    test_workload reads it, as the probe of {!set_p_large}. *)
 
 val set_p_large : t -> float -> unit
-
-val scan_bytes : Dataset.t -> start:int -> len:int -> int
-(** Total stored bytes of [len] consecutive keys from [start] — the reply
-    size of a SCAN over that range (key names sort in id order). *)
 
 val next : t -> request
 (** Generate the next request. *)
@@ -70,8 +67,3 @@ val last_item_size : t -> int
 val last_is_large : t -> bool
 
 val last_scan_len : t -> int
-
-val request_wire_bytes : request -> key_size:int -> int
-(** Bytes the request occupies on the wire (the whole encoded request for
-    a PUT, the small fixed-size request for a GET/SCAN), including
-    framing. *)

@@ -342,18 +342,3 @@ let () =
           replay = true;
         };
     ]
-
-let pp fmt t =
-  Format.fprintf fmt "%s: %a arrival=%a" t.label Spec.pp t.spec Arrival.pp t.arrival;
-  (match t.ttl_us with
-  | Some x -> Format.fprintf fmt " ttl=%.0fus" x
-  | None -> ());
-  (match t.sweep_us with
-  | Some x -> Format.fprintf fmt " sweep=%.0fus" x
-  | None -> ());
-  if t.scan_ratio > 0.0 then
-    Format.fprintf fmt " scans=%.1f%%x%d" (100.0 *. t.scan_ratio) t.scan_len;
-  (match t.mem_fraction with
-  | Some f -> Format.fprintf fmt " mem=%.0f%%" (100.0 *. f)
-  | None -> ());
-  if t.replay then Format.fprintf fmt " (trace replay)"

@@ -66,10 +66,7 @@ type info = {
 }
 
 val common_knobs : (string * string) list
-(** The [k=v] overrides {!make} accepts on every scenario. *)
-
-val register : info -> unit
-(** Raises [Invalid_argument] on a name/alias clash or an invalid base. *)
+(** The [k=v] overrides {!parse} accepts on every scenario. *)
 
 val all : unit -> info list
 (** Registration order; builtins first: default, paper, write-intensive,
@@ -78,10 +75,6 @@ val all : unit -> info list
 val find : string -> info option
 (** Case-insensitive lookup by name or alias. *)
 
-val make : info -> (string * string) list -> (t, string) result
-(** Apply [k=v] overrides to the entry's base scenario and validate. *)
-
 val parse : string -> (t, string) result
-(** ["name,k=v,…"] → scenario, via {!find} + {!make}. *)
-
-val pp : Format.formatter -> t -> unit
+(** ["name,k=v,…"] → scenario: {!find} the entry, apply the [k=v]
+    overrides to its base scenario and validate. *)

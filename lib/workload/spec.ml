@@ -82,8 +82,3 @@ let validate t =
     err "tiny_fraction out of [0, 1]"
   else if t.key_size < 1 then err "key_size must be positive"
   else Ok ()
-
-let pp fmt t =
-  Format.fprintf fmt
-    "{ p_large=%.4f%%; s_large=%dB; get_ratio=%.2f; zipf=%.2f; keys=%d (%d large) }"
-    t.p_large t.s_large_max t.get_ratio t.zipf_theta t.n_keys t.n_large_keys

@@ -47,11 +47,6 @@ val large_min : int
 val table1_profiles : (float * int) list
 (** The (p_l, s_l) combinations of Table 1. *)
 
-val mean_small_item_bytes : t -> float
-(** Expected size of a non-large item (mix of tiny and small). *)
-
-val mean_large_item_bytes : t -> float
-
 val percent_data_large : t -> float
 (** Percentage of transferred bytes due to large requests — the third
     column of Table 1. *)
@@ -59,10 +54,10 @@ val percent_data_large : t -> float
 val max_keys : int
 (** The largest [n_keys] a spec may ask for, 2^30: below it every key id
     has a unique 8-hex-digit name and the dataset's rank-to-id scramble
-    stays inside 63-bit integers (it overflows from about 1.7e9 keys). *)
+    stays inside 63-bit integers (it overflows from about 1.7e9 keys).
+    Outside this module only test_workload reads it, to probe the bound
+    {!validate} enforces. *)
 
 val validate : t -> (unit, string) result
 (** Check internal consistency (fractions in range, sizes ordered,
     [n_large_keys < n_keys <= max_keys], ...). *)
-
-val pp : Format.formatter -> t -> unit

@@ -186,34 +186,6 @@ let replayer ?(loop = false) t =
     end
     else None
 
-let timed_replayer ?(loop = false) t =
-  if not (timed t) then invalid_arg "Trace.timed_replayer: untimed trace";
-  let n = Array.length t.reqs in
-  let pos = ref 0 in
-  let base = ref 0.0 in
-  (* On wrap-around the next lap is re-based one mean inter-arrival gap
-     after the previous lap's last request, so a looped replay keeps its
-     rate across the seam. *)
-  let span =
-    if n > 1 then
-      (t.ts_us.(n - 1) -. t.ts_us.(0)) *. float_of_int n /. float_of_int (n - 1)
-    else 1.0
-  in
-  fun () ->
-    if n = 0 then None
-    else begin
-      if !pos >= n && loop then begin
-        pos := 0;
-        base := !base +. span
-      end;
-      if !pos >= n then None
-      else begin
-        let i = !pos in
-        incr pos;
-        Some (!base +. t.ts_us.(i) -. t.ts_us.(0), t.reqs.(i))
-      end
-    end
-
 let size_percentile t q =
   if length t = 0 then invalid_arg "Trace.size_percentile: empty trace";
   let sizes =

@@ -20,9 +20,6 @@
 
 type t
 
-val of_requests : Generator.request array -> t
-(** An untimed trace. *)
-
 val of_timed : Generator.request array -> float array -> t
 (** A timed trace; timestamps are absolute microseconds, non-negative and
     monotone (validated). *)
@@ -52,14 +49,6 @@ val replayer : ?loop:bool -> t -> unit -> Generator.request option
 (** [replayer trace] returns a pull function yielding the trace in order;
     [loop] (default false) restarts from the beginning instead of
     returning [None] at the end.  Ignores timestamps. *)
-
-val timed_replayer :
-  ?loop:bool -> t -> unit -> (float * Generator.request) option
-(** Like {!replayer} but yields [(arrival_time_us, request)] pairs,
-    re-based so the first request arrives at 0.  With [loop], each lap is
-    re-based after the previous one (one mean inter-arrival gap after the
-    last request), preserving the recorded rate across the seam.  Raises
-    [Invalid_argument] on an untimed trace. *)
 
 (** Offline analysis *)
 

@@ -287,7 +287,7 @@ let test_heap_ordering () =
   Heap.add h ~time:3.0 ~seq:0 "c";
   Heap.add h ~time:1.0 ~seq:1 "a";
   Heap.add h ~time:2.0 ~seq:2 "b";
-  let pop () = match Heap.pop_min h with Some (_, _, v) -> v | None -> "?" in
+  let pop () = if Heap.is_empty h then "?" else Heap.pop h in
   check Alcotest.string "first" "a" (pop ());
   check Alcotest.string "second" "b" (pop ());
   check Alcotest.string "third" "c" (pop ());
@@ -297,12 +297,9 @@ let test_heap_tie_break_by_seq () =
   let h = Heap.create ~dummy:"" () in
   Heap.add h ~time:1.0 ~seq:5 "later";
   Heap.add h ~time:1.0 ~seq:2 "earlier";
-  (match Heap.pop_min h with
-  | Some (_, seq, v) ->
-      check int "lowest seq first" 2 seq;
-      check Alcotest.string "value" "earlier" v
-  | None -> Alcotest.fail "expected element");
-  ignore (Heap.pop_min h)
+  check int "lowest seq first" 2 (Heap.min_seq h);
+  check Alcotest.string "value" "earlier" (Heap.pop h);
+  check Alcotest.string "then the later seq" "later" (Heap.pop h)
 
 let prop_heap_sorts =
   QCheck.Test.make ~name:"heap pops in sorted key order" ~count:200
@@ -311,9 +308,12 @@ let prop_heap_sorts =
       let h = Heap.create ~dummy:0 () in
       List.iteri (fun i (t, _) -> Heap.add h ~time:t ~seq:i i) pairs;
       let rec drain acc =
-        match Heap.pop_min h with
-        | Some (t, s, _) -> drain ((t, s) :: acc)
-        | None -> List.rev acc
+        if Heap.is_empty h then List.rev acc
+        else begin
+          let key = (Heap.min_time h, Heap.min_seq h) in
+          ignore (Heap.pop h : int);
+          drain (key :: acc)
+        end
       in
       let popped = drain [] in
       let sorted = List.sort compare popped in
@@ -321,13 +321,11 @@ let prop_heap_sorts =
 
 let test_heap_peek () =
   let h = Heap.create ~dummy:0 () in
-  check bool "peek empty" true (Heap.peek_min h = None);
+  Alcotest.check_raises "peek empty" (Invalid_argument "Heap.min_value: empty heap")
+    (fun () -> ignore (Heap.min_value h));
   Heap.add h ~time:9.0 ~seq:0 42;
-  (match Heap.peek_min h with
-  | Some (t, _, v) ->
-      check (approx 0.0) "peek time" 9.0 t;
-      check int "peek value" 42 v
-  | None -> Alcotest.fail "expected element");
+  check (approx 0.0) "peek time" 9.0 (Heap.min_time h);
+  check int "peek value" 42 (Heap.min_value h);
   check int "peek does not remove" 1 (Heap.length h)
 
 (* Random add/pop interleavings against a sorted-list model: every pop
@@ -349,12 +347,14 @@ let prop_heap_interleaved =
               incr seq;
               true
           | None -> (
-              match (Heap.pop_min h, !model) with
-              | None, [] -> true
-              | Some (t, s, v), (mt, ms) :: rest ->
+              match (Heap.is_empty h, !model) with
+              | true, [] -> true
+              | false, (mt, ms) :: rest ->
                   model := rest;
+                  let t = Heap.min_time h and s = Heap.min_seq h in
+                  let v = Heap.pop h in
                   t = mt && s = ms && v = ms
-              | Some _, [] | None, _ :: _ -> false))
+              | false, [] | true, _ :: _ -> false))
         ops)
 
 let test_heap_nonallocating_accessors () =

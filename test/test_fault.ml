@@ -384,8 +384,8 @@ let test_chaos_rerun_byte_identical () =
       { Minos.Run.default with Minos.Run.scale = tiny_scale; seed = 5; offered_mops = Some 7.0 }
       plan
   in
-  let a = Obs.Json.to_string (Minos.Chaos.to_json (run ())) in
-  let b = Obs.Json.to_string (Minos.Chaos.to_json (run ())) in
+  let a = Obs.Json.to_string (Minos.Chaos.report.Minos.Run.to_json (run ())) in
+  let b = Obs.Json.to_string (Minos.Chaos.report.Minos.Run.to_json (run ())) in
   check string "rerun at fixed (plan, seed) is byte-identical" a b
 
 let test_chaos_trace_byte_identical () =
@@ -426,11 +426,12 @@ let test_chaos_check () =
     Minos.Chaos.run ~plans:[ "core-stall"; "loss10"; "overload" ]
       { Minos.Run.default with Minos.Run.scale = Minos.Experiment.quick_scale }
   in
-  (match Minos.Chaos.check t with
+  (match Minos.Chaos.report.Minos.Run.check t with
   | Ok () -> ()
-  | Error msg -> Alcotest.failf "Minos.Chaos.check: %s" msg);
+  | Error msg -> Alcotest.failf "chaos check: %s" msg);
   check bool "a run without the named plans is rejected" true
-    (Result.is_error (Minos.Chaos.check { t with Minos.Chaos.rows = [] }))
+    (Result.is_error
+       (Minos.Chaos.report.Minos.Run.check { t with Minos.Chaos.rows = [] }))
 
 let exact = Alcotest.(result unit string)
 

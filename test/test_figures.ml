@@ -105,7 +105,6 @@ let test_print_functions_do_not_raise () =
     |> Minos.Experiment.with_scale scale
     |> Minos.Experiment.Spec.with_load 1.0
     |> Minos.Experiment.run_spec);
-  Format.printf "%a@." Workload.Spec.pp Workload.Spec.default;
   check bool "printed" true true
 
 let () =

@@ -60,8 +60,11 @@ let kill ?(server = 2) ?(at_us = 19_000.0) ?(recover_us = 34_000.0) () =
       ];
   }
 
-let run ?plan ?(seed = 7) cfg =
-  Kvhedge.Cluster.run cfg ~dataset ~offered_mops:2.0 ?plan ~seed ()
+let run ?plan ?(seed = 7) ?(offered_mops = 2.0) cfg =
+  let c = Kvhedge.Cluster.create cfg ~dataset ~offered_mops ?plan ~seed () in
+  Dsim.Sim.run (Kvhedge.Cluster.sim c)
+    ~until:cfg.Kvhedge.Config.server.Kvserver.Config.duration_us;
+  Kvhedge.Cluster.metrics c
 
 (* ------------------------------------------------------------------ *)
 (* Config *)
@@ -106,19 +109,22 @@ let test_config_validate () =
   check bool "set detector wins" true
     (Kvhedge.Config.detect_us (tiny ~detect_us:42.0 ()) = 42.0)
 
+(* The run record names each run's mode and route: every name must lead
+   back to exactly the policy that printed it. *)
 let test_names_round_trip () =
+  let back name_of all name = List.filter (fun x -> name_of x = name) all in
+  let modes = [ Kvhedge.Config.Off; Kvhedge.Config.Hedged; Kvhedge.Config.Tied ] in
   List.iter
     (fun m ->
       check bool "mode round-trips" true
-        (Kvhedge.Config.mode_of_name (Kvhedge.Config.mode_name m) = Some m))
-    [ Kvhedge.Config.Off; Kvhedge.Config.Hedged; Kvhedge.Config.Tied ];
+        (back Kvhedge.Config.mode_name modes (Kvhedge.Config.mode_name m) = [ m ]))
+    modes;
+  let routes = [ Kvhedge.Config.Spread; Kvhedge.Config.P2c ] in
   List.iter
     (fun r ->
       check bool "route round-trips" true
-        (Kvhedge.Config.route_of_name (Kvhedge.Config.route_name r) = Some r))
-    [ Kvhedge.Config.Spread; Kvhedge.Config.P2c ];
-  check bool "unknown mode" true (Kvhedge.Config.mode_of_name "nope" = None);
-  check bool "unknown route" true (Kvhedge.Config.route_of_name "nope" = None)
+        (back Kvhedge.Config.route_name routes (Kvhedge.Config.route_name r) = [ r ]))
+    routes
 
 (* ------------------------------------------------------------------ *)
 (* Accounting: every copy resolves into exactly one telescoping leg *)
@@ -197,11 +203,7 @@ let test_every_design_under_kill () =
 let test_shed_fails_request () =
   let cfg = tiny () in
   let server = { cfg.Kvhedge.Config.server with Kvserver.Config.shed_watermark = Some 2 } in
-  let m =
-    Kvhedge.Cluster.run
-      { cfg with Kvhedge.Config.server = server }
-      ~dataset ~offered_mops:12.0 ~seed:7 ()
-  in
+  let m = run ~offered_mops:12.0 { cfg with Kvhedge.Config.server = server } in
   check bool "copies shed" true (copy m "shed" > 0);
   check bool "shed requests fail" true (request m "failed" > 0);
   check exact "telescopes" (Ok ())
@@ -357,9 +359,9 @@ let test_experiment_grid () =
         (Obs.Ledger.check e.metrics.Kvhedge.Metrics.requests))
     t1.Minos.Hedge.entries;
   check bool "hedge tax priced" true (t1.Minos.Hedge.hedge_tax >= 0.0);
-  (match Minos.Hedge.check t1 with
+  (match Minos.Hedge.report.Minos.Run.check t1 with
   | Ok () -> ()
-  | Error msg -> Alcotest.failf "Minos.Hedge.check: %s" msg);
+  | Error msg -> Alcotest.failf "hedge check: %s" msg);
   check int "the canned crash kills the first mirror" t1.Minos.Hedge.shards
     t1.Minos.Hedge.killed_server;
   check bool "kill window inside the measured region" true

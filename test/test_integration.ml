@@ -292,13 +292,21 @@ let test_replication_stability () =
           (Minos.Experiment.Spec.with_seed seed (point Kvserver.Design.minos 3.0)))
       [ 1; 2; 3 ]
   in
-  let p99s = Stats.Summary.create () in
-  List.iter
-    (fun (m : Kvserver.Metrics.t) ->
-      if not (Float.is_nan m.Kvserver.Metrics.p99_us) then
-        Stats.Summary.add p99s m.Kvserver.Metrics.p99_us)
-    runs;
-  let p99_mean = Stats.Summary.mean p99s and p99_stddev = Stats.Summary.stddev p99s in
+  let p99s =
+    List.filter_map
+      (fun (m : Kvserver.Metrics.t) ->
+        let p99 = m.Kvserver.Metrics.p99_us in
+        if Float.is_nan p99 then None else Some p99)
+      runs
+  in
+  let n = float_of_int (List.length p99s) in
+  let p99_mean = List.fold_left ( +. ) 0.0 p99s /. n in
+  (* sample standard deviation *)
+  let p99_stddev =
+    sqrt
+      (List.fold_left (fun acc x -> acc +. ((x -. p99_mean) ** 2.0)) 0.0 p99s
+      /. Float.max 1.0 (n -. 1.0))
+  in
   check bool "all stable" true (List.for_all (fun m -> m.Kvserver.Metrics.stable) runs);
   check bool "p99 positive" true (p99_mean > 0.0);
   if p99_stddev > 0.35 *. p99_mean then
@@ -336,11 +344,11 @@ let test_json_helpers () =
 let test_design_names_roundtrip () =
   List.iter
     (fun d ->
-      match Minos.Experiment.design_of_name (Minos.Experiment.design_name d) with
+      match Kvserver.Design.find (Minos.Experiment.design_name d) with
       | Some d' -> check bool "roundtrip" true (Kvserver.Design.equal d d')
       | None -> Alcotest.fail "name did not parse")
     Minos.Experiment.all_designs;
-  check bool "unknown rejected" true (Minos.Experiment.design_of_name "nope" = None)
+  check bool "unknown rejected" true (Kvserver.Design.find "nope" = None)
 
 (* The raw latency vector is the engine's one completion-order record:
    NUMA and cluster runs union it and the fan-out figure resamples it, so

@@ -378,7 +378,8 @@ let test_store_size_of () =
   Store.put s ~guard:`Lock "k" (Bytes.create 12345);
   check (Alcotest.option int) "size_of" (Some 12345) (Store.size_of s "k");
   check (Alcotest.option int) "size_of missing" None (Store.size_of s "nope");
-  check bool "mem" true (Store.mem s "k")
+  check int "length" 12345 (Store.length s "k");
+  check int "length missing" (-1) (Store.length s "nope")
 
 let test_store_delete () =
   let s = small_store () in
@@ -573,7 +574,7 @@ let churn_ratios ~n_keys ~n_large ~seed ~arena =
   let population = ratio () in
   let rng = Dsim.Rng.create seed in
   for _ = 1 to 3 * n do
-    let id, _ = Workload.Dataset.sample_put ds rng in
+    let id = Workload.Dataset.sample_get_key ds rng in
     let size = Workload.Dataset.size_of_key ds (Dsim.Rng.int rng n) in
     Store.put s ~guard:`Lock (Workload.Dataset.key_name id) (Bytes.create size);
     model.(id) <- size

@@ -1,5 +1,5 @@
-(* Tests for the network substrate: framing arithmetic, Toeplitz RSS hash
-   (Microsoft verification vectors), lock-free ring, FIFO and TX line. *)
+(* Tests for the network substrate: framing arithmetic, lock-free ring,
+   FIFO, the FIFO line model of test/txlink.ml and the NIC's RX queues. *)
 
 open Netsim
 
@@ -23,9 +23,9 @@ let test_frames_for_payload () =
     (fun () -> ignore (Frame.frames_for_payload (-1)))
 
 let test_wire_bytes () =
-  let per_frame_overhead =
-    Frame.udp_header + Frame.ip_header + Frame.eth_header + Frame.eth_overhead_on_wire
-  in
+  (* UDP 8 + IPv4 20 + Ethernet header and FCS 18 + preamble and
+     inter-frame gap 20 *)
+  let per_frame_overhead = 66 in
   check int "empty payload still costs headers" per_frame_overhead
     (Frame.wire_bytes_for_payload 0);
   check int "single full frame" (1472 + per_frame_overhead)
@@ -44,119 +44,13 @@ let prop_frames_match_wire_bytes =
   QCheck.Test.make ~name:"wire bytes consistent with frame count" ~count:500
     QCheck.(int_bound 2_000_000)
     (fun n ->
-      let per_frame_overhead =
-        Frame.udp_header + Frame.ip_header + Frame.eth_header + Frame.eth_overhead_on_wire
-      in
+      (* UDP 8 + IPv4 20 + Ethernet header and FCS 18 + preamble and
+         inter-frame gap 20 *)
+      let per_frame_overhead = 66 in
       Frame.wire_bytes_for_payload n
       = n + (Frame.frames_for_payload n * per_frame_overhead))
 
 (* ------------------------------------------------------------------ *)
-(* Toeplitz: the canonical Microsoft RSS verification suite (IPv4 with
-   ports). *)
-
-let ip a b c d = Int32.of_int ((a lsl 24) lor (b lsl 16) lor (c lsl 8) lor d)
-
-let microsoft_vectors =
-  [
-    (ip 66 9 149 187, 2794, ip 161 142 100 80, 1766, 0x51ccc178l);
-    (ip 199 92 111 2, 14230, ip 65 69 140 83, 4739, 0xc626b0eal);
-    (ip 24 19 198 95, 12898, ip 12 22 207 184, 38024, 0x5c2b394al);
-    (ip 38 27 205 30, 48228, ip 209 142 163 6, 2217, 0xafc7327fl);
-    (ip 153 39 163 191, 44251, ip 202 188 127 2, 1303, 0x10e828a2l);
-  ]
-
-let test_toeplitz_vectors () =
-  List.iter
-    (fun (src_ip, src_port, dst_ip, dst_port, expected) ->
-      let h = Toeplitz.hash_ipv4 ~src_ip ~dst_ip ~src_port ~dst_port () in
-      check Alcotest.int32 "MS vector" expected h)
-    microsoft_vectors
-
-let test_toeplitz_queue_targeting () =
-  (* The §5.1 port-probing procedure must land each flow on the intended
-     queue. *)
-  let src_ip = ip 10 0 0 1 and dst_ip = ip 10 0 0 2 in
-  for target = 0 to 7 do
-    let port =
-      Toeplitz.find_src_port ~src_ip ~dst_ip ~dst_port:11211 ~queues:8
-        ~target_queue:target ()
-    in
-    let h = Toeplitz.hash_ipv4 ~src_ip ~dst_ip ~src_port:port ~dst_port:11211 () in
-    check int "probed port hits queue" target (Toeplitz.queue_of_hash h ~queues:8)
-  done
-
-let prop_toeplitz_deterministic =
-  QCheck.Test.make ~name:"toeplitz deterministic" ~count:200
-    QCheck.(quad small_nat small_nat small_nat small_nat)
-    (fun (a, b, p, q) ->
-      let src_ip = Int32.of_int a and dst_ip = Int32.of_int b in
-      let src_port = p land 0xFFFF and dst_port = q land 0xFFFF in
-      Toeplitz.hash_ipv4 ~src_ip ~dst_ip ~src_port ~dst_port ()
-      = Toeplitz.hash_ipv4 ~src_ip ~dst_ip ~src_port ~dst_port ())
-
-(* ------------------------------------------------------------------ *)
-(* Flow director *)
-
-let test_fdir_exact_match_beats_rss () =
-  let fd = Flow_director.create ~queues:8 () in
-  (match Flow_director.add_rule fd { Flow_director.dst_port = 7000; src_port = None }
-           ~queue:5 with
-  | Ok () -> ()
-  | Error _ -> Alcotest.fail "rule rejected");
-  check int "rule wins over hash" 5
-    (Flow_director.dispatch fd ~src_ip:1l ~dst_ip:2l ~src_port:1234 ~dst_port:7000);
-  (* A non-matching packet falls back to RSS deterministically. *)
-  let rss =
-    Toeplitz.queue_of_hash
-      (Toeplitz.hash_ipv4 ~src_ip:1l ~dst_ip:2l ~src_port:1234 ~dst_port:9999 ())
-      ~queues:8
-  in
-  check int "fallback is rss" rss
-    (Flow_director.dispatch fd ~src_ip:1l ~dst_ip:2l ~src_port:1234 ~dst_port:9999)
-
-let test_fdir_specificity () =
-  let fd = Flow_director.create ~queues:8 () in
-  ignore (Flow_director.add_rule fd { Flow_director.dst_port = 7000; src_port = None } ~queue:1);
-  ignore
-    (Flow_director.add_rule fd
-       { Flow_director.dst_port = 7000; src_port = Some 4242 }
-       ~queue:6);
-  check int "pair rule wins" 6
-    (Flow_director.dispatch fd ~src_ip:1l ~dst_ip:2l ~src_port:4242 ~dst_port:7000);
-  check int "dst-only for other sources" 1
-    (Flow_director.dispatch fd ~src_ip:1l ~dst_ip:2l ~src_port:1 ~dst_port:7000);
-  check bool "remove" true
-    (Flow_director.remove_rule fd { Flow_director.dst_port = 7000; src_port = Some 4242 });
-  check int "back to dst-only" 1
-    (Flow_director.dispatch fd ~src_ip:1l ~dst_ip:2l ~src_port:4242 ~dst_port:7000)
-
-let test_fdir_capacity_and_validation () =
-  let fd = Flow_director.create ~capacity:2 ~queues:4 () in
-  ignore (Flow_director.add_rule fd { Flow_director.dst_port = 1; src_port = None } ~queue:0);
-  ignore (Flow_director.add_rule fd { Flow_director.dst_port = 2; src_port = None } ~queue:1);
-  (match Flow_director.add_rule fd { Flow_director.dst_port = 3; src_port = None } ~queue:2 with
-  | Error `Table_full -> ()
-  | _ -> Alcotest.fail "expected Table_full");
-  (* Updating an existing rule is allowed at capacity. *)
-  (match Flow_director.add_rule fd { Flow_director.dst_port = 1; src_port = None } ~queue:3 with
-  | Ok () -> ()
-  | Error _ -> Alcotest.fail "update rejected");
-  (match Flow_director.add_rule fd { Flow_director.dst_port = 4; src_port = None } ~queue:9 with
-  | Error `Bad_queue -> ()
-  | _ -> Alcotest.fail "expected Bad_queue");
-  check int "count" 2 (Flow_director.rule_count fd)
-
-let test_fdir_identity_program () =
-  (* The §4.1 configuration: clients name the queue in the destination
-     port, no port probing needed. *)
-  let fd = Flow_director.create ~queues:8 () in
-  Flow_director.program_identity fd ~base_port:47700;
-  for q = 0 to 7 do
-    check int "identity dispatch" q
-      (Flow_director.dispatch fd ~src_ip:1l ~dst_ip:2l ~src_port:55555
-         ~dst_port:(47700 + q))
-  done
-
 (* ------------------------------------------------------------------ *)
 (* Ring *)
 
@@ -413,12 +307,10 @@ let test_fifo_basic () =
   Fifo.push f "a";
   Fifo.push f "b";
   check int "length" 2 (Fifo.length f);
-  check (Alcotest.option Alcotest.string) "peek" (Some "a") (Fifo.peek f);
+  check Alcotest.string "peek" "a" (Fifo.peek_exn f);
   check (Alcotest.option Alcotest.string) "pop" (Some "a") (Fifo.pop f);
   check (Alcotest.option Alcotest.string) "pop 2" (Some "b") (Fifo.pop f);
-  check (Alcotest.option Alcotest.string) "pop empty" None (Fifo.pop f);
-  check int "total enqueued survives pops" 2 (Fifo.total_enqueued f);
-  check int "high water" 2 (Fifo.max_occupancy f)
+  check (Alcotest.option Alcotest.string) "pop empty" None (Fifo.pop f)
 
 (* ------------------------------------------------------------------ *)
 (* Txlink *)
@@ -448,15 +340,15 @@ let test_txlink_utilization () =
 (* Nic *)
 
 let test_nic_delivery () =
-  let nic = Nic.create ~queues:4 ~tx_gbps:40.0 ~dummy:"" in
-  Nic.deliver nic ~queue:2 ~wire_bytes:100 ~frames:1 "req1";
-  Nic.deliver nic ~queue:2 ~wire_bytes:3000 ~frames:3 "req2";
-  let s = Nic.rx_stats nic 2 in
-  check int "frames" 4 s.Nic.frames;
-  check int "bytes" 3100 s.Nic.wire_bytes;
+  let nic = Nic.create ~queues:4 ~dummy:"" in
+  Nic.deliver nic ~queue:2 "req1";
+  Nic.deliver nic ~queue:2 "req2";
   check int "queue length" 2 (Fifo.length (Nic.rx nic 2));
   check int "other queue untouched" 0 (Fifo.length (Nic.rx nic 0));
-  check int "total rx bytes" 3100 (Nic.total_rx_wire_bytes nic)
+  check Alcotest.string "arrival order" "req1" (Fifo.pop_exn (Nic.rx nic 2));
+  Alcotest.check_raises "no queues"
+    (Invalid_argument "Nic.create: need at least one queue") (fun () ->
+      ignore (Nic.create ~queues:0 ~dummy:""))
 
 let qsuite tests = List.map (fun t -> QCheck_alcotest.to_alcotest t) tests
 
@@ -470,20 +362,6 @@ let () =
           Alcotest.test_case "wire bytes" `Quick test_wire_bytes;
         ]
         @ qsuite [ prop_wire_bytes_monotonic; prop_frames_match_wire_bytes ] );
-      ( "toeplitz",
-        [
-          Alcotest.test_case "microsoft vectors" `Quick test_toeplitz_vectors;
-          Alcotest.test_case "queue targeting" `Quick test_toeplitz_queue_targeting;
-        ]
-        @ qsuite [ prop_toeplitz_deterministic ] );
-      ( "flow_director",
-        [
-          Alcotest.test_case "exact match beats rss" `Quick test_fdir_exact_match_beats_rss;
-          Alcotest.test_case "specificity" `Quick test_fdir_specificity;
-          Alcotest.test_case "capacity + validation" `Quick
-            test_fdir_capacity_and_validation;
-          Alcotest.test_case "identity program" `Quick test_fdir_identity_program;
-        ] );
       ( "ring",
         [
           Alcotest.test_case "capacity validation" `Quick test_ring_capacity_validation;

@@ -123,8 +123,6 @@ let test_unknown_version_rejected () =
 
 let test_size_accessors_match_encoding () =
   let get = req () in
-  check int "request_size get" (Bytes.length (Wire.encode_request get))
-    (Wire.request_size get);
   check int "get_request_size" (Bytes.length (Wire.encode_request get))
     (Wire.get_request_size ~key_len:5);
   let put = req ~op:Wire.Put ~value:(Bytes.create 321) () in
@@ -308,16 +306,6 @@ let test_garbage_datagrams_ignored () =
   let junk = Bytes.make 100 '\x42' in
   check bool "bad magic" true (Fragment.offer r junk = None);
   check int "no partials" 0 (Fragment.pending r)
-
-let test_drop_incomplete () =
-  let msg = Bytes.create 4000 in
-  let r = Fragment.create_reassembler () in
-  (match Fragment.split ~msg_id:8L msg with
-  | f :: _ -> ignore (Fragment.offer r f)
-  | [] -> ());
-  check int "one pending" 1 (Fragment.pending r);
-  Fragment.drop_incomplete r;
-  check int "dropped" 0 (Fragment.pending r)
 
 let prop_fragment_roundtrip =
   QCheck.Test.make ~name:"fragment/reassemble roundtrip, shuffled" ~count:100
@@ -514,7 +502,6 @@ let () =
             test_reassembly_out_of_order_and_interleaved;
           Alcotest.test_case "duplicates ignored" `Quick test_duplicate_fragments_ignored;
           Alcotest.test_case "garbage ignored" `Quick test_garbage_datagrams_ignored;
-          Alcotest.test_case "drop incomplete" `Quick test_drop_incomplete;
           Alcotest.test_case "end-to-end large put" `Quick test_end_to_end_large_put;
           Alcotest.test_case "framed in place = split" `Quick
             test_frame_in_place_matches_split;

@@ -182,8 +182,8 @@ let test_ttl_lazy_vs_sweep () =
   Array.iteri
     (fun i key ->
       let expect = i mod 2 = 1 in
-      check bool "lazy survivor" expect (Kvstore.Store.mem ~now lazy_store key);
-      check bool "sweep survivor" expect (Kvstore.Store.mem ~now sweep_store key))
+      check bool "lazy survivor" expect (Kvstore.Store.length ~now lazy_store key >= 0);
+      check bool "sweep survivor" expect (Kvstore.Store.length ~now sweep_store key >= 0))
     ttl_keys
 
 let test_residency_lazy_vs_sweep () =
@@ -315,7 +315,8 @@ let test_scenarios_jobs_identical () =
   let run jobs =
     with_jobs jobs (fun () ->
         Obs.Json.to_string
-          (Minos.Scenarios.to_json (Minos.Scenarios.run ~names (quick_run 3))))
+          (Minos.Scenarios.report.Minos.Run.to_json
+             (Minos.Scenarios.run ~names (quick_run 3))))
   in
   let sequential = run 1 in
   check string "MINOS_JOBS=4 byte-identical" sequential (run 4);
@@ -354,11 +355,12 @@ let test_scenarios_check () =
   let t =
     Minos.Scenarios.run ~names:[ "scan-heavy"; "cold-tier"; "ttl-churn" ] (quick_run 1)
   in
-  (match Minos.Scenarios.check t with
+  (match Minos.Scenarios.report.Minos.Run.check t with
   | Ok () -> ()
-  | Error msg -> Alcotest.failf "Minos.Scenarios.check: %s" msg);
+  | Error msg -> Alcotest.failf "scenarios check: %s" msg);
   check bool "a run without the named scenarios is rejected" true
-    (Result.is_error (Minos.Scenarios.check { t with Minos.Scenarios.rows = [] }))
+    (Result.is_error
+       (Minos.Scenarios.report.Minos.Run.check { t with Minos.Scenarios.rows = [] }))
 
 let test_timed_trace_replay_deterministic () =
   (* A timed capture replayed through the engine must be reproducible,

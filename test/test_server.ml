@@ -537,6 +537,64 @@ let test_finish_reads_record_in_place () =
    before it reaches a core retires unserved (the probe never sees it),
    one cancelled mid-service has its reply suppressed, and the request
    ledger telescopes with the cancelled leg. *)
+(* RX steering, observed on every executed request of a whole run: a GET
+   draws its RX queue uniformly from the engine's dispatch RNG, a PUT goes
+   to its key's partition mod cores, and under EREW a GET does too.  SHO
+   sprays every request uniformly over its handoff cores instead. *)
+let test_rx_steering () =
+  let dataset = Workload.Dataset.create mini_spec in
+  (* Pearson's chi-squared statistic of [counts] against uniform. *)
+  let chi2 counts =
+    let n = float_of_int (Array.fold_left ( + ) 0 counts) in
+    let e = n /. float_of_int (Array.length counts) in
+    Array.fold_left (fun acc c -> acc +. (((float_of_int c -. e) ** 2.0) /. e)) 0.0 counts
+  in
+  (* 0.999 quantiles of chi-squared by degrees of freedom. *)
+  let chi2_bound df =
+    match df with
+    | 1 -> 10.83
+    | 2 -> 13.82
+    | 7 -> 24.32
+    | _ -> Alcotest.failf "no chi-squared bound for %d degrees of freedom" df
+  in
+  let steer ?(cfg = mini_cfg) name design =
+    let gen = Workload.Generator.create dataset in
+    let eng = Engine.create cfg gen ~offered_mops:2.0 in
+    let cores = Engine.cores eng in
+    let sho = Design.equal design Design.sho in
+    let spray = if sho then cfg.Config.handoff_cores else cores in
+    let gets = Array.make spray 0 and puts = ref 0 and misplaced = ref 0 in
+    Engine.set_probe eng (fun ~core:_ req ->
+        let q = req.Engine.rx_queue in
+        let home = Workload.Dataset.key_partition dataset req.Engine.key_id mod cores in
+        match req.Engine.op with
+        | Cost_model.Put ->
+            incr puts;
+            if (not sho) && q <> home then incr misplaced;
+            if sho && q >= spray then incr misplaced
+        | Cost_model.Get | Cost_model.Scan ->
+            if cfg.Config.hkh_erew then begin
+              if q <> home then incr misplaced
+            end
+            else if q >= spray then incr misplaced
+            else gets.(q) <- gets.(q) + 1);
+    ignore (Engine.run eng (Design.make design) : Metrics.t);
+    check bool (name ^ ": PUTs seen") true (!puts > 1_000);
+    check int (name ^ ": requests off their steered queue") 0 !misplaced;
+    if (not cfg.Config.hkh_erew) && spray > 1 then begin
+      Array.iteri
+        (fun q c -> if c = 0 then Alcotest.failf "%s: no GET on RX queue %d" name q)
+        gets;
+      let x = chi2 gets and bound = chi2_bound (spray - 1) in
+      if x > bound then
+        Alcotest.failf "%s: GET queues chi2 %.2f above %.2f (counts %s)" name x bound
+          (String.concat " " (Array.to_list (Array.map string_of_int gets)))
+    end
+  in
+  List.iter (fun d -> steer (Design.name d) d) Minos.Experiment.all_designs;
+  steer ~cfg:{ mini_cfg with Config.handoff_cores = 3 } "sho, 3 handoff cores" Design.sho;
+  steer ~cfg:{ mini_cfg with Config.hkh_erew = true } "hkh_erew" Design.hkh
+
 let test_caller_fed_cancel () =
   let dataset = Workload.Dataset.create mini_spec in
   let sim = Dsim.Sim.create ~seed:5 () in
@@ -753,6 +811,7 @@ let () =
           Alcotest.test_case "batch size one" `Quick test_batch_size_one;
           Alcotest.test_case "aggressive sampling" `Quick test_aggressive_sampling;
           Alcotest.test_case "put master spread" `Quick test_put_master_spread;
+          Alcotest.test_case "RX steering" `Slow test_rx_steering;
           Alcotest.test_case "latency breakdown" `Slow test_latency_breakdown;
           Alcotest.test_case "standby acts as large core" `Slow
             test_standby_acts_as_large_core;

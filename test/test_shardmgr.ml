@@ -488,13 +488,15 @@ let reshard_front_end () =
     { Minos.Run.default with Minos.Run.scale; seed = 3; offered_mops = Some 4.0 }
 
 let test_reshard_deterministic_across_jobs () =
-  let go () = Obs.Json.to_string (Minos.Reshard.to_json (reshard_front_end ())) in
+  let go () =
+    Obs.Json.to_string (Minos.Reshard.report.Minos.Run.to_json (reshard_front_end ()))
+  in
   let a = with_jobs 1 go in
   let b = with_jobs 4 go in
   check Alcotest.string "jobs=1 vs jobs=4 byte-identical" a b
 
 let test_reshard_check () =
-  match Minos.Reshard.check (reshard_front_end ()) with
+  match Minos.Reshard.report.Minos.Run.check (reshard_front_end ()) with
   | Ok () -> ()
   | Error msg -> Alcotest.failf "Reshard.check: %s" msg
 

@@ -20,7 +20,7 @@ let test_float_vec_basics () =
   done;
   check int "length" 100 (Float_vec.length v);
   check (approx 0.0) "get" 42.0 (Float_vec.get v 41);
-  check (approx 0.0) "fold sum" 5050.0 (Float_vec.fold ( +. ) 0.0 v);
+  check (approx 0.0) "sum" 5050.0 (Float_vec.sum v);
   Alcotest.check_raises "oob" (Invalid_argument "Float_vec.get: index out of bounds")
     (fun () -> ignore (Float_vec.get v 100));
   Float_vec.clear v;
@@ -260,7 +260,9 @@ let test_hist_record_and_total () =
   let h = Log_histogram.create ~min_value:1.0 ~max_value:1.0e6 () in
   check Alcotest.bool "empty" true (Log_histogram.is_empty h);
   Log_histogram.record h 100.0;
-  Log_histogram.record_n h 5000.0 3.0;
+  for _ = 1 to 3 do
+    Log_histogram.record h 5000.0
+  done;
   check (approx 1e-9) "total" 4.0 (Log_histogram.total h)
 
 let test_hist_quantile_resolution () =
@@ -301,8 +303,12 @@ let test_hist_merge () =
 let test_hist_smooth () =
   let prev = Log_histogram.create ~min_value:1.0 ~max_value:1.0e3 () in
   let cur = Log_histogram.create ~min_value:1.0 ~max_value:1.0e3 () in
-  Log_histogram.record_n prev 10.0 10.0;
-  Log_histogram.record_n cur 10.0 20.0;
+  for _ = 1 to 10 do
+    Log_histogram.record prev 10.0
+  done;
+  for _ = 1 to 20 do
+    Log_histogram.record cur 10.0
+  done;
   let s = Log_histogram.smooth ~prev ~current:cur ~alpha:0.9 in
   (* 0.1 * 10 + 0.9 * 20 = 19 *)
   check (approx 1e-9) "ema total" 19.0 (Log_histogram.total s);
@@ -313,10 +319,10 @@ let test_hist_smooth () =
 let test_hist_reset_and_copy () =
   let h = Log_histogram.create ~min_value:1.0 ~max_value:1.0e3 () in
   Log_histogram.record h 50.0;
-  let c = Log_histogram.copy h in
   Log_histogram.reset h;
   check Alcotest.bool "reset empties" true (Log_histogram.is_empty h);
-  check (approx 1e-9) "copy unaffected" 1.0 (Log_histogram.total c)
+  Log_histogram.record h 50.0;
+  check (approx 1e-9) "counts again after reset" 1.0 (Log_histogram.total h)
 
 let prop_hist_quantile_close_to_exact =
   QCheck.Test.make ~name:"histogram p-quantile within one bucket of exact" ~count:50
@@ -335,28 +341,11 @@ let prop_hist_quantile_close_to_exact =
 let test_summary_moments () =
   let s = Summary.create () in
   List.iter (Summary.add s) [ 2.0; 4.0; 4.0; 4.0; 5.0; 5.0; 7.0; 9.0 ];
-  check int "count" 8 (Summary.count s);
-  check (approx 1e-9) "mean" 5.0 (Summary.mean s);
-  check (approx 1e-9) "sample variance" (32.0 /. 7.0) (Summary.variance s);
-  check (approx 1e-9) "min" 2.0 (Summary.min s);
-  check (approx 1e-9) "max" 9.0 (Summary.max s);
-  check (approx 1e-9) "sum" 40.0 (Summary.sum s)
-
-let test_summary_merge_equals_pooled () =
-  let a = Summary.create () and b = Summary.create () and all = Summary.create () in
-  let xs = [ 1.0; 2.0; 3.0 ] and ys = [ 10.0; 20.0; 30.0; 40.0 ] in
-  List.iter (Summary.add a) xs;
-  List.iter (Summary.add b) ys;
-  List.iter (Summary.add all) (xs @ ys);
-  let m = Summary.merge a b in
-  check (approx 1e-9) "merged mean" (Summary.mean all) (Summary.mean m);
-  check (approx 1e-6) "merged variance" (Summary.variance all) (Summary.variance m);
-  check int "merged count" (Summary.count all) (Summary.count m)
+  check (approx 1e-9) "mean" 5.0 (Summary.mean s)
 
 let test_summary_empty () =
   let s = Summary.create () in
-  check (approx 0.0) "mean of empty" 0.0 (Summary.mean s);
-  check (approx 0.0) "variance of empty" 0.0 (Summary.variance s)
+  check (approx 0.0) "mean of empty" 0.0 (Summary.mean s)
 
 (* ------------------------------------------------------------------ *)
 (* Windowed *)
@@ -384,12 +373,7 @@ let test_windowed_quantile_series () =
       check (approx 0.0) "q0" 99.0 q0;
       check (approx 1e-9) "t1" 10.0 t1;
       check (approx 0.0) "q1" 7.0 q1
-  | _ -> Alcotest.fail "expected two windows");
-  match Windowed.mean_series w with
-  | [ (_, m0); (_, m1) ] ->
-      check (approx 1e-9) "mean0" 50.5 m0;
-      check (approx 1e-9) "mean1" 7.0 m1
-  | _ -> Alcotest.fail "expected two windows"
+  | _ -> Alcotest.fail "expected two windows")
 
 let test_windowed_out_of_order () =
   let w = Windowed.create ~width:1.0 () in
@@ -436,7 +420,6 @@ let () =
       ( "summary",
         [
           Alcotest.test_case "moments" `Quick test_summary_moments;
-          Alcotest.test_case "merge" `Quick test_summary_merge_equals_pooled;
           Alcotest.test_case "empty" `Quick test_summary_empty;
         ] );
       ( "windowed",

@@ -210,11 +210,11 @@ let prop_single_queue_matches_txlink =
             ~on_complete:(fun t -> last_sched := t))
         payloads;
       Dsim.Sim.run_until_idle sim;
-      let link = Netsim.Txlink.create ~gbps:40.0 in
+      let link = Txlink.create ~gbps:40.0 in
       let last_link =
         List.fold_left
           (fun _ p ->
-            Netsim.Txlink.transmit link ~now:0.0
+            Txlink.transmit link ~now:0.0
               ~bytes:(Netsim.Frame.wire_bytes_for_payload p))
           0.0 payloads
       in

@@ -278,15 +278,24 @@ let test_dataset_get_key_mix () =
     Alcotest.failf "large fraction %.2f%% vs 10%%" frac
 
 let test_dataset_put_class_preserved () =
+  (* A generated PUT draws the key's new size from its own class. *)
   let d = Dataset.create small_spec in
-  let rng = Dsim.Rng.create 8 in
-  for _ = 1 to 2000 do
-    let key, new_size = Dataset.sample_put d rng in
-    let old_size = Dataset.size_of_key d key in
-    let classify s = if s <= Spec.tiny_max then `Tiny else if s <= Spec.small_max then `Small else `Large in
-    if classify old_size <> classify new_size then
-      Alcotest.failf "PUT changed class: %d -> %d" old_size new_size
-  done
+  let g = Generator.create ~seed:8 d in
+  let puts = ref 0 in
+  for _ = 1 to 20_000 do
+    let r = Generator.next g in
+    if r.Generator.op = Generator.Put then begin
+      incr puts;
+      let old_size = Dataset.size_of_key d r.Generator.key_id in
+      let new_size = r.Generator.item_size in
+      let classify s =
+        if s <= Spec.tiny_max then `Tiny else if s <= Spec.small_max then `Small else `Large
+      in
+      if classify old_size <> classify new_size then
+        Alcotest.failf "PUT changed class: %d -> %d" old_size new_size
+    end
+  done;
+  check bool "PUTs drawn" true (!puts > 500)
 
 let test_dataset_scramble_bijective () =
   (* The zipf-rank -> key-id scrambling must be a bijection: every small
@@ -400,15 +409,27 @@ let test_generator_set_p_large () =
     (fun () -> Generator.set_p_large g 150.0)
 
 let test_generator_wire_bytes () =
+  (* What the simulated server charges a generated request on the wire. *)
   let d = Dataset.create small_spec in
   let g = Generator.create d in
   let r = Generator.next g in
-  let bytes = Generator.request_wire_bytes r ~key_size:8 in
+  let op =
+    match r.Generator.op with
+    | Generator.Get -> Kvserver.Cost_model.Get
+    | Generator.Scan -> Kvserver.Cost_model.Scan
+    | Generator.Put -> Kvserver.Cost_model.Put
+  in
+  let item_size = r.Generator.item_size in
+  let bytes =
+    Netsim.Frame.wire_bytes_for_payload (Kvserver.Cost_model.request_payload op ~item_size)
+  in
   check bool "positive" true (bytes > 0);
   (* A GET request always fits one frame. *)
-  match r.Generator.op with
-  | Generator.Get | Generator.Scan -> check bool "single frame" true (bytes < 1600)
-  | Generator.Put -> ()
+  match op with
+  | Kvserver.Cost_model.Get | Kvserver.Cost_model.Scan ->
+      check int "single frame" 1 (Kvserver.Cost_model.request_frames op ~item_size);
+      check bool "single frame's bytes" true (bytes < 1600)
+  | Kvserver.Cost_model.Put -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Dynamic *)
@@ -423,12 +444,10 @@ let test_dynamic_schedule () =
   check (approx 1e-9) "phase 1" 0.1 (Dynamic.p_large_at sched 0.0);
   check (approx 1e-9) "phase 1 end" 0.1 (Dynamic.p_large_at sched 9.99);
   check (approx 1e-9) "phase 2" 0.5 (Dynamic.p_large_at sched 10.0);
-  check (approx 1e-9) "past end holds" 0.5 (Dynamic.p_large_at sched 100.0);
-  check (Alcotest.list (approx 1e-9)) "boundaries" [ 0.0; 10.0 ]
-    (Dynamic.phase_boundaries sched)
+  check (approx 1e-9) "past end holds" 0.5 (Dynamic.p_large_at sched 100.0)
 
 let test_dynamic_paper_schedule () =
-  let s = Dynamic.paper_schedule in
+  let s = Dynamic.paper_schedule ~phase_us:20e6 in
   check (approx 1e-3) "7 x 20s" (140.0 *. 1e6) (Dynamic.total_duration s);
   check (approx 1e-9) "starts at 0.125" 0.125 (Dynamic.p_large_at s 0.0);
   check (approx 1e-9) "peaks at 0.75" 0.75 (Dynamic.p_large_at s (70.0 *. 1e6));

@@ -1,5 +1,9 @@
+(* A single FIFO transmit line: a transmission occupies the line for
+   [bytes * 8 / rate] µs, starting no earlier than the end of the previous
+   one.  test_txsched checks that the frame-level scheduler degenerates to
+   this model on one queue; test_netsim checks the model itself. *)
+
 type t = {
-  gbps : float;
   us_per_byte : float;
   mutable busy_until : float;
   mutable busy_accum : float; (* µs spent transmitting since last reset *)
@@ -9,10 +13,9 @@ type t = {
 let create ~gbps =
   if not (gbps > 0.0) then invalid_arg "Txlink.create: rate must be > 0";
   (* bytes -> µs: 8 bits / (gbps * 1e9 bits/s) = 8e-3 / gbps µs per byte. *)
-  { gbps; us_per_byte = 8.0e-3 /. gbps; busy_until = 0.0; busy_accum = 0.0; total_bytes = 0 }
+  { us_per_byte = 8.0e-3 /. gbps; busy_until = 0.0; busy_accum = 0.0; total_bytes = 0 }
 
-let gbps t = t.gbps
-
+(* Enqueue [bytes] on the wire; returns the completion time. *)
 let transmit t ~now ~bytes =
   if bytes < 0 then invalid_arg "Txlink.transmit: negative size";
   let start = Float.max now t.busy_until in
@@ -22,14 +25,14 @@ let transmit t ~now ~bytes =
   t.total_bytes <- t.total_bytes + bytes;
   t.busy_until
 
-let busy_until t = t.busy_until
-
 let total_bytes t = t.total_bytes
 
+(* Fraction of [elapsed] µs the line spent transmitting, in [0, 1]. *)
 let utilization t ~elapsed =
   if not (elapsed > 0.0) then invalid_arg "Txlink.utilization: elapsed must be > 0";
   Float.min 1.0 (t.busy_accum /. elapsed)
 
+(* Zero the counters without forgetting the current line occupancy. *)
 let reset_counters t =
   t.busy_accum <- 0.0;
   t.total_bytes <- 0
