@@ -191,32 +191,44 @@ let engine_of_spec (s : Spec.t) =
                    (f *. float_of_int (Workload.Dataset.total_value_bytes dataset))))
             mem_fraction
         in
-        let res = Kvserver.Residency.create ?ttl_us ?budget_bytes dataset in
+        let res =
+          Kvserver.Residency.create ?ttl_us ?budget_bytes
+            ?sweep_us:sc.Workload.Scenario.sweep_us dataset
+        in
         ignore (Kvserver.Residency.populate res ~now:0.0);
         Some res
   in
-  let sweep_us =
-    match residency with None -> None | Some _ -> sc.Workload.Scenario.sweep_us
-  in
   (* Where the requests come from.  The engine never draws from [gen]
-     when it has a timed trace or a source, so a replayed trace sees the
-     same engine streams as a generated run. *)
-  let timed, source =
+     when it replays a trace, so a replayed trace sees the same engine
+     streams as a generated run. *)
+  let intake =
     match s.Spec.trace with
-    | Some trace when Workload.Trace.timed trace -> (Some trace, None)
     | Some trace ->
-        let next = Workload.Trace.replayer ~loop:true trace in
-        (None, Some (fun () -> Option.get (next ())))
+        {
+          Kvserver.Engine.content = Replayed trace;
+          clock = (if Workload.Trace.timed trace then Recorded else Poisson pacing);
+        }
     | None when sc.Workload.Scenario.replay ->
-        ( Some
-            (Workload.Scenario.capture ~seed:(s.Spec.seed + 211) sc dataset
-               ~rate_mops:s.Spec.offered_mops
-               ~n:(capture_n ~offered_mops:s.Spec.offered_mops cfg)),
-          None )
-    | None -> (None, None)
+        if Option.is_some s.Spec.dynamic then
+          invalid_arg
+            "Experiment.run_spec: a dynamic phase plan varies the generator, which the \
+             replay scenario's timed trace replaces";
+        (* The capture carries the scenario's arrival process. *)
+        {
+          content =
+            Replayed
+              (Workload.Scenario.capture ~seed:(s.Spec.seed + 211) sc dataset
+                 ~rate_mops:s.Spec.offered_mops
+                 ~n:(capture_n ~offered_mops:s.Spec.offered_mops cfg));
+          clock = Recorded;
+        }
+    | None ->
+        {
+          content = Generated { dynamic = s.Spec.dynamic; keep = None };
+          clock = Poisson pacing;
+        }
   in
-  Kvserver.Engine.create ?dynamic:s.Spec.dynamic ?source ?pacing ?timed ?residency
-    ?sweep_us ?obs:s.Spec.obs ?fault:s.Spec.fault cfg gen
+  Kvserver.Engine.create ~intake ?residency ?obs:s.Spec.obs ?fault:s.Spec.fault cfg gen
     ~offered_mops:s.Spec.offered_mops
 
 let run_spec (s : Spec.t) =

@@ -78,41 +78,6 @@ module Zipf = struct
     1.0 /. (Float.pow (float_of_int (k + 1)) t.theta *. t.zetan)
 end
 
-module Alias = struct
-  type t = { prob : float array; alias : int array }
-
-  let create weights =
-    let k = Array.length weights in
-    if k = 0 then invalid_arg "Alias.create: empty weights";
-    Array.iter
-      (fun w -> if w < 0.0 then invalid_arg "Alias.create: negative weight")
-      weights;
-    let total = Array.fold_left ( +. ) 0.0 weights in
-    if not (total > 0.0) then invalid_arg "Alias.create: total weight must be > 0";
-    let scaled = Array.map (fun w -> w *. float_of_int k /. total) weights in
-    let prob = Array.make k 0.0 in
-    let alias = Array.make k 0 in
-    let small = Queue.create () and large = Queue.create () in
-    Array.iteri
-      (fun i p -> if p < 1.0 then Queue.add i small else Queue.add i large)
-      scaled;
-    while (not (Queue.is_empty small)) && not (Queue.is_empty large) do
-      let s = Queue.pop small and l = Queue.pop large in
-      prob.(s) <- scaled.(s);
-      alias.(s) <- l;
-      scaled.(l) <- scaled.(l) +. scaled.(s) -. 1.0;
-      if scaled.(l) < 1.0 then Queue.add l small else Queue.add l large
-    done;
-    Queue.iter (fun i -> prob.(i) <- 1.0) small;
-    Queue.iter (fun i -> prob.(i) <- 1.0) large;
-    { prob; alias }
-
-  let sample t rng =
-    let k = Array.length t.prob in
-    let i = Rng.int rng k in
-    if Rng.unit_float rng < t.prob.(i) then i else t.alias.(i)
-end
-
 let uniform_int_in rng ~lo ~hi =
   if hi < lo then invalid_arg "Dist.uniform_int_in: empty range";
   lo + Rng.int rng (hi - lo + 1)

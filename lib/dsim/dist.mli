@@ -38,21 +38,5 @@ module Zipf : sig
       calls it, as the exact distribution {!sample} is checked against. *)
 end
 
-module Alias : sig
-  (** Vose's alias method: O(1) sampling from an arbitrary finite discrete
-      distribution after O(k) preprocessing.  No production code samples
-      through it (the workload draws keys with {!Zipf} and sizes from its
-      classes); only test_dsim calls it.  Deleting it also deletes
-      test_dsim's three alias cases, so it is left for a later change. *)
-
-  type t
-
-  val create : float array -> t
-  (** [create weights] normalizes [weights] (all [>= 0], at least one
-      [> 0]) into a distribution over indices [0, length). *)
-
-  val sample : t -> Rng.t -> int
-end
-
 val uniform_int_in : Rng.t -> lo:int -> hi:int -> int
 (** Uniform integer in the inclusive range \[lo, hi\]. *)

@@ -402,11 +402,7 @@ let on_arrive t =
     Workload.Generator.next_into g;
     let r = take t.reqs in
     t.requests <- t.requests + 1;
-    r.op <-
-      (match Workload.Generator.last_op g with
-      | Workload.Generator.Get -> Cost.Get
-      | Workload.Generator.Scan -> Cost.Scan (* a read: hedgeable like a GET *)
-      | Workload.Generator.Put -> Cost.Put);
+    r.op <- Workload.Generator.last_op g;
     r.key <- Workload.Generator.last_key_id g;
     r.size <- Workload.Generator.last_item_size g;
     r.large <- Workload.Generator.last_is_large g;
@@ -415,6 +411,7 @@ let on_arrive t =
     r.state <- Pending;
     r.last <- -1;
     Proto.Retry.Budget.earn t.budget;
+    (* a SCAN is a read: hedgeable like a GET *)
     if r.op = Cost.Put then handle_put t r else handle_get t r;
     let dt = Rng.exponential t.arrival_rng ~mean:t.mean_iat_us in
     Sim.schedule_call_after t.sim dt ~tag:t.tag_arrive ~i:0 ~j:0

@@ -46,11 +46,28 @@ type partial = {
   count : int;
   parts : bytes option array;
   mutable received : int;
+  born : int; (* admission order, so the oldest partial goes first *)
 }
 
-type reassembler = (int64, partial) Hashtbl.t
+(* A sender whose messages never complete (first fragments only) would
+   otherwise grow the table without bound; at the bound the oldest
+   partial is discarded to admit a new one. *)
+let max_pending = 64
 
-let create_reassembler () = Hashtbl.create 16
+type reassembler = { partials : (int64, partial) Hashtbl.t; mutable admitted : int }
+
+let create_reassembler () = { partials = Hashtbl.create 16; admitted = 0 }
+
+(* Linear in [max_pending], and only reached when a new partial meets a
+   full table. *)
+let discard_oldest t =
+  let oldest =
+    Hashtbl.fold
+      (fun id p acc ->
+        match acc with Some (_, born) when born <= p.born -> acc | _ -> Some (id, p.born))
+      t.partials None
+  in
+  Option.iter (fun (id, _) -> Hashtbl.remove t.partials id) oldest
 
 let offer t datagram =
   let len = Bytes.length datagram in
@@ -62,17 +79,19 @@ let offer t datagram =
     let count = Bytes.get_uint16_le datagram 11 in
     let plen = Bytes.get_uint16_le datagram 13 in
     if count = 0 || index >= count || len < header_size + plen then None
-    else if count = 1 && not (Hashtbl.mem t msg_id) then
+    else if count = 1 && not (Hashtbl.mem t.partials msg_id) then
       (* A whole message in one datagram: nothing to reassemble. *)
       Some (msg_id, Bytes.sub datagram header_size plen)
     else begin
       let partial =
-        match Hashtbl.find_opt t msg_id with
+        match Hashtbl.find_opt t.partials msg_id with
         | Some p when p.count = count -> Some p
         | Some _ -> None (* conflicting fragment count: drop *)
         | None ->
-            let p = { count; parts = Array.make count None; received = 0 } in
-            Hashtbl.add t msg_id p;
+            if Hashtbl.length t.partials >= max_pending then discard_oldest t;
+            let p = { count; parts = Array.make count None; received = 0; born = t.admitted } in
+            t.admitted <- t.admitted + 1;
+            Hashtbl.add t.partials msg_id p;
             Some p
       in
       match partial with
@@ -84,7 +103,7 @@ let offer t datagram =
               p.parts.(index) <- Some (Bytes.sub datagram header_size plen);
               p.received <- p.received + 1);
           if p.received = p.count then begin
-            Hashtbl.remove t msg_id;
+            Hashtbl.remove t.partials msg_id;
             let total =
               Array.fold_left
                 (fun acc part ->
@@ -106,4 +125,4 @@ let offer t datagram =
     end
   end
 
-let pending t = Hashtbl.length t
+let pending t = Hashtbl.length t.partials

@@ -41,7 +41,15 @@ val create_reassembler : unit -> reassembler
 val offer : reassembler -> bytes -> (int64 * bytes) option
 (** Feed one received datagram.  Returns [Some (msg_id, message)] when this
     datagram completes a message.  Malformed or duplicate fragments are
-    ignored ([None]).  Fragments of different messages may interleave. *)
+    ignored ([None]).  Fragments of different messages may interleave.
+    At most {!max_pending} messages are buffered part-way: the first
+    fragment of one more discards the oldest partial message and the
+    fragments it held, so its remaining fragments alone never complete
+    it. *)
+
+val max_pending : int
+(** The bound on partially reassembled messages per reassembler (64).
+    Only test_proto reads it, to check that a flood stays under it. *)
 
 val pending : reassembler -> int
 (** Number of partially reassembled messages currently buffered.  Only

@@ -33,7 +33,7 @@ let default =
 
 let key_size = 8
 
-type op = Get | Put | Scan
+type op = Workload.Generator.op = Get | Put | Scan
 
 (* For a SCAN, [item_size] is the total bytes of the scanned range: the
    reply carries them all, so the per-byte and per-frame terms below price

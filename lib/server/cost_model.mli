@@ -35,7 +35,9 @@ val default : t
 val key_size : int
 (** Constant 8-byte keys (§5.3). *)
 
-type op = Get | Put | Scan
+type op = Workload.Generator.op = Get | Put | Scan
+(** The generator's operation type, re-exported so a drawn request's op
+    is the engine's without a conversion. *)
 
 val reply_payload : op -> item_size:int -> int
 (** Encoded reply bytes: GET (and SCAN) replies carry the value bytes —

@@ -45,6 +45,20 @@ type pacing = {
   next_change : float -> float;
 }
 
+(* The engine's own arrivals: what each one carries and when it comes. *)
+type content =
+  | Generated of {
+      dynamic : Workload.Dynamic.t option;
+      keep : (now:float -> Workload.Generator.t -> bool) option;
+    }
+  | Replayed of Workload.Trace.t
+
+type clock = Poisson of pacing option | Recorded
+
+type intake = { content : content; clock : clock }
+
+let generated = { content = Generated { dynamic = None; keep = None }; clock = Poisson None }
+
 type design = {
   name : string;
   dispatch : request -> int;
@@ -74,18 +88,10 @@ type t = {
       (* [None] for a caller-fed engine: arrivals come from [submit] *)
   mutable design : design;
   dataset : Workload.Dataset.t;
-  key_names : string array;
-      (* materialized key strings, only when a real store is attached *)
-  source : (unit -> Workload.Generator.request) option;
-  pacing : pacing option;
-  timed : Workload.Trace.t option;
-      (* replay requests at their recorded timestamps (overrides the
-         Poisson arrival loop; [source]/[pacing] are ignored) *)
-  dynamic : Workload.Dynamic.t option;
-  store : Kvstore.Store.t option;
+  intake : intake; (* the engine's own arrivals; unused when caller-fed *)
+  mean_gap_us : float; (* unpaced Poisson mean gap, 1 / offered_mops *)
   residency : Residency.t option;
       (* TTL/eviction model for scenario runs; [None] on the plain path *)
-  sweep_us : float option; (* background expiry-sweep period *)
   nic : int Netsim.Nic.t;
       (* RX queues carry pool slots, not request pointers: int queues keep
          [Fifo] push/pop free of the pointer-store write barrier, which is
@@ -113,6 +119,8 @@ type t = {
   mutable resume : int -> unit;
   mutable tag_resume : int;
   mutable tag_service : int;
+  mutable tag_arrive : int;
+  mutable tag_deliver : int;
   (* Per-core accounting as parallel arrays: float stores into a float
      array don't box, unlike stores into a mixed record's float field. *)
   core_ops : int array;
@@ -137,7 +145,6 @@ type t = {
       (* forked from the sim only when residency is attached, after the
          three streams above — plain runs fork exactly as before, so
          every pre-scenario golden stays byte-identical *)
-  put_value : bytes; (* scratch buffer reused for real-store writes *)
   mutable probe : (core:int -> request -> unit) option;
   obs : Obs.Instrument.t option;
   fault : Fault.Inject.t option;
@@ -336,25 +343,6 @@ let corrupt_threshold t threshold =
 let lost t = t.lost
 let core_ops_live t = t.core_ops
 
-let touch_real_store t req =
-  match t.store with
-  | None -> ()
-  | Some store -> (
-      let key = t.key_names.(req.key_id) in
-      match req.op with
-      | Cost_model.Get -> ignore (Kvstore.Store.size_of store key)
-      | Cost_model.Scan ->
-          (* Fidelity touch only: the simulated scan's bytes/frames come
-             from the dataset; real ordered iteration is exercised by
-             {!Kvstore.Store.scan} in the runtime server and tests. *)
-          ignore (Kvstore.Store.size_of store key)
-      | Cost_model.Put ->
-          (* Write a small marker value: materializing multi-hundred-KB
-             values for every simulated PUT would swamp the run without
-             changing the queueing behaviour; real value handling is
-             exercised by the KV tests and examples. *)
-          Kvstore.Store.put store ~guard:`Lock key t.put_value)
-
 (* Set the class bit of latency sample [i], growing the bitmap by
    doubling (new bytes zeroed: unmarked samples are small). *)
 let mark_large t i =
@@ -402,7 +390,6 @@ let tx_done t slot finish_time =
 
 let complete t req ~core ~tx_queue =
   let slot = req.slot in
-  touch_real_store t req;
   (* §6.4: under reply sampling the server does all the processing but
      sends only a fraction of the replies; throughput counts processed
      operations, latency is measured on delivered replies. *)
@@ -510,6 +497,25 @@ let execute t ~core ~tx_queue ~extra_cpu req =
   end
   else serve t ~core ~tx_queue ~extra_cpu req
 
+(* Final delivery step, after any fault fate was applied: tail-drop when
+   the RX ring (possibly squeezed by the plan) is full, else enqueue and
+   wake the design. *)
+let deliver t (req : request) =
+  let queue = req.rx_queue in
+  let cap =
+    match t.fault with
+    | None -> t.rx_cap
+    | Some f -> min t.rx_cap (Fault.Inject.rx_capacity f ~queue ~now:(Dsim.Sim.now t.sim))
+  in
+  if cap < max_int && Netsim.Fifo.length (Netsim.Nic.rx t.nic queue) >= cap then begin
+    t.rx_dropped <- t.rx_dropped + 1;
+    retire t req Rx_dropped
+  end
+  else begin
+    Netsim.Nic.deliver t.nic ~queue req.slot;
+    t.design.on_arrival ~queue
+  end
+
 let validate_common ~server cfg =
   if server < 0 then invalid_arg "Engine.create: server must be >= 0";
   match Config.validate cfg with
@@ -527,8 +533,8 @@ let expected_samples cfg ~offered_mops =
   let mean = offered_mops *. (cfg.Config.duration_us -. cfg.Config.warmup_us) in
   if not (mean > 0.0) then 1 else int_of_float (Float.ceil (mean +. (6.0 *. sqrt mean))) + 256
 
-let build ?dynamic ?store ?source ?pacing ?timed ?residency ?sweep_us ?obs ?fault ~server
-    ~sim ~gen ~dataset cfg ~offered_mops =
+let build ?(intake = generated) ?residency ?obs ?fault ~server ~sim ~gen ~dataset cfg
+    ~offered_mops =
   let pool_init = 256 in
   let samples = expected_samples cfg ~offered_mops in
   let t =
@@ -538,18 +544,9 @@ let build ?dynamic ?store ?source ?pacing ?timed ?residency ?sweep_us ?obs ?faul
       gen;
       design = no_design;
       dataset;
-      key_names =
-        (match store with
-        | None -> [||]
-        | Some _ ->
-            Array.init (Workload.Dataset.n_keys dataset) Workload.Dataset.key_name);
-      source;
-      pacing;
-      timed;
-      dynamic;
-      store;
+      intake;
+      mean_gap_us = 1.0 /. offered_mops;
       residency;
-      sweep_us;
       nic = Netsim.Nic.create ~queues:cfg.Config.cores ~dummy:(-1);
       tx =
         (* placeholder, replaced below once [t] exists for the completion
@@ -570,6 +567,8 @@ let build ?dynamic ?store ?source ?pacing ?timed ?residency ?sweep_us ?obs ?faul
       resume = ignore;
       tag_resume = -1;
       tag_service = -1;
+      tag_arrive = -1;
+      tag_deliver = -1;
       core_ops = Array.make cfg.Config.cores 0;
       core_packets = Array.make cfg.Config.cores 0;
       core_busy_us = Array.make cfg.Config.cores 0.0;
@@ -590,7 +589,6 @@ let build ?dynamic ?store ?source ?pacing ?timed ?residency ?sweep_us ?obs ?faul
       sampling_rng = Dsim.Sim.fork_rng sim;
       dispatch_rng = Dsim.Sim.fork_rng sim;
       eviction_rng = Dsim.Rng.create 0 (* replaced below iff residency *);
-      put_value = Bytes.create 16;
       probe = None;
       obs;
       fault;
@@ -626,29 +624,25 @@ let build ?dynamic ?store ?source ?pacing ?timed ?residency ?sweep_us ?obs ?faul
       ~on_complete:(fun token finish_time -> tx_done t token finish_time);
   t.tag_resume <- Dsim.Sim.register_handler sim (fun core _ -> t.resume core);
   t.tag_service <- Dsim.Sim.register_handler sim (fun slot j -> service_done t slot j);
+  t.tag_deliver <- Dsim.Sim.register_handler sim (fun slot _ -> deliver t t.pool.(slot));
   t
 
-let create ?dynamic ?store ?source ?pacing ?timed ?residency ?sweep_us ?obs ?fault
-    ?(server = 0) cfg gen ~offered_mops =
+(* Every intake the engine cannot honour is refused by name. *)
+let validate_intake { content; clock } =
+  let refuse msg = invalid_arg ("Engine.create: " ^ msg) in
+  match (content, clock) with
+  | Replayed trace, _ when Workload.Trace.length trace = 0 -> refuse "replayed trace is empty"
+  | Generated _, Recorded ->
+      refuse "a recorded clock replays a trace's timestamps; generated content has none"
+  | Replayed trace, Recorded when not (Workload.Trace.timed trace) ->
+      refuse "a recorded clock needs a timestamped trace"
+  | (Generated _ | Replayed _), (Poisson _ | Recorded) -> ()
+
+let create ?intake ?residency ?obs ?fault ?(server = 0) cfg gen ~offered_mops =
   validate_common ~server cfg;
   if not (offered_mops > 0.0) then invalid_arg "Engine.create: offered_mops must be > 0";
-  (match timed with
-  | Some trace when not (Workload.Trace.timed trace) ->
-      invalid_arg "Engine.create: timed replay needs a timestamped trace"
-  | Some trace when Workload.Trace.length trace = 0 ->
-      invalid_arg "Engine.create: timed trace is empty"
-  | Some _ | None -> ());
-  (match sweep_us with
-  | Some s when not (s > 0.0) ->
-      invalid_arg "Engine.create: sweep_us must be positive"
-  | Some _ | None -> ());
-  (match (dynamic, source, timed) with
-  | Some _, Some _, _ | Some _, _, Some _ ->
-      invalid_arg
-        "Engine.create: a dynamic phase plan varies the generator, which a source or a \
-         timed trace replaces"
-  | _ -> ());
-  build ?dynamic ?store ?source ?pacing ?timed ?residency ?sweep_us ?obs ?fault ~server
+  Option.iter validate_intake intake;
+  build ?intake ?residency ?obs ?fault ~server
     ~sim:(Dsim.Sim.create ~seed:cfg.Config.seed ())
     ~gen:(Some gen) ~dataset:(Workload.Generator.dataset gen) cfg ~offered_mops
 
@@ -672,27 +666,8 @@ let fill_request t req op ~key_id ~item_size ~is_large ~scan_len =
 let raw_latencies t = t.latencies
 let windowed t = t.windowed
 
-(* Final delivery step, after any fault fate was applied: tail-drop when
-   the RX ring (possibly squeezed by the plan) is full, else enqueue and
-   wake the design. *)
-let deliver t (req : request) =
-  let queue = req.rx_queue in
-  let cap =
-    match t.fault with
-    | None -> t.rx_cap
-    | Some f -> min t.rx_cap (Fault.Inject.rx_capacity f ~queue ~now:(Dsim.Sim.now t.sim))
-  in
-  if cap < max_int && Netsim.Fifo.length (Netsim.Nic.rx t.nic queue) >= cap then begin
-    t.rx_dropped <- t.rx_dropped + 1;
-    retire t req Rx_dropped
-  end
-  else begin
-    Netsim.Nic.deliver t.nic ~queue req.slot;
-    t.design.on_arrival ~queue
-  end
-
-(* Dispatch + issue accounting + fault fate, shared by the Poisson
-   arrival loop, the timed-trace pump and [submit]. *)
+(* Dispatch + issue accounting + fault fate, shared by the engine's own
+   arrivals and [submit]. *)
 let admit t (req : request) =
   let queue = t.design.dispatch req in
   req.rx_queue <- queue;
@@ -716,7 +691,7 @@ let admit t (req : request) =
           deliver t req
       | Fault.Inject.Reorder ->
           let d = Fault.Inject.reorder_delay_us f ~queue ~now:(Dsim.Sim.now t.sim) in
-          Dsim.Sim.schedule_after t.sim d (fun () -> deliver t req))
+          Dsim.Sim.schedule_call_after t.sim d ~tag:t.tag_deliver ~i:req.slot ~j:0)
 
 let submit t ~tag op ~key_id ~item_size ~is_large ~scan_len =
   if not (fed t) then invalid_arg "Engine.submit: engine runs its own arrivals";
@@ -728,112 +703,79 @@ let submit t ~tag op ~key_id ~item_size ~is_large ~scan_len =
   admit t req;
   slot
 
-(* The engine's own arrivals: a Poisson loop over the generator (or a
-   replayed source), or a timed trace at its recorded times. *)
-let start_arrivals t gen =
-  let cfg = t.cfg in
-  let mean_gap = 1.0 /. t.offered_mops (* µs between arrivals at X Mops *) in
-  (* Arrivals are a typed event too: the generator loop is one event per
-     request, so the closure-payload path would pay two pointer stores
-     (write barrier) per arrival for the same one handler. *)
-  let tag_arrive = ref (-1) in
-  let arrive () =
-    let arrive_now = Dsim.Sim.now t.sim in
-    if arrive_now < cfg.Config.duration_us then begin
-      match t.pacing with
-      | Some p when p.rate_at arrive_now <= 0.0 ->
-          (* Parked: the engine serves no traffic in the current routing
-             interval.  Nothing is generated and no RNG stream advances,
-             so the draws made inside active intervals are identical to
-             those of an engine that was never parked. *)
-          let wake = p.next_change arrive_now in
-          if wake < cfg.Config.duration_us then
-            Dsim.Sim.schedule_call_after t.sim (wake -. arrive_now)
-              ~tag:!tag_arrive ~i:0 ~j:0
-      | pacing ->
-      let req = alloc_req t in
-      (match t.source with
-      | Some next ->
-          let g = next () in
-          let op =
-            match g.Workload.Generator.op with
-            | Workload.Generator.Get -> Cost_model.Get
-            | Workload.Generator.Put -> Cost_model.Put
-            | Workload.Generator.Scan -> Cost_model.Scan
-          in
-          fill_request t req op ~key_id:g.Workload.Generator.key_id
-            ~item_size:g.Workload.Generator.item_size
-            ~is_large:g.Workload.Generator.is_large
-            ~scan_len:g.Workload.Generator.scan_len
-      | None ->
-          (match t.dynamic with
-          | Some sched ->
-              Workload.Generator.set_p_large gen
-                (Workload.Dynamic.p_large_at sched (Dsim.Sim.now t.sim))
-          | None -> ());
-          Workload.Generator.next_into gen;
-          let op =
-            match Workload.Generator.last_op gen with
-            | Workload.Generator.Get -> Cost_model.Get
-            | Workload.Generator.Put -> Cost_model.Put
-            | Workload.Generator.Scan -> Cost_model.Scan
-          in
-          fill_request t req op
-            ~key_id:(Workload.Generator.last_key_id gen)
-            ~item_size:(Workload.Generator.last_item_size gen)
-            ~is_large:(Workload.Generator.last_is_large gen)
-            ~scan_len:(Workload.Generator.last_scan_len gen));
-      admit t req;
-      let mean =
-        match pacing with None -> mean_gap | Some p -> 1.0 /. p.rate_at arrive_now
-      in
-      Dsim.Sim.schedule_call_after t.sim
-        (Dsim.Rng.exponential t.arrival_rng ~mean)
-        ~tag:!tag_arrive ~i:0 ~j:0
-    end
-  in
-  tag_arrive := Dsim.Sim.register_handler t.sim (fun _ _ -> arrive ());
-  (* Timed-trace replay: each recorded request is injected at its recorded
-     offset from the trace start (re-based to the run's origin), looping
-     with a re-base each lap so the recorded rate carries across the
-     seam.  A typed event with the trace index as operand — no per-request
-     closure. *)
-  (match t.timed with
-  | None -> Dsim.Sim.schedule_call_after t.sim 0.0 ~tag:!tag_arrive ~i:0 ~j:0
-  | Some trace ->
-      let reqs = Workload.Trace.requests trace in
+(* Redraw until the filter accepts: the draw lives in the generator's
+   [last_*] scratch, so a rejected draw allocates nothing. *)
+let rec draw_kept gen keep ~now =
+  Workload.Generator.next_into gen;
+  if not (keep ~now gen) then draw_kept gen keep ~now
+
+(* The gap from a recorded arrival [i] to the next; the last one is
+   followed by the next lap's first, one mean gap later, so the recorded
+   rate carries across the seam. *)
+let recorded_gap t i =
+  match t.intake.content with
+  | Generated _ -> assert false (* refused by [validate_intake] *)
+  | Replayed trace ->
       let ts = Workload.Trace.timestamps trace in
-      let n = Array.length reqs in
-      let t0 = ts.(0) in
-      let span =
-        if n = 1 then 1.0
-        else (ts.(n - 1) -. t0) *. float_of_int n /. float_of_int (n - 1)
-      in
-      let tag_replay = ref (-1) in
-      let pump i =
-        if Dsim.Sim.now t.sim < cfg.Config.duration_us then begin
-          let r = reqs.(i) in
-          let req = alloc_req t in
-          let op =
-            match r.Workload.Generator.op with
-            | Workload.Generator.Get -> Cost_model.Get
-            | Workload.Generator.Put -> Cost_model.Put
-            | Workload.Generator.Scan -> Cost_model.Scan
-          in
-          fill_request t req op ~key_id:r.Workload.Generator.key_id
-            ~item_size:r.Workload.Generator.item_size
-            ~is_large:r.Workload.Generator.is_large
-            ~scan_len:r.Workload.Generator.scan_len;
-          admit t req;
-          let gap =
-            if i + 1 < n then ts.(i + 1) -. ts.(i) else span -. (ts.(n - 1) -. t0)
-          in
-          Dsim.Sim.schedule_call_after t.sim gap ~tag:!tag_replay ~i:((i + 1) mod n)
-            ~j:0
-        end
-      in
-      tag_replay := Dsim.Sim.register_handler t.sim (fun i _ -> pump i);
-      Dsim.Sim.schedule_call_after t.sim 0.0 ~tag:!tag_replay ~i:0 ~j:0)
+      let n = Array.length ts in
+      if i + 1 < n then ts.(i + 1) -. ts.(i)
+      else
+        let t0 = ts.(0) in
+        let span =
+          if n = 1 then 1.0 else (ts.(n - 1) -. t0) *. float_of_int n /. float_of_int (n - 1)
+        in
+        span -. (ts.(n - 1) -. t0)
+
+(* The engine's own arrivals, one typed event each (the closure-payload
+   path would pay two pointer stores, a write barrier, per arrival).  The
+   operand [i] is the replayed trace's index (0 for generated content);
+   it carries unchanged through a parked interval, so nothing is drawn or
+   skipped while the engine serves no traffic. *)
+let arrive t gen i =
+  let now = Dsim.Sim.now t.sim in
+  if now < t.cfg.Config.duration_us then
+    match t.intake.clock with
+    | Poisson (Some p) when p.rate_at now <= 0.0 ->
+        (* Parked: no RNG stream advances, so the draws made inside
+           active intervals are those of an engine never parked. *)
+        let wake = p.next_change now in
+        if wake < t.cfg.Config.duration_us then
+          Dsim.Sim.schedule_call_after t.sim (wake -. now) ~tag:t.tag_arrive ~i ~j:0
+    | clock ->
+        let req = alloc_req t in
+        let next =
+          match t.intake.content with
+          | Generated { dynamic; keep } ->
+              (match dynamic with
+              | Some plan ->
+                  Workload.Generator.set_p_large gen (Workload.Dynamic.p_large_at plan now)
+              | None -> ());
+              (match keep with
+              | None -> Workload.Generator.next_into gen
+              | Some keep -> draw_kept gen keep ~now);
+              fill_request t req (Workload.Generator.last_op gen)
+                ~key_id:(Workload.Generator.last_key_id gen)
+                ~item_size:(Workload.Generator.last_item_size gen)
+                ~is_large:(Workload.Generator.last_is_large gen)
+                ~scan_len:(Workload.Generator.last_scan_len gen);
+              0
+          | Replayed trace ->
+              let reqs = Workload.Trace.requests trace in
+              let r = reqs.(i) in
+              fill_request t req r.Workload.Generator.op ~key_id:r.Workload.Generator.key_id
+                ~item_size:r.Workload.Generator.item_size
+                ~is_large:r.Workload.Generator.is_large
+                ~scan_len:r.Workload.Generator.scan_len;
+              (i + 1) mod Array.length reqs
+        in
+        admit t req;
+        let gap =
+          match clock with
+          | Poisson None -> Dsim.Rng.exponential t.arrival_rng ~mean:t.mean_gap_us
+          | Poisson (Some p) -> Dsim.Rng.exponential t.arrival_rng ~mean:(1.0 /. p.rate_at now)
+          | Recorded -> recorded_gap t i
+        in
+        Dsim.Sim.schedule_call_after t.sim gap ~tag:t.tag_arrive ~i:next ~j:0
 
 let start t make_design =
   let design = make_design t in
@@ -841,7 +783,11 @@ let start t make_design =
   let cfg = t.cfg in
   (* A caller-fed engine has no arrival loop: requests come from
      [submit]. *)
-  Option.iter (start_arrivals t) t.gen;
+  Option.iter
+    (fun gen ->
+      t.tag_arrive <- Dsim.Sim.register_handler t.sim (fun i _ -> arrive t gen i);
+      Dsim.Sim.schedule_call_after t.sim 0.0 ~tag:t.tag_arrive ~i:0 ~j:0)
+    t.gen;
   let rec epoch () =
     if Dsim.Sim.now t.sim < cfg.Config.duration_us then begin
       design.on_epoch ();
@@ -862,17 +808,20 @@ let start t make_design =
   (* Background expiry sweep: a chunked cursor walk per period, sized to
      cover the resident set a few times per run without a stop-the-world
      pass. *)
-  (match (t.residency, t.sweep_us) with
-  | Some res, Some period ->
-      let rec sweep () =
-        if Dsim.Sim.now t.sim < cfg.Config.duration_us then begin
-          let chunk = max 1024 (Residency.resident res / 4) in
-          ignore (Residency.sweep_step res ~now:(Dsim.Sim.now t.sim) ~chunk);
+  (match t.residency with
+  | Some res -> (
+      match Residency.sweep_us res with
+      | Some period ->
+          let rec sweep () =
+            if Dsim.Sim.now t.sim < cfg.Config.duration_us then begin
+              let chunk = max 1024 (Residency.resident res / 4) in
+              ignore (Residency.sweep_step res ~now:(Dsim.Sim.now t.sim) ~chunk);
+              Dsim.Sim.schedule_after t.sim period sweep
+            end
+          in
           Dsim.Sim.schedule_after t.sim period sweep
-        end
-      in
-      Dsim.Sim.schedule_after t.sim period sweep
-  | (Some _ | None), _ -> ());
+      | None -> ())
+  | None -> ());
   (match t.obs with
   | Some { Obs.Instrument.timeline = Some tl; _ } ->
       let rec tick () =

@@ -1,7 +1,8 @@
 (** Shared simulation harness underneath every server design.
 
-    The engine owns the clock, the open-loop Poisson clients, the NIC (RX
-    queues + TX line), the per-core accounting and the latency recorders.
+    The engine owns the clock, the open-loop clients (its {!intake}), the
+    NIC (RX queues + TX line), the per-core accounting and the latency
+    recorders.
     A {!design} supplies the scheduling policy: where an incoming request
     is aimed (client-side dispatch), what each core does next, and what
     happens on a control-loop epoch.
@@ -39,7 +40,7 @@ type request = {
 type t
 
 (** Time-varying offered load, for elastic-resharding runs
-    ({!Shardmgr}).  [rate_at now] is the offered rate (Mops) at simulated
+    ({!Shardmgr}) and diurnal or burst scenarios.  [rate_at now] is the offered rate (Mops) at simulated
     time [now]; [next_change now] is the next time the rate changes.
     Both must be pure functions of [now], piecewise-constant between
     changes.  While [rate_at] is [0.0] the arrival loop parks until
@@ -50,6 +51,40 @@ type pacing = {
   rate_at : float -> float;
   next_change : float -> float;
 }
+
+(** {2 Intake}
+
+    An engine built with {!create} brings its own requests in, one typed
+    simulator event per arrival, from an intake that pairs a {!content}
+    with a {!clock}.  Every pairing is either a run or refused by name at
+    {!create}. *)
+
+(** What each arrival carries. *)
+type content =
+  | Generated of {
+      dynamic : Workload.Dynamic.t option;
+          (** varies the generator's p_large over time (§6.6) *)
+      keep : (now:float -> Workload.Generator.t -> bool) option;
+          (** a thinning filter: the engine redraws until [keep ~now gen]
+              accepts the draw, which [gen]'s [last_*] accessors hold
+              (elastic-resharding runs keep what the routing table sends
+              to this server at [now]) *)
+    }
+      (** the engine's generator *)
+  | Replayed of Workload.Trace.t
+      (** the trace's requests in order, cycled by index *)
+
+(** When each arrival comes. *)
+type clock =
+  | Poisson of pacing option
+      (** exponential gaps at [offered_mops], or at the pacing's rate of
+          the moment *)
+  | Recorded
+      (** a timestamped trace's recorded offsets from its first request,
+          re-based each lap so the recorded rate carries across the seam;
+          needs [Replayed] content *)
+
+type intake = { content : content; clock : clock }
 
 (** The policy interface a server design implements. *)
 type design = {
@@ -64,13 +99,8 @@ type design = {
 }
 
 val create :
-  ?dynamic:Workload.Dynamic.t ->
-  ?store:Kvstore.Store.t ->
-  ?source:(unit -> Workload.Generator.request) ->
-  ?pacing:pacing ->
-  ?timed:Workload.Trace.t ->
+  ?intake:intake ->
   ?residency:Residency.t ->
-  ?sweep_us:float ->
   ?obs:Obs.Instrument.t ->
   ?fault:Fault.Inject.t ->
   ?server:int ->
@@ -79,27 +109,19 @@ val create :
   offered_mops:float ->
   t
 (** [create cfg gen ~offered_mops] prepares a run at the given arrival rate
-    (million ops/s).  [dynamic] varies the generator's p_large over time
-    (§6.6).  [store] routes every simulated operation through a real
-    {!Kvstore.Store} (used by examples and integration tests; the store
-    must already contain the dataset's keys).  [source] overrides the
-    generator as the supplier of request descriptors — e.g. a looping
-    {!Workload.Trace.replayer} for trace-driven simulation.  [pacing]
-    makes the offered rate time-varying (reshard and diurnal/burst
-    scenario runs); [offered_mops] then only labels the metrics.  [timed]
-    replays a {e timestamped} trace at its recorded arrival times
-    (looping, re-based each lap), overriding the Poisson arrival loop
-    entirely — [source] and [pacing] are ignored; raises
-    [Invalid_argument] on an untimed or empty trace.  [dynamic] drives
-    the generator, so it is refused ([Invalid_argument]) together with
-    [source] or [timed].
+    (million ops/s).  [intake] is where the engine's arrivals come from
+    (default: the generator, unfiltered, at Poisson arrivals of
+    [offered_mops]); with a pacing or a recorded clock,
+    [offered_mops] only labels the metrics and sizes the latency record.
+    Raises [Invalid_argument] on an empty replayed trace and on a
+    [Recorded] clock over generated content or an untimed trace.
     [residency] attaches the TTL/eviction model ({!Residency}): GETs that
     find no live item become not-found replies counted in
     [Metrics.expired_misses], PUTs (re)load their key and evict under the
     memory budget (from an RNG stream forked only when residency is
-    attached, so plain runs are byte-identical to pre-scenario builds);
-    [sweep_us] additionally schedules the chunked background expiry sweep
-    at that period.  [obs] attaches a flight recorder: arrivals are
+    attached, so plain runs are byte-identical to pre-scenario builds),
+    and the model's sweep period, if it has one, schedules the chunked
+    background expiry sweep.  [obs] attaches a flight recorder: arrivals are
     sampled into spans (from the recorder's own RNG stream, so attaching
     it perturbs no simulation randomness), the engine records RX-enqueue /
     service / TX / end-to-end timestamps, per-core timeline samples and
@@ -120,6 +142,7 @@ val attach :
 (** [attach sim cfg dataset] builds a {e caller-fed} engine on a shared
     simulator: it runs no arrival loop of its own, the caller brings each
     request in with {!submit} and learns its end through {!set_retire}.
+    It is the only other way in beside an intake.
     Several engines may share one [sim] (the hedged replica cluster,
     {!Kvhedge.Cluster}); each forks its RNG streams from it in attach
     order, and [cfg.seed] is unused.  The caller owns request latency: a
@@ -182,8 +205,8 @@ val run : t -> (t -> design) -> Metrics.t
     [start] + [Dsim.Sim.run] to [cfg.duration_us] + [finish]. *)
 
 val start : t -> (t -> design) -> unit
-(** Build the design and schedule the engine's own events: its arrival
-    loop (unless caller-fed), control epochs, expiry sweep, timeline
+(** Build the design and schedule the engine's own events: its first
+    arrival (unless caller-fed), control epochs, expiry sweep, timeline
     sampling and the warm-up counter reset.  Nothing runs until the
     simulator does. *)
 

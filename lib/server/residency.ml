@@ -13,6 +13,7 @@ type t = {
   dataset : Workload.Dataset.t;
   ttl_us : float; (* infinity = no TTL *)
   budget_bytes : int; (* max_int = no memory budget *)
+  sweep_us : float option; (* background expiry-sweep period *)
   expire_at : float array; (* per key id; nan = not resident *)
   last_access : float array; (* per resident key id *)
   resident_ids : int array; (* dense prefix of length [resident] *)
@@ -29,14 +30,18 @@ type t = {
 
 let evict_sample = 5
 
-let create ?(ttl_us = infinity) ?(budget_bytes = max_int) dataset =
+let create ?(ttl_us = infinity) ?(budget_bytes = max_int) ?sweep_us dataset =
   if ttl_us <= 0.0 then invalid_arg "Residency.create: ttl_us must be positive";
   if budget_bytes <= 0 then invalid_arg "Residency.create: budget_bytes must be positive";
+  (match sweep_us with
+  | Some s when not (s > 0.0) -> invalid_arg "Residency.create: sweep_us must be positive"
+  | Some _ | None -> ());
   let n = Workload.Dataset.n_keys dataset in
   {
     dataset;
     ttl_us;
     budget_bytes;
+    sweep_us;
     expire_at = Array.make n nan;
     last_access = Array.make n 0.0;
     resident_ids = Array.make n 0;
@@ -157,6 +162,7 @@ let sweep_step t ~now ~chunk =
   !reclaimed
 
 let resident t = t.resident
+let sweep_us t = t.sweep_us
 
 let mem_used t = t.mem_used
 

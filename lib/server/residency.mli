@@ -13,8 +13,12 @@
 
 type t
 
-val create : ?ttl_us:float -> ?budget_bytes:int -> Workload.Dataset.t -> t
-(** Defaults: no TTL ([infinity]), no memory budget ([max_int]). *)
+val create : ?ttl_us:float -> ?budget_bytes:int -> ?sweep_us:float -> Workload.Dataset.t -> t
+(** Defaults: no TTL ([infinity]), no memory budget ([max_int]), no
+    background sweep.  [sweep_us] is the period of the chunked expiry
+    sweep the engine schedules for this model; a sweep belongs to a
+    residency model, so an engine without one has none.  Raises
+    [Invalid_argument] on a non-positive TTL, budget or sweep period. *)
 
 val populate : t -> now:float -> int
 (** Load keys in id order until the budget is reached; returns the number
@@ -34,6 +38,9 @@ val sweep_step : t -> now:float -> chunk:int -> int
     lapsed ones; returns the number reclaimed. *)
 
 val resident : t -> int
+
+val sweep_us : t -> float option
+(** The background sweep period given to {!create}, if any. *)
 
 (** The counters below are read only by test_scenarios, which checks the
     residency model's accounting with them. *)

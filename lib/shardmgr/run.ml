@@ -78,6 +78,13 @@ let split_p99 ~width ~migrations series =
     series;
   (!mig, !steady)
 
+(* Whether the table routes the generator's last draw to server [s] at
+   [now]: the engine's per-arrival thinning filter, allocation-free. *)
+let routed table s ~now gen =
+  Table.routes_to table ~now
+    ~get:(Workload.Generator.last_op gen = Workload.Generator.Get)
+    ~key:(Workload.Generator.last_key_id gen) s
+
 let run ?(seed = 1) ?fault ?instrument ?(map = fun f xs -> List.map f xs) ~cfg
     ~design ~workload ~table () =
   let n = Table.n_servers table in
@@ -91,23 +98,18 @@ let run ?(seed = 1) ?fault ?instrument ?(map = fun f xs -> List.map f xs) ~cfg
         ~get_ratio:workload.Workload.Spec.get_ratio dataset
     in
     (* Thin the shared stream down to what the table routes to [s] at
-       the request's arrival time.  The engine's clock is only known
-       after [create]; the filter reads it through a reference. *)
-    let sim_now = ref (fun () -> 0.0) in
-    let rec source () =
-      let r = Workload.Generator.next gen in
-      let now = !sim_now () in
-      if
-        Table.routes_to table ~now
-          ~get:(r.Workload.Generator.op = Workload.Generator.Get)
-          ~key:r.Workload.Generator.key_id s
-      then r
-      else source ()
-    in
-    let pacing =
+       the request's arrival time, at the table's rate for [s]. *)
+    let intake =
       {
-        Kvserver.Engine.rate_at = (fun now -> Table.rate_at table ~now s);
-        next_change = (fun now -> Table.next_change table ~now);
+        Kvserver.Engine.content =
+          Generated { dynamic = None; keep = Some (routed table s) };
+        clock =
+          Poisson
+            (Some
+               {
+                 rate_at = (fun now -> Table.rate_at table ~now s);
+                 next_change = (fun now -> Table.next_change table ~now);
+               });
       }
     in
     let cfg_s = { cfg with Kvserver.Config.seed = cfg.Kvserver.Config.seed + seed + (97 * s) } in
@@ -122,10 +124,9 @@ let run ?(seed = 1) ?fault ?instrument ?(map = fun f xs -> List.map f xs) ~cfg
        satisfy create's positivity check. *)
     let label = Float.max 1e-9 (Table.avg_rate table s) in
     let eng =
-      Kvserver.Engine.create ~source ~pacing ?obs ?fault:fault_inj ~server:s
-        cfg_s gen ~offered_mops:label
+      Kvserver.Engine.create ~intake ?obs ?fault:fault_inj ~server:s cfg_s gen
+        ~offered_mops:label
     in
-    sim_now := (fun () -> Dsim.Sim.now (Kvserver.Engine.sim eng));
     let m = Kvserver.Engine.run eng (Kvserver.Design.make design) in
     let windows =
       match Kvserver.Engine.windowed eng with

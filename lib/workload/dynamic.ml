@@ -20,13 +20,13 @@ let paper_schedule ~phase_us =
 let total_duration t =
   Array.fold_left (fun acc p -> acc +. p.duration_us) 0.0 t.phases
 
-let p_large_at t time =
-  let n = Array.length t.phases in
-  let rec go i acc =
-    if i >= n then t.phases.(n - 1).p_large
-    else begin
-      let acc' = acc +. t.phases.(i).duration_us in
-      if time < acc' then t.phases.(i).p_large else go (i + 1) acc'
-    end
-  in
-  go 0 0.0
+(* Top-level recursion, not a local closure: this runs per arrival. *)
+let rec phase_at phases time i acc =
+  let n = Array.length phases in
+  if i >= n then phases.(n - 1).p_large
+  else begin
+    let acc' = acc +. phases.(i).duration_us in
+    if time < acc' then phases.(i).p_large else phase_at phases time (i + 1) acc'
+  end
+
+let p_large_at t time = phase_at t.phases time 0 0.0

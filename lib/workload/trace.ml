@@ -170,22 +170,6 @@ let load path =
       in
       if with_ts then of_timed reqs ts_us else of_requests reqs)
 
-let replayer ?(loop = false) t =
-  let trace = t.reqs in
-  let pos = ref 0 in
-  fun () ->
-    if Array.length trace = 0 then None
-    else if !pos < Array.length trace then begin
-      let r = trace.(!pos) in
-      incr pos;
-      Some r
-    end
-    else if loop then begin
-      pos := 1;
-      Some trace.(0)
-    end
-    else None
-
 let size_percentile t q =
   if length t = 0 then invalid_arg "Trace.size_percentile: empty trace";
   let sizes =

@@ -45,11 +45,6 @@ val load : string -> t
     unsupported version, truncation, trailing garbage, bad opcode, or a
     size field that is negative or absurdly large. *)
 
-val replayer : ?loop:bool -> t -> unit -> Generator.request option
-(** [replayer trace] returns a pull function yielding the trace in order;
-    [loop] (default false) restarts from the beginning instead of
-    returning [None] at the end.  Ignores timestamps. *)
-
 (** Offline analysis *)
 
 val size_percentile : t -> float -> float

@@ -235,51 +235,6 @@ let prop_zipf_zeta_exact =
       zipf_matches_oracle ~run n theta)
 
 (* ------------------------------------------------------------------ *)
-(* Dist.Alias *)
-
-let test_alias_empirical () =
-  let weights = [| 1.0; 3.0; 6.0 |] in
-  let a = Dist.Alias.create weights in
-  let r = Rng.create 31 in
-  let n = 200_000 in
-  let counts = Array.make 3 0 in
-  for _ = 1 to n do
-    let v = Dist.Alias.sample a r in
-    counts.(v) <- counts.(v) + 1
-  done;
-  Array.iteri
-    (fun i w ->
-      let expected = w /. 10.0 in
-      let got = float_of_int counts.(i) /. float_of_int n in
-      if abs_float (got -. expected) > 0.01 then
-        Alcotest.failf "alias cell %d: %.3f vs %.3f" i got expected)
-    weights
-
-let test_alias_validation () =
-  Alcotest.check_raises "empty" (Invalid_argument "Alias.create: empty weights")
-    (fun () -> ignore (Dist.Alias.create [||]));
-  Alcotest.check_raises "negative"
-    (Invalid_argument "Alias.create: negative weight") (fun () ->
-      ignore (Dist.Alias.create [| 1.0; -1.0 |]));
-  Alcotest.check_raises "zero total"
-    (Invalid_argument "Alias.create: total weight must be > 0") (fun () ->
-      ignore (Dist.Alias.create [| 0.0; 0.0 |]))
-
-let prop_alias_in_range =
-  QCheck.Test.make ~name:"alias samples in range" ~count:100
-    QCheck.(list_of_size Gen.(1 -- 10) (float_bound_inclusive 10.0))
-    (fun ws ->
-      QCheck.assume (List.exists (fun w -> w > 0.0) ws);
-      let a = Dist.Alias.create (Array.of_list ws) in
-      let r = Rng.create 1 in
-      let k = List.length ws in
-      List.for_all
-        (fun _ ->
-          let v = Dist.Alias.sample a r in
-          v >= 0 && v < k)
-        (List.init 100 Fun.id))
-
-(* ------------------------------------------------------------------ *)
 (* Heap *)
 
 let test_heap_ordering () =
@@ -505,12 +460,6 @@ let () =
           Alcotest.test_case "single key" `Quick test_zipf_single_key;
         ]
         @ qsuite [ prop_zipf_zeta_exact ] );
-      ( "alias",
-        [
-          Alcotest.test_case "empirical distribution" `Slow test_alias_empirical;
-          Alcotest.test_case "validation" `Quick test_alias_validation;
-        ]
-        @ qsuite [ prop_alias_in_range ] );
       ( "heap",
         [
           Alcotest.test_case "ordering" `Quick test_heap_ordering;

@@ -64,24 +64,6 @@ let test_trace_load_rejects_garbage () =
       | _ -> Alcotest.fail "expected failure"
       | exception Failure _ -> ())
 
-let test_trace_replayer () =
-  let t = make_trace 5 in
-  let next = Workload.Trace.replayer t in
-  let reqs = Workload.Trace.requests t in
-  for i = 0 to 4 do
-    match next () with
-    | Some r ->
-        check int (Printf.sprintf "record %d" i) reqs.(i).Workload.Generator.key_id
-          r.Workload.Generator.key_id
-    | None -> Alcotest.fail "ended early"
-  done;
-  check bool "exhausted" true (next () = None);
-  (* Looping replayer wraps around. *)
-  let next = Workload.Trace.replayer ~loop:true t in
-  for _ = 1 to 12 do
-    if next () = None then Alcotest.fail "looping replayer must not end"
-  done
-
 let test_trace_offline_threshold_matches_online () =
   (* The §6.2 workflow: the threshold derived offline from a trace must
      agree with what the online controller converges to. *)
@@ -155,7 +137,6 @@ let () =
           Alcotest.test_case "capture" `Quick test_trace_capture;
           Alcotest.test_case "save/load roundtrip" `Quick test_trace_save_load_roundtrip;
           Alcotest.test_case "rejects garbage" `Quick test_trace_load_rejects_garbage;
-          Alcotest.test_case "replayer" `Quick test_trace_replayer;
           Alcotest.test_case "offline threshold" `Slow
             test_trace_offline_threshold_matches_online;
           Alcotest.test_case "stats" `Quick test_trace_stats;

@@ -307,6 +307,42 @@ let test_garbage_datagrams_ignored () =
   check bool "bad magic" true (Fragment.offer r junk = None);
   check int "no partials" 0 (Fragment.pending r)
 
+let test_partials_bounded () =
+  (* A flood of first fragments, each of a distinct two-fragment message,
+     never completes anything: the table holds at most [max_pending]
+     partials, discarding the oldest first. *)
+  let r = Fragment.create_reassembler () in
+  let msg = Bytes.init (Fragment.max_fragment_payload + 10) (fun i -> Char.chr (i land 0xFF)) in
+  let frags id = Fragment.split ~msg_id:(Int64.of_int id) msg in
+  let flood = 3 * Fragment.max_pending in
+  for id = 0 to flood - 1 do
+    (match Fragment.offer r (List.hd (frags id)) with
+    | None -> ()
+    | Some _ -> Alcotest.fail "a first fragment completed a message");
+    if Fragment.pending r > Fragment.max_pending then
+      Alcotest.failf "%d partials buffered, bound %d" (Fragment.pending r) Fragment.max_pending
+  done;
+  check int "table full" Fragment.max_pending (Fragment.pending r);
+  (* Message 0 was discarded: its second fragment alone completes nothing. *)
+  check bool "discarded message never completes" true
+    (Fragment.offer r (List.nth (frags 0) 1) = None);
+  (* The newest partial survived the flood and still completes. *)
+  (match Fragment.offer r (List.nth (frags (flood - 1)) 1) with
+  | Some (id, out) ->
+      check Alcotest.int64 "newest id" (Int64.of_int (flood - 1)) id;
+      check Alcotest.bytes "newest payload" msg out
+  | None -> Alcotest.fail "the newest partial should complete");
+  (* A later message, sent whole, reassembles as usual. *)
+  let later = Bytes.init 5000 (fun i -> Char.chr ((i * 3) land 0xFF)) in
+  let final =
+    List.fold_left
+      (fun _ f -> Fragment.offer r f)
+      None
+      (Fragment.split ~msg_id:1_000_000L later)
+  in
+  check (Alcotest.option Alcotest.bytes) "later message" (Some later) (Option.map snd final);
+  check bool "still bounded" true (Fragment.pending r <= Fragment.max_pending)
+
 let prop_fragment_roundtrip =
   QCheck.Test.make ~name:"fragment/reassemble roundtrip, shuffled" ~count:100
     QCheck.(pair (string_of_size Gen.(0 -- 20_000)) small_nat)
@@ -502,6 +538,7 @@ let () =
             test_reassembly_out_of_order_and_interleaved;
           Alcotest.test_case "duplicates ignored" `Quick test_duplicate_fragments_ignored;
           Alcotest.test_case "garbage ignored" `Quick test_garbage_datagrams_ignored;
+          Alcotest.test_case "partials bounded, oldest discarded" `Quick test_partials_bounded;
           Alcotest.test_case "end-to-end large put" `Quick test_end_to_end_large_put;
           Alcotest.test_case "framed in place = split" `Quick
             test_frame_in_place_matches_split;

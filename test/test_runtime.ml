@@ -808,6 +808,55 @@ let test_udp_malformed_dropped () =
             (Kvstore.Store.get store "k");
           check int "only the GET was served" (before + 1) (served udp)))
 
+(* A well-formed SCAN over UDP carries its entry count as a 4-byte
+   little-endian value.  It is served: [Ok] over a populated range,
+   [Not_found] past the last key.  A count above 0xFFFFFF is malformed and
+   dropped unserved. *)
+let test_udp_scan () =
+  let base_port = 49611 in
+  with_udp ~base_port (fun udp _client _store ->
+      let sock = raw_socket () in
+      Fun.protect
+        ~finally:(fun () -> Unix.close sock)
+        (fun () ->
+          let rpc = raw_rpc sock ~port:base_port in
+          List.iteri
+            (fun i key ->
+              ignore (rpc ~id:(Int64.of_int (i + 1)) Proto.Wire.Put key (Some (Bytes.of_string key))))
+            [ "s1"; "s2"; "s3" ];
+          let count n =
+            let b = Bytes.create 4 in
+            Bytes.set_int32_le b 0 (Int32.of_int n);
+            b
+          in
+          let status r =
+            match r.Proto.Wire.status with
+            | Proto.Wire.Ok -> "Ok"
+            | Proto.Wire.Not_found -> "Not_found"
+            | Proto.Wire.Overloaded -> "Overloaded"
+          in
+          let before = served udp in
+          check Alcotest.string "a populated range" "Ok"
+            (status (rpc ~id:10L Proto.Wire.Scan "s" (Some (count 2))));
+          check int "the SCAN was served" (before + 1) (served udp);
+          check Alcotest.string "past the last key" "Not_found"
+            (status (rpc ~id:11L Proto.Wire.Scan "t" (Some (count 2))));
+          check int "the empty SCAN was served" (before + 2) (served udp);
+          raw_send sock ~port:base_port
+            {
+              Proto.Wire.id = 12L;
+              op = Proto.Wire.Scan;
+              key = "s";
+              value = Some (count 0x1000000);
+              client_ts = 0L;
+              target_rx = 0;
+            };
+          (* The same queue reads datagrams in order: this reply comes
+             after the oversized SCAN was read. *)
+          check Alcotest.string "the GET after it" "Ok"
+            (status (rpc ~id:13L Proto.Wire.Get "s1" None));
+          check int "the oversized SCAN was dropped" (before + 3) (served udp)))
+
 (* An [Overloaded] reply is not cached: the retransmission runs again. *)
 let test_udp_overloaded_not_cached () =
   let base_port = 49211 in
@@ -1048,6 +1097,7 @@ let () =
             test_udp_replays_mutations_only;
           Alcotest.test_case "overloaded not cached" `Quick test_udp_overloaded_not_cached;
           Alcotest.test_case "malformed requests dropped" `Quick test_udp_malformed_dropped;
+          Alcotest.test_case "SCAN served, oversized count dropped" `Quick test_udp_scan;
           Alcotest.test_case "no torn reads" `Quick test_udp_no_torn_reads;
           Alcotest.test_case "GET allocates no value copy" `Quick test_udp_get_allocation;
           Alcotest.test_case "idle poll allocates nothing" `Quick

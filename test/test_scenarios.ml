@@ -441,18 +441,29 @@ let test_trace_conflicts_refused () =
         (quick_point default
         |> Minos.Experiment.Spec.with_trace untimed
         |> Minos.Experiment.Spec.with_dynamic plan));
+  refused_naming [ "dynamic phase plan"; "replay" ] (fun () ->
+      Minos.Experiment.run_spec (quick_point cold |> Minos.Experiment.Spec.with_dynamic plan));
+  (* At the engine, a dynamic plan belongs to generated content, so it
+     cannot be paired with a trace at all; what remains to refuse is a
+     recorded clock without recorded offsets, and an empty trace. *)
   let gen = Workload.Scenario.generator ~seed:1 default dataset in
-  let next = Workload.Trace.replayer ~loop:true untimed in
-  refused_naming [ "dynamic phase plan"; "source" ] (fun () ->
-      Kvserver.Engine.create ~dynamic:plan
-        ~source:(fun () -> Option.get (next ()))
-        (quick_cfg ()) gen ~offered_mops:2.0);
-  let timed_default =
-    Workload.Scenario.capture ~seed:3 default dataset ~rate_mops:2.0 ~n:1_000
+  let create intake () =
+    Kvserver.Engine.create ~intake (quick_cfg ()) gen ~offered_mops:2.0
   in
-  refused_naming [ "dynamic phase plan"; "timed trace" ] (fun () ->
-      Kvserver.Engine.create ~dynamic:plan ~timed:timed_default (quick_cfg ()) gen
-        ~offered_mops:2.0)
+  refused_naming [ "recorded clock"; "generated content" ]
+    (create
+       {
+         Kvserver.Engine.content = Generated { dynamic = Some plan; keep = None };
+         clock = Recorded;
+       });
+  refused_naming [ "recorded clock"; "timestamped trace" ]
+    (create { Kvserver.Engine.content = Replayed untimed; clock = Recorded });
+  refused_naming [ "replayed trace is empty" ]
+    (create
+       {
+         Kvserver.Engine.content = Replayed (Workload.Trace.of_timed [||] [||]);
+         clock = Poisson None;
+       })
 
 let test_trace_key_ids_checked () =
   (* A trace captured over a larger dataset than the replaying scenario's

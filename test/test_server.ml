@@ -403,6 +403,66 @@ let test_sho_handoff_bottleneck () =
   check bool "sho saturates first" true
     ((not sho.Metrics.stable) || sho.Metrics.p99_us > minos.Metrics.p99_us)
 
+(* A replayed trace arrives in order and is cycled by index: under a
+   Poisson clock at any gaps, under its recorded clock at its recorded
+   offsets from the first request, re-based each lap one mean gap after
+   the last.  A probe design sees every arrival at dispatch. *)
+let test_replayed_trace_in_order () =
+  let dataset = Workload.Dataset.create mini_spec in
+  let reqs =
+    Array.init 5 (fun i ->
+        {
+          Workload.Generator.op = Workload.Generator.Get;
+          key_id = 100 + i;
+          item_size = Workload.Dataset.size_of_key dataset (100 + i);
+          is_large = false;
+          scan_len = 0;
+        })
+  in
+  let ts = [| 10.0; 15.0; 40.0; 41.0; 100.0 |] in
+  let arrivals clock trace =
+    let seen = ref [] in
+    let probe eng =
+      {
+        Engine.name = "probe";
+        dispatch =
+          (fun req ->
+            seen := (req.Engine.key_id, Engine.now eng) :: !seen;
+            0);
+        on_arrival = (fun ~queue:_ -> ());
+        on_epoch = ignore;
+        large_core_count = (fun () -> 0);
+        current_threshold = (fun () -> Float.nan);
+      }
+    in
+    let cfg = { mini_cfg with Config.duration_us = 1_000.0; warmup_us = 0.0 } in
+    let eng =
+      Engine.create
+        ~intake:{ Engine.content = Replayed trace; clock }
+        cfg (Workload.Generator.create dataset) ~offered_mops:0.1
+    in
+    ignore (Engine.run eng probe);
+    Array.of_list (List.rev !seen)
+  in
+  let in_order what seen =
+    check bool (what ^ ": wrapped around") true (Array.length seen > 2 * Array.length reqs);
+    Array.iteri
+      (fun i (key, _) ->
+        check int
+          (Printf.sprintf "%s: arrival %d" what i)
+          reqs.(i mod 5).Workload.Generator.key_id key)
+      seen
+  in
+  in_order "poisson" (arrivals (Engine.Poisson None) (Workload.Trace.of_timed reqs ts));
+  let recorded = arrivals Engine.Recorded (Workload.Trace.of_timed reqs ts) in
+  in_order "recorded" recorded;
+  (* The lap is the recorded span plus one mean gap: 90 * 5 / 4. *)
+  Array.iteri
+    (fun i (_, at) ->
+      let expect = (float_of_int (i / 5) *. 112.5) +. ts.(i mod 5) -. ts.(0) in
+      check (Alcotest.float 1e-9) (Printf.sprintf "recorded arrival %d" i) expect at)
+    recorded
+
 let test_dynamic_adapts_large_cores () =
   let schedule =
     Workload.Dynamic.create
@@ -412,7 +472,13 @@ let test_dynamic_adapts_large_cores () =
   let cfg = { mini_cfg with Config.duration_us = 120_000.0; warmup_us = 0.0 } in
   let dataset = Workload.Dataset.create mini_spec in
   let gen = Workload.Generator.create dataset in
-  let eng = Engine.create ~dynamic:schedule cfg gen ~offered_mops:2.0 in
+  let intake =
+    {
+      Engine.content = Generated { dynamic = Some schedule; keep = None };
+      clock = Poisson None;
+    }
+  in
+  let eng = Engine.create ~intake cfg gen ~offered_mops:2.0 in
   let m = Engine.run eng (Design.make Design.minos) in
   (* After the switch to pL=0.75 the controller must raise n_large. *)
   let early =
@@ -728,25 +794,6 @@ let test_latency_breakdown () =
   check bool "HoL lives in the queue-wait stage" true
     (hkh.Metrics.mean_queue_wait_us > 5.0 *. minos.Metrics.mean_queue_wait_us)
 
-let test_engine_with_real_store () =
-  (* Route simulated ops through a real Kvstore.Store. *)
-  let spec = { mini_spec with Workload.Spec.n_keys = 2_000; n_large_keys = 8 } in
-  let dataset = Workload.Dataset.create spec in
-  let store = Kvstore.Store.create ~partition_bits:3 ~bucket_bits:8
-      ~value_arena_bytes:(1 lsl 22) ()
-  in
-  for id = 0 to Workload.Dataset.n_keys dataset - 1 do
-    (* Store a marker value; sizes live in the dataset. *)
-    Kvstore.Store.put store ~guard:`Lock (Workload.Dataset.key_name id)
-      (Bytes.create 8)
-  done;
-  let gen = Workload.Generator.create dataset in
-  let cfg = { mini_cfg with Config.duration_us = 20_000.0; warmup_us = 5_000.0 } in
-  let eng = Engine.create ~store cfg gen ~offered_mops:1.0 in
-  let m = Engine.run eng (Design.make Design.minos) in
-  check bool "ran" true (m.Metrics.completed > 0);
-  check bool "store intact" true ((Kvstore.Store.stats store).Kvstore.Store.items = 2_000)
-
 let test_windowed_series () =
   let cfg = { mini_cfg with Config.window_us = Some 10_000.0 } in
   let m = run_design ~cfg (Design.make Design.hkh) in
@@ -805,7 +852,7 @@ let () =
             test_engine_throughput_tracks_offered;
           Alcotest.test_case "latencies sane" `Quick test_engine_latencies_sane;
           Alcotest.test_case "windowed series" `Quick test_windowed_series;
-          Alcotest.test_case "real store integration" `Quick test_engine_with_real_store;
+          Alcotest.test_case "replayed trace in order" `Quick test_replayed_trace_in_order;
           Alcotest.test_case "no epoch during run" `Quick test_minos_no_epoch_during_run;
           Alcotest.test_case "minimal core count" `Quick test_minimal_core_count;
           Alcotest.test_case "batch size one" `Quick test_batch_size_one;
