@@ -1,10 +1,11 @@
-(* Interprocedural analyzer driver:
+(* Static checker command line:
      minos_analyze --roots FILE --allow FILE CMT_DIR...
-   Loads every implementation .cmt under the given directories, builds
-   the whole-program call graph, and proves the hot roots allocation-
-   free and the deterministic sinks taint-free.  Exit 0 iff both proofs
-   hold and no allowlist/roots entry is stale; the `@analyze` dune
-   alias runs it over the install tree. *)
+   Loads every implementation .cmt under the given directories, checks
+   each unit against the per-unit bans, builds the whole-program call
+   graph, and proves the hot roots allocation-free and the
+   deterministic sinks taint-free.  Exit 0 iff no unreviewed finding
+   remains, every .cmt was readable and no allowlist/roots entry is
+   stale; the `@analyze` dune alias runs it over the install tree. *)
 
 let usage = "minos_analyze [--roots FILE] [--allow FILE] CMT_DIR..."
 

@@ -1,14 +1,15 @@
-(* Reviewed exceptions for analyzer findings, same contract as
-   lint_allow.txt: every entry must match at least one live finding or
-   the build fails (stale entries rot into blanket waivers).
+(* Reviewed exceptions for analyzer findings: every entry must match at
+   least one live finding or the build fails (stale entries rot into
+   blanket waivers).
 
    Line format:
 
      <containing-function> <category>[:<ident>]   # justification
 
    where <containing-function> is the function the finding site lives
-   in (the last element of the witness path) and <category> is the
-   finding category, optionally pinned to the ident detail.  Example:
+   in (the last element of the witness path; a ban finding's own
+   function, or its unit) and <category> is the finding category,
+   optionally pinned to the ident detail.  Example:
 
      Dsim__Sim.dispatch_head unknown-callee   # handler-table dispatch *)
 

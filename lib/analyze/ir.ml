@@ -104,6 +104,29 @@ type func = {
   taints : taint list;
 }
 
+(* ------------------------------------------------------------------ *)
+(* Findings *)
+
+type finding = {
+  category : string;
+      (** e.g. ["alloc-closure"], ["unknown-callee"], ["taint"],
+          ["ban-wallclock"] *)
+  ident : string;  (** detail label; second half of the allowlist key *)
+  message : string;
+  fsite_ : site;  (** where the offending site is *)
+  root : string;
+      (** the root that reaches it; for a ban, the function it sits in *)
+  witness : (string * site) list;
+      (** call path, root first: [(function, call-site-into-next)] *)
+}
+
+let allow_keys f =
+  (* An allowlist entry may name just the category, or pin the detail. *)
+  [ f.category; f.category ^ ":" ^ f.ident ]
+
+(* ------------------------------------------------------------------ *)
+(* Whole program *)
+
 (* Module-alias facts harvested from the whole program.  [Plain] covers
    dune's generated alias units ([module Sim = Dsim__Sim]) and ordinary
    aliases; [Apply] records a functor instantiation, which resolution
@@ -119,6 +142,9 @@ type program = {
   functor_params : (string, string list) Hashtbl.t;
       (** functor path -> parameter names, in order *)
   packed : (string, unit) Hashtbl.t;  (** module paths packed as first-class values *)
+  mutable bans : finding list;
+      (** per-unit ban findings, each attributed to its containing
+          function (the unit, for module-level code) *)
   mutable units : string list;  (** compilation units scanned, for reporting *)
 }
 
@@ -128,22 +154,7 @@ let create_program () =
     aliases = Hashtbl.create 256;
     functor_params = Hashtbl.create 16;
     packed = Hashtbl.create 16;
+    bans = [];
     units = [];
   }
 
-(* ------------------------------------------------------------------ *)
-(* Findings *)
-
-type finding = {
-  category : string;  (** e.g. ["alloc-closure"], ["unknown-callee"], ["taint"] *)
-  ident : string;  (** detail label; second half of the allowlist key *)
-  message : string;
-  fsite_ : site;  (** where the offending site is *)
-  root : string;  (** the root that reaches it *)
-  witness : (string * site) list;
-      (** call path, root first: [(function, call-site-into-next)] *)
-}
-
-let allow_keys f =
-  (* An allowlist entry may name just the category, or pin the detail. *)
-  [ f.category; f.category ^ ":" ^ f.ident ]

@@ -11,13 +11,15 @@ type unit_info = {
 }
 
 let rec cmt_files path =
-  match Sys.is_directory path with
-  | true ->
-      Sys.readdir path |> Array.to_list |> List.sort String.compare
-      |> List.concat_map (fun name -> cmt_files (Filename.concat path name))
-  | false -> if Filename.check_suffix path ".cmt" then [ path ] else []
-  | exception Sys_error _ -> []
+  if Sys.is_directory path then
+    Sys.readdir path |> Array.to_list |> List.sort String.compare
+    |> List.concat_map (fun name -> cmt_files (Filename.concat path name))
+  else if Filename.check_suffix path ".cmt" then [ path ]
+  else []
 
+(* [Ok None] for a .cmt that holds no implementation (a pack, say); a
+   file that cannot be read is an [Error], never a unit quietly left
+   out of the proofs. *)
 let load_cmt path =
   match Cmt_format.read_cmt path with
   | { cmt_annots = Cmt_format.Implementation structure; cmt_modname; cmt_sourcefile; _ }
@@ -25,18 +27,29 @@ let load_cmt path =
       let source =
         match cmt_sourcefile with Some s -> s | None -> cmt_modname
       in
-      Some { modname = cmt_modname; source; structure }
-  | _ -> None
-  | exception _ -> None
+      Ok (Some { modname = cmt_modname; source; structure })
+  | _ -> Ok None
+  | exception e ->
+      Error (Printf.sprintf "unreadable %s: %s" path (Printexc.to_string e))
 
 (* Load every unit under [roots], deduplicating by unit name (the same
-   .cmt can appear both under .objs and in the install tree). *)
+   .cmt can appear both under .objs and in the install tree).  Returns
+   the units and one error per root or .cmt that could not be read. *)
 let load_roots roots =
   let seen = Hashtbl.create 64 in
-  List.concat_map cmt_files roots
-  |> List.filter_map (fun path ->
-         match load_cmt path with
-         | Some u when not (Hashtbl.mem seen u.modname) ->
-             Hashtbl.add seen u.modname ();
-             Some u
-         | _ -> None)
+  let units = ref [] and errors = ref [] in
+  let load path =
+    match load_cmt path with
+    | Ok (Some u) when not (Hashtbl.mem seen u.modname) ->
+        Hashtbl.add seen u.modname ();
+        units := u :: !units
+    | Ok _ -> ()
+    | Error e -> errors := e :: !errors
+  in
+  List.iter
+    (fun root ->
+      match cmt_files root with
+      | paths -> List.iter load paths
+      | exception Sys_error e -> errors := e :: !errors)
+    roots;
+  (List.rev !units, List.rev !errors)

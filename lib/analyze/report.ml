@@ -7,10 +7,17 @@ let pp_witness ppf (w : (string * Ir.site) list) =
       else Format.fprintf ppf "    -> %s (called at %a)@," fn Ir.pp_site site)
     w
 
+(* A ban finding has no witness: it is reported in its containing
+   function whatever reaches it. *)
 let pp_finding ppf (f : Ir.finding) =
-  Format.fprintf ppf "@[<v>%a: [%s] %s: %s@,  root: %s@,  path:@,%a@]"
-    Ir.pp_site f.Ir.fsite_ f.Ir.category f.Ir.ident f.Ir.message f.Ir.root
-    pp_witness f.Ir.witness
+  match f.Ir.witness with
+  | [] ->
+      Format.fprintf ppf "@[<v>%a: [%s] %s: %s@,  in: %s@]" Ir.pp_site
+        f.Ir.fsite_ f.Ir.category f.Ir.ident f.Ir.message f.Ir.root
+  | witness ->
+      Format.fprintf ppf "@[<v>%a: [%s] %s: %s@,  root: %s@,  path:@,%a@]"
+        Ir.pp_site f.Ir.fsite_ f.Ir.category f.Ir.ident f.Ir.message f.Ir.root
+        pp_witness witness
 
 let print_findings ~header findings =
   if findings <> [] then begin

@@ -23,6 +23,10 @@ let env0 = { locals = SMap.empty; unpacked = SMap.empty; lmods = SMap.empty }
 type ctx = {
   prog : Ir.program;
   file : string;
+  hot : bool;  (** the unit lies in a hot directory ({!Tables.is_hot_source}) *)
+  mutable owner : string;
+      (** the function a ban found now is attributed to: the enclosing
+          named function, or the unit for module-level code *)
   mutable gensym : int;  (** for per-site synthetic alias/pack names *)
 }
 
@@ -237,10 +241,59 @@ let eliminable_ref_arg rf (vb : value_binding) body =
       Some arg
   | _ -> None
 
-let check_taint acc name tsite =
-  match Tables.taint_source name with
-  | Some _why -> acc.taints <- { Ir.source = Tables.strip_stdlib name; tsite } :: acc.taints
+(* The stripped dotted name a value path denotes.  The typechecker has
+   already resolved [open]; module aliases, structure-level
+   ([module P = Printf]) or expression-local, are followed here.  A bare
+   binder of the unit itself ([let compare = ...]) names nothing from
+   outside: [None]. *)
+let denoted ctx env ~scopes path =
+  let rec follow fuel scopes name =
+    let head = Tables.module_head name in
+    let target =
+      match SMap.find_opt head env.lmods with
+      | Some (Ir.Plain t) -> Some (t, scopes)
+      | Some (Ir.Apply _) -> None
+      | None ->
+          List.find_map
+            (fun s ->
+              match Hashtbl.find_opt ctx.prog.aliases (s ^ "." ^ head) with
+              | Some (Ir.Plain t, ascopes) -> Some (t, ascopes)
+              | _ -> None)
+            scopes
+    in
+    match target with
+    | Some (t, scopes) when fuel > 0 ->
+        follow (fuel - 1) scopes (t ^ "." ^ suffix_after_head name)
+    | _ -> name
+  in
+  match path with
+  | Path.Pident id when not (Ident.global id) -> None
+  | _ when Ident.global (Path.head path) ->
+      Some (Tables.strip_stdlib (Path.name path))
+  | _ -> Some (Tables.strip_stdlib (follow 10 scopes (Path.name path)))
+
+(* Every value identifier the walk meets is checked twice: as a
+   determinism-taint source (recorded on the function, for the sink
+   traversal) and against the unit's bans (a finding right away). *)
+let check_ident ctx env ~scopes acc path s =
+  match denoted ctx env ~scopes path with
   | None -> ()
+  | Some name -> (
+      if Tables.taint_source name <> None then
+        acc.taints <- { Ir.source = name; tsite = s } :: acc.taints;
+      match Tables.ban ~hot:ctx.hot name with
+      | None -> ()
+      | Some b ->
+          ctx.prog.bans <-
+            {
+              Ir.category = "ban-" ^ b.Tables.rule;
+              ident = name;
+              message = b.Tables.why;
+              fsite_ = s;
+              root = ctx.owner;
+              witness = [];
+            }
+            :: ctx.prog.bans)
 
 (* Resolve a dotted path text through expression-local module aliases.
    [Apply] aliases get a synthetic program-wide alias entry so the graph
@@ -262,7 +315,7 @@ let rec walk ctx ~scopes ~fparams acc env (e : expression) =
   match e.exp_desc with
   | Texp_ident (path, _, vd) -> (
       let name = Path.name path in
-      check_taint acc name (site ctx e);
+      check_ident ctx env ~scopes acc path (site ctx e);
       match vd.Types.val_kind with
       | Types.Val_prim _ -> ()
       | _ ->
@@ -400,9 +453,15 @@ let rec walk ctx ~scopes ~fparams acc env (e : expression) =
                           env.lmods;
                     }
                 | None -> env)
-            | _ ->
+            | Tmod_structure str ->
                 (* A local [module M = struct .. end]: building the module
-                   allocates; calls into it stay conservative. *)
+                   allocates; calls into it stay conservative, but its
+                   body is scanned as a pseudo-module so its identifiers
+                   still meet the bans and its functions are summarized. *)
+                add_alloc acc Ir.Closure "<local-module>" (site ctx e);
+                ignore (scan_pseudo ctx ~scopes ~fparams "local" str : string);
+                env
+            | _ ->
                 add_alloc acc Ir.Closure "<local-module>" (site ctx e);
                 env)
       in
@@ -482,7 +541,7 @@ and walk_apply1 ctx ~scopes ~fparams acc env whole head args =
   (match head.exp_desc with
   | Texp_ident (path, _, vd) -> (
       let name = Path.name path in
-      check_taint acc name s;
+      check_ident ctx env ~scopes acc path s;
       match vd.Types.val_kind with
       | Types.Val_prim p -> (
           if ret_arrow && supplied < p.Primitive.prim_arity then
@@ -541,10 +600,7 @@ and scan_pack ctx ~scopes ~fparams acc mexpr =
   match (unwrap_mod mexpr).mod_desc with
   | Tmod_ident (p, _) -> register_packed ctx (Path.name p)
   | Tmod_structure str ->
-      ctx.gensym <- ctx.gensym + 1;
-      let pseudo = Printf.sprintf "%s.<pack%d>" (List.hd scopes) ctx.gensym in
-      scan_structure ctx ~scopes:(pseudo :: scopes) ~fparams str;
-      register_packed ctx pseudo
+      register_packed ctx (scan_pseudo ctx ~scopes ~fparams "pack" str)
   | Tmod_apply _ | Tmod_apply_unit _ -> (
       match decompose_apply mexpr [] with
       | Some (f, args) ->
@@ -555,6 +611,14 @@ and scan_pack ctx ~scopes ~fparams acc mexpr =
           register_packed ctx key
       | None -> ())
   | _ -> ignore (acc : acc)
+
+(* An anonymous structure inside an expression, scanned under a fresh
+   synthetic module name, which is returned. *)
+and scan_pseudo ctx ~scopes ~fparams tag str =
+  ctx.gensym <- ctx.gensym + 1;
+  let pseudo = Printf.sprintf "%s.<%s%d>" (List.hd scopes) tag ctx.gensym in
+  scan_structure ctx ~scopes:(pseudo :: scopes) ~fparams str;
+  pseudo
 
 (* ------------------------------------------------------------------ *)
 (* Structure scan *)
@@ -568,6 +632,11 @@ and scan_item ctx ~scopes ~fparams item =
       List.iter (scan_binding ctx ~scopes ~fparams) vbs
   | Tstr_module mb -> scan_module ctx ~scopes ~fparams mb
   | Tstr_recmodule mbs -> List.iter (scan_module ctx ~scopes ~fparams) mbs
+  | Tstr_include { incl_mod; _ } -> (
+      (* [include struct .. end]: its items are the enclosing module's. *)
+      match (unwrap_mod incl_mod).mod_desc with
+      | Tmod_structure str -> scan_structure ctx ~scopes ~fparams str
+      | _ -> ())
   | Tstr_eval (e, _) ->
       (* Module-initialization code: not reachable from any hot root,
          but packed modules registered here must still be seen. *)
@@ -581,7 +650,10 @@ and scan_binding ctx ~scopes ~fparams vb =
          || is_arrow vb.vb_expr.exp_type ->
       let fname = List.hd scopes ^ "." ^ Ident.name id in
       let acc = fresh_acc () in
+      let owner = ctx.owner in
+      ctx.owner <- fname;
       walk_fn_spine ctx ~scopes ~fparams acc env0 vb.vb_expr;
+      ctx.owner <- owner;
       let f =
         {
           Ir.fname;
@@ -642,7 +714,15 @@ and scan_module ctx ~scopes ~fparams mb =
 
 let scan_unit (prog : Ir.program) (u : Loader.unit_info) =
   prog.units <- u.modname :: prog.units;
-  let ctx = { prog; file = u.source; gensym = 0 } in
+  let ctx =
+    {
+      prog;
+      file = u.source;
+      hot = Tables.is_hot_source u.source;
+      owner = u.modname;
+      gensym = 0;
+    }
+  in
   scan_structure ctx ~scopes:[ u.modname ] ~fparams:[] u.structure
 
 let scan_units prog units = List.iter (scan_unit prog) units

@@ -220,14 +220,98 @@ let taint_sources =
     ("Gc.counters", "GC counter");
   ]
 
+(* All of global [Random] except the explicitly-threaded state API. *)
+let global_random name =
+  has_prefix ~prefix:"Random." name
+  && not (has_prefix ~prefix:"Random.State." name)
+
 let taint_source name =
   let name = strip_stdlib name in
   match List.assoc_opt name taint_sources with
   | Some why -> Some why
-  | None ->
-      (* All of global [Random] except the explicitly-threaded state API. *)
-      if
-        has_prefix ~prefix:"Random." name
-        && not (has_prefix ~prefix:"Random.State." name)
-      then Some "global Random state"
-      else None
+  | None -> if global_random name then Some "global Random state" else None
+
+(* ------------------------------------------------------------------ *)
+(* Per-unit bans.  Unlike the two traversals, a ban applies to every
+   site in its scope, reachable from a root or not: [Obj] in every unit,
+   the rest in the hot directories below, where formatting allocates,
+   polymorphic compare/hash walk the representation, and global
+   randomness or a wall-clock read breaks the simulator's determinism.
+   Matching is on the stripped dotted name the scanner resolved through
+   [open] and module aliases. *)
+
+let hot_dirs =
+  [
+    "dsim"; "netsim"; "server"; "kv"; "obs"; "stats"; "fault"; "cluster";
+    "shardmgr";
+  ]
+
+(* A unit is hot when its recorded source path, relative or absolute,
+   runs through [lib/<hot dir>/]. *)
+let is_hot_source source =
+  let rec go = function
+    | "lib" :: dir :: (_ :: _ as rest) ->
+        List.mem dir hot_dirs || go (dir :: rest)
+    | _ :: rest -> go rest
+    | [] -> false
+  in
+  go (String.split_on_char '/' source)
+
+type ban = {
+  rule : string;
+  everywhere : bool;  (** [false]: hot units only *)
+  why : string;
+  matches : string -> bool;
+}
+
+(* First match wins, so [obj-magic] shadows [obj-primitive]. *)
+let bans =
+  [
+    {
+      rule = "obj-magic";
+      everywhere = true;
+      why = "unsafe cast defeats the type system";
+      matches = String.equal "Obj.magic";
+    };
+    {
+      rule = "obj-primitive";
+      everywhere = true;
+      why = "unsafe runtime representation access";
+      matches = has_prefix ~prefix:"Obj.";
+    };
+    {
+      rule = "polymorphic-compare";
+      everywhere = false;
+      why = "allocates and walks the representation; use a monomorphic compare";
+      matches = String.equal "compare";
+    };
+    {
+      rule = "polymorphic-hash";
+      everywhere = false;
+      why = "polymorphic hash on the hot path; use a keyed/monomorphic hash";
+      matches = (fun n -> n = "Hashtbl.hash" || n = "Hashtbl.seeded_hash");
+    };
+    {
+      rule = "printf-in-hot-path";
+      everywhere = false;
+      why = "formatting allocates; keep it out of sim/server hot paths";
+      matches =
+        (fun n -> has_prefix ~prefix:"Printf." n || has_prefix ~prefix:"Format." n);
+    };
+    {
+      rule = "global-random";
+      everywhere = false;
+      why = "global Random state breaks determinism; thread a Random.State.t";
+      matches = global_random;
+    };
+    {
+      rule = "wallclock";
+      everywhere = false;
+      why = "wall-clock read; simulated components must use sim time";
+      matches =
+        (fun n -> List.mem n [ "Unix.gettimeofday"; "Unix.time"; "Sys.time" ]);
+    };
+  ]
+
+let ban ~hot name =
+  List.find_opt (fun b -> (hot || b.everywhere) && b.matches name) bans

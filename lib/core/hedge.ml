@@ -132,7 +132,7 @@ let run ?shards ?mirrors ?cores ?hedge_quantile ?detect_us (r : Run.t) =
   in
   let traced = "sizeaware+hedged/kill-server" in
   let job (label, cfg, plan) =
-    let c = Kvhedge.Cluster.create cfg ~dataset ~offered_mops ?plan ~seed () in
+    let c = Kvhedge.Cluster.create cfg ~dataset ~workload ~offered_mops ?plan ~seed () in
     (* The traced variant's kill / recover / hedge-delay instants go on
        one pseudo-process's decision track. *)
     let ins =

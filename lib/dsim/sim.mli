@@ -32,7 +32,8 @@ val null_handle : handle
 
 val is_null : handle -> bool
 (** [is_null h] iff [h] is {!null_handle}.  Monomorphic int equality, so
-    callers under the hot-path lint need no polymorphic compare. *)
+    callers in a hot unit need no polymorphic compare (a banned name
+    there, DESIGN.md §13.4). *)
 
 val create : ?seed:int -> unit -> t
 (** [create ~seed ()] makes a simulation whose clock starts at 0.0 µs and

@@ -234,67 +234,38 @@ let of_file path =
 (* ------------------------------------------------------------------ *)
 (* Rendering *)
 
-let buf_time b v =
-  if v = infinity then Buffer.add_string b "end"
-  else Buffer.add_string b (string_of_float v)
+let time v = if v = infinity then "end" else Syntax.float_to_string v
+let index i = if i = all then "*" else string_of_int i
 
-let buf_index b i =
-  if i = all then Buffer.add_char b '*' else Buffer.add_string b (string_of_int i)
+let event_fields = function
+  | Core_stall { core; from_us; until_us; factor } ->
+      ( "core-stall",
+        [ ("core", index core); ("from", time from_us); ("until", time until_us);
+          ("factor", time factor) ] )
+  | Net_fault { queue; from_us; until_us; drop; dup; reorder; reorder_max_us } ->
+      ( "net",
+        [
+          ("queue", index queue); ("from", time from_us); ("until", time until_us);
+          ("drop", Syntax.float_to_string drop); ("dup", Syntax.float_to_string dup);
+          ("reorder", Syntax.float_to_string reorder);
+          ("reorder-max", Syntax.float_to_string reorder_max_us);
+        ] )
+  | Ring_squeeze { queue; from_us; until_us; capacity } ->
+      ( "squeeze",
+        [ ("queue", index queue); ("from", time from_us); ("until", time until_us);
+          ("capacity", string_of_int capacity) ] )
+  | Ctrl_delay { from_us; until_us } ->
+      ("ctrl-delay", [ ("from", time from_us); ("until", time until_us) ])
+  | Ctrl_corrupt { from_us; until_us; mode } ->
+      ( "ctrl-corrupt",
+        [
+          ("from", time from_us); ("until", time until_us);
+          ( "mode",
+            match mode with Nan -> "nan" | Scale s -> "x" ^ Syntax.float_to_string s );
+        ] )
+  | Kill_server { server; at_us } ->
+      ("kill-server", [ ("server", index server); ("at", time at_us) ])
+  | Recover_server { server; at_us } ->
+      ("recover-server", [ ("server", index server); ("at", time at_us) ])
 
-let buf_kv b k f =
-  Buffer.add_char b ' ';
-  Buffer.add_string b k;
-  Buffer.add_char b '=';
-  f b
-
-let to_string t =
-  let b = Buffer.create 256 in
-  Buffer.add_string b ("plan " ^ t.name ^ "\n");
-  List.iter
-    (fun ev ->
-      (match ev with
-      | Core_stall { core; from_us; until_us; factor } ->
-          Buffer.add_string b "core-stall";
-          buf_kv b "core" (fun b -> buf_index b core);
-          buf_kv b "from" (fun b -> buf_time b from_us);
-          buf_kv b "until" (fun b -> buf_time b until_us);
-          buf_kv b "factor" (fun b -> buf_time b factor)
-      | Net_fault { queue; from_us; until_us; drop; dup; reorder; reorder_max_us } ->
-          Buffer.add_string b "net";
-          buf_kv b "queue" (fun b -> buf_index b queue);
-          buf_kv b "from" (fun b -> buf_time b from_us);
-          buf_kv b "until" (fun b -> buf_time b until_us);
-          buf_kv b "drop" (fun b -> Buffer.add_string b (string_of_float drop));
-          buf_kv b "dup" (fun b -> Buffer.add_string b (string_of_float dup));
-          buf_kv b "reorder" (fun b -> Buffer.add_string b (string_of_float reorder));
-          buf_kv b "reorder-max" (fun b ->
-              Buffer.add_string b (string_of_float reorder_max_us))
-      | Ring_squeeze { queue; from_us; until_us; capacity } ->
-          Buffer.add_string b "squeeze";
-          buf_kv b "queue" (fun b -> buf_index b queue);
-          buf_kv b "from" (fun b -> buf_time b from_us);
-          buf_kv b "until" (fun b -> buf_time b until_us);
-          buf_kv b "capacity" (fun b -> Buffer.add_string b (string_of_int capacity))
-      | Ctrl_delay { from_us; until_us } ->
-          Buffer.add_string b "ctrl-delay";
-          buf_kv b "from" (fun b -> buf_time b from_us);
-          buf_kv b "until" (fun b -> buf_time b until_us)
-      | Ctrl_corrupt { from_us; until_us; mode } ->
-          Buffer.add_string b "ctrl-corrupt";
-          buf_kv b "from" (fun b -> buf_time b from_us);
-          buf_kv b "until" (fun b -> buf_time b until_us);
-          buf_kv b "mode" (fun b ->
-              match mode with
-              | Nan -> Buffer.add_string b "nan"
-              | Scale s -> Buffer.add_string b ("x" ^ string_of_float s))
-      | Kill_server { server; at_us } ->
-          Buffer.add_string b "kill-server";
-          buf_kv b "server" (fun b -> buf_index b server);
-          buf_kv b "at" (fun b -> buf_time b at_us)
-      | Recover_server { server; at_us } ->
-          Buffer.add_string b "recover-server";
-          buf_kv b "server" (fun b -> buf_index b server);
-          buf_kv b "at" (fun b -> buf_time b at_us));
-      Buffer.add_char b '\n')
-    t.events;
-  Buffer.contents b
+let to_string t = Syntax.render ~name:t.name ~event:event_fields t.events

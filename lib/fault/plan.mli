@@ -97,5 +97,6 @@ val of_string : ?name:string -> string -> (t, string) result
 val of_file : string -> (t, string) result
 
 val to_string : t -> string
-(** Round-trippable rendering in the {!of_string} format.  Only the
-    tests call it, to check that the parser round-trips. *)
+(** Round-trips through {!of_string}, every float exactly
+    ({!Syntax.float_to_string}).  Only the tests call it, to check that
+    round trip. *)

@@ -76,3 +76,27 @@ let int line key fields =
       match int_of_string_opt v with
       | Some i -> Ok i
       | None -> fail line ("bad int for " ^ key ^ ": '" ^ v ^ "'"))
+
+(* [string_of_float] keeps 12 significant digits; fall back to 17 (exact
+   for every double) when that would not read back as the same value. *)
+let float_to_string v =
+  let s = string_of_float v in
+  if Float.equal (float_of_string s) v then s else Printf.sprintf "%.17g" v
+
+let render ~name ~event events =
+  let b = Buffer.create 256 in
+  Buffer.add_string b ("plan " ^ name ^ "\n");
+  List.iter
+    (fun ev ->
+      let keyword, fields = event ev in
+      Buffer.add_string b keyword;
+      List.iter
+        (fun (k, v) ->
+          Buffer.add_char b ' ';
+          Buffer.add_string b k;
+          Buffer.add_char b '=';
+          Buffer.add_string b v)
+        fields;
+      Buffer.add_char b '\n')
+    events;
+  Buffer.contents b

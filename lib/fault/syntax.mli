@@ -32,3 +32,13 @@ val index : int -> string -> fields -> default:int option -> (int, string) resul
 
 val int : int -> string -> fields -> (int, string) result
 (** A required integer. *)
+
+(** {1 Rendering} *)
+
+val float_to_string : float -> string
+(** The shortest of [string_of_float]'s 12 digits and an exact 17 that
+    {!float} reads back as the same value. *)
+
+val render : name:string -> event:('a -> string * fields) -> 'a list -> string
+(** The inverse of {!parse}: a [plan NAME] header, then one
+    [keyword key=value ...] line per event, in order. *)

@@ -494,7 +494,8 @@ let recover_server t s =
 (* ------------------------------------------------------------------ *)
 (* Setup *)
 
-let create (cfg : Config.t) ~dataset ~offered_mops ?plan ~seed () =
+let create (cfg : Config.t) ~dataset ~(workload : Workload.Spec.t) ~offered_mops ?plan
+    ~seed () =
   (match Config.validate cfg with
   | Ok () -> ()
   | Error msg -> invalid_arg ("Hedge.Cluster: " ^ msg));
@@ -513,7 +514,10 @@ let create (cfg : Config.t) ~dataset ~offered_mops ?plan ~seed () =
     {
       cfg;
       sim;
-      gen = Workload.Generator.create ~seed:(seed lxor 0x9E41) dataset;
+      gen =
+        Workload.Generator.create ~seed:(seed lxor 0x9E41)
+          ~p_large:workload.Workload.Spec.p_large
+          ~get_ratio:workload.Workload.Spec.get_ratio dataset;
       ds = dataset;
       arrival_rng;
       route_rng;

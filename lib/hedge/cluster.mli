@@ -35,7 +35,7 @@
 
     Determinism: all randomness comes from streams forked off the one
     simulation RNG plus the injector's private stream, so a fixed
-    [(config, dataset, plan, seed)] reproduces byte-identical metrics at
+    [(config, dataset, workload, plan, seed)] reproduces byte-identical metrics at
     any [MINOS_JOBS]. *)
 
 type t
@@ -43,6 +43,7 @@ type t
 val create :
   Config.t ->
   dataset:Workload.Dataset.t ->
+  workload:Workload.Spec.t ->
   offered_mops:float ->
   ?plan:Fault.Plan.t ->
   seed:int ->
@@ -50,8 +51,10 @@ val create :
   t
 (** Build the engines and the router, start every engine, and schedule
     the first arrival, the hedge-delay epoch ticks and the plan's
-    kill/recover/detect instants.  Raises [Invalid_argument] on an
-    invalid config or plan. *)
+    kill/recover/detect instants.  The GET:PUT mix and [p_large] come
+    from [workload], not from the dataset's own spec: one cached dataset
+    serves every mix ({!Workload.Generator.create}).  Raises
+    [Invalid_argument] on an invalid config or plan. *)
 
 val metrics : t -> Metrics.t
 (** Snapshot the accounting (including [in_flight_end] as of now) and

@@ -1,7 +1,7 @@
 (* Chrome trace-event JSON exporter; see chrome_trace.mli.
 
    Offline export path: runs once after a simulation/serve finishes, so
-   the Printf use here is reviewed in lint_allow.txt (the record path in
+   the Printf use here is reviewed in analyze_allow.txt (the record path in
    Recorder/Timeline/Decision_log stays allocation- and Printf-free).
    Strings and numbers go through [Json.string] / [Json.float] (fixed
    precision, [null] for a non-finite threshold), so traces are

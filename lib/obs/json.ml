@@ -1,5 +1,5 @@
 (* Deterministic JSON printer; see json.mli.  Offline rendering only: the
-   Printf use is reviewed in lint_allow.txt. *)
+   Printf use is reviewed in analyze_allow.txt. *)
 
 type t =
   | Null

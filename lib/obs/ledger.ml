@@ -1,5 +1,5 @@
 (* Request-fate ledger; see ledger.mli.  Reporting path only: the
-   Printf/Format use is reviewed in lint_allow.txt. *)
+   Printf/Format use is reviewed in analyze_allow.txt. *)
 
 type t = { issued : int; legs : (string * int) list }
 

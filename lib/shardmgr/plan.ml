@@ -170,45 +170,18 @@ let of_file path =
 (* ------------------------------------------------------------------ *)
 (* Rendering *)
 
-let buf_kv b k f =
-  Buffer.add_char b ' ';
-  Buffer.add_string b k;
-  Buffer.add_char b '=';
-  f b
+let event_fields =
+  let time = Fault.Syntax.float_to_string in
+  function
+  | Add_server { at_us; drain_us; dual_us } ->
+      ("add-server", [ ("at", time at_us); ("drain", time drain_us); ("dual", time dual_us) ])
+  | Remove_server { server; at_us; drain_us; dual_us } ->
+      ( "remove-server",
+        [ ("server", string_of_int server); ("at", time at_us); ("drain", time drain_us);
+          ("dual", time dual_us) ] )
+  | Add_replica { shard; at_us } ->
+      ("add-replica", [ ("shard", string_of_int shard); ("at", time at_us) ])
+  | Drop_replica { shard; at_us } ->
+      ("drop-replica", [ ("shard", string_of_int shard); ("at", time at_us) ])
 
-(* [string_of_float] keeps 12 significant digits; fall back to 17 (exact
-   for every double) when that would not read back as the same value. *)
-let buf_float b v =
-  let s = string_of_float v in
-  Buffer.add_string b
-    (if Float.equal (float_of_string s) v then s else Printf.sprintf "%.17g" v)
-let buf_int b i = Buffer.add_string b (string_of_int i)
-
-let to_string t =
-  let b = Buffer.create 256 in
-  Buffer.add_string b ("plan " ^ t.name ^ "\n");
-  List.iter
-    (fun ev ->
-      (match ev with
-      | Add_server { at_us; drain_us; dual_us } ->
-          Buffer.add_string b "add-server";
-          buf_kv b "at" (fun b -> buf_float b at_us);
-          buf_kv b "drain" (fun b -> buf_float b drain_us);
-          buf_kv b "dual" (fun b -> buf_float b dual_us)
-      | Remove_server { server; at_us; drain_us; dual_us } ->
-          Buffer.add_string b "remove-server";
-          buf_kv b "server" (fun b -> buf_int b server);
-          buf_kv b "at" (fun b -> buf_float b at_us);
-          buf_kv b "drain" (fun b -> buf_float b drain_us);
-          buf_kv b "dual" (fun b -> buf_float b dual_us)
-      | Add_replica { shard; at_us } ->
-          Buffer.add_string b "add-replica";
-          buf_kv b "shard" (fun b -> buf_int b shard);
-          buf_kv b "at" (fun b -> buf_float b at_us)
-      | Drop_replica { shard; at_us } ->
-          Buffer.add_string b "drop-replica";
-          buf_kv b "shard" (fun b -> buf_int b shard);
-          buf_kv b "at" (fun b -> buf_float b at_us));
-      Buffer.add_char b '\n')
-    t.events;
-  Buffer.contents b
+let to_string t = Fault.Syntax.render ~name:t.name ~event:event_fields t.events

@@ -154,6 +154,12 @@ let load path =
                 sl
               end
             in
+            (* A key id indexes the dataset's arrays: one that is
+               negative, or wraps negative in [Int64.to_int], would fail
+               mid-replay as a bare out-of-bounds access. *)
+            let key64 = Bytes.get_int64_le buf 2 in
+            if Int64.compare key64 0L < 0 || Int64.compare key64 (Int64.of_int max_int) > 0
+            then fail "Trace.load: negative key id %Ld in record %d" key64 i;
             if with_ts then begin
               let ts = Int64.float_of_bits (Bytes.get_int64_le buf 18) in
               if Float.is_nan ts || ts < 0.0 || (i > 0 && ts < ts_us.(i - 1)) then
@@ -163,7 +169,7 @@ let load path =
             {
               Generator.op;
               is_large = Bytes.get_uint8 buf 1 = 1;
-              key_id = Int64.to_int (Bytes.get_int64_le buf 2);
+              key_id = Int64.to_int key64;
               item_size;
               scan_len;
             })

@@ -42,8 +42,9 @@ val save : string -> t -> unit
 
 val load : string -> t
 (** Read a trace back.  Raises [Failure] on a malformed file: bad magic,
-    unsupported version, truncation, trailing garbage, bad opcode, or a
-    size field that is negative or absurdly large. *)
+    unsupported version, truncation, trailing garbage, bad opcode, a
+    negative key id, or a size field that is negative or absurdly
+    large. *)
 
 (** Offline analysis *)
 

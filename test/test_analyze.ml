@@ -1,7 +1,8 @@
 (* End-to-end tests for the interprocedural analyzer (lib/analyze).
    Each probe program is compiled to .cmt files with the installed
    ocamlc, then pushed through the real Loader/Scan/Graph pipeline with
-   the same roots/allowlist plumbing `dune build @analyze` uses:
+   the same roots/allowlist plumbing `dune build @analyze` uses
+   ({!Cmt_probe}; the per-unit bans are tested in test_lint):
 
    - functor instantiation resolves the body against the argument;
    - first-class module calls resolve against every packed module;
@@ -17,39 +18,8 @@ let bool = Alcotest.bool
 let int = Alcotest.int
 let string = Alcotest.string
 
-let with_dir f =
-  let dir = Filename.temp_file "minos_analyze_test" "" in
-  Sys.remove dir;
-  Unix.mkdir dir 0o755;
-  Fun.protect
-    ~finally:(fun () ->
-      Array.iter
-        (fun n -> Sys.remove (Filename.concat dir n))
-        (Sys.readdir dir);
-      Unix.rmdir dir)
-    (fun () -> f dir)
-
-let write dir name contents =
-  Out_channel.with_open_text (Filename.concat dir name) (fun oc ->
-      Out_channel.output_string oc contents)
-
-(* Compile the probe sources in order (later units see earlier .cmi) and
-   run the full analysis over the resulting .cmt files. *)
-let analyze ?(allow = "") ~roots dir sources : Analyze_core.result =
-  List.iter (fun (name, contents) -> write dir name contents) sources;
-  let files =
-    String.concat " " (List.map (fun (n, _) -> Filename.quote n) sources)
-  in
-  let cmd =
-    Printf.sprintf "cd %s && ocamlc -bin-annot -w -a -c %s"
-      (Filename.quote dir) files
-  in
-  check int ("probe compiles: " ^ files) 0 (Sys.command cmd);
-  write dir "roots.txt" roots;
-  write dir "allow.txt" allow;
-  Analyze_core.run ~cmt_roots:[ dir ]
-    ~roots_file:(Filename.concat dir "roots.txt")
-    ~allow_file:(Filename.concat dir "allow.txt")
+let with_dir = Cmt_probe.with_dir
+let analyze = Cmt_probe.analyze
 
 let containing (f : Ir.finding) =
   match List.rev f.Ir.witness with (fn, _) :: _ -> fn | [] -> f.Ir.root

@@ -108,6 +108,33 @@ let test_plan_parse_forms () =
       check bool "garbage rejected" true
         (Result.is_error (Fault.Plan.of_string "not an event"))
 
+(* Mutated plans: the parser never raises, and every plan it accepts
+   renders back to itself exactly (floats included: a time such as
+   1.00000000000001 needs more than [string_of_float]'s 12 digits). *)
+let plan_fuzz =
+  let bases =
+    "plan exact\nctrl-delay from=1.00000000000001 until=2\nnet queue=3 from=0.1 \
+     until=end drop=0.30000000000000004 reorder=0.2 reorder-max=7.5\n\
+     ctrl-corrupt from=1 until=2 mode=x0.1\n"
+    :: List.filter_map
+         (fun name ->
+           Option.map Fault.Plan.to_string
+             (Fault.Plan.canned name ~cores:8 ~warmup_us:20_000.0
+                ~duration_us:120_000.0))
+         Fault.Plan.canned_names
+  in
+  QCheck.Test.make ~name:"of_string never raises, Ok plans round-trip" ~count:500
+    (Fuzz.mutated ~alphabet:"=*. \t\n#-_:eEinfaxrl0123456789" bases)
+    (fun src ->
+      match Fault.Plan.of_string src with
+      | Error _ -> true
+      | Ok p -> (
+          match Fault.Plan.of_string ~name:"other" (Fault.Plan.to_string p) with
+          | Ok p' -> compare p p' = 0
+          | Error e -> QCheck.Test.fail_reportf "re-parse failed: %s" e)
+      | exception e ->
+          QCheck.Test.fail_reportf "%S raised %s" src (Printexc.to_string e))
+
 let test_plan_kill_recover () =
   (* The crash events: validation bounds, parse forms, and the textual
      round-trip the hedge bench's canned plan relies on. *)
@@ -495,6 +522,7 @@ let () =
           Alcotest.test_case "kill/recover events" `Quick
             test_plan_kill_recover;
           Alcotest.test_case "unknown and repeated keys" `Quick test_plan_key_errors;
+          QCheck_alcotest.to_alcotest plan_fuzz;
         ] );
       ( "inject",
         [

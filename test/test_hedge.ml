@@ -61,7 +61,7 @@ let kill ?(server = 2) ?(at_us = 19_000.0) ?(recover_us = 34_000.0) () =
   }
 
 let run ?plan ?(seed = 7) ?(offered_mops = 2.0) cfg =
-  let c = Kvhedge.Cluster.create cfg ~dataset ~offered_mops ?plan ~seed () in
+  let c = Kvhedge.Cluster.create cfg ~dataset ~workload ~offered_mops ?plan ~seed () in
   Dsim.Sim.run (Kvhedge.Cluster.sim c)
     ~until:cfg.Kvhedge.Config.server.Kvserver.Config.duration_us;
   Kvhedge.Cluster.metrics c
@@ -222,6 +222,32 @@ let test_determinism () =
   check bool "a different seed moves the run" true (compare a c <> 0)
 
 (* ------------------------------------------------------------------ *)
+(* The request mix is the run's, not the cached dataset's *)
+
+let test_mix_follows_workload () =
+  (* [dataset] was built (and cached) for the default 95:5 mix.  With one
+     mirror and hedging off a GET sends one copy and a PUT one per
+     replica, so copies per request = 2 - get_ratio. *)
+  let copies_per_request get_ratio =
+    let workload = { workload with Workload.Spec.get_ratio } in
+    let c =
+      Kvhedge.Cluster.create (tiny ()) ~dataset ~workload ~offered_mops:2.0 ~seed:7 ()
+    in
+    Dsim.Sim.run (Kvhedge.Cluster.sim c) ~until:40_000.0;
+    let m = Kvhedge.Cluster.metrics c in
+    float_of_int (Obs.Ledger.issued m.Kvhedge.Metrics.copies)
+    /. float_of_int (Obs.Ledger.issued m.Kvhedge.Metrics.requests)
+  in
+  List.iter
+    (fun get_ratio ->
+      let got = copies_per_request get_ratio in
+      check bool
+        (Printf.sprintf "get_ratio %.2f: %.3f copies per request" get_ratio got)
+        true
+        (Float.abs (got -. (2.0 -. get_ratio)) < 0.02))
+    [ 0.95; 0.5 ]
+
+(* ------------------------------------------------------------------ *)
 (* Routing: a detected-dead replica is never picked *)
 
 let test_router_avoids_dead_replica () =
@@ -229,7 +255,7 @@ let test_router_avoids_dead_replica () =
     tiny ~route:Kvhedge.Config.P2c ~detect_us:1_000.0 ()
   in
   let c =
-    Kvhedge.Cluster.create cfg ~dataset ~offered_mops:2.0 ~plan:(kill ())
+    Kvhedge.Cluster.create cfg ~dataset ~workload ~offered_mops:2.0 ~plan:(kill ())
       ~seed:11 ()
   in
   let sim = Kvhedge.Cluster.sim c in
@@ -393,6 +419,8 @@ let () =
           Alcotest.test_case "determinism" `Quick test_determinism;
           Alcotest.test_case "a shed copy fails its request" `Quick
             test_shed_fails_request;
+          Alcotest.test_case "mix follows the workload, not the dataset" `Quick
+            test_mix_follows_workload;
         ] );
       ( "routing",
         [

@@ -1,156 +1,212 @@
-(* Tests for the hot-path lint: each rule fires on a seeded violation,
-   scoping (hot vs everywhere) is honoured, the allowlist suppresses and
-   reports stale entries, and unparseable input is itself a finding. *)
+(* Tests for the static checker's per-unit bans (the ban pass of
+   `dune build @analyze`, lib/analyze): each rule fires on a seeded
+   violation in a compiled probe, names resolve through [open] and
+   module aliases, the scope (hot directory or everywhere) follows the
+   source path each .cmt records, the allowlist suppresses ban findings
+   and reports stale entries, and an unreadable .cmt fails the run. *)
 
-open Lint
+open Analyze
 
 let check = Alcotest.check
-let int = Alcotest.int
 let bool = Alcotest.bool
+let int = Alcotest.int
+let strings = Alcotest.(list string)
 
-let with_source contents f =
-  let path = Filename.temp_file "minos_lint_test" ".ml" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      Out_channel.with_open_text path (fun oc ->
-          Out_channel.output_string oc contents);
-      f path)
-
-let rules_of ~hot contents =
-  with_source contents (fun path ->
-      Lint_core.lint_file ~hot path |> List.map (fun v -> v.Lint_core.rule))
+(* The ban categories found in function [fn], in source order. *)
+let bans (r : Analyze_core.result) fn =
+  List.filter_map
+    (fun (f : Ir.finding) -> if f.Ir.root = fn then Some f.Ir.category else None)
+    r.Analyze_core.ban_findings
 
 let test_hot_rules () =
-  let cases =
-    [
-      ("let f a b = compare a b", [ "polymorphic-compare" ]);
-      ("let f a b = Stdlib.compare a b", [ "polymorphic-compare" ]);
-      ("let f x = Hashtbl.hash x", [ "polymorphic-hash" ]);
-      ("let f x = Printf.sprintf \"%d\" x", [ "printf-in-hot-path" ]);
-      ("let f x = Format.asprintf \"%d\" x", [ "printf-in-hot-path" ]);
-      ("let f () = Random.int 10", [ "global-random" ]);
-      ("let f st = Random.State.int st 10", []);
-      ("let f () = Unix.gettimeofday ()", [ "wallclock" ]);
-      ("let f () = Sys.time ()", [ "wallclock" ]);
-      ("let f x = Obj.magic x", [ "obj-magic" ]);
-      ("let f x = Obj.repr x", [ "obj-primitive" ]);
-      ("let f a b = Int.compare a b", []);
-      ("let f a b = String.compare a b", []);
-    ]
-  in
-  List.iter
-    (fun (src, expected) ->
-      check (Alcotest.list Alcotest.string) src expected (rules_of ~hot:true src))
-    cases
+  Cmt_probe.with_dir (fun dir ->
+      Cmt_probe.compile dir
+        [
+          ( "lib/dsim/probe.ml",
+            {|
+let poly_compare a b = compare a b
+let stdlib_compare a b = Stdlib.compare a b
+let compare_as_arg xs = List.sort compare xs
+let hash x = Hashtbl.hash x
+let printf x = Printf.sprintf "%d" x
+let format x = Format.asprintf "%d" x
+let global_random () = Random.int 10
+let state_random st = Random.State.int st 10
+let gettimeofday () = Unix.gettimeofday ()
+let sys_time () = Sys.time ()
+let magic x = Obj.magic x
+let repr x = Obj.repr x
+let int_compare a b = Int.compare a b
+let string_compare a b = String.compare a b
+module P = Printf
+let aliased x = P.sprintf "%d" x
+let local_alias x = let module F = Format in F.asprintf "%d" x
+let in_local_module x =
+  let module M = struct let g y = Printf.sprintf "%d" y end in M.g x
+include struct let included x = Printf.sprintf "%d" x end
+let compare a b = a - b
+let own_compare a b = compare a b
+|}
+          );
+          ("lib/dsim/opened.ml", "open Printf\nlet opened x = sprintf \"%d\" x\n");
+        ];
+      let r = Cmt_probe.run dir in
+      check strings "no load errors" [] r.Analyze_core.errors;
+      List.iter
+        (fun (fn, expected) ->
+          check strings fn (List.map (fun rule -> "ban-" ^ rule) expected) (bans r fn))
+        [
+          ("Probe.poly_compare", [ "polymorphic-compare" ]);
+          ("Probe.stdlib_compare", [ "polymorphic-compare" ]);
+          ("Probe.compare_as_arg", [ "polymorphic-compare" ]);
+          ("Probe.hash", [ "polymorphic-hash" ]);
+          ("Probe.printf", [ "printf-in-hot-path" ]);
+          ("Probe.format", [ "printf-in-hot-path" ]);
+          ("Probe.global_random", [ "global-random" ]);
+          ("Probe.state_random", []);
+          ("Probe.gettimeofday", [ "wallclock" ]);
+          ("Probe.sys_time", [ "wallclock" ]);
+          ("Probe.magic", [ "obj-magic" ]);
+          ("Probe.repr", [ "obj-primitive" ]);
+          ("Probe.int_compare", []);
+          ("Probe.string_compare", []);
+          (* Names resolve through module aliases and [open] ... *)
+          ("Probe.aliased", [ "printf-in-hot-path" ]);
+          ("Probe.local_alias", [ "printf-in-hot-path" ]);
+          ("Opened.opened", [ "printf-in-hot-path" ]);
+          (* ... and into local and included structures. *)
+          ("Probe.included", [ "printf-in-hot-path" ]);
+          (* ... nor tell apart from Stdlib's: the unit's own [compare]. *)
+          ("Probe.own_compare", []);
+        ];
+      check bool "a local module's function is scanned" true
+        (List.exists
+           (fun (f : Ir.finding) ->
+             String.ends_with ~suffix:".g" f.Ir.root
+             && f.Ir.category = "ban-printf-in-hot-path")
+           r.Analyze_core.ban_findings);
+      check bool "findings fail the run" false r.Analyze_core.ok;
+      check strings "the ident is the resolved name" [ "Printf.sprintf" ]
+        (List.filter_map
+           (fun (f : Ir.finding) ->
+             if f.Ir.root = "Probe.aliased" then Some f.Ir.ident else None)
+           r.Analyze_core.ban_findings))
 
 let test_cold_scope () =
-  (* Outside hot paths only the Obj rules apply. *)
-  check (Alcotest.list Alcotest.string) "printf fine when cold" []
-    (rules_of ~hot:false "let f x = Printf.sprintf \"%d\" x");
-  check (Alcotest.list Alcotest.string) "compare fine when cold" []
-    (rules_of ~hot:false "let f a b = compare a b");
-  check (Alcotest.list Alcotest.string) "Obj.magic banned everywhere"
-    [ "obj-magic" ]
-    (rules_of ~hot:false "let f x = Obj.magic x")
+  (* Outside the hot directories only the Obj rules apply. *)
+  Cmt_probe.with_dir (fun dir ->
+      Cmt_probe.compile dir
+        [
+          ( "lib/check/cold.ml",
+            "let printf x = Printf.sprintf \"%d\" x\n\
+             let poly_compare a b = compare a b\n\
+             let magic x = Obj.magic x\n" );
+        ];
+      let r = Cmt_probe.run dir in
+      check strings "printf fine when cold" [] (bans r "Cold.printf");
+      check strings "compare fine when cold" [] (bans r "Cold.poly_compare");
+      check strings "Obj.magic banned everywhere" [ "ban-obj-magic" ]
+        (bans r "Cold.magic"))
 
 let test_parse_error () =
-  check (Alcotest.list Alcotest.string) "unparseable file" [ "parse-error" ]
-    (rules_of ~hot:true "let let let")
+  (* A .cmt that cannot be read fails the run by name; it is never a
+     unit quietly left out of the proofs. *)
+  Cmt_probe.with_dir (fun dir ->
+      Cmt_probe.compile dir [ ("lib/dsim/probe.ml", "let f x = x + 1\n") ];
+      let cmt = Filename.concat dir "lib/dsim/probe.cmt" in
+      let data = In_channel.with_open_bin cmt In_channel.input_all in
+      Out_channel.with_open_bin cmt (fun oc ->
+          Out_channel.output_string oc (String.sub data 0 (String.length data / 2)));
+      let r = Cmt_probe.run dir in
+      check bool "truncated .cmt fails the run" false r.Analyze_core.ok;
+      check int "one error" 1 (List.length r.Analyze_core.errors);
+      check bool "the error names the file" true
+        (String.starts_with ~prefix:("unreadable " ^ cmt)
+           (List.hd r.Analyze_core.errors));
+      check int "no unit loaded" 0 r.Analyze_core.units)
 
 let test_is_hot_path () =
-  check bool "dsim is hot" true (Lint_core.is_hot_path "lib/dsim/sim.ml");
-  check bool "netsim is hot" true (Lint_core.is_hot_path "lib/netsim/ring.ml");
-  check bool "absolute path classifies" true
-    (Lint_core.is_hot_path "/root/repo/lib/kv/store.ml");
-  check bool "stats is hot" true (Lint_core.is_hot_path "lib/stats/quantile.ml");
-  check bool "obs is hot" true (Lint_core.is_hot_path "lib/obs/recorder.ml");
-  check bool "fault is hot" true (Lint_core.is_hot_path "lib/fault/inject.ml");
-  check bool "check is cold" false
-    (Lint_core.is_hot_path "lib/check/trace_sched.ml")
+  Cmt_probe.with_dir (fun dir ->
+      let unit name = (name, "let f x = Printf.sprintf \"%d\" x\n") in
+      let hot =
+        [
+          "lib/dsim/h_dsim.ml"; "lib/netsim/h_netsim.ml"; "lib/server/h_server.ml";
+          "lib/stats/h_stats.ml"; "lib/obs/h_obs.ml"; "lib/fault/h_fault.ml";
+          "lib/cluster/h_cluster.ml"; "lib/shardmgr/h_shardmgr.ml";
+          (* an absolute source path classifies too *)
+          Filename.concat dir "lib/kv/h_kv.ml";
+        ]
+      in
+      let cold = [ "lib/check/c_check.ml"; "lib/core/c_core.ml"; "lib/dsimx/c_dsimx.ml"; "c_top.ml" ] in
+      Cmt_probe.compile dir (List.map unit (hot @ cold));
+      let r = Cmt_probe.run dir in
+      let flagged =
+        List.map (fun (f : Ir.finding) -> f.Ir.root) r.Analyze_core.ban_findings
+        |> List.sort String.compare
+      in
+      let fn path =
+        String.capitalize_ascii (Filename.remove_extension (Filename.basename path)) ^ ".f"
+      in
+      check strings "exactly the nine hot directories"
+        (List.sort String.compare (List.map fn hot))
+        flagged)
+
+let banned_probe =
+  [ ("lib/dsim/probe.ml", "let f x = Obj.magic x\nlet g () = Random.int 3\n") ]
 
 let test_allowlist () =
-  with_source "let f x = Obj.magic x\nlet g () = Random.int 3\n" (fun path ->
-      (* Temp files land outside lib/, so classify as hot explicitly via
-         lint_file and drive the report plumbing through lint_tree on the
-         single file: is_hot_path says cold, so only Obj fires there. *)
-      let base = Filename.basename path in
-      let allow =
-        [
-          { Lint_core.allow_path = base; allow_ident = "Obj.magic" };
-          { Lint_core.allow_path = "nonexistent.ml"; allow_ident = "Obj.magic" };
-        ]
+  Cmt_probe.with_dir (fun dir ->
+      Cmt_probe.compile dir banned_probe;
+      let r =
+        Cmt_probe.run dir
+          ~allow:
+            "Probe.f ban-obj-magic:Obj.magic  # reviewed\n\
+             Probe.g ban-global-random\n\
+             Probe.h ban-wallclock  # covers nothing\n"
       in
-      let report = Lint_core.lint_tree ~allow [ path ] in
-      check int "violation suppressed" 1 (List.length report.suppressed);
-      check int "no unsuppressed violations" 0 (List.length report.violations);
-      check int "stale entry reported" 1 (List.length report.stale);
-      check bool "stale entry fails the run" false (Lint_core.report_clean report));
-  (* Same allowlist minus the stale entry: clean. *)
-  with_source "let f x = Obj.magic x\n" (fun path ->
-      let allow =
-        [ { Lint_core.allow_path = Filename.basename path; allow_ident = "Obj.magic" } ]
+      check int "violations suppressed" 0 (List.length r.Analyze_core.ban_findings);
+      check int "stale entry reported" 1 (List.length r.Analyze_core.errors);
+      check bool "stale entry fails the run" false r.Analyze_core.ok;
+      (* Same allowlist minus the stale entry: clean. *)
+      let r =
+        Cmt_probe.run dir
+          ~allow:"Probe.f ban-obj-magic:Obj.magic\nProbe.g ban-global-random\n"
       in
-      check bool "clean with exact allowlist" true
-        (Lint_core.report_clean (Lint_core.lint_tree ~allow [ path ])))
+      check bool "clean with exact allowlist" true r.Analyze_core.ok)
 
 let test_allowlist_parsing () =
-  let path = Filename.temp_file "minos_lint_allow" ".txt" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      Out_channel.with_open_text path (fun oc ->
-          Out_channel.output_string oc
-            "# comment\n\nlib/a.ml Printf.sprintf  # trailing comment\n\tlib/b.ml\tObj.magic\n");
-      let entries = Lint_core.parse_allowlist path in
-      check int "two entries" 2 (List.length entries);
-      let e = List.nth entries 0 in
-      check Alcotest.string "path" "lib/a.ml" e.Lint_core.allow_path;
-      check Alcotest.string "ident" "Printf.sprintf" e.Lint_core.allow_ident)
+  Cmt_probe.with_dir (fun dir ->
+      Cmt_probe.write dir "allow.txt"
+        "# comment\n\n\
+         Probe.f ban-printf-in-hot-path:Printf.sprintf  # trailing comment\n\
+         \tProbe.g\tban-obj-magic\n\
+         one-field-only\n";
+      let t = Allowlist.load (Filename.concat dir "allow.txt") in
+      check strings "two entries"
+        [ "Probe.f ban-printf-in-hot-path:Printf.sprintf"; "Probe.g ban-obj-magic" ]
+        (List.map (fun (e : Allowlist.entry) -> e.Allowlist.key) t.Allowlist.entries);
+      check int "malformed line reported" 1 (List.length t.Allowlist.errors))
 
 let test_tree_walk () =
-  (* End-to-end over a synthetic tree: hot-path classification comes from
-     the directory, the walk recurses, and the allowlist keys on the
-     path suffix.  (The real repo configuration is enforced by the @lint
-     alias, which CI builds.) *)
-  let root = Filename.temp_file "minos_lint_tree" "" in
-  Sys.remove root;
-  let mkdir = Unix.mkdir in
-  mkdir root 0o755;
-  mkdir (Filename.concat root "lib") 0o755;
-  mkdir (Filename.concat root "lib/dsim") 0o755;
-  mkdir (Filename.concat root "lib/check") 0o755;
-  let write rel contents =
-    Out_channel.with_open_text (Filename.concat root rel) (fun oc ->
-        Out_channel.output_string oc contents)
-  in
-  write "lib/dsim/engine.ml" "let f x = Printf.sprintf \"%d\" x\n";
-  write "lib/check/report.ml" "let f x = Printf.sprintf \"%d\" x\n";
-  Fun.protect
-    ~finally:(fun () ->
-      Sys.remove (Filename.concat root "lib/dsim/engine.ml");
-      Sys.remove (Filename.concat root "lib/check/report.ml");
-      Unix.rmdir (Filename.concat root "lib/dsim");
-      Unix.rmdir (Filename.concat root "lib/check");
-      Unix.rmdir (Filename.concat root "lib");
-      Unix.rmdir root)
-    (fun () ->
-      let report = Lint_core.lint_tree ~allow:[] [ root ] in
-      check int "hot file flagged, cold file not" 1
-        (List.length report.violations);
-      let v = List.hd report.violations in
-      check Alcotest.string "rule" "printf-in-hot-path" v.Lint_core.rule;
-      let allow =
+  (* End-to-end over a synthetic tree: the loader recurses, the scope
+     comes from each unit's directory, and the allowlist keys on the
+     containing function.  (The repo's own configuration is enforced by
+     the @analyze alias, which CI builds.) *)
+  Cmt_probe.with_dir (fun dir ->
+      Cmt_probe.compile dir
         [
-          {
-            Lint_core.allow_path = "lib/dsim/engine.ml";
-            allow_ident = "Printf.sprintf";
-          };
-        ]
+          ("lib/dsim/engine.ml", "let f x = Printf.sprintf \"%d\" x\n");
+          ("lib/check/report.ml", "let f x = Printf.sprintf \"%d\" x\n");
+        ];
+      let r = Cmt_probe.run dir in
+      check int "two units loaded" 2 r.Analyze_core.units;
+      check strings "hot file flagged, cold file not" [ "Engine.f" ]
+        (List.map (fun (f : Ir.finding) -> f.Ir.root) r.Analyze_core.ban_findings);
+      check strings "rule" [ "ban-printf-in-hot-path" ] (bans r "Engine.f");
+      let r =
+        Cmt_probe.run dir ~allow:"Engine.f ban-printf-in-hot-path:Printf.sprintf\n"
       in
-      let report = Lint_core.lint_tree ~allow [ root ] in
-      check bool "suffix-keyed allowlist suppresses" true
-        (Lint_core.report_clean report))
+      check bool "function-keyed allowlist suppresses" true r.Analyze_core.ok)
 
 let () =
   Alcotest.run "lint"

@@ -40,32 +40,35 @@ let test_trace_timed_roundtrip () =
   check bool "timestamps equal" true (Workload.Trace.timestamps back = ts)
 
 (* Fuzz: a mutated copy of a saved v1 (untimed) or v2 (timed) trace
-   either loads or fails with [Failure], the documented decode-error
-   contract — never another exception. *)
-let prop_trace_load_contract =
-  let saved trace =
-    let path = tmp_file "minos_trace_base.bin" in
-    Workload.Trace.save path trace;
-    let data = In_channel.with_open_bin path In_channel.input_all in
-    Sys.remove path;
-    data
-  in
-  let bases =
-    [
-      saved (Workload.Trace.capture (Workload.Generator.create ~seed:9 small_dataset) ~n:16);
-      saved
-        (Workload.Trace.of_timed (sample_requests 16)
-           (Array.init 16 (fun i -> 2.0 *. float_of_int i)));
-    ]
-  in
-  let path = tmp_file "minos_trace_fuzz.bin" in
-  QCheck.Test.make ~name:"Trace.load loads or raises Failure on mutated files" ~count:300
-    (Fuzz.mutated ~alphabet:Fuzz.bytes_alphabet bases)
+   either loads with every key id a valid index (>= 0), or fails with
+   the documented [Failure "Trace.load: ..."] — never another exception.
+   One temp file per format. *)
+let prop_trace_load_contract version trace =
+  let path = tmp_file (Printf.sprintf "minos_trace_fuzz_%s.bin" version) in
+  Workload.Trace.save path trace;
+  let base = In_channel.with_open_bin path In_channel.input_all in
+  QCheck.Test.make
+    ~name:(Printf.sprintf "Trace.load loads or raises Failure on mutated %s files" version)
+    ~count:3000
+    (Fuzz.mutated ~alphabet:Fuzz.bytes_alphabet [ base ])
     (fun data ->
       Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc data);
       match Workload.Trace.load path with
-      | _ | (exception Failure _) -> true
+      | t ->
+          Array.for_all
+            (fun (r : Workload.Generator.request) -> r.Workload.Generator.key_id >= 0)
+            (Workload.Trace.requests t)
+      | exception Failure msg when String.starts_with ~prefix:"Trace.load: " msg -> true
       | exception e -> QCheck.Test.fail_reportf "raised %s" (Printexc.to_string e))
+
+let prop_trace_load_v1 =
+  prop_trace_load_contract "v1"
+    (Workload.Trace.capture (Workload.Generator.create ~seed:9 small_dataset) ~n:16)
+
+let prop_trace_load_v2 =
+  prop_trace_load_contract "v2"
+    (Workload.Trace.of_timed (sample_requests 16)
+       (Array.init 16 (fun i -> 2.0 *. float_of_int i)))
 
 let test_trace_untimed_stays_v1 () =
   (* A scan-free untimed capture must keep the original v1 format so old
@@ -121,7 +124,18 @@ let test_trace_rejects_garbage () =
   ignore (Unix.lseek fd 24 Unix.SEEK_SET);
   ignore (Unix.write fd (Bytes.of_string "\xff\xff\xff\x7f") 0 4);
   Unix.close fd;
-  expect_load_failure "size overflow" path
+  expect_load_failure "size overflow" path;
+  (* A negative key id (the first record's key_id at offset 16): it
+     would index the dataset's arrays out of bounds mid-replay. *)
+  let path = tmp_file "minos_trace_negkey.bin" in
+  write_valid_trace path;
+  let fd = Unix.openfile path [ Unix.O_WRONLY ] 0o600 in
+  ignore (Unix.lseek fd 16 Unix.SEEK_SET);
+  let key = Bytes.create 8 in
+  Bytes.set_int64_le key 0 (-7L);
+  ignore (Unix.write fd key 0 8);
+  Unix.close fd;
+  expect_load_failure "negative key id" path
 
 let test_trace_rejects_future_version () =
   (* Forward compatibility: a version we do not know is an explicit
@@ -657,7 +671,8 @@ let () =
           Alcotest.test_case "rejects corruption" `Quick test_trace_rejects_garbage;
           Alcotest.test_case "rejects future versions" `Quick
             test_trace_rejects_future_version;
-          QCheck_alcotest.to_alcotest prop_trace_load_contract;
+          QCheck_alcotest.to_alcotest prop_trace_load_v1;
+          QCheck_alcotest.to_alcotest prop_trace_load_v2;
         ] );
       ( "ttl",
         [
