@@ -174,6 +174,69 @@ let store_bytes_per_user_byte () =
   float_of_int (Kvstore.Store.stats store).Kvstore.Store.arena_peak_bytes
   /. float_of_int (Workload.Dataset.total_value_bytes ds)
 
+(* The native server's busy path: minor collections while a 2-worker UDP
+   server answers 20,000 single-datagram GETs, pre-encoded and sent from
+   raw sockets, eight in flight per queue (test_runtime's "busy GETs
+   allocate nothing" asserts the same).  In OCaml 5 each one stops every
+   domain.  The sending loop allocates nothing itself. *)
+let udp_get_collections () =
+  let store =
+    Kvstore.Store.create ~partition_bits:2 ~bucket_bits:6 ~value_arena_bytes:(1 lsl 22) ()
+  in
+  let n_keys = 1000 and window = 8 and base_port = 47950 in
+  for id = 0 to n_keys - 1 do
+    Kvstore.Store.put store ~guard:`Lock (Workload.Dataset.key_name id)
+      (Bytes.make (1 + (id * 7 mod 1000)) 'v')
+  done;
+  let config = { Runtime.Server.default_config with Runtime.Server.cores = 2 } in
+  let udp = Runtime.Udp.start ~config ~base_port store in
+  let socks =
+    Array.init 2 (fun q ->
+        let sock = Unix.socket Unix.PF_INET Unix.SOCK_DGRAM 0 in
+        Unix.setsockopt_float sock Unix.SO_RCVTIMEO 2.0;
+        Unix.connect sock (Unix.ADDR_INET (Unix.inet_addr_loopback, base_port + q));
+        sock)
+  in
+  let datagrams =
+    Array.init n_keys (fun id ->
+        List.hd
+          (Proto.Fragment.split ~msg_id:(Int64.of_int id)
+             (Proto.Wire.encode_request
+                {
+                  Proto.Wire.id = Int64.of_int id;
+                  op = Proto.Wire.Get;
+                  key = Workload.Dataset.key_name id;
+                  value = None;
+                  client_ts = 0L;
+                  target_rx = 0;
+                })))
+  in
+  let buf = Bytes.create 65536 in
+  let run rounds =
+    for r = 0 to rounds - 1 do
+      for q = 0 to 1 do
+        for k = 0 to window - 1 do
+          let d = datagrams.((((r * window) + k) * 2 + q) mod n_keys) in
+          ignore (Unix.send socks.(q) d 0 (Bytes.length d) [])
+        done
+      done;
+      for q = 0 to 1 do
+        for _ = 1 to window do
+          ignore (Unix.recv socks.(q) buf 0 (Bytes.length buf) [])
+        done
+      done
+    done
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter Unix.close socks;
+      Runtime.Udp.stop udp)
+    (fun () ->
+      run (2000 / (2 * window));
+      let before = (Gc.quick_stat ()).Gc.minor_collections in
+      run (20_000 / (2 * window));
+      (Gc.quick_stat ()).Gc.minor_collections - before)
+
 (* Exit non-zero when a run's headline claims fail (the [check] of each
    driver); the written JSON stays for inspection. *)
 let enforce target = function
@@ -281,22 +344,30 @@ let run_capacity () =
    code measures (each repeated exactly over three runs; the build's 481
    minor words over 1 M keys were 1,998,802 while each class draw boxed a
    float; the store's 1.0402 bytes/user byte were 1.131 with quarter-step
-   size classes); only ever tighten them. *)
+   size classes); only ever tighten them.  The native GET path's minor
+   collections are a seventh bound, at the 0 it measures (8 while each GET
+   allocated ~100 words). *)
 let max_major_per_req = 0.085
 let max_dataset_words_per_key = 0.252
 let max_build_words_per_key = 0.0005
 let max_store_bytes_per_user_byte = 1.0403
+let max_udp_get_collections = 0
 
-let perf_gate (p : sim_profile) ~dataset_words ~(build : build_profile) ~store_ratio =
+let perf_gate (p : sim_profile) ~dataset_words ~(build : build_profile) ~store_ratio
+    ~udp_collections =
   let words_per_req = p.minor_per_req and events_per_sec = p.events_per_sec in
   let ev_per_req = float_of_int p.events /. float_of_int (max 1 p.issued) in
   Printf.printf
-    "perf gate: %.1f words/request (<= 80), %.2f events/request (<= 4.5), %.0f events/sec (>= 1M), %.3f major words/request (<= %g), %.3f dataset words/key (<= %g), %.4f build minor words/key (<= %g), %.4f store bytes/user byte (<= %g)\n%!"
+    "perf gate: %.1f words/request (<= 80), %.2f events/request (<= 4.5), %.0f events/sec (>= 1M), %.3f major words/request (<= %g), %.3f dataset words/key (<= %g), %.4f build minor words/key (<= %g), %.4f store bytes/user byte (<= %g), %d minor collections over 20k UDP GETs (<= %d)\n%!"
     words_per_req ev_per_req events_per_sec p.major_per_req max_major_per_req dataset_words
     max_dataset_words_per_key build.build_words_per_key max_build_words_per_key store_ratio
-    max_store_bytes_per_user_byte;
+    max_store_bytes_per_user_byte udp_collections max_udp_get_collections;
   Minos.Report.verdict
     [
+      ( udp_collections <= max_udp_get_collections,
+        Printf.sprintf
+          "%d minor collections over 20k single-datagram UDP GETs (gate: %d) — the native GET path allocates"
+          udp_collections max_udp_get_collections );
       (words_per_req <= 80.0, Printf.sprintf "%.1f minor words/request (gate: 80)" words_per_req);
       ( p.major_per_req <= max_major_per_req,
         Printf.sprintf "%.3f major words/request (gate: %g) — the latency record grew"
@@ -364,6 +435,7 @@ let run_perf sweep_target =
   let dataset_words = dataset_words_per_key () in
   let build = perf_build () in
   let store_ratio = store_bytes_per_user_byte () in
+  let udp_collections = udp_get_collections () in
   let sweep_fn =
     match List.find_opt (fun (n, _, _) -> n = sweep_target) targets with
     | Some (_, _, f) -> f
@@ -387,6 +459,7 @@ let run_perf sweep_target =
       [ "  size draw ms (build - zipf)"; Printf.sprintf "%.1f" (build.build_ms -. build.zeta_ms) ];
       [ "dataset build minor words/key"; Printf.sprintf "%.4f" build.build_words_per_key ];
       [ "store arena bytes/user byte"; Printf.sprintf "%.4f" store_ratio ];
+      [ "UDP GET minor collections (20k)"; string_of_int udp_collections ];
       [ sweep_target ^ " sweep seconds"; Printf.sprintf "%.2f" sweep_s ];
     ];
   Obs.Json.(
@@ -405,13 +478,14 @@ let run_perf sweep_target =
            ("dataset_zeta_ms", Float build.zeta_ms);
            ("dataset_build_minor_words_per_key", Float build.build_words_per_key);
            ("store_arena_bytes_per_user_byte", Float store_ratio);
+           ("udp_get_minor_collections", Int udp_collections);
            ("sim_events", Int p.events);
            ("sim_issued", Int p.issued);
            ("sweep_target", String sweep_target);
            ("sweep_seconds", Float sweep_s);
          ]));
   Printf.printf "[perf profile written to %s]\n%!" (bench_file "perf");
-  enforce "perf" (perf_gate p ~dataset_words ~build ~store_ratio)
+  enforce "perf" (perf_gate p ~dataset_words ~build ~store_ratio ~udp_collections)
 
 let usage () =
   print_endline "usage: bench/main.exe [target ...]   (default: all targets)";

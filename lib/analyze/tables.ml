@@ -117,6 +117,9 @@ let stdlib_safe =
     (* misc non-allocating *)
     "Hashtbl.length"; "Queue.length"; "Queue.is_empty";
     "Option.is_none"; "Option.is_some"; "Fun.id";
+    (* externals behind a [val] in their .mli: [%bytes_of_string] (the
+       identity), and a [@@noalloc] stub whose float result is unboxed *)
+    "Bytes.unsafe_of_string"; "Unix.gettimeofday";
   ]
 
 let stdlib_alloc =

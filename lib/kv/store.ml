@@ -2,11 +2,19 @@ type guard = [ `Lock ]
 
 let slots_per_bucket = 7
 
-(* A bucket is [bucket_words] consecutive words of its partition's table:
+(* A bucket is [bucket_words] consecutive words of an index array:
    [slots_per_bucket] slot words, then the link to its overflow bucket. *)
 let bucket_words = 8
 
 let link = slots_per_bucket
+
+(* Overflow buckets come in chunks of [chunk_buckets], allocated one at a
+   time and never moved. *)
+let chunk_bits = 6
+
+let chunk_buckets = 1 lsl chunk_bits
+
+let chunk_words = chunk_buckets * bucket_words
 
 (* A slot word is [tag lor (item offset lsl tag_bits)]; 0 is an empty slot
    (tags are never 0). *)
@@ -36,15 +44,23 @@ let max_value = 0xFFFF_FFFF
 external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
 external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
+(* Buckets are numbered per partition: the primary buckets [0, n), then
+   overflow bucket [o] as [n + o], in chunk [o / chunk_buckets].  A link
+   word holds the number of the next bucket (0 = none: bucket 0 is
+   primary), and a slot is named by [bucket * bucket_words + slot]. *)
 type partition = {
   lock : Spinlock.t;
   epochs : int Atomic.t array; (* one per primary bucket: its chain's epoch *)
-  mutable table : int array;
-      (* The primary buckets, then the overflow pool.  Readers load the
-         field once per attempt: a writer that grows the pool publishes a
-         copy, and only writes under a chain's epoch touch the copy. *)
-  mutable buckets_used : int; (* primary buckets plus pool buckets handed out *)
+  primary : int array;
+  mutable chunks : int array array;
+      (* The spine: overflow chunk [c] at [c], unused entries [no_chunk].
+         Readers load the field once per attempt; a writer that outgrows
+         it publishes a copy holding the same chunks. *)
+  mutable n_chunks : int;
+  mutable overflow_used : int; (* overflow buckets handed out *)
 }
+
+let no_chunk : int array = [||]
 
 type t = {
   partition_bits : int;
@@ -72,8 +88,10 @@ let create ?(partition_bits = 4) ?(bucket_bits = 10) ?(value_arena_bytes = 256 *
     {
       lock = Spinlock.create ();
       epochs = Array.init n_buck (fun _ -> Atomic.make 0);
-      table = Array.make (n_buck * bucket_words) 0;
-      buckets_used = n_buck;
+      primary = Array.make (n_buck * bucket_words) 0;
+      chunks = [| no_chunk |];
+      n_chunks = 0;
+      overflow_used = 0;
     }
   in
   let slab = Slab.create ~capacity:value_arena_bytes in
@@ -122,7 +140,7 @@ let value_length a off =
 
 (* [now] past the item's deadline: lapsed.  An item without a TTL never
    lapses. *)
-let lapsed a off now =
+let[@inline] lapsed a off now =
   Bytes.get_uint8 a (off + flags_at) land has_ttl <> 0
   && Int64.float_of_bits (get64 a (off + expiry_at)) <= now
 
@@ -143,16 +161,55 @@ let key_string a off =
 
 (* ---- bucket chains ---------------------------------------------------- *)
 
-(* The index in [table] of the slot holding [key] in the chain from the
-   bucket at word [base], or -1. *)
-let rec find_slot a table base s tag key =
+let[@inline] chunk_of n k = (k - n) lsr chunk_bits
+
+let[@inline] offset_in_chunk n k = ((k - n) land (chunk_buckets - 1)) * bucket_words
+
+(* Where bucket [k] lives in the current spine: only writers, under the
+   partition lock, address buckets this way. *)
+let bucket_array p k =
+  let n = Array.length p.epochs in
+  if k < n then p.primary else p.chunks.(chunk_of n k)
+
+let bucket_offset p k =
+  let n = Array.length p.epochs in
+  if k < n then k * bucket_words else offset_in_chunk n k
+
+(* Slot word [r] (a slot name, [bucket * bucket_words + slot]) in spine
+   [chunks], which holds the slot's bucket. *)
+let slot_word p chunks r =
+  let n = Array.length p.epochs and k = r / bucket_words in
+  if k < n then p.primary.(r)
+  else chunks.(chunk_of n k).(offset_in_chunk n k + (r mod bucket_words))
+
+let set_slot p r w =
+  let k = r / bucket_words in
+  (bucket_array p k).(bucket_offset p k + (r mod bucket_words)) <- w
+
+(* [find_slot]'s result for a link that leads past [chunks], a reader's
+   snapshot of the spine: the writer that linked the bucket grew the
+   spine after the reader loaded it, so the attempt is torn. *)
+let torn_slot = -2
+
+(* The slot holding [key] in the chain from bucket [k], at [off] in [arr],
+   or -1. *)
+let rec find_slot a p chunks k arr off s tag key =
   if s = slots_per_bucket then
-    let next = table.(base + link) in
-    if next = 0 then -1 else find_slot a table (next * bucket_words) 0 tag key
+    let next = arr.(off + link) in
+    if next = 0 then -1
+    else
+      let n = Array.length p.epochs in
+      (* [lsr]: a link below [n] maps past every spine too. *)
+      let c = chunk_of n next in
+      if c >= Array.length chunks then torn_slot
+      else
+        let chunk = chunks.(c) and off = offset_in_chunk n next in
+        if off >= Array.length chunk then torn_slot
+        else find_slot a p chunks next chunk off 0 tag key
   else
-    let w = table.(base + s) in
-    if w land tag_mask = tag && has_key a (w lsr tag_bits) key then base + s
-    else find_slot a table base (s + 1) tag key
+    let w = arr.(off + s) in
+    if w land tag_mask = tag && has_key a (w lsr tag_bits) key then (k * bucket_words) + s
+    else find_slot a p chunks k arr off (s + 1) tag key
 
 (* Chain epochs: odd while a write is in flight. *)
 let begin_write epoch = Atomic.incr epoch (* even -> odd *)
@@ -171,12 +228,13 @@ let torn = -2
    grow the caller's buffer to the arena's size.  A writer may still free
    the item and another reuse it mid-copy; the caller's epoch check then
    discards the copy, which fits the buffer sized for it.  [off < 0] asks
-   for the length only. *)
-let copy_value t epoch e1 item now buf off =
+   for the length only.  The read's time is [clock.(0)]: a float cell is
+   passed without boxing. *)
+let copy_value t epoch e1 item clock buf off =
   let a = t.arena in
   let hdr = item_header a item in
   if item + hdr > Bytes.length a then torn
-  else if lapsed a item now then absent
+  else if lapsed a item clock.(0) then absent
   else
     let len = value_length a item and pos = item + hdr + key_length a item in
     if pos + len > Bytes.length a then torn
@@ -189,23 +247,25 @@ let copy_value t epoch e1 item now buf off =
 
 (* Optimistic read: retry while a writer holds the chain epoch odd or the
    epoch changed underneath us. *)
-let rec read_attempt t p b tag key now buf off =
+let rec read_attempt t p b tag key clock buf off =
   let epoch = p.epochs.(b) in
   let e1 = Atomic.get epoch in
   if e1 land 1 = 1 then begin
     Domain.cpu_relax ();
-    read_attempt t p b tag key now buf off
+    read_attempt t p b tag key clock buf off
   end
   else
-    let table = p.table in
-    let i = find_slot t.arena table (b * bucket_words) 0 tag key in
+    let chunks = p.chunks in
+    let i = find_slot t.arena p chunks b p.primary (b * bucket_words) 0 tag key in
     let len =
-      if i < 0 then absent else copy_value t epoch e1 (table.(i) lsr tag_bits) now buf off
+      if i = torn_slot then torn
+      else if i < 0 then absent
+      else copy_value t epoch e1 (slot_word p chunks i lsr tag_bits) clock buf off
     in
     if len <> torn && Atomic.get epoch = e1 then len
     else begin
       Domain.cpu_relax ();
-      read_attempt t p b tag key now buf off
+      read_attempt t p b tag key clock buf off
     end
 
 (* Lazy expiry: a read at [now] past the item's deadline answers as if
@@ -213,17 +273,22 @@ let rec read_attempt t p b tag key now buf off =
    [expire_sweep] — readers hold no write permission under the epoch
    protocol.  The [neg_infinity] default makes the check free for callers
    without a clock. *)
-let lookup t key now buf off =
+let lookup t key clock buf off =
   let f = fields t key in
   read_attempt t
     t.partitions.(f lsr (t.bucket_bits + tag_bits))
-    (bucket_of t f) (f land tag_mask) key now buf off
+    (bucket_of t f) (f land tag_mask) key clock buf off
 
-(* The default is matched in the body: in the parameter it would read to
-   the analyzer as a closure per call. *)
-let read_into ?now t key ~buf ~off =
+let no_clock = [| neg_infinity |]
+
+let clock_of = function Some now -> [| now |] | None -> no_clock
+
+let read_into_at t key ~clock ~buf ~off =
   if off < 0 then invalid_arg "Store.read_into: negative offset";
-  lookup t key (match now with Some now -> now | None -> neg_infinity) buf off
+  if Array.length clock < 1 then invalid_arg "Store.read_into_at: empty clock";
+  lookup t key clock buf off
+
+let read_into ?now t key ~buf ~off = read_into_at t key ~clock:(clock_of now) ~buf ~off
 
 let get ?now t key =
   let value = ref Bytes.empty in
@@ -235,8 +300,7 @@ let get ?now t key =
 
 let no_copy _ = Bytes.empty
 
-let length ?now t key =
-  lookup t key (match now with Some now -> now | None -> neg_infinity) no_copy (-1)
+let length ?now t key = lookup t key (clock_of now) no_copy (-1)
 
 let size_of ?now t key =
   let len = length ?now t key in
@@ -263,55 +327,57 @@ let slab_free t off =
       Spinlock.unlock t.slab_lock;
       raise e
 
-(* Pool growth doubles the pool (at least 16 buckets), so it is
-   amortized.  A reader that loaded the old array may finish on it: no
-   write reaches the old copy, and any later write to the reader's chain
-   changes that chain's epoch. *)
-let[@cold] grow p =
-  let old = p.table in
-  let n = Array.length old / bucket_words in
-  let pool = n - Array.length p.epochs in
-  let table = Array.make ((n + max 16 pool) * bucket_words) 0 in
-  Array.blit old 0 table 0 (Array.length old);
-  p.table <- table
+(* One more chunk of overflow buckets.  A reader holding the old spine
+   finds every chunk it can reach in it: a link into the new chunk is
+   written later, under the chain's epoch. *)
+let[@cold] add_chunk p =
+  let chunk = Array.make chunk_words 0 in
+  if p.n_chunks = Array.length p.chunks then begin
+    let spine = Array.make (2 * p.n_chunks) no_chunk in
+    Array.blit p.chunks 0 spine 0 p.n_chunks;
+    spine.(p.n_chunks) <- chunk;
+    p.chunks <- spine
+  end
+  else p.chunks.(p.n_chunks) <- chunk;
+  p.n_chunks <- p.n_chunks + 1
 
-(* A free slot in the chain from word [base], linking a fresh overflow
-   bucket from the pool when the chain is full.  Inside the chain's write
-   section, with room in the pool. *)
-let rec empty_slot t p base s =
+(* A free slot in the chain from bucket [k] (at [off] in [arr]), linking
+   a fresh overflow bucket when the chain is full.  Inside the chain's
+   write section, with an overflow bucket to spare. *)
+let rec empty_slot t p k arr off s =
   if s = slots_per_bucket then begin
-    let next = p.table.(base + link) in
-    if next <> 0 then empty_slot t p (next * bucket_words) 0
+    let next = arr.(off + link) in
+    if next <> 0 then empty_slot t p next (bucket_array p next) (bucket_offset p next) 0
     else begin
-      let next = p.buckets_used in
-      p.buckets_used <- next + 1;
-      p.table.(base + link) <- next;
+      let next = Array.length p.epochs + p.overflow_used in
+      p.overflow_used <- p.overflow_used + 1;
+      arr.(off + link) <- next;
       Atomic.incr t.overflow_count;
       next * bucket_words
     end
   end
-  else if p.table.(base + s) = 0 then base + s
-  else empty_slot t p base (s + 1)
+  else if arr.(off + s) = 0 then (k * bucket_words) + s
+  else empty_slot t p k arr off (s + 1)
 
 (* Publish the item at [item] for [key]: replace the key's slot word, or
    fill an empty slot.  Returns the replaced item, or -1 for an insert.
    Under the partition lock. *)
 let publish t p b tag key item =
   let base = b * bucket_words and word = tag lor (item lsl tag_bits) in
-  let i = find_slot t.arena p.table base 0 tag key in
-  (* Room for one more overflow bucket first, so that nothing inside the
-     write section allocates or raises. *)
-  if i < 0 && (p.buckets_used + 1) * bucket_words > Array.length p.table then grow p;
+  let i = find_slot t.arena p p.chunks b p.primary base 0 tag key in
+  (* An overflow bucket to spare first, so that nothing inside the write
+     section allocates or raises. *)
+  if i < 0 && p.overflow_used = p.n_chunks * chunk_buckets then add_chunk p;
   let epoch = p.epochs.(b) in
   begin_write epoch;
   let old =
     if i >= 0 then begin
-      let old = p.table.(i) lsr tag_bits in
-      p.table.(i) <- word;
+      let old = slot_word p p.chunks i lsr tag_bits in
+      set_slot p i word;
       old
     end
     else begin
-      p.table.(empty_slot t p base 0) <- word;
+      set_slot p (empty_slot t p b p.primary base 0) word;
       -1
     end
   in
@@ -352,7 +418,7 @@ let put ?(expires_at = infinity) t ~guard:(_ : guard) key value =
 let clear_slot t p b i =
   let epoch = p.epochs.(b) in
   begin_write epoch;
-  p.table.(i) <- 0;
+  set_slot p i 0;
   end_write epoch;
   Atomic.decr t.items
 
@@ -362,8 +428,10 @@ let remove t key now =
   let f = fields t key in
   let p = t.partitions.(f lsr (t.bucket_bits + tag_bits)) and b = bucket_of t f in
   Spinlock.lock p.lock;
-  let i = find_slot t.arena p.table (b * bucket_words) 0 (f land tag_mask) key in
-  let item = if i < 0 then -1 else p.table.(i) lsr tag_bits in
+  let i =
+    find_slot t.arena p p.chunks b p.primary (b * bucket_words) 0 (f land tag_mask) key
+  in
+  let item = if i < 0 then -1 else slot_word p p.chunks i lsr tag_bits in
   let removed = item >= 0 && (now = infinity || lapsed t.arena item now) in
   if removed then begin
     clear_slot t p b i;
@@ -385,28 +453,39 @@ let expire t ~guard:(_ : guard) ~now key =
 
 (* ---- whole-store walks ------------------------------------------------- *)
 
-(* Fold [f] over the (slot index, item) pairs of the chain from word
-   [base], in a table snapshot. *)
-let rec fold_chain table base s f acc =
-  if s = slots_per_bucket then
-    let next = table.(base + link) in
-    if next = 0 then acc else fold_chain table (next * bucket_words) 0 f acc
-  else
-    let w = table.(base + s) in
-    let acc = if w = 0 then acc else f (base + s) (w lsr tag_bits) acc in
-    fold_chain table base (s + 1) f acc
+exception Torn
 
-(* Reclaim the lapsed items of the chain from word [base]; returns [n]
-   plus their number.  Under the partition lock. *)
-let rec sweep_chain t p b base s now n =
+(* Fold [f] over the items of the chain from bucket [k] (at [off] in
+   [arr]), in a reader's snapshot [chunks] of the spine; raises [Torn] at
+   a link that leads past it. *)
+let rec fold_chain p chunks arr off s f acc =
   if s = slots_per_bucket then
-    let next = p.table.(base + link) in
-    if next = 0 then n else sweep_chain t p b (next * bucket_words) 0 now n
+    let next = arr.(off + link) in
+    if next = 0 then acc
+    else
+      let n = Array.length p.epochs in
+      let c = chunk_of n next in
+      if c >= Array.length chunks then raise Torn
+      else
+        let chunk = chunks.(c) and off = offset_in_chunk n next in
+        if off >= Array.length chunk then raise Torn else fold_chain p chunks chunk off 0 f acc
   else
-    let w = p.table.(base + s) in
+    let w = arr.(off + s) in
+    let acc = if w = 0 then acc else f (w lsr tag_bits) acc in
+    fold_chain p chunks arr off (s + 1) f acc
+
+(* Reclaim the lapsed items of the chain from bucket [k] (at [off] in
+   [arr]); returns [n] plus their number.  Under the partition lock. *)
+let rec sweep_chain t p b k arr off s now n =
+  if s = slots_per_bucket then
+    let next = arr.(off + link) in
+    if next = 0 then n
+    else sweep_chain t p b next (bucket_array p next) (bucket_offset p next) 0 now n
+  else
+    let w = arr.(off + s) in
     let item = w lsr tag_bits in
     if w <> 0 && lapsed t.arena item now then begin
-      clear_slot t p b (base + s);
+      clear_slot t p b ((k * bucket_words) + s);
       (* Checked after the slot is cleared, as [Ordered.remove] checks it:
          an index build that starts later reads the chain without the
          item. *)
@@ -414,9 +493,9 @@ let rec sweep_chain t p b base s now n =
         Ordered.remove t.ordered (key_string t.arena item);
       slab_free t item;
       Atomic.incr t.expired;
-      sweep_chain t p b base (s + 1) now (n + 1)
+      sweep_chain t p b k arr off (s + 1) now (n + 1)
     end
-    else sweep_chain t p b base (s + 1) now n
+    else sweep_chain t p b k arr off (s + 1) now n
 
 let expire_sweep t ~now =
   Array.fold_left
@@ -424,7 +503,7 @@ let expire_sweep t ~now =
       Spinlock.lock p.lock;
       let n = ref n in
       for b = 0 to Array.length p.epochs - 1 do
-        n := sweep_chain t p b (b * bucket_words) 0 now !n
+        n := sweep_chain t p b b p.primary (b * bucket_words) 0 now !n
       done;
       Spinlock.unlock p.lock;
       !n)
@@ -441,14 +520,13 @@ let rec fold_chain_read t p b f acc =
     fold_chain_read t p b f acc
   end
   else
-    let r =
-      fold_chain p.table (b * bucket_words) 0 (fun _ item acc -> f t.arena item acc) acc
-    in
-    if Atomic.get epoch = e1 then r
-    else begin
-      Domain.cpu_relax ();
-      fold_chain_read t p b f acc
-    end
+    match
+      fold_chain p p.chunks p.primary (b * bucket_words) 0 (fun item acc -> f t.arena item acc) acc
+    with
+    | r when Atomic.get epoch = e1 -> r
+    | _ | (exception Torn) ->
+        Domain.cpu_relax ();
+        fold_chain_read t p b f acc
 
 let fold_items t f acc =
   Array.fold_left
@@ -486,9 +564,12 @@ type stats = {
   arena_bytes : int;
   arena_peak_bytes : int;
   overflow_buckets : int;
+  index_words : int;
   partitions : int;
   expired : int;
 }
+
+let index_words p = Array.length p.primary + (p.n_chunks * chunk_words) + Array.length p.chunks
 
 let stats (t : t) =
   {
@@ -497,6 +578,7 @@ let stats (t : t) =
     arena_bytes = Slab.arena_bytes t.slab;
     arena_peak_bytes = Slab.peak_bytes t.slab;
     overflow_buckets = Atomic.get t.overflow_count;
+    index_words = Array.fold_left (fun acc p -> acc + index_words p) 0 t.partitions;
     partitions = partition_count t;
     expired = Atomic.get t.expired;
   }

@@ -1,13 +1,14 @@
 (** MICA-style in-memory key-value store (§4.2 of the paper).
 
     Keys are split into partitions by keyhash ({!Keyhash.fields}).  Each
-    partition's index is one flat [int array] of 8-word buckets, as
-    MICA's cache-line buckets: {!slots_per_bucket} slot words, each a
-    16-bit tag plus the item's arena offset ([tag lor (off lsl 16)], 0 =
-    empty), then a link word naming the bucket's overflow bucket in the
-    same array (0 = none).  Overflow buckets come from a pool after the
-    primary buckets, which doubles when it fills; they are never
-    unlinked.
+    partition's index is a flat [int array] of 8-word primary buckets, as
+    MICA's cache-line buckets: 7 slot words, each a 16-bit tag plus the
+    item's arena offset ([tag lor (off lsl 16)], 0 = empty), then a link
+    word naming the bucket's overflow bucket (0 = none).  Overflow buckets
+    come from fixed-size chunks of 64 buckets, allocated one at a time as
+    chains fill and never moved or copied, so growing the index allocates
+    only the chunk it adds (and, rarely, a doubled spine of chunk
+    pointers).  Overflow buckets are never unlinked.
 
     Items live in one slab arena ({!Slab}) shared by every partition.
     An item is one block: an 11-byte header, then the key, then the
@@ -33,12 +34,14 @@
       writer and every write locks.  A PUT fills its new item before it
       takes the lock, and frees the replaced item after releasing it.
 
-    Allocation: {!read_into} into a reused buffer and a PUT that
-    overwrites an existing key allocate nothing on the OCaml heap.
+    Allocation: {!read_into} without [~now] or {!read_into_at} into a
+    reused buffer, {!length} without [~now], and a PUT that overwrites an
+    existing key allocate nothing on the OCaml heap.
 
     Measured on the native benchmark's dataset (100k keys, 58.2 MB of
-    values, 2 vCPUs): populating takes 0.11 s, the index grows the major
-    heap by 0.6 words per key, a GET costs ~0.9 us and a size lookup
+    values, 2 vCPUs): populating takes 0.11 s, the index allocates and
+    keeps 0.41 words per key (a pool that doubled and copied allocated 9
+    to keep 0.64), a GET costs ~0.9 us and a size lookup
     ~0.4 us, and [stats.value_bytes] is 1.040x the value bytes, since it
     counts headers and keys and rounds each item up to 8 B. *)
 
@@ -77,6 +80,12 @@ val read_into : ?now:float -> t -> string -> buf:(int -> bytes) -> off:int -> in
     [buf] is only ever asked for the length of a value that was stored:
     an item that a concurrent write frees and reuses can make the
     attempt retry but never overrun the buffer or ask for more. *)
+
+val read_into_at :
+  t -> string -> clock:float array -> buf:(int -> bytes) -> off:int -> int
+(** {!read_into} [~now:clock.(0)].  The time is read from a cell the
+    caller owns and refreshes in place (the native server, once per
+    batch), so the call boxes no float. *)
 
 val get : ?now:float -> t -> string -> bytes option
 (** {!read_into} a fresh buffer of exactly the value's length. *)
@@ -134,6 +143,9 @@ type stats = {
       (** the highest the tail has been: the item memory a run has
           touched, which the process's peak RSS includes *)
   overflow_buckets : int; (** dynamically chained buckets *)
+  index_words : int;
+      (** words the index holds: primary buckets, overflow chunks and
+          their spines *)
   partitions : int;
   expired : int;          (** slots reclaimed by {!expire} / {!expire_sweep} *)
 }

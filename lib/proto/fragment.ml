@@ -8,12 +8,15 @@ let fragments_for size =
   if size < 0 then invalid_arg "Fragment.fragments_for: negative size";
   if size = 0 then 1 else (size + max_fragment_payload - 1) / max_fragment_payload
 
-let write_header b ~off ~msg_id ~index ~count ~len =
+let write_fields b ~off ~index ~count ~len =
   Bytes.set_uint8 b off fragment_magic;
-  Bytes.set_int64_le b (off + 1) msg_id;
   Bytes.set_uint16_le b (off + 9) index;
   Bytes.set_uint16_le b (off + 11) count;
   Bytes.set_uint16_le b (off + 13) len
+
+let write_header b ~off ~msg_id ~index ~count ~len =
+  write_fields b ~off ~index ~count ~len;
+  Bytes.set_int64_le b (off + 1) msg_id
 
 let checked_count total =
   let count = fragments_for total in
@@ -34,17 +37,25 @@ let split ~msg_id msg =
 (* Fragment [index]'s payload sits at [header_size + index * m], where [m]
    is [max_fragment_payload], so its header goes at [index * m]: over the
    last [header_size] payload bytes of fragment [index - 1], which has been
-   sent by then. *)
-let frame_in_place buf ~msg_id ~total ~index =
+   sent by then.  The id is copied as bytes: an [int64] argument would be
+   boxed. *)
+let frame_in_place buf ~id ~id_off ~total ~index =
   let count = checked_count total in
   let off = index * max_fragment_payload in
   let len = min max_fragment_payload (total - off) in
-  write_header buf ~off ~msg_id ~index ~count ~len;
+  write_fields buf ~off ~index ~count ~len;
+  Bytes.blit id id_off buf (off + 1) 8;
   header_size + len
 
+(* A partial holds the fragments it has received, in arrival order, and
+   one bit per index for duplicates: what a first fragment pins is its
+   own payload and a bitmap of at most 8 KB, not a slot for every
+   fragment its count claims. *)
 type partial = {
   count : int;
-  parts : bytes option array;
+  seen : Bytes.t; (* bit [i]: fragment [i] received *)
+  mutable indices : int array;
+  mutable parts : bytes array;
   mutable received : int;
   born : int; (* admission order, so the oldest partial goes first *)
 }
@@ -69,27 +80,75 @@ let discard_oldest t =
   in
   Option.iter (fun (id, _) -> Hashtbl.remove t.partials id) oldest
 
+(* The payload length of a well-formed fragment of [len] bytes in [b], or
+   -1. *)
+let payload_length b ~len =
+  if len < header_size || Bytes.get_uint8 b 0 <> fragment_magic then -1
+  else
+    let index = Bytes.get_uint16_le b 9 and count = Bytes.get_uint16_le b 11 in
+    let plen = Bytes.get_uint16_le b 13 in
+    if count = 0 || index >= count || len < header_size + plen then -1 else plen
+
+(* A single-fragment datagram whose id names a partial conflicts with it
+   and is dropped.  Only reached while a partial is pending: the id is
+   boxed to look it up. *)
+let[@cold] conflicts t b = Hashtbl.mem t.partials (Bytes.get_int64_le b 1)
+
+let whole t b ~len =
+  let plen = payload_length b ~len in
+  if plen < 0 || Bytes.get_uint16_le b 11 <> 1 then -1
+  else if Hashtbl.length t.partials > 0 && conflicts t b then -1
+  else plen
+
+let add_part p index part =
+  let n = p.received in
+  if n = Array.length p.parts then begin
+    let grow a fill =
+      let b = Array.make (min p.count (2 * n)) fill in
+      Array.blit a 0 b 0 n;
+      b
+    in
+    p.indices <- grow p.indices 0;
+    p.parts <- grow p.parts Bytes.empty
+  end;
+  p.indices.(n) <- index;
+  p.parts.(n) <- part;
+  p.received <- n + 1
+
+let assemble p =
+  let ordered = Array.make p.count Bytes.empty in
+  Array.iteri (fun k index -> ordered.(index) <- p.parts.(k)) p.indices;
+  Bytes.concat Bytes.empty (Array.to_list ordered)
+
 let offer t datagram =
   let len = Bytes.length datagram in
-  if len < header_size then None
-  else if Bytes.get_uint8 datagram 0 <> fragment_magic then None
-  else begin
-    let msg_id = Bytes.get_int64_le datagram 1 in
-    let index = Bytes.get_uint16_le datagram 9 in
-    let count = Bytes.get_uint16_le datagram 11 in
-    let plen = Bytes.get_uint16_le datagram 13 in
-    if count = 0 || index >= count || len < header_size + plen then None
-    else if count = 1 && not (Hashtbl.mem t.partials msg_id) then
-      (* A whole message in one datagram: nothing to reassemble. *)
-      Some (msg_id, Bytes.sub datagram header_size plen)
+  let plen = whole t datagram ~len in
+  if plen >= 0 then
+    (* A whole message in one datagram: nothing to reassemble. *)
+    Some (Bytes.get_int64_le datagram 1, Bytes.sub datagram header_size plen)
+  else
+    let plen = payload_length datagram ~len in
+    if plen < 0 then None
     else begin
+      let msg_id = Bytes.get_int64_le datagram 1 in
+      let index = Bytes.get_uint16_le datagram 9 in
+      let count = Bytes.get_uint16_le datagram 11 in
       let partial =
         match Hashtbl.find_opt t.partials msg_id with
         | Some p when p.count = count -> Some p
         | Some _ -> None (* conflicting fragment count: drop *)
         | None ->
             if Hashtbl.length t.partials >= max_pending then discard_oldest t;
-            let p = { count; parts = Array.make count None; received = 0; born = t.admitted } in
+            let p =
+              {
+                count;
+                seen = Bytes.make ((count + 7) / 8) '\000';
+                indices = [| 0 |];
+                parts = [| Bytes.empty |];
+                received = 0;
+                born = t.admitted;
+              }
+            in
             t.admitted <- t.admitted + 1;
             Hashtbl.add t.partials msg_id p;
             Some p
@@ -97,32 +156,17 @@ let offer t datagram =
       match partial with
       | None -> None
       | Some p ->
-          (match p.parts.(index) with
-          | Some _ -> () (* duplicate fragment *)
-          | None ->
-              p.parts.(index) <- Some (Bytes.sub datagram header_size plen);
-              p.received <- p.received + 1);
+          let byte = Bytes.get_uint8 p.seen (index / 8) and bit = 1 lsl (index mod 8) in
+          if byte land bit = 0 then begin
+            (* else a duplicate fragment *)
+            Bytes.set_uint8 p.seen (index / 8) (byte lor bit);
+            add_part p index (Bytes.sub datagram header_size plen)
+          end;
           if p.received = p.count then begin
             Hashtbl.remove t.partials msg_id;
-            let total =
-              Array.fold_left
-                (fun acc part ->
-                  match part with Some b -> acc + Bytes.length b | None -> acc)
-                0 p.parts
-            in
-            let msg = Bytes.create total in
-            let off = ref 0 in
-            Array.iter
-              (function
-                | Some b ->
-                    Bytes.blit b 0 msg !off (Bytes.length b);
-                    off := !off + Bytes.length b
-                | None -> assert false)
-              p.parts;
-            Some (msg_id, msg)
+            Some (msg_id, assemble p)
           end
           else None
     end
-  end
 
 let pending t = Hashtbl.length t.partials

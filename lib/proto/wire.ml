@@ -104,49 +104,87 @@ let encode_request r =
   | None -> ());
   b
 
-let decode_request b =
-  let len = Bytes.length b in
-  if len < request_header then Error Truncated
-  else if Bytes.get_uint8 b 0 <> request_magic then Error Bad_magic
+type view = {
+  mutable view_op : op;
+  mutable key_off : int;
+  mutable key_len : int;
+  mutable value_off : int;
+  mutable value_len : int;
+}
+
+let view () = { view_op = Get; key_off = 0; key_len = 0; value_off = 0; value_len = -1 }
+
+(* id(8) then client_ts(8): at offset 3 of a request and of a reply. *)
+let ids_at = 3
+
+let ids_bytes = 16
+
+let[@cold] bad_version v = Some (Bad_version v)
+
+(* The one request parser.  The 4-byte value length is read as two
+   16-bit halves: a 32-bit getter returns a boxed [int32]. *)
+let decode_request_view v b ~off ~len =
+  if len < request_header then Some Truncated
+  else if Bytes.get_uint8 b off <> request_magic then Some Bad_magic
   else
-    match check_version b with
-    | Some e -> Error e
-    | None -> (
-        match op_of_code (Bytes.get_uint8 b 2) with
-        | None -> Error Bad_op
-        | Some op ->
-            let id = Bytes.get_int64_le b 3 in
-            let client_ts = Bytes.get_int64_le b 11 in
-            let target_rx = Bytes.get_uint16_le b 19 in
-            let klen = Bytes.get_uint16_le b 21 in
-            let vfield = Int32.to_int (Bytes.get_int32_le b 23) land 0xFFFFFFFF in
-            let vlen = if vfield = no_value then 0 else vfield in
-            if len < request_header + klen + vlen then Error Truncated
-            else begin
-              let key = Bytes.sub_string b request_header klen in
-              let value =
-                if vfield = no_value then None
-                else Some (Bytes.sub b (request_header + klen) vlen)
-              in
-              Stdlib.Ok { id; op; key; value; client_ts; target_rx }
-            end)
+    let ver = Bytes.get_uint8 b (off + 1) in
+    if ver <> version then bad_version ver
+    else
+      match op_of_code (Bytes.get_uint8 b (off + 2)) with
+      | None -> Some Bad_op
+      | Some op ->
+          let klen = Bytes.get_uint16_le b (off + 21) in
+          let vfield =
+            Bytes.get_uint16_le b (off + 23) lor (Bytes.get_uint16_le b (off + 25) lsl 16)
+          in
+          let vlen = if vfield = no_value then 0 else vfield in
+          if len < request_header + klen + vlen then Some Truncated
+          else begin
+            v.view_op <- op;
+            v.key_off <- off + request_header;
+            v.key_len <- klen;
+            v.value_off <- off + request_header + klen;
+            v.value_len <- (if vfield = no_value then -1 else vlen);
+            None
+          end
+
+let decode_request b =
+  let v = view () in
+  match decode_request_view v b ~off:0 ~len:(Bytes.length b) with
+  | Some e -> Error e
+  | None ->
+      Stdlib.Ok
+        {
+          id = Bytes.get_int64_le b ids_at;
+          op = v.view_op;
+          key = Bytes.sub_string b v.key_off v.key_len;
+          value = (if v.value_len < 0 then None else Some (Bytes.sub b v.value_off v.value_len));
+          client_ts = Bytes.get_int64_le b (ids_at + 8);
+          target_rx = Bytes.get_uint16_le b 19;
+        }
 
 let reply_header_size = reply_header
 
-let write_reply_header b ~off ~id ~status ~client_ts ~value_len =
+(* A reply's header without its ids. *)
+let write_reply_fields b ~off ~status ~value_len =
+  let vfield = if value_len < 0 then no_value else value_len in
   Bytes.set_uint8 b off reply_magic;
   Bytes.set_uint8 b (off + 1) version;
   Bytes.set_uint8 b (off + 2) (status_code status);
-  Bytes.set_int64_le b (off + 3) id;
-  Bytes.set_int64_le b (off + 11) client_ts;
-  Bytes.set_int32_le b (off + 19)
-    (Int32.of_int (if value_len < 0 then no_value else value_len))
+  Bytes.set_uint16_le b (off + 19) (vfield land 0xFFFF);
+  Bytes.set_uint16_le b (off + 21) (vfield lsr 16)
+
+let write_reply_header b ~off ~ids ~ids_off ~status ~value_len =
+  write_reply_fields b ~off ~status ~value_len;
+  Bytes.blit ids ids_off b (off + ids_at) ids_bytes
 
 let encode_reply r =
   let vlen = value_len r.value in
   let b = Bytes.create (reply_header + vlen) in
-  write_reply_header b ~off:0 ~id:r.id ~status:r.status ~client_ts:r.client_ts
+  write_reply_fields b ~off:0 ~status:r.status
     ~value_len:(match r.value with None -> -1 | Some _ -> vlen);
+  Bytes.set_int64_le b ids_at r.id;
+  Bytes.set_int64_le b (ids_at + 8) r.client_ts;
   (match r.value with Some v -> Bytes.blit v 0 b reply_header vlen | None -> ());
   b
 

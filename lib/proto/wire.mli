@@ -60,6 +60,35 @@ val version : int
 val encode_request : request -> bytes
 
 val decode_request : bytes -> (request, error) result
+(** {!decode_request_view} over the whole buffer, with the key and value
+    copied out. *)
+
+type view = private {
+  mutable view_op : op;
+  mutable key_off : int;  (** the key's offset in the decoded buffer *)
+  mutable key_len : int;
+  mutable value_off : int;
+  mutable value_len : int;  (** [-1]: the request carries no value *)
+}
+(** Where a decoded request's fields lie in its buffer: a server decodes
+    into one view per receive buffer, and copies nothing. *)
+
+val view : unit -> view
+
+val decode_request_view : view -> bytes -> off:int -> len:int -> error option
+(** Decode the request in [b]'s [len] bytes from [off] in place: [None]
+    when it is well formed, with [v] naming its op, key and value.  The
+    id and client timestamp are the {!ids_bytes} bytes at
+    [off + ids_at].  [v] is left as it was on an error.  Allocates
+    nothing on success.  This is the one request parser:
+    {!decode_request} is built on it. *)
+
+val ids_at : int
+(** Offset of a message's id, which the client timestamp follows: the
+    same in a request and a reply (3). *)
+
+val ids_bytes : int
+(** Bytes of the id and client timestamp together (16). *)
 
 val encode_reply : reply -> bytes
 
@@ -70,18 +99,15 @@ val reply_header_size : int
     id(8) client_ts(8) value_len(4) = 23. *)
 
 val write_reply_header :
-  bytes ->
-  off:int ->
-  id:int64 ->
-  status:status ->
-  client_ts:int64 ->
-  value_len:int ->
-  unit
+  bytes -> off:int -> ids:bytes -> ids_off:int -> status:status -> value_len:int -> unit
 (** Write a reply's header at [off], in place: the {!reply_header_size}
     bytes {!encode_reply} puts before the value, for a value of
-    [value_len] bytes ([value_len < 0]: no value).  The value itself
-    goes right after the header, where the caller copies it.  Allocates
-    nothing. *)
+    [value_len] bytes ([value_len < 0]: no value).  The id and client
+    timestamp are copied from the {!ids_bytes} bytes of [ids] at
+    [ids_off], as a request carried them: a server that keeps a
+    request's ids as bytes echoes them without reading them as
+    [int64]s, which would box them.  The value itself goes right after
+    the header, where the caller copies it.  Allocates nothing. *)
 
 val get_reply_size : value_len:int -> int
 (** Encoded size of a successful GET reply carrying a value of this length;

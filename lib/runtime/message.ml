@@ -3,7 +3,7 @@ type op = Get | Put of bytes | Put_ttl of bytes * float | Delete | Scan of int
 type request = {
   id : int64;
   op : op;
-  key : string;
+  mutable key : string;
   submitted_at : float;
   mutable obs_slot : int;
 }

@@ -18,9 +18,18 @@ type op =
 
 type request = {
   id : int64;
+      (** the submitter's id; a request the UDP transport admits carries
+          the transport's name for the request's slot instead, and the
+          client's id stays in that slot *)
   op : op;
-  key : string;
-  submitted_at : float; (** [Unix.gettimeofday] at submission, seconds *)
+  mutable key : string;
+      (** mutable only for the UDP transport, whose GET records are
+          pooled: each slot refills its record's key in place, so the
+          server must not keep a GET's key past its reply *)
+  submitted_at : float;
+      (** [Unix.gettimeofday] at an in-process submission, seconds; 0.0
+          for a request the UDP transport admits, whose latency the
+          client measures from the timestamp the reply echoes *)
   mutable obs_slot : int;
       (** flight-recorder slot assigned by {!Server.submit} when the
           request is sampled; construct with [-1] *)

@@ -51,7 +51,7 @@ type transport = {
   receive : int -> (Message.request -> bool) -> int;
   value_buf : int -> int -> bytes;
   value_off : int;
-  reply : Message.request -> Message.reply -> unit;
+  reply : int -> Message.request -> Message.status -> bytes option -> int -> unit;
   park : int -> float -> unit;
 }
 
@@ -78,10 +78,17 @@ type worker = {
       (* [transport.value_buf] for this worker, noting in [value] the
          buffer it hands out *)
   mutable value : bytes; (* where the last GET's value was copied *)
-  mutable clock : float;
-      (* this batch's [Unix.gettimeofday], read when the batch starts and
-         again after each reply too big for one datagram, so a request
-         served behind a large one in the same batch carries its cost *)
+  mutable some_value : bytes option;
+      (* [Some value], made when [value] changes: a transport that keeps
+         its buffer gets no [Some] per reply *)
+  clock : float array;
+      (* one cell, flat, so setting it boxes nothing: this batch's
+         [Unix.gettimeofday], read when the batch starts and again after
+         each reply too big for one datagram, so a request served behind
+         a large one in the same batch carries its cost *)
+  mutable spare : Stats.Log_histogram.t;
+      (* swapped for [hist] by the control loop, which empties the one it
+         takes and keeps it as the next spare *)
 }
 
 type t = {
@@ -106,7 +113,9 @@ type t = {
   rx_cap : int Atomic.t array; (* per-core effective RX admission cap *)
   ctrl_delayed : bool Atomic.t;
   started_ns : int64; (* monotonic origin of the fault-plan clock *)
+  corrupt : float -> float; (* built once, not per control tick *)
   epoch : Kvserver.Control.Epoch.t; (* touched by worker 0 only *)
+  merged : Stats.Log_histogram.t; (* the control loop's, emptied each tick *)
   in_flight : int Atomic.t;
   accepting : bool Atomic.t;
   stop_flag : bool Atomic.t;
@@ -217,10 +226,20 @@ let poll_reply t = t.poll ()
    a fresh buffer of its exact length, which the client then owns.  A
    reply never waits for a slow client: past the ring's capacity it
    spills into an unbounded overflow queue. *)
-let in_process () =
+let in_process clocks =
   let replies = Netsim.Ring.create ~capacity:65536 in
   let overflow = Queue.create () and lock = Mutex.create () in
-  let reply _ r =
+  let reply q (req : Message.request) status value value_size =
+    let r =
+      {
+        Message.request_id = req.Message.id;
+        status;
+        value;
+        value_size;
+        served_by = q;
+        completed_at = clocks.(q).(0);
+      }
+    in
     if not (Netsim.Ring.try_push replies r) then begin
       Mutex.lock lock;
       Queue.add r overflow;
@@ -302,8 +321,8 @@ type route = Small | Large_here | Handed_off | Shed
 (* Decide where a classified request runs, recording its size for the
    control loop; a handoff happens here. *)
 let route t (w : worker) plan (req : Message.request) size =
-  Stats.Log_histogram.record (Atomic.get w.hist) size;
-  let j = Kvserver.Control.route_idx plan size in
+  Stats.Log_histogram.record_int (Atomic.get w.hist) size;
+  let j = Kvserver.Control.route_idx_int plan size in
   if j < 0 then if try_shed t ~large:false then Shed else Small
   else if try_shed t ~large:true then Shed
   else begin
@@ -328,18 +347,17 @@ let route t (w : worker) plan (req : Message.request) size =
    sent, so a client holding the reply always finds it in [stats]. *)
 let answer t (w : worker) (req : Message.request) status value value_size =
   if value_size > Proto.Fragment.max_fragment_payload then
-    w.clock <- Unix.gettimeofday ();
+    w.clock.(0) <- Unix.gettimeofday ();
   Atomic.decr t.in_flight;
   w.n_done <- w.n_done + 1;
-  t.transport.reply req
-    {
-      Message.request_id = req.Message.id;
-      status;
-      value;
-      value_size;
-      served_by = w.id;
-      completed_at = w.clock;
-    }
+  t.transport.reply w.id req status value value_size
+
+let served t (w : worker) (req : Message.request) status value value_size =
+  obs_mark t Obs.Span.ts_service_end req;
+  Atomic.incr w.served;
+  answer t w req status value value_size;
+  obs_mark t Obs.Span.ts_tx_done req;
+  obs_mark t Obs.Span.ts_end req
 
 let scan_bytes ?now t (req : Message.request) count =
   let total = ref 0 in
@@ -349,72 +367,75 @@ let scan_bytes ?now t (req : Message.request) count =
   in
   (visited, !total)
 
+(* A PUT the value arena cannot hold is refused, not fatal: a client may
+   send a value of any size, and it must not kill the worker. *)
+let store_value t w (req : Message.request) ~expires_at value =
+  match Kvstore.Store.put ~expires_at t.store ~guard:`Lock req.Message.key value with
+  | () -> served t w req Message.Ok None (Bytes.length value)
+  | exception Kvstore.Slab.Out_of_memory _ ->
+      Atomic.incr t.no_memory;
+      answer t w req Message.Overloaded None 0
+
+(* Lazy expiry: a miss may be a lapsed slot; reclaim it now so memory is
+   not held until the background sweep passes. *)
+let[@cold] miss t (w : worker) (req : Message.request) =
+  ignore (Kvstore.Store.expire t.store ~guard:`Lock ~now:w.clock.(0) req.Message.key);
+  served t w req Message.Not_found None 0
+
+(* The one copy of the value: from the slab to where the transport wants
+   it. *)
+let serve_get t (w : worker) (req : Message.request) =
+  let len =
+    Kvstore.Store.read_into_at t.store req.Message.key ~clock:w.clock ~buf:w.value_dst
+      ~off:t.transport.value_off
+  in
+  if len >= 0 then served t w req Message.Ok w.some_value len else miss t w req
+
 (* Every native write takes the partition lock.  CREW's lock-free master
    write is only sound when the master is the key's only writer, and here
    it is not: a large PUT runs on the large core it was handed to, and
-   small cores serve the PUTs they poll from large cores' RX rings. *)
+   small cores serve the PUTs they poll from large cores' RX rings.  The
+   writes and SCANs build their results, so only the GET is on the
+   allocation-free path. *)
+let[@cold] serve_other t (w : worker) (req : Message.request) =
+  let now = w.clock.(0) in
+  match req.Message.op with
+  | Message.Get -> serve_get t w req
+  | Message.Put value -> store_value t w req ~expires_at:infinity value
+  | Message.Put_ttl (value, ttl_s) -> store_value t w req ~expires_at:(now +. ttl_s) value
+  | Message.Scan count ->
+      let visited, total = scan_bytes ~now t req count in
+      served t w req (if visited > 0 then Message.Ok else Message.Not_found) None total
+  | Message.Delete ->
+      let existed = Kvstore.Store.delete t.store ~guard:`Lock req.Message.key in
+      served t w req (if existed then Message.Ok else Message.Not_found) None 0
+
 let serve t (w : worker) (req : Message.request) =
   obs_mark t Obs.Span.ts_service_start req;
   obs_meta t Obs.Span.meta_core req w.id;
   obs_meta t Obs.Span.meta_tx_queue req w.id;
-  let now = w.clock in
-  let reply_with status value value_size =
-    obs_mark t Obs.Span.ts_service_end req;
-    Atomic.incr w.served;
-    answer t w req status value value_size;
-    obs_mark t Obs.Span.ts_tx_done req;
-    obs_mark t Obs.Span.ts_end req
-  in
-  (* A PUT the value arena cannot hold is refused, not fatal: a client may
-     send a value of any size, and it must not kill the worker. *)
-  let store_value ~expires_at value =
-    match Kvstore.Store.put ~expires_at t.store ~guard:`Lock req.Message.key value with
-    | () -> reply_with Message.Ok None (Bytes.length value)
-    | exception Kvstore.Slab.Out_of_memory _ ->
-        Atomic.incr t.no_memory;
-        answer t w req Message.Overloaded None 0
-  in
   match req.Message.op with
-  | Message.Get ->
-      (* The one copy of the value: from the slab to where the transport
-         wants it. *)
-      let len =
-        Kvstore.Store.read_into ~now t.store req.Message.key ~buf:w.value_dst
-          ~off:t.transport.value_off
-      in
-      if len >= 0 then reply_with Message.Ok (Some w.value) len
-      else begin
-        (* Lazy expiry: a miss may be a lapsed slot; reclaim it now so
-           memory is not held until the background sweep passes. *)
-        ignore (Kvstore.Store.expire t.store ~guard:`Lock ~now req.Message.key);
-        reply_with Message.Not_found None 0
-      end
-  | Message.Put value -> store_value ~expires_at:infinity value
-  | Message.Put_ttl (value, ttl_s) -> store_value ~expires_at:(now +. ttl_s) value
-  | Message.Scan count ->
-      let visited, total = scan_bytes ~now t req count in
-      reply_with (if visited > 0 then Message.Ok else Message.Not_found) None total
-  | Message.Delete ->
-      let existed = Kvstore.Store.delete t.store ~guard:`Lock req.Message.key in
-      reply_with (if existed then Message.Ok else Message.Not_found) None 0
+  | Message.Get -> serve_get t w req
+  | Message.Put _ | Message.Put_ttl _ | Message.Scan _ | Message.Delete -> serve_other t w req
+
+(* The size-aware classifier needs a SCAN's total bytes: the same ordered
+   walk the serve path performs, which builds its result. *)
+let[@cold] scan_size t (req : Message.request) count = snd (scan_bytes t req count)
 
 (* Size of the item a request touches: the stored size for GETs (the
    lookup the paper's small cores perform), the carried size for PUTs. *)
 let request_item_size t (req : Message.request) =
   match req.Message.op with
+  | Message.Get -> max 0 (Kvstore.Store.length t.store req.Message.key) (* absent: -1 *)
   | Message.Put value | Message.Put_ttl (value, _) -> Bytes.length value
   | Message.Delete -> 0 (* always "small": frees, never copies *)
-  | Message.Get -> max 0 (Kvstore.Store.length t.store req.Message.key) (* absent: -1 *)
-  | Message.Scan count ->
-      (* The size-aware classifier needs the range's total bytes — the
-         same ordered walk the serve path performs. *)
-      snd (scan_bytes t req count)
+  | Message.Scan count -> scan_size t req count
 
 let classify_and_serve t (w : worker) plan req =
   let item_size = request_item_size t req in
   obs_mark t Obs.Span.ts_classify req;
   obs_meta t Obs.Span.meta_size req item_size;
-  match route t w plan req (float_of_int item_size) with
+  match route t w plan req item_size with
   | Small -> serve t w req
   | Shed -> answer t w req Message.Overloaded None 0
   | Large_here ->
@@ -443,26 +464,39 @@ let serve_polled t (w : worker) plan =
 let fault_now_us t =
   Int64.to_float (Int64.sub (Monotonic_clock.now ()) t.started_ns) /. 1.0e3
 
-let corrupt t threshold =
-  match t.cfg.fault with
+(* The threshold a fault plan may corrupt, as [t.corrupt] applies it. *)
+let corrupt fault started_ns threshold =
+  match fault with
   | None -> threshold
-  | Some f -> Fault.Inject.corrupt_threshold f ~now:(fault_now_us t) threshold
+  | Some f ->
+      let now = Int64.to_float (Int64.sub (Monotonic_clock.now ()) started_ns) /. 1.0e3 in
+      Fault.Inject.corrupt_threshold f ~now threshold
+
 
 (* The executor's half of a control tick: drain every worker's histogram
    (a stale tick discards them), install the plan {!Kvserver.Control.Epoch}
    derives, and log one decision per tick, as the simulator does. *)
+(* Top-level recursion: a closure over [merged] would be one more
+   allocation per tick.  A worker's late [record] into the histogram just
+   taken lands in the emptied spare, and so in a later tick. *)
+let rec drain_histograms (workers : worker array) merged i =
+  if i < Array.length workers then begin
+    let w = workers.(i) in
+    let drained = Atomic.exchange w.hist w.spare in
+    Stats.Log_histogram.merge_into ~dst:merged drained;
+    Stats.Log_histogram.reset drained;
+    w.spare <- drained;
+    drain_histograms workers merged (i + 1)
+  end
+
 let controller_tick t =
-  let merged = Kvserver.Control.size_histogram () in
-  Array.iter
-    (fun w ->
-      Stats.Log_histogram.merge_into ~dst:merged
-        (Atomic.exchange w.hist (Kvserver.Control.size_histogram ())))
-    t.workers;
+  Stats.Log_histogram.reset t.merged;
+  drain_histograms t.workers t.merged 0;
   let stale = Atomic.get t.ctrl_delayed in
   if stale then Atomic.incr t.ctrl_stale;
   (match
      Kvserver.Control.Epoch.step t.epoch ~cores:t.cfg.cores ~stale ~force:false
-       ~corrupt:(corrupt t) merged
+       ~corrupt:t.corrupt t.merged
    with
   | None -> ()
   | Some plan ->
@@ -474,13 +508,13 @@ let controller_tick t =
             m "epoch %d: threshold %.0fB, %d small + %d large cores"
               (Atomic.get t.epochs + 1) plan.threshold plan.n_small plan.n_large));
   (* Only worker 0 runs the controller, so the log needs no lock. *)
-  Option.iter
-    (fun o ->
+  (match t.obs with
+  | None -> ()
+  | Some o ->
       let { Kvserver.Control.threshold; n_small; n_large; _ } = Atomic.get t.plan in
       Obs.Decision_log.record o.Obs.Instrument.decisions
         ~lost:(Atomic.get t.rx_rejected + Atomic.get t.shed_small + Atomic.get t.shed_large)
-        ~now:(now_us ()) ~threshold ~n_small ~n_large ())
-    t.obs;
+        ~now:(now_us ()) ~threshold ~n_small ~n_large ());
   Atomic.incr t.epochs
 
 let timeline_tick t tl ~now =
@@ -517,7 +551,7 @@ let worker_loop t (w : worker) =
     w.n_done <- 0;
     w.n_polled <- drain t w plan;
     if w.n_polled > 0 then begin
-      w.clock <- Unix.gettimeofday ();
+      w.clock.(0) <- Unix.gettimeofday ();
       serve_polled t w plan
     end;
     let handled = received + w.n_polled in
@@ -627,8 +661,10 @@ let start ?obs ?(config = default_config) ?transport store =
   if config.batch < 1 then invalid_arg "Server.start: batch must be >= 1";
   if config.expiry_sweep_s < 0.0 then
     invalid_arg "Server.start: expiry_sweep_s must be >= 0";
+  let clocks = Array.init config.cores (fun _ -> [| 0.0 |]) in
+  let started_ns = Monotonic_clock.now () in
   let transport, poll =
-    match transport with Some tr -> (tr, fun () -> None) | None -> in_process ()
+    match transport with Some tr -> (tr, fun () -> None) | None -> in_process clocks
   in
   let placeholder =
     { Message.id = -1L; op = Message.Get; key = ""; submitted_at = 0.0; obs_slot = -1 }
@@ -657,10 +693,16 @@ let start ?obs ?(config = default_config) ?transport store =
                 failure = Atomic.make None;
                 value_dst =
                   (fun len ->
-                    w.value <- transport.value_buf id len;
-                    w.value);
+                    let b = transport.value_buf id len in
+                    if b != w.value then begin
+                      w.value <- b;
+                      w.some_value <- Some b
+                    end;
+                    b);
                 value = Bytes.empty;
-                clock = 0.0;
+                some_value = None;
+                clock = clocks.(id);
+                spare = Kvserver.Control.size_histogram ();
               }
             in
             w);
@@ -678,10 +720,12 @@ let start ?obs ?(config = default_config) ?transport store =
       stall_us = Array.init config.cores (fun _ -> Atomic.make 0);
       rx_cap = Array.init config.cores (fun _ -> Atomic.make config.ring_capacity);
       ctrl_delayed = Atomic.make false;
-      started_ns = Monotonic_clock.now ();
+      started_ns;
+      corrupt = corrupt config.fault started_ns;
       epoch =
         Kvserver.Control.Epoch.create ?clamp:config.clamp_threshold ~alpha:config.alpha
           ~percentile:config.percentile ~cost_fn:config.cost_fn ();
+      merged = Kvserver.Control.size_histogram ();
       in_flight = Atomic.make 0;
       accepting = Atomic.make true;
       stop_flag = Atomic.make false;

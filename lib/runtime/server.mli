@@ -92,11 +92,14 @@ type transport = {
           value, at offset [value_off]; at least [value_off + len] bytes.
           Called while the value is read, possibly more than once. *)
   value_off : int;
-  reply : Message.request -> Message.reply -> unit;
-      (** Called by whichever worker served the request, on that worker's
-          domain; never blocks.  A successful GET's [value] is the buffer
-          [value_buf] returned last, its [value_size] bytes at
-          [value_off]. *)
+  reply : int -> Message.request -> Message.status -> bytes option -> int -> unit;
+      (** [reply q req status value value_size]: called by worker [q],
+          which served [req], on its domain; never blocks.  A successful
+          GET's [value] is the buffer [value_buf] returned last, its
+          [value_size] bytes at [value_off].  The arguments are the
+          fields of a {!Message.reply}, whose [completed_at] is worker
+          [q]'s batch clock: a transport that needs no record builds
+          none. *)
   park : int -> float -> unit;
       (** [park q timeout_s]: idle worker [q] waits for input. *)
 }

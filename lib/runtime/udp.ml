@@ -2,42 +2,134 @@ let loopback = Unix.inet_addr_loopback
 
 let max_datagram = Netsim.Frame.max_udp_payload
 
-type pending = { addr : Unix.sockaddr; queue : int; client_ts : int64 }
+(* Socket calls that never block, never raise and allocate nothing
+   (udp_stubs.c).  A peer is [peer_bytes] bytes: its address's length,
+   then the address.  [recv] returns the datagram's length and writes its
+   sender into [peer], or returns -1 when none is waiting; [sendto] sends
+   to the peer at [peer_off] in its [peer] argument, and returns -1 when
+   the kernel refuses the datagram. *)
+external recv : Unix.file_descr -> bytes -> int -> int -> bytes -> int = "minos_udp_recv"
+  [@@noalloc]
 
-(* Receive and wait calls that allocate nothing on an empty socket
-   (udp_stubs.c).  [recv] returns the datagram's length and stores its
-   sender in [from.(0)], or returns -1 when none is waiting. *)
-external recv : Unix.file_descr -> bytes -> int -> int -> Unix.sockaddr array -> int
-  = "minos_udp_recv"
+external sendto : Unix.file_descr -> bytes -> int -> int -> bytes -> int -> int
+  = "minos_udp_sendto_byte" "minos_udp_sendto"
+  [@@noalloc]
 
 external wait_readable : Unix.file_descr -> int -> unit = "minos_udp_wait_readable"
 
+let peer_bytes = 32 (* PEER_BYTES in udp_stubs.c *)
+
+(* A request's bytes in its slot: its id and client timestamp as the wire
+   carried them, then its sender. *)
+let meta_bytes = Proto.Wire.ids_bytes + peer_bytes
+
+let peer_at = Proto.Wire.ids_bytes
+
+(* A queue's requests in flight, one slot each from receipt to reply: the
+   flat table that tells a reply where to go.  A request's [id] names its
+   slot ([queue * capacity + slot]); the client's id stays in the slot's
+   bytes, so no [int64] is boxed per request.  Slots are reused last in,
+   first out, so a light load touches only the first few. *)
+type slots = {
+  records : Message.request array;
+      (* slot -> its GET record, made at the slot's first use and reused
+         by every GET it carries; a request of another op copies its
+         [id] *)
+  meta : Bytes.t; (* slot -> [meta_bytes] bytes *)
+  free : Bytes.t; (* a stack of freed slots, 4 bytes each *)
+  mutable n_free : int;
+  mutable fresh : int; (* slots [fresh, capacity) were never used *)
+  lock : Kvstore.Spinlock.t;
+}
+
+let unused = { Message.id = -1L; op = Message.Get; key = ""; submitted_at = 0.0; obs_slot = -1 }
+
 (* The socket transport's state, shared by the worker domains.  Queue [q]
-   has its socket, receive buffer, fragment reassembler and TX buffer, all
-   used by worker [q] only; the pending table and the dedup cache share a
-   lock. *)
+   has its socket, receive buffer, sender, decoded view, fragment
+   reassembler and TX buffer, all used by worker [q] only; its slots are
+   taken by worker [q] and freed by whichever worker replies. *)
 type conn = {
   sockets : Unix.file_descr array;
   bufs : Bytes.t array;
-  from : Unix.sockaddr array array; (* queue -> its last datagram's sender *)
+  peers : Bytes.t array; (* queue -> its last datagram's sender *)
+  views : Proto.Wire.view array; (* queue -> its last request, decoded in place *)
+  slots : slots array;
+  capacity : int; (* slots per queue *)
   reassemblers : Proto.Fragment.reassembler array;
   tx : Bytes.t array;
       (* worker [q]'s outgoing message, from offset [Fragment.header_size]
          so its fragments can be framed in place; grown to the largest
          reply the worker has sent, and kept *)
   batch : int;
-  pending : (int64, pending) Hashtbl.t; (* request id -> where to reply *)
   dedup : bytes Proto.Dedup.t; (* mutation's request id -> encoded reply *)
-  lock : Mutex.t;
+  dedup_lock : Mutex.t;
+  recorder : Obs.Recorder.t option;
 }
 
 type t = { server : Server.t; conn : conn; base_port : int; mutable stopped : bool }
 
+(* ---- slots ------------------------------------------------------------ *)
+
+(* A free slot, or -1 when every one is in flight. *)
+let take_slot s capacity =
+  Kvstore.Spinlock.lock s.lock;
+  let i =
+    if s.n_free > 0 then begin
+      s.n_free <- s.n_free - 1;
+      let at = 4 * s.n_free in
+      Bytes.get_uint16_le s.free at lor (Bytes.get_uint16_le s.free (at + 2) lsl 16)
+    end
+    else if s.fresh < capacity then begin
+      s.fresh <- s.fresh + 1;
+      s.fresh - 1
+    end
+    else -1
+  in
+  Kvstore.Spinlock.unlock s.lock;
+  i
+
+let free_slot s i =
+  Kvstore.Spinlock.lock s.lock;
+  let at = 4 * s.n_free in
+  Bytes.set_uint16_le s.free at (i land 0xFFFF);
+  Bytes.set_uint16_le s.free (at + 2) (i lsr 16);
+  s.n_free <- s.n_free + 1;
+  Kvstore.Spinlock.unlock s.lock
+
+(* Slot [i]'s record, made at the slot's first use. *)
+let[@cold] make_record c queue s i =
+  let r =
+    {
+      Message.id = Int64.of_int ((queue * c.capacity) + i);
+      op = Message.Get;
+      key = "";
+      submitted_at = 0.0;
+      obs_slot = -1;
+    }
+  in
+  s.records.(i) <- r;
+  r
+
+let slot_record c queue s i =
+  let r = s.records.(i) in
+  if r == unused then make_record c queue s i else r
+
+(* Note the request at [off] in [b], just received on [queue], in slot
+   [i]: its ids and its sender. *)
+let note_sender c queue s i b off =
+  Bytes.blit b (off + Proto.Wire.ids_at) s.meta (i * meta_bytes) Proto.Wire.ids_bytes;
+  Bytes.blit c.peers.(queue) 0 s.meta ((i * meta_bytes) + peer_at) peer_bytes
+
+(* ---- replies ------------------------------------------------------------ *)
+
 (* Worker [q]'s TX buffer, with room for a [size]-byte message. *)
+let[@cold] grow_tx c q need =
+  c.tx.(q) <- Bytes.create need;
+  c.tx.(q)
+
 let tx_buf c q size =
   let need = Proto.Fragment.header_size + size in
-  if Bytes.length c.tx.(q) < need then c.tx.(q) <- Bytes.create need;
-  c.tx.(q)
+  if Bytes.length c.tx.(q) < need then grow_tx c q need else c.tx.(q)
 
 (* [Server.transport.value_buf]: a GET's value goes straight after the
    reply header in the serving worker's TX buffer. *)
@@ -45,143 +137,209 @@ let value_off = Proto.Fragment.header_size + Proto.Wire.reply_header_size
 
 let value_buf c q len = tx_buf c q (Proto.Wire.reply_header_size + len)
 
-(* Send the [total]-byte message in worker [q]'s TX buffer, each fragment
-   framed in place.  A datagram the kernel will not take now is dropped,
-   as the wire would drop it: the client retransmits. *)
-let send_message c q sock addr ~msg_id total =
+(* Where a message's id lies in a TX buffer: in its reply header, which
+   no fragment header overwrites. *)
+let tx_id_at = Proto.Fragment.header_size + Proto.Wire.ids_at
+
+(* Send the [total]-byte message in worker [q]'s TX buffer to the peer at
+   [peer_off] in [peers], each fragment framed in place.  A datagram the
+   kernel will not take now is dropped, as the wire would drop it: the
+   client retransmits. *)
+let send_message c q sock peers peer_off total =
   let buf = c.tx.(q) in
   for index = 0 to Proto.Fragment.fragments_for total - 1 do
-    let len = Proto.Fragment.frame_in_place buf ~msg_id ~total ~index in
-    try
-      ignore
-        (Unix.sendto sock buf (index * Proto.Fragment.max_fragment_payload) len [] addr)
-    with Unix.Unix_error _ -> ()
+    let len = Proto.Fragment.frame_in_place buf ~id:buf ~id_off:tx_id_at ~total ~index in
+    ignore (sendto sock buf (index * Proto.Fragment.max_fragment_payload) len peers peer_off)
   done
 
 (* Copy an encoded message into worker [q]'s TX buffer and send it. *)
-let send_copy c q sock addr ~msg_id encoded =
+let send_copy c q sock peers peer_off encoded =
   let total = Bytes.length encoded in
   Bytes.blit encoded 0 (tx_buf c q total) Proto.Fragment.header_size total;
-  send_message c q sock addr ~msg_id total
+  send_message c q sock peers peer_off total
 
 let locked c f =
-  Mutex.lock c.lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock c.lock) f
+  Mutex.lock c.dedup_lock;
+  match f () with
+  | v ->
+      Mutex.unlock c.dedup_lock;
+      v
+  | exception e ->
+      Mutex.unlock c.dedup_lock;
+      raise e
 
-(* The cached reply of a completed request; otherwise [None], once [p]
-   is noted as where to reply. *)
-let arrive c id p =
-  locked c (fun () ->
-      let cached = Proto.Dedup.find c.dedup id in
-      if Option.is_none cached then Hashtbl.replace c.pending id p;
-      cached)
-
-let take_pending c id =
-  locked c (fun () ->
-      let p = Hashtbl.find_opt c.pending id in
-      Hashtbl.remove c.pending id;
-      p)
-
+(* A copy of this request that ran meanwhile may have cached its reply
+   first; every copy then answers with that one. *)
 let cache_reply c id encoded =
   locked c (fun () -> fst (Proto.Dedup.execute c.dedup ~id (fun () -> encoded)))
-
-(* [None] for a request whose op lacks its payload: a PUT without a value
-   or a SCAN without a valid count. *)
-let message_op (req : Proto.Wire.request) =
-  match (req.Proto.Wire.op, req.Proto.Wire.value) with
-  | Proto.Wire.Get, _ -> Some Message.Get
-  | Proto.Wire.Put, Some value -> Some (Message.Put value)
-  | Proto.Wire.Delete, _ -> Some Message.Delete
-  | Proto.Wire.Scan, Some count ->
-      Option.map (fun n -> Message.Scan n) (Proto.Wire.decode_scan_count count)
-  | (Proto.Wire.Put | Proto.Wire.Scan), None -> None
-
-(* One decoded datagram: replay a completed request from the dedup cache,
-   otherwise note where to reply and admit it to the queue's RX ring.  A
-   full ring drops it (the client retransmits). *)
-let accept c queue addr ~now admit msg =
-  match Proto.Wire.decode_request msg with
-  | Error _ -> () (* malformed datagrams are dropped *)
-  | Ok req -> (
-      match message_op req with
-      | None -> () (* so are requests missing their payload *)
-      | Some op -> (
-          let id = req.Proto.Wire.id in
-          match arrive c id { addr; queue; client_ts = req.Proto.Wire.client_ts } with
-          | Some encoded -> send_copy c queue c.sockets.(queue) addr ~msg_id:id encoded
-          | None ->
-              let message =
-                {
-                  Message.id;
-                  op;
-                  key = req.Proto.Wire.key;
-                  submitted_at = now;
-                  obs_slot = -1;
-                }
-              in
-              if not (admit message) then ignore (take_pending c id)))
-
-(* [Server.transport.receive]: drain up to a batch of datagrams from the
-   queue's non-blocking socket, reassembling multi-fragment requests.  An
-   empty socket costs one [recv] and allocates nothing. *)
-let rec receive_batch c queue admit sock buf n now =
-  if n >= c.batch then n
-  else
-    let from = c.from.(queue) in
-    let len = recv sock buf 0 (Bytes.length buf) from in
-    if len < 0 then n
-    else begin
-      (* One clock read per batch stamps every request in it. *)
-      let now = if n = 0 then Unix.gettimeofday () else now in
-      (match Proto.Fragment.offer c.reassemblers.(queue) (Bytes.sub buf 0 len) with
-      | None -> ()
-      | Some (_, msg) -> accept c queue from.(0) ~now admit msg);
-      receive_batch c queue admit sock buf (n + 1) now
-    end
-
-let receive c queue admit = receive_batch c queue admit c.sockets.(queue) c.bufs.(queue) 0 0.0
 
 (* Only a mutation's reply is cached: a retransmitted PUT or DELETE is
    replayed, a retransmitted read runs again and returns the current
    value.  Shed replies are not cached either: a retransmission of a shed
    request should re-attempt execution once the overload passes, not
    replay the rejection. *)
-let cacheable (req : Message.request) (reply : Message.reply) =
-  match (req.Message.op, reply.Message.status) with
-  | (Message.Put _ | Message.Put_ttl _ | Message.Delete), (Message.Ok | Message.Not_found)
-    ->
-      true
-  | (Message.Get | Message.Scan _), _ | _, Message.Overloaded -> false
+let cacheable (req : Message.request) (status : Message.status) =
+  match req.Message.op with
+  | Message.Put _ | Message.Put_ttl _ | Message.Delete -> (
+      match status with Message.Ok | Message.Not_found -> true | Message.Overloaded -> false)
+  | Message.Get | Message.Scan _ -> false
 
-(* [Server.transport.reply], on the serving worker's domain: write the
-   reply header in its TX buffer (a GET's value is already behind it) and
-   send from the socket the request arrived on — the client's socket is
-   connected to that port and accepts nothing else. *)
-let reply c (req : Message.request) (reply : Message.reply) =
-  let id = req.Message.id in
-  match take_pending c id with
-  | None -> () (* submitted in-process, or a duplicate already answered *)
-  | Some p ->
-      let q = reply.Message.served_by in
-      let value_len =
-        match reply.Message.value with Some _ -> reply.Message.value_size | None -> -1
+let[@cold] send_cached c q sock s i total =
+  let encoded = Bytes.sub c.tx.(q) Proto.Fragment.header_size total in
+  let id = Bytes.get_int64_le s.meta (i * meta_bytes) in
+  send_copy c q sock s.meta ((i * meta_bytes) + peer_at) (cache_reply c id encoded)
+
+let wire_status = function
+  | Message.Ok -> Proto.Wire.Ok
+  | Message.Not_found -> Proto.Wire.Not_found
+  | Message.Overloaded -> Proto.Wire.Overloaded
+
+(* [Server.transport.reply], on the serving worker [q]'s domain: write the
+   reply header in its TX buffer (a GET's value is already behind it),
+   send it from the socket the request arrived on — the client's socket
+   is connected to that port and accepts nothing else — and free the
+   request's slot. *)
+let reply c q (req : Message.request) status value value_size =
+  let h = Int64.to_int req.Message.id in
+  let queue = h / c.capacity and i = h mod c.capacity in
+  if h >= 0 && queue < Array.length c.slots && c.slots.(queue).records.(i).Message.id == req.Message.id
+  then begin
+    let s = c.slots.(queue) in
+    let value_len = match value with Some _ -> value_size | None -> -1 in
+    let total = Proto.Wire.reply_header_size + max 0 value_len in
+    let buf = tx_buf c q total in
+    Proto.Wire.write_reply_header buf ~off:Proto.Fragment.header_size ~ids:s.meta
+      ~ids_off:(i * meta_bytes) ~status:(wire_status status) ~value_len;
+    let sock = c.sockets.(queue) in
+    if cacheable req status then send_cached c q sock s i total
+    else send_message c q sock s.meta ((i * meta_bytes) + peer_at) total;
+    free_slot s i
+  end
+(* else submitted in-process *)
+
+(* ---- requests ----------------------------------------------------------- *)
+
+(* A sampled request's span is labelled with the client's id, which the
+   request's [id] (its slot's name) does not carry. *)
+let[@cold] label_span c (req : Message.request) s i =
+  match c.recorder with
+  | None -> ()
+  | Some r ->
+      Obs.Recorder.set_meta r req.Message.obs_slot Obs.Span.meta_seq
+        (Int64.to_int (Bytes.get_int64_le s.meta (i * meta_bytes)))
+
+(* Hand a request in slot [i] to the queue's RX ring, or free the slot
+   when the ring refuses it. *)
+let admit_slot c admit s i (req : Message.request) =
+  if not (admit req) then free_slot s i
+  else if req.Message.obs_slot >= 0 then label_span c req s i
+
+(* The key of a slot's GET record is the slot's own buffer, refilled in
+   place from each GET it carries: the server only reads a GET's key (no
+   store structure keeps it), and the slot is reused only after the
+   reply, so no reader sees it change. *)
+let[@cold] replace_key (req : Message.request) b off len =
+  req.Message.key <- Bytes.sub_string b off len
+
+let set_key (req : Message.request) b off len =
+  if String.length req.Message.key = len then
+    Bytes.blit b off (Bytes.unsafe_of_string req.Message.key) 0 len
+  else replace_key req b off len
+
+(* A GET decoded in place at [off] in [b]: a slot's record carries it to
+   the queue's RX ring.  A full ring drops it (the client retransmits), as
+   does a queue with every slot in flight. *)
+let accept_get c queue admit b off =
+  let s = c.slots.(queue) in
+  let i = take_slot s c.capacity in
+  if i >= 0 then begin
+    note_sender c queue s i b off;
+    let req = slot_record c queue s i in
+    let v = c.views.(queue) in
+    set_key req b v.Proto.Wire.key_off v.Proto.Wire.key_len;
+    req.Message.obs_slot <- -1;
+    admit_slot c admit s i req
+  end
+
+(* [None] for a request whose op lacks its payload: a PUT without a value
+   or a SCAN without a valid count. *)
+let message_op (v : Proto.Wire.view) b =
+  let value () = Bytes.sub b v.Proto.Wire.value_off v.Proto.Wire.value_len in
+  match v.Proto.Wire.view_op with
+  | Proto.Wire.Get -> Some Message.Get
+  | Proto.Wire.Delete -> Some Message.Delete
+  | (Proto.Wire.Put | Proto.Wire.Scan) when v.Proto.Wire.value_len < 0 -> None
+  | Proto.Wire.Put -> Some (Message.Put (value ()))
+  | Proto.Wire.Scan -> Option.map (fun n -> Message.Scan n) (Proto.Wire.decode_scan_count (value ()))
+
+(* Any other request carries its payload in a fresh record, and a
+   mutation completed before is replayed from the dedup cache.  Reads
+   skip the cache: only mutations' replies are in it. *)
+let[@cold] accept_other c queue admit b off =
+  let v = c.views.(queue) in
+  match message_op v b with
+  | None -> () (* dropped, as malformed datagrams are *)
+  | Some op -> (
+      let id = Bytes.get_int64_le b (off + Proto.Wire.ids_at) in
+      let cached =
+        match op with
+        | Message.Put _ | Message.Put_ttl _ | Message.Delete ->
+            locked c (fun () -> Proto.Dedup.find c.dedup id)
+        | Message.Get | Message.Scan _ -> None
       in
-      let total = Proto.Wire.reply_header_size + max 0 value_len in
-      let buf = tx_buf c q total in
-      Proto.Wire.write_reply_header buf ~off:Proto.Fragment.header_size ~id
-        ~status:
-          (match reply.Message.status with
-          | Message.Ok -> Proto.Wire.Ok
-          | Message.Not_found -> Proto.Wire.Not_found
-          | Message.Overloaded -> Proto.Wire.Overloaded)
-        ~client_ts:p.client_ts ~value_len;
-      let sock = c.sockets.(p.queue) in
-      if cacheable req reply then
-        (* A copy of this request that ran meanwhile may have cached its
-           reply first; every copy then answers with that one. *)
-        send_copy c q sock p.addr ~msg_id:id
-          (cache_reply c id (Bytes.sub buf Proto.Fragment.header_size total))
-      else send_message c q sock p.addr ~msg_id:id total
+      match cached with
+      | Some encoded -> send_copy c queue c.sockets.(queue) c.peers.(queue) 0 encoded
+      | None ->
+          let s = c.slots.(queue) in
+          let i = take_slot s c.capacity in
+          if i >= 0 then begin
+            note_sender c queue s i b off;
+            let key = Bytes.sub_string b v.Proto.Wire.key_off v.Proto.Wire.key_len in
+            let req =
+              {
+                Message.id = (slot_record c queue s i).Message.id;
+                op;
+                key;
+                submitted_at = 0.0;
+                obs_slot = -1;
+              }
+            in
+            admit_slot c admit s i req
+          end)
+
+(* The request at [off] in [b], [len] bytes, decoded in place. *)
+let accept c queue admit b off len =
+  let v = c.views.(queue) in
+  match Proto.Wire.decode_request_view v b ~off ~len with
+  | Some _ -> () (* malformed datagrams are dropped *)
+  | None -> (
+      match v.Proto.Wire.view_op with
+      | Proto.Wire.Get -> accept_get c queue admit b off
+      | Proto.Wire.Put | Proto.Wire.Delete | Proto.Wire.Scan -> accept_other c queue admit b off)
+
+(* A fragment of a larger message: its reassembled copy is accepted once
+   the last fragment arrives. *)
+let[@cold] reassemble c queue admit buf len =
+  match Proto.Fragment.offer c.reassemblers.(queue) (Bytes.sub buf 0 len) with
+  | None -> ()
+  | Some (_, msg) -> accept c queue admit msg 0 (Bytes.length msg)
+
+(* [Server.transport.receive]: drain up to a batch of datagrams from the
+   queue's non-blocking socket.  A request in one datagram is decoded
+   where it was received; an empty socket costs one [recv]. *)
+let rec receive_batch c queue admit sock buf n =
+  if n >= c.batch then n
+  else
+    let len = recv sock buf 0 (Bytes.length buf) c.peers.(queue) in
+    if len < 0 then n
+    else begin
+      let plen = Proto.Fragment.whole c.reassemblers.(queue) buf ~len in
+      if plen >= 0 then accept c queue admit buf Proto.Fragment.header_size plen
+      else reassemble c queue admit buf len;
+      receive_batch c queue admit sock buf (n + 1)
+    end
+
+let receive c queue admit = receive_batch c queue admit c.sockets.(queue) c.bufs.(queue) 0
 
 (* [Server.transport.park]: sleep until a datagram arrives on the
    queue's socket, or [timeout_s] passes. *)
@@ -200,17 +358,35 @@ let start ?obs ?(config = Server.default_config) ?(base_port = 47700)
         Unix.bind sock (Unix.ADDR_INET (loopback, base_port + q));
         sock)
   in
+  (* Every request in flight from a queue sits in its RX ring, in a
+     software queue or in a worker's polled batch, so slots never run
+     out. *)
+  let capacity =
+    (config.Server.ring_capacity * (cores + 1)) + (cores * config.Server.batch * (cores + 2))
+  in
   let conn =
     {
       sockets;
       bufs = Array.init cores (fun _ -> Bytes.create (max_datagram + 64));
-      from = Array.init cores (fun _ -> [| Unix.ADDR_UNIX "" |]);
+      peers = Array.init cores (fun _ -> Bytes.make peer_bytes '\000');
+      views = Array.init cores (fun _ -> Proto.Wire.view ());
+      slots =
+        Array.init cores (fun _ ->
+            {
+              records = Array.make capacity unused;
+              meta = Bytes.create (capacity * meta_bytes);
+              free = Bytes.create (4 * capacity);
+              n_free = 0;
+              fresh = 0;
+              lock = Kvstore.Spinlock.create ();
+            });
+      capacity;
       reassemblers = Array.init cores (fun _ -> Proto.Fragment.create_reassembler ());
       tx = Array.init cores (fun _ -> Bytes.create max_datagram);
       batch = config.Server.batch;
-      pending = Hashtbl.create 256;
       dedup = Proto.Dedup.create ~capacity:dedup_capacity ();
-      lock = Mutex.create ();
+      dedup_lock = Mutex.create ();
+      recorder = Option.map (fun o -> o.Obs.Instrument.recorder) obs;
     }
   in
   let transport =

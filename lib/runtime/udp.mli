@@ -15,7 +15,13 @@
     the largest reply that worker has sent and is kept: a GET's value is
     copied once, from the store's slab to behind the reply header, and
     each fragment's header is written in place in front of its payload,
-    so sending a reply allocates nothing.
+    so sending a reply allocates nothing.  A request that fits one
+    datagram is decoded where it was received, and a flat per-queue
+    table of slots carries it to its reply: a slot keeps the request's
+    id and client timestamp as the wire's bytes, its sender as raw
+    address bytes, and a pooled GET record.  A single-datagram GET
+    therefore allocates nothing from receive to reply; other requests
+    carry their payloads in fresh records.
 
     A {!Proto.Dedup} cache holds the replies to mutations (PUT, DELETE):
     a retransmitted mutation is replayed, not run twice.  A retransmitted

@@ -93,6 +93,10 @@ val route_idx : plan -> float -> int
     large requests return [0] — by convention the standby core.
     Allocation-free (an [int option] would box every [Some j]). *)
 
+val route_idx_int : plan -> int -> int
+(** {!route_idx} of an integer size: the native server's item sizes are
+    integers, and a [float] argument would be boxed at each call. *)
+
 val standby_core : cores:int -> int
 (** Identity of the standby large core (the last core). *)
 

@@ -4,7 +4,9 @@ type t = {
   inv_log_gamma : float;
   gamma : float;
   counts : float array;
-  mutable total : float;
+  sum : float array;
+      (* one cell, the total: a mutable float field of this record would
+         box on every [record] *)
 }
 
 let create ?(buckets_per_decade = 32) ~min_value ~max_value () =
@@ -23,7 +25,7 @@ let create ?(buckets_per_decade = 32) ~min_value ~max_value () =
     inv_log_gamma = 1.0 /. log_gamma;
     gamma;
     counts = Array.make (max n 1) 0.0;
-    total = 0.0;
+    sum = [| 0.0 |];
   }
 
 let same_layout a b =
@@ -31,7 +33,7 @@ let same_layout a b =
   && a.max_value = b.max_value
   && Array.length a.counts = Array.length b.counts
 
-let index_of t v =
+let[@inline] index_of t v =
   if v <= t.min_value then 0
   else begin
     let i = int_of_float (log (v /. t.min_value) *. t.inv_log_gamma) in
@@ -40,16 +42,20 @@ let index_of t v =
     else i
   end
 
-let record t v =
+let[@inline] record t v =
   let i = index_of t v in
   t.counts.(i) <- t.counts.(i) +. 1.0;
-  t.total <- t.total +. 1.0
+  t.sum.(0) <- t.sum.(0) +. 1.0
 
-let total t = t.total
+let record_int t n = record t (float_of_int n)
 
-let is_empty t = t.total = 0.0
+let total t = t.sum.(0)
 
-let bucket_upper_bound t i =
+let is_empty t = t.sum.(0) = 0.0
+
+let buckets t = Array.length t.counts
+
+let[@inline] bucket_upper_bound t i =
   if i < 0 || i >= Array.length t.counts then
     invalid_arg "Log_histogram.bucket_upper_bound: index out of range";
   t.min_value *. Float.pow t.gamma (float_of_int (i + 1))
@@ -57,16 +63,16 @@ let bucket_upper_bound t i =
 let quantile t q =
   if is_empty t then invalid_arg "Log_histogram.quantile: empty histogram";
   if q <= 0.0 || q > 1.0 then invalid_arg "Log_histogram.quantile: q out of (0, 1]";
-  let target = q *. t.total in
+  let target = q *. t.sum.(0) in
   let n = Array.length t.counts in
-  let rec go i acc =
-    if i >= n - 1 then bucket_upper_bound t (n - 1)
-    else begin
-      let acc = acc +. t.counts.(i) in
-      if acc >= target then bucket_upper_bound t i else go (i + 1) acc
-    end
-  in
-  go 0 0.0
+  (* The first bucket at which the running sum reaches [target]; a loop,
+     so the running sum stays unboxed. *)
+  let i = ref 0 and acc = ref 0.0 and found = ref (-1) in
+  while !found < 0 && !i < n - 1 do
+    acc := !acc +. t.counts.(!i);
+    if !acc >= target then found := !i else incr i
+  done;
+  bucket_upper_bound t (if !found < 0 then n - 1 else !found)
 
 let merge_into ~dst src =
   if not (same_layout dst src) then
@@ -74,26 +80,72 @@ let merge_into ~dst src =
   for i = 0 to Array.length src.counts - 1 do
     dst.counts.(i) <- dst.counts.(i) +. src.counts.(i)
   done;
-  dst.total <- dst.total +. src.total
+  dst.sum.(0) <- dst.sum.(0) +. src.sum.(0)
 
-let smooth ~prev ~current ~alpha =
+let weighted_sums t ~weights ~threshold ~into =
+  if Array.length weights <> Array.length t.counts then
+    invalid_arg "Log_histogram.weighted_sums: one weight per bucket";
+  let below = ref 0.0 and above = ref 0.0 in
+  for i = 0 to Array.length t.counts - 1 do
+    let c = t.counts.(i) in
+    if c > 0.0 then begin
+      let w = c *. weights.(i) in
+      if bucket_upper_bound t i <= threshold then below := !below +. w
+      else above := !above +. w
+    end
+  done;
+  into.(0) <- !below;
+  into.(1) <- !above
+
+let cut_points t ~weights ~threshold ~into =
+  if Array.length weights <> Array.length t.counts then
+    invalid_arg "Log_histogram.cut_points: one weight per bucket";
+  let n = Array.length t.counts in
+  let total = ref 0.0 in
+  for i = 0 to n - 1 do
+    let c = t.counts.(i) in
+    if c > 0.0 && bucket_upper_bound t i > threshold then total := !total +. (c *. weights.(i))
+  done;
+  if !total <= 0.0 then -1
+  else begin
+    let per_part = !total /. float_of_int (Array.length into + 1) in
+    let acc = ref 0.0 and k = ref 0 in
+    for i = 0 to n - 1 do
+      let c = t.counts.(i) in
+      if c > 0.0 && bucket_upper_bound t i > threshold then begin
+        acc := !acc +. (c *. weights.(i));
+        if !acc >= float_of_int (!k + 1) *. per_part && !k < Array.length into then begin
+          into.(!k) <- i;
+          incr k
+        end
+      end
+    done;
+    !k
+  end
+
+let copy t = { t with counts = Array.copy t.counts; sum = Array.copy t.sum }
+
+let smooth_into ~prev ~current ~alpha =
   if not (same_layout prev current) then
     invalid_arg "Log_histogram.smooth: layout mismatch";
   if alpha < 0.0 || alpha > 1.0 then
     invalid_arg "Log_histogram.smooth: alpha out of [0, 1]";
-  let out = { prev with counts = Array.copy prev.counts; total = 0.0 } in
   let total = ref 0.0 in
-  for i = 0 to Array.length out.counts - 1 do
+  for i = 0 to Array.length prev.counts - 1 do
     let v = ((1.0 -. alpha) *. prev.counts.(i)) +. (alpha *. current.counts.(i)) in
-    out.counts.(i) <- v;
+    prev.counts.(i) <- v;
     total := !total +. v
   done;
-  out.total <- !total;
+  prev.sum.(0) <- !total
+
+let smooth ~prev ~current ~alpha =
+  let out = copy prev in
+  smooth_into ~prev:out ~current ~alpha;
   out
 
 let reset t =
   Array.fill t.counts 0 (Array.length t.counts) 0.0;
-  t.total <- 0.0
+  t.sum.(0) <- 0.0
 
 let fold f t init =
   let acc = ref init in

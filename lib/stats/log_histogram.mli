@@ -18,13 +18,19 @@ val create : ?buckets_per_decade:int -> min_value:float -> max_value:float -> un
     buckets).  Requires [0 < min_value < max_value]. *)
 
 val record : t -> float -> unit
-(** Add one observation. *)
+(** Add one observation.  Allocates nothing. *)
+
+val record_int : t -> int -> unit
+(** {!record} of an integer observation, without boxing it as a float
+    argument. *)
 
 val total : t -> float
 (** Sum of all counts.  Only test_stats reads it, as the probe of what
     {!record}, {!merge_into} and {!smooth} add. *)
 
 val is_empty : t -> bool
+
+val buckets : t -> int
 
 val bucket_upper_bound : t -> int -> float
 (** Exclusive upper bound of bucket [i]; observations reported by
@@ -44,6 +50,26 @@ val smooth : prev:t -> current:t -> alpha:float -> t
 (** The paper's epoch smoothing: a fresh histogram whose counts are
     [(1 - alpha) * prev + alpha * current].  With [alpha = 0.9] the new
     epoch dominates.  Layouts must match. *)
+
+val smooth_into : prev:t -> current:t -> alpha:float -> unit
+(** {!smooth} written over [prev]: the same counts, without allocating. *)
+
+val weighted_sums :
+  t -> weights:float array -> threshold:float -> into:float array -> unit
+(** [into.(0)] and [into.(1)]: the sums of [count i *. weights.(i)] over
+    the non-empty buckets whose upper bound is [<= threshold], and over
+    the others, added in bucket order.  One weight per bucket.  Allocates
+    nothing. *)
+
+val cut_points : t -> weights:float array -> threshold:float -> into:int array -> int
+(** Cut the weighted mass above [threshold] into [Array.length into + 1]
+    parts.  Walk the non-empty buckets whose upper bound is
+    [> threshold] in order, summing [count i *. weights.(i)]; each time
+    the sum reaches the next multiple of [total / parts], note the bucket
+    in [into], until [into] is full.  Returns how many buckets it noted,
+    or [-1] when that mass is [<= 0].  Allocates nothing. *)
+
+val copy : t -> t
 
 val reset : t -> unit
 (** Zero all counts. *)

@@ -27,5 +27,20 @@ let mutated ~alphabet bases =
       list_size (int_range 1 6) (triple (int_bound 4096) (int_bound 4) (oneofl chars))
       >|= List.fold_left edit base )
 
+(* [replaced ~alphabet bases]: one of [bases] with 1-6 bytes replaced by
+   characters of [alphabet], its length kept.  Most of [mutated]'s edits
+   change the length, and a fixed-record decoder rejects those at its
+   length check; these reach the fields behind it. *)
+let replaced ~alphabet bases =
+  let open QCheck.Gen in
+  let chars = List.init (String.length alphabet) (String.get alphabet) in
+  QCheck.make ~print:(Printf.sprintf "%S")
+    ( oneofl bases >>= fun base ->
+      list_size (int_range 1 6) (pair (int_bound 4096) (oneofl chars)) >|= fun edits ->
+      let b = Bytes.of_string base in
+      if Bytes.length b > 0 then
+        List.iter (fun (pos, c) -> Bytes.set b (pos mod Bytes.length b) c) edits;
+      Bytes.to_string b )
+
 (* Every byte value, for binary formats. *)
 let bytes_alphabet = String.init 256 Char.chr

@@ -621,7 +621,7 @@ let test_store_churn_few_large () =
 (* The index holds no OCaml object per key: items (header, key, value)
    live in the arena and a slot is one word of a bucket array allocated
    with the store, so populating the native benchmark's 100k keys grows
-   the major heap only by the overflow pool (0.6 words a key measured). *)
+   the live heap only by the overflow chunks (0.26 words a key measured). *)
 let test_store_no_per_key_heap () =
   let n = 100_000 in
   let value = Bytes.create 32 in
@@ -637,6 +637,76 @@ let test_store_no_per_key_heap () =
   let words = float_of_int (live () - before) /. float_of_int n in
   check int "all stored" n (Store.stats s).Store.items;
   if words > 2.0 then Alcotest.failf "%.2f heap words per key (bound 2)" words
+
+(* Growing the index allocates only what it keeps: overflow buckets come
+   in chunks that are never copied, so the words allocated while
+   populating the native benchmark's 100k keys stay within 1.1x the words
+   the index gained.  A pool that doubled and copied its table allocated
+   about 4x what it kept.  The keys are built before counting. *)
+let test_store_index_growth_copies_nothing () =
+  let n = 100_000 in
+  let keys = Array.init n Workload.Dataset.key_name in
+  let value = Bytes.create 32 in
+  let s = Store.create ~value_arena_bytes:(16 lsl 20) () in
+  (* [Gc.stat], not [quick_stat]: this runtime's quick counters miss the
+     chunks, which go straight to the major heap. *)
+  let allocated () =
+    let st = Gc.stat () in
+    st.Gc.minor_words +. st.Gc.major_words -. st.Gc.promoted_words
+  in
+  let held0 = (Store.stats s).Store.index_words in
+  let w0 = allocated () in
+  Array.iter (fun key -> Store.put s ~guard:`Lock key value) keys;
+  let words = allocated () -. w0 in
+  let st = Store.stats s in
+  check int "all stored" n st.Store.items;
+  if st.Store.overflow_buckets = 0 then Alcotest.fail "expected overflow buckets";
+  let grown = float_of_int (st.Store.index_words - held0) in
+  if words > 1.1 *. grown then
+    Alcotest.failf "populating allocated %.0f words for %.0f index words gained" words grown
+
+(* Readers racing a writer that keeps appending overflow chunks: with 16
+   primary buckets, 30k inserts link ~270 overflow buckets a chain, so a
+   reader's spine snapshot is often older than a link it follows.  Such
+   an attempt retries; no read raises or returns a wrong value. *)
+let test_store_chunk_append_race () =
+  let n = 30_000 in
+  let s = Store.create ~partition_bits:0 ~bucket_bits:4 ~value_arena_bytes:(1 lsl 22) () in
+  let keys = Array.init n (Printf.sprintf "chunk-%06d") in
+  let published = Atomic.make 0 and stop = Atomic.make false in
+  let reader seed =
+    Domain.spawn (fun () ->
+        let rng = Dsim.Rng.create seed in
+        let buf = Bytes.create 8 in
+        let dst _ = buf in
+        let reads = ref 0 and wrong = ref 0 in
+        while not (Atomic.get stop) do
+          let upto = Atomic.get published in
+          let i = Dsim.Rng.int rng n in
+          (match Store.read_into s keys.(i) ~buf:dst ~off:0 with
+          | 8 -> if Bytes.get_int64_le buf 0 <> Int64.of_int i then incr wrong
+          | -1 -> if i < upto then incr wrong
+          | _ -> incr wrong);
+          incr reads
+        done;
+        (!reads, !wrong))
+  in
+  let readers = List.map reader [ 1; 2 ] in
+  let value = Bytes.create 8 in
+  Array.iteri
+    (fun i key ->
+      Bytes.set_int64_le value 0 (Int64.of_int i);
+      Store.put s ~guard:`Lock key value;
+      Atomic.set published (i + 1))
+    keys;
+  Atomic.set stop true;
+  List.iter
+    (fun d ->
+      let reads, wrong = Domain.join d in
+      if reads = 0 then Alcotest.fail "a reader never ran";
+      check int "wrong reads" 0 wrong)
+    readers;
+  if (Store.stats s).Store.overflow_buckets < 64 then Alcotest.fail "expected several chunks"
 
 (* A GET copying into a reused buffer, a PUT over an existing key and a
    size lookup allocate nothing on the OCaml heap. *)
@@ -792,6 +862,9 @@ let () =
           Alcotest.test_case "paper mix fits through churn" `Quick test_store_churn_fits;
           Alcotest.test_case "few large keys churn within bounds" `Quick test_store_churn_few_large;
           Alcotest.test_case "no per-key heap objects" `Quick test_store_no_per_key_heap;
+          Alcotest.test_case "index growth copies nothing" `Quick
+            test_store_index_growth_copies_nothing;
+          Alcotest.test_case "readers race chunk appends" `Quick test_store_chunk_append_race;
           Alcotest.test_case "zero-allocation store ops" `Quick test_store_zero_alloc_ops;
           Alcotest.test_case "ordered build races a writer" `Slow
             test_store_ordered_build_race;

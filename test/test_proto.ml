@@ -219,6 +219,89 @@ let prop_mutated_decode_total =
       | _ -> true
       | exception e -> QCheck.Test.fail_reportf "raised %s" (Printexc.to_string e))
 
+(* [Wire.decode_request] as it was before the in-place decoder, which it
+   is now built on: a copying parser of its own. *)
+let old_decode_request b : (Wire.request, Wire.error) result =
+  let len = Bytes.length b in
+  if len < 27 then Error Wire.Truncated
+  else if Bytes.get_uint8 b 0 <> 0xA5 then Error Wire.Bad_magic
+  else if Bytes.get_uint8 b 1 <> Wire.version then Error (Wire.Bad_version (Bytes.get_uint8 b 1))
+  else
+    let op =
+      match Bytes.get_uint8 b 2 with
+      | 0 -> Some Wire.Get
+      | 1 -> Some Wire.Put
+      | 2 -> Some Wire.Delete
+      | 3 -> Some Wire.Scan
+      | _ -> None
+    in
+    match op with
+    | None -> Error Wire.Bad_op
+    | Some op ->
+        let klen = Bytes.get_uint16_le b 21 in
+        let vfield = Int32.to_int (Bytes.get_int32_le b 23) land 0xFFFFFFFF in
+        let vlen = if vfield = 0xFFFFFFFF then 0 else vfield in
+        if len < 27 + klen + vlen then Error Wire.Truncated
+        else
+          Ok
+            {
+              Wire.id = Bytes.get_int64_le b 3;
+              op;
+              key = Bytes.sub_string b 27 klen;
+              value = (if vfield = 0xFFFFFFFF then None else Some (Bytes.sub b (27 + klen) vlen));
+              client_ts = Bytes.get_int64_le b 11;
+              target_rx = Bytes.get_uint16_le b 19;
+            }
+
+(* On every byte string, at any offset in a larger buffer, the in-place
+   decoder fails with the old decoder's error or names the same op, key,
+   value and ids; [decode_request] answers as the old one did. *)
+let view_agrees b =
+  let pad = 5 in
+  let len = Bytes.length b in
+  let big = Bytes.make (pad + len + 3) '\xAA' in
+  Bytes.blit b 0 big pad len;
+  let v = Wire.view () in
+  Wire.decode_request b = old_decode_request b
+  &&
+  match (old_decode_request b, Wire.decode_request_view v big ~off:pad ~len) with
+  | Error e, Some e' -> e = e'
+  | Ok r, None ->
+      r.Wire.op = v.Wire.view_op
+      && r.Wire.key = Bytes.sub_string big v.Wire.key_off v.Wire.key_len
+      && r.Wire.value
+         = (if v.Wire.value_len < 0 then None
+            else Some (Bytes.sub big v.Wire.value_off v.Wire.value_len))
+      && r.Wire.id = Bytes.get_int64_le big (pad + Wire.ids_at)
+      && r.Wire.client_ts = Bytes.get_int64_le big (pad + Wire.ids_at + 8)
+  | Ok _, Some _ | Error _, None -> false
+
+let request_bases =
+  List.map
+    (fun seed -> Bytes.to_string (Wire.encode_request (gen_request (Random.State.make [| seed |]))))
+    [ 1; 2; 3; 4; 5; 6 ]
+
+let prop_replaced_decode_request =
+  QCheck.Test.make ~name:"decoders total on length-kept mutations" ~count:2000
+    (Fuzz.replaced ~alphabet:Fuzz.bytes_alphabet request_bases)
+    (fun s ->
+      let b = Bytes.of_string s in
+      match (Wire.decode_request b, Wire.decode_reply b) with
+      | _ -> true
+      | exception e -> QCheck.Test.fail_reportf "raised %s" (Printexc.to_string e))
+
+let prop_view_agrees =
+  QCheck.Test.make ~name:"in-place decoder agrees with the old decoder" ~count:2000
+    (QCheck.oneof
+       [
+         Fuzz.replaced ~alphabet:Fuzz.bytes_alphabet request_bases;
+         Fuzz.mutated ~alphabet:Fuzz.bytes_alphabet request_bases;
+       ])
+    (fun s ->
+      match view_agrees (Bytes.of_string s) with
+      | agrees -> agrees
+      | exception e -> QCheck.Test.fail_reportf "raised %s" (Printexc.to_string e))
+
 (* ------------------------------------------------------------------ *)
 (* Fragment *)
 
@@ -450,6 +533,42 @@ let prop_offer_fast_path_unchanged =
           && Fragment.pending fresh = Hashtbl.length old)
         stream)
 
+(* The reassembler's worst case, fuzzed: random fragments of up to 64
+   ids, claiming up to 0xFFFF fragments each, with duplicates and
+   garbage.  Nothing raises, at most [max_pending] partials stay, and the
+   heap held is under 2 KB a first fragment's bitmap and bookkeeping can
+   take, plus four times the payload bytes offered.  A partial that
+   sized a slot array from its count held up to 512 KB. *)
+let prop_reassembler_bounded =
+  let gen =
+    QCheck.Gen.(
+      list_size (int_range 1 400)
+        (quad (int_bound 63) (int_bound 0xFFFF) (int_bound 0xFFFF) (int_bound 64)))
+  in
+  QCheck.Test.make ~name:"reassembler holds what it received, not what counts claim"
+    ~count:200 (QCheck.make gen) (fun frags ->
+      let r = Fragment.create_reassembler () in
+      let offered = ref 0 in
+      List.iter
+        (fun (id, index, count, plen) ->
+          let d = Bytes.make (Fragment.header_size + plen) 'x' in
+          Bytes.set_uint8 d 0 0xF7;
+          Bytes.set_int64_le d 1 (Int64.of_int id);
+          Bytes.set_uint16_le d 9 (if count = 0 then 0 else index mod count);
+          Bytes.set_uint16_le d 11 count;
+          Bytes.set_uint16_le d 13 plen;
+          offered := !offered + plen;
+          match Fragment.offer r d with
+          | _ ->
+              if Fragment.pending r > Fragment.max_pending then
+                QCheck.Test.fail_reportf "%d partials pending" (Fragment.pending r)
+          | exception e -> QCheck.Test.fail_reportf "raised %s" (Printexc.to_string e))
+        frags;
+      let held = Obj.reachable_words (Obj.repr r) * (Sys.word_size / 8) in
+      let bound = (Fragment.pending r * ((0xFFFF / 8) + 2048)) + (4 * !offered) + 4096 in
+      if held > bound then QCheck.Test.fail_reportf "%d bytes held (bound %d)" held bound
+      else true)
+
 (* In-place framing sends exactly the datagrams [split] makes, at every
    size around the fragment boundaries. *)
 let test_frame_in_place_matches_split () =
@@ -459,9 +578,11 @@ let test_frame_in_place_matches_split () =
       let msg = Bytes.init total (fun i -> Char.chr ((i * 31) land 0xFF)) in
       let buf = Bytes.create (Fragment.header_size + total) in
       Bytes.blit msg 0 buf Fragment.header_size total;
+      let id = Bytes.create 8 in
+      Bytes.set_int64_le id 0 42L;
       List.iteri
         (fun index expected ->
-          let len = Fragment.frame_in_place buf ~msg_id:42L ~total ~index in
+          let len = Fragment.frame_in_place buf ~id ~id_off:0 ~total ~index in
           check Alcotest.bytes
             (Printf.sprintf "%d bytes, fragment %d" total index)
             expected (Bytes.sub buf (index * mfp) len))
@@ -477,7 +598,10 @@ let test_reply_header_in_place () =
       let vlen = match value with Some v -> Bytes.length v | None -> -1 in
       let off = 17 in
       let buf = Bytes.make (off + Wire.reply_header_size + max 0 vlen) '?' in
-      Wire.write_reply_header buf ~off ~id:99L ~status ~client_ts:5L ~value_len:vlen;
+      let ids = Bytes.create Wire.ids_bytes in
+      Bytes.set_int64_le ids 0 99L;
+      Bytes.set_int64_le ids 8 5L;
+      Wire.write_reply_header buf ~off ~ids ~ids_off:0 ~status ~value_len:vlen;
       Option.iter (fun v -> Bytes.blit v 0 buf (off + Wire.reply_header_size) vlen) value;
       check Alcotest.bytes "in place = encoded" (Wire.encode_reply r)
         (Bytes.sub buf off (Bytes.length buf - off)))
@@ -528,7 +652,8 @@ let () =
         @ qsuite
             [ prop_request_roundtrip; prop_codecs_roundtrip_every_field;
               prop_decode_never_crashes; prop_mutated_decode_total;
-              prop_fragment_offer_never_crashes ] );
+              prop_fragment_offer_never_crashes; prop_replaced_decode_request;
+              prop_view_agrees ] );
       ( "fragment",
         [
           Alcotest.test_case "counts" `Quick test_fragment_counts;
@@ -543,5 +668,7 @@ let () =
           Alcotest.test_case "framed in place = split" `Quick
             test_frame_in_place_matches_split;
         ]
-        @ qsuite [ prop_fragment_roundtrip; prop_offer_fast_path_unchanged ] );
+        @ qsuite
+            [ prop_fragment_roundtrip; prop_offer_fast_path_unchanged; prop_reassembler_bounded ]
+      );
     ]

@@ -998,6 +998,87 @@ let test_udp_idle_poll_allocates_nothing () =
       if collections > 2 then
         Alcotest.failf "%d minor collections in 2 s of an idle server (bound 2)" collections)
 
+(* A busy worker allocates nothing either: single-datagram GETs are
+   decoded where they were received, carried by pooled records and
+   answered from the worker's TX buffer.  A 2-worker server answers GETs
+   sent, pre-encoded, from raw sockets (eight in flight per queue); the
+   sending loop allocates nothing itself, so [minor_collections] counts
+   the server's.  Values of 1-1000 B keep every reply to one datagram, and
+   the size-aware plan hands some GETs to a large core. *)
+let udp_get_probe ~base_port ~gets =
+  let store =
+    Kvstore.Store.create ~partition_bits:2 ~bucket_bits:6 ~value_arena_bytes:(1 lsl 22) ()
+  in
+  let n_keys = 1000 in
+  for id = 0 to n_keys - 1 do
+    Kvstore.Store.put store ~guard:`Lock (Workload.Dataset.key_name id)
+      (Bytes.make (1 + (id * 7 mod 1000)) 'v')
+  done;
+  let config = { Runtime.Server.default_config with Runtime.Server.cores = 2 } in
+  let udp = Runtime.Udp.start ~config ~base_port store in
+  let socks =
+    Array.init 2 (fun q ->
+        let sock = Unix.socket Unix.PF_INET Unix.SOCK_DGRAM 0 in
+        Unix.setsockopt_float sock Unix.SO_RCVTIMEO 2.0;
+        Unix.connect sock (Unix.ADDR_INET (Unix.inet_addr_loopback, base_port + q));
+        sock)
+  in
+  let datagrams =
+    Array.init n_keys (fun id ->
+        let key = Workload.Dataset.key_name id in
+        List.hd
+          (Proto.Fragment.split ~msg_id:(Int64.of_int id)
+             (Proto.Wire.encode_request
+                { Proto.Wire.id = Int64.of_int id; op = Proto.Wire.Get; key; value = None;
+                  client_ts = 0L; target_rx = 0 })))
+  in
+  let buf = Bytes.create 65536 and window = 8 in
+  (* [rounds] rounds of [window] GETs on each queue; returns the replies. *)
+  let rec run rounds r replies =
+    if r >= rounds then replies
+    else begin
+      for q = 0 to 1 do
+        for k = 0 to window - 1 do
+          let d = datagrams.((((r * window) + k) * 2 + q) mod n_keys) in
+          ignore (Unix.send socks.(q) d 0 (Bytes.length d) [])
+        done
+      done;
+      let got = ref 0 in
+      for q = 0 to 1 do
+        for _ = 1 to window do
+          if Unix.recv socks.(q) buf 0 (Bytes.length buf) [] > 0 then incr got
+        done
+      done;
+      run rounds (r + 1) (replies + !got)
+    end
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter Unix.close socks;
+      Runtime.Udp.stop udp)
+    (fun () ->
+      let rounds = gets / (2 * window) in
+      ignore (run (2000 / (2 * window)) 0 0);
+      (* A minor collection at each end folds every domain's allocation
+         into [minor_words]. *)
+      Gc.minor ();
+      let s0 = Gc.quick_stat () in
+      let replies = run rounds 0 0 in
+      let collections = (Gc.quick_stat ()).Gc.minor_collections - s0.Gc.minor_collections in
+      Gc.minor ();
+      let words = (Gc.quick_stat ()).Gc.minor_words -. s0.Gc.minor_words in
+      let sent = rounds * 2 * window in
+      (replies, sent, collections, words /. float_of_int sent))
+
+let test_udp_busy_gets_allocate_nothing () =
+  let replies, sent, collections, words = udp_get_probe ~base_port:49611 ~gets:20_000 in
+  Printf.printf "%d minor collections over %d GETs, %.3f minor words per GET\n" collections
+    sent words;
+  check int "every GET answered" sent replies;
+  if collections > 0 then
+    Alcotest.failf "%d minor collections over %d single-datagram GETs (bound 0)" collections
+      sent
+
 let test_udp_dead_endpoint_fails_fast () =
   (* Nothing listens on the port, so the kernel answers the connected
      socket with ICMP port-unreachable: the client must surface
@@ -1102,6 +1183,8 @@ let () =
           Alcotest.test_case "GET allocates no value copy" `Quick test_udp_get_allocation;
           Alcotest.test_case "idle poll allocates nothing" `Quick
             test_udp_idle_poll_allocates_nothing;
+          Alcotest.test_case "busy GETs allocate nothing" `Quick
+            test_udp_busy_gets_allocate_nothing;
         ] );
       ( "server",
         [

@@ -43,14 +43,20 @@ let test_trace_timed_roundtrip () =
    either loads with every key id a valid index (>= 0), or fails with
    the documented [Failure "Trace.load: ..."] — never another exception.
    One temp file per format. *)
-let prop_trace_load_contract version trace =
-  let path = tmp_file (Printf.sprintf "minos_trace_fuzz_%s.bin" version) in
+let prop_trace_load_contract ?(kept_length = false) version trace =
+  let path =
+    tmp_file
+      (Printf.sprintf "minos_trace_fuzz_%s%s.bin" version (if kept_length then "_kept" else ""))
+  in
   Workload.Trace.save path trace;
   let base = In_channel.with_open_bin path In_channel.input_all in
   QCheck.Test.make
-    ~name:(Printf.sprintf "Trace.load loads or raises Failure on mutated %s files" version)
+    ~name:
+      (Printf.sprintf "Trace.load loads or raises Failure on %s %s files"
+         (if kept_length then "length-kept mutated" else "mutated")
+         version)
     ~count:3000
-    (Fuzz.mutated ~alphabet:Fuzz.bytes_alphabet [ base ])
+    ((if kept_length then Fuzz.replaced else Fuzz.mutated) ~alphabet:Fuzz.bytes_alphabet [ base ])
     (fun data ->
       Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc data);
       match Workload.Trace.load path with
@@ -67,6 +73,16 @@ let prop_trace_load_v1 =
 
 let prop_trace_load_v2 =
   prop_trace_load_contract "v2"
+    (Workload.Trace.of_timed (sample_requests 16)
+       (Array.init 16 (fun i -> 2.0 *. float_of_int i)))
+
+(* Length-kept edits reach the records behind the header's count. *)
+let prop_trace_load_v1_kept =
+  prop_trace_load_contract ~kept_length:true "v1"
+    (Workload.Trace.capture (Workload.Generator.create ~seed:9 small_dataset) ~n:16)
+
+let prop_trace_load_v2_kept =
+  prop_trace_load_contract ~kept_length:true "v2"
     (Workload.Trace.of_timed (sample_requests 16)
        (Array.init 16 (fun i -> 2.0 *. float_of_int i)))
 
@@ -673,6 +689,8 @@ let () =
             test_trace_rejects_future_version;
           QCheck_alcotest.to_alcotest prop_trace_load_v1;
           QCheck_alcotest.to_alcotest prop_trace_load_v2;
+          QCheck_alcotest.to_alcotest prop_trace_load_v1_kept;
+          QCheck_alcotest.to_alcotest prop_trace_load_v2_kept;
         ] );
       ( "ttl",
         [

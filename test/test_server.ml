@@ -207,6 +207,31 @@ let threshold_of = function
   | Some p -> p.Control.threshold
   | None -> Alcotest.fail "expected a new plan"
 
+(* The native server's control tick reuses the histogram it passes, and
+   a step after the first allocates no histogram: it smooths in place,
+   and splits the cost and cuts the large cores' ranges from per-bucket
+   costs computed once.  On eight cores a step allocates 24 words, the
+   plan it returns included (1,178 when every step smoothed into a fresh
+   histogram and folded the buckets through lists of boxed pairs).  The
+   kept histogram is a copy, so emptying the one passed changes nothing
+   already smoothed. *)
+let test_epoch_step_reuses_histograms () =
+  let ep = epoch () and h = default_like_hist () in
+  let step h = Control.Epoch.step ep ~cores:8 ~stale:false ~force:false ~corrupt:Fun.id h in
+  let first = threshold_of (step h) in
+  Stats.Log_histogram.reset h;
+  check bool "an empty histogram makes no plan" true (step h = None);
+  let h = default_like_hist () in
+  ignore (step h);
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 100 do
+    ignore (Sys.opaque_identity (step h))
+  done;
+  let words = (Gc.minor_words () -. w0) /. 100.0 in
+  Printf.printf "%.1f minor words per control step\n" words;
+  check (Alcotest.float 1e-9) "same threshold" first (threshold_of (step h));
+  if words > 64.0 then Alcotest.failf "%.0f minor words per control step (bound 64)" words
+
 let test_epoch_empty_merge () =
   let ep = epoch () in
   check bool "empty merge: no plan" true (step ep (size_hist ()) = None);
@@ -832,6 +857,8 @@ let () =
           Alcotest.test_case "shed boundaries" `Quick test_control_shed_boundaries;
           Alcotest.test_case "fair share" `Quick test_control_fair_share;
           Alcotest.test_case "epoch: empty merge" `Quick test_epoch_empty_merge;
+          Alcotest.test_case "epoch: step reuses histograms" `Quick
+            test_epoch_step_reuses_histograms;
           Alcotest.test_case "epoch: stale tick discards" `Quick test_epoch_stale_discards;
           Alcotest.test_case "epoch: static before first hist" `Quick
             test_epoch_static_before_first_hist;
