@@ -95,9 +95,10 @@ type 'a t = {
 
 type handle = int
 
-let create ?(granularity_us = 0.25) ~dummy () =
-  if not (granularity_us > 0.0) then
-    invalid_arg "Wheel.create: granularity must be > 0";
+(* The level-0 slot width. *)
+let granularity_us = 0.25
+
+let create ~dummy () =
   {
     inv_g = 1.0 /. granularity_us;
     far_cutoff = float_of_int (1 lsl 60) *. granularity_us;

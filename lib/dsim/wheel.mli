@@ -9,8 +9,8 @@
     wheel does O(1) enqueue and amortized-O(1) dequeue instead of the
     heap's O(log n), independent of occupancy.
 
-    Layout: two 256-slot wheel levels at [granularity_us] (default
-    0.25 µs) and 256×[granularity_us] per slot respectively, plus a
+    Layout: two 256-slot wheel levels at 0.25 µs and 256×0.25 µs per
+    slot respectively, plus a
     far-future fallback heap for events beyond the ~16.4 ms horizon (and
     for times too large to convert to an integer tick).  Slots hold
     intrusive singly-linked chains through a preallocated arena of
@@ -40,12 +40,12 @@ type handle = int
     arena slot and the event's sequence number, so a stale handle (slot
     reused by a later event) is rejected by {!cancel}. *)
 
-val create : ?granularity_us:float -> dummy:'a -> unit -> 'a t
-(** [create ~dummy ()] makes an empty wheel.  [granularity_us] is the
-    level-0 slot width (default 0.25 µs); events closer together than this
-    still pop in exact [(time, seq)] order — granularity affects only
-    bucketing cost, never ordering.  [dummy] fills unused value slots (and
-    typed-event slots) so popped/cancelled values are collectable. *)
+val create : dummy:'a -> unit -> 'a t
+(** [create ~dummy ()] makes an empty wheel.  Events closer together than
+    the level-0 slot width (0.25 µs) still pop in exact [(time, seq)]
+    order — the width affects only bucketing cost, never ordering.
+    [dummy] fills unused value slots (and typed-event slots) so
+    popped/cancelled values are collectable. *)
 
 val length : 'a t -> int
 (** Number of pending (non-cancelled) events.  O(1). *)

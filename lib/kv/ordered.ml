@@ -19,8 +19,6 @@ let create () =
     published = Atomic.make false;
   }
 
-let maintained t = Atomic.get t.maintained
-
 (* The set of the sorted [keys.(lo) .. keys.(hi - 1)], built from its
    halves by [union].  Two trees over disjoint key ranges unite along one
    spine, so the build allocates little beyond the final tree.

@@ -28,10 +28,6 @@ val build : t -> (unit -> string list) -> unit
     the build in flight.  [keys] must not take a lock that a writer
     holds while it calls {!add} or {!remove}. *)
 
-val maintained : t -> bool
-(** Whether writers maintain the index: true from the moment the first
-    {!build} marks it, before its snapshot is published. *)
-
 val add : t -> string -> unit
 
 val remove : t -> string -> unit

@@ -23,26 +23,15 @@ let tag_bits = 16
 let tag_mask = (1 lsl tag_bits) - 1
 
 (* Item header offsets; bytes 0-3 are the slab's (Slab.header_bytes). *)
-let flags_at = 4
+let klen_at = 4
 
-let klen_at = 5
+let vlen_at = 6
 
-let vlen_at = 7
-
-let expiry_at = 11
-
-let header_bytes = 11
-
-let ttl_header_bytes = 19
-
-let has_ttl = 1
+let header_bytes = 10
 
 let max_key = 0xFFFF
 
 let max_value = 0xFFFF_FFFF
-
-external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
-external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
 (* Buckets are numbered per partition: the primary buckets [0, n), then
    overflow bucket [o] as [n + o], in chunk [o / chunk_buckets].  A link
@@ -75,7 +64,6 @@ type t = {
          to its writer until a slot word publishes it. *)
   items : int Atomic.t;
   overflow_count : int Atomic.t;
-  expired : int Atomic.t;
   ordered : Ordered.t; (* off until the first [scan] *)
 }
 
@@ -104,7 +92,6 @@ let create ?(partition_bits = 4) ?(bucket_bits = 10) ?(value_arena_bytes = 256 *
     slab_lock = Spinlock.create ();
     items = Atomic.make 0;
     overflow_count = Atomic.make 0;
-    expired = Atomic.make 0;
     ordered = Ordered.create ();
   }
 
@@ -123,26 +110,16 @@ let bucket_of t f = (f lsr tag_bits) land ((1 lsl t.bucket_bits) - 1)
    item offset may since have been merged into a free block, split, or
    landed inside another item's bytes, so nothing read there is trusted:
    an offset was once the start of a block of at least 16 B, so the
-   11-byte header lies in the arena, and every length derived from it
-   (the TTL header's end, the key, the value) is checked against the
-   arena before it is used.  A value length also sizes the caller's
-   buffer, so [copy_value] confirms it with the chain epoch first. *)
-
-let item_header a off =
-  if Bytes.get_uint8 a (off + flags_at) land has_ttl = 0 then header_bytes
-  else ttl_header_bytes
+   10-byte header lies in the arena, and every length derived from it
+   (the key's, the value's) is checked against the arena before it is
+   used.  A value length also sizes the caller's buffer, so [copy_value]
+   confirms it with the chain epoch first. *)
 
 let key_length a off = Bytes.get_uint16_le a (off + klen_at)
 
 let value_length a off =
   Bytes.get_uint16_le a (off + vlen_at)
   lor (Bytes.get_uint16_le a (off + vlen_at + 2) lsl 16)
-
-(* [now] past the item's deadline: lapsed.  An item without a TTL never
-   lapses. *)
-let[@inline] lapsed a off now =
-  Bytes.get_uint8 a (off + flags_at) land has_ttl <> 0
-  && Int64.float_of_bits (get64 a (off + expiry_at)) <= now
 
 let rec key_equal a pos key i n =
   i >= n
@@ -152,11 +129,11 @@ let has_key a off key =
   let n = String.length key in
   key_length a off = n
   &&
-  let pos = off + item_header a off in
+  let pos = off + header_bytes in
   pos + n <= Bytes.length a && key_equal a pos key 0 n
 
 let key_string a off =
-  let pos = off + item_header a off and n = key_length a off in
+  let pos = off + header_bytes and n = key_length a off in
   if pos + n <= Bytes.length a then Bytes.sub_string a pos n else ""
 
 (* ---- bucket chains ---------------------------------------------------- *)
@@ -216,8 +193,8 @@ let begin_write epoch = Atomic.incr epoch (* even -> odd *)
 
 let end_write epoch = Atomic.incr epoch (* odd -> even *)
 
-(* Value lengths double as results: [absent] for a missing or lapsed
-   key, [torn] for an attempt that read a header no live item has. *)
+(* Value lengths double as results: [absent] for a missing key, [torn]
+   for an attempt that read a header no live item has. *)
 let absent = -1
 
 let torn = -2
@@ -228,31 +205,26 @@ let torn = -2
    grow the caller's buffer to the arena's size.  A writer may still free
    the item and another reuse it mid-copy; the caller's epoch check then
    discards the copy, which fits the buffer sized for it.  [off < 0] asks
-   for the length only.  The read's time is [clock.(0)]: a float cell is
-   passed without boxing. *)
-let copy_value t epoch e1 item clock buf off =
+   for the length only. *)
+let copy_value t epoch e1 item buf off =
   let a = t.arena in
-  let hdr = item_header a item in
-  if item + hdr > Bytes.length a then torn
-  else if lapsed a item clock.(0) then absent
-  else
-    let len = value_length a item and pos = item + hdr + key_length a item in
-    if pos + len > Bytes.length a then torn
-    else if off < 0 then len
-    else if Atomic.get epoch <> e1 then torn
-    else begin
-      Bytes.blit a pos (buf len) off len;
-      len
-    end
+  let len = value_length a item and pos = item + header_bytes + key_length a item in
+  if pos + len > Bytes.length a then torn
+  else if off < 0 then len
+  else if Atomic.get epoch <> e1 then torn
+  else begin
+    Bytes.blit a pos (buf len) off len;
+    len
+  end
 
 (* Optimistic read: retry while a writer holds the chain epoch odd or the
    epoch changed underneath us. *)
-let rec read_attempt t p b tag key clock buf off =
+let rec read_attempt t p b tag key buf off =
   let epoch = p.epochs.(b) in
   let e1 = Atomic.get epoch in
   if e1 land 1 = 1 then begin
     Domain.cpu_relax ();
-    read_attempt t p b tag key clock buf off
+    read_attempt t p b tag key buf off
   end
   else
     let chunks = p.chunks in
@@ -260,50 +232,38 @@ let rec read_attempt t p b tag key clock buf off =
     let len =
       if i = torn_slot then torn
       else if i < 0 then absent
-      else copy_value t epoch e1 (slot_word p chunks i lsr tag_bits) clock buf off
+      else copy_value t epoch e1 (slot_word p chunks i lsr tag_bits) buf off
     in
     if len <> torn && Atomic.get epoch = e1 then len
     else begin
       Domain.cpu_relax ();
-      read_attempt t p b tag key clock buf off
+      read_attempt t p b tag key buf off
     end
 
-(* Lazy expiry: a read at [now] past the item's deadline answers as if
-   the item were absent.  The slot itself is reclaimed by [expire] /
-   [expire_sweep] — readers hold no write permission under the epoch
-   protocol.  The [neg_infinity] default makes the check free for callers
-   without a clock. *)
-let lookup t key clock buf off =
+let lookup t key buf off =
   let f = fields t key in
   read_attempt t
     t.partitions.(f lsr (t.bucket_bits + tag_bits))
-    (bucket_of t f) (f land tag_mask) key clock buf off
+    (bucket_of t f) (f land tag_mask) key buf off
 
-let no_clock = [| neg_infinity |]
-
-let clock_of = function Some now -> [| now |] | None -> no_clock
-
-let read_into_at t key ~clock ~buf ~off =
+let read_into t key ~buf ~off =
   if off < 0 then invalid_arg "Store.read_into: negative offset";
-  if Array.length clock < 1 then invalid_arg "Store.read_into_at: empty clock";
-  lookup t key clock buf off
+  lookup t key buf off
 
-let read_into ?now t key ~buf ~off = read_into_at t key ~clock:(clock_of now) ~buf ~off
-
-let get ?now t key =
+let get ?now:_ t key =
   let value = ref Bytes.empty in
   let fresh len =
     value := Bytes.create len;
     !value
   in
-  if read_into ?now t key ~buf:fresh ~off:0 < 0 then None else Some !value
+  if read_into t key ~buf:fresh ~off:0 < 0 then None else Some !value
 
 let no_copy _ = Bytes.empty
 
-let length ?now t key = lookup t key (clock_of now) no_copy (-1)
+let length t key = lookup t key no_copy (-1)
 
-let size_of ?now t key =
-  let len = length ?now t key in
+let size_of ?now:_ t key =
+  let len = length t key in
   if len < 0 then None else Some len
 
 
@@ -388,23 +348,19 @@ let publish t p b tag key item =
   end;
   old
 
-let put ?(expires_at = infinity) t ~guard:(_ : guard) key value =
+let put t ~guard:(_ : guard) key value =
   let klen = String.length key and vlen = Bytes.length value in
   if klen > max_key then invalid_arg "Store.put: key longer than 65535 bytes";
   if vlen > max_value then invalid_arg "Store.put: value of 4 GiB or more";
-  let ttl = expires_at <> infinity in
-  let hdr = if ttl then ttl_header_bytes else header_bytes in
   (* Fill the item before it is published, so readers never observe a
      partially written one; the epoch protocol covers the slot word. *)
-  let item = slab_alloc t (hdr + klen + vlen) in
+  let item = slab_alloc t (header_bytes + klen + vlen) in
   let a = t.arena in
-  Bytes.set_uint8 a (item + flags_at) (if ttl then has_ttl else 0);
   Bytes.set_uint16_le a (item + klen_at) klen;
   Bytes.set_uint16_le a (item + vlen_at) (vlen land 0xFFFF);
   Bytes.set_uint16_le a (item + vlen_at + 2) (vlen lsr 16);
-  if ttl then set64 a (item + expiry_at) (Int64.bits_of_float expires_at);
-  Bytes.blit_string key 0 a (item + hdr) klen;
-  Slab.write t.slab item ~pos:(hdr + klen) value;
+  Bytes.blit_string key 0 a (item + header_bytes) klen;
+  Slab.write t.slab item ~pos:(header_bytes + klen) value;
   let f = fields t key in
   let p = t.partitions.(f lsr (t.bucket_bits + tag_bits)) in
   Spinlock.lock p.lock;
@@ -412,19 +368,9 @@ let put ?(expires_at = infinity) t ~guard:(_ : guard) key value =
   Spinlock.unlock p.lock;
   if old >= 0 then slab_free t old
 
-(* Clear slot [i] of chain [b] inside the partition lock; the caller
-   removes the key from the SCAN index after this, and frees the item
-   once the lock is released. *)
-let clear_slot t p b i =
-  let epoch = p.epochs.(b) in
-  begin_write epoch;
-  set_slot p i 0;
-  end_write epoch;
-  Atomic.decr t.items
-
-(* Remove [key] if its deadline is [<= now] (always, for [now = infinity]);
-   returns the freed item or -1. *)
-let remove t key now =
+(* Clear the key's slot inside the partition lock and drop it from the
+   SCAN index, then free the item once the lock is released. *)
+let delete t ~guard:(_ : guard) key =
   let f = fields t key in
   let p = t.partitions.(f lsr (t.bucket_bits + tag_bits)) and b = bucket_of t f in
   Spinlock.lock p.lock;
@@ -432,24 +378,20 @@ let remove t key now =
     find_slot t.arena p p.chunks b p.primary (b * bucket_words) 0 (f land tag_mask) key
   in
   let item = if i < 0 then -1 else slot_word p p.chunks i lsr tag_bits in
-  let removed = item >= 0 && (now = infinity || lapsed t.arena item now) in
-  if removed then begin
-    clear_slot t p b i;
+  if item >= 0 then begin
+    let epoch = p.epochs.(b) in
+    begin_write epoch;
+    set_slot p i 0;
+    end_write epoch;
+    Atomic.decr t.items;
     Ordered.remove t.ordered key
   end;
   Spinlock.unlock p.lock;
-  if removed then begin
+  if item >= 0 then begin
     slab_free t item;
     true
   end
   else false
-
-let delete t ~guard:(_ : guard) key = remove t key infinity
-
-let expire t ~guard:(_ : guard) ~now key =
-  let removed = remove t key now in
-  if removed then Atomic.incr t.expired;
-  removed
 
 (* ---- whole-store walks ------------------------------------------------- *)
 
@@ -473,41 +415,6 @@ let rec fold_chain p chunks arr off s f acc =
     let w = arr.(off + s) in
     let acc = if w = 0 then acc else f (w lsr tag_bits) acc in
     fold_chain p chunks arr off (s + 1) f acc
-
-(* Reclaim the lapsed items of the chain from bucket [k] (at [off] in
-   [arr]); returns [n] plus their number.  Under the partition lock. *)
-let rec sweep_chain t p b k arr off s now n =
-  if s = slots_per_bucket then
-    let next = arr.(off + link) in
-    if next = 0 then n
-    else sweep_chain t p b next (bucket_array p next) (bucket_offset p next) 0 now n
-  else
-    let w = arr.(off + s) in
-    let item = w lsr tag_bits in
-    if w <> 0 && lapsed t.arena item now then begin
-      clear_slot t p b ((k * bucket_words) + s);
-      (* Checked after the slot is cleared, as [Ordered.remove] checks it:
-         an index build that starts later reads the chain without the
-         item. *)
-      if Ordered.maintained t.ordered then
-        Ordered.remove t.ordered (key_string t.arena item);
-      slab_free t item;
-      Atomic.incr t.expired;
-      sweep_chain t p b k arr off (s + 1) now (n + 1)
-    end
-    else sweep_chain t p b k arr off (s + 1) now n
-
-let expire_sweep t ~now =
-  Array.fold_left
-    (fun n p ->
-      Spinlock.lock p.lock;
-      let n = ref n in
-      for b = 0 to Array.length p.epochs - 1 do
-        n := sweep_chain t p b b p.primary (b * bucket_words) 0 now !n
-      done;
-      Spinlock.unlock p.lock;
-      !n)
-    0 t.partitions
 
 (* [f arena item acc] folded over the items of chain [b], read under the
    chain's epoch as a GET reads it: an attempt that a write overlapped is
@@ -543,17 +450,17 @@ let fold_items t f acc =
    the partition lock first. *)
 let keys t () = fold_items t (fun a item keys -> key_string a item :: keys) []
 
-let scan ?(now = neg_infinity) t ~start ~count f =
+let scan t ~start ~count f =
   Ordered.build t.ordered (keys t);
   let visited = ref 0 in
   Ordered.iter_from t.ordered ~start (fun key ->
       if !visited >= count then false
       else begin
-        let len = length ~now t key in
+        let len = length t key in
         if len >= 0 then begin
           f key len;
           incr visited
-        end (* else deleted or lapsed since the snapshot *);
+        end (* else deleted since the snapshot *);
         !visited < count
       end);
   !visited
@@ -566,7 +473,6 @@ type stats = {
   overflow_buckets : int;
   index_words : int;
   partitions : int;
-  expired : int;
 }
 
 let index_words p = Array.length p.primary + (p.n_chunks * chunk_words) + Array.length p.chunks
@@ -580,7 +486,6 @@ let stats (t : t) =
     overflow_buckets = Atomic.get t.overflow_count;
     index_words = Array.fold_left (fun acc p -> acc + index_words p) 0 t.partitions;
     partitions = partition_count t;
-    expired = Atomic.get t.expired;
   }
 
 let iter (t : t) f =

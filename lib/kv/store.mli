@@ -11,13 +11,13 @@
     pointers).  Overflow buckets are never unlinked.
 
     Items live in one slab arena ({!Slab}) shared by every partition.
-    An item is one block: an 11-byte header, then the key, then the
+    An item is one block: a 10-byte header, then the key, then the
     value.  Header bytes (little-endian): 0-3, the slab's block header;
-    4, flags (bit 0: the item has a TTL); 5-6, key length; 7-10, value
-    length.  A TTL'd item carries its deadline as an 8-byte float after
-    the header, so its header is 19 B.  Keys are at most 65535 bytes and
-    values under 4 GiB.  Nothing per key lives on the OCaml heap: the
-    index costs 8 bytes per slot, allocated with the buckets.
+    4-5, key length; 6-9, value length.  Nothing expires: the store keeps
+    no TTL (the simulator's [Kvserver.Residency] models one).  Keys are
+    at most 65535 bytes and values under 4 GiB.  Nothing per key lives
+    on the OCaml heap: the index costs 8 bytes per slot, allocated with
+    the buckets.
 
     Concurrency:
     - GETs are optimistic, as in the paper: each bucket chain has an
@@ -34,22 +34,21 @@
       writer and every write locks.  A PUT fills its new item before it
       takes the lock, and frees the replaced item after releasing it.
 
-    Allocation: {!read_into} without [~now] or {!read_into_at} into a
-    reused buffer, {!length} without [~now], and a PUT that overwrites an
-    existing key allocate nothing on the OCaml heap.
+    Allocation: {!read_into} into a reused buffer, {!length}, and a PUT
+    that overwrites an existing key allocate nothing on the OCaml heap.
 
     Measured on the native benchmark's dataset (100k keys, 58.2 MB of
     values, 2 vCPUs): populating takes 0.11 s, the index allocates and
     keeps 0.41 words per key (a pool that doubled and copied allocated 9
     to keep 0.64), a GET costs ~0.9 us and a size lookup
-    ~0.4 us, and [stats.value_bytes] is 1.040x the value bytes, since it
+    ~0.4 us, and [stats.value_bytes] is 1.038x the value bytes, since it
     counts headers and keys and rounds each item up to 8 B. *)
 
 type t
 
 type guard = [ `Lock  (** take the partition spinlock *) ]
-(** Every write takes its partition's spinlock; the argument remains so
-    that callers name the lock they rely on. *)
+(** Every write takes its partition's spinlock; the argument remains
+    only because perfbench passes it. *)
 
 val create :
   ?partition_bits:int -> ?bucket_bits:int -> ?value_arena_bytes:int -> unit -> t
@@ -61,12 +60,10 @@ val create :
     can run at once; one item may take the whole arena.  Both bit counts
     must lie in [[0, 30]]. *)
 
-val read_into : ?now:float -> t -> string -> buf:(int -> bytes) -> off:int -> int
+val read_into : t -> string -> buf:(int -> bytes) -> off:int -> int
 (** [read_into t key ~buf ~off] copies the item's value into the buffer
     [buf len] at offset [off] and returns its length [len], or [-1] when
-    the key is absent.  With [~now], an item whose TTL deadline is
-    [<= now] is absent (lazy expiry) — its slot is reclaimed separately
-    by {!expire} or {!expire_sweep}.
+    the key is absent.
 
     The copy is an optimistic read: it is retried until no write to the
     item's bucket chain overlapped it, so [buf] may be called more than
@@ -81,45 +78,32 @@ val read_into : ?now:float -> t -> string -> buf:(int -> bytes) -> off:int -> in
     an item that a concurrent write frees and reuses can make the
     attempt retry but never overrun the buffer or ask for more. *)
 
-val read_into_at :
-  t -> string -> clock:float array -> buf:(int -> bytes) -> off:int -> int
-(** {!read_into} [~now:clock.(0)].  The time is read from a cell the
-    caller owns and refreshes in place (the native server, once per
-    batch), so the call boxes no float. *)
-
 val get : ?now:float -> t -> string -> bytes option
-(** {!read_into} a fresh buffer of exactly the value's length. *)
+(** {!read_into} a fresh buffer of exactly the value's length.  [now] is
+    accepted and ignored: nothing in the store expires, and perfbench
+    still passes it. *)
 
-val length : ?now:float -> t -> string -> int
+val length : t -> string -> int
 (** Size of the stored value without copying it, or [-1] when the key is
     absent.  This is the lookup a Minos small core performs to classify
     a GET as small or large (§3); it allocates nothing. *)
 
 val size_of : ?now:float -> t -> string -> int option
-(** {!length} as an option: [None] when the key is absent. *)
+(** {!length} as an option: [None] when the key is absent.  [now] is
+    accepted and ignored, as by {!get}. *)
 
-val put : ?expires_at:float -> t -> guard:guard -> string -> bytes -> unit
-(** Insert or update; [~expires_at] attaches an absolute TTL deadline
-    (default: never expires).  Raises {!Slab.Out_of_memory} if the
-    arena is exhausted, and [Invalid_argument] for a key over 65535
-    bytes or a value of 4 GiB or more. *)
+val put : t -> guard:guard -> string -> bytes -> unit
+(** Insert or update.  Raises {!Slab.Out_of_memory} if the arena is
+    exhausted, and [Invalid_argument] for a key over 65535 bytes or a
+    value of 4 GiB or more. *)
 
 val delete : t -> guard:guard -> string -> bool
 (** Remove a key; [true] if it was present. *)
 
-val expire : t -> guard:guard -> now:float -> string -> bool
-(** Reclaim the key's slot iff its deadline is [<= now]; [true] if it was
-    removed.  The read path calls this after a lazy-expiry miss. *)
-
-val expire_sweep : t -> now:float -> int
-(** Walk every slot and reclaim those whose deadline is [<= now]; returns
-    the number removed.  Takes each partition's spinlock in turn. *)
-
-val scan : ?now:float -> t -> start:string -> count:int -> (string -> int -> unit) -> int
+val scan : t -> start:string -> count:int -> (string -> int -> unit) -> int
 (** [scan t ~start ~count f] visits up to [count] live items with key
     [>= start] in ascending key order, calling [f key value_size]; returns
-    the number visited.  Skips items deleted or lapsed since the index
-    snapshot.
+    the number visited.  Skips items deleted since the index snapshot.
 
     The first call builds the sorted key index ({!Ordered}) that scans
     walk; a store that is never scanned holds no OCaml object per key.
@@ -147,7 +131,6 @@ type stats = {
       (** words the index holds: primary buckets, overflow chunks and
           their spines *)
   partitions : int;
-  expired : int;          (** slots reclaimed by {!expire} / {!expire_sweep} *)
 }
 
 val stats : t -> stats

@@ -6,8 +6,12 @@ type t = {
   decisions : Decision_log.t;
 }
 
-let create ?server ?spans ?sample_rate ?(timeline_interval_us = 500.0)
-    ?(timeline_capacity = 8192) ?(timeline = true) ~cores ~seed () =
+(* The timeline's sampling period and sample count. *)
+let timeline_interval_us = 500.0
+
+let timeline_capacity = 8192
+
+let create ?server ?spans ?sample_rate ?(timeline = true) ~cores ~seed () =
   {
     recorder = Recorder.create ?server ?capacity:spans ?sample_rate ~seed ();
     timeline =

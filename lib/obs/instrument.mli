@@ -13,8 +13,6 @@ val create :
   ?server:int ->
   ?spans:int ->
   ?sample_rate:float ->
-  ?timeline_interval_us:float ->
-  ?timeline_capacity:int ->
   ?timeline:bool ->
   cores:int ->
   seed:int ->
@@ -22,5 +20,5 @@ val create :
   t
 (** [server], [spans] and [sample_rate] configure the recorder (defaults
     0, 65536 and 1.0; see {!Recorder.create}); the timeline samples every
-    [timeline_interval_us] µs (default 500) for up to [timeline_capacity]
-    samples, or is omitted entirely with [~timeline:false]. *)
+    500 µs for up to 8192 samples, or is omitted entirely with
+    [~timeline:false]. *)

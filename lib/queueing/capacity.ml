@@ -73,9 +73,9 @@ let nic_bound_mops spec cost ~gbps =
   let p = profile spec cost in
   gbps *. 1.0e9 /. 8.0 /. p.mean_tx_bytes /. 1.0e6
 
-let cpu_bound_mops spec cost ~cores ?(overhead_us = 0.0) () =
+let cpu_bound_mops spec cost ~cores =
   let p = profile spec cost in
-  float_of_int cores /. (p.mean_cpu_us +. overhead_us)
+  float_of_int cores /. p.mean_cpu_us
 
 (* Mixture CDF of item sizes, for the threshold percentile. *)
 let size_quantile (spec : Workload.Spec.t) q =
@@ -132,7 +132,7 @@ let minos_small_pool_bound_mops spec cost ~cores ~n_small =
   float_of_int n_small /. (0.99 *. mean_small_cpu)
 
 let predicted_peak_mops spec cost ~cores ~gbps =
-  Float.min (nic_bound_mops spec cost ~gbps) (cpu_bound_mops spec cost ~cores ())
+  Float.min (nic_bound_mops spec cost ~gbps) (cpu_bound_mops spec cost ~cores)
 
 let hol_exposure (spec : Workload.Spec.t) cost ~cores ~offered_mops =
   (* Per-core large-service occupancy under keyhash sharding: the chance

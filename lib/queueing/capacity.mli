@@ -22,10 +22,8 @@ val profile : Workload.Spec.t -> Kvserver.Cost_model.t -> op_profile
 val nic_bound_mops : Workload.Spec.t -> Kvserver.Cost_model.t -> gbps:float -> float
 (** Throughput at which the TX line saturates. *)
 
-val cpu_bound_mops :
-  Workload.Spec.t -> Kvserver.Cost_model.t -> cores:int -> ?overhead_us:float -> unit -> float
-(** Throughput at which [cores] saturate, with [overhead_us] extra CPU per
-    operation (profiling, polling...). *)
+val cpu_bound_mops : Workload.Spec.t -> Kvserver.Cost_model.t -> cores:int -> float
+(** Throughput at which [cores] saturate. *)
 
 val minos_small_pool_bound_mops :
   Workload.Spec.t -> Kvserver.Cost_model.t -> cores:int -> n_small:int -> float

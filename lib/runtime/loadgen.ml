@@ -27,14 +27,17 @@ exception Gave_up
    enough that a lost reply fails a test instead of hanging it. *)
 let stall_timeout_s = 10.0
 
-let default_concurrency = 64
+(* Requests a client keeps outstanding. *)
+let concurrency = 64
+
+(* Entries a SCAN draw reads. *)
+let scan_len = 16
 
 (* The common client loop.  [make_id] namespaces request ids (concurrent
    clients must not collide) and [poll] supplies this client's replies.
-   [ttl_s] attaches a TTL to every PUT; [scan_ratio]/[scan_len] mix in
-   ordered range reads (both default off, preserving the original mix). *)
-let client_loop ?(concurrency = default_concurrency) ?ttl_s ?(scan_ratio = 0.0)
-    ?(scan_len = 16) ~server ~dataset ~requests ~seed ~make_id ~poll () =
+   [scan_ratio] mixes in ordered range reads (default off, preserving the
+   original mix). *)
+let client_loop ?(scan_ratio = 0.0) ~server ~dataset ~requests ~seed ~make_id ~poll () =
   if requests < 0 then invalid_arg "Loadgen.run: negative request count";
   let gen = Workload.Generator.create ~seed ~scan_ratio ~scan_len dataset in
   let outstanding : (int64, Message.request) Hashtbl.t = Hashtbl.create concurrency in
@@ -61,11 +64,7 @@ let client_loop ?(concurrency = default_concurrency) ?ttl_s ?(scan_ratio = 0.0)
         (match g.Workload.Generator.op with
         | Workload.Generator.Get -> Message.Get
         | Workload.Generator.Scan -> Message.Scan g.Workload.Generator.scan_len
-        | Workload.Generator.Put -> (
-            let value = Bytes.create g.Workload.Generator.item_size in
-            match ttl_s with
-            | None -> Message.Put value
-            | Some ttl -> Message.Put_ttl (value, ttl)));
+        | Workload.Generator.Put -> Message.Put (Bytes.create g.Workload.Generator.item_size));
       key = Workload.Dataset.key_name g.Workload.Generator.key_id;
       submitted_at = Unix.gettimeofday ();
       obs_slot = -1;
@@ -121,8 +120,8 @@ let client_loop ?(concurrency = default_concurrency) ?ttl_s ?(scan_ratio = 0.0)
           ledger = (Server.stats server).Server.ledger;
         }
 
-let run ?concurrency ?ttl_s ?scan_ratio ?scan_len ~server ~dataset ~requests ~seed () =
-  client_loop ?concurrency ?ttl_s ?scan_ratio ?scan_len ~server ~dataset ~requests ~seed
+let run ?scan_ratio ~server ~dataset ~requests ~seed () =
+  client_loop ?scan_ratio ~server ~dataset ~requests ~seed
     ~make_id:Fun.id
     ~poll:(fun () -> Server.poll_reply server)
     ()
@@ -136,8 +135,7 @@ let client_of_id id = Int64.to_int (Int64.shift_right_logical id 48) - 1
 
 let tag_id ~client id = Int64.logor (Int64.shift_left (Int64.of_int (client + 1)) 48) id
 
-let run_concurrent ?(clients = 3) ?(concurrency = default_concurrency) ~server ~dataset
-    ~requests_per_client ~seed () =
+let run_concurrent ?(clients = 3) ~server ~dataset ~requests_per_client ~seed () =
   if clients < 1 then invalid_arg "Loadgen.run_concurrent: need at least one client";
   let capacity =
     let rec pow2 c = if c >= concurrency then c else pow2 (2 * c) in
@@ -163,7 +161,7 @@ let run_concurrent ?(clients = 3) ?(concurrency = default_concurrency) ~server ~
   let outcomes =
     List.init clients (fun c ->
         Domain.spawn (fun () ->
-            client_loop ~concurrency ~server ~dataset ~requests:requests_per_client
+            client_loop ~server ~dataset ~requests:requests_per_client
               ~seed:(seed + (101 * c))
               ~make_id:(tag_id ~client:c) ~poll:(poll c) ()))
     |> List.map Domain.join

@@ -1,8 +1,8 @@
 (** Load generation against the native {!Server}.
 
-    A windowed closed-loop client: keep up to [concurrency] requests
-    outstanding, match replies to requests by id, and record end-to-end
-    latencies.  Runs in the calling domain. *)
+    A windowed closed-loop client: keep up to 64 requests outstanding,
+    match replies to requests by id, and record end-to-end latencies.
+    Runs in the calling domain. *)
 
 val populate : Kvstore.Store.t -> Workload.Dataset.t -> unit
 (** Insert every dataset key with a real value of its assigned size.
@@ -30,10 +30,7 @@ val stall_message : stall -> string
 (** One line naming the unanswered ids (the first few) and the ledger. *)
 
 val run :
-  ?concurrency:int ->
-  ?ttl_s:float ->
   ?scan_ratio:float ->
-  ?scan_len:int ->
   server:Server.t ->
   dataset:Workload.Dataset.t ->
   requests:int ->
@@ -42,15 +39,13 @@ val run :
   (result, stall) Stdlib.result
 (** [run ~server ~dataset ~requests ~seed ()] issues [requests] operations
     drawn from the dataset's spec (GET:PUT mix, zipf popularity, size
-    classes) and waits for all replies.  [concurrency] defaults to 64.
-    [ttl_s] attaches a TTL to every PUT; [scan_ratio] diverts that
-    fraction of draws to SCANs of [scan_len] entries (default 16).
+    classes) and waits for all replies.  [scan_ratio] diverts that
+    fraction of draws to SCANs of 16 entries.
     [Error] when the client waited 10 s without a reply or an accepted
     submission. *)
 
 val run_concurrent :
   ?clients:int ->
-  ?concurrency:int ->
   server:Server.t ->
   dataset:Workload.Dataset.t ->
   requests_per_client:int ->
@@ -61,7 +56,7 @@ val run_concurrent :
     analogue of the paper's 7 client machines.  Request ids carry the
     client index in their top bits; each client drains the shared reply
     stream and forwards other clients' replies to their mailboxes, each
-    sized to one client's [concurrency] window.  Results are
+    sized to one client's window.  Results are
     aggregated across clients; [Error] when any client gave up, with
     every client's unanswered ids.  [clients] defaults to 3.  Only
     test_runtime calls it: it is the multi-client stress load of the

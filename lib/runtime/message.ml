@@ -1,4 +1,4 @@
-type op = Get | Put of bytes | Put_ttl of bytes * float | Delete | Scan of int
+type op = Get | Put of bytes | Delete | Scan of int
 
 type request = {
   id : int64;

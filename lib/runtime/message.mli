@@ -8,9 +8,6 @@
 type op =
   | Get
   | Put of bytes  (** the bytes to store *)
-  | Put_ttl of bytes * float
-      (** store with a TTL in seconds; the item expires lazily on read
-          and eagerly via the server's background sweep *)
   | Delete        (** "considered [a] special version of PUT" (§3) *)
   | Scan of int
       (** ordered range read of up to this many items starting at [key]
@@ -50,10 +47,7 @@ type reply = {
   value_size : int;      (** bytes returned (GET) or written (PUT) *)
   served_by : int;       (** worker core id, for load accounting *)
   completed_at : float;
-      (** [Unix.gettimeofday] when the serving worker began its batch,
-          re-read after each reply or write bigger than one datagram: a
-          request's latency includes every large request served ahead of
-          it in the batch, but not the service of small ones (a few µs) *)
+      (** [Unix.gettimeofday] when the serving worker sent the reply *)
 }
 
 val latency_us : request -> reply -> float

@@ -4,17 +4,10 @@ module Log = (val Logs.src_log log_src : Logs.LOG)
 
 type config = {
   cores : int;
-  batch : int;
-  epoch_s : float;
-  alpha : float;
-  percentile : float;
-  cost_fn : Kvserver.Cost_model.cost_fn;
   design : Kvserver.Design.t;
-  ring_capacity : int;
-  idle_backoff_s : float;
+  epoch_s : float;
   shed_watermark : int option;
   clamp_threshold : float option;
-  expiry_sweep_s : float;
   fault : Fault.Inject.t option;
 }
 
@@ -23,19 +16,23 @@ let max_cores () = max 2 (Domain.recommended_domain_count ())
 let default_config =
   {
     cores = min 4 (max_cores ());
-    batch = 32;
-    epoch_s = 0.05;
-    alpha = 0.9;
-    percentile = 0.99;
-    cost_fn = Kvserver.Cost_model.Packets;
     design = Kvserver.Design.minos;
-    ring_capacity = 4096;
-    idle_backoff_s = 0.0002;
+    epoch_s = 0.05;
     shed_watermark = None;
     clamp_threshold = None;
-    expiry_sweep_s = 0.0;
     fault = None;
   }
+
+(* The Minos policy the simulator runs: the poll batch, the histogram
+   smoothing, the threshold percentile and the cost function. *)
+let policy = Kvserver.Config.default
+
+let batch = policy.Kvserver.Config.batch
+
+let ring_capacity = 4096
+
+(* An idle worker's [transport.park] timeout. *)
+let idle_backoff_s = 0.0002
 
 exception Oversubscribed of { cores : int; limit : int }
 exception Unsupported_design of { design : string }
@@ -81,11 +78,6 @@ type worker = {
   mutable some_value : bytes option;
       (* [Some value], made when [value] changes: a transport that keeps
          its buffer gets no [Some] per reply *)
-  clock : float array;
-      (* one cell, flat, so setting it boxes nothing: this batch's
-         [Unix.gettimeofday], read when the batch starts and again after
-         each reply too big for one datagram, so a request served behind
-         a large one in the same batch carries its cost *)
   mutable spare : Stats.Log_histogram.t;
       (* swapped for [hist] by the control loop, which empties the one it
          takes and keeps it as the next spare *)
@@ -165,10 +157,10 @@ let obs_sample_submit t (req : Message.request) ~ring_idx =
           (match req.Message.op with
           | Message.Get -> Obs.Span.op_get
           | Message.Scan _ -> Obs.Span.op_scan
-          | Message.Put _ | Message.Put_ttl _ | Message.Delete -> Obs.Span.op_put);
+          | Message.Put _ | Message.Delete -> Obs.Span.op_put);
         Obs.Recorder.set_meta r slot Obs.Span.meta_size
           (match req.Message.op with
-          | Message.Put v | Message.Put_ttl (v, _) -> Bytes.length v
+          | Message.Put v -> Bytes.length v
           | Message.Get | Message.Delete | Message.Scan _ -> 0)
       end
 
@@ -186,7 +178,7 @@ let dispatch_ring t (req : Message.request) =
   match req.Message.op with
   | Message.Get | Message.Scan _ ->
       Int64.to_int (Int64.rem (mix64 req.Message.id) (Int64.of_int t.cfg.cores)) |> abs
-  | Message.Put _ | Message.Put_ttl _ | Message.Delete -> key_master t req.Message.key
+  | Message.Put _ | Message.Delete -> key_master t req.Message.key
 
 (* Admit one request to a worker's RX ring: what a NIC queue does with an
    arriving packet.  [in_flight] rises before the push, so no worker can
@@ -224,9 +216,9 @@ let poll_reply t = t.poll ()
 (* The in-process transport: [submit] fills the RX rings, replies go to
    one shared ring that [poll_reply] drains.  A GET's value is copied into
    a fresh buffer of its exact length, which the client then owns.  A
-   reply never waits for a slow client: past the ring's capacity it
-   spills into an unbounded overflow queue. *)
-let in_process clocks =
+   reply is stamped when it is sent, and never waits for a slow client:
+   past the ring's capacity it spills into an unbounded overflow queue. *)
+let in_process () =
   let replies = Netsim.Ring.create ~capacity:65536 in
   let overflow = Queue.create () and lock = Mutex.create () in
   let reply q (req : Message.request) status value value_size =
@@ -237,7 +229,7 @@ let in_process clocks =
         value;
         value_size;
         served_by = q;
-        completed_at = clocks.(q).(0);
+        completed_at = Unix.gettimeofday ();
       }
     in
     if not (Netsim.Ring.try_push replies r) then begin
@@ -284,7 +276,6 @@ let rec pull ring (polled : Message.request array) n limit =
    software queue.  Under HKH the plan stays {!Kvserver.Control.initial}
    (nothing is classified), so every core only reads its own RX. *)
 let drain t (w : worker) plan =
-  let batch = t.cfg.batch in
   let queued = pull w.swq w.polled 0 batch in
   w.n_queued <- queued;
   if Kvserver.Control.is_small_core plan w.id then begin
@@ -340,14 +331,12 @@ let route t (w : worker) plan (req : Message.request) size =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Request execution on a worker, timed by the batch's [w.clock]. *)
+(* Request execution on a worker. *)
 
 (* The request leaves this worker's hands: it is counted (by the caller,
    in [served] or a shed leg) and [in_flight] drops before the reply is
    sent, so a client holding the reply always finds it in [stats]. *)
 let answer t (w : worker) (req : Message.request) status value value_size =
-  if value_size > Proto.Fragment.max_fragment_payload then
-    w.clock.(0) <- Unix.gettimeofday ();
   Atomic.decr t.in_flight;
   w.n_done <- w.n_done + 1;
   t.transport.reply w.id req status value value_size
@@ -359,37 +348,32 @@ let served t (w : worker) (req : Message.request) status value value_size =
   obs_mark t Obs.Span.ts_tx_done req;
   obs_mark t Obs.Span.ts_end req
 
-let scan_bytes ?now t (req : Message.request) count =
+let scan_bytes t (req : Message.request) count =
   let total = ref 0 in
   let visited =
-    Kvstore.Store.scan ?now t.store ~start:req.Message.key ~count (fun _ len ->
+    Kvstore.Store.scan t.store ~start:req.Message.key ~count (fun _ len ->
         total := !total + len)
   in
   (visited, !total)
 
 (* A PUT the value arena cannot hold is refused, not fatal: a client may
    send a value of any size, and it must not kill the worker. *)
-let store_value t w (req : Message.request) ~expires_at value =
-  match Kvstore.Store.put ~expires_at t.store ~guard:`Lock req.Message.key value with
+let store_value t w (req : Message.request) value =
+  match Kvstore.Store.put t.store ~guard:`Lock req.Message.key value with
   | () -> served t w req Message.Ok None (Bytes.length value)
   | exception Kvstore.Slab.Out_of_memory _ ->
       Atomic.incr t.no_memory;
       answer t w req Message.Overloaded None 0
 
-(* Lazy expiry: a miss may be a lapsed slot; reclaim it now so memory is
-   not held until the background sweep passes. *)
-let[@cold] miss t (w : worker) (req : Message.request) =
-  ignore (Kvstore.Store.expire t.store ~guard:`Lock ~now:w.clock.(0) req.Message.key);
-  served t w req Message.Not_found None 0
-
 (* The one copy of the value: from the slab to where the transport wants
    it. *)
 let serve_get t (w : worker) (req : Message.request) =
   let len =
-    Kvstore.Store.read_into_at t.store req.Message.key ~clock:w.clock ~buf:w.value_dst
+    Kvstore.Store.read_into t.store req.Message.key ~buf:w.value_dst
       ~off:t.transport.value_off
   in
-  if len >= 0 then served t w req Message.Ok w.some_value len else miss t w req
+  if len >= 0 then served t w req Message.Ok w.some_value len
+  else served t w req Message.Not_found None 0
 
 (* Every native write takes the partition lock.  CREW's lock-free master
    write is only sound when the master is the key's only writer, and here
@@ -398,13 +382,11 @@ let serve_get t (w : worker) (req : Message.request) =
    writes and SCANs build their results, so only the GET is on the
    allocation-free path. *)
 let[@cold] serve_other t (w : worker) (req : Message.request) =
-  let now = w.clock.(0) in
   match req.Message.op with
   | Message.Get -> serve_get t w req
-  | Message.Put value -> store_value t w req ~expires_at:infinity value
-  | Message.Put_ttl (value, ttl_s) -> store_value t w req ~expires_at:(now +. ttl_s) value
+  | Message.Put value -> store_value t w req value
   | Message.Scan count ->
-      let visited, total = scan_bytes ~now t req count in
+      let visited, total = scan_bytes t req count in
       served t w req (if visited > 0 then Message.Ok else Message.Not_found) None total
   | Message.Delete ->
       let existed = Kvstore.Store.delete t.store ~guard:`Lock req.Message.key in
@@ -416,7 +398,7 @@ let serve t (w : worker) (req : Message.request) =
   obs_meta t Obs.Span.meta_tx_queue req w.id;
   match req.Message.op with
   | Message.Get -> serve_get t w req
-  | Message.Put _ | Message.Put_ttl _ | Message.Scan _ | Message.Delete -> serve_other t w req
+  | Message.Put _ | Message.Scan _ | Message.Delete -> serve_other t w req
 
 (* The size-aware classifier needs a SCAN's total bytes: the same ordered
    walk the serve path performs, which builds its result. *)
@@ -427,7 +409,7 @@ let[@cold] scan_size t (req : Message.request) count = snd (scan_bytes t req cou
 let request_item_size t (req : Message.request) =
   match req.Message.op with
   | Message.Get -> max 0 (Kvstore.Store.length t.store req.Message.key) (* absent: -1 *)
-  | Message.Put value | Message.Put_ttl (value, _) -> Bytes.length value
+  | Message.Put value -> Bytes.length value
   | Message.Delete -> 0 (* always "small": frees, never copies *)
   | Message.Scan count -> scan_size t req count
 
@@ -535,8 +517,8 @@ let worker_loop t (w : worker) =
   let idle_streak = ref 0 in
   let admit = enqueue t w in
   (* Busy accounting (per-iteration clock reads) only when a timeline is
-     attached; the uninstrumented loop reads the clock once per non-empty
-     batch, plus once per iteration on worker 0 for the epoch check. *)
+     attached; the uninstrumented loop reads the clock only on worker 0,
+     once per iteration, for the epoch check. *)
   let tl =
     match t.obs with
     | Some { Obs.Instrument.timeline = Some tl; _ } -> Some tl
@@ -550,10 +532,7 @@ let worker_loop t (w : worker) =
     let plan = Atomic.get t.plan in
     w.n_done <- 0;
     w.n_polled <- drain t w plan;
-    if w.n_polled > 0 then begin
-      w.clock.(0) <- Unix.gettimeofday ();
-      serve_polled t w plan
-    end;
+    if w.n_polled > 0 then serve_polled t w plan;
     let handled = received + w.n_polled in
     (match tl with
     | Some tl ->
@@ -581,7 +560,7 @@ let worker_loop t (w : worker) =
       incr idle_streak;
       if !idle_streak > 64 then begin
         idle_streak := 0;
-        t.transport.park w.id t.cfg.idle_backoff_s
+        t.transport.park w.id idle_backoff_s
       end
       else Domain.cpu_relax ()
     end
@@ -633,7 +612,7 @@ let fault_sample t f =
     in
     Atomic.set t.stall_us.(c) stall;
     Atomic.set t.rx_cap.(c)
-      (min t.cfg.ring_capacity (Fault.Inject.rx_capacity f ~queue:c ~now))
+      (min ring_capacity (Fault.Inject.rx_capacity f ~queue:c ~now))
   done;
   Atomic.set t.ctrl_delayed (Fault.Inject.ctrl_delayed f ~now)
 
@@ -643,28 +622,14 @@ let fault_clock_loop t f =
     fault_sample t f
   done
 
-(* Background expiry: one posix thread walks the store every sweep
-   period, reclaiming lapsed slots — the eager companion to the read
-   path's lazy expiry, same split as the DES engine's wheel-scheduled
-   sweep event. *)
-let expiry_sweep_loop t =
-  while not (Atomic.get t.stop_flag) do
-    ignore (Kvstore.Store.expire_sweep t.store ~now:(Unix.gettimeofday ()));
-    Thread.delay t.cfg.expiry_sweep_s
-  done
-
 let start ?obs ?(config = default_config) ?transport store =
   if config.cores < 2 then invalid_arg "Server.start: need at least 2 cores";
   if config.cores > max_cores () then
     raise (Oversubscribed { cores = config.cores; limit = max_cores () });
   let size_aware = size_aware config.design in
-  if config.batch < 1 then invalid_arg "Server.start: batch must be >= 1";
-  if config.expiry_sweep_s < 0.0 then
-    invalid_arg "Server.start: expiry_sweep_s must be >= 0";
-  let clocks = Array.init config.cores (fun _ -> [| 0.0 |]) in
   let started_ns = Monotonic_clock.now () in
   let transport, poll =
-    match transport with Some tr -> (tr, fun () -> None) | None -> in_process clocks
+    match transport with Some tr -> (tr, fun () -> None) | None -> in_process ()
   in
   let placeholder =
     { Message.id = -1L; op = Message.Get; key = ""; submitted_at = 0.0; obs_slot = -1 }
@@ -679,14 +644,14 @@ let start ?obs ?(config = default_config) ?transport store =
             let rec w =
               {
                 id;
-                rx = Netsim.Ring.create ~capacity:config.ring_capacity;
-                swq = Netsim.Ring.create ~capacity:config.ring_capacity;
+                rx = Netsim.Ring.create ~capacity:ring_capacity;
+                swq = Netsim.Ring.create ~capacity:ring_capacity;
                 hist = Atomic.make (Kvserver.Control.size_histogram ());
                 accepted = Atomic.make 0;
                 served = Atomic.make 0;
                 busy_ns = Atomic.make 0;
                 (* software queue + own RX + a share of each other ring *)
-                polled = Array.make (config.batch * (config.cores + 2)) placeholder;
+                polled = Array.make (batch * (config.cores + 2)) placeholder;
                 n_queued = 0;
                 n_polled = 0;
                 n_done = 0;
@@ -701,7 +666,6 @@ let start ?obs ?(config = default_config) ?transport store =
                     b);
                 value = Bytes.empty;
                 some_value = None;
-                clock = clocks.(id);
                 spare = Kvserver.Control.size_histogram ();
               }
             in
@@ -718,13 +682,14 @@ let start ?obs ?(config = default_config) ?transport store =
       worker_failed = Atomic.make 0;
       no_memory = Atomic.make 0;
       stall_us = Array.init config.cores (fun _ -> Atomic.make 0);
-      rx_cap = Array.init config.cores (fun _ -> Atomic.make config.ring_capacity);
+      rx_cap = Array.init config.cores (fun _ -> Atomic.make ring_capacity);
       ctrl_delayed = Atomic.make false;
       started_ns;
       corrupt = corrupt config.fault started_ns;
       epoch =
-        Kvserver.Control.Epoch.create ?clamp:config.clamp_threshold ~alpha:config.alpha
-          ~percentile:config.percentile ~cost_fn:config.cost_fn ();
+        Kvserver.Control.Epoch.create ?clamp:config.clamp_threshold
+          ~alpha:policy.Kvserver.Config.alpha ~percentile:policy.Kvserver.Config.percentile
+          ~cost_fn:policy.Kvserver.Config.cost_fn ();
       merged = Kvserver.Control.size_histogram ();
       in_flight = Atomic.make 0;
       accepting = Atomic.make true;
@@ -735,7 +700,7 @@ let start ?obs ?(config = default_config) ?transport store =
     }
   in
   Log.info (fun m ->
-      m "starting: %d worker domains, batch %d, %s" config.cores config.batch
+      m "starting: %d worker domains, batch %d, %s" config.cores batch
         (Kvserver.Design.name config.design));
   (* The first sample precedes the workers, so a window open at time 0
      holds from their first iteration. *)
@@ -746,8 +711,6 @@ let start ?obs ?(config = default_config) ?transport store =
   (match config.fault with
   | Some f -> ignore (Thread.create (fun () -> fault_clock_loop t f) ())
   | None -> ());
-  if config.expiry_sweep_s > 0.0 then
-    ignore (Thread.create (fun () -> expiry_sweep_loop t) ());
   t
 
 type stats = {
@@ -762,7 +725,6 @@ type stats = {
   rx_rejected : int;
   no_memory : int;
   ctrl_stale : int;
-  expired : int;
   failures : (int * string) list;
   ledger : Obs.Ledger.t;
 }
@@ -784,7 +746,6 @@ let stats (t : t) =
     rx_rejected;
     no_memory;
     ctrl_stale = Atomic.get t.ctrl_stale;
-    expired = (Kvstore.Store.stats t.store).Kvstore.Store.expired;
     failures =
       Array.to_list t.workers
       |> List.filter_map (fun (w : worker) ->

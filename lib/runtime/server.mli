@@ -34,16 +34,10 @@
 
 type config = {
   cores : int;            (** worker domains, 2 to {!max_cores} *)
-  batch : int;            (** ring poll batch *)
-  epoch_s : float;        (** control-loop period, seconds *)
-  alpha : float;          (** histogram smoothing (paper: 0.9) *)
-  percentile : float;     (** threshold percentile (0.99) *)
-  cost_fn : Kvserver.Cost_model.cost_fn;
   design : Kvserver.Design.t;
       (** {!Kvserver.Design.minos} or {!Kvserver.Design.hkh}; {!start}
           raises {!Unsupported_design} for any other *)
-  ring_capacity : int;    (** per-ring slots, power of two *)
-  idle_backoff_s : float; (** an idle worker's {!transport.park} timeout *)
+  epoch_s : float;        (** control-loop period, seconds *)
   shed_watermark : int option;
       (** {!Kvserver.Control.shed}'s watermark on the total RX backlog:
           a shed request is answered [Overloaded].  [None] (default)
@@ -51,11 +45,6 @@ type config = {
   clamp_threshold : float option;
       (** harden the control loop ({!Kvserver.Control.Epoch.plan});
           [None] keeps the unguarded paper behaviour. *)
-  expiry_sweep_s : float;
-      (** period of the background expiry-sweep thread that reclaims
-          TTL-lapsed items ({!Kvstore.Store.expire_sweep}); [0.0]
-          (default) disables it — lapsed items are then reclaimed only
-          lazily when a read misses them. *)
   fault : Fault.Inject.t option;
       (** deterministic fault plan to run the server under: a fault-clock
           thread samples the plan's windows ~every millisecond into
@@ -70,8 +59,16 @@ val max_cores : unit -> int
     reads it, to size its runs to the box. *)
 
 val default_config : config
-(** [min 4 (max_cores ())] cores, batch 32, 50 ms epochs, α = 0.9, p99,
-    packets cost, {!Kvserver.Design.minos}. *)
+(** [min 4 (max_cores ())] cores, {!Kvserver.Design.minos}, 50 ms
+    epochs, no shedding, no clamp, no fault plan.  The rest of the Minos
+    policy is {!Kvserver.Config.default}'s, as in the simulator: poll
+    batch 32, α = 0.9, the p99 threshold and the packets cost function. *)
+
+val batch : int
+(** The poll batch, {!Kvserver.Config.default}'s (32). *)
+
+val ring_capacity : int
+(** Slots of every RX ring and software queue (4096, a power of two). *)
 
 exception Oversubscribed of { cores : int; limit : int }
 (** Raised by {!start} when [cores > limit = max_cores ()]: surplus
@@ -97,9 +94,8 @@ type transport = {
           which served [req], on its domain; never blocks.  A successful
           GET's [value] is the buffer [value_buf] returned last, its
           [value_size] bytes at [value_off].  The arguments are the
-          fields of a {!Message.reply}, whose [completed_at] is worker
-          [q]'s batch clock: a transport that needs no record builds
-          none. *)
+          fields of a {!Message.reply}: a transport that needs no
+          record builds none. *)
   park : int -> float -> unit;
       (** [park q timeout_s]: idle worker [q] waits for input. *)
 }
@@ -150,8 +146,6 @@ type stats = {
                                      them ({!Kvstore.Slab.Out_of_memory}) *)
   ctrl_stale : int;              (** control ticks a fault made stale:
                                      their histograms were discarded *)
-  expired : int;                 (** TTL-lapsed slots reclaimed (lazily on
-                                     read or by the sweep thread) *)
   failures : (int * string) list;
       (** workers killed by an exception: core id and the exception *)
   ledger : Obs.Ledger.t;

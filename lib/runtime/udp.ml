@@ -60,7 +60,6 @@ type conn = {
       (* worker [q]'s outgoing message, from offset [Fragment.header_size]
          so its fragments can be framed in place; grown to the largest
          reply the worker has sent, and kept *)
-  batch : int;
   dedup : bytes Proto.Dedup.t; (* mutation's request id -> encoded reply *)
   dedup_lock : Mutex.t;
   recorder : Obs.Recorder.t option;
@@ -180,7 +179,7 @@ let cache_reply c id encoded =
    replay the rejection. *)
 let cacheable (req : Message.request) (status : Message.status) =
   match req.Message.op with
-  | Message.Put _ | Message.Put_ttl _ | Message.Delete -> (
+  | Message.Put _ | Message.Delete -> (
       match status with Message.Ok | Message.Not_found -> true | Message.Overloaded -> false)
   | Message.Get | Message.Scan _ -> false
 
@@ -283,7 +282,7 @@ let[@cold] accept_other c queue admit b off =
       let id = Bytes.get_int64_le b (off + Proto.Wire.ids_at) in
       let cached =
         match op with
-        | Message.Put _ | Message.Put_ttl _ | Message.Delete ->
+        | Message.Put _ | Message.Delete ->
             locked c (fun () -> Proto.Dedup.find c.dedup id)
         | Message.Get | Message.Scan _ -> None
       in
@@ -328,7 +327,7 @@ let[@cold] reassemble c queue admit buf len =
    queue's non-blocking socket.  A request in one datagram is decoded
    where it was received; an empty socket costs one [recv]. *)
 let rec receive_batch c queue admit sock buf n =
-  if n >= c.batch then n
+  if n >= Server.batch then n
   else
     let len = recv sock buf 0 (Bytes.length buf) c.peers.(queue) in
     if len < 0 then n
@@ -346,8 +345,10 @@ let receive c queue admit = receive_batch c queue admit c.sockets.(queue) c.bufs
 let park c queue timeout_s =
   wait_readable c.sockets.(queue) (int_of_float (timeout_s *. 1.0e6))
 
-let start ?obs ?(config = Server.default_config) ?(base_port = 47700)
-    ?(dedup_capacity = 8192) store =
+(* Mutations whose replies the dedup cache keeps for retransmissions. *)
+let dedup_capacity = 8192
+
+let start ?obs ?(config = Server.default_config) ?(base_port = 47700) store =
   let cores = config.Server.cores in
   let sockets =
     Array.init cores (fun q ->
@@ -362,7 +363,7 @@ let start ?obs ?(config = Server.default_config) ?(base_port = 47700)
      software queue or in a worker's polled batch, so slots never run
      out. *)
   let capacity =
-    (config.Server.ring_capacity * (cores + 1)) + (cores * config.Server.batch * (cores + 2))
+    (Server.ring_capacity * (cores + 1)) + (cores * Server.batch * (cores + 2))
   in
   let conn =
     {
@@ -383,7 +384,6 @@ let start ?obs ?(config = Server.default_config) ?(base_port = 47700)
       capacity;
       reassemblers = Array.init cores (fun _ -> Proto.Fragment.create_reassembler ());
       tx = Array.init cores (fun _ -> Bytes.create max_datagram);
-      batch = config.Server.batch;
       dedup = Proto.Dedup.create ~capacity:dedup_capacity ();
       dedup_lock = Mutex.create ();
       recorder = Option.map (fun o -> o.Obs.Instrument.recorder) obs;

@@ -39,7 +39,6 @@ val start :
   ?obs:Obs.Instrument.t ->
   ?config:Server.config ->
   ?base_port:int ->
-  ?dedup_capacity:int ->
   Kvstore.Store.t ->
   t
 (** Bind [config.cores] sockets on [base_port..base_port+cores-1]

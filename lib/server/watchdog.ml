@@ -1,9 +1,15 @@
+(* Sick epochs in a row that exclude a core. *)
+let condemn_after = 2
+
+(* RX depth above which a core that lags its peers is sick. *)
+let depth_floor = 64
+
+(* The share of the best peer's progress below which a core lags. *)
+let ops_frac = 0.25
+
 type t = {
   cores : int;
-  condemn_after : int;
   forgive_after : int;
-  depth_floor : int;
-  ops_frac : float;
   last_ops : int array;
   sick_streak : int array;
   delta_ops : int array; (* scratch, rewritten every observe *)
@@ -13,17 +19,12 @@ type t = {
 
 type verdict = No_change | Exclude of int | Readmit of int
 
-let create ?(condemn_after = 2) ?(forgive_after = 8) ?(depth_floor = 64)
-    ?(ops_frac = 0.25) ~cores () =
+let create ?(forgive_after = 8) ~cores () =
   if cores < 2 then invalid_arg "Watchdog.create: need at least 2 cores";
-  if condemn_after < 1 || forgive_after < 1 then
-    invalid_arg "Watchdog.create: epochs must be >= 1";
+  if forgive_after < 1 then invalid_arg "Watchdog.create: epochs must be >= 1";
   {
     cores;
-    condemn_after;
     forgive_after;
-    depth_floor;
-    ops_frac;
     last_ops = Array.make cores 0;
     sick_streak = Array.make cores 0;
     delta_ops = Array.make cores 0;
@@ -46,12 +47,12 @@ let observe t ~ops ~depth =
       max_peer := t.delta_ops.(c)
   done;
   let floor_ops =
-    int_of_float (t.ops_frac *. float_of_int !max_peer)
+    int_of_float (ops_frac *. float_of_int !max_peer)
   in
   for c = 0 to t.cores - 1 do
     if c = t.excluded then t.sick_streak.(c) <- 0
     else if
-      depth c > t.depth_floor
+      depth c > depth_floor
       && (!max_peer = 0 || t.delta_ops.(c) < floor_ops)
     then t.sick_streak.(c) <- t.sick_streak.(c) + 1
     else t.sick_streak.(c) <- 0
@@ -72,7 +73,7 @@ let observe t ~ops ~depth =
        Never drop below 2 active cores. *)
     let worst = ref (-1) in
     for c = 0 to t.cores - 1 do
-      if t.sick_streak.(c) >= t.condemn_after then
+      if t.sick_streak.(c) >= condemn_after then
         if
           !worst < 0
           || t.sick_streak.(c) > t.sick_streak.(!worst)

@@ -8,14 +8,14 @@
     idle.  Progress-versus-peers catches both.)
 
     A core is {e sick} in an epoch when its RX queue is backed up beyond
-    [depth_floor] {e and} it is making almost no progress relative to its
-    best peer ([ops_frac]) — that covers both a dead core (utilization
-    ~0, queue growing) and a degraded one (fully busy at 50x cost, queue
-    growing).  [condemn_after] consecutive sick epochs exclude it;
-    [forgive_after] epochs later it is readmitted on probation and must
-    prove itself again (a still-sick core is re-condemned after another
-    [condemn_after] epochs).  At most one core is excluded at a time, and
-    never below 2 remaining active cores. *)
+    64 requests {e and} it served under a quarter of its best peer's
+    operations — that covers both a dead core (utilization ~0, queue
+    growing) and a degraded one (fully busy at 50x cost, queue growing).
+    2 consecutive sick epochs exclude it; [forgive_after] epochs later
+    it is readmitted on probation and must prove itself again (a
+    still-sick core is re-condemned after another 2 epochs).  At most
+    one core is excluded at a time, and never below 2 remaining active
+    cores. *)
 
 type t
 
@@ -24,16 +24,10 @@ type verdict =
   | Exclude of int  (** physical core id to remove from the active set *)
   | Readmit of int  (** probation over: return the core to duty *)
 
-val create :
-  ?condemn_after:int ->
-  ?forgive_after:int ->
-  ?depth_floor:int ->
-  ?ops_frac:float ->
-  cores:int ->
-  unit ->
-  t
-(** Defaults: condemn after 2 sick epochs, forgive after 8 excluded
-    epochs, depth floor 64 requests, progress fraction 0.25. *)
+val create : ?forgive_after:int -> cores:int -> unit -> t
+(** Condemn after 2 sick epochs, forgive after [forgive_after] (default
+    8) excluded epochs; depth floor 64 requests, progress fraction
+    0.25. *)
 
 val observe : t -> ops:int array -> depth:(int -> int) -> verdict
 (** Called once per control epoch with the live cumulative per-core

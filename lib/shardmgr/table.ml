@@ -252,12 +252,13 @@ let list_eq_int a b =
 (* Key-space buckets behind a range rebalance's load weights. *)
 let probe_buckets = 128
 
+(* Requests in the seeded probe stream. *)
+let probe = 65_536
+
 let compile ?(policy = Hash) ?(rebalance = false) ?(vnodes = 128) ?(groups = 8)
-    ?(probe = 65_536) ?(seed = 1) ~servers ~workload ~dataset ~duration_us
-    ~offered_mops plan =
+    ?(seed = 1) ~servers ~workload ~dataset ~duration_us ~offered_mops plan =
   if servers < 1 then err "servers must be >= 1";
   if groups < 1 then err "groups must be >= 1";
-  if probe < 1 then err "probe must be >= 1";
   if not (offered_mops > 0.0) then err "offered load must be > 0";
   if not (duration_us > 0.0) then err "duration must be > 0";
   (match Plan.validate plan with

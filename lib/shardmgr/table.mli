@@ -52,7 +52,6 @@ val compile :
   ?rebalance:bool ->
   ?vnodes:int ->
   ?groups:int ->
-  ?probe:int ->
   ?seed:int ->
   servers:int ->
   workload:Workload.Spec.t ->
@@ -66,9 +65,9 @@ val compile :
     per-bucket key load before anything else is measured (a [Hash] ring
     has no cut points: nothing moves, but the effect is still
     reported).  [vnodes] (128) sizes the consistent-hash ring,
-    [groups] (8) the cutover key groups, [probe] (65536) the seeded
-    probe stream (seed [seed + 7919]) that measures per-epoch shard
-    shares, the rebalance weights and the per-group moving load.
+    [groups] (8) the cutover key groups.  A seeded probe stream of 65536
+    requests (seed [seed + 7919]) measures per-epoch shard shares, the
+    rebalance weights and the per-group moving load.
     [servers] is the initial membership [0..servers-1]; each
     [add-server] / [add-replica] event allocates the next fresh id.
     Raises {!Range_membership} on an add/remove-server under [Range],

@@ -31,13 +31,13 @@ let test_nic_bound_matches_paper_peak () =
 
 let test_cpu_bound_above_nic_bound () =
   let nic = Queueing.Capacity.nic_bound_mops spec cost ~gbps:40.0 in
-  let cpu = Queueing.Capacity.cpu_bound_mops spec cost ~cores:8 () in
+  let cpu = Queueing.Capacity.cpu_bound_mops spec cost ~cores:8 in
   check bool "NIC binds first on the default workload" true (nic < cpu)
 
 let test_write_intensive_flips_bottleneck () =
   let wi = Workload.Spec.write_intensive in
   let nic = Queueing.Capacity.nic_bound_mops wi cost ~gbps:40.0 in
-  let cpu = Queueing.Capacity.cpu_bound_mops wi cost ~cores:8 () in
+  let cpu = Queueing.Capacity.cpu_bound_mops wi cost ~cores:8 in
   (* §6.2: "A write-intensive workload shifts the bottleneck from the NIC
      to the CPU". *)
   check bool "CPU binds on 50:50" true (cpu < nic)

@@ -225,7 +225,7 @@ let test_analytic_max_of_k_vs_order_statistics () =
   let sorted = Array.init n (fun i -> float_of_int (i + 1)) in
   List.iter
     (fun k ->
-      let got = Kvcluster.Fanout.analytic_max_quantile sorted ~k ~q:0.99 in
+      let got = Fanout_oracle.analytic_max_quantile sorted ~k ~q:0.99 in
       let expected = Stats.Quantile.of_sorted sorted (0.99 ** (1.0 /. float_of_int k)) in
       check (Alcotest.float 1e-9) (Printf.sprintf "k=%d" k) expected got;
       (* and the closed form itself is monotone in k *)
@@ -255,7 +255,7 @@ let test_analytic_matches_sampled_max () =
   done;
   Array.sort Float.compare maxes;
   let sampled = Stats.Quantile.of_sorted maxes 0.99 in
-  let analytic = Kvcluster.Fanout.analytic_max_quantile sorted ~k ~q:0.99 in
+  let analytic = Fanout_oracle.analytic_max_quantile sorted ~k ~q:0.99 in
   let rel = Float.abs (sampled -. analytic) /. analytic in
   check bool
     (Printf.sprintf "sampled %.1f vs analytic %.1f (rel %.3f)" sampled analytic rel)
@@ -273,14 +273,14 @@ let test_hedge_quantile_degenerate_cases () =
   let exact_at p = sorted.(int_of_float (Float.ceil (p *. float_of_int n)) - 1) in
   check (Alcotest.float 1e-9) "large d recovers the unhedged quantile"
     (exact_at q)
-    (Kvcluster.Fanout.analytic_hedge_quantile sorted ~d:1.0e9 ~q);
-  let tied = Kvcluster.Fanout.analytic_hedge_quantile sorted ~d:0.0 ~q in
+    (Fanout_oracle.analytic_hedge_quantile sorted ~d:1.0e9 ~q);
+  let tied = Fanout_oracle.analytic_hedge_quantile sorted ~d:0.0 ~q in
   check bool "d = 0 is min-of-two" true
     (Float.abs (tied -. exact_at (1.0 -. sqrt (1.0 -. q))) <= 1.0);
   let prev = ref tied in
   List.iter
     (fun d ->
-      let x = Kvcluster.Fanout.analytic_hedge_quantile sorted ~d ~q in
+      let x = Fanout_oracle.analytic_hedge_quantile sorted ~d ~q in
       check bool
         (Printf.sprintf "monotone in the delay (d=%g)" d)
         true
@@ -292,13 +292,13 @@ let test_hedge_quantile_degenerate_cases () =
   in
   check bool "empty samples rejected" true
     (rejects (fun () ->
-         Kvcluster.Fanout.analytic_hedge_quantile [||] ~d:1.0 ~q:0.5));
+         Fanout_oracle.analytic_hedge_quantile [||] ~d:1.0 ~q:0.5));
   check bool "negative delay rejected" true
     (rejects (fun () ->
-         Kvcluster.Fanout.analytic_hedge_quantile sorted ~d:(-1.0) ~q:0.5));
+         Fanout_oracle.analytic_hedge_quantile sorted ~d:(-1.0) ~q:0.5));
   check bool "q outside (0, 1] rejected" true
     (rejects (fun () ->
-         Kvcluster.Fanout.analytic_hedge_quantile sorted ~d:1.0 ~q:0.0))
+         Fanout_oracle.analytic_hedge_quantile sorted ~d:1.0 ~q:0.0))
 
 let prop_hedge_quantile_matches_sampled =
   (* Monte-Carlo resampling of min(X1, d + X2) must converge to the
@@ -314,10 +314,10 @@ let prop_hedge_quantile_matches_sampled =
     QCheck.(pair (float_bound_inclusive 400.0) (int_bound 2))
     (fun (d, qi) ->
       let q = [| 0.5; 0.95; 0.99 |].(qi) in
-      let analytic = Kvcluster.Fanout.analytic_hedge_quantile sorted ~d ~q in
+      let analytic = Fanout_oracle.analytic_hedge_quantile sorted ~d ~q in
       let sampled =
-        Kvcluster.Fanout.sample_hedge_quantile ~rng:(Dsim.Rng.create 7) sorted
-          ~d ~q ~trials:30_000 ()
+        Fanout_oracle.sample_hedge_quantile ~rng:(Dsim.Rng.create 7) sorted
+          ~d ~q ~trials:30_000
       in
       Float.abs (sampled -. analytic) /. Float.max 1.0 analytic < 0.06)
 

@@ -381,6 +381,22 @@ let test_store_size_of () =
   check int "length" 12345 (Store.length s "k");
   check int "length missing" (-1) (Store.length s "nope")
 
+(* An item is one slab block: a 10-byte header, the key and the value,
+   rounded up to 8 B (16 B at least).  Each (key, value) pair below fills
+   its block exactly with a 10-byte header, so a header one byte longer
+   would take the next block size. *)
+let test_store_item_footprint () =
+  List.iter
+    (fun (klen, vlen) ->
+      let s = small_store () in
+      Store.put s ~guard:`Lock (String.make klen 'k') (Bytes.create vlen);
+      let want = max 16 ((10 + klen + vlen + 7) land lnot 7) in
+      check int
+        (Printf.sprintf "key %d B + value %d B" klen vlen)
+        want (Store.stats s).Store.value_bytes;
+      check int "no other block" want (Store.stats s).Store.arena_bytes)
+    [ (3, 3); (5, 9); (8, 22); (20, 1002) ]
+
 let test_store_delete () =
   let s = small_store () in
   Store.put s ~guard:`Lock "k" (Bytes.of_string "v");
@@ -852,6 +868,7 @@ let () =
           Alcotest.test_case "put get" `Quick test_store_put_get;
           Alcotest.test_case "update in place" `Quick test_store_update_in_place;
           Alcotest.test_case "size_of" `Quick test_store_size_of;
+          Alcotest.test_case "item footprint" `Quick test_store_item_footprint;
           Alcotest.test_case "delete" `Quick test_store_delete;
           Alcotest.test_case "overflow chains" `Quick test_store_overflow_chains;
           Alcotest.test_case "iter" `Quick test_store_iter;

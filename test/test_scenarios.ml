@@ -171,50 +171,8 @@ let test_trace_rejects_future_version () =
   expect_load_failure "bad magic" path
 
 (* ------------------------------------------------------------------ *)
-(* TTL expiry: lazy reads and the background sweep must agree. *)
-
-let ttl_store () =
-  Kvstore.Store.create ~partition_bits:2 ~bucket_bits:8
-    ~value_arena_bytes:(1 lsl 22) ()
-
-let ttl_keys = Array.init 200 Workload.Dataset.key_name
-
-let populate_ttl store =
-  Array.iteri
-    (fun i key ->
-      (* Even ids lapse at t=100, odd ids live until t=1000. *)
-      let expires_at = if i mod 2 = 0 then 100.0 else 1000.0 in
-      Kvstore.Store.put ~expires_at store ~guard:`Lock key (Bytes.create 32))
-    ttl_keys
-
-let test_ttl_lazy_vs_sweep () =
-  let lazy_store = ttl_store () and sweep_store = ttl_store () in
-  populate_ttl lazy_store;
-  populate_ttl sweep_store;
-  let now = 500.0 in
-  (* Sweep store: one background pass reclaims every lapsed item. *)
-  let swept = Kvstore.Store.expire_sweep sweep_store ~now in
-  (* Lazy store: read every key; a lazy miss reclaims via [expire]. *)
-  let lazy_reclaimed = ref 0 in
-  Array.iter
-    (fun key ->
-      match Kvstore.Store.get ~now lazy_store key with
-      | Some _ -> ()
-      | None ->
-          if Kvstore.Store.expire lazy_store ~guard:`Lock ~now key then
-            incr lazy_reclaimed)
-    ttl_keys;
-  check int "same reclaim count" swept !lazy_reclaimed;
-  check int "expired stat agrees"
-    (Kvstore.Store.stats sweep_store).Kvstore.Store.expired
-    (Kvstore.Store.stats lazy_store).Kvstore.Store.expired;
-  (* Both stores now hold exactly the same (odd-id) survivors. *)
-  Array.iteri
-    (fun i key ->
-      let expect = i mod 2 = 1 in
-      check bool "lazy survivor" expect (Kvstore.Store.length ~now lazy_store key >= 0);
-      check bool "sweep survivor" expect (Kvstore.Store.length ~now sweep_store key >= 0))
-    ttl_keys
+(* TTL expiry in the simulator's residency model: lazy reads and the
+   background sweep must agree. *)
 
 let test_residency_lazy_vs_sweep () =
   (* The model-side residency tracker: sweeping early must reclaim the
@@ -281,7 +239,9 @@ let test_eviction_conservation () =
 (* SCAN vs a sorted reference *)
 
 let test_scan_matches_sorted_reference () =
-  let store = ttl_store () in
+  let store =
+    Kvstore.Store.create ~partition_bits:2 ~bucket_bits:8 ~value_arena_bytes:(1 lsl 22) ()
+  in
   (* A scattered subset of ids, inserted in shuffled order. *)
   let rng = Dsim.Rng.create 5 in
   let ids = Array.init 300 (fun _ -> Dsim.Rng.int rng 100_000) in
@@ -694,7 +654,6 @@ let () =
         ] );
       ( "ttl",
         [
-          Alcotest.test_case "store lazy vs sweep" `Quick test_ttl_lazy_vs_sweep;
           Alcotest.test_case "residency lazy vs sweep" `Quick
             test_residency_lazy_vs_sweep;
         ] );
