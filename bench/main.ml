@@ -25,7 +25,8 @@ let bench_file target = "BENCH_" ^ target ^ ".json"
 (* Hot-path performance profile: heap ns per add+pop, simulator
    events/sec, minor and major words allocated per simulated request, the
    dataset's heap words per key, its build's time and minor words per key,
-   plus the wall-clock of one figure sweep.
+   the native store's populate (arena bytes per value byte, wall ms, minor
+   faults, huge pages), plus the wall-clock of one figure sweep.
    Written to BENCH_perf.json so runs can be compared across commits;
    [perf_gate] fails the run when one of them leaves its bound. *)
 
@@ -151,12 +152,48 @@ let perf_build () =
     build_words_per_key = words /. float_of_int spec.Workload.Spec.n_keys;
   }
 
-(* The native store's memory per user byte: udp-read's dataset (100k keys
-   of the paper's mix, 62 large, dataset seed 1, as the native benchmark
-   draws it) populated into a default store, as its server does; the
+(* The native store populated with udp-read's dataset (100k keys of the
+   paper's mix, 62 large, dataset seed 1, as the native benchmark draws
+   it) into a default store, as its server does.  [store_ratio] is the
    arena's high-water mark over the values' bytes, item headers and keys
-   included in the numerator.  It repeats exactly at a fixed seed. *)
-let store_bytes_per_user_byte () =
+   included in the numerator; it repeats exactly at a fixed seed.  The
+   populate's wall ms, its minor page faults and the process's
+   AnonHugePages after it depend on the kernel's THP setting and free
+   memory (the arena is advised for 2 MB pages), so they are reported and
+   not gated; -1 where /proc cannot be read. *)
+type populate_profile = {
+  store_ratio : float;
+  populate_ms : float;
+  populate_minflt : int;
+  anon_huge_kb : int;
+}
+
+let read_file path =
+  match In_channel.with_open_bin path In_channel.input_all with
+  | s -> Some s
+  | exception Sys_error _ -> None
+
+(* Field 10 of /proc/self/stat, counted after the parenthesised command
+   name, which may hold spaces. *)
+let minor_faults () =
+  match read_file "/proc/self/stat" with
+  | None -> -1
+  | Some s -> (
+      let i = String.rindex s ')' + 2 in
+      match List.nth_opt (String.split_on_char ' ' (String.sub s i (String.length s - i))) 7 with
+      | Some f -> Option.value (int_of_string_opt f) ~default:(-1)
+      | None -> -1)
+
+let anon_huge_kb () =
+  match read_file "/proc/self/smaps_rollup" with
+  | None -> -1
+  | Some s ->
+      List.find_map
+        (fun line -> Scanf.sscanf_opt line "AnonHugePages: %d kB" Fun.id)
+        (String.split_on_char '\n' s)
+      |> Option.value ~default:(-1)
+
+let perf_populate () =
   let spec =
     {
       Workload.Spec.default with
@@ -167,12 +204,20 @@ let store_bytes_per_user_byte () =
   in
   let ds = Workload.Dataset.create ~seed:1 spec in
   let store = Kvstore.Store.create () in
+  let minflt0 = minor_faults () and t0 = Unix.gettimeofday () in
   for id = 0 to Workload.Dataset.n_keys ds - 1 do
     Kvstore.Store.put store ~guard:`Lock (Workload.Dataset.key_name id)
       (Bytes.create (Workload.Dataset.size_of_key ds id))
   done;
-  float_of_int (Kvstore.Store.stats store).Kvstore.Store.arena_peak_bytes
-  /. float_of_int (Workload.Dataset.total_value_bytes ds)
+  let populate_ms = 1000.0 *. (Unix.gettimeofday () -. t0) and minflt1 = minor_faults () in
+  {
+    store_ratio =
+      float_of_int (Kvstore.Store.stats store).Kvstore.Store.arena_peak_bytes
+      /. float_of_int (Workload.Dataset.total_value_bytes ds);
+    populate_ms;
+    populate_minflt = (if minflt0 < 0 || minflt1 < 0 then -1 else minflt1 - minflt0);
+    anon_huge_kb = anon_huge_kb ();
+  }
 
 (* The native server's busy path: minor collections while a 2-worker UDP
    server answers 20,000 single-datagram GETs, pre-encoded and sent from
@@ -434,7 +479,8 @@ let run_perf sweep_target =
   let p = perf_sim () in
   let dataset_words = dataset_words_per_key () in
   let build = perf_build () in
-  let store_ratio = store_bytes_per_user_byte () in
+  let populate = perf_populate () in
+  let store_ratio = populate.store_ratio in
   let udp_collections = udp_get_collections () in
   let sweep_fn =
     match List.find_opt (fun (n, _, _) -> n = sweep_target) targets with
@@ -459,6 +505,9 @@ let run_perf sweep_target =
       [ "  size draw ms (build - zipf)"; Printf.sprintf "%.1f" (build.build_ms -. build.zeta_ms) ];
       [ "dataset build minor words/key"; Printf.sprintf "%.4f" build.build_words_per_key ];
       [ "store arena bytes/user byte"; Printf.sprintf "%.4f" store_ratio ];
+      [ "  populate ms (100k keys)"; Printf.sprintf "%.1f" populate.populate_ms ];
+      [ "  populate minor faults"; string_of_int populate.populate_minflt ];
+      [ "  AnonHugePages kB after populate"; string_of_int populate.anon_huge_kb ];
       [ "UDP GET minor collections (20k)"; string_of_int udp_collections ];
       [ sweep_target ^ " sweep seconds"; Printf.sprintf "%.2f" sweep_s ];
     ];
@@ -478,6 +527,9 @@ let run_perf sweep_target =
            ("dataset_zeta_ms", Float build.zeta_ms);
            ("dataset_build_minor_words_per_key", Float build.build_words_per_key);
            ("store_arena_bytes_per_user_byte", Float store_ratio);
+           ("store_populate_ms", Float populate.populate_ms);
+           ("store_populate_minor_faults", Int populate.populate_minflt);
+           ("store_anon_huge_pages_kb", Int populate.anon_huge_kb);
            ("udp_get_minor_collections", Int udp_collections);
            ("sim_events", Int p.events);
            ("sim_issued", Int p.issued);
@@ -493,7 +545,9 @@ let usage () =
   print_endline
     "  perf measures heap ns/op, dsim events/sec, minor and major words/request,";
   print_endline "  the dataset's heap words/key, its build's ms (zipf normalizer, size draw) and";
-  print_endline "  minor words/key, the native store's arena bytes per user byte, and";
+  print_endline
+    "  minor words/key, the native store's arena bytes per user byte (and its populate's";
+  print_endline "  ms, minor faults and AnonHugePages kB, not gated), and";
   print_endline
     "  the wall-clock of one sweep (default fig3); writes BENCH_perf.json, exits 1 past a gate.";
   print_endline "targets:";

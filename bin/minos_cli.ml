@@ -482,6 +482,10 @@ let serve_cmd =
     Format.printf
       "minos: serving on 127.0.0.1 UDP ports %d-%d (%d worker domains)@." port
       (port + cores - 1) cores;
+    Format.printf "value arena: %d MiB %s@." arena_mb
+      (if (Kvstore.Store.stats store).Kvstore.Store.arena_huge_pages then
+         "advised for 2 MB pages"
+       else "not advised (4 KB pages)");
     Format.printf "GETs: any port; PUTs: keyhash port. Ctrl-C to stop.@.";
     let stop = ref false in
     Sys.set_signal Sys.sigint (Sys.Signal_handle (fun _ -> stop := true));

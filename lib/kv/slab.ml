@@ -7,6 +7,7 @@ type t = {
   heads : int array; (* list index -> offset of its first free block, -1 if none *)
   mutable used : int;
   mutable live : int;
+  huge_pages : bool; (* the arena is advised for huge pages *)
 }
 
 exception Out_of_memory of int
@@ -136,11 +137,17 @@ let unlink t off u =
 
 (* ---- the arena ----------------------------------------------------------- *)
 
+external advise_huge : Bytes.t -> bool = "minos_arena_advise_huge" [@@noalloc]
+
 let create ~capacity =
   if capacity < min_block then invalid_arg "Slab.create: capacity too small";
   if capacity > max_capacity then invalid_arg "Slab.create: capacity above 2^32 bytes";
+  (* Advised before any block is carved, so the first touch of each
+     whole 2 MB span faults in one huge page. *)
+  let arena = Bytes.create capacity in
+  let huge_pages = advise_huge arena in
   {
-    arena = Bytes.create capacity;
+    arena;
     tail = 0;
     peak = 0;
     fl_map = 0;
@@ -148,6 +155,7 @@ let create ~capacity =
     heads = Array.make (fl_count * sl_count) (-1);
     used = 0;
     live = 0;
+    huge_pages;
   }
 
 let[@cold] out_of_memory len = raise (Out_of_memory len)
@@ -250,6 +258,7 @@ let arena_bytes t = t.tail
 
 let peak_bytes t = t.peak
 
+let huge_pages t = t.huge_pages
 
 let live_regions t = t.live
 

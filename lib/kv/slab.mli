@@ -18,6 +18,11 @@
     can serve a request in O(1); {!alloc} splits the block it takes and
     returns the rest to its list.
 
+    {!create} asks the kernel to back the arena with transparent huge
+    pages ([madvise(MADV_HUGEPAGE)] over the page-aligned span of the
+    arena), so populating it takes one fault per 2 MB instead of one per
+    4 KB; {!huge_pages} says whether the advice is in place.
+
     Fresh blocks are carved from the arena's tail, so an insert-only load
     touches exactly the sum of its block sizes; freeing the block next to
     the tail lowers the tail instead of listing the block.  Everything
@@ -31,8 +36,18 @@ exception Out_of_memory of int
     size. *)
 
 val create : capacity:int -> t
-(** [create ~capacity] pre-allocates a [capacity]-byte arena.
-    [16 <= capacity <= 2^32] required. *)
+(** [create ~capacity] pre-allocates a [capacity]-byte arena and advises
+    it for huge pages.  [16 <= capacity <= 2^32] required. *)
+
+val huge_pages : t -> bool
+(** Whether the arena is advised for huge pages: the kernel accepted the
+    advice over at least one whole 2 MB-aligned span.  True does not mean
+    a huge page backs it: the kernel may still fault in 4 KB pages
+    (fragmented memory, its defrag setting); the process's
+    [AnonHugePages] shows that.  False, and the arena on 4 KB pages, when
+    the kernel's THP setting is missing or [never], the platform has no
+    [MADV_HUGEPAGE], or the arena is too small to hold an aligned 2 MB
+    span. *)
 
 val header_bytes : int
 (** Bytes at the start of every block that the slab owns (4: the size

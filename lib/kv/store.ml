@@ -473,6 +473,7 @@ type stats = {
   overflow_buckets : int;
   index_words : int;
   partitions : int;
+  arena_huge_pages : bool;
 }
 
 let index_words p = Array.length p.primary + (p.n_chunks * chunk_words) + Array.length p.chunks
@@ -486,6 +487,7 @@ let stats (t : t) =
     overflow_buckets = Atomic.get t.overflow_count;
     index_words = Array.fold_left (fun acc p -> acc + index_words p) 0 t.partitions;
     partitions = partition_count t;
+    arena_huge_pages = Slab.huge_pages t.slab;
   }
 
 let iter (t : t) f =

@@ -38,10 +38,11 @@
     that overwrites an existing key allocate nothing on the OCaml heap.
 
     Measured on the native benchmark's dataset (100k keys, 58.2 MB of
-    values, 2 vCPUs): populating takes 0.11 s, the index allocates and
-    keeps 0.41 words per key (a pool that doubled and copied allocated 9
-    to keep 0.64), a GET costs ~0.9 us and a size lookup
-    ~0.4 us, and [stats.value_bytes] is 1.038x the value bytes, since it
+    values, 2 vCPUs): populating takes ~0.05 s with the arena advised for 2 MB
+    pages (~0.07 s on 4 KB pages; {!Slab.huge_pages}), the index
+    allocates and keeps 0.41 words per key (a pool that doubled and
+    copied allocated 9 to keep 0.64), a GET costs ~0.9 us and a size
+    lookup ~0.4 us, and [stats.value_bytes] is 1.038x the value bytes, since it
     counts headers and keys and rounds each item up to 8 B. *)
 
 type t
@@ -131,6 +132,10 @@ type stats = {
       (** words the index holds: primary buckets, overflow chunks and
           their spines *)
   partitions : int;
+  arena_huge_pages : bool;
+      (** the arena is advised for 2 MB pages ({!Slab.huge_pages}), which
+          the kernel may still back with 4 KB pages; false means 4 KB
+          pages *)
 }
 
 val stats : t -> stats

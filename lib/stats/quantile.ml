@@ -59,8 +59,6 @@ let rank_index ~fn n q =
   let rank = int_of_float (ceil (q *. float_of_int n)) in
   max 0 (min (n - 1) (rank - 1))
 
-let of_sorted sorted q = sorted.(rank_index ~fn:"of_sorted" (Array.length sorted) q)
-
 (* ---------------- Exact selection in place ----------------
 
    The k-th smallest sample is found where it lies: the samples are

@@ -11,7 +11,7 @@ let analytic_max_quantile sorted ~k ~q =
   if k < 1 then invalid_arg "Fanout_oracle.analytic_max_quantile: k must be >= 1";
   if not (q > 0.0 && q <= 1.0) then
     invalid_arg "Fanout_oracle.analytic_max_quantile: q out of (0, 1]";
-  Stats.Quantile.of_sorted sorted (q ** (1.0 /. float_of_int k))
+  Quantile_oracle.of_sorted sorted (q ** (1.0 /. float_of_int k))
 
 (* Empirical CDF of [sorted]: fraction of samples <= x, by binary search
    for the first index strictly greater than x. *)

@@ -226,12 +226,12 @@ let test_analytic_max_of_k_vs_order_statistics () =
   List.iter
     (fun k ->
       let got = Fanout_oracle.analytic_max_quantile sorted ~k ~q:0.99 in
-      let expected = Stats.Quantile.of_sorted sorted (0.99 ** (1.0 /. float_of_int k)) in
+      let expected = Quantile_oracle.of_sorted sorted (0.99 ** (1.0 /. float_of_int k)) in
       check (Alcotest.float 1e-9) (Printf.sprintf "k=%d" k) expected got;
       (* and the closed form itself is monotone in k *)
       if k > 1 then
         check bool "max-of-k above single-shot p99" true
-          (got >= Stats.Quantile.of_sorted sorted 0.99))
+          (got >= Quantile_oracle.of_sorted sorted 0.99))
     [ 1; 2; 4; 8; 16 ]
 
 let test_analytic_matches_sampled_max () =
@@ -254,7 +254,7 @@ let test_analytic_matches_sampled_max () =
     maxes.(t) <- !m
   done;
   Array.sort Float.compare maxes;
-  let sampled = Stats.Quantile.of_sorted maxes 0.99 in
+  let sampled = Quantile_oracle.of_sorted maxes 0.99 in
   let analytic = Fanout_oracle.analytic_max_quantile sorted ~k ~q:0.99 in
   let rel = Float.abs (sampled -. analytic) /. analytic in
   check bool

@@ -619,7 +619,7 @@ let test_finish_reads_record_in_place () =
   Stats.Quantile.sort_floats sorted;
   List.iter
     (fun (name, q, got) ->
-      check (Alcotest.float 0.0) name (Stats.Quantile.of_sorted sorted q) got)
+      check (Alcotest.float 0.0) name (Quantile_oracle.of_sorted sorted q) got)
     [ ("p50", 0.5, m.Metrics.p50_us); ("p99", 0.99, m.Metrics.p99_us);
       ("p999", 0.999, m.Metrics.p999_us) ]
 

@@ -37,20 +37,25 @@ let test_float_vec_to_array () =
 
 let test_quantile_nearest_rank () =
   let sorted = Array.init 100 (fun i -> float_of_int (i + 1)) in
-  check (approx 0.0) "p50 of 1..100" 50.0 (Quantile.of_sorted sorted 0.5);
-  check (approx 0.0) "p99 of 1..100" 99.0 (Quantile.of_sorted sorted 0.99);
-  check (approx 0.0) "p100" 100.0 (Quantile.of_sorted sorted 1.0);
-  check (approx 0.0) "p1" 1.0 (Quantile.of_sorted sorted 0.01)
+  List.iter
+    (fun (name, q, want) ->
+      check (approx 0.0) name want (Quantile_oracle.of_sorted sorted q);
+      check (approx 0.0) name want (Quantile.of_array sorted q))
+    [ ("p50 of 1..100", 0.5, 50.0); ("p99 of 1..100", 0.99, 99.0); ("p100", 1.0, 100.0);
+      ("p1", 0.01, 1.0) ]
 
 let test_quantile_unsorted_input () =
   check (approx 0.0) "of_array sorts" 3.0 (Quantile.of_array [| 5.0; 1.0; 3.0 |] 0.5)
 
 let test_quantile_errors () =
-  Alcotest.check_raises "empty" (Invalid_argument "Quantile.of_sorted: empty sample")
-    (fun () -> ignore (Quantile.of_sorted [||] 0.5));
-  Alcotest.check_raises "q out of range"
-    (Invalid_argument "Quantile.of_sorted: q out of (0, 1]") (fun () ->
-      ignore (Quantile.of_sorted [| 1.0 |] 1.5))
+  Alcotest.check_raises "empty" (Invalid_argument "Quantile.of_array: empty sample")
+    (fun () -> ignore (Quantile.of_array [||] 0.5));
+  List.iter
+    (fun q ->
+      Alcotest.check_raises "q out of range"
+        (Invalid_argument "Quantile.of_array: q out of (0, 1]") (fun () ->
+          ignore (Quantile.of_array [| 1.0 |] q)))
+    [ 0.0; 1.5 ]
 
 let prop_quantile_bounds =
   QCheck.Test.make ~name:"quantile lies within sample bounds" ~count:300
@@ -134,7 +139,7 @@ let prop_selection_is_sort =
         | l ->
             let a = Array.of_list l in
             Quantile.sort_floats a;
-            Quantile.of_sorted a q
+            Quantile_oracle.of_sorted a q
       in
       let all = Array.to_list samples in
       let cls marked = List.filteri (fun i _ -> is_marked marks i = marked) all in
