@@ -7,6 +7,7 @@ type entry = {
   route : string;
   plan : string;
   metrics : Kvhedge.Metrics.t;
+  engines : Kvcluster.Metrics.t;
 }
 
 type t = {
@@ -24,139 +25,111 @@ type t = {
   audit : Shardmgr.Protocol.result;
 }
 
-let config_of_scale (s : Experiment.scale) =
-  { Kvhedge.Config.default with Kvhedge.Config.server = Experiment.config_of_scale s }
-
-(* The canned crash: kill the FIRST MIRROR (server id [shards], i.e.
-   replica 1 of shard 0) 30 % into the measured window, restart it at
-   80 %.  Killing a mirror rather than a primary keeps every PUT's
-   completion leg alive, so the hedged GET path is what the tail
-   measures; the audit proves the crash is key-lossless either way
-   (every key still has its primary copy). *)
-let kill_fractions = (0.3, 0.8)
-
-let kill_plan ~server ~kill_at_us ~recover_at_us =
-  {
-    Fault.Plan.name = "kill-server";
-    events =
-      [
-        Fault.Plan.Kill_server { server; at_us = kill_at_us };
-        Fault.Plan.Recover_server { server; at_us = recover_at_us };
-      ];
-  }
-
-(* The replicated routing table the audit replays: one [add-replica] per
-   shard per mirror, in shard order, opening the run — exactly the
-   server-id layout {!Kvhedge.Config} documents (replica [k] of shard
-   [s] is server [k * shards + s]). *)
-let audit_plan ~shards ~mirrors =
-  {
-    Shardmgr.Plan.name = "hedge-replicas";
-    events =
-      List.concat
-        (List.init mirrors (fun _ ->
-             List.init shards (fun shard ->
-                 Shardmgr.Plan.Add_replica { shard; at_us = 0.0 })));
-  }
-
-let run ?shards ?mirrors ?cores ?hedge_quantile ?detect_us (r : Run.t) =
-  let base = config_of_scale r.Run.scale in
-  let server = base.Kvhedge.Config.server in
-  let ( |? ) v d = Option.value v ~default:d in
-  let config =
+let run ?(shards = 4) ?(mirrors = 1) ?cores ?hedge_quantile ?detect_us (r : Run.t) =
+  let server = Experiment.config_of_scale r.Run.scale in
+  let server =
+    { server with Kvserver.Config.cores = Option.value cores ~default:server.Kvserver.Config.cores }
+  in
+  let policy =
     {
-      base with
-      Kvhedge.Config.shards = shards |? base.Kvhedge.Config.shards;
-      mirrors = mirrors |? base.Kvhedge.Config.mirrors;
-      hedge_quantile = hedge_quantile |? base.Kvhedge.Config.hedge_quantile;
+      Kvhedge.Config.default with
+      Kvhedge.Config.mode = Kvhedge.Config.Off;
+      hedge_quantile =
+        Option.value hedge_quantile ~default:Kvhedge.Config.default.Kvhedge.Config.hedge_quantile;
       detect_us;
-      server = { server with Kvserver.Config.cores = cores |? server.Kvserver.Config.cores };
     }
   in
-  (match Kvhedge.Config.validate config with
+  (match Result.bind (Kvhedge.Config.validate policy) (fun () -> Kvserver.Config.validate server) with
   | Ok () -> ()
   | Error msg -> invalid_arg ("Hedge.run: " ^ msg));
-  if config.Kvhedge.Config.mirrors < 1 then
+  if mirrors < 1 then
     invalid_arg "Hedge.run: tail-cutting needs at least one mirror per shard";
   let workload = Run.flat r in
   let seed = r.Run.seed in
   let offered_mops = Option.value r.Run.offered_mops ~default:8.0 in
-  let shards = config.Kvhedge.Config.shards in
-  let mirrors = config.Kvhedge.Config.mirrors in
-  let server = config.Kvhedge.Config.server in
   let duration = server.Kvserver.Config.duration_us in
   let warmup = server.Kvserver.Config.warmup_us in
   let measured = duration -. warmup in
-  let f_kill, f_recover = kill_fractions in
-  let kill_at_us = warmup +. (f_kill *. measured) in
-  let recover_at_us = warmup +. (f_recover *. measured) in
+  (* The canned crash: kill the FIRST MIRROR (server id [shards], i.e.
+     replica 1 of shard 0) 30 % into the measured window, restart it at
+     80 %.  Killing a mirror rather than a primary keeps every PUT's
+     completion leg alive, so the hedged GET path is what the tail
+     measures; the audit proves the crash is key-lossless either way
+     (every key still has its primary copy). *)
+  let kill_at_us = warmup +. (0.3 *. measured) in
+  let recover_at_us = warmup +. (0.8 *. measured) in
   let killed_server = shards in
-  let plan = kill_plan ~server:killed_server ~kill_at_us ~recover_at_us in
-  let dataset = Experiment.dataset_for workload in
-  let base =
+  let plan =
     {
-      config with
-      Kvhedge.Config.mode = Kvhedge.Config.Off;
-      design = Kvserver.Design.minos;
+      Fault.Plan.name = "kill-server";
+      events =
+        [
+          Fault.Plan.Kill_server { server = killed_server; at_us = kill_at_us };
+          Fault.Plan.Recover_server { server = killed_server; at_us = recover_at_us };
+        ];
     }
   in
-  let keyhash = { base with Kvhedge.Config.design = Kvserver.Design.hkh } in
+  let dataset = Experiment.dataset_for workload in
+  (* The one routing table: every variant routes over it, and each run's
+     key audit checks it. *)
+  let table =
+    Shardmgr.Table.compile ~seed ~servers:shards ~workload ~dataset
+      ~duration_us:duration ~offered_mops
+      (Shardmgr.Plan.replicated ~shards ~mirrors)
+  in
+  let minos = Kvserver.Design.minos and hkh = Kvserver.Design.hkh in
+  let hedged = { policy with Kvhedge.Config.mode = Kvhedge.Config.Hedged } in
+  let p2c = { policy with Kvhedge.Config.route = Kvhedge.Config.P2c } in
   let variants =
     [
-      ( "sizeaware+hedged/none",
-        { base with Kvhedge.Config.mode = Kvhedge.Config.Hedged },
-        None );
-      ("sizeaware/none", base, None);
-      ( "sizeaware+hedged/kill-server",
-        { base with Kvhedge.Config.mode = Kvhedge.Config.Hedged },
-        Some plan );
-      ("sizeaware/kill-server", base, Some plan);
+      ("sizeaware+hedged/none", minos, hedged, None);
+      ("sizeaware/none", minos, policy, None);
+      ("sizeaware+hedged/kill-server", minos, hedged, Some plan);
+      ("sizeaware/kill-server", minos, policy, Some plan);
       ( "sizeaware+tied/kill-server",
-        { base with Kvhedge.Config.mode = Kvhedge.Config.Tied },
+        minos,
+        { policy with Kvhedge.Config.mode = Kvhedge.Config.Tied },
         Some plan );
-      ( "keyhash+hedged/kill-server",
-        { keyhash with Kvhedge.Config.mode = Kvhedge.Config.Hedged },
-        Some plan );
-      ("keyhash/none", keyhash, None);
+      ("keyhash+hedged/kill-server", hkh, hedged, Some plan);
+      ("keyhash/none", hkh, policy, None);
       ( "p2c+hedged/kill-server",
-        {
-          base with
-          Kvhedge.Config.route = Kvhedge.Config.P2c;
-          mode = Kvhedge.Config.Hedged;
-        },
+        minos,
+        { p2c with Kvhedge.Config.mode = Kvhedge.Config.Hedged },
         Some plan );
-      ( "p2c/kill-server",
-        { base with Kvhedge.Config.route = Kvhedge.Config.P2c },
-        Some plan );
+      ("p2c/kill-server", minos, p2c, Some plan);
     ]
   in
   let traced = "sizeaware+hedged/kill-server" in
-  let job (label, cfg, plan) =
-    let c = Kvhedge.Cluster.create cfg ~dataset ~workload ~offered_mops ?plan ~seed () in
+  let job (label, design, policy, plan) =
     (* The traced variant's kill / recover / hedge-delay instants go on
        one pseudo-process's decision track. *)
     let ins =
       match r.Run.trace_out with
       | Some _ when label = traced ->
-          let ins = Obs.Instrument.create ~server:0 ~spans:1 ~timeline:false ~cores:1 ~seed:0 () in
-          Kvhedge.Cluster.set_log c ins.Obs.Instrument.decisions;
-          Some ins
+          Some (Obs.Instrument.create ~server:0 ~spans:1 ~timeline:false ~cores:1 ~seed:0 ())
       | Some _ | None -> None
     in
-    Dsim.Sim.run (Kvhedge.Cluster.sim c) ~until:duration;
+    let setup c =
+      Option.iter (fun ins -> Kvhedge.Cluster.set_log c ins.Obs.Instrument.decisions) ins
+    in
+    let metrics, run =
+      Kvhedge.Cluster.run policy ?fault:plan ~setup ~seed ~server ~design ~workload table
+    in
     ( {
         label;
-        design = Kvserver.Design.name cfg.Kvhedge.Config.design;
-        mode = Kvhedge.Config.mode_name cfg.Kvhedge.Config.mode;
-        route = Kvhedge.Config.route_name cfg.Kvhedge.Config.route;
+        design = Kvserver.Design.name design;
+        mode = Kvhedge.Config.mode_name policy.Kvhedge.Config.mode;
+        route = Kvhedge.Config.route_name policy.Kvhedge.Config.route;
         plan = (match plan with None -> "none" | Some p -> p.Fault.Plan.name);
-        metrics = Kvhedge.Cluster.metrics c;
+        metrics;
+        engines = run.Shardmgr.Run.metrics;
       },
+      run.Shardmgr.Run.protocol,
       ins )
   in
   let results = Par.map_list job variants in
-  let entries = List.map fst results in
-  (match (r.Run.trace_out, List.find_map snd results) with
+  let entries = List.map (fun (e, _, _) -> e) results in
+  (match (r.Run.trace_out, List.find_map (fun (_, _, ins) -> ins) results) with
   | Some path, Some ins -> Obs.Chrome_trace.write_cluster ~path [ ("hedge", ins) ]
   | _ -> ());
   (* The hedge tax, measured where hedging buys nothing: the fault-free
@@ -168,21 +141,16 @@ let run ?shards ?mirrors ?cores ?hedge_quantile ?detect_us (r : Run.t) =
         /. float_of_int (Obs.Ledger.issued e.metrics.Kvhedge.Metrics.requests)
     | _ -> Float.nan
   in
-  (* Key-level conservation across the same crash, on the equivalent
-     replicated routing table. *)
-  let table =
-    Shardmgr.Table.compile ~seed ~servers:shards ~workload ~dataset
-      ~duration_us:duration ~offered_mops
-      (audit_plan ~shards ~mirrors)
-  in
-  let audit = Shardmgr.Protocol.check ~seed ~fault:plan ~workload table in
+  (* Key-level conservation across the crash: the table's audit under
+     the kill plan, which every killed run computes alike. *)
+  let audit = List.assoc traced (List.map (fun (e, a, _) -> (e.label, a)) results) in
   {
     shards;
     mirrors;
     cores = server.Kvserver.Config.cores;
     offered_mops;
     seed;
-    detect_us = Kvhedge.Config.detect_us config;
+    detect_us = Kvhedge.Config.detect_us policy server;
     kill_at_us;
     recover_at_us;
     killed_server;
@@ -214,8 +182,7 @@ let check t =
               (Obs.Ledger.check e.metrics.Kvhedge.Metrics.copies);
             Report.ledger_claim (e.label ^ " requests")
               (Obs.Ledger.check e.metrics.Kvhedge.Metrics.requests);
-            ( Kvhedge.Metrics.engines_telescope e.metrics,
-              e.label ^ ": a server's engine ledger does not telescope" );
+            Report.ledger_claim (e.label ^ " engines") (Kvcluster.Metrics.check e.engines);
           ])
         t.entries
     @ [
@@ -319,11 +286,10 @@ let entry_json (e : entry) =
         ("ties_issued", Int m.Kvhedge.Metrics.ties_issued);
         ("failovers", Int m.Kvhedge.Metrics.failovers);
         ("budget_exhausted", Int m.Kvhedge.Metrics.budget_exhausted);
-        ("budget_spent", Float m.Kvhedge.Metrics.budget_spent);
         ("server_killed", Int m.Kvhedge.Metrics.server_killed);
         ("server_recovered", Int m.Kvhedge.Metrics.server_recovered);
         ("hedge_delay_final_us", Float m.Kvhedge.Metrics.hedge_delay_final_us);
-        ("engines_telescope", Bool (Kvhedge.Metrics.engines_telescope m));
+        ("engines_telescope", Bool (Result.is_ok (Kvcluster.Metrics.check e.engines)));
         ("events", Int m.Kvhedge.Metrics.events);
       ])
 

@@ -1,22 +1,24 @@
 (** Replica-aware tail-cutting experiment: hedged and tied requests
     versus crash chaos.
 
-    One call runs the {!Kvhedge.Cluster} variant grid — Minos
-    ({!Kvserver.Design.minos}, the "sizeaware" variants) versus keyhash
-    ({!Kvserver.Design.hkh}) servers, hedged / tied / no backup, uniform spread
-    versus power-of-two-choices routing — fault-free and under the
-    canned [kill-server] plan, in parallel over {!Par}.  The canned
+    One call runs the variant grid — Minos ({!Kvserver.Design.minos},
+    the "sizeaware" variants) versus keyhash ({!Kvserver.Design.hkh})
+    servers, hedged / tied / no backup, uniform spread versus
+    power-of-two-choices routing — fault-free and under the canned
+    [kill-server] plan, in parallel over {!Par}.  Every variant is one
+    {!Kvhedge.Cluster.run}: the {!Kvhedge.Config} policy routing over one
+    replicated {!Shardmgr.Table} inside {!Shardmgr.Run}.  The canned
     crash kills the first {e mirror} (server id [shards]) 30 % into the
     measured window and restarts it at 80 %, so every PUT's completion
     leg stays alive and the GET tail isolates the routing layer's
     reaction: a hedged cluster races past the dead replica after one
     hedge delay, an unhedged one waits out the failure detector.
 
-    Alongside the latency grid, {!Shardmgr.Protocol.check}[ ?fault]
-    replays the same crash against the equivalent replicated routing
-    table and proves it key-lossless (the [audit] field), and the
-    fault-free hedged run prices the hedge tax (wasted backup legs per
-    request).
+    The table is compiled once, from {!Shardmgr.Plan.replicated}: the
+    variants route over it, and {!Shardmgr.Protocol.check}[ ?fault]
+    replays the same crash against it and proves it key-lossless (the
+    [audit] field).  The fault-free hedged run prices the hedge tax
+    (wasted backup legs per request).
 
     Deterministic: a fixed [(config, workload, offered_mops, seed)]
     reproduces every entry byte-identically at any [MINOS_JOBS]. *)
@@ -29,6 +31,9 @@ type entry = {
   route : string;  (** {!Kvhedge.Config.route_name} *)
   plan : string;  (** ["none"] or ["kill-server"] *)
   metrics : Kvhedge.Metrics.t;
+  engines : Kvcluster.Metrics.t;
+      (** each server's engine report; its ledger counts the copies that
+          server saw *)
 }
 
 type t = {
@@ -58,12 +63,12 @@ val run :
   t
 (** Run the nine-variant grid on the run's flat mix ({!Run.flat}):
     scenario extras (arrivals, TTL, scans, memory budget) are
-    single-engine features.  The cluster is {!Kvhedge.Config.default}
-    with {!Run.config} servers, except for the topology and tail knobs
-    given here: [shards], [mirrors], worker [cores] per server, the
-    [hedge_quantile] tracked as the hedge delay and the failure detector
-    timeout [detect_us].  The variants override [mode], [route] and
-    [design].  The offered load defaults to 8.0 Mops.  The run's
+    single-engine features.  The table holds [shards] (4) primaries with
+    [mirrors] (1) replicas each; every server is the run scale's engine
+    with [cores] workers; the policy is {!Kvhedge.Config.default} with
+    the [hedge_quantile] tracked as the hedge delay and the failure
+    detector timeout [detect_us].  The variants pick [mode], [route] and
+    the design.  The offered load defaults to 8.0 Mops.  The run's
     [trace_out] writes a Chrome trace whose decision track carries the
     traced hedged-kill variant's kill / recover / hedge-delay instants
     ({!Obs.Decision_log.record_hedge}).  Raises [Invalid_argument] on an

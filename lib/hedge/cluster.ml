@@ -2,6 +2,7 @@ module Rng = Dsim.Rng
 module Sim = Dsim.Sim
 module Engine = Kvserver.Engine
 module Cost = Kvserver.Cost_model
+module Table = Shardmgr.Table
 
 (* A request waits for a completing copy ([Pending]), for the failure
    detector on a dead server's stuck list ([Parked]), or is resolved;
@@ -86,14 +87,12 @@ let fresh_copy cid = { cid; req = no_req; server = -1; slot = -1; cstate = Free 
 
 type t = {
   cfg : Config.t;
+  scfg : Kvserver.Config.t;  (* every engine's *)
+  table : Table.t;
   sim : Sim.t;
-  gen : Workload.Generator.t;
-  ds : Workload.Dataset.t;
-  arrival_rng : Rng.t;
   route_rng : Rng.t;
-  budget : Proto.Retry.Budget.t;
+  budget : Proto.Retry.Budget.t option;  (* [None]: failover disabled *)
   engines : Engine.t array;
-  mean_iat_us : float;
   alive : bool array;
   routable : bool array;
   load : int array;  (* outstanding (queued + in-service) copies *)
@@ -127,57 +126,52 @@ type t = {
   mutable hedge_delay_us : float;
   epoch_vec : Stats.Float_vec.t;
   lat : Stats.Float_vec.t;
-  win : Stats.Windowed.t;
   mutable delays : (float * float) list;  (* newest first *)
-  mutable tag_arrive : int;
   mutable tag_hedge : int;
   mutable tag_epoch : int;
   mutable log : Obs.Decision_log.t option;
+  mutable on_submit : key:int -> server:int -> unit;
 }
 
-let scfg t = t.cfg.Config.server
-let shards t = t.cfg.Config.shards
-let shard_of t r = Workload.Dataset.key_partition t.ds r.key mod shards t
-
 (* ------------------------------------------------------------------ *)
-(* Replica routing.  Replica [k] of shard [s] is server [k * shards + s];
-   only [routable] members (not yet detected dead) are candidates.
-   These run once (hedged: twice) per GET and are proved
-   allocation-free by @analyze (see analyze_roots.txt). *)
+(* Replica routing over the run's table: a key's replica set is its read
+   owner's, in the epoch in force now; only [routable] members (not yet
+   detected dead) are candidates.  [pick] runs once (hedged: twice) per
+   GET and is proved allocation-free by @analyze (see
+   analyze_roots.txt). *)
 
-let rec routable_count t s k excl acc =
-  if k > t.cfg.Config.mirrors then acc
+let replicas t key =
+  let epoch = Table.epoch_at t.table ~now:(Sim.now t.sim) in
+  Table.replicas t.table ~epoch (Table.read_owner t.table ~epoch key)
+
+let rec routable_count t reps i excl acc =
+  if i = Array.length reps then acc
   else
-    let srv = (k * shards t) + s in
+    let srv = reps.(i) in
     let acc = if srv <> excl && t.routable.(srv) then acc + 1 else acc in
-    routable_count t s (k + 1) excl acc
+    routable_count t reps (i + 1) excl acc
 
-let rec nth_routable t s k excl n =
-  let srv = (k * shards t) + s in
+let rec nth_routable t reps i excl n =
+  let srv = reps.(i) in
   if srv <> excl && t.routable.(srv) then
-    if n = 0 then srv else nth_routable t s (k + 1) excl (n - 1)
-  else nth_routable t s (k + 1) excl n
+    if n = 0 then srv else nth_routable t reps (i + 1) excl (n - 1)
+  else nth_routable t reps (i + 1) excl n
 
-let pick_spread t s excl =
-  let n = routable_count t s 0 excl 0 in
+(* The configured policy over one replica set; [-1] when no member but
+   [excl] is routable. *)
+let pick_in t reps excl =
+  let n = routable_count t reps 0 excl 0 in
   if n = 0 then -1
-  else if n = 1 then nth_routable t s 0 excl 0
-  else nth_routable t s 0 excl (Rng.int t.route_rng n)
+  else if n = 1 then nth_routable t reps 0 excl 0
+  else
+    match t.cfg.Config.route with
+    | Config.Spread -> nth_routable t reps 0 excl (Rng.int t.route_rng n)
+    | Config.P2c ->
+        let a = nth_routable t reps 0 excl (Rng.int t.route_rng n) in
+        let b = nth_routable t reps 0 excl (Rng.int t.route_rng n) in
+        if t.load.(a) <= t.load.(b) then a else b
 
-let pick_p2c t s excl =
-  let n = routable_count t s 0 excl 0 in
-  if n = 0 then -1
-  else if n = 1 then nth_routable t s 0 excl 0
-  else begin
-    let a = nth_routable t s 0 excl (Rng.int t.route_rng n) in
-    let b = nth_routable t s 0 excl (Rng.int t.route_rng n) in
-    if t.load.(a) <= t.load.(b) then a else b
-  end
-
-let pick t s excl =
-  match t.cfg.Config.route with
-  | Config.Spread -> pick_spread t s excl
-  | Config.P2c -> pick_p2c t s excl
+let pick t key excl = pick_in t (replicas t key) excl
 
 (* ------------------------------------------------------------------ *)
 (* Resolution *)
@@ -234,13 +228,9 @@ let complete t r =
   (* the losing leg, if still queued somewhere, is cancelled *)
   if r.leg_a >= 0 && (copy t r.leg_a).cstate = Queued then cancel_queued t r.leg_a;
   if r.leg_b >= 0 && (copy t r.leg_b).cstate = Queued then cancel_queued t r.leg_b;
-  let now = Sim.now t.sim in
-  let l = now -. r.arrive +. (scfg t).Kvserver.Config.cost.Cost.pipeline_latency_us in
+  let l = Sim.now t.sim -. r.arrive +. t.scfg.Kvserver.Config.cost.Cost.pipeline_latency_us in
   Stats.Float_vec.push t.epoch_vec l;
-  if r.arrive >= (scfg t).Kvserver.Config.warmup_us then begin
-    Stats.Float_vec.push t.lat l;
-    Stats.Windowed.add t.win ~time:now l
-  end
+  if r.arrive >= t.scfg.Kvserver.Config.warmup_us then Stats.Float_vec.push t.lat l
 
 (* A pending request lost a completing leg.  A PUT has one; a GET is only
    stranded once no leg is live and no hedge timer is armed.  A leg lost
@@ -284,6 +274,7 @@ let submit t r server ~comp =
   r.legs <- r.legs + 1;
   t.load.(server) <- t.load.(server) + 1;
   if comp then if r.leg_a < 0 then r.leg_a <- c.cid else r.leg_b <- c.cid;
+  t.on_submit ~key:r.key ~server;
   let slot =
     Engine.submit t.engines.(server) ~tag:c.cid r.op ~key_id:r.key ~item_size:r.size
       ~is_large:r.large ~scan_len:r.scan
@@ -352,8 +343,8 @@ let on_hedge t rid =
   let r = t.reqs.items.(rid) in
   r.hedge <- Sim.null_handle;
   if r.state = Pending then begin
-    let backup = pick t (shard_of t r) r.last in
-    let backup = if backup >= 0 then backup else pick t (shard_of t r) (-1) in
+    let backup = pick t r.key r.last in
+    let backup = if backup >= 0 then backup else pick t r.key (-1) in
     if backup >= 0 then begin
       t.hedges_issued <- t.hedges_issued + 1;
       send t r backup
@@ -362,60 +353,55 @@ let on_hedge t rid =
   end
 
 let handle_get t r =
-  let s = shard_of t r in
-  let srv = pick t s (-1) in
+  let reps = replicas t r.key in
+  let srv = pick_in t reps (-1) in
   if srv < 0 then fail t r
   else
     match t.cfg.Config.mode with
-    | Config.Tied when routable_count t s 0 srv 0 > 0 ->
-        let srv2 = pick t s srv in
+    | Config.Tied when routable_count t reps 0 srv 0 > 0 ->
+        let srv2 = pick_in t reps srv in
         t.ties_issued <- t.ties_issued + 1;
         fan_begin t r;
         submit t r srv ~comp:true;
         submit t r srv2 ~comp:true;
         fan_end t r
-    | Config.Hedged when t.cfg.Config.mirrors > 0 ->
+    | Config.Hedged when Array.length reps > 1 ->
         r.hedge <- Sim.schedule_timer_after t.sim t.hedge_delay_us ~tag:t.tag_hedge ~i:r.rid ~j:0;
         send t r srv
     | _ -> send t r srv
 
 let handle_put t r =
-  let s = shard_of t r in
+  let reps = replicas t r.key in
   (* write copies fan out to every routable replica; the first routable
      one (the primary, unless it is detected dead) completes the
      request, and a refused completing copy fails it — no backup leg
      retries PUTs *)
-  if routable_count t s 0 (-1) 0 = 0 then fail t r
+  if routable_count t reps 0 (-1) 0 = 0 then fail t r
   else begin
     fan_begin t r;
     let first = t.issued in
-    for k = 0 to t.cfg.Config.mirrors do
-      let srv = (k * shards t) + s in
+    for i = 0 to Array.length reps - 1 do
+      let srv = reps.(i) in
       if t.routable.(srv) then submit t r srv ~comp:(t.issued = first)
     done;
     fan_end t r
   end
 
-let on_arrive t =
-  if Sim.now t.sim < (scfg t).Kvserver.Config.duration_us then begin
-    let g = t.gen in
-    Workload.Generator.next_into g;
-    let r = take t.reqs in
-    t.requests <- t.requests + 1;
-    r.op <- Workload.Generator.last_op g;
-    r.key <- Workload.Generator.last_key_id g;
-    r.size <- Workload.Generator.last_item_size g;
-    r.large <- Workload.Generator.last_is_large g;
-    r.scan <- Workload.Generator.last_scan_len g;
-    r.arrive <- Sim.now t.sim;
-    r.state <- Pending;
-    r.last <- -1;
-    Proto.Retry.Budget.earn t.budget;
-    (* a SCAN is a read: hedgeable like a GET *)
-    if r.op = Cost.Put then handle_put t r else handle_get t r;
-    let dt = Rng.exponential t.arrival_rng ~mean:t.mean_iat_us in
-    Sim.schedule_call_after t.sim dt ~tag:t.tag_arrive ~i:0 ~j:0
-  end
+(* One arrival, drawn by the runner's Poisson loop. *)
+let arrive t g =
+  let r = take t.reqs in
+  t.requests <- t.requests + 1;
+  r.op <- Workload.Generator.last_op g;
+  r.key <- Workload.Generator.last_key_id g;
+  r.size <- Workload.Generator.last_item_size g;
+  r.large <- Workload.Generator.last_is_large g;
+  r.scan <- Workload.Generator.last_scan_len g;
+  r.arrive <- Sim.now t.sim;
+  r.state <- Pending;
+  r.last <- -1;
+  Option.iter Proto.Retry.Budget.earn t.budget;
+  (* a SCAN is a read: hedgeable like a GET *)
+  if r.op = Cost.Put then handle_put t r else handle_get t r
 
 let record t ~kind ~server ~delay_us =
   Option.iter
@@ -424,7 +410,7 @@ let record t ~kind ~server ~delay_us =
 
 (* The delay re-estimate runs every server control epoch. *)
 let on_epoch t =
-  let epoch_us = (scfg t).Kvserver.Config.epoch_us in
+  let epoch_us = t.scfg.Kvserver.Config.epoch_us in
   if Stats.Float_vec.length t.epoch_vec >= t.cfg.Config.min_delay_samples then begin
     let d = Stats.Quantile.of_vec t.epoch_vec t.cfg.Config.hedge_quantile in
     t.hedge_delay_us <- d;
@@ -432,11 +418,12 @@ let on_epoch t =
     record t ~kind:Obs.Decision_log.kind_hedge_delay ~server:(-1) ~delay_us:d
   end;
   Stats.Float_vec.clear t.epoch_vec;
-  if Sim.now t.sim +. epoch_us <= (scfg t).Kvserver.Config.duration_us then
+  if Sim.now t.sim +. epoch_us <= t.scfg.Kvserver.Config.duration_us then
     Sim.schedule_call_after t.sim epoch_us ~tag:t.tag_epoch ~i:0 ~j:0
 
 (* ------------------------------------------------------------------ *)
-(* Crash, detection, recovery (cold closures scheduled at setup) *)
+(* Crash, detection, recovery: the runner calls these at the fault
+   plan's instants *)
 
 (* The engine bounces arrivals off its dead NIC from the kill instant
    (its fault injector knows the window); the router writes off every
@@ -462,9 +449,9 @@ let kill_server t s =
   end
 
 let failover t r =
-  let srv = pick t (shard_of t r) (-1) in
+  let srv = pick t r.key (-1) in
   if srv < 0 then fail t r
-  else if Proto.Retry.Budget.try_spend t.budget then begin
+  else if Option.fold ~none:false ~some:Proto.Retry.Budget.try_spend t.budget then begin
     t.failovers <- t.failovers + 1;
     send t r srv
   end
@@ -494,47 +481,30 @@ let recover_server t s =
 (* ------------------------------------------------------------------ *)
 (* Setup *)
 
-let create (cfg : Config.t) ~dataset ~(workload : Workload.Spec.t) ~offered_mops ?plan
-    ~seed () =
+let create (cfg : Config.t) ~table sim engines =
   (match Config.validate cfg with
   | Ok () -> ()
-  | Error msg -> invalid_arg ("Hedge.Cluster: " ^ msg));
-  if not (offered_mops > 0.0) then invalid_arg "Hedge.Cluster: offered load must be > 0";
-  let scfg = cfg.Config.server in
-  let duration = scfg.Kvserver.Config.duration_us in
-  let sim = Sim.create ~seed () in
-  let servers = Config.servers cfg in
-  let inj = Option.map (fun p -> Fault.Inject.create ~seed:(seed lxor 0x51ED) p) plan in
-  let arrival_rng = Sim.fork_rng sim in
-  let route_rng = Sim.fork_rng sim in
-  let engines =
-    Array.init servers (fun s -> Engine.attach ?fault:inj ~server:s sim scfg dataset)
-  in
+  | Error msg -> invalid_arg ("Kvhedge.Cluster: " ^ msg));
+  if Table.migration_windows table <> [] then
+    invalid_arg "Kvhedge.Cluster: a membership change writes to two owners; the router routes one";
+  let scfg = Engine.config engines.(0) in
+  let servers = Array.length engines in
   let t =
     {
       cfg;
+      scfg;
+      table;
       sim;
-      gen =
-        Workload.Generator.create ~seed:(seed lxor 0x9E41)
-          ~p_large:workload.Workload.Spec.p_large
-          ~get_ratio:workload.Workload.Spec.get_ratio dataset;
-      ds = dataset;
-      arrival_rng;
-      route_rng;
+      route_rng = Sim.fork_rng sim;
       budget =
         (* [try_spend] needs a whole token, so a capacity below 1.0 can
-           never grant a failover: model it as a drained, non-earning
-           bucket rather than violating Budget.create's >= 1 floor. *)
-        (if cfg.Config.budget_capacity >= 1.0 then
-           Proto.Retry.Budget.create ~capacity:cfg.Config.budget_capacity
-             ~earn_per_call:cfg.Config.budget_earn_per_request ()
-         else begin
-           let b = Proto.Retry.Budget.create ~capacity:1.0 ~earn_per_call:0.0 () in
-           ignore (Proto.Retry.Budget.try_spend b : bool);
-           b
-         end);
+           never grant a failover: no bucket at all *)
+        (if cfg.Config.budget_capacity < 1.0 then None
+         else
+           Some
+             (Proto.Retry.Budget.create ~capacity:cfg.Config.budget_capacity
+                ~earn_per_call:cfg.Config.budget_earn_per_request ()));
       engines;
-      mean_iat_us = 1.0 /. offered_mops;
       alive = Array.make servers true;
       routable = Array.make servers true;
       load = Array.make servers 0;
@@ -563,46 +533,20 @@ let create (cfg : Config.t) ~dataset ~(workload : Workload.Spec.t) ~offered_mops
       hedge_delay_us = cfg.Config.hedge_delay_us;
       epoch_vec = Stats.Float_vec.create ();
       lat = Stats.Float_vec.create ();
-      win = Stats.Windowed.create ~width:scfg.Kvserver.Config.epoch_us ();
       delays = [];
-      tag_arrive = -1;
       tag_hedge = -1;
       tag_epoch = -1;
       log = None;
+      on_submit = (fun ~key:_ ~server:_ -> ());
     }
   in
   Array.iteri
     (fun s eng ->
-      Engine.start eng (Kvserver.Design.make cfg.Config.design);
       Engine.set_retire eng (fun cid fate -> on_retire t s cid fate);
       Engine.set_probe eng (fun ~core:_ req -> on_start t (Engine.tag eng req)))
     engines;
-  t.tag_arrive <- Sim.register_handler sim (fun _ _ -> on_arrive t);
   t.tag_hedge <- Sim.register_handler sim (fun rid _ -> on_hedge t rid);
   t.tag_epoch <- Sim.register_handler sim (fun _ _ -> on_epoch t);
-  (* compile the plan's kill/recover windows into scheduled instants *)
-  Option.iter
-    (fun inj ->
-      let schedule_window s kill_at recover_at =
-        if kill_at < duration then begin
-          Sim.schedule_at sim kill_at (fun () -> kill_server t s);
-          let det = kill_at +. Config.detect_us cfg in
-          if det <= duration then Sim.schedule_at sim det (fun () -> detect_server t s);
-          if recover_at < duration then
-            Sim.schedule_at sim recover_at (fun () -> recover_server t s)
-        end
-      in
-      List.iter
-        (fun (s, kill_at, recover_at) ->
-          if s = Fault.Plan.all then
-            for s = 0 to servers - 1 do
-              schedule_window s kill_at recover_at
-            done
-          else if s < servers then schedule_window s kill_at recover_at)
-        (Fault.Inject.dead_windows inj))
-    inj;
-  let dt = Rng.exponential t.arrival_rng ~mean:t.mean_iat_us in
-  Sim.schedule_call_after sim dt ~tag:t.tag_arrive ~i:0 ~j:0;
   Sim.schedule_call_after sim scfg.Kvserver.Config.epoch_us ~tag:t.tag_epoch ~i:0 ~j:0;
   t
 
@@ -646,7 +590,6 @@ let metrics t =
     ties_issued = t.ties_issued;
     failovers = t.failovers;
     budget_exhausted = t.budget_exhausted;
-    budget_spent = float_of_int t.failovers;
     server_killed = t.server_killed;
     server_recovered = t.server_recovered;
     samples = n;
@@ -655,16 +598,35 @@ let metrics t =
     p95_us = p95;
     p99_us = p99;
     p999_us = p999;
-    p99_series = Stats.Windowed.quantile_series t.win 0.99;
     hedge_delay_series = List.rev t.delays;
     hedge_delay_final_us = t.hedge_delay_us;
     events = Sim.events_processed t.sim;
-    engines = Array.map Engine.finish t.engines;
   }
+
+let run cfg ?fault ?(setup = ignore) ~seed ~server ~design ~workload table =
+  let made = ref None in
+  let run =
+    Shardmgr.Run.run ~seed ?fault ~cfg:server ~design ~workload ~table
+      ~router:(fun sim engines ->
+        let t = create cfg ~table sim engines in
+        made := Some t;
+        setup t;
+        {
+          Shardmgr.Run.arrive = arrive t;
+          kill = kill_server t;
+          detect = detect_server t;
+          recover = recover_server t;
+          detect_us = Config.detect_us cfg server;
+        })
+      ()
+  in
+  (metrics (Option.get !made), run)
 
 (* Exposed for tests *)
 let sim t = t.sim
-let servers t = Array.length t.engines
 let routable_snapshot t = Array.copy t.routable
 let alive_snapshot t = Array.copy t.alive
-let pick_replica t ~shard ~exclude = pick t shard exclude
+let pick_replica t ~shard ~exclude =
+  let epoch = Table.epoch_at t.table ~now:(Sim.now t.sim) in
+  pick_in t (Table.replicas t.table ~epoch shard) exclude
+let on_submit t f = t.on_submit <- f

@@ -2,8 +2,6 @@ type mode = Off | Hedged | Tied
 type route = Spread | P2c
 
 type t = {
-  shards : int;
-  mirrors : int;
   mode : mode;
   route : route;
   hedge_delay_us : float;
@@ -12,14 +10,10 @@ type t = {
   detect_us : float option;
   budget_capacity : float;
   budget_earn_per_request : float;
-  server : Kvserver.Config.t;
-  design : Kvserver.Design.t;
 }
 
 let default =
   {
-    shards = 4;
-    mirrors = 1;
     mode = Hedged;
     route = Spread;
     hedge_delay_us = 25.0;
@@ -28,16 +22,12 @@ let default =
     detect_us = None;
     budget_capacity = 65_536.0;
     budget_earn_per_request = 0.1;
-    server = Kvserver.Config.default;
-    design = Kvserver.Design.minos;
   }
 
-let servers t = t.shards * (t.mirrors + 1)
-
-let detect_us t =
+let detect_us t (server : Kvserver.Config.t) =
   match t.detect_us with
   | Some d -> d
-  | None -> 0.15 *. (t.server.Kvserver.Config.duration_us -. t.server.Kvserver.Config.warmup_us)
+  | None -> 0.15 *. (server.Kvserver.Config.duration_us -. server.Kvserver.Config.warmup_us)
 
 let mode_name = function Off -> "off" | Hedged -> "hedged" | Tied -> "tied"
 
@@ -45,9 +35,7 @@ let route_name = function Spread -> "spread" | P2c -> "p2c"
 
 let validate t =
   let err fmt = Printf.ksprintf (fun s -> Error s) fmt in
-  if t.shards < 1 then err "need at least 1 shard"
-  else if t.mirrors < 0 then err "mirrors must be >= 0"
-  else if not (t.hedge_delay_us > 0.0) then err "hedge delay must be > 0"
+  if not (t.hedge_delay_us > 0.0) then err "hedge delay must be > 0"
   else if not (t.hedge_quantile > 0.0 && t.hedge_quantile <= 1.0) then
     err "hedge quantile out of (0, 1]"
   else if t.min_delay_samples < 1 then err "min_delay_samples must be >= 1"
@@ -57,4 +45,4 @@ let validate t =
   else if not (t.budget_capacity >= 0.0) then err "budget capacity must be >= 0"
   else if not (t.budget_earn_per_request >= 0.0) then
     err "budget earn rate must be >= 0"
-  else Kvserver.Config.validate t.server
+  else Ok ()

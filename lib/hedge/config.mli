@@ -1,13 +1,8 @@
-(** Configuration of the replicated tail-cutting cluster.
-
-    Topology: [shards] primaries with [mirrors] full replicas each, laid
-    out so replica [k] of shard [s] is server [k * shards + s] — the same
-    ids {!Shardmgr.Table.compile} allocates when one [Add_replica] per
-    shard (in shard order) opens the run.  Every server is a
-    {!Kvserver.Engine} built from [server] running [design]; the
-    engine's clock ([duration_us], [warmup_us]) is the cluster's, and its
-    control epoch is also the period at which the router re-estimates
-    the hedge delay and the width of the p99 reporting window. *)
+(** The hedging policy: how the replica router spends a shard's
+    replicas.  The topology (which servers hold which keys) is the run's
+    {!Shardmgr.Table}, and the servers' engine configuration and design
+    are {!Shardmgr.Run.run}'s; the hedge delay is re-estimated every
+    server control epoch. *)
 
 type mode =
   | Off  (** one copy per GET, no backup *)
@@ -25,8 +20,6 @@ type route =
           the smaller outstanding-copy count *)
 
 type t = {
-  shards : int;
-  mirrors : int;  (** replicas per shard beyond the primary *)
   mode : mode;
   route : route;
   hedge_delay_us : float;
@@ -49,18 +42,12 @@ type t = {
           (every crash-stuck request is denied and fails). *)
   budget_earn_per_request : float;
       (** tokens earned per request issued (sustained failover rate) *)
-  server : Kvserver.Config.t;  (** every server's engine configuration *)
-  design : Kvserver.Design.t;  (** every server's design *)
 }
 
 val default : t
-(** 4 shards x 1 mirror of {!Kvserver.Config.default} Minos servers,
-    hedged, spread routing. *)
+(** Hedged at the windowed p95, spread routing. *)
 
-val servers : t -> int
-(** [shards * (mirrors + 1)]. *)
-
-val detect_us : t -> float
+val detect_us : t -> Kvserver.Config.t -> float
 (** The effective failure-detector timeout: the configured value, or
     15 % of the server's [duration_us - warmup_us] when unset (a timeout
     that scales with the scenario keeps kill windows visible at any run
@@ -70,5 +57,5 @@ val mode_name : mode -> string
 val route_name : route -> string
 
 val validate : t -> (unit, string) result
-(** The router's own fields, then {!Kvserver.Config.validate} on
-    [server]. *)
+(** Every field in range.  The server configuration is checked where the
+    engines are built ({!Kvserver.Engine.attach}). *)

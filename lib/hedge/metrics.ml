@@ -5,7 +5,6 @@ type t = {
   ties_issued : int;
   failovers : int;
   budget_exhausted : int;
-  budget_spent : float;
   server_killed : int;
   server_recovered : int;
   samples : int;
@@ -14,12 +13,7 @@ type t = {
   p95_us : float;
   p99_us : float;
   p999_us : float;
-  p99_series : (float * float) list;
   hedge_delay_series : (float * float) list;
   hedge_delay_final_us : float;
   events : int;
-  engines : Kvserver.Metrics.t array;
 }
-
-let engines_telescope m =
-  Array.for_all (fun e -> Obs.Ledger.telescopes (Kvserver.Metrics.ledger e)) m.engines

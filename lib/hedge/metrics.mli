@@ -24,16 +24,20 @@
     The [requests] ledger sits alongside: request arrivals ([issued])
     split into [completed], [failed] (no routable replica, refused with
     no backup, or failover denied by the retry budget), and
-    [pending_end] (still unresolved when the run ended). *)
+    [pending_end] (still unresolved when the run ended).
+
+    Each server's own engine report, whose request-level ledger counts
+    the copies that server saw, is the run's
+    ({!Shardmgr.Run.t}[.metrics.per_shard]). *)
 
 type t = {
   copies : Obs.Ledger.t;  (** copy fates, the legs above *)
   requests : Obs.Ledger.t;  (** [completed], [failed], [pending_end] *)
   hedges_issued : int;
   ties_issued : int;
-  failovers : int;  (** crash-failover reissues granted by the budget *)
+  failovers : int;
+      (** crash-failover reissues granted by the budget, one token each *)
   budget_exhausted : int;  (** failovers denied (request failed) *)
-  budget_spent : float;  (** retry-budget tokens consumed *)
   server_killed : int;
   server_recovered : int;
   samples : int;  (** completions with arrival inside the measured window *)
@@ -42,16 +46,8 @@ type t = {
   p95_us : float;
   p99_us : float;
   p999_us : float;
-  p99_series : (float * float) list;
-      (** (window start µs, window p99) over completion time *)
   hedge_delay_series : (float * float) list;
       (** (epoch end µs, re-estimated hedge delay) *)
   hedge_delay_final_us : float;
   events : int;  (** simulator events processed *)
-  engines : Kvserver.Metrics.t array;
-      (** each server's own engine report, indexed by server id; its
-          request-level ledger counts the copies that server saw *)
 }
-
-val engines_telescope : t -> bool
-(** Every server's engine ledger ({!Kvserver.Metrics.ledger}) telescopes. *)

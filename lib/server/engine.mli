@@ -143,9 +143,9 @@ val attach :
     simulator: it runs no arrival loop of its own, the caller brings each
     request in with {!submit} and learns its end through {!set_retire}.
     It is the only other way in beside an intake.
-    Several engines may share one [sim] (the hedged replica cluster,
-    {!Kvhedge.Cluster}); each forks its RNG streams from it in attach
-    order, and [cfg.seed] is unused.  The caller owns request latency: a
+    Several engines may share one [sim] ({!Shardmgr.Run.run}'s
+    replicated-table case, in front of the hedge router); each forks its
+    RNG streams from it in attach order, and [cfg.seed] is unused.  The caller owns request latency: a
     caller-fed engine records no latency samples, so its {!Metrics}
     quantiles are [nan] while its ledger and per-core counters are
     complete.  [fault] and [server] are as for {!create}.  Call {!start}

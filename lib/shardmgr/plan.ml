@@ -18,6 +18,10 @@ type t = { name : string; events : event list }
 
 let empty = { name = "noop"; events = [] }
 
+let replicated ~shards ~mirrors =
+  let round _ = List.init shards (fun shard -> Add_replica { shard; at_us = 0.0 }) in
+  { name = "replicated"; events = List.concat (List.init mirrors round) }
+
 let at_us = function
   | Add_server { at_us; _ }
   | Remove_server { at_us; _ }

@@ -40,6 +40,11 @@ val empty : t
 (** The no-op plan: a run under it is byte-identical to a static-ring
     cluster run (pinned by test/test_shardmgr.ml). *)
 
+val replicated : shards:int -> mirrors:int -> t
+(** [mirrors] rounds of one [add-replica] per shard, in shard order, all
+    at time 0: a table of one epoch, every shard with [mirrors]
+    replicas. *)
+
 val at_us : event -> float
 
 val validate : t -> (unit, string) result

@@ -47,6 +47,34 @@ let to_json r =
         ("ok", Bool (ok r));
       ])
 
+(* The injector pairs each kill with its earliest matching recover; a
+   [Plan.all] wildcard expands to every server here. *)
+let crashes ~servers plan =
+  let evs = ref [] in
+  List.iter
+    (fun (s, kill_us, recover_us) ->
+      if s >= servers then invalid_arg "Shardmgr.Protocol: kill-server id out of range";
+      let add s =
+        evs := (kill_us, false, s) :: !evs;
+        if Float.is_finite recover_us then evs := (recover_us, true, s) :: !evs
+      in
+      if s = Fault.Plan.all then
+        for s = 0 to servers - 1 do
+          add s
+        done
+      else add s)
+    (Fault.Inject.dead_windows (Fault.Inject.create ~seed:0 plan));
+  let a = Array.of_list !evs in
+  Array.sort
+    (fun (t1, r1, s1) (t2, r2, s2) ->
+      let c = Float.compare t1 t2 in
+      if c <> 0 then c
+      else
+        let c = Bool.compare r1 r2 in
+        if c <> 0 then c else Int.compare s1 s2)
+    a;
+  a
+
 let check ?(ops = 20_000) ?(seed = 1) ?fault ~workload table =
   if ops < 1 then invalid_arg "Shardmgr.Protocol.check: ops must be >= 1";
   let n = Table.n_servers table in
@@ -56,38 +84,8 @@ let check ?(ops = 20_000) ?(seed = 1) ?fault ~workload table =
   let stores = Array.init n (fun _ -> Hashtbl.create 1024) in
   let written = Hashtbl.create 1024 in
   let dead = Array.make n false in
-  (* Kill/recover instants from the fault plan, chronological.  The
-     injector already pairs each kill with its earliest matching
-     recover; a [Plan.all] wildcard expands to every server here. *)
   let fault_events =
-    match fault with
-    | None -> [||]
-    | Some plan ->
-        let inj = Fault.Inject.create ~seed:(seed + 911) plan in
-        let evs = ref [] in
-        List.iter
-          (fun (s, kill_us, recover_us) ->
-            if s >= n then
-              invalid_arg "Shardmgr.Protocol.check: kill-server id out of range";
-            let add s =
-              evs := (kill_us, 0, s) :: !evs;
-              if Float.is_finite recover_us then
-                evs := (recover_us, 1, s) :: !evs
-            in
-            if s = Fault.Plan.all then
-              for s = 0 to n - 1 do add s done
-            else add s)
-          (Fault.Inject.dead_windows inj);
-        let a = Array.of_list !evs in
-        Array.sort
-          (fun (t1, k1, s1) (t2, k2, s2) ->
-            let c = Float.compare t1 t2 in
-            if c <> 0 then c
-            else
-              let c = Int.compare k1 k2 in
-              if c <> 0 then c else Int.compare s1 s2)
-          a;
-        a
+    match fault with None -> [||] | Some plan -> crashes ~servers:n plan
   in
   let gen =
     Workload.Generator.create ~seed:(seed + 303)
@@ -104,10 +102,10 @@ let check ?(ops = 20_000) ?(seed = 1) ?fault ~workload table =
   let enter_epoch e =
     (* Replica churn: a gained mirror receives a full copy of its
        shard's holdings; a dropped one leaves service and clears. *)
-    let prev = Table.epoch_replicas table (e - 1) in
-    let cur = Table.epoch_replicas table e in
     for o = 0 to n - 1 do
-      let was r = Array.exists (fun x -> x = r) prev.(o) in
+      let prev = Table.replicas table ~epoch:(e - 1) o in
+      let cur = Table.replicas table ~epoch:e o in
+      let was r = Array.exists (fun x -> x = r) prev in
       Array.iter
         (fun r ->
           if r <> o && not (was r) && not dead.(r) then
@@ -118,12 +116,12 @@ let check ?(ops = 20_000) ?(seed = 1) ?fault ~workload table =
                   incr transferred
                 end)
               stores.(o))
-        cur.(o);
+        cur;
       Array.iter
         (fun r ->
-          if r <> o && not (Array.exists (fun x -> x = r) cur.(o)) then
+          if r <> o && not (Array.exists (fun x -> x = r) cur) then
             Hashtbl.reset stores.(r))
-        prev.(o)
+        prev
     done;
     (* Cutovers: keys whose group just cut move their backlog to the
        new write set; copies outside the new set are retired. *)
@@ -218,9 +216,9 @@ let check ?(ops = 20_000) ?(seed = 1) ?fault ~workload table =
         enter_epoch !epoch
       end
       else if tf <= time then begin
-        let _, op, s = fault_events.(!fidx) in
+        let _, recover, s = fault_events.(!fidx) in
         incr fidx;
-        if op = 0 then kill_server s else recover_server s
+        if recover then recover_server s else kill_server s
       end
       else continue := false
     done
@@ -234,7 +232,7 @@ let check ?(ops = 20_000) ?(seed = 1) ?fault ~workload table =
     if not dead.(tgt) then tgt
     else begin
       let owner = Table.read_owner table ~epoch k in
-      let reps = (Table.epoch_replicas table epoch).(owner) in
+      let reps = Table.replicas table ~epoch owner in
       let alt = ref (-1) in
       Array.iter (fun s -> if not dead.(s) && !alt = -1 then alt := s) reps;
       !alt

@@ -27,6 +27,13 @@ val ok : result -> bool
 val to_json : result -> Obs.Json.t
 (** Every counter above, then ["ok"]: {!ok}. *)
 
+val crashes : servers:int -> Fault.Plan.t -> (float * bool * int) array
+(** The plan's [kill-server]/[recover-server] instants over servers
+    [0..servers-1], chronological: [(at_us, recover, server)], a
+    wildcard expanded to every server, a kill with no recover left
+    dead.  Raises [Invalid_argument] on a server id outside the
+    range. *)
+
 val check :
   ?ops:int ->
   ?seed:int ->

@@ -1,17 +1,13 @@
-(* The cluster run: one engine per server id the table ever routes to
-   (base membership plus every plan-allocated id), each replaying the
-   shared seeded request stream thinned to the keys the table routes to
-   it *at the request's simulated arrival time*, at the epoch rate the
-   compile-time probe measured.
+(* The cluster run; its two cases (thinned engines, or a router over
+   engines sharing one simulation) are described in run.mli. *)
 
-   Routing a Poisson stream splits it into independent Poisson streams
-   (thinning), so each server is simulated as its own engine at its
-   routed share of the offered load.  A pacing hook makes an engine's
-   offered rate follow the plan: a not-yet-added server parks at rate
-   0, a removed one parks after its migration ends.  Under the empty
-   plan this is the static cluster.  Everything an engine draws is a
-   pure function of (seed, table, server id), so the run is
-   reproducible at any MINOS_JOBS. *)
+type router = {
+  arrive : Workload.Generator.t -> unit;
+  kill : int -> unit;
+  detect : int -> unit;
+  recover : int -> unit;
+  detect_us : float;
+}
 
 type t = {
   design_name : string;
@@ -85,11 +81,21 @@ let routed table s ~now gen =
     ~get:(Workload.Generator.last_op gen = Workload.Generator.Get)
     ~key:(Workload.Generator.last_key_id gen) s
 
-let run ?(seed = 1) ?fault ?instrument ?(map = fun f xs -> List.map f xs) ~cfg
-    ~design ~workload ~table () =
-  let n = Table.n_servers table in
-  if cfg.Kvserver.Config.duration_us <> Table.duration_us table then
-    invalid_arg "Shardmgr.Run.run: cfg duration differs from the table's";
+let windows eng =
+  match Kvserver.Engine.windowed eng with
+  | None -> []
+  | Some w -> Stats.Windowed.windows w
+
+(* One engine per server id the table ever routes to, each replaying the
+   shared seeded request stream thinned to the keys the table routes to
+   it *at the request's simulated arrival time*, at the epoch rate the
+   compile-time probe measured.  Routing a Poisson stream splits it into
+   independent Poisson streams, so each server is simulated as its own
+   engine at its routed share of the offered load; a not-yet-added
+   server parks at rate 0, a removed one after its migration ends.
+   Everything an engine draws is a pure function of (seed, table, server
+   id), so the run is reproducible at any MINOS_JOBS. *)
+let thinned ~seed ?fault ?instrument ~map ~cfg ~design ~workload table =
   let dataset = Table.dataset table in
   let shard_job s =
     let gen =
@@ -128,16 +134,78 @@ let run ?(seed = 1) ?fault ?instrument ?(map = fun f xs -> List.map f xs) ~cfg
         ~offered_mops:label
     in
     let m = Kvserver.Engine.run eng (Kvserver.Design.make design) in
-    let windows =
-      match Kvserver.Engine.windowed eng with
-      | None -> []
-      | Some w -> Stats.Windowed.windows w
-    in
-    (m, Kvserver.Engine.raw_latencies eng, windows)
+    (m, Kvserver.Engine.raw_latencies eng, windows eng)
   in
+  let n = Table.n_servers table in
   let results = Array.of_list (map shard_job (List.init n Fun.id)) in
   if Array.length results <> n then
     invalid_arg "Shardmgr.Run.run: map must preserve length";
+  results
+
+(* Every engine caller-fed on one simulation, sharing one injector; one
+   seeded Poisson stream at the table's offered load feeds the router. *)
+let shared ~seed ?fault ~cfg ~design ~workload table make_router =
+  let n = Table.n_servers table in
+  let dataset = Table.dataset table in
+  let duration = cfg.Kvserver.Config.duration_us in
+  let sim = Dsim.Sim.create ~seed () in
+  let inj = Option.map (fun p -> Fault.Inject.create ~seed:(seed lxor 0x51ED) p) fault in
+  let arrival_rng = Dsim.Sim.fork_rng sim in
+  let engines =
+    Array.init n (fun s -> Kvserver.Engine.attach ?fault:inj ~server:s sim cfg dataset)
+  in
+  Array.iter (fun eng -> Kvserver.Engine.start eng (Kvserver.Design.make design)) engines;
+  let router = make_router sim engines in
+  let gen =
+    Workload.Generator.create ~seed:(seed lxor 0x9E41)
+      ~p_large:workload.Workload.Spec.p_large
+      ~get_ratio:workload.Workload.Spec.get_ratio dataset
+  in
+  let mean = 1.0 /. Table.offered_mops table in
+  let tag = ref (-1) in
+  let next () =
+    Dsim.Sim.schedule_call_after sim (Dsim.Rng.exponential arrival_rng ~mean) ~tag:!tag
+      ~i:0 ~j:0
+  in
+  tag :=
+    Dsim.Sim.register_handler sim (fun _ _ ->
+        if Dsim.Sim.now sim < duration then begin
+          Workload.Generator.next_into gen;
+          router.arrive gen;
+          next ()
+        end);
+  (* The plan's crashes, as the router's kill / detect / recover
+     instants (those past the run's end never fire). *)
+  Option.iter
+    (fun plan ->
+      Array.iter
+        (fun (at, recover, s) ->
+          if recover then Dsim.Sim.schedule_at sim at (fun () -> router.recover s)
+          else begin
+            Dsim.Sim.schedule_at sim at (fun () -> router.kill s);
+            Dsim.Sim.schedule_at sim (at +. router.detect_us) (fun () -> router.detect s)
+          end)
+        (Protocol.crashes ~servers:n plan))
+    fault;
+  next ();
+  Dsim.Sim.run sim ~until:duration;
+  Array.map
+    (fun eng ->
+      (Kvserver.Engine.finish eng, Kvserver.Engine.raw_latencies eng, windows eng))
+    engines
+
+let run ?(seed = 1) ?fault ?instrument ?(map = fun f xs -> List.map f xs) ?router ~cfg
+    ~design ~workload ~table () =
+  let n = Table.n_servers table in
+  if cfg.Kvserver.Config.duration_us <> Table.duration_us table then
+    invalid_arg "Shardmgr.Run.run: cfg duration differs from the table's";
+  let results =
+    match router with
+    | None -> thinned ~seed ?fault ?instrument ~map ~cfg ~design ~workload table
+    | Some _ when Option.is_some instrument ->
+        invalid_arg "Shardmgr.Run.run: a router's caller-fed engines take no flight recorder"
+    | Some make_router -> shared ~seed ?fault ~cfg ~design ~workload table make_router
+  in
   let shard_share = Array.init n (fun s -> Table.avg_share table s) in
   let metrics =
     Kvcluster.Metrics.aggregate ~shard_share

@@ -157,6 +157,7 @@ let rebalance_info t = t.rebalance
 let n_servers t = t.n_servers
 let dataset t = t.dataset
 let duration_us t = t.duration_us
+let offered_mops t = t.offered_mops
 let epoch_count t = Array.length t.segs
 let epoch_start t i = t.bounds.(i)
 let events t = t.events
@@ -198,7 +199,7 @@ let cut_pending t ~epoch k =
   let o_old = lookup seg.own_old h k in
   o_old <> o_new && not seg.cut.(k * t.groups / t.n_keys)
 
-let epoch_replicas t i = Array.map Array.copy t.segs.(i).replicas
+let replicas t ~epoch o = t.segs.(epoch).replicas.(o)
 
 let write_targets t ~epoch k =
   let seg = t.segs.(epoch) in

@@ -15,8 +15,9 @@
     deterministically by key hash.
 
     The query functions ({!routes_to}, {!rate_at}, {!next_change},
-    {!epoch_at}) run inside the engines' per-request source filters:
-    they are allocation-free (proved by [dune build @analyze]). *)
+    {!epoch_at}) run inside the engines' per-request source filters, and
+    {!read_owner} and {!replicas} inside the hedged router's per-request
+    pick: they are allocation-free (proved by [dune build @analyze]). *)
 
 type t
 
@@ -78,8 +79,7 @@ val compile :
 (** {2 Hot-path queries (allocation-free)} *)
 
 val epoch_at : t -> now:float -> int
-(** The epoch in force at [now].  Outside this module only
-    test_shardmgr calls it, to check the compiled schedule. *)
+(** The epoch in force at [now]. *)
 
 val routes_to : t -> now:float -> get:bool -> key:int -> int -> bool
 (** Whether server [s] serves this request at [now]: the deterministic
@@ -106,6 +106,9 @@ val n_servers : t -> int
 
 val dataset : t -> Workload.Dataset.t
 val duration_us : t -> float
+val offered_mops : t -> float
+(** The whole cluster's offered load the table was compiled for. *)
+
 val epoch_count : t -> int
 val epoch_start : t -> int -> float
 val epoch_rates : t -> int -> float array
@@ -124,10 +127,10 @@ val read_target : t -> epoch:int -> int -> int
 
 val read_owner : t -> epoch:int -> int -> int
 (** The owning primary a GET routes to before replica spread — the
-    shard whose replica set ({!epoch_replicas}) serves the key.  Equals
+    shard whose replica set ({!replicas}) serves the key.  Equals
     {!read_target} when the shard has no mirrors.  {!Protocol} uses it
     to fall back to the owner's other mirrors when the spread target is
-    crashed. *)
+    crashed, and the hedged router to find the key's replicas. *)
 
 val read_fallback : t -> epoch:int -> int -> int
 (** The old-owner primary a migrating read falls back to on a store
@@ -140,9 +143,10 @@ val cut_pending : t -> epoch:int -> int -> bool
     old owner is still authoritative); the boundary where this turns
     false is the key's backlog transfer point. *)
 
-val epoch_replicas : t -> int -> int array array
-(** A copy of the per-shard write-target sets (each includes the shard
-    itself) in epoch [i]. *)
+val replicas : t -> epoch:int -> int -> int array
+(** Shard [o]'s replica set in [epoch]: [o] itself first, then its
+    mirrors in the order they were added.  The table's own array, not a
+    copy: read it, never write it. *)
 
 val events : t -> logged list
 (** Chronological protocol state changes. *)
